@@ -62,10 +62,11 @@ stage_asan() {
   echo "stages.sh: all tests passed under ASan/UBSan"
 }
 
-# TSan: the grid/averaged runners and the tracing facilities are the only
-# code that touches threads; their tests run every parallel path
-# (jobs > 1).  Recovery and data-plane runs go through the same pool, so
-# their determinism/acceptance tests ride along here too.
+# TSan: every test that crosses a thread.  util::parallel_for runs the
+# grid/averaged runners (jobs > 1) and the world build (per-host GNP fits,
+# per-source Dijkstra), ShardSet runs sharded scenarios, and the tracing
+# facilities are per-thread.  Recovery and data-plane runs go through the
+# same grid pool, so their determinism/acceptance tests ride along too.
 stage_tsan() {
   local build_dir="${1:-${repo_root}/build-tsan}"
   cmake -B "${build_dir}" -S "${repo_root}" \
@@ -75,7 +76,7 @@ stage_tsan() {
   cmake --build "${build_dir}" -j "${jobs}" --target groupcast_tests
   ctest --test-dir "${build_dir}" --no-tests=error \
     --output-on-failure -j "${jobs}" \
-    -R 'Experiment|ExperimentGrid|Counter|Tracer|Trace|Recovery|FaultPlan|FaultInjector|ReliableExchange|DataPlane|Histogram|FlightRecorder|GridDeterminism|Provenance|ShardSet|ShardDeterminism|Streaming'
+    -R 'Experiment|ExperimentGrid|Counter|Tracer|Trace|Recovery|FaultPlan|FaultInjector|ReliableExchange|DataPlane|Histogram|FlightRecorder|GridDeterminism|Provenance|ShardSet|ShardDeterminism|Streaming|Gnp|Coords|NelderMead|Parallel|Routing'
   echo "stages.sh: parallel-runner tests clean under TSan"
 }
 

@@ -1,14 +1,20 @@
 #include "coords/gnp.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "coords/nelder_mead.h"
+#include "util/parallel.h"
 #include "util/require.h"
 
 namespace groupcast::coords {
 
 namespace {
+
+/// Hosts per parallel_for chunk: one fit takes tens of microseconds, so a
+/// chunk amortizes the shared ticket without starving the tail.
+constexpr std::size_t kHostsPerChunk = 64;
 
 double noisy(double value, double noise, util::Rng& rng) {
   if (noise <= 0.0) return value;
@@ -92,17 +98,29 @@ GnpEmbedding::GnpEmbedding(std::size_t host_count, const LatencyOracle& oracle,
   std::vector<char> is_landmark(host_count, 0);
   for (const auto l : landmarks_) is_landmark[l] = 1;
 
+  // Every probe is drawn here, serially and in host order, so the RNG
+  // stream (and its state after the constructor) is exactly that of a
+  // host-by-host loop; the fits below draw nothing.
+  std::vector<double> probes(host_count * n_landmarks);
+  for (std::size_t host = 0; host < host_count; ++host) {
+    if (is_landmark[host]) continue;
+    for (std::size_t j = 0; j < n_landmarks; ++j) {
+      probes[host * n_landmarks + j] =
+          noisy(oracle(host, landmarks_[j]), options.measurement_noise, rng);
+    }
+  }
+
+  // Each fit is a pure function of its probe row and the landmark
+  // coordinates and writes only its own host's coordinate, so the fits
+  // run in parallel and come out byte-identical to a serial loop.
+  using Point = std::array<double, kDims>;
   NelderMeadOptions nm;
   nm.max_iterations = options.host_nm_iterations;
   nm.initial_step = 40.0;
-  for (std::size_t host = 0; host < host_count; ++host) {
-    if (is_landmark[host]) continue;
-    std::vector<double> probes(n_landmarks);
-    for (std::size_t j = 0; j < n_landmarks; ++j) {
-      probes[j] =
-          noisy(oracle(host, landmarks_[j]), options.measurement_noise, rng);
-    }
-    const auto objective = [&](const std::vector<double>& x) {
+  util::parallel_for(host_count, kHostsPerChunk, [&](std::size_t host) {
+    if (is_landmark[host]) return;
+    const double* probe = &probes[host * n_landmarks];
+    const auto objective = [&](const Point& x) {
       double total = 0.0;
       for (std::size_t j = 0; j < n_landmarks; ++j) {
         double acc = 0.0;
@@ -110,22 +128,19 @@ GnpEmbedding::GnpEmbedding(std::size_t host_count, const LatencyOracle& oracle,
           const double diff = x[d] - lm[j][d];
           acc += diff * diff;
         }
-        total += relative_error_sq(std::sqrt(acc), probes[j]);
+        total += relative_error_sq(std::sqrt(acc), probe[j]);
       }
       return total;
     };
     // Start at the closest landmark's coordinate — a good initial guess.
     std::size_t nearest = 0;
     for (std::size_t j = 1; j < n_landmarks; ++j) {
-      if (probes[j] < probes[nearest]) nearest = j;
+      if (probe[j] < probe[nearest]) nearest = j;
     }
-    std::vector<double> start(kDims);
+    Point start{};
     for (std::size_t d = 0; d < kDims; ++d) start[d] = lm[nearest][d];
-    const auto result = nelder_mead(objective, std::move(start), nm);
-    Coord c;
-    for (std::size_t d = 0; d < kDims; ++d) c[d] = result.x[d];
-    coords_[host] = c;
-  }
+    coords_[host] = Coord(nelder_mead(objective, start, nm).x);
+  });
 }
 
 double GnpEmbedding::median_relative_error(const LatencyOracle& oracle,

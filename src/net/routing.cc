@@ -3,9 +3,16 @@
 #include <algorithm>
 #include <queue>
 
+#include "util/parallel.h"
 #include "util/require.h"
 
 namespace groupcast::net {
+
+namespace {
+/// Sources per parallel_for chunk; each chunk allocates its own Dijkstra
+/// scratch once and reuses it for every source it runs.
+constexpr std::size_t kSourcesPerChunk = 16;
+}  // namespace
 
 IpRouting::IpRouting(const UnderlayTopology& topology)
     : topology_(&topology), n_(topology.router_count()) {
@@ -20,41 +27,46 @@ IpRouting::IpRouting(const UnderlayTopology& topology)
     }
   }
 
-  // Dijkstra from every source.  `pred` tracks the predecessor so we can
-  // fill the next-hop matrix for the *reverse* direction in one pass; we
-  // instead run per-source and record first hops directly by propagating
-  // the first hop along with the tentative distance.
+  // Dijkstra from every source, recording each destination's first hop by
+  // carrying it along with the tentative distance.  Sources are
+  // independent: each writes only its own row of dist_ / next_, from
+  // scratch owned by its chunk, so the rows are the same on any schedule.
   using QueueItem = std::pair<double, RouterId>;
-  std::vector<double> dist(n_);
-  std::vector<RouterId> first_hop(n_);
-  for (RouterId src = 0; src < n_; ++src) {
-    std::fill(dist.begin(), dist.end(),
-              std::numeric_limits<double>::infinity());
-    std::priority_queue<QueueItem, std::vector<QueueItem>, std::greater<>>
-        heap;
-    dist[src] = 0.0;
-    first_hop[src] = src;
-    heap.emplace(0.0, src);
-    while (!heap.empty()) {
-      const auto [d, at] = heap.top();
-      heap.pop();
-      if (d > dist[at]) continue;
-      for (const auto& [link, nbr] : topology.neighbors(at)) {
-        const double cand = d + topology.link(link).latency_ms;
-        if (cand < dist[nbr]) {
-          dist[nbr] = cand;
-          first_hop[nbr] = (at == src) ? nbr : first_hop[at];
-          heap.emplace(cand, nbr);
+  util::parallel_for_chunks(
+      n_, kSourcesPerChunk, [&](std::size_t begin, std::size_t end) {
+        std::vector<double> dist(n_);
+        std::vector<RouterId> first_hop(n_);
+        std::priority_queue<QueueItem, std::vector<QueueItem>,
+                            std::greater<>>
+            heap;
+        for (auto src = static_cast<RouterId>(begin); src < end; ++src) {
+          std::fill(dist.begin(), dist.end(),
+                    std::numeric_limits<double>::infinity());
+          dist[src] = 0.0;
+          first_hop[src] = src;
+          heap.emplace(0.0, src);
+          while (!heap.empty()) {
+            const auto [d, at] = heap.top();
+            heap.pop();
+            if (d > dist[at]) continue;
+            for (const auto& [link, nbr] : topology.neighbors(at)) {
+              const double cand = d + topology.link(link).latency_ms;
+              if (cand < dist[nbr]) {
+                dist[nbr] = cand;
+                first_hop[nbr] = (at == src) ? nbr : first_hop[at];
+                heap.emplace(cand, nbr);
+              }
+            }
+          }
+          for (RouterId dst = 0; dst < n_; ++dst) {
+            GC_ENSURE_MSG(
+                dist[dst] < std::numeric_limits<double>::infinity(),
+                "underlay must be connected");
+            dist_[index(src, dst)] = dist[dst];
+            next_[index(src, dst)] = first_hop[dst];
+          }
         }
-      }
-    }
-    for (RouterId dst = 0; dst < n_; ++dst) {
-      GC_ENSURE_MSG(dist[dst] < std::numeric_limits<double>::infinity(),
-                    "underlay must be connected");
-      dist_[index(src, dst)] = dist[dst];
-      next_[index(src, dst)] = first_hop[dst];
-    }
-  }
+      });
 
   // Shortest-path *costs* are symmetric on an undirected underlay, but the
   // two directions can tie-break onto different equal-cost paths and sum

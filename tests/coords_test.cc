@@ -4,6 +4,7 @@
 // convergence.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 
 #include "coords/coord.h"
@@ -55,14 +56,15 @@ TEST(Coord, DistanceIsSymmetricAndTriangular) {
 }
 
 TEST(NelderMead, MinimizesQuadraticBowl) {
-  const auto f = [](const std::vector<double>& x) {
+  const auto f = [](const std::array<double, 4>& x) {
     double total = 0.0;
     for (std::size_t i = 0; i < x.size(); ++i) {
       total += (x[i] - static_cast<double>(i)) * (x[i] - static_cast<double>(i));
     }
     return total;
   };
-  const auto result = nelder_mead(f, std::vector<double>(4, 10.0));
+  const auto result =
+      nelder_mead(f, std::array<double, 4>{10.0, 10.0, 10.0, 10.0});
   EXPECT_LT(result.value, 1e-3);
   for (std::size_t i = 0; i < 4; ++i) {
     EXPECT_NEAR(result.x[i], static_cast<double>(i), 0.05);
@@ -71,22 +73,22 @@ TEST(NelderMead, MinimizesQuadraticBowl) {
 
 TEST(NelderMead, HandlesAsymmetricValley) {
   // f(x, y) = (x-1)^2 + 100 (y - x)^2: a narrow diagonal valley.
-  const auto f = [](const std::vector<double>& x) {
+  const auto f = [](const std::array<double, 2>& x) {
     return (x[0] - 1.0) * (x[0] - 1.0) +
            100.0 * (x[1] - x[0]) * (x[1] - x[0]);
   };
   NelderMeadOptions options;
   options.max_iterations = 2000;
   options.initial_step = 2.0;
-  const auto result = nelder_mead(f, {5.0, -5.0}, options);
+  const auto result = nelder_mead<2>(f, {5.0, -5.0}, options);
   EXPECT_LT(result.value, 1e-2);
 }
 
 TEST(NelderMead, RespectsIterationBudget) {
-  const auto f = [](const std::vector<double>& x) { return x[0] * x[0]; };
+  const auto f = [](const std::array<double, 1>& x) { return x[0] * x[0]; };
   NelderMeadOptions options;
   options.max_iterations = 5;
-  const auto result = nelder_mead(f, {100.0}, options);
+  const auto result = nelder_mead<1>(f, {100.0}, options);
   EXPECT_LE(result.iterations, 5u);
 }
 
