@@ -69,21 +69,24 @@ int main(int argc, char** argv) {
                 "run the node-runtime churn/recovery harness instead of the "
                 "engine pipeline",
                 "false");
-  flags.declare("loss", "recovery: per-message loss probability", "0");
+  flags.declare("loss", "recovery/streaming: per-message loss probability",
+                "0");
   flags.declare("crash", "recovery: fraction of subscribers crashed", "0");
   flags.declare("graceful", "recovery: fraction leaving gracefully", "0");
   flags.declare("reliable",
-                "recovery: NACK/retransmit reliability on tree edges",
+                "recovery/streaming: NACK/retransmit reliability on tree "
+                "edges",
                 "false");
   flags.declare("flow-control",
-                "recovery: sender-side flow control on reliable edges "
-                "(requires --reliable)",
+                "recovery/streaming: sender-side flow control on reliable "
+                "edges (requires --reliable)",
                 "false");
   flags.declare("window",
                 "recovery: sender window per reliable edge, in sequences",
                 "32");
   flags.declare("adaptive",
-                "recovery: adaptive failure detection and NACK cadence",
+                "recovery/streaming: adaptive failure detection and NACK "
+                "cadence",
                 "false");
   flags.declare("replicas",
                 "recovery: rendezvous replica-set size; > 0 enables leased "
@@ -104,8 +107,7 @@ int main(int argc, char** argv) {
                 "1");
   flags.declare("streaming",
                 "run the live-streaming workload harness instead of the "
-                "engine pipeline (--loss/--reliable/--flow-control/"
-                "--adaptive ride along)",
+                "engine pipeline",
                 "false");
   flags.declare("chunks", "streaming: chunks per publisher", "50");
   flags.declare("chunk-interval-ms", "streaming: publisher cadence", "100");
@@ -163,21 +165,6 @@ int main(int argc, char** argv) {
   config.advertisement_ttl = static_cast<std::size_t>(flags.get_int("ttl"));
   config.ripple_ttl = static_cast<std::size_t>(flags.get_int("ripple-ttl"));
   config.recovery.enabled = flags.get_bool("recovery");
-  config.recovery.loss_probability = flags.get_double("loss");
-  config.recovery.crash_fraction = flags.get_double("crash");
-  config.recovery.graceful_fraction = flags.get_double("graceful");
-  config.recovery.reliable_data = flags.get_bool("reliable");
-  config.recovery.flow_control = flags.get_bool("flow-control");
-  config.recovery.flow_window =
-      static_cast<std::size_t>(flags.get_int("window"));
-  config.recovery.adaptive = flags.get_bool("adaptive");
-  const auto replicas =
-      static_cast<std::size_t>(std::max<std::int64_t>(0,
-                                                      flags.get_int("replicas")));
-  config.recovery.replication = replicas > 0;
-  if (replicas > 0) config.recovery.replicas = replicas;
-  config.recovery.lease_seconds = flags.get_double("lease-ms") / 1000.0;
-  config.recovery.partition_seconds = flags.get_double("partition");
   config.streaming.enabled = flags.get_bool("streaming");
   if (config.recovery.enabled && config.streaming.enabled) {
     std::fprintf(stderr,
@@ -185,13 +172,45 @@ int main(int argc, char** argv) {
                  "exclusive harnesses\n");
     return 2;
   }
+  // The shared node-runtime flags fill whichever harness runs.
+  metrics::RuntimeOptions* runtime = nullptr;
+  if (config.recovery.enabled) runtime = &config.recovery;
+  if (config.streaming.enabled) runtime = &config.streaming;
+  if (runtime != nullptr) {
+    runtime->loss_probability = flags.get_double("loss");
+    runtime->reliable_data = flags.get_bool("reliable");
+    runtime->flow_control = flags.get_bool("flow-control");
+    runtime->adaptive = flags.get_bool("adaptive");
+  } else {
+    // Without a node-runtime harness the engine pipeline has no loss or
+    // reliable data path; refuse loudly so a sweep never mistakes the
+    // clean run for results.
+    const char* stray = nullptr;
+    if (flags.get_double("loss") != 0.0) stray = "--loss";
+    if (flags.get_bool("reliable")) stray = "--reliable";
+    if (flags.get_bool("flow-control")) stray = "--flow-control";
+    if (flags.get_bool("adaptive")) stray = "--adaptive";
+    if (stray != nullptr) {
+      std::fprintf(stderr,
+                   "sim_driver: %s only takes effect with --recovery or "
+                   "--streaming (the engine pipeline would silently ignore "
+                   "it)\n",
+                   stray);
+      return 2;
+    }
+  }
+  config.recovery.crash_fraction = flags.get_double("crash");
+  config.recovery.graceful_fraction = flags.get_double("graceful");
+  config.recovery.flow_window =
+      static_cast<std::size_t>(flags.get_int("window"));
+  const auto replicas =
+      static_cast<std::size_t>(std::max<std::int64_t>(0,
+                                                      flags.get_int("replicas")));
+  config.recovery.replication = replicas > 0;
+  if (replicas > 0) config.recovery.replicas = replicas;
+  config.recovery.lease_seconds = flags.get_double("lease-ms") / 1000.0;
+  config.recovery.partition_seconds = flags.get_double("partition");
   if (config.streaming.enabled) {
-    // The node-runtime riders migrate over: the streaming harness shares
-    // the loss / reliability / flow-control / adaptive knobs.
-    config.streaming.loss_probability = config.recovery.loss_probability;
-    config.streaming.reliable_data = config.recovery.reliable_data;
-    config.streaming.flow_control = config.recovery.flow_control;
-    config.streaming.adaptive = config.recovery.adaptive;
     config.streaming.chunks =
         static_cast<std::size_t>(flags.get_int("chunks"));
     config.streaming.chunk_interval_seconds =
@@ -253,33 +272,21 @@ int main(int argc, char** argv) {
     }
   }
   if (!config.recovery.enabled) {
-    // Node-runtime flags without --recovery (or --streaming for the
-    // shared riders) would be silently ignored — the engine pipeline has
-    // no loss, churn, or reliable data path; refuse loudly so a sweep
-    // never mistakes the clean run for results.
+    // Recovery-only flags: the streaming harness and the engine pipeline
+    // have no churn, replication or partition phase.
     const char* stray = nullptr;
-    if (!config.streaming.enabled) {
-      if (config.recovery.loss_probability != 0.0) stray = "--loss";
-      if (config.recovery.reliable_data) stray = "--reliable";
-      if (config.recovery.flow_control) stray = "--flow-control";
-      if (config.recovery.adaptive) stray = "--adaptive";
-    }
     if (config.recovery.crash_fraction != 0.0) stray = "--crash";
     if (config.recovery.graceful_fraction != 0.0) stray = "--graceful";
     if (config.recovery.replication) stray = "--replicas";
     if (config.recovery.partition_seconds != 0.0) stray = "--partition";
     if (stray != nullptr) {
       std::fprintf(stderr,
-                   "sim_driver: %s only takes effect with --recovery%s\n",
-                   stray,
-                   config.streaming.enabled
-                       ? ""
-                       : " or --streaming (the engine pipeline would "
-                         "silently ignore it)");
+                   "sim_driver: %s only takes effect with --recovery\n",
+                   stray);
       return 2;
     }
   }
-  if (config.recovery.flow_control && !config.recovery.reliable_data) {
+  if (runtime != nullptr && runtime->flow_control && !runtime->reliable_data) {
     std::fprintf(stderr,
                  "sim_driver: --flow-control requires --reliable (the "
                  "window rides on the reliable sequence space)\n");
@@ -309,8 +316,7 @@ int main(int argc, char** argv) {
     return 2;
   }
   config.shards = static_cast<std::size_t>(shards_raw);
-  if (config.shards > 1 && !config.recovery.enabled &&
-      !config.streaming.enabled) {
+  if (config.shards > 1 && runtime == nullptr) {
     std::fprintf(stderr,
                  "sim_driver: --shards only takes effect with --recovery "
                  "or --streaming (the engine pipeline runs on the single "
@@ -386,24 +392,34 @@ int main(int argc, char** argv) {
               core::to_string(config.scheme), config.groups,
               config.effective_group_size(), topologies,
               static_cast<unsigned long long>(config.seed));
-  std::printf("  messages/group: %.0f advertisement + %.0f subscription\n",
-              r.advertisement_messages, r.subscription_messages);
-  std::printf("  receiving rate %.1f%%, subscription success %.1f%%, "
-              "lookup %.1f ms\n",
-              100.0 * r.receiving_rate,
-              100.0 * r.subscription_success_rate, r.lookup_latency_ms);
-  std::printf("  delay penalty %.2f, link stress %.2f, node stress %.2f, "
-              "overload %.5f\n",
-              r.delay_penalty, r.link_stress, r.node_stress,
-              r.overload_index);
-  std::printf("  per-group stddev: delay %.2f, link %.2f, overload %.5f, "
-              "lookup %.1f ms\n",
-              r.delay_penalty_group_stddev, r.link_stress_group_stddev,
-              r.overload_index_group_stddev,
-              r.lookup_latency_group_stddev);
-  std::printf("  avg tree: %.0f nodes, depth %.1f\n", r.avg_tree_nodes,
-              r.avg_tree_depth);
+  if (runtime == nullptr) {
+    std::printf("  messages/group: %.0f advertisement + %.0f subscription\n",
+                r.advertisement_messages, r.subscription_messages);
+    std::printf("  receiving rate %.1f%%, subscription success %.1f%%, "
+                "lookup %.1f ms\n",
+                100.0 * r.receiving_rate,
+                100.0 * r.subscription_success_rate, r.lookup_latency_ms);
+    std::printf("  delay penalty %.2f, link stress %.2f, node stress %.2f, "
+                "overload %.5f\n",
+                r.delay_penalty, r.link_stress, r.node_stress,
+                r.overload_index);
+    std::printf("  per-group stddev: delay %.2f, link %.2f, overload %.5f, "
+                "lookup %.1f ms\n",
+                r.delay_penalty_group_stddev, r.link_stress_group_stddev,
+                r.overload_index_group_stddev,
+                r.lookup_latency_group_stddev);
+    std::printf("  avg tree: %.0f nodes, depth %.1f\n", r.avg_tree_nodes,
+                r.avg_tree_depth);
+  } else {
+    // The node-runtime harnesses measure neither the advertisement
+    // engine nor the engine-level tree metrics: only the messages their
+    // transport sent and how many subscribers made it onto the tree.
+    std::printf("  messages sent %.0f, subscription success %.1f%%\n",
+                r.subscription_messages,
+                100.0 * r.subscription_success_rate);
+  }
   if (config.recovery.enabled) {
+    std::printf("  avg tree: %.0f nodes\n", r.avg_tree_nodes);
     std::printf("  recovery: delivery %.1f%%, reattached %.1f%%, orphan "
                 "%.2f epochs, converged in %.1f, violations %.0f\n",
                 100.0 * r.delivery_ratio, 100.0 * r.reattached_fraction,

@@ -174,7 +174,6 @@ std::vector<overlay::PeerId> AdvertisementEngine::select_targets_cached(
 AdvertisementState AdvertisementEngine::announce(overlay::PeerId rendezvous,
                                                  MessageStats* stats) {
   GC_REQUIRE(rendezvous < population_->size());
-  trace::ScopedTimer announce_timer(trace::TimerId::kAnnounce);
 
   AdvertisementState state;
   state.rendezvous = rendezvous;

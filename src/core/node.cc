@@ -623,10 +623,6 @@ void GroupCastNode::run_rung(GroupId group) {
 void GroupCastNode::advance_rung(GroupId group) {
   auto& state = state_of(group);
   if (state.on_tree) return;  // attached while the give-up was in flight
-  if (!options_.escalation) {
-    terminal_failure(group);
-    return;
-  }
   switch (state.rung) {
     case Rung::kBackup: {
       // The backup was dead too: fall through to the regular first rung.

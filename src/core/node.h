@@ -113,9 +113,6 @@ struct NodeOptions {
   /// Per-attempt timeout / backoff / attempt budget of every control-plane
   /// exchange (one exchange per ladder rung).
   RetryPolicy retry;
-  /// Escalate across ladder rungs (advert parent -> ripple -> rendezvous
-  /// + replicas).  Off reproduces the legacy single-strategy behaviour.
-  bool escalation = true;
   /// Rendezvous replicas tried when the rendezvous itself is unresponsive.
   std::size_t rendezvous_replicas = 2;
   /// Tree-edge heartbeat period; zero() disables liveness probing (the

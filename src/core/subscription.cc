@@ -124,7 +124,6 @@ SubscriptionOutcome SubscriptionProtocol::subscribe(
     const AdvertisementState& advert, overlay::PeerId subscriber,
     SpanningTree& tree, MessageStats* stats) const {
   GC_REQUIRE(subscriber < population_->size());
-  trace::ScopedTimer subscribe_timer(trace::TimerId::kSubscribe);
   trace::counters().incr(subscriber, trace::CounterId::kSubscribeAttempts);
   SubscriptionOutcome outcome;
   outcome.subscriber = subscriber;

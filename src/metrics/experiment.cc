@@ -50,8 +50,9 @@ ScenarioResult run_scenario(const ScenarioConfig& config) {
   if (config.recovery.enabled) return run_recovery_scenario(config);
   if (config.streaming.enabled) return run_streaming_scenario(config);
   GC_REQUIRE_MSG(config.shards == 1,
-                 "shards > 1 requires the recovery harness "
-                 "(engine-level scenarios run on the single wheel)");
+                 "shards > 1 requires a node-runtime harness (recovery "
+                 "or streaming); engine-level scenarios run on the single "
+                 "wheel");
   ScenarioResult result;
   result.config = config;
 

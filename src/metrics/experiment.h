@@ -23,34 +23,16 @@
 
 namespace groupcast::metrics {
 
-/// Switches a scenario from the engine-level pipeline to the node-runtime
-/// churn harness (metrics/recovery.h).  With `enabled == false` (the
-/// default) every other field is inert and run_scenario behaves exactly as
-/// before, keeping existing goldens byte-identical.
-struct RecoveryOptions {
+/// The node-runtime fields shared by both harnesses that stand up one
+/// core::GroupCastNode per peer (metrics/recovery.h, metrics/streaming.h).
+/// Declared, defaulted and validated once; RecoveryOptions and
+/// StreamingOptions inherit them.  With `enabled == false` (the default)
+/// every other field is inert and run_scenario behaves exactly as before,
+/// keeping existing goldens byte-identical.
+struct RuntimeOptions {
   bool enabled = false;
   /// Steady-state per-message loss probability of the transport, [0, 1].
   double loss_probability = 0.0;
-  /// Fraction of subscribers crashed ungracefully (no leave), [0, 1].
-  double crash_fraction = 0.0;
-  /// Fraction of subscribers leaving gracefully during churn, [0, 1].
-  /// crash_fraction + graceful_fraction must stay <= 1.
-  double graceful_fraction = 0.0;
-  /// Tree-edge heartbeat period of every node, seconds (> 0).
-  double heartbeat_seconds = 0.5;
-  /// Heartbeat intervals without an ack before a parent is declared dead.
-  /// The node default (2, the paper's two-miss rule) is tuned for a quiet
-  /// network; under steady loss p an ack round-trip survives with
-  /// (1-p)^2, so the harness default widens the window to keep the
-  /// false-positive rate negligible at the sweep's loss levels.
-  std::size_t heartbeat_misses = 6;
-  /// Length of one convergence epoch, seconds (> 0).  Churn is injected
-  /// over one epoch; recovery is then observed epoch by epoch.
-  double epoch_seconds = 4.0;
-  /// Epochs the harness waits for re-convergence before giving up.
-  std::size_t convergence_epochs = 10;
-  /// Payloads of the post-churn speaking round (delivery-ratio probe).
-  std::size_t speaking_payloads = 4;
   /// Data-plane NACK/retransmit reliability on tree edges
   /// (core::DataReliabilityOptions, defaults).  Off keeps group data on
   /// the legacy fire-and-forget path, byte-identical to before.
@@ -60,12 +42,40 @@ struct RecoveryOptions {
   /// parks at the sender and a throttle signal propagates up the tree.
   /// Requires reliable_data.
   bool flow_control = false;
-  /// Sender window per directed edge, in sequences (flow_control only).
-  std::size_t flow_window = 32;
   /// Adaptive failure detection and NACK cadence
   /// (core::NodeOptions::adaptive): per-edge loss/RTT estimators widen
   /// heartbeat_misses and shorten NACK delays online.
   bool adaptive = false;
+  /// Tree-edge heartbeat period of every node, seconds (> 0).
+  double heartbeat_seconds = 0.5;
+  /// Heartbeat intervals without an ack before a parent is declared dead.
+  /// The node default (2, the paper's two-miss rule) is tuned for a quiet
+  /// network; under steady loss p an ack round-trip survives with
+  /// (1-p)^2, so the harness default widens the window to keep the
+  /// false-positive rate negligible at the sweep's loss levels.
+  std::size_t heartbeat_misses = 6;
+  /// Length of one convergence epoch, seconds (> 0): the harness's unit of
+  /// settling and observation, and the delay before a subscriber whose
+  /// retry ladder gave up subscribes again.
+  double epoch_seconds = 4.0;
+  /// Epochs the harness waits for the tree to (re-)converge before giving
+  /// up.
+  std::size_t convergence_epochs = 10;
+};
+
+/// Switches a scenario from the engine-level pipeline to the node-runtime
+/// churn harness (metrics/recovery.h).  Churn is injected over one epoch;
+/// recovery is then observed epoch by epoch.
+struct RecoveryOptions : RuntimeOptions {
+  /// Fraction of subscribers crashed ungracefully (no leave), [0, 1].
+  double crash_fraction = 0.0;
+  /// Fraction of subscribers leaving gracefully during churn, [0, 1].
+  /// crash_fraction + graceful_fraction must stay <= 1.
+  double graceful_fraction = 0.0;
+  /// Payloads of the post-churn speaking round (delivery-ratio probe).
+  std::size_t speaking_payloads = 4;
+  /// Sender window per directed edge, in sequences (flow_control only).
+  std::size_t flow_window = 32;
   /// Every slow_peer_stride-th peer acks at a slow_ack_factor-times
   /// coarser cadence (a "slow child"); 0 disables the impairment.
   std::size_t slow_peer_stride = 0;
@@ -113,14 +123,9 @@ struct MultiSourceOptions {
 /// Switches a scenario to the live-streaming workload harness
 /// (metrics/streaming.h): chunked payloads with playback deadlines over
 /// the (optionally reliable) data plane, per-peer bandwidth caps, multi-
-/// source groups, and an optional flash crowd joining mid-stream.  With
-/// `enabled == false` (the default) every other field is inert and
-/// run_scenario behaves exactly as before, keeping existing goldens
-/// byte-identical.
-struct StreamingOptions {
-  bool enabled = false;
-  /// Steady-state per-message loss probability of the transport, [0, 1].
-  double loss_probability = 0.0;
+/// source groups, and an optional flash crowd joining mid-stream.  The
+/// convergence epochs run before streaming starts.
+struct StreamingOptions : RuntimeOptions {
   /// Chunks each publisher emits, >= 1.
   std::size_t chunks = 50;
   /// Publisher chunk cadence, seconds (> 0).  100 ms ~= a 10 fps
@@ -138,25 +143,12 @@ struct StreamingOptions {
   double downlink_kbps = 0.0;
   /// Scale both caps by each peer's capacity class (Table 1 flows).
   bool scale_caps_with_capacity = false;
-  /// Chunk transport: NACK/retransmit reliability on tree edges, plus the
-  /// usual flow-control / adaptive riders (recovery harness semantics).
-  bool reliable_data = false;
-  bool flow_control = false;
-  bool adaptive = false;
   /// Publisher count and tree layout.
   MultiSourceOptions sources;
   /// Peers that join mid-stream against the warm tree (0 = no flash
   /// crowd), spread uniformly over flash_crowd_seconds.
   std::size_t flash_crowd_joins = 0;
   double flash_crowd_seconds = 1.0;
-  /// Tree-edge heartbeat period, seconds (> 0); misses before a parent is
-  /// declared dead (recovery harness semantics).
-  double heartbeat_seconds = 0.5;
-  std::size_t heartbeat_misses = 6;
-  /// Length of one convergence epoch, seconds (> 0), and how many epochs
-  /// the harness waits for tree convergence before streaming starts.
-  double epoch_seconds = 4.0;
-  std::size_t convergence_epochs = 10;
 };
 
 struct ScenarioConfig {
@@ -178,12 +170,13 @@ struct ScenarioConfig {
   /// Mutually exclusive with recovery.enabled.
   StreamingOptions streaming;
 
-  /// Worker shards for the recovery harness's event kernel (sim/shard_set.h).
-  /// 1 (the default) runs on the classic single-wheel simulator and stays
-  /// byte-identical to pre-shard builds; N >= 2 partitions peers by access
-  /// router across N conservative-lookahead shards, byte-identical across
-  /// every N >= 2.  Only meaningful with recovery.enabled; must not exceed
-  /// peer_count.  Engine-level scenarios reject shards > 1.
+  /// Worker shards for the node-runtime harnesses' event kernel
+  /// (sim/shard_set.h).  1 (the default) runs on the classic single-wheel
+  /// simulator and stays byte-identical to pre-shard builds; N >= 2
+  /// partitions peers by access router across N conservative-lookahead
+  /// shards, byte-identical across every N >= 2.  Only meaningful with
+  /// recovery.enabled or streaming.enabled; must not exceed peer_count.
+  /// Engine-level scenarios reject shards > 1.
   std::size_t shards = 1;
 
   /// Pre-built deployment to fork instead of constructing one from
@@ -317,8 +310,8 @@ ScenarioResult run_scenario(const ScenarioConfig& config);
 /// The middleware for one scenario run: forks `config.world` when one is
 /// attached (after validating it matches the scenario), otherwise
 /// constructs a fresh deployment from middleware_config().  Shared by
-/// run_scenario and run_recovery_scenario so both paths honour snapshot
-/// reuse identically.
+/// run_scenario and the node-runtime harnesses so every path honours
+/// snapshot reuse identically.
 std::unique_ptr<core::GroupCastMiddleware> make_scenario_middleware(
     const ScenarioConfig& config);
 

@@ -2,12 +2,39 @@
 
 #include <algorithm>
 #include <limits>
+#include <string>
+#include <utility>
 
 #include "sim/time.h"
+#include "trace/counters.h"
+#include "trace/histogram.h"
 #include "util/require.h"
 
 namespace groupcast::metrics::detail {
 
+/// Per-shard trace facilities: worker threads resolve trace::counters() /
+/// trace::histograms() thread-locally, so each shard gets its own
+/// registry (installed on the worker via exec_on_shards) and the
+/// snapshots merge into the caller's registry at the end — integer sums,
+/// hence shard-count invariant.
+struct ShardTrace {
+  trace::CounterRegistry counters;
+  trace::HistogramRegistry histograms;
+  std::unique_ptr<trace::ScopedCounterRegistry> counter_guard;
+  std::unique_ptr<trace::ScopedHistogramRegistry> histogram_guard;
+};
+
+namespace {
+
+/// Conservative lookahead of the sharded kernel, in microseconds.  Peers
+/// are sharded by access router, so every cross-shard message crosses at
+/// least one underlay link and pays two (distinct) access latencies: its
+/// delay is bounded below by the two smallest access latencies in the
+/// population plus the cheapest physical link.  One microsecond of
+/// headroom absorbs the float-sum rounding between this bound and the
+/// per-pair latency the transport actually converts.  (Bandwidth pacing
+/// only ever *adds* delay on top of that latency, so the bound holds
+/// unchanged for capped runs.)
 std::int64_t shard_lookahead_us(const net::UnderlayTopology& underlay,
                                 const overlay::PeerPopulation& population) {
   constexpr double kInf = std::numeric_limits<double>::infinity();
@@ -33,6 +60,9 @@ std::int64_t shard_lookahead_us(const net::UnderlayTopology& underlay,
       1, sim::SimTime::millis(bound_ms).as_micros() - 1);
 }
 
+/// Installs one ShardTrace per shard (empty when the caller collects
+/// nothing): each shard's worker thread gets isolated registries so the
+/// run's samples never contend and merge deterministically.
 std::vector<std::unique_ptr<ShardTrace>> install_shard_trace(
     sim::ShardSet& engine, std::size_t shards, std::size_t peer_count) {
   std::vector<std::unique_ptr<ShardTrace>> shard_trace;
@@ -58,6 +88,8 @@ std::vector<std::unique_ptr<ShardTrace>> install_shard_trace(
   return shard_trace;
 }
 
+/// Parks the workers' registries and folds the per-shard snapshots into
+/// the caller's (merge is a no-op while the caller's are disabled).
 void fold_shard_trace(sim::ShardSet& engine,
                       std::vector<std::unique_ptr<ShardTrace>>& shard_trace) {
   if (shard_trace.empty()) return;
@@ -68,6 +100,156 @@ void fold_shard_trace(sim::ShardSet& engine,
   for (const auto& per_shard : shard_trace) {
     trace::counters().merge(per_shard->counters.snapshot());
     trace::histograms().merge(per_shard->histograms.snapshot());
+  }
+}
+
+core::NodeOptions map_node_options(const ScenarioConfig& config,
+                                   const RuntimeOptions& runtime) {
+  core::NodeOptions options;
+  options.advertisement = config.middleware_config().advertisement;
+  options.ripple_ttl = config.ripple_ttl;
+  options.heartbeat_interval =
+      sim::SimTime::seconds(runtime.heartbeat_seconds);
+  options.missed_heartbeats_to_fail = runtime.heartbeat_misses;
+  options.reliability.enabled = runtime.reliable_data;
+  options.reliability.flow_control = runtime.flow_control;
+  options.adaptive = runtime.adaptive;
+  return options;
+}
+
+}  // namespace
+
+void validate_runtime(const ScenarioConfig& config,
+                      const RuntimeOptions& runtime, const char* harness) {
+  const std::string name = harness;
+  GC_REQUIRE_MSG(runtime.enabled, name + " harness invoked while disabled");
+  GC_REQUIRE_MSG(
+      runtime.loss_probability >= 0.0 && runtime.loss_probability <= 1.0,
+      name + ".loss_probability must be in [0, 1]");
+  GC_REQUIRE_MSG(!runtime.flow_control || runtime.reliable_data,
+                 name + ".flow_control requires reliable_data");
+  GC_REQUIRE_MSG(runtime.heartbeat_seconds > 0.0,
+                 name + ".heartbeat_seconds must be > 0");
+  GC_REQUIRE(runtime.heartbeat_misses >= 1);
+  GC_REQUIRE_MSG(runtime.epoch_seconds > 0.0,
+                 name + ".epoch_seconds must be > 0");
+  GC_REQUIRE(runtime.convergence_epochs >= 1);
+  GC_REQUIRE_MSG(config.shards >= 1, "config.shards must be >= 1");
+  GC_REQUIRE_MSG(config.shards <= config.peer_count,
+                 "config.shards must not exceed peer_count");
+}
+
+NodeRuntime::NodeRuntime(const ScenarioConfig& config,
+                         const RuntimeOptions& runtime,
+                         core::TransportOptions transport_options,
+                         const NodeTuner& tune)
+    : config_(config),
+      middleware_(make_scenario_middleware(config)),
+      rng_(middleware_->rng().split()),
+      want_(config.peer_count, 0),
+      epoch_(sim::SimTime::seconds(runtime.epoch_seconds)),
+      convergence_epochs_(runtime.convergence_epochs) {
+  transport_options.loss_probability = runtime.loss_probability;
+  if (config.shards > 1) {
+    engine_.emplace(config.shards,
+                    shard_lookahead_us(middleware_->underlay(),
+                                       middleware_->population()),
+                    middleware_->simulator().now());
+    transport_.emplace(*engine_, middleware_->population(),
+                       transport_options, rng_);
+    // Worker threads resolve the trace facilities thread-locally; give
+    // each shard its own registries whenever the caller collects
+    // anything, and fold the snapshots back in before the result
+    // captures them.
+    shard_trace_ =
+        install_shard_trace(*engine_, config.shards, config.peer_count);
+  } else {
+    transport_.emplace(middleware_->simulator(), middleware_->population(),
+                       transport_options, rng_);
+  }
+
+  const core::NodeOptions node_options = map_node_options(config, runtime);
+  nodes_.reserve(config.peer_count);
+  for (overlay::PeerId p = 0; p < config.peer_count; ++p) {
+    auto per_node = node_options;
+    if (tune) tune(p, per_node);
+    nodes_.push_back(std::make_unique<core::GroupCastNode>(
+        p, *transport_, middleware_->graph(), std::move(per_node), rng_));
+    nodes_.back()->start();
+  }
+}
+
+NodeRuntime::~NodeRuntime() = default;
+
+sim::SimTime NodeRuntime::engine_now() const {
+  return engine_ ? engine_->now() : middleware_->simulator().now();
+}
+
+void NodeRuntime::advance(sim::SimTime by) {
+  clock_ = clock_ + by;
+  if (engine_) {
+    engine_->run_until(clock_);
+  } else {
+    middleware_->simulator().run_until(clock_);
+  }
+}
+
+void NodeRuntime::arm_subscriber(overlay::PeerId peer) {
+  want_[peer] = 1;
+  nodes_[peer]->on_subscribe_result(
+      [this, peer](core::GroupId group, bool success) {
+        if (!success && want_[peer] != 0) resubscribe_later(peer, group);
+      });
+}
+
+void NodeRuntime::resubscribe_later(overlay::PeerId peer,
+                                    core::GroupId group) {
+  auto& node_sim = transport_->simulator_for(peer);
+  node_sim.schedule_at(node_sim.now() + epoch_, [this, peer, group] {
+    auto& node = *nodes_[peer];
+    if (want_[peer] != 0 && node.running() && !node.is_subscribed(group)) {
+      node.subscribe(group);
+    }
+  });
+}
+
+void NodeRuntime::settle(std::span<const overlay::PeerId> peers,
+                         std::span<const core::GroupId> groups) {
+  for (std::size_t e = 0; e < convergence_epochs_; ++e) {
+    advance(epoch_);
+    const bool settled =
+        std::all_of(peers.begin(), peers.end(), [&](overlay::PeerId p) {
+          return std::none_of(groups.begin(), groups.end(),
+                              [&](core::GroupId g) {
+                                return nodes_[p]->exchange_pending(g);
+                              });
+        });
+    if (settled) break;
+  }
+}
+
+void NodeRuntime::finish(ScenarioResult& result) {
+  result.config = config_;
+  result.repair_edges = middleware_->connectivity_repair_edges();
+  result.subscription_messages =
+      static_cast<double>(transport_->messages_sent());
+  if (engine_) {
+    result.events_fired = engine_->events_fired();
+    // Per-shard wheels each track a high-water mark; a cross-shard
+    // maximum would vary with the shard count, so the sharded engine
+    // reports 0 here (documented in PERFORMANCE.md).
+    result.queue_high_water = 0;
+    result.events_per_shard = engine_->events_per_shard();
+    fold_shard_trace(*engine_, shard_trace_);
+  } else {
+    result.events_fired = middleware_->simulator().events_fired();
+    result.queue_high_water = middleware_->simulator().queue_high_water();
+  }
+  if (trace::counters().enabled()) {
+    result.counters = trace::counters().snapshot();
+  }
+  if (trace::histograms().enabled()) {
+    result.histograms = trace::histograms().snapshot();
   }
 }
 

@@ -1,55 +1,111 @@
-// Internals shared by the node-runtime harnesses (metrics/recovery.h and
-// metrics/streaming.h): the conservative-lookahead bound that lets a
-// scenario run on the sharded event kernel, and the per-shard trace
-// registries that keep counter/histogram collection shard-count
-// invariant.  Not part of the public metrics API.
+// The node-runtime core shared by the recovery and streaming harnesses
+// (metrics/recovery.h, metrics/streaming.h): one place that stands up a
+// deployment of core::GroupCastNode peers on either event engine, drives
+// it epoch by epoch, keeps subscribers retrying, and captures the engine
+// and trace facilities into the result.  The harnesses keep only their
+// own phases on top.  Not part of the public metrics API.
 #pragma once
 
-#include <cstdint>
+#include <functional>
 #include <memory>
+#include <optional>
+#include <span>
 #include <vector>
 
-#include "net/topology.h"
-#include "overlay/population.h"
+#include "core/middleware.h"
+#include "core/node.h"
+#include "core/transport.h"
+#include "metrics/experiment.h"
 #include "sim/shard_set.h"
-#include "trace/counters.h"
-#include "trace/histogram.h"
+#include "util/rng.h"
 
 namespace groupcast::metrics::detail {
 
-/// Conservative lookahead of the sharded kernel, in microseconds.  Peers
-/// are sharded by access router, so every cross-shard message crosses at
-/// least one underlay link and pays two (distinct) access latencies: its
-/// delay is bounded below by the two smallest access latencies in the
-/// population plus the cheapest physical link.  One microsecond of
-/// headroom absorbs the float-sum rounding between this bound and the
-/// per-pair latency the transport actually converts.  (Bandwidth pacing
-/// only ever *adds* delay on top of that latency, so the bound holds
-/// unchanged for capped runs.)
-std::int64_t shard_lookahead_us(const net::UnderlayTopology& underlay,
-                                const overlay::PeerPopulation& population);
+struct ShardTrace;
 
-/// Per-shard trace facilities: worker threads resolve trace::counters() /
-/// trace::histograms() thread-locally, so each shard gets its own
-/// registry (installed on the worker via exec_on_shards) and the
-/// snapshots merge into the caller's registry at the end — integer sums,
-/// hence shard-count invariant.
-struct ShardTrace {
-  trace::CounterRegistry counters;
-  trace::HistogramRegistry histograms;
-  std::unique_ptr<trace::ScopedCounterRegistry> counter_guard;
-  std::unique_ptr<trace::ScopedHistogramRegistry> histogram_guard;
+/// Rejects a run whose shared runtime fields or shard count are out of
+/// range; `harness` ("recovery" / "streaming") names the option struct in
+/// the messages.
+void validate_runtime(const ScenarioConfig& config,
+                      const RuntimeOptions& runtime, const char* harness);
+
+/// One node-runtime run.  Construction, in this order: builds the
+/// middleware from the config (forking an attached world) and splits the
+/// harness RNG off it; picks the engine — the middleware's single wheel
+/// at shards == 1, a ShardSet of conservative-lookahead wheels otherwise;
+/// constructs the transport on it; gives every shard its own trace
+/// registries; maps the runtime fields onto core::NodeOptions; then
+/// constructs and starts one node per peer.  Every RNG split and event
+/// schedule happens in that fixed order, so a (config, seed) pair is one
+/// deterministic trajectory whatever the grid's job count.
+class NodeRuntime {
+ public:
+  /// Per-peer refinement of the shared NodeOptions mapping, for harness
+  /// fields the runtime does not know (recovery's flow window,
+  /// replication and slow peers).
+  using NodeTuner = std::function<void(overlay::PeerId, core::NodeOptions&)>;
+
+  NodeRuntime(const ScenarioConfig& config, const RuntimeOptions& runtime,
+              core::TransportOptions transport_options,
+              const NodeTuner& tune = nullptr);
+  ~NodeRuntime();
+  NodeRuntime(const NodeRuntime&) = delete;
+  NodeRuntime& operator=(const NodeRuntime&) = delete;
+
+  core::GroupCastMiddleware& middleware() { return *middleware_; }
+  /// The harness's own RNG stream, split off the middleware's.
+  util::Rng& rng() { return rng_; }
+  core::Transport& transport() { return *transport_; }
+  std::vector<std::unique_ptr<core::GroupCastNode>>& nodes() {
+    return nodes_;
+  }
+  bool sharded() const { return engine_.has_value(); }
+
+  /// One convergence epoch (RuntimeOptions::epoch_seconds).
+  sim::SimTime epoch() const { return epoch_; }
+  /// The harness clock: the sum of every advance() so far.
+  sim::SimTime clock() const { return clock_; }
+  /// The engine's own clock after the last advance().
+  sim::SimTime engine_now() const;
+  /// Runs the engine `by` past the harness clock.
+  void advance(sim::SimTime by);
+
+  /// Application-level retry loop: marks `peer` as wanting its groups and
+  /// re-subscribes it one epoch after any terminal subscribe failure (the
+  /// ladder's give-up callback), as a real client would.
+  void arm_subscriber(overlay::PeerId peer);
+  /// Ends the retry loop for `peer` (a graceful leaver).  Call it from
+  /// the peer's own shard: the per-peer flag is never locked.
+  void drop_subscriber(overlay::PeerId peer) { want_[peer] = 0; }
+  /// Advances epoch by epoch, at most convergence_epochs times, until no
+  /// peer has a control exchange pending on any of `groups`.
+  void settle(std::span<const overlay::PeerId> peers,
+              std::span<const core::GroupId> groups);
+
+  /// Folds the shard trace back and captures the run into `result`: the
+  /// config, repair edges, messages sent, the engine's event counts and
+  /// queue high-water, and the counter and histogram snapshots.
+  void finish(ScenarioResult& result);
+
+ private:
+  void resubscribe_later(overlay::PeerId peer, core::GroupId group);
+
+  const ScenarioConfig& config_;
+  std::unique_ptr<core::GroupCastMiddleware> middleware_;
+  util::Rng rng_;
+  // The engine is declared before the transport (the ShardSet's client)
+  // so the transport is torn down first.
+  std::optional<sim::ShardSet> engine_;
+  std::optional<core::Transport> transport_;
+  std::vector<std::unique_ptr<ShardTrace>> shard_trace_;
+  std::vector<std::unique_ptr<core::GroupCastNode>> nodes_;
+  /// Which peers still want their groups.  A per-peer byte vector rather
+  /// than a shared set: every entry is only touched by closures of that
+  /// one peer, which all run on its own shard, so no lock is needed.
+  std::vector<char> want_;
+  const sim::SimTime epoch_;
+  const std::size_t convergence_epochs_;
+  sim::SimTime clock_ = sim::SimTime::zero();
 };
-
-/// Installs one ShardTrace per shard (empty when the caller collects
-/// nothing): each shard's worker thread gets isolated registries so the
-/// run's samples never contend and merge deterministically.
-std::vector<std::unique_ptr<ShardTrace>> install_shard_trace(
-    sim::ShardSet& engine, std::size_t shards, std::size_t peer_count);
-
-/// Parks the workers' registries and folds the per-shard snapshots into
-/// the caller's (merge is a no-op while the caller's are disabled).
-void fold_shard_trace(sim::ShardSet& engine,
-                      std::vector<std::unique_ptr<ShardTrace>>& shard_trace);
 
 }  // namespace groupcast::metrics::detail

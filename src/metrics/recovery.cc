@@ -2,13 +2,10 @@
 
 #include <algorithm>
 #include <atomic>
-#include <functional>
-#include <limits>
-#include <memory>
+#include <optional>
 #include <unordered_map>
 #include <unordered_set>
-
-#include <optional>
+#include <vector>
 
 #include "core/fault_injection.h"
 #include "core/invariants.h"
@@ -18,7 +15,6 @@
 #include "metrics/harness_common.h"
 #include "sim/fault_plan.h"
 #include "sim/recorder.h"
-#include "sim/shard_set.h"
 #include "trace/counters.h"
 #include "trace/histogram.h"
 #include "trace/trace.h"
@@ -28,11 +24,9 @@ namespace groupcast::metrics {
 
 namespace {
 
-void validate(const RecoveryOptions& rec) {
-  GC_REQUIRE_MSG(rec.enabled, "recovery harness invoked while disabled");
-  GC_REQUIRE_MSG(
-      rec.loss_probability >= 0.0 && rec.loss_probability <= 1.0,
-      "recovery.loss_probability must be in [0, 1]");
+void validate(const ScenarioConfig& config) {
+  const RecoveryOptions& rec = config.recovery;
+  detail::validate_runtime(config, rec, "recovery");
   GC_REQUIRE_MSG(rec.crash_fraction >= 0.0 && rec.crash_fraction <= 1.0,
                  "recovery.crash_fraction must be in [0, 1]");
   GC_REQUIRE_MSG(
@@ -40,15 +34,7 @@ void validate(const RecoveryOptions& rec) {
       "recovery.graceful_fraction must be in [0, 1]");
   GC_REQUIRE_MSG(rec.crash_fraction + rec.graceful_fraction <= 1.0,
                  "crash_fraction + graceful_fraction must stay <= 1");
-  GC_REQUIRE_MSG(rec.heartbeat_seconds > 0.0,
-                 "recovery.heartbeat_seconds must be > 0");
-  GC_REQUIRE(rec.heartbeat_misses >= 1);
-  GC_REQUIRE_MSG(rec.epoch_seconds > 0.0,
-                 "recovery.epoch_seconds must be > 0");
-  GC_REQUIRE(rec.convergence_epochs >= 1);
   GC_REQUIRE(rec.speaking_payloads >= 1);
-  GC_REQUIRE_MSG(!rec.flow_control || rec.reliable_data,
-                 "recovery.flow_control requires reliable_data");
   GC_REQUIRE(rec.slow_ack_factor >= 1);
   GC_REQUIRE_MSG(rec.partition_seconds >= 0.0,
                  "recovery.partition_seconds must be >= 0");
@@ -67,6 +53,8 @@ void validate(const RecoveryOptions& rec) {
   }
 }
 
+constexpr core::GroupId kGroup = 1;
+
 /// Payload-id bases of the per-side partition probes; far above anything
 /// the speaking rounds use, so side counters never alias.
 constexpr std::uint64_t kMinorityProbeBase = 1'000'000;
@@ -76,103 +64,41 @@ constexpr std::uint64_t kMajorityProbeBase = 2'000'000;
 
 ScenarioResult run_recovery_scenario(const ScenarioConfig& config) {
   const RecoveryOptions& rec = config.recovery;
-  validate(rec);
-  GC_REQUIRE_MSG(config.shards >= 1, "config.shards must be >= 1");
-  GC_REQUIRE_MSG(config.shards <= config.peer_count,
-                 "config.shards must not exceed peer_count");
+  validate(config);
   ScenarioResult result;
-  result.config = config;
 
-  // Deployment: the middleware builds underlay + population + overlay from
-  // config.seed; the harness splits its own RNG stream off the same source
-  // so a (config, seed) pair is one deterministic trajectory whatever the
-  // grid's job count.
-  const auto middleware_ptr = make_scenario_middleware(config);
-  core::GroupCastMiddleware& middleware = *middleware_ptr;
-  result.repair_edges = middleware.connectivity_repair_edges();
-  auto& simulator = middleware.simulator();
-  util::Rng rng = middleware.rng().split();
-
-  core::TransportOptions transport_options;
-  transport_options.loss_probability = rec.loss_probability;
-  // Sharded kernel: with config.shards >= 2 the run executes on a
-  // ShardSet of per-shard wheels advancing in conservative-lookahead
-  // epochs instead of the middleware's single wheel.  The engine is
-  // declared before the transport so the transport (the ShardSet client)
-  // is torn down first.
-  std::optional<sim::ShardSet> engine;
-  if (config.shards > 1) {
-    engine.emplace(config.shards,
-                   detail::shard_lookahead_us(middleware.underlay(),
-                                              middleware.population()),
-                   simulator.now());
-  }
-  std::optional<core::Transport> transport_storage;
-  if (engine) {
-    transport_storage.emplace(*engine, middleware.population(),
-                              transport_options, rng);
-  } else {
-    transport_storage.emplace(simulator, middleware.population(),
-                              transport_options, rng);
-  }
-  core::Transport& transport = *transport_storage;
-
-  // Worker threads resolve the trace facilities thread-locally; give each
-  // shard its own registries whenever the caller collects anything, and
-  // fold the snapshots back in before the result captures them.
-  std::vector<std::unique_ptr<detail::ShardTrace>> shard_trace;
-  if (engine) {
-    shard_trace =
-        detail::install_shard_trace(*engine, config.shards, config.peer_count);
-  }
-
-  core::NodeOptions node_options;
-  node_options.advertisement = config.middleware_config().advertisement;
-  node_options.ripple_ttl = config.ripple_ttl;
-  node_options.heartbeat_interval =
-      sim::SimTime::seconds(rec.heartbeat_seconds);
-  node_options.missed_heartbeats_to_fail = rec.heartbeat_misses;
-  node_options.reliability.enabled = rec.reliable_data;
-  node_options.reliability.flow_control = rec.flow_control;
-  if (rec.flow_control) node_options.reliability.window = rec.flow_window;
-  node_options.adaptive = rec.adaptive;
-  if (rec.replication) {
-    node_options.replication.enabled = true;
-    node_options.replication.replicas = rec.replicas;
-    node_options.replication.lease_interval =
-        sim::SimTime::seconds(rec.lease_seconds);
-    node_options.replication.lease_duration =
-        sim::SimTime::seconds(rec.lease_seconds * 4.0);
-    // Ladder targeting must round-robin over at least the replica quorum,
-    // or an orphan could never reach the elected leaseholder.
-    node_options.rendezvous_replicas =
-        std::max(node_options.rendezvous_replicas, rec.replicas);
-  }
-  std::vector<std::unique_ptr<core::GroupCastNode>> nodes;
-  nodes.reserve(config.peer_count);
-  for (overlay::PeerId p = 0; p < config.peer_count; ++p) {
-    auto per_node = node_options;
-    if (rec.reliable_data && rec.slow_peer_stride != 0 &&
-        p % rec.slow_peer_stride == 0) {
-      // Slow child impairment: a coarser ack cadence starves the parent's
-      // ack clock, backing data up in its per-edge sender buffer.
-      per_node.reliability.ack_every *= rec.slow_ack_factor;
-    }
-    nodes.push_back(std::make_unique<core::GroupCastNode>(
-        p, transport, middleware.graph(), per_node, rng));
-    nodes.back()->start();
-  }
-
-  const sim::SimTime epoch = sim::SimTime::seconds(rec.epoch_seconds);
-  sim::SimTime clock = sim::SimTime::zero();
-  const auto advance = [&](sim::SimTime by) {
-    clock = clock + by;
-    if (engine) {
-      engine->run_until(clock);
-    } else {
-      simulator.run_until(clock);
-    }
-  };
+  // Deployment, engine, transport and one started node per peer; the
+  // recovery-only node fields ride on the shared mapping.
+  detail::NodeRuntime runtime(
+      config, rec, core::TransportOptions{},
+      [&rec](overlay::PeerId p, core::NodeOptions& options) {
+        if (rec.flow_control) options.reliability.window = rec.flow_window;
+        if (rec.replication) {
+          options.replication.enabled = true;
+          options.replication.replicas = rec.replicas;
+          options.replication.lease_interval =
+              sim::SimTime::seconds(rec.lease_seconds);
+          options.replication.lease_duration =
+              sim::SimTime::seconds(rec.lease_seconds * 4.0);
+          // Ladder targeting must round-robin over at least the replica
+          // quorum, or an orphan could never reach the elected
+          // leaseholder.
+          options.rendezvous_replicas =
+              std::max(options.rendezvous_replicas, rec.replicas);
+        }
+        if (rec.reliable_data && rec.slow_peer_stride != 0 &&
+            p % rec.slow_peer_stride == 0) {
+          // Slow child impairment: a coarser ack cadence starves the
+          // parent's ack clock, backing data up in its per-edge sender
+          // buffer.
+          options.reliability.ack_every *= rec.slow_ack_factor;
+        }
+      });
+  core::GroupCastMiddleware& middleware = runtime.middleware();
+  util::Rng& rng = runtime.rng();
+  core::Transport& transport = runtime.transport();
+  auto& nodes = runtime.nodes();
+  const sim::SimTime epoch = runtime.epoch();
 
   // Flight recorder: one frame per protocol epoch, so recovery reports
   // carry the delivery / repair trajectory across the fault window.  Only
@@ -182,18 +108,18 @@ ScenarioResult run_recovery_scenario(const ScenarioConfig& config) {
   // on a sharded run — require the single wheel.
   std::optional<sim::PeriodicRecorder> recorder;
   if (trace::flight_recorder().enabled()) {
-    GC_REQUIRE_MSG(!engine,
+    GC_REQUIRE_MSG(!runtime.sharded(),
                    "the flight recorder requires the single-wheel engine "
                    "(run with shards == 1)");
+    sim::Simulator& simulator = middleware.simulator();
     trace::flight_recorder().capture(simulator.now().as_micros());
     recorder.emplace(simulator, epoch);
   }
 
   // --- phase 1: establish the group ------------------------------------
-  constexpr core::GroupId kGroup = 1;
   const overlay::PeerId rendezvous = middleware.pick_rendezvous();
   nodes[rendezvous]->create_group(kGroup);
-  advance(epoch);  // advertisement flood settles
+  runtime.advance(epoch);  // advertisement flood settles
 
   std::vector<overlay::PeerId> subscribers;
   const std::size_t group_size = config.effective_group_size();
@@ -204,40 +130,11 @@ ScenarioResult run_recovery_scenario(const ScenarioConfig& config) {
     if (p == rendezvous || subscribers.size() == group_size) continue;
     subscribers.push_back(p);
   }
-  // Application-level retry loop: a node that reports terminal subscribe
-  // failure (the ladder's give-up callback) re-subscribes one epoch later,
-  // as a real client would.  `want` tracks which peers still want the
-  // group — graceful leavers drop out below.  A per-peer byte vector
-  // instead of a shared set: every entry is only touched by closures of
-  // that one peer, which all run on its own shard, so the sharded run
-  // needs no lock around it.
-  std::vector<char> want(config.peer_count, 0);
-  for (const auto s : subscribers) want[s] = 1;
-  std::function<void(overlay::PeerId)> resubscribe_later =
-      [&](overlay::PeerId s) {
-        auto& node_sim = transport.simulator_for(s);
-        node_sim.schedule_at(node_sim.now() + epoch, [&, s] {
-          if (want[s] != 0 && nodes[s]->running() &&
-              !nodes[s]->is_subscribed(kGroup)) {
-            nodes[s]->subscribe(kGroup);
-          }
-        });
-      };
-  for (const auto s : subscribers) {
-    nodes[s]->on_subscribe_result(
-        [&, s](core::GroupId, bool success) {
-          if (!success && want[s] != 0) resubscribe_later(s);
-        });
-  }
+  // Application-level retry loop (graceful leavers drop out of it below),
+  // then the tree converges.
+  for (const auto s : subscribers) runtime.arm_subscriber(s);
   for (const auto s : subscribers) nodes[s]->subscribe(kGroup);
-  for (std::size_t e = 0; e < rec.convergence_epochs; ++e) {
-    advance(epoch);
-    const bool settled = std::all_of(
-        subscribers.begin(), subscribers.end(), [&](overlay::PeerId s) {
-          return !nodes[s]->exchange_pending(kGroup);
-        });
-    if (settled) break;
-  }
+  runtime.settle(subscribers, {&kGroup, 1});
 
   // Churn acts on the members that actually made it onto the tree as
   // subscribers (a failed subscriber can still sit on the tree as a pure
@@ -262,7 +159,7 @@ ScenarioResult run_recovery_scenario(const ScenarioConfig& config) {
   }
   // Stagger the departures across one epoch so later failures can hit
   // peers that are already busy recovering from earlier ones.
-  const sim::SimTime churn_start = clock;
+  const sim::SimTime churn_start = runtime.clock();
   const std::size_t departures = n_crash + n_leave;
   for (std::size_t i = 0; i < departures; ++i) {
     const sim::SimTime at =
@@ -273,11 +170,11 @@ ScenarioResult run_recovery_scenario(const ScenarioConfig& config) {
           sim::CrashEvent{at, static_cast<sim::FaultNodeId>(victims[i])});
     } else {
       const auto leaver = victims[i];
-      transport.simulator_for(leaver).schedule_at(at, [&nodes, &want,
+      transport.simulator_for(leaver).schedule_at(at, [&runtime, &nodes,
                                                        leaver] {
         // The leaver may have given its subscription up (lossy retries
         // exhausted) between scheduling and firing; nothing to leave then.
-        want[leaver] = 0;
+        runtime.drop_subscriber(leaver);
         if (nodes[leaver]->running() &&
             nodes[leaver]->is_subscribed(kGroup)) {
           nodes[leaver]->unsubscribe(kGroup);
@@ -300,7 +197,7 @@ ScenarioResult run_recovery_scenario(const ScenarioConfig& config) {
   }
 
   const std::size_t messages_before_recovery = transport.messages_sent();
-  advance(epoch);  // the churn window itself
+  runtime.advance(epoch);  // the churn window itself
 
   // --- phase 3: observe recovery epoch by epoch -------------------------
   // An orphan is a survivor found off the tree at an epoch boundary; its
@@ -325,7 +222,7 @@ ScenarioResult run_recovery_scenario(const ScenarioConfig& config) {
       epochs_to_converge = e - 1;
       break;
     }
-    advance(epoch);
+    runtime.advance(epoch);
   }
   result.epochs_to_converge = static_cast<double>(epochs_to_converge);
   if (!orphans.empty()) {
@@ -402,7 +299,8 @@ ScenarioResult run_recovery_scenario(const ScenarioConfig& config) {
     // side would pass the filter and tunnel across the cut.
     sim::FaultPlan partition_plan;
     partition_plan.partitions.push_back(sim::PartitionWindow{
-        clock, clock + sim::SimTime::seconds(rec.partition_seconds),
+        runtime.clock(),
+        runtime.clock() + sim::SimTime::seconds(rec.partition_seconds),
         std::vector<sim::FaultNodeId>(minority.begin(), minority.end()),
         std::vector<sim::FaultNodeId>(majority.begin(), majority.end())});
     {
@@ -415,7 +313,7 @@ ScenarioResult run_recovery_scenario(const ScenarioConfig& config) {
       // burns a whole retry ladder) before they reach the elected
       // replica, so the delivery probe measures the *steady* partitioned
       // state, not the failover transient.
-      advance(sim::SimTime::seconds(rec.partition_seconds * 0.8));
+      runtime.advance(sim::SimTime::seconds(rec.partition_seconds * 0.8));
 
       // The majority must have elected by now, and each side may hold at
       // most one leaseholder.
@@ -464,7 +362,7 @@ ScenarioResult run_recovery_scenario(const ScenarioConfig& config) {
           nodes[majority_leader]->publish(kGroup, kMajorityProbeBase + i);
         }
       }
-      advance(sim::SimTime::seconds(rec.partition_seconds * 0.2));
+      runtime.advance(sim::SimTime::seconds(rec.partition_seconds * 0.2));
       for (const auto s : survivors) nodes[s]->on_data(nullptr);
 
       std::size_t minority_probe_nodes = 0;
@@ -498,7 +396,7 @@ ScenarioResult run_recovery_scenario(const ScenarioConfig& config) {
          e < rec.convergence_epochs &&
          (!healed.ok() || !nodes[rendezvous]->on_tree(kGroup));
          ++e) {
-      advance(epoch);
+      runtime.advance(epoch);
       healed = core::check_replication_invariants(views, kGroup);
     }
     result.invariant_violations +=
@@ -530,7 +428,7 @@ ScenarioResult run_recovery_scenario(const ScenarioConfig& config) {
 
   // --- phase 4: delivery-ratio probe ------------------------------------
   std::atomic<std::size_t> deliveries{0};
-  const sim::SimTime published_at = engine ? engine->now() : simulator.now();
+  const sim::SimTime published_at = runtime.engine_now();
   for (const auto s : survivors) {
     // The delay sample reads the receiver's own clock: on the single
     // wheel that is the shared simulator (same object as before), on a
@@ -553,7 +451,7 @@ ScenarioResult run_recovery_scenario(const ScenarioConfig& config) {
        ++payload) {
     nodes[speaker]->publish(kGroup, payload);
   }
-  advance(epoch);
+  runtime.advance(epoch);
   const std::size_t expected = survivors.size() * rec.speaking_payloads;
   result.delivery_ratio =
       expected == 0 ? 1.0
@@ -569,7 +467,7 @@ ScenarioResult run_recovery_scenario(const ScenarioConfig& config) {
   auto report =
       core::check_tree_invariants(views, kGroup, acting_root(), survivors);
   for (std::size_t e = 0; e < rec.convergence_epochs && !report.ok(); ++e) {
-    advance(epoch);
+    runtime.advance(epoch);
     report =
         core::check_tree_invariants(views, kGroup, acting_root(), survivors);
   }
@@ -583,31 +481,11 @@ ScenarioResult run_recovery_scenario(const ScenarioConfig& config) {
       subscribers.empty() ? 1.0
                           : static_cast<double>(members.size()) /
                                 static_cast<double>(subscribers.size());
-  result.subscription_messages =
-      static_cast<double>(transport.messages_sent());
-
-  if (engine) {
-    result.events_fired = engine->events_fired();
-    // Per-shard wheels each track a high-water mark; a cross-shard
-    // maximum would vary with the shard count, so the sharded engine
-    // reports 0 here (documented in PERFORMANCE.md).
-    result.queue_high_water = 0;
-    result.events_per_shard = engine->events_per_shard();
-    detail::fold_shard_trace(*engine, shard_trace);
-  } else {
-    result.events_fired = simulator.events_fired();
-    result.queue_high_water = simulator.queue_high_water();
-  }
-  if (trace::counters().enabled()) {
-    result.counters = trace::counters().snapshot();
-  }
-  if (trace::histograms().enabled()) {
-    result.histograms = trace::histograms().snapshot();
-  }
+  runtime.finish(result);
   if (trace::flight_recorder().enabled()) {
     // A final frame so the timeline's last point reflects the settled
     // end state even when convergence beat the periodic capture.
-    trace::flight_recorder().capture(clock.as_micros());
+    trace::flight_recorder().capture(runtime.clock().as_micros());
     result.timeline = trace::flight_recorder().frames();
   }
   return result;

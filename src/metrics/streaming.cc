@@ -1,9 +1,6 @@
 #include "metrics/streaming.h"
 
 #include <algorithm>
-#include <functional>
-#include <memory>
-#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -11,21 +8,17 @@
 #include "core/node.h"
 #include "core/wire.h"
 #include "metrics/harness_common.h"
-#include "sim/shard_set.h"
 #include "trace/counters.h"
 #include "trace/histogram.h"
-#include "trace/trace.h"
 #include "util/require.h"
 
 namespace groupcast::metrics {
 
 namespace {
 
-void validate(const StreamingOptions& str) {
-  GC_REQUIRE_MSG(str.enabled, "streaming harness invoked while disabled");
-  GC_REQUIRE_MSG(
-      str.loss_probability >= 0.0 && str.loss_probability <= 1.0,
-      "streaming.loss_probability must be in [0, 1]");
+void validate(const ScenarioConfig& config) {
+  const StreamingOptions& str = config.streaming;
+  detail::validate_runtime(config, str, "streaming");
   GC_REQUIRE_MSG(str.chunks >= 1, "streaming.chunks must be >= 1");
   GC_REQUIRE_MSG(str.chunk_interval_seconds > 0.0,
                  "streaming.chunk_interval_seconds must be > 0");
@@ -36,18 +29,10 @@ void validate(const StreamingOptions& str) {
                  "streaming.deadline_seconds must be > 0");
   GC_REQUIRE_MSG(str.uplink_kbps >= 0.0 && str.downlink_kbps >= 0.0,
                  "streaming bandwidth caps must be non-negative");
-  GC_REQUIRE_MSG(!str.flow_control || str.reliable_data,
-                 "streaming.flow_control requires reliable_data");
   GC_REQUIRE_MSG(str.sources.publishers >= 1,
                  "streaming.sources.publishers must be >= 1");
   GC_REQUIRE_MSG(str.flash_crowd_seconds > 0.0,
                  "streaming.flash_crowd_seconds must be > 0");
-  GC_REQUIRE_MSG(str.heartbeat_seconds > 0.0,
-                 "streaming.heartbeat_seconds must be > 0");
-  GC_REQUIRE(str.heartbeat_misses >= 1);
-  GC_REQUIRE_MSG(str.epoch_seconds > 0.0,
-                 "streaming.epoch_seconds must be > 0");
-  GC_REQUIRE(str.convergence_epochs >= 1);
 }
 
 /// Group ids used by the harness: the shared-tree mode uses kGroupBase
@@ -70,10 +55,7 @@ struct ViewerLog {
 
 ScenarioResult run_streaming_scenario(const ScenarioConfig& config) {
   const StreamingOptions& str = config.streaming;
-  validate(str);
-  GC_REQUIRE_MSG(config.shards >= 1, "config.shards must be >= 1");
-  GC_REQUIRE_MSG(config.shards <= config.peer_count,
-                 "config.shards must not exceed peer_count");
+  validate(config);
   const std::size_t n_streams = str.sources.publishers;
   const bool per_source =
       str.sources.mode == MultiSourceOptions::Mode::kPerSourceTrees;
@@ -82,70 +64,17 @@ ScenarioResult run_streaming_scenario(const ScenarioConfig& config) {
                  "streaming needs peers beyond the publishers");
 
   ScenarioResult result;
-  result.config = config;
-
-  const auto middleware_ptr = make_scenario_middleware(config);
-  core::GroupCastMiddleware& middleware = *middleware_ptr;
-  result.repair_edges = middleware.connectivity_repair_edges();
-  auto& simulator = middleware.simulator();
-  util::Rng rng = middleware.rng().split();
-
   core::TransportOptions transport_options;
-  transport_options.loss_probability = str.loss_probability;
   transport_options.bandwidth.uplink_kbps = str.uplink_kbps;
   transport_options.bandwidth.downlink_kbps = str.downlink_kbps;
   transport_options.bandwidth.scale_with_capacity =
       str.scale_caps_with_capacity;
-  std::optional<sim::ShardSet> engine;
-  if (config.shards > 1) {
-    engine.emplace(config.shards,
-                   detail::shard_lookahead_us(middleware.underlay(),
-                                              middleware.population()),
-                   simulator.now());
-  }
-  std::optional<core::Transport> transport_storage;
-  if (engine) {
-    transport_storage.emplace(*engine, middleware.population(),
-                              transport_options, rng);
-  } else {
-    transport_storage.emplace(simulator, middleware.population(),
-                              transport_options, rng);
-  }
-  core::Transport& transport = *transport_storage;
-
-  std::vector<std::unique_ptr<detail::ShardTrace>> shard_trace;
-  if (engine) {
-    shard_trace =
-        detail::install_shard_trace(*engine, config.shards, config.peer_count);
-  }
-
-  core::NodeOptions node_options;
-  node_options.advertisement = config.middleware_config().advertisement;
-  node_options.ripple_ttl = config.ripple_ttl;
-  node_options.heartbeat_interval =
-      sim::SimTime::seconds(str.heartbeat_seconds);
-  node_options.missed_heartbeats_to_fail = str.heartbeat_misses;
-  node_options.reliability.enabled = str.reliable_data;
-  node_options.reliability.flow_control = str.flow_control;
-  node_options.adaptive = str.adaptive;
-  std::vector<std::unique_ptr<core::GroupCastNode>> nodes;
-  nodes.reserve(config.peer_count);
-  for (overlay::PeerId p = 0; p < config.peer_count; ++p) {
-    nodes.push_back(std::make_unique<core::GroupCastNode>(
-        p, transport, middleware.graph(), node_options, rng));
-    nodes.back()->start();
-  }
-
-  const sim::SimTime epoch = sim::SimTime::seconds(str.epoch_seconds);
-  sim::SimTime clock = sim::SimTime::zero();
-  const auto advance = [&](sim::SimTime by) {
-    clock = clock + by;
-    if (engine) {
-      engine->run_until(clock);
-    } else {
-      simulator.run_until(clock);
-    }
-  };
+  detail::NodeRuntime runtime(config, str, transport_options);
+  core::GroupCastMiddleware& middleware = runtime.middleware();
+  util::Rng& rng = runtime.rng();
+  core::Transport& transport = runtime.transport();
+  auto& nodes = runtime.nodes();
+  const sim::SimTime epoch = runtime.epoch();
 
   // --- phase 1: sources, groups, and the advertisement flood ------------
   // Shared tree: the rendezvous roots the one group and every publisher
@@ -171,7 +100,7 @@ ScenarioResult run_streaming_scenario(const ScenarioConfig& config) {
   } else {
     nodes[rendezvous]->create_group(kGroupBase);
   }
-  advance(epoch);  // advertisement flood settles
+  runtime.advance(epoch);  // advertisement flood settles
 
   // --- phase 2: viewers subscribe, tree converges -----------------------
   std::vector<char> is_source(config.peer_count, 0);
@@ -187,10 +116,8 @@ ScenarioResult run_streaming_scenario(const ScenarioConfig& config) {
     viewers.push_back(p);
   }
 
-  // Application-level retry loop (the recovery harness idiom): a node
-  // whose subscribe ladder gives up retries one epoch later.  `want` is
-  // per-peer state only touched from that peer's own shard.
-  std::vector<char> want(config.peer_count, 0);
+  // Every subscriber re-subscribes one epoch after a give-up (the
+  // runtime's retry loop).
   const auto all_groups = [&] {
     std::vector<core::GroupId> groups;
     for (std::size_t g = 0; g < n_groups; ++g) {
@@ -198,45 +125,19 @@ ScenarioResult run_streaming_scenario(const ScenarioConfig& config) {
     }
     return groups;
   }();
-  std::function<void(overlay::PeerId, core::GroupId)> resubscribe_later =
-      [&](overlay::PeerId p, core::GroupId g) {
-        auto& node_sim = transport.simulator_for(p);
-        node_sim.schedule_at(node_sim.now() + epoch, [&, p, g] {
-          if (want[p] != 0 && nodes[p]->running() &&
-              !nodes[p]->is_subscribed(g)) {
-            nodes[p]->subscribe(g);
-          }
-        });
-      };
-  const auto arm_subscriber = [&](overlay::PeerId p) {
-    want[p] = 1;
-    nodes[p]->on_subscribe_result([&, p](core::GroupId g, bool success) {
-      if (!success && want[p] != 0) resubscribe_later(p, g);
-    });
-  };
-  for (const auto v : viewers) arm_subscriber(v);
+  for (const auto v : viewers) runtime.arm_subscriber(v);
   if (!per_source) {
     // Shared tree: publishers must be on the tree to publish.
-    for (const auto p : publishers) arm_subscriber(p);
+    for (const auto p : publishers) runtime.arm_subscriber(p);
     for (const auto p : publishers) nodes[p]->subscribe(kGroupBase);
   }
   for (const auto v : viewers) {
     for (const auto g : all_groups) nodes[v]->subscribe(g);
   }
-  for (std::size_t e = 0; e < str.convergence_epochs; ++e) {
-    advance(epoch);
-    const bool settled = std::all_of(
-        viewers.begin(), viewers.end(), [&](overlay::PeerId v) {
-          return std::none_of(all_groups.begin(), all_groups.end(),
-                              [&](core::GroupId g) {
-                                return nodes[v]->exchange_pending(g);
-                              });
-        });
-    if (settled) break;
-  }
+  runtime.settle(viewers, all_groups);
 
   // --- phase 3: the streaming window ------------------------------------
-  const sim::SimTime stream_start = clock;
+  const sim::SimTime stream_start = runtime.clock();
   const auto interval =
       sim::SimTime::seconds(str.chunk_interval_seconds);
   const auto deadline_after = sim::SimTime::seconds(str.deadline_seconds);
@@ -308,7 +209,7 @@ ScenarioResult run_streaming_scenario(const ScenarioConfig& config) {
                                static_cast<std::int64_t>(flash_peers.size() +
                                                          1));
       add_log(p, at.as_micros(), true);
-      arm_subscriber(p);
+      runtime.arm_subscriber(p);
       transport.simulator_for(p).schedule_at(at, [&, p] {
         for (const auto g : all_groups) nodes[p]->subscribe(g);
       });
@@ -334,9 +235,10 @@ ScenarioResult run_streaming_scenario(const ScenarioConfig& config) {
 
   // Run out the stream, the last deadline, and one settle epoch (NACK
   // repair of the tail, flash-join completion).
-  advance(sim::SimTime::micros(interval.as_micros() *
-                               static_cast<std::int64_t>(str.chunks + 1)) +
-          deadline_after + epoch);
+  runtime.advance(
+      sim::SimTime::micros(interval.as_micros() *
+                           static_cast<std::int64_t>(str.chunks + 1)) +
+      deadline_after + epoch);
 
   // --- phase 4: the player model ----------------------------------------
   // Score each viewer against the chunks that were actually published
@@ -436,26 +338,7 @@ ScenarioResult run_streaming_scenario(const ScenarioConfig& config) {
       viewers.empty() ? 1.0
                       : static_cast<double>(attached_viewers) /
                             static_cast<double>(viewers.size());
-  result.subscription_messages =
-      static_cast<double>(transport.messages_sent());
-
-  if (engine) {
-    result.events_fired = engine->events_fired();
-    // See run_recovery_scenario: per-shard high-water marks do not merge
-    // into a shard-count-invariant number.
-    result.queue_high_water = 0;
-    result.events_per_shard = engine->events_per_shard();
-    detail::fold_shard_trace(*engine, shard_trace);
-  } else {
-    result.events_fired = simulator.events_fired();
-    result.queue_high_water = simulator.queue_high_water();
-  }
-  if (trace::counters().enabled()) {
-    result.counters = trace::counters().snapshot();
-  }
-  if (trace::histograms().enabled()) {
-    result.histograms = trace::histograms().snapshot();
-  }
+  runtime.finish(result);
   return result;
 }
 

@@ -8,7 +8,6 @@ namespace groupcast::net {
 IpMulticastTree::IpMulticastTree(const IpRouting& routing, RouterId source,
                                  const std::vector<RouterId>& receivers)
     : routing_(&routing), source_(source) {
-  trace::ScopedTimer build_timer(trace::TimerId::kIpTreeBuild);
   std::unordered_set<RouterId> distinct;
   double total_delay = 0.0;
   for (const RouterId r : receivers) {

@@ -91,7 +91,6 @@ std::unordered_map<PeerId, std::size_t> gather_candidates(
 JoinStats GroupCastBootstrap::join(PeerId peer) {
   GC_REQUIRE(peer < population_->size());
   GC_REQUIRE_MSG(!joined_[peer], "peer is already a member of the overlay");
-  trace::ScopedTimer join_timer(trace::TimerId::kBootstrapJoin);
   JoinStats stats;
 
   // A peer re-entering after a crash may still have half-open links that

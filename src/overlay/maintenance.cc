@@ -30,7 +30,6 @@ void MaintenanceProtocol::start(sim::SimTime horizon) {
 }
 
 void MaintenanceProtocol::run_epoch(sim::SimTime horizon) {
-  trace::ScopedTimer epoch_timer(trace::TimerId::kMaintenanceEpoch);
   ++stats_.epochs;
   const std::size_t dead_links_before = stats_.dead_links_removed;
   const sim::SimTime now = simulator_->now();

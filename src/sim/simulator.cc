@@ -297,8 +297,7 @@ bool Simulator::prepare_batch() {
   }
 }
 
-std::size_t Simulator::fire_batch(trace::Tracer& tracer, bool tracing,
-                                  bool timing) {
+std::size_t Simulator::fire_batch(trace::Tracer& tracer, bool tracing) {
   std::size_t fired = 0;
   draining_ = true;
   while (drain_pos_ < drain_.size()) {
@@ -327,14 +326,7 @@ std::size_t Simulator::fire_batch(trace::Tracer& tracer, bool tracing,
     const std::uint64_t arg = node.arg;
     Action action = std::move(node.action);
     free_node(index);
-    if (timing) {
-      const trace::ScopedTimer timer(trace::TimerId::kSimEvent);
-      if (fn != nullptr) {
-        fn(context, arg);
-      } else {
-        action();
-      }
-    } else if (fn != nullptr) {
+    if (fn != nullptr) {
       fn(context, arg);
     } else {
       action();
@@ -349,15 +341,14 @@ std::size_t Simulator::fire_batch(trace::Tracer& tracer, bool tracing,
 }
 
 std::size_t Simulator::run() {
-  // Hoisted per-run: installing a sink or enabling timers *during* a run
-  // takes effect at the next run() call, which keeps the per-event cost
-  // of disabled tracing to two predictable branches.
+  // Hoisted per-run: installing a sink *during* a run takes effect at the
+  // next run() call, which keeps the per-event cost of disabled tracing to
+  // one predictable branch.
   auto& tracer = trace::tracer();
   const bool tracing = tracer.enabled();
-  const bool timing = trace::timers().enabled();
   std::size_t fired = 0;
   while (live_ > 0 && prepare_batch()) {
-    fired += fire_batch(tracer, tracing, timing);
+    fired += fire_batch(tracer, tracing);
   }
   return fired;
 }
@@ -365,13 +356,12 @@ std::size_t Simulator::run() {
 std::size_t Simulator::run_until(SimTime deadline) {
   auto& tracer = trace::tracer();
   const bool tracing = tracer.enabled();
-  const bool timing = trace::timers().enabled();
   std::size_t fired = 0;
   while (live_ > 0) {
     std::int64_t when_us = 0;
     if (!next_event_time(when_us) || when_us > deadline.as_micros()) break;
     if (!prepare_batch()) break;
-    fired += fire_batch(tracer, tracing, timing);
+    fired += fire_batch(tracer, tracing);
   }
   if (now_ < deadline) now_ = deadline;
   return fired;

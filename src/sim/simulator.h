@@ -218,7 +218,7 @@ class Simulator {
   /// when nothing is queued.  Advances the cursor to the batch time.
   bool prepare_batch();
   /// Fires the prepared batch; returns events actually run.
-  std::size_t fire_batch(trace::Tracer& tracer, bool tracing, bool timing);
+  std::size_t fire_batch(trace::Tracer& tracer, bool tracing);
 
   int level_for(std::int64_t when_us) const;
 

@@ -96,46 +96,12 @@ const char* to_string(DropReason reason) {
   return "?";
 }
 
-const char* to_string(TimerId id) {
-  switch (id) {
-    case TimerId::kSimEvent:
-      return "sim.event";
-    case TimerId::kAnnounce:
-      return "advert.announce";
-    case TimerId::kSubscribe:
-      return "subscription.subscribe";
-    case TimerId::kBootstrapJoin:
-      return "bootstrap.join";
-    case TimerId::kMaintenanceEpoch:
-      return "maintenance.epoch";
-    case TimerId::kIpTreeBuild:
-      return "multicast.build";
-    case TimerId::kCount_:
-      break;
-  }
-  return "?";
-}
-
 Tracer& tracer() {
   // Thread-local so worker-pool scenario runs never share a sink pointer;
   // see the thread-model note in trace.h.  (counters() lives in
   // counters.cc next to its injection guard.)
   thread_local Tracer instance;
   return instance;
-}
-
-TimerRegistry& timers() {
-  thread_local TimerRegistry instance;
-  return instance;
-}
-
-void TimerRegistry::enable() {
-  reset();
-  enabled_ = true;
-}
-
-void TimerRegistry::reset() {
-  for (auto& slot : totals_) slot = TimerTotals{};
 }
 
 void emit_counter_snapshot(std::int64_t t_us) {

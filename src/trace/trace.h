@@ -1,23 +1,22 @@
-// The tracing facade: a per-thread Tracer, per-node counters, and
-// wall-clock section timers.
+// The tracing facade: a per-thread Tracer over the per-node counters,
+// histograms and flight recorder.
 //
-// Design constraints (ISSUE 1):
+// Design constraints:
 //  * zero-cost when disabled — emit() is a single null-pointer check, no
-//    allocation, no virtual call; counters and timers are one boolean
-//    branch.  Figure-sweep bench numbers must be unaffected.
+//    allocation, no virtual call; counters are one boolean branch.
+//    Figure-sweep bench numbers must be unaffected.
 //  * deterministic when enabled — events carry only simulated time and
 //    ids, never wall-clock, so two runs of one seed produce byte-identical
-//    JSONL traces.  Wall-clock measurements live exclusively in the timer
-//    registry, which is reported separately and never serialized into the
-//    trace stream.
+//    JSONL traces.
 //
-// Thread model (ISSUE 2): each simulator instance is confined to one
-// thread, and the tracer / counter / timer accessors all resolve to
-// thread-local state, so independent scenario runs on a worker pool never
-// share mutable instrumentation — plain state, no atomics, TSan-clean.
-// A sink installed on one thread only observes that thread's runs; the
-// parallel experiment harness instead injects an isolated CounterRegistry
-// per run (trace::ScopedCounterRegistry) and merges the snapshots.
+// Thread model: each simulator instance is confined to one thread, and
+// the tracer / counter / histogram / flight-recorder accessors all resolve
+// to thread-local state, so independent scenario runs on a worker pool
+// never share mutable instrumentation — plain state, no atomics,
+// TSan-clean.  A sink installed on one thread only observes that thread's
+// runs; the parallel experiment harness instead injects an isolated
+// CounterRegistry per run (trace::ScopedCounterRegistry) and merges the
+// snapshots.
 //
 // Usage:
 //   trace::ScopedSink guard(std::make_unique<trace::JsonlFileSink>(path));
@@ -26,7 +25,6 @@
 //   trace::emit_counter_snapshot();   // export counters into the trace
 #pragma once
 
-#include <chrono>
 #include <memory>
 
 #include "trace/counters.h"
@@ -106,78 +104,5 @@ void emit_histogram_snapshot(std::int64_t t_us = 0);
 /// frame's own capture time.  No-op unless both the tracer and the flight
 /// recorder are enabled.
 void emit_timeline();
-
-// -------------------------------------------------------------- timers
-
-/// Instrumented wall-clock sections, one slot per section kind.
-enum class TimerId : std::uint8_t {
-  kSimEvent = 0,      // one simulator event action
-  kAnnounce,          // AdvertisementEngine::announce
-  kSubscribe,         // SubscriptionProtocol::subscribe
-  kBootstrapJoin,     // GroupCastBootstrap::join
-  kMaintenanceEpoch,  // MaintenanceProtocol::run_epoch
-  kIpTreeBuild,       // IpMulticastTree construction
-  kCount_,
-};
-
-inline constexpr std::size_t kTimerIds =
-    static_cast<std::size_t>(TimerId::kCount_);
-
-const char* to_string(TimerId id);
-
-struct TimerTotals {
-  std::uint64_t ns = 0;
-  std::uint64_t calls = 0;
-};
-
-class TimerRegistry {
- public:
-  bool enabled() const { return enabled_; }
-  /// Turns timing on and clears previous totals.
-  void enable();
-  void disable() { enabled_ = false; }
-
-  void add(TimerId id, std::uint64_t ns) {
-    auto& slot = totals_[static_cast<std::size_t>(id)];
-    slot.ns += ns;
-    ++slot.calls;
-  }
-  const TimerTotals& of(TimerId id) const {
-    return totals_[static_cast<std::size_t>(id)];
-  }
-  void reset();
-
- private:
-  bool enabled_ = false;
-  TimerTotals totals_[kTimerIds] = {};
-};
-
-/// The calling thread's timer registry.
-TimerRegistry& timers();
-
-/// RAII wall-clock timer for one section; accumulates into timers().
-/// When timing is disabled the constructor is one branch and the clock is
-/// never read.
-class ScopedTimer {
- public:
-  explicit ScopedTimer(TimerId id) : id_(id), armed_(timers().enabled()) {
-    if (armed_) start_ = std::chrono::steady_clock::now();
-  }
-  ~ScopedTimer() {
-    if (!armed_) return;
-    const auto elapsed = std::chrono::steady_clock::now() - start_;
-    timers().add(
-        id_, static_cast<std::uint64_t>(
-                 std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed)
-                     .count()));
-  }
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-
- private:
-  TimerId id_;
-  bool armed_;
-  std::chrono::steady_clock::time_point start_;
-};
 
 }  // namespace groupcast::trace

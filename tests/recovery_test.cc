@@ -1,7 +1,7 @@
 // End-to-end robustness acceptance tests: the churn-recovery harness under
 // heavy loss and ungraceful churn, determinism of the recovery grid across
-// worker counts, and a regression pinning the pre-retry failure mode where
-// one dropped JoinAck stranded a subscriber forever.
+// worker counts, and a regression showing that the retry ladder survives
+// the dropped JoinAck that once stranded a subscriber forever.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -13,6 +13,7 @@
 #include "metrics/experiment.h"
 #include "sim/fault_plan.h"
 #include "trace/counters.h"
+#include "util/require.h"
 
 namespace groupcast {
 namespace {
@@ -26,6 +27,46 @@ metrics::ScenarioConfig hostile_point() {
   point.recovery.loss_probability = 0.2;
   point.recovery.crash_fraction = 0.3;
   return point;
+}
+
+// The shared runtime fields are covered for both harnesses by
+// HarnessValidation; these are the recovery-only ones.
+TEST(Recovery, ValidationRejectsBadOptionsLoudly) {
+  const auto rejects = [](auto&& mutate) {
+    auto point = hostile_point();
+    mutate(point.recovery);
+    EXPECT_THROW(metrics::run_scenario(point), PreconditionError);
+  };
+  using Options = metrics::RecoveryOptions;
+  rejects([](Options& r) { r.crash_fraction = 1.5; });
+  rejects([](Options& r) { r.crash_fraction = -0.1; });
+  rejects([](Options& r) { r.graceful_fraction = -0.1; });
+  rejects([](Options& r) { r.graceful_fraction = 0.8; });  // sum > 1
+  rejects([](Options& r) { r.speaking_payloads = 0; });
+  rejects([](Options& r) { r.slow_ack_factor = 0; });
+  rejects([](Options& r) { r.partition_seconds = 10.0; });  // no replicas
+  rejects([](Options& r) {
+    r.replication = true;
+    r.replicas = 0;
+  });
+  rejects([](Options& r) {
+    r.replication = true;
+    r.lease_seconds = 0;
+  });
+  rejects([](Options& r) {
+    r.replication = true;
+    r.partition_seconds = -1.0;
+  });
+  rejects([](Options& r) {
+    r.replication = true;
+    r.partition_seconds = 10.0;
+    r.partition_fraction = 0.6;
+  });
+  rejects([](Options& r) {
+    r.replication = true;
+    r.partition_seconds = 10.0;
+    r.partition_payloads = 0;
+  });
 }
 
 // The ISSUE's acceptance bar: loss = 0.2 plus 30% ungraceful churn, and
@@ -200,11 +241,12 @@ struct JoinOutageFixture {
   overlay::PeerId rendezvous = overlay::kNoPeer;
   static constexpr core::GroupId kGroup = 1;
 
-  explicit JoinOutageFixture(core::NodeOptions node_options)
+  JoinOutageFixture()
       : middleware(small_config()),
         rng(middleware.rng().split()),
         transport(middleware.simulator(), middleware.population(),
                   core::TransportOptions{}, rng) {
+    core::NodeOptions node_options;
     node_options.advertisement = small_config().advertisement;
     for (overlay::PeerId p = 0; p < small_config().peer_count; ++p) {
       nodes.push_back(std::make_unique<core::GroupCastNode>(
@@ -231,33 +273,11 @@ struct JoinOutageFixture {
   }
 };
 
-// Regression: with the legacy single-attempt, no-escalation configuration,
-// the outage strands the subscriber — pinned so the old failure mode stays
-// visible as the behaviour the retry ladder exists to fix.
-TEST(Recovery, SingleAttemptJoinIsStrandedByDroppedJoinAck) {
-  core::NodeOptions legacy;
-  legacy.retry.max_attempts = 1;
-  legacy.escalation = false;
-  JoinOutageFixture f(legacy);
-  core::FaultInjector injector(sim::FaultPlan::parse("burst@5s-6.5s:1.0"),
-                               f.transport);
-  const auto subscriber = f.pick_subscriber();
-  ASSERT_NE(subscriber, overlay::kNoPeer);
-  bool reported = false, success = true;
-  f.nodes[subscriber]->on_subscribe_result(
-      [&](core::GroupId, bool ok) { reported = true; success = ok; });
-  f.nodes[subscriber]->subscribe(JoinOutageFixture::kGroup);
-  f.middleware.simulator().run_until(sim::SimTime::seconds(30.0));
-  EXPECT_TRUE(reported);
-  EXPECT_FALSE(success);
-  EXPECT_FALSE(f.nodes[subscriber]->on_tree(JoinOutageFixture::kGroup));
-}
-
 // With the default retry policy the same outage only delays the join: the
 // backoff pushes a later attempt past the window's end and the subscriber
 // lands on the tree.
 TEST(Recovery, RetryLadderSurvivesDroppedJoinAck) {
-  JoinOutageFixture f(core::NodeOptions{});
+  JoinOutageFixture f;
   core::FaultInjector injector(sim::FaultPlan::parse("burst@5s-6.5s:1.0"),
                                f.transport);
   const auto subscriber = f.pick_subscriber();

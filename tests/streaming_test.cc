@@ -25,14 +25,14 @@ metrics::ScenarioConfig streaming_point() {
   return point;
 }
 
+// The shared runtime fields are covered for both harnesses by
+// HarnessValidation; these are the streaming-only ones.
 TEST(Streaming, ValidationRejectsBadOptionsLoudly) {
   const auto rejects = [](auto&& mutate) {
     auto point = streaming_point();
     mutate(point.streaming);
     EXPECT_THROW(metrics::run_scenario(point), PreconditionError);
   };
-  rejects([](metrics::StreamingOptions& s) { s.loss_probability = 1.5; });
-  rejects([](metrics::StreamingOptions& s) { s.loss_probability = -0.1; });
   rejects([](metrics::StreamingOptions& s) { s.chunks = 0; });
   rejects([](metrics::StreamingOptions& s) { s.chunk_interval_seconds = 0; });
   rejects([](metrics::StreamingOptions& s) { s.chunk_bytes = 0; });
@@ -40,13 +40,8 @@ TEST(Streaming, ValidationRejectsBadOptionsLoudly) {
   rejects([](metrics::StreamingOptions& s) { s.deadline_seconds = 0; });
   rejects([](metrics::StreamingOptions& s) { s.uplink_kbps = -1; });
   rejects([](metrics::StreamingOptions& s) { s.downlink_kbps = -1; });
-  rejects([](metrics::StreamingOptions& s) { s.flow_control = true; });
   rejects([](metrics::StreamingOptions& s) { s.sources.publishers = 0; });
   rejects([](metrics::StreamingOptions& s) { s.flash_crowd_seconds = 0; });
-  rejects([](metrics::StreamingOptions& s) { s.heartbeat_seconds = 0; });
-  rejects([](metrics::StreamingOptions& s) { s.heartbeat_misses = 0; });
-  rejects([](metrics::StreamingOptions& s) { s.epoch_seconds = 0; });
-  rejects([](metrics::StreamingOptions& s) { s.convergence_epochs = 0; });
 }
 
 TEST(Streaming, MutuallyExclusiveWithRecoveryHarness) {

@@ -17,7 +17,7 @@
 namespace groupcast::trace {
 namespace {
 
-/// Leaves the global tracer/counters/timers exactly as found: detached,
+/// Leaves the global tracer/counters/histograms exactly as found: detached,
 /// disabled, zeroed.  Every test in this file runs inside one.
 class GlobalTraceGuard {
  public:
@@ -29,8 +29,6 @@ class GlobalTraceGuard {
     tracer().set_sink(nullptr);
     counters().disable();
     counters().reset();
-    timers().disable();
-    timers().reset();
     histograms().disable();
     histograms().reset();
     flight_recorder().disable();
@@ -342,20 +340,6 @@ TEST(SimulatorTracing, EmitsSimEventsAndTracksHighWater) {
   }
   EXPECT_EQ(sim_events, 2u);
   EXPECT_GE(lag_events, 1u);  // the high-water mark advanced at least once
-}
-
-TEST(SimulatorTracing, ScopedTimerAccumulatesWhenEnabled) {
-  GlobalTraceGuard guard;
-  timers().enable();
-  {
-    ScopedTimer timer(TimerId::kAnnounce);
-  }
-  EXPECT_EQ(timers().of(TimerId::kAnnounce).calls, 1u);
-  timers().disable();
-  {
-    ScopedTimer timer(TimerId::kAnnounce);
-  }
-  EXPECT_EQ(timers().of(TimerId::kAnnounce).calls, 1u);  // unchanged
 }
 
 metrics::ScenarioConfig small_scenario() {
