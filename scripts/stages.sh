@@ -91,11 +91,22 @@ stage_tsan() {
 stage_fault() {
   local build_dir="${1:-${repo_root}/build-asan}"
   cmake --build "${build_dir}" -j "${jobs}" \
-    --target bench_churn_recovery sim_driver
+    --target bench_churn_recovery bench_reliability sim_driver
   require_binary "${build_dir}/bench/bench_churn_recovery" \
+    "${build_dir}/bench/bench_reliability" \
     "${build_dir}/examples/sim_driver"
   "${build_dir}/bench/bench_churn_recovery" --jobs=4 \
     --json_out="${build_dir}/BENCH_churn_recovery.json" > /dev/null
+  # Replication on vs off at the same seeds: every replicated row must
+  # re-adopt some orphans through the rung-0 backup parent.
+  local reliability_out
+  reliability_out="$("${build_dir}/bench/bench_reliability" --jobs=4)"
+  grep -Eq '^[0-9.]+ +[0-9.]+ +on ' <<< "${reliability_out}"
+  if grep -Eq '^[0-9.]+ +[0-9.]+ +on .* 0$' <<< "${reliability_out}"; then
+    echo "stages.sh: a replicated bench_reliability row reports zero" \
+      "backup attaches" >&2
+    exit 1
+  fi
   local partition_out
   partition_out="$("${build_dir}/examples/sim_driver" --peers=300 \
     --groups=1 --seed=1 --recovery=true --crash=0.1 --replicas=3 \
@@ -105,7 +116,8 @@ stage_fault() {
   grep -q "epoch conflicts 0.0" <<< "${partition_out}"
   grep -q "violations 0" <<< "${partition_out}"
   echo "stages.sh: churn-recovery sweep + partition-heal sweep clean under" \
-    "ASan (--jobs=4; both partition sides pinned at 100% delivery)"
+    "ASan (--jobs=4; both partition sides pinned at 100% delivery;" \
+    "replicated recovery cells re-attach through rung 0)"
 }
 
 # Perf smoke: sanitizer trees are useless for timing, so bench_micro gets

@@ -22,16 +22,24 @@
 // parents with the paper's two-miss rule and re-run the same ladder to
 // re-attach the orphaned subtree, guarded against cycles by attach-point
 // depths carried on JoinAck / RippleHit / HeartbeatAck.
+//
+// Two self-contained sub-protocols are classes of their own, each
+// reaching back into the node through a small host interface: the
+// reliable data plane (core/reliable_edge.h) and leased rendezvous
+// replication (core/lease_replica.h).  The node keeps the tree, the
+// ladder, heartbeats, advert/ripple handling and payload dedup and
+// forwarding.
 #pragma once
 
-#include <deque>
-#include <map>
+#include <memory>
 #include <optional>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "core/advertisement.h"
+#include "core/lease_replica.h"
+#include "core/reliable_edge.h"
 #include "core/reliable_exchange.h"
+#include "core/shared_tick.h"
 #include "core/transport.h"
 #include "overlay/graph.h"
 #include "util/flat_set.h"
@@ -40,70 +48,6 @@ namespace groupcast::core {
 
 /// Sentinel depth of a node that is not (or not yet) on a tree.
 inline constexpr std::uint32_t kUnknownDepth = 0xFFFFFFFFu;
-
-/// Data-plane reliability on tree edges (docs/ROBUSTNESS.md): per-edge
-/// sequence numbering with receiver-driven NACK/retransmit, cumulative
-/// acks trimming a bounded per-child send buffer, and sender-side
-/// tail-loss probes.  Off by default: group data then rides the legacy
-/// fire-and-forget DataMsg path, byte-identical to before.
-struct DataReliabilityOptions {
-  bool enabled = false;
-  /// Delay before a detected gap is NACKed; batches a burst of losses
-  /// into one request.  Jittered by a uniform factor in [1, 1 + jitter)
-  /// drawn from the node's RNG stream (SRM-style desynchronization).
-  sim::SimTime nack_delay = sim::SimTime::millis(40);
-  /// Wait after a NACK before the same gap may be NACKed again — the
-  /// suppression window while a retransmission is presumed in flight.
-  sim::SimTime nack_retry_delay = sim::SimTime::millis(250);
-  double nack_jitter = 0.5;
-  /// NACK rounds without progress before the receiver skips the gap
-  /// (the sender's buffer no longer holds it; waiting forever deadlocks).
-  std::size_t max_nack_rounds = 8;
-  /// Retransmit-buffer bound per directed edge; the oldest unacked entry
-  /// falls off when a send would exceed it.
-  std::size_t send_buffer_cap = 128;
-  /// Cumulative-ack cadence: one ack per this many in-order deliveries.
-  std::size_t ack_every = 8;
-  /// Ack-overdue probe: how long the sender waits on unacked data before
-  /// re-announcing its next sequence (tail-loss detection), and how many
-  /// silent rounds before it gives the receiver up and drops the buffer.
-  sim::SimTime probe_delay = sim::SimTime::millis(400);
-  std::size_t max_probe_rounds = 6;
-  /// Ack-clocked flow control (docs/ROBUSTNESS.md, "Flow control &
-  /// adaptive detection"): at most `window` unacked sequences in flight
-  /// per directed edge; further sends queue at the sender and drain as
-  /// cumulative acks advance, and a blocked edge signals its data source
-  /// (the tree parent) to pause via FlowControlMsg.  Off by default: the
-  /// legacy fire-into-the-buffer behaviour is then byte-identical.
-  bool flow_control = false;
-  /// Sender window per directed edge, in sequences (>= 1, <= the
-  /// retransmit-buffer cap so windowed data never falls off the buffer).
-  std::size_t window = 32;
-};
-
-/// Rendezvous replication with leased leadership (docs/ROBUSTNESS.md,
-/// "Rendezvous replication & quorum handoff").  The rendezvous point and
-/// its `rendezvous_replicas` form a fixed member set holding a replicated
-/// epoch log of leadership records: the leaseholder renews its lease to a
-/// majority over the ReliableExchange retry ladder, a member whose lease
-/// view expires takes over with a monotonically higher epoch once a
-/// majority grants it, and divergent logs reconcile by epoch union on
-/// partition heal.  Also arms rung 0 of the recovery ladder: parents
-/// piggyback their own parent on Join/Heartbeat acks so an orphan can try
-/// its grandparent before the advert-parent/ripple/rendezvous ladder.
-/// Off by default: no timers, no RNG draws, no messages — byte-identical.
-struct ReplicationOptions {
-  bool enabled = false;
-  /// Replica count beside the rendezvous point (member set = 1 + this;
-  /// the default gives a 3-member set with majority 2).
-  std::size_t replicas = 2;
-  /// Leaseholder renewal period; also the stagger unit for takeover
-  /// candidates (member rank * interval) so proposals do not collide.
-  sim::SimTime lease_interval = sim::SimTime::millis(500);
-  /// How long a member tolerates lease silence before proposing a
-  /// takeover.  Must exceed the renewal period by enough retry headroom.
-  sim::SimTime lease_duration = sim::SimTime::seconds(2.0);
-};
 
 struct NodeOptions {
   /// Scheme + fan-out the node uses when forwarding advertisements.
@@ -134,25 +78,7 @@ struct NodeOptions {
   ReplicationOptions replication;
 };
 
-/// Internal payload id of a stream chunk: the top bit marks the chunk
-/// namespace (so chunk ids never collide with application payload ids),
-/// the stream occupies the upper half and the chunk index the lower.
-/// Streams are limited to 31 bits.
-inline constexpr std::uint64_t chunk_payload_id(std::uint32_t stream,
-                                                std::uint32_t chunk_id) {
-  return (std::uint64_t{1} << 63) |
-         (static_cast<std::uint64_t>(stream) << 32) | chunk_id;
-}
-
-inline constexpr std::uint32_t chunk_stream(std::uint64_t payload_id) {
-  return static_cast<std::uint32_t>((payload_id >> 32) & 0x7FFFFFFFu);
-}
-
-inline constexpr std::uint32_t chunk_index(std::uint64_t payload_id) {
-  return static_cast<std::uint32_t>(payload_id);
-}
-
-class GroupCastNode {
+class GroupCastNode : private ReliableEdge::Host, private LeaseReplica::Host {
  public:
   using DataCallback =
       std::function<void(GroupId, std::uint64_t payload_id,
@@ -247,9 +173,10 @@ class GroupCastNode {
   /// Sequence the reliable edge from `peer` expects next (0 when none).
   std::uint64_t expected_seq(GroupId group, overlay::PeerId peer) const;
   /// Estimated resident bytes of this node's protocol state: the object
-  /// itself plus per-group dynamic state (children, dedup sets, reliable
-  /// edge buffers/stashes).  Container book-keeping is approximated with
-  /// a fixed per-entry overhead; feeds the bytes_per_peer gauge.
+  /// itself plus per-group dynamic state (children, dedup sets), plus what
+  /// the data plane and the lease replica each report for themselves.
+  /// Container book-keeping is approximated with a fixed per-entry
+  /// overhead; feeds the bytes_per_peer gauge.
   std::size_t memory_bytes() const;
 
   // ------------------------------------------- replication inspection
@@ -276,104 +203,10 @@ class GroupCastNode {
   enum class Rung : std::uint8_t { kBackup, kAdvertParent, kRipple,
                                    kRendezvous };
 
-  /// One payload held for retransmission (EdgeTx) or parked ahead of a
-  /// gap (EdgeRx).
-  struct BufferedPayload {
-    std::uint64_t seq = 0;
-    overlay::PeerId origin = overlay::kNoPeer;
-    std::uint32_t hops = 0;  // provenance: tree depth of the copy
-    std::uint64_t payload_id = 0;
-    /// Stream-chunk descriptor: when `chunk` is set, payload_id encodes
-    /// chunk_payload_id(stream, chunk_id) and the copy travels as a
-    /// ChunkMsg (deadline + size preserved across buffering, parking,
-    /// and retransmission).
-    bool chunk = false;
-    std::int64_t deadline_us = 0;
-    std::uint32_t chunk_bytes = 0;
-  };
-
-  /// Sender half of one directed reliable edge.  The buffer holds
-  /// contiguous sequences [front.seq, next_seq): pushes append next_seq
-  /// and pops come off the front (cumulative ack or capacity), so a
-  /// NACKed sequence is found by index, not search.
-  struct EdgeTx {
-    std::uint32_t epoch = 0;
-    std::uint64_t next_seq = 0;
-    std::uint64_t cum_acked = 0;
-    std::deque<BufferedPayload> buffer;
-    sim::TimerHandle probe_timer;
-    std::size_t probe_rounds = 0;
-    std::uint64_t acked_at_last_probe = 0;
-    /// Flow control: payloads waiting for window space (seq assigned at
-    /// drain time, so wire sequences stay contiguous), and whether the
-    /// receiver asked us to pause (its own downstream edge is blocked).
-    std::deque<BufferedPayload> pending;
-    bool peer_throttled = false;
-    /// Lifetime peak of `buffer` on this directed edge; the
-    /// kSendBufferHighWater counter mirrors it via delta increments.
-    /// Survives tombstoning (like `epoch`), so re-incarnations only add
-    /// new peaks beyond the old one.
-    std::size_t high_water = 0;
-  };
-
-  /// Receiver half of one directed reliable edge.  `synced` flips on the
-  /// first SeqSync from the sender; until then sequenced payloads are
-  /// dropped (the sender's probe re-announces, so a lost sync only
-  /// delays the edge).  `tail_next` is the sender's last announced
-  /// next_seq — the evidence that exposes tail loss as a gap.
-  struct EdgeRx {
-    std::uint32_t epoch = 0;
-    bool synced = false;
-    std::uint64_t expected = 0;
-    std::uint64_t tail_next = 0;
-    std::map<std::uint64_t, BufferedPayload> stash;
-    sim::TimerHandle nack_timer;
-    std::size_t nack_rounds = 0;
-    std::size_t delivered_since_ack = 0;
-    /// When the current repair round's first NACK went out; feeds the
-    /// NACK-to-repair histogram once in-order progress resumes.
-    sim::SimTime last_nack_at;
-    /// Adaptive detection (NodeOptions::adaptive): EWMA of the per-arrival
-    /// gap indicator (1 = arrived out of order, 0 = in order) and of the
-    /// measured NACK-to-repair time.  Purely observational when the flag
-    /// is off (never updated, never read).
-    double loss_ewma = 0.0;
-    double repair_ewma_us = 0.0;
-  };
-
-  /// Per-member replication state (ReplicationOptions): the fixed member
-  /// set, the committed epoch/leader view, the promise floor for takeover
-  /// proposals, and the epoch log that reconciles on heal.  Inert (all
-  /// defaults, no timers) unless this node is in the member set.
-  struct ReplState {
-    bool member = false;
-    /// The group's original rendezvous point — the seed the member set is
-    /// derived from, carried on every replication message so receivers
-    /// can verify membership statelessly.
-    overlay::PeerId origin = overlay::kNoPeer;
-    /// {origin} + rendezvous_replicas(group, origin, ...), in derivation
-    /// order; a member's takeover stagger rank is its index here.
-    std::vector<overlay::PeerId> members;
-    std::uint32_t epoch = 0;     // highest committed epoch known
-    std::uint32_t promised = 0;  // highest epoch promised to a candidate
-    overlay::PeerId leader = overlay::kNoPeer;
-    bool leaseholder = false;
-    sim::SimTime last_lease_seen;
-    /// Committed leadership records, sorted by epoch (union-merged).
-    std::vector<LeaseRecord> log;
-    /// One in-flight quorum round (renewal, initial write, or handoff).
-    ReliableExchange::Token round = ReliableExchange::kNoToken;
-    std::uint32_t round_epoch = 0;
-    bool round_is_handoff = false;
-    sim::SimTime round_started;
-    std::vector<overlay::PeerId> round_acked;  // unique acking members
-    bool tick_scheduled = false;  // enrolled in the shared lease tick
-    /// Candidate the `promised` epoch was granted to — a lost grant can be
-    /// re-issued to the same candidate on retry, never to a rival.
-    overlay::PeerId promised_to = overlay::kNoPeer;
-  };
-
-  struct GroupState {
+  /// Everything this node knows about one group.  The group's reliable
+  /// edges are its base, so the data plane's call-backs hand the record
+  /// straight back.
+  struct GroupState : ReliableEdge::Links {
     overlay::PeerId rendezvous = overlay::kNoPeer;
     overlay::PeerId advert_parent = overlay::kNoPeer;  // self at rendezvous
     bool has_advert = false;
@@ -415,17 +248,6 @@ class GroupCastNode {
     sim::SimTime last_hb_probe;
     bool hb_probe_outstanding = false;
 
-    // --- flow control ---
-    /// Outbound edges of this group whose window is currently closed
-    /// (pending queue non-empty); the 0 -> 1 transition throttles the
-    /// upstream source, the return to 0 resumes it.
-    std::size_t blocked_edges = 0;
-    sim::SimTime throttled_since;
-
-    // --- reliable data plane (ordered so teardown is deterministic) ---
-    std::map<overlay::PeerId, EdgeTx> tx_edges;
-    std::map<overlay::PeerId, EdgeRx> rx_edges;
-
     // --- rendezvous replication (ReplicationOptions) ---
     ReplState repl;
     /// Rung-0 attach target: this node's grandparent, as last offered on
@@ -443,107 +265,49 @@ class GroupCastNode {
   void handle_ripple_query(const Envelope& envelope,
                            const RippleQueryMsg& msg);
   void handle_ripple_hit(const Envelope& envelope, const RippleHitMsg& msg);
-  void handle_data(const Envelope& envelope, const DataMsg& msg);
-  /// Chunk arrival: epoch 0 is the fire-and-forget path (mirrors
-  /// handle_data); epoch >= 1 joins the edge's sequenced stream exactly
-  /// like ReliableDataMsg (reliable-edge epochs start at 1).
-  void handle_chunk(const Envelope& envelope, const ChunkMsg& msg);
   void handle_leave(const Envelope& envelope, const LeaveMsg& msg);
   void handle_heartbeat(const Envelope& envelope, const HeartbeatMsg& msg);
   void handle_heartbeat_ack(const Envelope& envelope,
                             const HeartbeatAckMsg& msg);
   void handle_parent_lost(const Envelope& envelope, const ParentLostMsg& msg);
-  void handle_reliable_data(const Envelope& envelope,
-                            const ReliableDataMsg& msg);
-  void handle_data_nack(const Envelope& envelope, const DataNackMsg& msg);
-  void handle_data_ack(const Envelope& envelope, const DataAckMsg& msg);
-  void handle_seq_sync(const Envelope& envelope, const SeqSyncMsg& msg);
-  void handle_flow_control(const Envelope& envelope,
-                           const FlowControlMsg& msg);
-  void handle_lease(const Envelope& envelope, const LeaseMsg& msg);
-  void handle_lease_ack(const Envelope& envelope, const LeaseAckMsg& msg);
-  void handle_replicate(const Envelope& envelope, const ReplicateMsg& msg);
-  void handle_replicate_ack(const Envelope& envelope,
-                            const ReplicateAckMsg& msg);
-  void handle_handoff(const Envelope& envelope, const HandoffMsg& msg);
 
-  // --- reliable data plane ---
+  // --- ReliableEdge::Host ---
+  ReliableEdge::Links* links(GroupId group) override;
   /// Accepted payload (any path): dedup by (origin, id), deliver to the
   /// application, and forward along the tree away from `via`.  `hops` is
   /// the tree depth this copy traversed (provenance + hop histogram).
-  void deliver_payload(GroupId group, GroupState& state, overlay::PeerId via,
-                       const BufferedPayload& payload);
-  /// Epoch/sequence acceptance shared by ReliableDataMsg and sequenced
-  /// ChunkMsg arrivals: duplicate suppression, in-order delivery, gap
-  /// parking, and NACK scheduling.
-  void accept_sequenced(const Envelope& envelope, GroupId group,
-                        GroupState& state, std::uint32_t epoch,
-                        std::uint64_t seq, const BufferedPayload& payload);
-  /// The wire form of one payload copy: ChunkMsg for chunks (epoch 0 =
-  /// fire-and-forget), otherwise DataMsg (epoch 0) or ReliableDataMsg.
-  MessageBody payload_msg(GroupId group, std::uint32_t epoch,
-                          std::uint64_t seq,
-                          const BufferedPayload& payload) const;
-  /// Sends one payload toward `to`: sequenced + buffered when reliability
-  /// is on, the legacy fire-and-forget DataMsg otherwise.  `hops` is the
-  /// depth the copy will have on arrival.
-  void send_data(GroupId group, GroupState& state, overlay::PeerId to,
-                 const BufferedPayload& payload);
-  /// (Re)initializes the outbound edge to `peer`: bumps the epoch, resets
-  /// the sequence space, drops the buffer, and announces via SeqSync —
-  /// the join-handshake half of reattach re-sync.
-  void reset_tx_edge(GroupId group, GroupState& state, overlay::PeerId peer);
-  /// Drops both directions of the reliable edge to `peer` (edge torn
-  /// down: leave, prune, or recovery), cancelling their timers.
-  void drop_edge_state(GroupState& state, overlay::PeerId peer);
-  /// Arms the batched/jittered NACK timer for the edge from `peer`
-  /// unless one is already pending (the suppression rule).
-  void maybe_schedule_nack(GroupId group, overlay::PeerId peer, EdgeRx& rx);
-  /// Arms the sender-side ack-overdue probe unless already pending.
-  void maybe_schedule_probe(GroupId group, overlay::PeerId peer, EdgeTx& tx);
-  void on_nack_timer(GroupId group, overlay::PeerId peer);
-  void on_probe_timer(GroupId group, overlay::PeerId peer);
-  static void nack_thunk(void* context, std::uint64_t packed);
-  static void probe_thunk(void* context, std::uint64_t packed);
-  /// Drains in-order payloads from the stash after `expected` advanced;
-  /// sends the cumulative ack when the cadence is due.
-  void drain_rx(GroupId group, GroupState& state, overlay::PeerId from,
-                EdgeRx& rx);
+  void deliver(GroupId group, ReliableEdge::Links& links, overlay::PeerId via,
+               const BufferedPayload& payload) override;
+  overlay::PeerId upstream(const ReliableEdge::Links& links) const override;
 
-  // --- flow control (all no-ops unless reliability.flow_control) ---
-  /// Assigns the next sequence, buffers, and transmits one payload on an
-  /// open edge (the tail half of send_data, shared with drain_tx).
-  void transmit_now(GroupId group, overlay::PeerId to, EdgeTx& tx,
-                    const BufferedPayload& payload);
-  /// Parks a payload behind a closed window; the edge's first parked
-  /// payload may throttle the upstream source.
-  void queue_blocked(GroupId group, GroupState& state, overlay::PeerId to,
-                     EdgeTx& tx, const BufferedPayload& payload);
-  /// Moves parked payloads onto the wire while the window has room; a
-  /// fully drained edge may resume the upstream source.
-  void drain_tx(GroupId group, GroupState& state, overlay::PeerId to,
-                EdgeTx& tx);
-  /// Drops an edge's parked payloads without draining them (edge torn
-  /// down or given up): fixes the blocked-edge accounting silently.
-  void discard_pending(GroupState& state, EdgeTx& tx);
-  /// Sends the throttle (or resume) signal to this node's data source —
-  /// the tree parent — if it has one.
-  void signal_upstream(GroupId group, GroupState& state, bool throttled);
+  // --- LeaseReplica::Host ---
+  ReplState& replica(GroupId group) override { return state_of(group).repl; }
+  /// Makes this node the group's acting tree root (leaving any current
+  /// parent, refreshing children) — the tree half of a committed handoff.
+  void root_self(GroupId group) override;
+  void superseded(GroupId group) override;
 
-  // --- adaptive failure detection (NodeOptions::adaptive) ---
-  /// EWMA update toward `sample` with the fixed alpha.
-  static void ewma_update(double& estimate, double sample);
-  /// NACK delay / retry cadence for one rx edge: the configured constants,
-  /// shortened (delay) or repair-time-paced (retry) when adaptive.
-  sim::SimTime nack_delay_for(const EdgeRx& rx) const;
-  sim::SimTime nack_retry_for(const EdgeRx& rx) const;
-  /// `base` stretched by a uniform factor in [1, 1 + jitter) drawn from
-  /// this node's RNG stream (the reliable_exchange jitter idiom).
-  sim::SimTime jittered(sim::SimTime base, double jitter);
+  /// Sends a payload this node originates to every tree neighbour.
+  void publish_payload(GroupId group, const BufferedPayload& payload);
+
+  // --- tree position ---
+  /// A pure relay (unsubscribed, childless, not the root) leaves the tree:
+  /// tells its parent and forgets the edge.  No-op for any other node.
+  void maybe_fold(GroupId group, GroupState& state);
+  /// After (re)gaining a depth: acks the joins deferred while unattached
+  /// (each with a fresh reliable edge) and pushes the depth to the other
+  /// children, so descendant depths converge in one round.
+  void ack_children(GroupId group, GroupState& state);
+  /// The grandparent this node offers children as a rung-0 backup: its
+  /// own tree parent, or kNoPeer when it is the root / replication is off
+  /// (a root's child has no live grandparent to fall back on).
+  overlay::PeerId offered_backup(const GroupState& state) const;
 
   // --- retry ladder ---
   /// Starts (or restarts) the ladder at its first applicable rung.
   void start_ladder(GroupId group);
+  /// True if the advert parent is a usable first regular rung.
+  bool advert_rung_ok(const GroupState& state) const;
   /// Opens the reliable exchange for the current rung.
   void run_rung(GroupId group);
   /// Current rung exhausted its attempts: next rung or terminal failure.
@@ -560,62 +324,13 @@ class GroupCastNode {
                        overlay::PeerId backup = overlay::kNoPeer);
 
   // --- heartbeats / failure detection ---
-  /// Enrols `group` in the shared per-node heartbeat tick (arming the
-  /// node's single wheel timer if it isn't already pending).
+  /// Enrols `group` in the node's shared heartbeat tick while it holds a
+  /// tree role.
   void maybe_schedule_heartbeat(GroupId group);
-  /// The shared tick: services every enrolled group in group-id order.
-  /// One cancellable timer per node replaces one closure per group per
-  /// interval (ROADMAP: "batch per-node wheels").
-  void node_heartbeat_tick();
   static void heartbeat_thunk(void* context, std::uint64_t);
   void heartbeat_tick(GroupId group);
   /// The parent is gone: become an orphan and re-run the ladder.
   void begin_recovery(GroupId group, overlay::PeerId dead_parent);
-
-  // --- rendezvous replication (all no-ops unless replication.enabled) ---
-  /// Derives the member set for (`group`, `rendezvous`) and, if this node
-  /// belongs to it, initializes its ReplState (baseline epoch-1 record)
-  /// and enrols it in the lease tick.  Returns the member flag.
-  bool ensure_repl_member(GroupId group, overlay::PeerId rendezvous);
-  /// The grandparent this node offers children as a rung-0 backup:
-  /// its own tree parent, or kNoPeer when it is the root / replication
-  /// is off (a root's child has no live grandparent to fall back on).
-  overlay::PeerId offered_backup(const GroupState& state) const;
-  /// Enrols `group` in the shared per-node lease tick (heartbeat-wheel
-  /// pattern: one cancellable timer services every replicated group).
-  void maybe_schedule_repl_tick(GroupId group);
-  void node_repl_tick();
-  static void repl_thunk(void* context, std::uint64_t);
-  void repl_tick(GroupId group);
-  /// Opens a quorum round: a lease renewal / initial-write broadcast, or
-  /// a takeover proposal for `epoch` (round_is_handoff).
-  void start_repl_round(GroupId group, bool handoff, std::uint32_t epoch);
-  /// Records one member's ack for the open round; commits on majority.
-  void note_round_ack(GroupId group, overlay::PeerId from,
-                      std::uint32_t acked_epoch);
-  /// Settles the open round once acks (+ self) reach a majority — also
-  /// called right after opening, which is what lets a degenerate
-  /// one-member set commit on its own vote.
-  void maybe_commit_round(GroupId group);
-  /// Majority granted the takeover: adopt the epoch, become leaseholder
-  /// and acting tree root, append + push the new record.
-  void commit_handoff(GroupId group);
-  /// Inserts one record into the epoch log (union merge); a mismatched
-  /// leader for an existing epoch counts kEpochConflicts and keeps the
-  /// incumbent record.
-  void merge_lease_record(ReplState& repl, const LeaseRecord& record);
-  /// Adopts a higher committed (epoch, leader) view: steps down if this
-  /// node was leaseholder, and rejoins the tree under the new structure
-  /// if it was the acting root (the heal reconciliation step).
-  void adopt_epoch(GroupId group, std::uint32_t epoch,
-                   overlay::PeerId leader);
-  /// Pushes this member's full log to `to` when `head`/`size` show the
-  /// peer has diverged (anti-entropy sweep).
-  void maybe_push_log(GroupId group, overlay::PeerId to,
-                      std::uint32_t peer_head, std::uint32_t peer_size);
-  /// Makes this node the group's acting tree root (leaving any current
-  /// parent, refreshing children) — the tree half of a committed handoff.
-  void root_self(GroupId group);
 
   /// Forwarding subset for an advertisement, per the configured scheme.
   std::vector<overlay::PeerId> select_forward_targets(
@@ -645,26 +360,16 @@ class GroupCastNode {
   NodeOptions options_;
   util::Rng rng_;
   ReliableExchange exchange_;
+  ReliableEdge edges_;
+  /// Constructed only with replication enabled, after the control
+  /// exchange: its quorum exchange splits rng_, which must not happen when
+  /// the flag is off.
+  std::unique_ptr<LeaseReplica> lease_;
   bool running_ = false;
   std::optional<double> cached_resource_level_;
   /// Small (typically 1-2 distinct `exclude` values) linear-probe cache.
   std::vector<SelectionCacheEntry> selection_cache_;
-  /// Groups enrolled in the shared heartbeat tick, kept in id order so the
-  /// tick services them deterministically.
-  std::vector<GroupId> heartbeat_groups_;
-  /// Reused tick-servicing buffer (swapped with heartbeat_groups_ each
-  /// tick so re-enrolment during the tick is safe without allocating).
-  std::vector<GroupId> heartbeat_scratch_;
-  sim::TimerHandle heartbeat_timer_;
-  /// Quorum rounds run on their own exchange so the retry cadence can
-  /// follow the lease timing instead of the control-plane policy.
-  /// Constructed only with replication enabled — constructing it splits
-  /// the node's RNG stream, which must not happen when the flag is off.
-  std::optional<ReliableExchange> repl_exchange_;
-  /// Groups enrolled in the shared lease tick (heartbeat-wheel pattern).
-  std::vector<GroupId> repl_groups_;
-  std::vector<GroupId> repl_scratch_;
-  sim::TimerHandle repl_timer_;
+  SharedTick heartbeats_;
   std::unordered_map<GroupId, GroupState> groups_;
   DataCallback data_callback_;
   ChunkCallback chunk_callback_;

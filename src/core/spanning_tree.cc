@@ -111,33 +111,6 @@ bool SpanningTree::is_consistent() const {
   return true;
 }
 
-bool SpanningTree::in_subtree(overlay::PeerId node,
-                              overlay::PeerId root_of_subtree) const {
-  GC_REQUIRE(contains(node) && contains(root_of_subtree));
-  overlay::PeerId at = node;
-  std::size_t steps = 0;
-  for (;;) {
-    if (at == root_of_subtree) return true;
-    if (at == root_) return false;
-    at = parent(at);
-    GC_ENSURE_MSG(++steps <= parent_.size(), "cycle in spanning tree");
-  }
-}
-
-void SpanningTree::reparent(overlay::PeerId child,
-                            overlay::PeerId new_parent) {
-  GC_REQUIRE(contains(child) && contains(new_parent));
-  GC_REQUIRE_MSG(child != root_, "cannot reparent the root");
-  GC_REQUIRE_MSG(!in_subtree(new_parent, child),
-                 "reparent target inside the moved subtree");
-  const auto old_parent = parent(child);
-  if (old_parent == new_parent) return;
-  auto& siblings = children_[old_parent];
-  siblings.erase(std::find(siblings.begin(), siblings.end(), child));
-  parent_[child] = new_parent;
-  children_[new_parent].push_back(child);
-}
-
 std::size_t SpanningTree::prune(overlay::PeerId p) {
   GC_REQUIRE(contains(p));
   GC_REQUIRE_MSG(p != root_, "cannot prune the root");

@@ -64,15 +64,6 @@ class SpanningTree {
   /// used when a subscriber departs.  Returns removed node count.
   std::size_t prune(overlay::PeerId p);
 
-  /// Moves the subtree rooted at `child` under `new_parent`.  Both must be
-  /// on the tree and `new_parent` must not be inside the moved subtree
-  /// (that would create a cycle).  Used by backup-parent failover.
-  void reparent(overlay::PeerId child, overlay::PeerId new_parent);
-
-  /// True if `node` lies in the subtree rooted at `root_of_subtree`.
-  bool in_subtree(overlay::PeerId node,
-                  overlay::PeerId root_of_subtree) const;
-
  private:
   overlay::PeerId root_;
   std::unordered_map<overlay::PeerId, overlay::PeerId> parent_;

@@ -9,9 +9,9 @@
 
 #include "core/fault_injection.h"
 #include "core/invariants.h"
+#include "core/lease_replica.h"
 #include "core/middleware.h"
 #include "core/node.h"
-#include "core/replication.h"
 #include "metrics/harness_common.h"
 #include "sim/fault_plan.h"
 #include "sim/recorder.h"

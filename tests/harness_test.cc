@@ -3,21 +3,25 @@
 // absolute goldens of each harness's output.
 //
 // ShardDeterminism and the jobs 1-vs-4 tests only compare runs with each
-// other; the goldens pin the actual output of one recovery cell and one
-// streaming cell, at the single wheel and at two shards, as an FNV-64
-// hash over every ScenarioResult metric plus the counter and histogram
-// snapshots.  Any change to an RNG split, an event schedule or a wire byte
-// moves a hash; a refactor that keeps the trajectories must keep all
-// four.  The config echo (ScenarioResult::config) is the run's input, so
-// it is not hashed.
+// other; the goldens pin the actual output of four cells, at the single
+// wheel and at two shards, as an FNV-64 hash over every ScenarioResult
+// metric plus the counter and histogram snapshots.  A recovery cell and a
+// streaming cell cover the tree and the data plane; a partition cell and
+// a slow-peer cell cover rendezvous replication and flow control, which
+// the first two never turn on.  Any change to an RNG split, an event
+// schedule or a wire byte moves a hash; a refactor that keeps the
+// trajectories must keep all eight.  The config echo
+// (ScenarioResult::config) is the run's input, so it is not hashed.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstring>
+#include <initializer_list>
 #include <type_traits>
 #include <vector>
 
 #include "metrics/experiment.h"
+#include "trace/counters.h"
 #include "util/require.h"
 
 namespace groupcast {
@@ -116,8 +120,11 @@ metrics::ScenarioResult run_cell(const metrics::ScenarioConfig& config) {
   return results.front();
 }
 
+/// `exercised` names counters the cell exists to drive: each must be
+/// non-zero, so a pin cannot silently stop covering its code path.
 void expect_golden(const metrics::ScenarioConfig& config,
-                   std::uint64_t golden) {
+                   std::uint64_t golden,
+                   std::initializer_list<trace::CounterId> exercised = {}) {
   const auto result = run_cell(config);
   const std::uint64_t hash = result_hash(result);
   EXPECT_EQ(hash, golden) << "golden hash moved: now 0x" << std::hex << hash;
@@ -125,6 +132,10 @@ void expect_golden(const metrics::ScenarioConfig& config,
   EXPECT_GT(result.events_fired, 0u);
   EXPECT_FALSE(result.counters.per_node.empty());
   EXPECT_FALSE(result.histograms.empty());
+  for (const auto id : exercised) {
+    EXPECT_GT(result.counters.total(id), 0u)
+        << "counter " << static_cast<int>(id) << " stayed at zero";
+  }
 }
 
 // 300 peers with 100 subscribers, 10% steady loss, 15% ungraceful crashes,
@@ -166,6 +177,44 @@ metrics::ScenarioConfig streaming_cell(std::size_t shards) {
   return point;
 }
 
+// Rendezvous replication through a 30 s RP-side partition after 10%
+// crashes: the lease rounds, the takeover and the heal's log merge.
+metrics::ScenarioConfig partition_cell(std::size_t shards) {
+  metrics::ScenarioConfig point;
+  point.peer_count = 300;
+  point.groups = 1;
+  point.seed = 9003;
+  point.shards = shards;
+  auto& rec = point.recovery;
+  rec.enabled = true;
+  rec.crash_fraction = 0.1;
+  rec.replication = true;
+  rec.replicas = 3;
+  rec.partition_seconds = 30.0;
+  return point;
+}
+
+// Every fifth peer acks at a tenth of the cadence behind an 8-sequence
+// window at 10% loss, with adaptive detection: flow control parks and
+// drains, throttles travel up the tree, and the NACK cadence adapts.
+metrics::ScenarioConfig slow_peer_cell(std::size_t shards) {
+  metrics::ScenarioConfig point;
+  point.peer_count = 300;
+  point.groups = 1;
+  point.seed = 9004;
+  point.shards = shards;
+  auto& rec = point.recovery;
+  rec.enabled = true;
+  rec.loss_probability = 0.1;
+  rec.reliable_data = true;
+  rec.flow_control = true;
+  rec.flow_window = 8;
+  rec.adaptive = true;
+  rec.slow_peer_stride = 5;
+  rec.speaking_payloads = 32;
+  return point;
+}
+
 TEST(HarnessGolden, RecoveryCellSingleWheel) {
   expect_golden(recovery_cell(1), 0xdf4bf6a66ea8e742ull);
 }
@@ -180,6 +229,30 @@ TEST(HarnessGolden, StreamingCellSingleWheel) {
 
 TEST(HarnessGolden, StreamingCellTwoShards) {
   expect_golden(streaming_cell(2), 0xe9623e6e3d182a35ull);
+}
+
+// The lease and flow-control cells must keep driving their sub-protocols.
+constexpr std::initializer_list<trace::CounterId> kLeaseCounters = {
+    trace::CounterId::kLeaseRenewals, trace::CounterId::kLeaseHandoffs,
+    trace::CounterId::kBackupAttaches};
+constexpr std::initializer_list<trace::CounterId> kFlowCounters = {
+    trace::CounterId::kFlowBlocked, trace::CounterId::kFlowThrottles,
+    trace::CounterId::kNacksSent, trace::CounterId::kRetransmits};
+
+TEST(HarnessGolden, PartitionCellSingleWheel) {
+  expect_golden(partition_cell(1), 0x00e45c386c127633ull, kLeaseCounters);
+}
+
+TEST(HarnessGolden, PartitionCellTwoShards) {
+  expect_golden(partition_cell(2), 0x295bb1e467adf1ccull, kLeaseCounters);
+}
+
+TEST(HarnessGolden, SlowPeerCellSingleWheel) {
+  expect_golden(slow_peer_cell(1), 0x34e84c211dc012d0ull, kFlowCounters);
+}
+
+TEST(HarnessGolden, SlowPeerCellTwoShards) {
+  expect_golden(slow_peer_cell(2), 0x35c17a9b8deee8bcull, kFlowCounters);
 }
 
 // The nine shared runtime fields are validated once, for both harnesses:
