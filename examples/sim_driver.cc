@@ -421,7 +421,7 @@ int main(int argc, char** argv) {
   if (config.recovery.enabled) {
     std::printf("  avg tree: %.0f nodes\n", r.avg_tree_nodes);
     std::printf("  recovery: delivery %.1f%%, reattached %.1f%%, orphan "
-                "%.2f epochs, converged in %.1f, violations %.0f\n",
+                "%.2f epochs, converged in %.1f, violations %.4g\n",
                 100.0 * r.delivery_ratio, 100.0 * r.reattached_fraction,
                 r.mean_orphan_epochs, r.epochs_to_converge,
                 r.invariant_violations);

@@ -18,6 +18,8 @@
 #  4c. streaming: the live-streaming sweep (bench_streaming) byte-compared
 #            across --jobs, plus a pinned miss-ratio / flash-crowd
 #            acceptance run at 5% loss with the reliable data plane.
+#  4d. bench-smoke: perfbench/test_bench.py — the repo benchmark's
+#            workloads at tiny scale through run.py's checks.
 #  5. lint:  clang-format --dry-run --Werror plus clang-tidy on src/core —
 #            skipped with a notice when the binaries are not installed
 #            (CI always runs them).
@@ -46,6 +48,7 @@ fi
 "${stages}" perf "${perf_build_dir}"
 "${stages}" trace "${perf_build_dir}"
 "${stages}" streaming "${perf_build_dir}"
+"${stages}" bench-smoke
 
 if command -v clang-format > /dev/null; then
   "${stages}" lint-format

@@ -17,6 +17,9 @@
 #   scripts/stages.sh streaming [build-dir]  # Release streaming sweep,
 #                                         # --jobs byte-compared, pinned
 #                                         # miss-ratio / flash acceptance
+#   scripts/stages.sh bench-smoke         # perfbench/test_bench.py: the
+#                                         # repo benchmark at tiny scale,
+#                                         # its checks and compare verdicts
 #   scripts/stages.sh nightly-scale [build-dir]  # 100k peers, shards 2/4/8
 #   scripts/stages.sh nightly-tsan  [build-dir]  # full ctest under TSan
 #   scripts/stages.sh nightly-bench [build-dir]  # scale-4 sweeps + perf gate
@@ -114,7 +117,9 @@ stage_fault() {
   grep -q "partition: majority delivery 100.0%, minority delivery 100.0%" \
     <<< "${partition_out}"
   grep -q "epoch conflicts 0.0" <<< "${partition_out}"
-  grep -q "violations 0" <<< "${partition_out}"
+  # Anchored: sim_driver prints the mean violation count with %.4g, so a
+  # fractional mean such as 0.375 must not pass for zero.
+  grep -q "violations 0$" <<< "${partition_out}"
   echo "stages.sh: churn-recovery sweep + partition-heal sweep clean under" \
     "ASan (--jobs=4; both partition sides pinned at 100% delivery;" \
     "replicated recovery cells re-attach through rung 0)"
@@ -166,7 +171,7 @@ stage_scale() {
   "${build_dir}/examples/sim_driver" --peers=100000 --groups=1 --seed=1 \
     --recovery=true --crash=0.15 --shards=4 > "${out4}"
   diff "${out2}" "${out4}"
-  grep -q "violations 0" "${out2}"
+  grep -q "violations 0$" "${out2}"
   echo "stages.sh: 100k-peer scale smoke clean (shards 2 and 4" \
     "byte-identical)"
 }
@@ -231,6 +236,18 @@ stage_streaming() {
     "ratio pinned under 5% at 5% loss; flash crowd fully attached)"
 }
 
+# Benchmark smoke: the repo benchmark's own tests.  Every workload runs at
+# a fiftieth of its size, untraced and traced, through perfbench/run.py's
+# checks (determinism included); the compare tool's verdicts and run.py's
+# refusals are tested too.  gc_ledger is built the way the benchmark
+# builds it, into $CARGO_TARGET_DIR or .bench_build/, so a change that
+# breaks the ledger build (a counter it names removed, say) fails here.
+stage_bench_smoke() {
+  cd "${repo_root}"
+  python3 perfbench/test_bench.py
+  echo "stages.sh: benchmark smoke clean (perfbench/test_bench.py)"
+}
+
 # Nightly scale: the 100k-peer churn cell across shards 2, 4, AND 8 —
 # the pre-merge scale stage stops at two counts; the nightly proves the
 # full ladder stays byte-identical.
@@ -247,7 +264,7 @@ stage_nightly_scale() {
     if [[ -n "${ref}" ]]; then diff "${ref}" "${out}"; fi
     ref="${out}"
   done
-  grep -q "violations 0" "${ref}"
+  grep -q "violations 0$" "${ref}"
   echo "stages.sh: nightly 100k-peer scale ladder clean (shards 2/4/8" \
     "byte-identical)"
 }
@@ -327,7 +344,7 @@ stage_lint_tidy() {
 }
 
 usage() {
-  echo "usage: scripts/stages.sh {asan|tsan|fault|perf|scale|trace|streaming|nightly-scale|nightly-tsan|nightly-bench|lint-format|lint-tidy} [build-dir]" >&2
+  echo "usage: scripts/stages.sh {asan|tsan|fault|perf|scale|trace|streaming|bench-smoke|nightly-scale|nightly-tsan|nightly-bench|lint-format|lint-tidy} [build-dir]" >&2
   exit 2
 }
 
@@ -342,6 +359,7 @@ case "${stage}" in
   scale) stage_scale "$@" ;;
   trace) stage_trace "$@" ;;
   streaming) stage_streaming "$@" ;;
+  bench-smoke) stage_bench_smoke "$@" ;;
   nightly-scale) stage_nightly_scale "$@" ;;
   nightly-tsan) stage_nightly_tsan "$@" ;;
   nightly-bench) stage_nightly_bench "$@" ;;

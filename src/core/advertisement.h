@@ -20,6 +20,7 @@
 // times and the resulting reverse paths reflect the physical network.
 #pragma once
 
+#include <optional>
 #include <vector>
 
 #include "core/message.h"
@@ -40,8 +41,6 @@ struct AdvertisementOptions {
   double forward_fraction = 0.35;
   /// Initial TTL of the advertisement.
   std::size_t ttl = 8;
-  /// Sample size for each forwarder's resource-level estimate.
-  std::size_t resource_sample = 32;
 
   /// Ablation hook: when >= 0, forwarders use this fixed resource level
   /// instead of sampling (see BootstrapOptions::pinned_resource_level).
@@ -69,6 +68,24 @@ struct AdvertisementState {
   double receiving_rate() const;
 };
 
+/// The forwarding decision of one SSA/NSSA forwarder (Section 3.2): the
+/// subset of `neighbors` other than `exclude` that `from` passes the
+/// advertisement on to.  AdvertisementEngine and GroupCastNode both call
+/// it, so the engine pipeline and the node runtime forward identically.
+///
+/// `resource_level` is the caller's memo of `from`'s resource level: an
+/// empty memo is filled on the first utility-weighted selection, from the
+/// pinned level or by sampling PeerPopulation::kResourceSample peers; a
+/// filled one is reused.  RNG draws, in order: none for kNssa or when
+/// every candidate is wanted; kSsaRandom draws the index sample;
+/// kSsaUtility samples the level if the memo is empty and the level is
+/// not pinned, then draws the weighted sample.
+std::vector<overlay::PeerId> select_forward_targets(
+    const AdvertisementOptions& options,
+    const overlay::PeerPopulation& population, overlay::PeerId from,
+    const std::vector<overlay::PeerId>& neighbors, overlay::PeerId exclude,
+    std::optional<double>& resource_level, util::Rng& rng);
+
 class AdvertisementEngine {
  public:
   AdvertisementEngine(sim::Simulator& simulator,
@@ -84,42 +101,14 @@ class AdvertisementEngine {
   const AdvertisementOptions& options() const { return options_; }
 
  private:
-  /// Picks the forwarding subset for `from` out of `neighbors`
-  /// (excluding `exclude`), per the configured scheme.
-  std::vector<overlay::PeerId> select_targets(
-      overlay::PeerId from, const std::vector<overlay::PeerId>& neighbors,
-      overlay::PeerId exclude);
-
-  /// Cached variant used by announce(): Nbr(from) and (for kSsaUtility)
-  /// its Eq. 1-5 Candidate rows are memoized per forwarder, revalidated
-  /// against the graph's neighbour generation.  Bit-identical to
-  /// select_targets over graph_->neighbors(from): the cache stores the
-  /// computed rows, draws no RNG while filling, and any neighbour
-  /// add/remove invalidates it — see docs/PERFORMANCE.md.
-  std::vector<overlay::PeerId> select_targets_cached(overlay::PeerId from,
-                                                     overlay::PeerId exclude);
-
-  /// Per-forwarder memo of select_targets_cached.  `candidates[i]` is the
-  /// capacity/distance row of `neighbors[i]`; rows are filled lazily on
-  /// the first kSsaUtility selection (kUtilityCacheMisses) and reused
-  /// until the generation moves (kUtilityCacheHits).
-  struct NeighborCacheEntry {
-    bool valid = false;
-    bool candidates_valid = false;
-    std::uint64_t generation = 0;
-    std::vector<overlay::PeerId> neighbors;
-    std::vector<Candidate> candidates;
-  };
-
   sim::Simulator* simulator_;
   const overlay::PeerPopulation* population_;
   const overlay::OverlayGraph* graph_;
   AdvertisementOptions options_;
   util::Rng rng_;
-  /// Cached resource-level estimate per peer (lazily sampled).
-  std::vector<double> resource_level_;
-  std::vector<char> resource_level_known_;
-  std::vector<NeighborCacheEntry> neighbor_cache_;
+  /// Resource-level memo per forwarder, filled on its first utility
+  /// selection and kept for this engine's lifetime.
+  std::vector<std::optional<double>> resource_level_;
 };
 
 }  // namespace groupcast::core

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "core/utility.h"
 #include "trace/trace.h"
 #include "util/require.h"
 
@@ -93,85 +92,6 @@ sim::SimTime GroupCastNode::now() const {
   return transport_->simulator_for(self_).now();
 }
 
-double GroupCastNode::resource_level() {
-  if (!cached_resource_level_) {
-    cached_resource_level_ = clamp_resource_level(
-        options_.advertisement.pinned_resource_level >= 0.0
-            ? options_.advertisement.pinned_resource_level
-            : transport_->population().sampled_resource_level(
-                  self_, options_.advertisement.resource_sample, rng_));
-  }
-  return *cached_resource_level_;
-}
-
-std::vector<overlay::PeerId> GroupCastNode::select_forward_targets(
-    overlay::PeerId exclude) {
-  // Memoized per (exclude, neighbour generation): repeated forwarding
-  // decisions between topology changes reuse the filtered pool and the
-  // Eq. 1-5 preference vector instead of re-deriving Nbr(self) and the
-  // normalizations each hop.  The cached vectors are the ones the uncached
-  // path would compute, and no RNG is drawn while filling the cache, so
-  // selections stay bit-identical.
-  const std::uint64_t generation = graph_->neighbor_generation(self_);
-  SelectionCacheEntry* entry = nullptr;
-  for (auto& candidate : selection_cache_) {
-    if (candidate.exclude == exclude) {
-      entry = &candidate;
-      break;
-    }
-  }
-  if (entry == nullptr) {
-    selection_cache_.emplace_back();
-    entry = &selection_cache_.back();
-    entry->exclude = exclude;
-    entry->generation = generation + 1;  // any value != generation
-  }
-  if (entry->generation != generation) {
-    trace::counters().incr(self_, trace::CounterId::kUtilityCacheMisses);
-    entry->generation = generation;
-    entry->pool.clear();
-    entry->prefs.clear();
-    for (const auto n : graph_->neighbors(self_)) {
-      if (n != exclude) entry->pool.push_back(n);
-    }
-  } else {
-    trace::counters().incr(self_, trace::CounterId::kUtilityCacheHits);
-  }
-  const auto& pool = entry->pool;
-  if (pool.empty()) return pool;
-  const auto& adv = options_.advertisement;
-  if (adv.scheme == AnnouncementScheme::kNssa) return pool;
-
-  const auto want = std::max<std::size_t>(
-      1, static_cast<std::size_t>(std::ceil(
-             adv.forward_fraction * static_cast<double>(pool.size()))));
-  if (want >= pool.size()) return pool;
-
-  if (adv.scheme == AnnouncementScheme::kSsaRandom) {
-    const auto idx = rng_.sample_indices(pool.size(), want);
-    std::vector<overlay::PeerId> out;
-    for (const auto i : idx) out.push_back(pool[i]);
-    return out;
-  }
-  if (entry->prefs.empty()) {
-    // Lazily computed on the first utility selection at this generation —
-    // after the want >= pool.size() early-outs, exactly where the uncached
-    // path first touched resource_level() (whose first call may draw RNG).
-    const auto& population = transport_->population();
-    std::vector<Candidate> candidates;
-    candidates.reserve(pool.size());
-    for (const auto n : pool) {
-      candidates.push_back(Candidate{population.info(n).capacity,
-                                     population.coord_distance_ms(self_, n)});
-    }
-    entry->prefs = selection_preferences(resource_level(), candidates);
-  }
-  const auto idx = weighted_sample_without_replacement(entry->prefs, want, rng_);
-  std::vector<overlay::PeerId> out;
-  for (const auto i : idx) out.push_back(pool[i]);
-  return out;
-}
-
 // ------------------------------------------------------------- public API
 
 void GroupCastNode::create_group(GroupId group) {
@@ -185,7 +105,9 @@ void GroupCastNode::create_group(GroupId group) {
   state.subscribed = true;
   state.tree_parent = self_;
   state.depth = 0;
-  for (const auto target : select_forward_targets(self_)) {
+  for (const auto target : select_forward_targets(
+           options_.advertisement, transport_->population(), self_,
+           graph_->neighbors(self_), self_, resource_level_, rng_)) {
     transport_->send(
         self_, target,
         AdvertiseMsg{group, self_,
@@ -935,7 +857,9 @@ void GroupCastNode::handle_advertise(const Envelope& envelope,
   state.rendezvous = msg.rendezvous;
   state.advert_parent = envelope.from;
   if (msg.ttl == 0) return;
-  for (const auto target : select_forward_targets(envelope.from)) {
+  for (const auto target : select_forward_targets(
+           options_.advertisement, transport_->population(), self_,
+           graph_->neighbors(self_), envelope.from, resource_level_, rng_)) {
     transport_->send(self_, target,
                      AdvertiseMsg{msg.group, msg.rendezvous, msg.ttl - 1});
     trace::counters().incr(self_, trace::CounterId::kAdvertsForwarded);

@@ -13,6 +13,10 @@
 //   node.subscribe(group);
 //   node.publish(group, payload_id);
 //
+// The engine and the node forward advertisements through one SSA/NSSA
+// decision, core::select_forward_targets; each keeps its own
+// resource-level memo (per group in the engine, per lifetime here).
+//
 // Control-plane reliability (docs/ROBUSTNESS.md): joins and ripple
 // searches run through a ReliableExchange retry ladder — join the advert
 // parent, escalate to ripple re-search with widening TTL, then to the
@@ -332,26 +336,7 @@ class GroupCastNode : private ReliableEdge::Host, private LeaseReplica::Host {
   /// The parent is gone: become an orphan and re-run the ladder.
   void begin_recovery(GroupId group, overlay::PeerId dead_parent);
 
-  /// Forwarding subset for an advertisement, per the configured scheme.
-  std::vector<overlay::PeerId> select_forward_targets(
-      overlay::PeerId exclude);
-
-  /// Memoized SSA selection inputs for one `exclude` value: the filtered
-  /// neighbour pool and (for kSsaUtility) the Eq. 1-5 preference vector.
-  /// Valid while the graph's neighbour generation for this node matches;
-  /// neighbour add/remove/churn invalidates by bumping the generation.
-  /// Caching the *computed vectors* (not algebraic denominator updates)
-  /// keeps the floating-point results and the RNG stream bit-identical
-  /// to the uncached path.
-  struct SelectionCacheEntry {
-    overlay::PeerId exclude = overlay::kNoPeer;
-    std::uint64_t generation = 0;
-    std::vector<overlay::PeerId> pool;
-    std::vector<double> prefs;  // empty for kNssa / kSsaRandom
-  };
-
   GroupState& state_of(GroupId group) { return groups_[group]; }
-  double resource_level();
   sim::SimTime now() const;
 
   overlay::PeerId self_;
@@ -366,9 +351,9 @@ class GroupCastNode : private ReliableEdge::Host, private LeaseReplica::Host {
   /// the flag is off.
   std::unique_ptr<LeaseReplica> lease_;
   bool running_ = false;
-  std::optional<double> cached_resource_level_;
-  /// Small (typically 1-2 distinct `exclude` values) linear-probe cache.
-  std::vector<SelectionCacheEntry> selection_cache_;
+  /// SSA resource-level memo: sampled on the first utility-weighted
+  /// forwarding decision, kept for the node's lifetime.
+  std::optional<double> resource_level_;
   SharedTick heartbeats_;
   std::unordered_map<GroupId, GroupState> groups_;
   DataCallback data_callback_;

@@ -120,7 +120,7 @@ JoinStats GroupCastBootstrap::join(PeerId peer) {
         options_.pinned_resource_level >= 0.0
             ? options_.pinned_resource_level
             : population_->sampled_resource_level(
-                  peer, options_.resource_sample, rng_));
+                  peer, PeerPopulation::kResourceSample, rng_));
     const auto prefs = core::selection_preferences(r_i, scored);
 
     const std::size_t want = target_degree(population_->info(peer).capacity);
@@ -180,9 +180,8 @@ std::size_t GroupCastBootstrap::refill(PeerId peer) {
   const double r_i = core::clamp_resource_level(
       options_.pinned_resource_level >= 0.0
           ? options_.pinned_resource_level
-          : population_->sampled_resource_level(peer,
-                                                options_.resource_sample,
-                                                rng_));
+          : population_->sampled_resource_level(
+                peer, PeerPopulation::kResourceSample, rng_));
   const auto prefs = core::selection_preferences(r_i, scored);
   const auto picks =
       core::weighted_sample_without_replacement(prefs, want - have, rng_);

@@ -35,9 +35,6 @@ struct BootstrapOptions {
   /// p_b: probability of accepting a back link that failed the PB test.
   double fallback_back_link_prob = 0.5;
 
-  /// Peers sampled to estimate the joiner's resource level r_i.
-  std::size_t resource_sample = 32;
-
   /// Ablation hook: when >= 0, every peer uses this fixed resource level
   /// instead of the sampled estimate (pinning the utility blend: r -> 0
   /// gives distance-only selection, r -> 1 capacity-only).  < 0 = paper

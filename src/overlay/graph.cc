@@ -17,7 +17,7 @@ constexpr std::size_t kCompactionFloor = 1024;
 }  // namespace
 
 OverlayGraph::OverlayGraph(std::size_t peer_count)
-    : out_(peer_count), in_(peer_count), generation_(peer_count, 0) {}
+    : out_(peer_count), in_(peer_count) {}
 
 void OverlayGraph::append(Span& span, PeerId value) {
   if (span.size == span.capacity) {
@@ -67,8 +67,7 @@ void OverlayGraph::compact() {
 
 std::size_t OverlayGraph::memory_bytes() const {
   return sizeof(*this) + arena_.capacity() * sizeof(PeerId) +
-         (out_.capacity() + in_.capacity()) * sizeof(Span) +
-         generation_.capacity() * sizeof(std::uint64_t);
+         (out_.capacity() + in_.capacity()) * sizeof(Span);
 }
 
 bool OverlayGraph::add_edge(PeerId from, PeerId to) {
@@ -77,10 +76,6 @@ bool OverlayGraph::add_edge(PeerId from, PeerId to) {
   if (has_edge(from, to)) return false;
   append(out_[from], to);
   append(in_[to], from);
-  // Nbr() is the union of both directions, so either endpoint's cached
-  // neighbour view goes stale.
-  ++generation_[from];
-  ++generation_[to];
   ++edge_count_;
   return true;
 }
@@ -89,8 +84,6 @@ bool OverlayGraph::remove_edge(PeerId from, PeerId to) {
   GC_REQUIRE(from < out_.size() && to < out_.size());
   if (!erase(out_[from], to)) return false;
   erase(in_[to], from);
-  ++generation_[from];
-  ++generation_[to];
   --edge_count_;
   return true;
 }

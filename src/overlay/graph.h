@@ -82,17 +82,8 @@ class OverlayGraph {
   /// |neighbors(p)| without materializing the vector.
   std::size_t degree(PeerId p) const;
 
-  /// Monotone version of `p`'s neighbour set: bumped every time an edge
-  /// incident to `p` (either direction) is added or removed.  Lets
-  /// utility-selection caches detect staleness in O(1) instead of
-  /// re-deriving Nbr(p) — see docs/PERFORMANCE.md.
-  std::uint64_t neighbor_generation(PeerId p) const {
-    GC_REQUIRE(p < generation_.size());
-    return generation_[p];
-  }
-
-  /// Retained bytes of the adjacency store (arena + spans + generations),
-  /// capacity-based and deterministic for a fixed edge history.
+  /// Retained bytes of the adjacency store (arena + spans), capacity-based
+  /// and deterministic for a fixed edge history.
   std::size_t memory_bytes() const;
 
   /// Rebuilds the arena with zero garbage and per-span capacity == size.
@@ -134,7 +125,6 @@ class OverlayGraph {
   std::vector<PeerId> arena_;  // shared by both directions of every peer
   std::vector<Span> out_;
   std::vector<Span> in_;
-  std::vector<std::uint64_t> generation_;
   std::size_t edge_count_ = 0;
   std::size_t live_ = 0;  // arena slots inside some span's capacity
 };

@@ -54,6 +54,10 @@ class PeerPopulation {
   /// Exact resource level r_i of a peer under the capacity distribution.
   double resource_level(PeerId id) const;
 
+  /// Peers a node samples to estimate its own resource level: the
+  /// bootstrap joins, the supernode leaves and every SSA forwarder use it.
+  static constexpr std::size_t kResourceSample = 32;
+
   /// Empirical resource level measured against `sample_size` random peers —
   /// the decentralized estimate GroupCast actually performs (Section 3.1).
   double sampled_resource_level(PeerId id, std::size_t sample_size,

@@ -51,8 +51,8 @@ SupernodeLayout build_supernode_overlay(const PeerPopulation& population,
                           population.coord_distance_ms(leaf, sn)});
     }
     const double r = core::clamp_resource_level(
-        population.sampled_resource_level(leaf, options.resource_sample,
-                                          rng));
+        population.sampled_resource_level(
+            leaf, PeerPopulation::kResourceSample, rng));
     const auto prefs = core::selection_preferences(r, scored);
     const auto picks = core::weighted_sample_without_replacement(
         prefs, options.leaf_links, rng);

@@ -26,8 +26,6 @@ struct SupernodeOptions {
   std::size_t leaf_links = 2;
   /// Bootstrap parameters for the core tier.
   BootstrapOptions core;
-  /// Resource-sample size for the leaves' utility evaluation.
-  std::size_t resource_sample = 32;
 };
 
 struct SupernodeLayout {

@@ -43,8 +43,8 @@ enum class CounterId : std::uint8_t {
   kOrphansRecovered,    // orphaned nodes that reattached to a tree
   kHeartbeats,          // tree-edge heartbeats this node sent
   kTimersCoalesced,     // heartbeat timers saved by the shared per-node tick
-  kUtilityCacheHits,    // SSA preference vectors served from cache
-  kUtilityCacheMisses,  // SSA preference vectors recomputed (Eqs. 1-5)
+  kUtilityCacheHits,    // never incremented: SSA selection has no cache;
+  kUtilityCacheMisses,  // both stay because the benchmark ledger names them
   kNacksSent,           // data-plane retransmit requests this node issued
   kRetransmits,         // buffered payload copies re-sent on a NACK
   kDupsSuppressed,      // sequence-level duplicate payloads discarded

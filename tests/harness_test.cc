@@ -216,19 +216,19 @@ metrics::ScenarioConfig slow_peer_cell(std::size_t shards) {
 }
 
 TEST(HarnessGolden, RecoveryCellSingleWheel) {
-  expect_golden(recovery_cell(1), 0xdf4bf6a66ea8e742ull);
+  expect_golden(recovery_cell(1), 0x01397e3b7a15f18eull);
 }
 
 TEST(HarnessGolden, RecoveryCellTwoShards) {
-  expect_golden(recovery_cell(2), 0x7052706880f3e622ull);
+  expect_golden(recovery_cell(2), 0x095f7ce6281b9edaull);
 }
 
 TEST(HarnessGolden, StreamingCellSingleWheel) {
-  expect_golden(streaming_cell(1), 0x24006e72f6f3f058ull);
+  expect_golden(streaming_cell(1), 0xc4a768d3581a49f4ull);
 }
 
 TEST(HarnessGolden, StreamingCellTwoShards) {
-  expect_golden(streaming_cell(2), 0xe9623e6e3d182a35ull);
+  expect_golden(streaming_cell(2), 0x69ec9d1e1f69ba87ull);
 }
 
 // The lease and flow-control cells must keep driving their sub-protocols.
@@ -240,19 +240,19 @@ constexpr std::initializer_list<trace::CounterId> kFlowCounters = {
     trace::CounterId::kNacksSent, trace::CounterId::kRetransmits};
 
 TEST(HarnessGolden, PartitionCellSingleWheel) {
-  expect_golden(partition_cell(1), 0x00e45c386c127633ull, kLeaseCounters);
+  expect_golden(partition_cell(1), 0x634b6c7aaeafdfc9ull, kLeaseCounters);
 }
 
 TEST(HarnessGolden, PartitionCellTwoShards) {
-  expect_golden(partition_cell(2), 0x295bb1e467adf1ccull, kLeaseCounters);
+  expect_golden(partition_cell(2), 0xdbf630d3116c78ceull, kLeaseCounters);
 }
 
 TEST(HarnessGolden, SlowPeerCellSingleWheel) {
-  expect_golden(slow_peer_cell(1), 0x34e84c211dc012d0ull, kFlowCounters);
+  expect_golden(slow_peer_cell(1), 0xc2ec325d54659978ull, kFlowCounters);
 }
 
 TEST(HarnessGolden, SlowPeerCellTwoShards) {
-  expect_golden(slow_peer_cell(2), 0x35c17a9b8deee8bcull, kFlowCounters);
+  expect_golden(slow_peer_cell(2), 0xd0510600248a455aull, kFlowCounters);
 }
 
 // The nine shared runtime fields are validated once, for both harnesses:
