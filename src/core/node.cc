@@ -252,15 +252,6 @@ std::size_t GroupCastNode::pending_depth(GroupId group,
                              : 0;
 }
 
-std::size_t GroupCastNode::effective_heartbeat_misses(GroupId group) const {
-  const auto it = groups_.find(group);
-  if (!options_.adaptive || it == groups_.end()) {
-    return options_.missed_heartbeats_to_fail;
-  }
-  return adaptive_miss_threshold(it->second.hb_miss_ewma,
-                                 options_.missed_heartbeats_to_fail);
-}
-
 std::size_t GroupCastNode::adaptive_miss_threshold(double miss_ewma,
                                                    std::size_t floor_misses) {
   const std::size_t cap = std::max(floor_misses, kMaxAdaptiveMisses);

@@ -165,10 +165,6 @@ class GroupCastNode : private ReliableEdge::Host, private LeaseReplica::Host {
   /// Payloads queued behind a closed flow-control window on the directed
   /// edge to `peer` (always 0 with flow control off).
   std::size_t pending_depth(GroupId group, overlay::PeerId peer) const;
-  /// Heartbeat intervals without an ack before this node's parent on
-  /// `group` is declared dead right now: the configured constant, or the
-  /// adaptive widening derived from the measured miss rate.
-  std::size_t effective_heartbeat_misses(GroupId group) const;
   /// The adaptive widening rule (docs/ROBUSTNESS.md): smallest miss count
   /// k with miss_ewma^k <= the false-positive target, clamped to
   /// [floor_misses, 12].  Pure; exposed for tests.

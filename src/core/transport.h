@@ -265,6 +265,9 @@ struct HandoffMsg {
   overlay::PeerId rendezvous = overlay::kNoPeer;
 };
 
+/// Every protocol message.  Append-only: a message's wire tag is its
+/// index here + 1 (core/wire.h), so reordering or removing an alternative
+/// changes the protocol.
 using MessageBody =
     std::variant<AdvertiseMsg, JoinMsg, JoinAckMsg, RippleQueryMsg,
                  RippleHitMsg, DataMsg, LeaveMsg, HeartbeatMsg,
@@ -348,7 +351,8 @@ class Transport final : public sim::ShardSet::Client {
   /// Every send is counted, including ones that are later lost.
   void send(overlay::PeerId from, overlay::PeerId to, MessageBody body);
 
-  const MessageStats& stats() const;
+  /// Per-kind send counts, summed over the shards.
+  MessageStats stats() const;
   std::size_t messages_sent() const;
   std::size_t messages_lost() const;
   /// Total wire bytes of every message sent (per the encoding in wire.h).
@@ -364,9 +368,6 @@ class Transport final : public sim::ShardSet::Client {
                               : *simulator_;
   }
   bool sharded() const { return shards_ != nullptr; }
-  std::size_t shard_of(overlay::PeerId peer) const {
-    return shards_ != nullptr ? peer_shard_[peer] : 0;
-  }
 
   /// Pre-declares an ungraceful crash at `at` (sharded mode only): a
   /// message is suppressed in flight iff its sender has a declared crash
@@ -393,6 +394,11 @@ class Transport final : public sim::ShardSet::Client {
   void set_fault_filter(const FaultFilter* filter) { fault_filter_ = filter; }
 
  private:
+  /// The constructors' common part; exactly one engine is non-null.
+  Transport(sim::Simulator* simulator, sim::ShardSet* shards,
+            const overlay::PeerPopulation& population,
+            TransportOptions options, util::Rng& rng);
+
   static MessageKind kind_of(const MessageBody& body);
 
   static constexpr std::uint32_t kNoSlot = 0xFFFFFFFFu;
@@ -413,6 +419,11 @@ class Transport final : public sim::ShardSet::Client {
   static void deliver_thunk(void* context, std::uint64_t slot);
   void deliver(std::uint32_t slot);
   std::uint32_t allocate_slot();
+  /// The delivery tail both engines share: drops the message if its
+  /// sender crashed in flight (`sender_crashed`, the engine's own test) or
+  /// its receiver is gone, else hands it to the receiver's handler.
+  void dispatch(std::int64_t now_us, overlay::PeerId from, overlay::PeerId to,
+                bool sender_crashed, MessageBody&& body);
 
   /// One cross-shard (or same-shard) delivery in flight.  Arrival queues
   /// pop in ascending (arrival_us, from, counter) — a total order, since
@@ -435,7 +446,8 @@ class Transport final : public sim::ShardSet::Client {
   };
   /// Per-shard message-plane state, owned by the shard's worker thread
   /// (outboxes hand over at epoch barriers; the main thread may touch any
-  /// shard while the workers are parked).
+  /// shard while the workers are parked).  The single wheel keeps its
+  /// counters in one of these and leaves the queues empty.
   struct alignas(64) ShardState {
     MessageStats stats;
     std::size_t sent = 0;
@@ -445,14 +457,13 @@ class Transport final : public sim::ShardSet::Client {
     std::vector<std::vector<ShardRecord>> outbox;    // indexed by dst shard
   };
 
-  void sharded_send(overlay::PeerId from, overlay::PeerId to,
-                    MessageBody body);
-  void deliver_record(std::size_t shard, ShardRecord&& record);
-  /// Stateless Bernoulli draw: a splitmix64 hash of (seed, stream,
-  /// counter) mapped to [0, 1), compared against p.  Independent of
-  /// thread interleaving and shard count.
-  bool hashed_chance(double p, std::uint64_t stream,
-                     std::uint64_t counter) const;
+  /// The loss draw for one send, true with probability p.  The single
+  /// wheel draws from its sequential RNG; sharded, it is a stateless
+  /// splitmix64 hash of (seed, stream, counter) mapped to [0, 1), which is
+  /// independent of thread interleaving and shard count.
+  bool lost(double p, std::uint64_t stream, std::uint64_t counter);
+  /// `field` summed over the shard states.
+  std::size_t total(std::size_t ShardState::*field) const;
 
   sim::Simulator* simulator_;
   const overlay::PeerPopulation* population_;
@@ -467,12 +478,10 @@ class Transport final : public sim::ShardSet::Client {
   /// stale came from a peer that crashed mid-flight and is suppressed.
   std::vector<std::uint64_t> generation_;
   const FaultFilter* fault_filter_ = nullptr;
-  MessageStats stats_;
-  std::size_t sent_ = 0;
-  std::size_t lost_ = 0;
-  std::size_t bytes_sent_ = 0;
   std::vector<InFlight> inflight_;
   std::uint32_t free_head_ = kNoSlot;
+  /// One per shard; exactly one on the single wheel.
+  std::vector<ShardState> shard_state_;
 
   // Sharded-mode state (empty in single-wheel mode).
   sim::ShardSet* shards_ = nullptr;
@@ -481,8 +490,6 @@ class Transport final : public sim::ShardSet::Client {
   std::vector<std::uint64_t> send_counter_;
   /// Declared crash instant per peer, or -1 (none).
   std::vector<std::int64_t> crash_at_us_;
-  std::vector<ShardState> shard_state_;
-  mutable MessageStats aggregated_stats_;
 };
 
 }  // namespace groupcast::core

@@ -1,475 +1,262 @@
 #include "core/wire.h"
 
+#include <array>
+#include <concepts>
+#include <type_traits>
+#include <utility>
+#include <variant>
+
 namespace groupcast::core {
 
-namespace wire {
-
-void Writer::u32(std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out_->push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
-
-void Writer::u64(std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out_->push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
-
-void Reader::need(std::size_t n) const {
-  if (buffer_.size() - at_ < n) throw WireError("truncated message");
-}
-
-std::uint8_t Reader::u8() {
-  need(1);
-  return buffer_[at_++];
-}
-
-std::uint32_t Reader::u32() {
-  need(4);
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<std::uint32_t>(buffer_[at_++]) << (8 * i);
-  }
-  return v;
-}
-
-std::uint64_t Reader::u64() {
-  need(8);
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<std::uint64_t>(buffer_[at_++]) << (8 * i);
-  }
-  return v;
-}
-
-void Reader::skip(std::size_t n) {
-  need(n);
-  at_ += n;
-}
-
-}  // namespace wire
-
 namespace {
-
-// Wire tags.  Stable protocol constants: append only.
-enum class Tag : std::uint8_t {
-  kAdvertise = 1,
-  kJoin = 2,
-  kJoinAck = 3,
-  kRippleQuery = 4,
-  kRippleHit = 5,
-  kData = 6,
-  kLeave = 7,
-  kHeartbeat = 8,
-  kHeartbeatAck = 9,
-  kParentLost = 10,
-  kReliableData = 11,
-  kDataNack = 12,
-  kDataAck = 13,
-  kSeqSync = 14,
-  kFlowControl = 15,
-  kLease = 16,
-  kLeaseAck = 17,
-  kReplicate = 18,
-  kReplicateAck = 19,
-  kHandoff = 20,
-  kChunk = 21,
-};
 
 // A replication log grows by one record per committed handoff, so any
 // real log is tiny; the decode bound only protects against corrupt or
 // hostile frames claiming absurd lengths.
 constexpr std::uint32_t kMaxLeaseRecords = 1024;
 
+// ------------------------------------------------------------ the layouts
+//
+// One field list per message, in wire order; the frame is the tag byte
+// (MessageBody index + 1) followed by these fields.  `io` is one of the
+// visitors below, so the size, the encoding and the decoding all follow
+// from this list.  A field is a u32, a u64, an int64 deadline (as a
+// two's-complement u64), a canonical bool (one byte, 0 or 1), the
+// u32-count-prefixed LeaseRecord vector, or one of the two below.
+
+/// The chunk body's u32 length; decode rejects anything over
+/// kMaxChunkBytes before it reads another field.
+template <class U>
+struct BodyLength {
+  U& bytes;
+};
+
+/// The opaque chunk body, `bytes` long: zeros on encode, skipped on
+/// decode.  The simulation carries no application bytes; what matters is
+/// that the frame's length (and encoded_size) include them, which is how
+/// bandwidth pacing sees the stream as bytes/sec.
+template <class U>
+struct Body {
+  U& bytes;
+};
+
+/// A (const when sizing or encoding) T.
+template <class M, class T>
+concept Of = std::same_as<std::remove_const_t<M>, T>;
+
+void fields(auto& io, Of<AdvertiseMsg> auto& m) {
+  io(m.group, m.rendezvous, m.ttl);
+}
+void fields(auto& io, Of<JoinMsg> auto& m) { io(m.group, m.child); }
+void fields(auto& io, Of<JoinAckMsg> auto& m) { io(m.group, m.depth); }
+void fields(auto& io, Of<RippleQueryMsg> auto& m) {
+  io(m.group, m.origin, m.ttl, m.round);
+}
+void fields(auto& io, Of<RippleHitMsg> auto& m) {
+  io(m.group, m.holder, m.depth);
+}
+void fields(auto& io, Of<DataMsg> auto& m) {
+  io(m.group, m.origin, m.payload_id);
+}
+void fields(auto& io, Of<LeaveMsg> auto& m) { io(m.group, m.child); }
+void fields(auto& io, Of<HeartbeatMsg> auto& m) { io(m.group); }
+void fields(auto& io, Of<HeartbeatAckMsg> auto& m) { io(m.group, m.depth); }
+void fields(auto& io, Of<ParentLostMsg> auto& m) { io(m.group); }
+void fields(auto& io, Of<ReliableDataMsg> auto& m) {
+  io(m.group, m.origin, m.payload_id, m.epoch, m.seq);
+}
+void fields(auto& io, Of<DataNackMsg> auto& m) {
+  io(m.group, m.epoch, m.base_seq, m.missing);
+}
+void fields(auto& io, Of<DataAckMsg> auto& m) {
+  io(m.group, m.epoch, m.cumulative);
+}
+void fields(auto& io, Of<SeqSyncMsg> auto& m) {
+  io(m.group, m.epoch, m.base_seq, m.next_seq);
+}
+void fields(auto& io, Of<FlowControlMsg> auto& m) { io(m.group, m.throttled); }
+void fields(auto& io, Of<LeaseMsg> auto& m) {
+  io(m.group, m.epoch, m.leader, m.rendezvous);
+}
+void fields(auto& io, Of<LeaseAckMsg> auto& m) {
+  io(m.group, m.epoch, m.head_epoch, m.log_size);
+}
+void fields(auto& io, Of<LeaseRecord> auto& r) { io(r.epoch, r.leader); }
+void fields(auto& io, Of<ReplicateMsg> auto& m) {
+  io(m.group, m.epoch, m.leader, m.rendezvous, m.records);
+}
+void fields(auto& io, Of<ReplicateAckMsg> auto& m) {
+  io(m.group, m.epoch, m.head_epoch, m.log_size);
+}
+void fields(auto& io, Of<HandoffMsg> auto& m) {
+  io(m.group, m.epoch, m.candidate, m.rendezvous);
+}
+void fields(auto& io, Of<ChunkMsg> auto& m) {
+  io(m.group, m.origin, m.stream, m.chunk_id, m.deadline_us,
+     BodyLength{m.payload_bytes}, m.epoch, m.seq, Body{m.payload_bytes});
+}
+
+// ----------------------------------------------------------- the visitors
+//
+// Each visitor has one overload per field kind; the deleted catch-all
+// turns a field of any other type into a compile error instead of a
+// silent conversion.
+
+class SizeOf {
+ public:
+  std::size_t bytes = 1;  // the tag
+
+  void operator()(const auto&... field) { (add(field), ...); }
+
+ private:
+  void add(std::uint32_t) { bytes += 4; }
+  void add(std::uint64_t) { bytes += 8; }
+  void add(std::int64_t) { bytes += 8; }
+  void add(bool) { bytes += 1; }
+  void add(const std::vector<LeaseRecord>& records) {
+    bytes += 4;
+    for (const auto& record : records) fields(*this, record);
+  }
+  void add(BodyLength<const std::uint32_t>) { bytes += 4; }
+  void add(Body<const std::uint32_t> body) { bytes += body.bytes; }
+  void add(const auto&) = delete;
+};
+
+class Encode {
+ public:
+  explicit Encode(std::vector<std::uint8_t>& out) : out_(&out) {}
+
+  void operator()(const auto&... field) { (put(field), ...); }
+
+ private:
+  void little_endian(std::uint64_t v, int bytes) {
+    for (int i = 0; i < bytes; ++i) {
+      out_->push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+    }
+  }
+  void put(std::uint32_t v) { little_endian(v, 4); }
+  void put(std::uint64_t v) { little_endian(v, 8); }
+  void put(std::int64_t v) { little_endian(static_cast<std::uint64_t>(v), 8); }
+  void put(bool v) { out_->push_back(v ? 1 : 0); }
+  void put(const std::vector<LeaseRecord>& records) {
+    put(static_cast<std::uint32_t>(records.size()));
+    for (const auto& record : records) fields(*this, record);
+  }
+  void put(BodyLength<const std::uint32_t> length) { put(length.bytes); }
+  void put(Body<const std::uint32_t> body) {
+    out_->insert(out_->end(), body.bytes, 0);
+  }
+  void put(const auto&) = delete;
+
+  std::vector<std::uint8_t>* out_;
+};
+
+/// Bounds-checked: every read throws WireError instead of running past
+/// the end of the buffer.
+class Decode {
+ public:
+  explicit Decode(std::span<const std::uint8_t> buffer) : buffer_(buffer) {}
+
+  void operator()(auto&&... field) { (get(field), ...); }
+
+  std::uint8_t u8() {
+    need(1);
+    return buffer_[at_++];
+  }
+  bool exhausted() const { return at_ == buffer_.size(); }
+
+ private:
+  void need(std::size_t n) const {
+    if (buffer_.size() - at_ < n) throw WireError("truncated message");
+  }
+  std::uint64_t little_endian(int bytes) {
+    need(bytes);
+    std::uint64_t v = 0;
+    for (int i = 0; i < bytes; ++i) {
+      v |= static_cast<std::uint64_t>(buffer_[at_++]) << (8 * i);
+    }
+    return v;
+  }
+  void get(std::uint32_t& v) {
+    v = static_cast<std::uint32_t>(little_endian(4));
+  }
+  void get(std::uint64_t& v) { v = little_endian(8); }
+  void get(std::int64_t& v) { v = static_cast<std::int64_t>(little_endian(8)); }
+  void get(bool& v) {
+    // Canonical bool: only 0/1 re-encode byte-identically, so anything
+    // else is a corrupt frame, not a truthy value.
+    const std::uint8_t byte = u8();
+    if (byte > 1) throw WireError("non-canonical flow-control flag");
+    v = byte == 1;
+  }
+  void get(std::vector<LeaseRecord>& records) {
+    std::uint32_t count = 0;
+    get(count);
+    if (count > kMaxLeaseRecords) throw WireError("oversized lease log");
+    records.resize(count);
+    for (auto& record : records) fields(*this, record);
+  }
+  void get(BodyLength<std::uint32_t> length) {
+    get(length.bytes);
+    if (length.bytes > kMaxChunkBytes) throw WireError("oversized chunk body");
+  }
+  void get(Body<std::uint32_t> body) {
+    need(body.bytes);
+    at_ += body.bytes;
+  }
+  void get(const auto&) = delete;
+
+  std::span<const std::uint8_t> buffer_;
+  std::size_t at_ = 0;
+};
+
+template <class M>
+MessageBody decode_as(Decode& io) {
+  M msg;
+  fields(io, msg);
+  return msg;
+}
+
+/// decode_as for each MessageBody alternative, indexed by tag - 1.
+template <std::size_t... I>
+constexpr auto make_decoders(std::index_sequence<I...>) {
+  using Decoder = MessageBody (*)(Decode&);
+  return std::array<Decoder, sizeof...(I)>{
+      &decode_as<std::variant_alternative_t<I, MessageBody>>...};
+}
+constexpr auto kDecoders = make_decoders(
+    std::make_index_sequence<std::variant_size_v<MessageBody>>{});
+static_assert(kDecoders.size() <= 255, "every tag must fit in its byte");
+
 }  // namespace
 
 std::vector<std::uint8_t> encode_message(const MessageBody& body) {
   std::vector<std::uint8_t> out;
   out.reserve(encoded_size(body));
-  wire::Writer w(out);
-  std::visit(
-      [&w](const auto& msg) {
-        using T = std::decay_t<decltype(msg)>;
-        if constexpr (std::is_same_v<T, AdvertiseMsg>) {
-          w.u8(static_cast<std::uint8_t>(Tag::kAdvertise));
-          w.u32(msg.group);
-          w.u32(msg.rendezvous);
-          w.u32(msg.ttl);
-        } else if constexpr (std::is_same_v<T, JoinMsg>) {
-          w.u8(static_cast<std::uint8_t>(Tag::kJoin));
-          w.u32(msg.group);
-          w.u32(msg.child);
-        } else if constexpr (std::is_same_v<T, JoinAckMsg>) {
-          w.u8(static_cast<std::uint8_t>(Tag::kJoinAck));
-          w.u32(msg.group);
-          w.u32(msg.depth);
-        } else if constexpr (std::is_same_v<T, RippleQueryMsg>) {
-          w.u8(static_cast<std::uint8_t>(Tag::kRippleQuery));
-          w.u32(msg.group);
-          w.u32(msg.origin);
-          w.u32(msg.ttl);
-          w.u32(msg.round);
-        } else if constexpr (std::is_same_v<T, RippleHitMsg>) {
-          w.u8(static_cast<std::uint8_t>(Tag::kRippleHit));
-          w.u32(msg.group);
-          w.u32(msg.holder);
-          w.u32(msg.depth);
-        } else if constexpr (std::is_same_v<T, DataMsg>) {
-          w.u8(static_cast<std::uint8_t>(Tag::kData));
-          w.u32(msg.group);
-          w.u32(msg.origin);
-          w.u64(msg.payload_id);
-        } else if constexpr (std::is_same_v<T, LeaveMsg>) {
-          w.u8(static_cast<std::uint8_t>(Tag::kLeave));
-          w.u32(msg.group);
-          w.u32(msg.child);
-        } else if constexpr (std::is_same_v<T, HeartbeatMsg>) {
-          w.u8(static_cast<std::uint8_t>(Tag::kHeartbeat));
-          w.u32(msg.group);
-        } else if constexpr (std::is_same_v<T, HeartbeatAckMsg>) {
-          w.u8(static_cast<std::uint8_t>(Tag::kHeartbeatAck));
-          w.u32(msg.group);
-          w.u32(msg.depth);
-        } else if constexpr (std::is_same_v<T, ParentLostMsg>) {
-          w.u8(static_cast<std::uint8_t>(Tag::kParentLost));
-          w.u32(msg.group);
-        } else if constexpr (std::is_same_v<T, ReliableDataMsg>) {
-          w.u8(static_cast<std::uint8_t>(Tag::kReliableData));
-          w.u32(msg.group);
-          w.u32(msg.origin);
-          w.u64(msg.payload_id);
-          w.u32(msg.epoch);
-          w.u64(msg.seq);
-        } else if constexpr (std::is_same_v<T, DataNackMsg>) {
-          w.u8(static_cast<std::uint8_t>(Tag::kDataNack));
-          w.u32(msg.group);
-          w.u32(msg.epoch);
-          w.u64(msg.base_seq);
-          w.u64(msg.missing);
-        } else if constexpr (std::is_same_v<T, DataAckMsg>) {
-          w.u8(static_cast<std::uint8_t>(Tag::kDataAck));
-          w.u32(msg.group);
-          w.u32(msg.epoch);
-          w.u64(msg.cumulative);
-        } else if constexpr (std::is_same_v<T, SeqSyncMsg>) {
-          w.u8(static_cast<std::uint8_t>(Tag::kSeqSync));
-          w.u32(msg.group);
-          w.u32(msg.epoch);
-          w.u64(msg.base_seq);
-          w.u64(msg.next_seq);
-        } else if constexpr (std::is_same_v<T, FlowControlMsg>) {
-          w.u8(static_cast<std::uint8_t>(Tag::kFlowControl));
-          w.u32(msg.group);
-          w.u8(msg.throttled ? 1 : 0);
-        } else if constexpr (std::is_same_v<T, LeaseMsg>) {
-          w.u8(static_cast<std::uint8_t>(Tag::kLease));
-          w.u32(msg.group);
-          w.u32(msg.epoch);
-          w.u32(msg.leader);
-          w.u32(msg.rendezvous);
-        } else if constexpr (std::is_same_v<T, LeaseAckMsg>) {
-          w.u8(static_cast<std::uint8_t>(Tag::kLeaseAck));
-          w.u32(msg.group);
-          w.u32(msg.epoch);
-          w.u32(msg.head_epoch);
-          w.u32(msg.log_size);
-        } else if constexpr (std::is_same_v<T, ReplicateMsg>) {
-          w.u8(static_cast<std::uint8_t>(Tag::kReplicate));
-          w.u32(msg.group);
-          w.u32(msg.epoch);
-          w.u32(msg.leader);
-          w.u32(msg.rendezvous);
-          w.u32(static_cast<std::uint32_t>(msg.records.size()));
-          for (const auto& record : msg.records) {
-            w.u32(record.epoch);
-            w.u32(record.leader);
-          }
-        } else if constexpr (std::is_same_v<T, ReplicateAckMsg>) {
-          w.u8(static_cast<std::uint8_t>(Tag::kReplicateAck));
-          w.u32(msg.group);
-          w.u32(msg.epoch);
-          w.u32(msg.head_epoch);
-          w.u32(msg.log_size);
-        } else if constexpr (std::is_same_v<T, HandoffMsg>) {
-          w.u8(static_cast<std::uint8_t>(Tag::kHandoff));
-          w.u32(msg.group);
-          w.u32(msg.epoch);
-          w.u32(msg.candidate);
-          w.u32(msg.rendezvous);
-        } else if constexpr (std::is_same_v<T, ChunkMsg>) {
-          w.u8(static_cast<std::uint8_t>(Tag::kChunk));
-          w.u32(msg.group);
-          w.u32(msg.origin);
-          w.u32(msg.stream);
-          w.u32(msg.chunk_id);
-          w.u64(static_cast<std::uint64_t>(msg.deadline_us));
-          w.u32(msg.payload_bytes);
-          w.u32(msg.epoch);
-          w.u64(msg.seq);
-          // The chunk body: the simulation carries no application bytes,
-          // so the frame pads with zeros — what matters is that the
-          // frame's length (and encoded_size) include them, which is how
-          // bandwidth pacing sees the stream as bytes/sec.
-          for (std::uint32_t i = 0; i < msg.payload_bytes; ++i) w.u8(0);
-        }
-      },
-      body);
+  out.push_back(static_cast<std::uint8_t>(body.index() + 1));
+  Encode io(out);
+  std::visit([&io](const auto& msg) { fields(io, msg); }, body);
   return out;
 }
 
 std::size_t encoded_size(const MessageBody& body) {
   return std::visit(
-      [](const auto& msg) -> std::size_t {
-        using T = std::decay_t<decltype(msg)>;
-        if constexpr (std::is_same_v<T, AdvertiseMsg>) {
-          return 1 + 4 + 4 + 4;
-        } else if constexpr (std::is_same_v<T, JoinMsg>) {
-          return 1 + 4 + 4;
-        } else if constexpr (std::is_same_v<T, JoinAckMsg>) {
-          return 1 + 4 + 4;
-        } else if constexpr (std::is_same_v<T, RippleQueryMsg>) {
-          return 1 + 4 + 4 + 4 + 4;
-        } else if constexpr (std::is_same_v<T, RippleHitMsg>) {
-          return 1 + 4 + 4 + 4;
-        } else if constexpr (std::is_same_v<T, DataMsg>) {
-          return 1 + 4 + 4 + 8;
-        } else if constexpr (std::is_same_v<T, HeartbeatMsg>) {
-          return 1 + 4;
-        } else if constexpr (std::is_same_v<T, HeartbeatAckMsg>) {
-          return 1 + 4 + 4;
-        } else if constexpr (std::is_same_v<T, ParentLostMsg>) {
-          return 1 + 4;
-        } else if constexpr (std::is_same_v<T, ReliableDataMsg>) {
-          return 1 + 4 + 4 + 8 + 4 + 8;
-        } else if constexpr (std::is_same_v<T, DataNackMsg>) {
-          return 1 + 4 + 4 + 8 + 8;
-        } else if constexpr (std::is_same_v<T, DataAckMsg>) {
-          return 1 + 4 + 4 + 8;
-        } else if constexpr (std::is_same_v<T, SeqSyncMsg>) {
-          return 1 + 4 + 4 + 8 + 8;
-        } else if constexpr (std::is_same_v<T, FlowControlMsg>) {
-          return 1 + 4 + 1;
-        } else if constexpr (std::is_same_v<T, LeaseMsg>) {
-          return 1 + 4 + 4 + 4 + 4;
-        } else if constexpr (std::is_same_v<T, LeaseAckMsg>) {
-          return 1 + 4 + 4 + 4 + 4;
-        } else if constexpr (std::is_same_v<T, ReplicateMsg>) {
-          return 1 + 4 + 4 + 4 + 4 + 4 + msg.records.size() * (4 + 4);
-        } else if constexpr (std::is_same_v<T, ReplicateAckMsg>) {
-          return 1 + 4 + 4 + 4 + 4;
-        } else if constexpr (std::is_same_v<T, HandoffMsg>) {
-          return 1 + 4 + 4 + 4 + 4;
-        } else if constexpr (std::is_same_v<T, ChunkMsg>) {
-          return 1 + 4 + 4 + 4 + 4 + 8 + 4 + 4 + 8 + msg.payload_bytes;
-        } else {
-          static_assert(std::is_same_v<T, LeaveMsg>);
-          return 1 + 4 + 4;
-        }
+      [](const auto& msg) {
+        SizeOf io;
+        fields(io, msg);
+        return io.bytes;
       },
       body);
 }
 
 MessageBody decode_message(std::span<const std::uint8_t> buffer) {
-  wire::Reader r(buffer);
-  const auto tag = static_cast<Tag>(r.u8());
-  MessageBody body;
-  switch (tag) {
-    case Tag::kAdvertise: {
-      AdvertiseMsg msg;
-      msg.group = r.u32();
-      msg.rendezvous = r.u32();
-      msg.ttl = r.u32();
-      body = msg;
-      break;
-    }
-    case Tag::kJoin: {
-      JoinMsg msg;
-      msg.group = r.u32();
-      msg.child = r.u32();
-      body = msg;
-      break;
-    }
-    case Tag::kJoinAck: {
-      JoinAckMsg msg;
-      msg.group = r.u32();
-      msg.depth = r.u32();
-      body = msg;
-      break;
-    }
-    case Tag::kRippleQuery: {
-      RippleQueryMsg msg;
-      msg.group = r.u32();
-      msg.origin = r.u32();
-      msg.ttl = r.u32();
-      msg.round = r.u32();
-      body = msg;
-      break;
-    }
-    case Tag::kRippleHit: {
-      RippleHitMsg msg;
-      msg.group = r.u32();
-      msg.holder = r.u32();
-      msg.depth = r.u32();
-      body = msg;
-      break;
-    }
-    case Tag::kData: {
-      DataMsg msg;
-      msg.group = r.u32();
-      msg.origin = r.u32();
-      msg.payload_id = r.u64();
-      body = msg;
-      break;
-    }
-    case Tag::kLeave: {
-      LeaveMsg msg;
-      msg.group = r.u32();
-      msg.child = r.u32();
-      body = msg;
-      break;
-    }
-    case Tag::kHeartbeat: {
-      HeartbeatMsg msg;
-      msg.group = r.u32();
-      body = msg;
-      break;
-    }
-    case Tag::kHeartbeatAck: {
-      HeartbeatAckMsg msg;
-      msg.group = r.u32();
-      msg.depth = r.u32();
-      body = msg;
-      break;
-    }
-    case Tag::kParentLost: {
-      ParentLostMsg msg;
-      msg.group = r.u32();
-      body = msg;
-      break;
-    }
-    case Tag::kReliableData: {
-      ReliableDataMsg msg;
-      msg.group = r.u32();
-      msg.origin = r.u32();
-      msg.payload_id = r.u64();
-      msg.epoch = r.u32();
-      msg.seq = r.u64();
-      body = msg;
-      break;
-    }
-    case Tag::kDataNack: {
-      DataNackMsg msg;
-      msg.group = r.u32();
-      msg.epoch = r.u32();
-      msg.base_seq = r.u64();
-      msg.missing = r.u64();
-      body = msg;
-      break;
-    }
-    case Tag::kDataAck: {
-      DataAckMsg msg;
-      msg.group = r.u32();
-      msg.epoch = r.u32();
-      msg.cumulative = r.u64();
-      body = msg;
-      break;
-    }
-    case Tag::kSeqSync: {
-      SeqSyncMsg msg;
-      msg.group = r.u32();
-      msg.epoch = r.u32();
-      msg.base_seq = r.u64();
-      msg.next_seq = r.u64();
-      body = msg;
-      break;
-    }
-    case Tag::kFlowControl: {
-      FlowControlMsg msg;
-      msg.group = r.u32();
-      // Canonical bool: only 0/1 re-encode byte-identically, so anything
-      // else is a corrupt frame, not a truthy value.
-      const std::uint8_t throttled = r.u8();
-      if (throttled > 1) throw WireError("non-canonical flow-control flag");
-      msg.throttled = throttled == 1;
-      body = msg;
-      break;
-    }
-    case Tag::kLease: {
-      LeaseMsg msg;
-      msg.group = r.u32();
-      msg.epoch = r.u32();
-      msg.leader = r.u32();
-      msg.rendezvous = r.u32();
-      body = msg;
-      break;
-    }
-    case Tag::kLeaseAck: {
-      LeaseAckMsg msg;
-      msg.group = r.u32();
-      msg.epoch = r.u32();
-      msg.head_epoch = r.u32();
-      msg.log_size = r.u32();
-      body = msg;
-      break;
-    }
-    case Tag::kReplicate: {
-      ReplicateMsg msg;
-      msg.group = r.u32();
-      msg.epoch = r.u32();
-      msg.leader = r.u32();
-      msg.rendezvous = r.u32();
-      const std::uint32_t count = r.u32();
-      if (count > kMaxLeaseRecords) throw WireError("oversized lease log");
-      msg.records.reserve(count);
-      for (std::uint32_t i = 0; i < count; ++i) {
-        LeaseRecord record;
-        record.epoch = r.u32();
-        record.leader = r.u32();
-        msg.records.push_back(record);
-      }
-      body = msg;
-      break;
-    }
-    case Tag::kReplicateAck: {
-      ReplicateAckMsg msg;
-      msg.group = r.u32();
-      msg.epoch = r.u32();
-      msg.head_epoch = r.u32();
-      msg.log_size = r.u32();
-      body = msg;
-      break;
-    }
-    case Tag::kHandoff: {
-      HandoffMsg msg;
-      msg.group = r.u32();
-      msg.epoch = r.u32();
-      msg.candidate = r.u32();
-      msg.rendezvous = r.u32();
-      body = msg;
-      break;
-    }
-    case Tag::kChunk: {
-      ChunkMsg msg;
-      msg.group = r.u32();
-      msg.origin = r.u32();
-      msg.stream = r.u32();
-      msg.chunk_id = r.u32();
-      msg.deadline_us = static_cast<std::int64_t>(r.u64());
-      msg.payload_bytes = r.u32();
-      if (msg.payload_bytes > kMaxChunkBytes) {
-        throw WireError("oversized chunk body");
-      }
-      msg.epoch = r.u32();
-      msg.seq = r.u64();
-      r.skip(msg.payload_bytes);
-      body = msg;
-      break;
-    }
-    default:
-      throw WireError("unknown message tag");
+  Decode io(buffer);
+  const std::uint8_t tag = io.u8();
+  if (tag == 0 || tag > kDecoders.size()) {
+    throw WireError("unknown message tag");
   }
-  if (!r.exhausted()) throw WireError("trailing bytes after message");
+  MessageBody body = kDecoders[tag - 1](io);
+  if (!io.exhausted()) throw WireError("trailing bytes after message");
   return body;
 }
 

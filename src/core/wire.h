@@ -7,7 +7,9 @@
 // results can be read in bytes as well as counts — and the encode/decode
 // pair is the seam a socket-backed transport would use as-is.
 //
-// Layout: [1-byte tag][fixed-width fields in declaration order].
+// Layout: [1-byte tag][fields].  The tag is the message's MessageBody
+// alternative index + 1; the fields, their order and their widths come
+// from the one field list per message in wire.cc (docs/PROTOCOL.md §6).
 #pragma once
 
 #include <cstdint>
@@ -41,37 +43,4 @@ MessageBody decode_message(std::span<const std::uint8_t> buffer);
 /// Size in bytes encode_message would produce (without encoding).
 std::size_t encoded_size(const MessageBody& body);
 
-namespace wire {
-
-/// Bounds-checked little-endian primitive writer.
-class Writer {
- public:
-  explicit Writer(std::vector<std::uint8_t>& out) : out_(&out) {}
-  void u8(std::uint8_t v) { out_->push_back(v); }
-  void u32(std::uint32_t v);
-  void u64(std::uint64_t v);
-
- private:
-  std::vector<std::uint8_t>* out_;
-};
-
-/// Bounds-checked little-endian primitive reader.
-class Reader {
- public:
-  explicit Reader(std::span<const std::uint8_t> buffer) : buffer_(buffer) {}
-  std::uint8_t u8();
-  std::uint32_t u32();
-  std::uint64_t u64();
-  /// Skips `n` opaque body bytes (chunk payloads); throws on truncation.
-  void skip(std::size_t n);
-  bool exhausted() const { return at_ == buffer_.size(); }
-  std::size_t remaining() const { return buffer_.size() - at_; }
-
- private:
-  void need(std::size_t n) const;
-  std::span<const std::uint8_t> buffer_;
-  std::size_t at_ = 0;
-};
-
-}  // namespace wire
 }  // namespace groupcast::core

@@ -27,7 +27,6 @@ void ChurnModel::start(const std::vector<PeerId>& arrival_order) {
     simulator_->schedule_at(at, [this, peer] {
       bootstrap_->join(peer);
       ++stats_.joins;
-      if (join_hook_) join_hook_(peer);
       if (options_.mean_session > sim::SimTime::zero()) {
         schedule_departure(peer);
       }
@@ -51,7 +50,6 @@ void ChurnModel::schedule_departure(PeerId peer) {
       bootstrap_->leave(peer);
       ++stats_.graceful_leaves;
     }
-    if (leave_hook_) leave_hook_(peer);
   });
 }
 

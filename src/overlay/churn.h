@@ -6,8 +6,6 @@
 // ungraceful failures (crash instead of goodbye).
 #pragma once
 
-#include <functional>
-
 #include "overlay/bootstrap.h"
 #include "sim/simulator.h"
 
@@ -34,8 +32,6 @@ struct ChurnStats {
 
 class ChurnModel {
  public:
-  using PeerEvent = std::function<void(PeerId)>;
-
   ChurnModel(sim::Simulator& simulator, GroupCastBootstrap& bootstrap,
              ChurnOptions options, util::Rng& rng);
 
@@ -43,10 +39,6 @@ class ChurnModel {
   /// If sessions are enabled, each peer's departure is scheduled too.
   /// Call before Simulator::run().
   void start(const std::vector<PeerId>& arrival_order);
-
-  /// Optional hooks fired after each join / departure.
-  void on_join(PeerEvent hook) { join_hook_ = std::move(hook); }
-  void on_leave(PeerEvent hook) { leave_hook_ = std::move(hook); }
 
   const ChurnStats& stats() const { return stats_; }
 
@@ -58,8 +50,6 @@ class ChurnModel {
   ChurnOptions options_;
   util::Rng rng_;
   ChurnStats stats_;
-  PeerEvent join_hook_;
-  PeerEvent leave_hook_;
 };
 
 }  // namespace groupcast::overlay

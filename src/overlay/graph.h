@@ -70,10 +70,6 @@ class OverlayGraph {
     GC_REQUIRE(p < out_.size());
     return view(out_[p]);
   }
-  NeighborSpan in_neighbors(PeerId p) const {
-    GC_REQUIRE(p < in_.size());
-    return view(in_[p]);
-  }
 
   /// All peers connected to `p` in either direction, deduplicated.
   /// This is Nbr(p) in the paper: the set messages can be exchanged with.

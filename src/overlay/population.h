@@ -64,9 +64,6 @@ class PeerPopulation {
                                 util::Rng& rng) const;
 
   const net::IpRouting& routing() const { return *routing_; }
-  const CapacityDistribution& capacity_distribution() const {
-    return capacities_;
-  }
 
  private:
   const net::IpRouting* routing_;

@@ -5,8 +5,11 @@
 // shard-count preconditions must reject nonsense loudly.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <functional>
+#include <memory>
 #include <set>
 #include <thread>
 #include <tuple>
@@ -77,32 +80,28 @@ TEST(ShardSet, ExecRunsOnDistinctWorkerThreads) {
 using Delivery = std::tuple<overlay::PeerId, overlay::PeerId, std::uint64_t,
                             std::int64_t>;
 
-/// Drives a burst of cross-peer DataMsg traffic through a sharded
-/// transport and returns every delivery in per-receiver observation
-/// order.  Sends are issued from *inside* shard events so they traverse
+/// Drives a burst of cross-peer DataMsg traffic through `transport` and
+/// returns every delivery in per-receiver observation order.  Sends are
+/// issued from *inside* scheduled events so, when sharded, they traverse
 /// the real outbox / merge / arrival-queue machinery.
-std::vector<Delivery> sharded_burst(std::size_t num_shards) {
-  testing::SmallWorld world(/*peers=*/48, /*seed=*/7);
-  sim::ShardSet shards(num_shards, /*lookahead_us=*/300);
-  core::TransportOptions options;
-  core::Transport transport(shards, *world.population, options, world.rng);
-
-  std::vector<std::vector<Delivery>> by_receiver(world.population->size());
-  for (overlay::PeerId p = 0; p < world.population->size(); ++p) {
+std::vector<Delivery> drive_burst(core::Transport& transport,
+                                  const std::function<void()>& run) {
+  const auto peers = transport.population().size();
+  std::vector<std::vector<Delivery>> by_receiver(peers);
+  for (overlay::PeerId p = 0; p < peers; ++p) {
     transport.register_node(p, [&by_receiver, p](const core::Envelope& env) {
       const auto& data = std::get<core::DataMsg>(env.body);
-      by_receiver[p].push_back(
-          {env.from, env.to, data.payload_id, 0});
+      by_receiver[p].push_back({env.from, env.to, data.payload_id, 0});
     });
   }
   // Every peer fires three staggered bursts, each fanning out to a fixed
   // window of other peers — plenty of same-instant cross-shard arrivals.
-  for (overlay::PeerId p = 0; p < world.population->size(); ++p) {
+  for (overlay::PeerId p = 0; p < peers; ++p) {
     for (int burst = 0; burst < 3; ++burst) {
       transport.simulator_for(p).schedule_at(
-          sim::SimTime::millis(1 + burst * 2), [&transport, p, burst] {
+          sim::SimTime::millis(1 + burst * 2), [&transport, p, burst, peers] {
             for (overlay::PeerId d = 1; d <= 5; ++d) {
-              const auto to = static_cast<overlay::PeerId>((p + d) % 48);
+              const auto to = static_cast<overlay::PeerId>((p + d) % peers);
               core::DataMsg msg;
               msg.origin = p;
               msg.payload_id =
@@ -112,14 +111,23 @@ std::vector<Delivery> sharded_burst(std::size_t num_shards) {
           });
     }
   }
-  // Transit-stub paths reach hundreds of ms; leave room for every tail.
-  shards.run_until(sim::SimTime::seconds(2));
+  run();
   std::vector<Delivery> flat;
   for (const auto& one : by_receiver) {
     flat.insert(flat.end(), one.begin(), one.end());
   }
   EXPECT_EQ(flat.size(), 48u * 3u * 5u);
   return flat;
+}
+
+std::vector<Delivery> sharded_burst(std::size_t num_shards) {
+  testing::SmallWorld world(/*peers=*/48, /*seed=*/7);
+  sim::ShardSet shards(num_shards, /*lookahead_us=*/300);
+  core::TransportOptions options;
+  core::Transport transport(shards, *world.population, options, world.rng);
+  // Transit-stub paths reach hundreds of ms; leave room for every tail.
+  return drive_burst(transport,
+                     [&shards] { shards.run_until(sim::SimTime::seconds(2)); });
 }
 
 // The ordering golden: the per-receiver delivery sequence (who, what,
@@ -132,6 +140,69 @@ TEST(ShardSet, CrossShardDeliveryOrderInvariantAcrossShardCounts) {
   const auto seven = sharded_burst(7);
   EXPECT_EQ(two, four);
   EXPECT_EQ(two, seven);
+}
+
+/// What the transport itself accounts for one drive_burst run.
+struct BurstAccounting {
+  std::size_t sent = 0;
+  std::size_t bytes = 0;
+  std::size_t lost = 0;
+  std::vector<std::size_t> per_kind;
+  std::vector<Delivery> deliveries;  // sorted: a multiset, not an order
+
+  friend bool operator==(const BurstAccounting&,
+                         const BurstAccounting&) = default;
+};
+
+/// The sharded_burst traffic on one engine: `num_shards` == 0 is the
+/// single wheel, anything else a ShardSet of that many shards.
+BurstAccounting burst_accounting(std::size_t num_shards) {
+  testing::SmallWorld world(/*peers=*/48, /*seed=*/7);
+  const core::TransportOptions options;
+  sim::Simulator wheel;
+  std::unique_ptr<sim::ShardSet> shards;
+  std::unique_ptr<core::Transport> transport;
+  if (num_shards == 0) {
+    transport = std::make_unique<core::Transport>(wheel, *world.population,
+                                                  options, world.rng);
+  } else {
+    shards = std::make_unique<sim::ShardSet>(num_shards, /*lookahead_us=*/300);
+    transport = std::make_unique<core::Transport>(*shards, *world.population,
+                                                  options, world.rng);
+  }
+  BurstAccounting out;
+  out.deliveries = drive_burst(*transport, [&] {
+    const auto deadline = sim::SimTime::seconds(2);
+    if (shards != nullptr) {
+      shards->run_until(deadline);
+    } else {
+      wheel.run_until(deadline);
+    }
+  });
+  std::sort(out.deliveries.begin(), out.deliveries.end());
+  out.sent = transport->messages_sent();
+  out.bytes = transport->bytes_sent();
+  out.lost = transport->messages_lost();
+  for (std::size_t k = 0; k < core::kMessageKinds; ++k) {
+    out.per_kind.push_back(
+        transport->stats().of(static_cast<core::MessageKind>(k)));
+  }
+  return out;
+}
+
+// The merged per-shard counters must agree with the single wheel's: the
+// same traffic is the same sends, bytes, per-kind stats and deliveries
+// on either engine and at any shard count.
+TEST(ShardSet, TransportAccountingAgreesAcrossEngines) {
+  const auto wheel = burst_accounting(0);
+  EXPECT_EQ(wheel.sent, 48u * 3u * 5u);
+  EXPECT_EQ(wheel.bytes, 48u * 3u * 5u * 17u);  // one 17-byte DataMsg each
+  EXPECT_EQ(wheel.lost, 0u);
+  const auto payload = static_cast<std::size_t>(core::MessageKind::kPayload);
+  EXPECT_EQ(wheel.per_kind[payload], wheel.sent);
+  EXPECT_EQ(wheel.deliveries.size(), wheel.sent);
+  EXPECT_EQ(burst_accounting(2), wheel);
+  EXPECT_EQ(burst_accounting(4), wheel);
 }
 
 metrics::ScenarioConfig shard_point(std::size_t shards) {

@@ -1,10 +1,8 @@
-// Tests for the Waxman underlay generator, the Weibull session model, and
-// wire-decode robustness against arbitrary bytes (fuzz-style sweep).
+// Tests for the Waxman underlay generator and the Weibull session model.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
-#include "core/wire.h"
 #include "net/routing.h"
 #include "net/topology.h"
 #include "overlay/churn.h"
@@ -144,47 +142,6 @@ TEST(WeibullChurn, MeanSessionPreservedAcrossShapes) {
     // All sessions ended; mean session length is bounded sanely (64
     // samples: generous tolerance).
     EXPECT_GT(simulator.now().as_seconds(), 50.0);
-  }
-}
-
-// --------------------------------------------------------------- wire fuzz
-
-TEST(WireFuzz, ArbitraryBytesNeverCrash) {
-  util::Rng rng(19);
-  std::size_t decoded = 0, rejected = 0;
-  for (int trial = 0; trial < 20000; ++trial) {
-    std::vector<std::uint8_t> bytes(rng.uniform_index(24));
-    for (auto& b : bytes) {
-      b = static_cast<std::uint8_t>(rng.uniform_index(256));
-    }
-    try {
-      const auto body = core::decode_message(bytes);
-      // Anything that decodes must re-encode to the same bytes.
-      EXPECT_EQ(core::encode_message(body), bytes);
-      ++decoded;
-    } catch (const core::WireError&) {
-      ++rejected;
-    }
-  }
-  EXPECT_GT(rejected, 0u);
-  // Random bytes occasionally form valid messages (1-in-256 tag hit with
-  // the right length); both paths must be exercised.
-  EXPECT_EQ(decoded + rejected, 20000u);
-}
-
-TEST(WireFuzz, BitFlippedMessagesDecodeOrThrowCleanly) {
-  const auto bytes = core::encode_message(core::DataMsg{1, 2, 3});
-  for (std::size_t byte = 0; byte < bytes.size(); ++byte) {
-    for (int bit = 0; bit < 8; ++bit) {
-      auto mutated = bytes;
-      mutated[byte] ^= static_cast<std::uint8_t>(1 << bit);
-      try {
-        const auto body = core::decode_message(mutated);
-        EXPECT_EQ(core::encode_message(body), mutated);
-      } catch (const core::WireError&) {
-        // acceptable: corrupted tag
-      }
-    }
   }
 }
 

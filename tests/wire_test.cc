@@ -1,9 +1,13 @@
-// Tests for the binary wire format: round-trips, size accounting, and
-// rejection of malformed input.
+// Tests for the binary wire format: round-trips, size accounting, the
+// pinned byte layout of every message kind, rejection of malformed input,
+// and decode robustness against random and bit-flipped frames.
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 #include "core/wire.h"
 #include "test_helpers.h"
+#include "util/rng.h"
 
 namespace groupcast::core {
 namespace {
@@ -26,9 +30,9 @@ std::vector<MessageBody> all_message_kinds() {
       SeqSyncMsg{7, 3, 12, 66},
       FlowControlMsg{7, true},
       LeaseMsg{7, 4, 6006, 1001},
-      LeaseAckMsg{7, 4, 4, 3},
+      LeaseAckMsg{7, 4, 5, 3},
       ReplicateMsg{7, 4, 6006, 1001, {{1, 1001}, {2, 6006}, {4, 6006}}},
-      ReplicateAckMsg{7, 4, 4, 3},
+      ReplicateAckMsg{7, 4, 6, 3},
       HandoffMsg{7, 5, 7007, 1001},
       ChunkMsg{7, 42, 3, 17, 123456789, 5, 2, 88},
   };
@@ -211,10 +215,49 @@ TEST(Wire, LittleEndianLayoutIsStable) {
   // Protocol stability check: the byte layout must never silently change.
   const auto bytes = encode_message(JoinMsg{0x01020304u, 0x0A0B0C0Du});
   const std::vector<std::uint8_t> expected{
-      0x02,                     // Tag::kJoin
+      0x02,                     // tag: JoinMsg
       0x04, 0x03, 0x02, 0x01,   // group, little-endian
       0x0D, 0x0C, 0x0B, 0x0A};  // child, little-endian
   EXPECT_EQ(bytes, expected);
+
+  // Every kind: its tag is its MessageBody index + 1, its frame
+  // size is pinned, and one FNV-1a 64 over all the frames pins the bytes.
+  const std::vector<std::size_t> expected_sizes{
+      13,  // AdvertiseMsg
+      9,   // JoinMsg
+      9,   // JoinAckMsg
+      17,  // RippleQueryMsg
+      13,  // RippleHitMsg
+      17,  // DataMsg
+      9,   // LeaveMsg
+      5,   // HeartbeatMsg
+      9,   // HeartbeatAckMsg
+      5,   // ParentLostMsg
+      29,  // ReliableDataMsg
+      25,  // DataNackMsg
+      17,  // DataAckMsg
+      25,  // SeqSyncMsg
+      6,   // FlowControlMsg
+      17,  // LeaseMsg
+      17,  // LeaseAckMsg
+      45,  // ReplicateMsg
+      17,  // ReplicateAckMsg
+      17,  // HandoffMsg
+      46   // ChunkMsg
+  };
+  std::uint64_t hash = 0xCBF29CE484222325ULL;
+  const auto kinds = all_message_kinds();
+  ASSERT_EQ(kinds.size(), expected_sizes.size());
+  for (std::size_t i = 0; i < kinds.size(); ++i) {
+    const auto frame = encode_message(kinds[i]);
+    ASSERT_FALSE(frame.empty());
+    EXPECT_EQ(frame.front(), kinds[i].index() + 1) << "kind " << i;
+    EXPECT_EQ(frame.size(), expected_sizes[i]) << "kind " << i;
+    for (const auto byte : frame) {
+      hash = (hash ^ byte) * 0x100000001B3ULL;
+    }
+  }
+  EXPECT_EQ(hash, 0x90C227FA79C5B871ULL);
 }
 
 TEST(Wire, TransportAccountsBytes) {
@@ -226,6 +269,59 @@ TEST(Wire, TransportAccountsBytes) {
   transport.send(0, 1, DataMsg{1, 2, 3});     // 17 bytes
   EXPECT_EQ(transport.bytes_sent(), 26u);
   simulator.run();
+}
+
+// --------------------------------------------------------------- wire fuzz
+
+TEST(WireFuzz, ArbitraryBytesNeverCrash) {
+  util::Rng rng(19);
+  std::size_t decoded = 0, rejected = 0;
+  for (int trial = 0; trial < 20000; ++trial) {
+    std::vector<std::uint8_t> bytes(rng.uniform_index(24));
+    for (auto& b : bytes) {
+      b = static_cast<std::uint8_t>(rng.uniform_index(256));
+    }
+    try {
+      const auto body = decode_message(bytes);
+      // Anything that decodes must re-encode to the same bytes.
+      EXPECT_EQ(encode_message(body), bytes);
+      ++decoded;
+    } catch (const WireError&) {
+      ++rejected;
+    }
+  }
+  EXPECT_GT(rejected, 0u);
+  // Random bytes occasionally form valid messages (1-in-256 tag hit with
+  // the right length); both paths must be exercised.
+  EXPECT_EQ(decoded + rejected, 20000u);
+}
+
+TEST(WireFuzz, BitFlippedMessagesDecodeOrThrowCleanly) {
+  for (const auto& original : all_message_kinds()) {
+    const auto bytes = encode_message(original);
+    for (std::size_t byte = 0; byte < bytes.size(); ++byte) {
+      for (int bit = 0; bit < 8; ++bit) {
+        auto mutated = bytes;
+        mutated[byte] ^= static_cast<std::uint8_t>(1 << bit);
+        try {
+          const auto body = decode_message(mutated);
+          // A chunk body is opaque: decode skips it and encode writes
+          // zeros, so a flip inside it re-encodes with the body zeroed.
+          // Every other byte must survive exactly.
+          auto expected = mutated;
+          if (const auto* chunk = std::get_if<ChunkMsg>(&body)) {
+            std::fill(expected.end() - chunk->payload_bytes, expected.end(),
+                      std::uint8_t{0});
+          }
+          EXPECT_EQ(encode_message(body), expected)
+              << "kind " << original.index() << " byte " << byte << " bit "
+              << bit;
+        } catch (const WireError&) {
+          // acceptable: a corrupted tag, length or flag
+        }
+      }
+    }
+  }
 }
 
 }  // namespace
