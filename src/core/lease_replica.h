@@ -12,9 +12,10 @@
 //
 // A node constructs its LeaseReplica only with ReplicationOptions on.
 // Per-group replica state (ReplState) lives inside the node's own
-// per-group record.  Besides looking a group's state up, the replica calls
-// back into the node for two things only: making the node the acting
-// tree root, and re-laddering a superseded root.
+// per-group tree record, which the host creates on first use.  Besides
+// looking a group's state up, the replica calls back into the node for
+// two things only: making the node the acting tree root, and
+// re-laddering a superseded root.
 #pragma once
 
 #include <functional>
@@ -102,7 +103,8 @@ class LeaseReplica {
   /// What the replica needs from the node that runs it.
   class Host {
    public:
-    /// The group's replica state (the node's per-group record).
+    /// The group's replica state (in the node's per-group tree record,
+    /// created on first use).
     virtual ReplState& replica(GroupId group) = 0;
     /// A takeover committed: make this node the group's acting tree root.
     virtual void root_self(GroupId group) = 0;

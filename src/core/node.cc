@@ -75,15 +75,16 @@ void GroupCastNode::detach(DetachMode mode) {
   transport_->unregister_node(self_, mode);
   exchange_.cancel_all();
   if (lease_) lease_->stop();
-  for (auto& [group, state] : groups_) {
-    state.exchange = ReliableExchange::kNoToken;
+  for (auto& entry : groups_) {
+    if (!entry.tree) continue;
+    entry.tree->exchange = ReliableExchange::kNoToken;
     // A departed node's edge timers must not fire into a dead runtime.
-    edges_.cancel_timers(state);
+    edges_.cancel_timers(*entry.tree);
   }
   // A departed node stops probing: cancel the shared tick instead of
   // letting it fire into a dead runtime.
   heartbeats_.cancel(transport_->simulator_for(self_), [this](GroupId group) {
-    groups_[group].heartbeat_scheduled = false;
+    tree_of(group).heartbeat_scheduled = false;
   });
   running_ = false;
 }
@@ -92,19 +93,52 @@ sim::SimTime GroupCastNode::now() const {
   return transport_->simulator_for(self_).now();
 }
 
+// ------------------------------------------------------------ group table
+
+GroupCastNode::GroupRecord* GroupCastNode::find(GroupId group) {
+  for (auto& entry : groups_) {
+    if (entry.group == group) return &entry;
+  }
+  return nullptr;
+}
+
+const GroupCastNode::GroupRecord* GroupCastNode::find(GroupId group) const {
+  return const_cast<GroupCastNode*>(this)->find(group);
+}
+
+GroupCastNode::TreeState* GroupCastNode::find_tree(GroupId group) {
+  GroupRecord* entry = find(group);
+  return entry != nullptr ? entry->tree.get() : nullptr;
+}
+
+const GroupCastNode::TreeState* GroupCastNode::find_tree(
+    GroupId group) const {
+  return const_cast<GroupCastNode*>(this)->find_tree(group);
+}
+
+GroupCastNode::GroupRecord& GroupCastNode::record(GroupId group) {
+  if (GroupRecord* entry = find(group)) return *entry;
+  groups_.emplace_back().group = group;
+  return groups_.back();
+}
+
+GroupCastNode::TreeState& GroupCastNode::tree_of(GroupRecord& record) {
+  if (!record.tree) record.tree = std::make_unique<TreeState>();
+  return *record.tree;
+}
+
 // ------------------------------------------------------------- public API
 
 void GroupCastNode::create_group(GroupId group) {
   GC_REQUIRE(running_);
-  auto& state = state_of(group);
-  GC_REQUIRE_MSG(!state.has_advert, "group already created or advertised");
-  state.rendezvous = self_;
-  state.advert_parent = self_;
-  state.has_advert = true;
-  state.on_tree = true;
-  state.subscribed = true;
-  state.tree_parent = self_;
-  state.depth = 0;
+  auto& entry = record(group);
+  GC_REQUIRE_MSG(!entry.has_advert(), "group already created or advertised");
+  entry.rendezvous = self_;
+  entry.advert_parent = self_;
+  auto& tree = tree_of(entry);
+  tree.subscribed = true;
+  tree.tree_parent = self_;
+  tree.depth = 0;
   for (const auto target : select_forward_targets(
            options_.advertisement, transport_->population(), self_,
            graph_->neighbors(self_), self_, resource_level_, rng_)) {
@@ -114,20 +148,20 @@ void GroupCastNode::create_group(GroupId group) {
                      static_cast<std::uint32_t>(
                          options_.advertisement.ttl - 1)});
   }
-  if (lease_) lease_->create(group, state.repl);
+  if (lease_) lease_->create(group, tree.repl);
 }
 
 void GroupCastNode::subscribe(GroupId group) {
   GC_REQUIRE(running_);
-  auto& state = state_of(group);
-  if (state.on_tree) {
-    state.subscribed = true;
+  auto& tree = tree_of(group);
+  if (tree.on_tree()) {
+    tree.subscribed = true;
     if (subscribe_callback_) subscribe_callback_(group, true);
     return;
   }
-  state.subscribed = true;  // desired; effective once on the tree
+  tree.subscribed = true;  // desired; effective once on the tree
   trace::counters().incr(self_, trace::CounterId::kSubscribeAttempts);
-  if (state.exchange != ReliableExchange::kNoToken) {
+  if (tree.exchange != ReliableExchange::kNoToken) {
     return;  // a relay-chain ladder is already climbing; ride it
   }
   start_ladder(group);
@@ -135,18 +169,19 @@ void GroupCastNode::subscribe(GroupId group) {
 
 void GroupCastNode::unsubscribe(GroupId group) {
   GC_REQUIRE(running_);
-  auto& state = state_of(group);
-  GC_REQUIRE_MSG(state.subscribed, "not subscribed to this group");
-  state.subscribed = false;
-  if (state.exchange != ReliableExchange::kNoToken) {
-    exchange_.cancel(state.exchange);
-    state.exchange = ReliableExchange::kNoToken;
-    state.search_pending = false;
-    state.recovering = false;
+  TreeState* tree = find_tree(group);
+  GC_REQUIRE_MSG(tree != nullptr && tree->subscribed,
+                 "not subscribed to this group");
+  tree->subscribed = false;
+  if (tree->exchange != ReliableExchange::kNoToken) {
+    exchange_.cancel(tree->exchange);
+    tree->exchange = ReliableExchange::kNoToken;
+    tree->search_pending = false;
+    tree->recovering = false;
   }
   // A leaf detaches; a relay (or the root) keeps forwarding for its
   // children.
-  maybe_fold(group, state);
+  maybe_fold(group, *tree);
 }
 
 void GroupCastNode::publish(GroupId group, std::uint64_t payload_id) {
@@ -175,81 +210,76 @@ void GroupCastNode::publish_chunk(GroupId group, std::uint32_t stream,
 void GroupCastNode::publish_payload(GroupId group,
                                     const BufferedPayload& payload) {
   GC_REQUIRE(running_);
-  const auto it = groups_.find(group);
-  GC_REQUIRE_MSG(it != groups_.end() && it->second.on_tree,
+  TreeState* tree = find_tree(group);
+  GC_REQUIRE_MSG(tree != nullptr && tree->on_tree(),
                  "publish requires tree membership");
-  auto& state = it->second;
-  state.seen_payloads.insert(payload_key(self_, payload.payload_id));
+  tree->seen_payloads.insert(payload_key(self_, payload.payload_id));
   if (payload.chunk) {
     trace::counters().incr(self_, trace::CounterId::kChunksPublished);
   }
   trace::tracer().emit(now().as_micros(), trace::EventKind::kPayloadPublished,
                        self_, trace::kNoNode,
                        trace::pack_provenance(self_, payload.payload_id, 0));
-  if (state.tree_parent != self_ &&
-      state.tree_parent != overlay::kNoPeer) {
-    edges_.send(group, state, state.tree_parent, payload);
+  if (tree->tree_parent != self_) {
+    edges_.send(group, *tree, tree->tree_parent, payload);
   }
-  for (const auto child : state.children) {
-    edges_.send(group, state, child, payload);
+  for (const auto& child : tree->children) {
+    edges_.send(group, *tree, child.peer, payload);
   }
 }
 
 // ------------------------------------------------------------ inspection
 
 bool GroupCastNode::has_advertisement(GroupId group) const {
-  const auto it = groups_.find(group);
-  return it != groups_.end() && it->second.has_advert;
+  const GroupRecord* entry = find(group);
+  return entry != nullptr && entry->has_advert();
 }
 
 bool GroupCastNode::is_subscribed(GroupId group) const {
-  const auto it = groups_.find(group);
-  return it != groups_.end() && it->second.subscribed &&
-         it->second.on_tree;
+  const TreeState* tree = find_tree(group);
+  return tree != nullptr && tree->subscribed && tree->on_tree();
 }
 
 bool GroupCastNode::on_tree(GroupId group) const {
-  const auto it = groups_.find(group);
-  return it != groups_.end() && it->second.on_tree;
+  const TreeState* tree = find_tree(group);
+  return tree != nullptr && tree->on_tree();
 }
 
 overlay::PeerId GroupCastNode::tree_parent(GroupId group) const {
-  const auto it = groups_.find(group);
-  GC_REQUIRE(it != groups_.end() && it->second.on_tree);
-  return it->second.tree_parent;
+  const TreeState* tree = find_tree(group);
+  GC_REQUIRE(tree != nullptr && tree->on_tree());
+  return tree->tree_parent;
 }
 
 std::vector<overlay::PeerId> GroupCastNode::tree_children(
     GroupId group) const {
-  const auto it = groups_.find(group);
-  if (it == groups_.end()) return {};
-  return it->second.children;
+  std::vector<overlay::PeerId> peers;
+  if (const TreeState* tree = find_tree(group)) {
+    for (const auto& child : tree->children) peers.push_back(child.peer);
+  }
+  return peers;
 }
 
 std::uint32_t GroupCastNode::tree_depth(GroupId group) const {
-  const auto it = groups_.find(group);
-  return it != groups_.end() && it->second.on_tree ? it->second.depth
-                                                   : kUnknownDepth;
+  const TreeState* tree = find_tree(group);
+  return tree != nullptr && tree->on_tree() ? tree->depth : kUnknownDepth;
 }
 
 bool GroupCastNode::exchange_pending(GroupId group) const {
-  const auto it = groups_.find(group);
-  return it != groups_.end() &&
-         it->second.exchange != ReliableExchange::kNoToken;
+  const TreeState* tree = find_tree(group);
+  return tree != nullptr && tree->exchange != ReliableExchange::kNoToken;
 }
 
 std::size_t GroupCastNode::send_buffer_depth(GroupId group,
                                              overlay::PeerId peer) const {
-  const auto it = groups_.find(group);
-  return it != groups_.end() ? ReliableEdge::buffer_depth(it->second, peer)
-                             : 0;
+  const TreeState* tree = find_tree(group);
+  return tree != nullptr ? ReliableEdge::buffer_depth(*tree, peer) : 0;
 }
 
 std::size_t GroupCastNode::pending_depth(GroupId group,
                                          overlay::PeerId peer) const {
-  const auto it = groups_.find(group);
-  return it != groups_.end() ? ReliableEdge::pending_depth(it->second, peer)
-                             : 0;
+  const TreeState* tree = find_tree(group);
+  return tree != nullptr ? ReliableEdge::pending_depth(*tree, peer) : 0;
 }
 
 std::size_t GroupCastNode::adaptive_miss_threshold(double miss_ewma,
@@ -269,132 +299,134 @@ std::size_t GroupCastNode::adaptive_miss_threshold(double miss_ewma,
 
 std::uint64_t GroupCastNode::expected_seq(GroupId group,
                                           overlay::PeerId peer) const {
-  const auto it = groups_.find(group);
-  return it != groups_.end() ? ReliableEdge::expected_seq(it->second, peer)
-                             : 0;
+  const TreeState* tree = find_tree(group);
+  return tree != nullptr ? ReliableEdge::expected_seq(*tree, peer) : 0;
 }
 
 bool GroupCastNode::replication_member(GroupId group) const {
-  const auto it = groups_.find(group);
-  return it != groups_.end() && it->second.repl.member;
+  const TreeState* tree = find_tree(group);
+  return tree != nullptr && tree->repl.member;
 }
 
 bool GroupCastNode::is_leaseholder(GroupId group) const {
-  const auto it = groups_.find(group);
-  return it != groups_.end() && it->second.repl.leaseholder;
+  const TreeState* tree = find_tree(group);
+  return tree != nullptr && tree->repl.leaseholder;
 }
 
 std::uint32_t GroupCastNode::lease_epoch(GroupId group) const {
-  const auto it = groups_.find(group);
-  return it != groups_.end() ? it->second.repl.epoch : 0;
+  const TreeState* tree = find_tree(group);
+  return tree != nullptr ? tree->repl.epoch : 0;
 }
 
 overlay::PeerId GroupCastNode::lease_leader(GroupId group) const {
-  const auto it = groups_.find(group);
-  return it != groups_.end() ? it->second.repl.leader : overlay::kNoPeer;
+  const TreeState* tree = find_tree(group);
+  return tree != nullptr ? tree->repl.leader : overlay::kNoPeer;
 }
 
 std::vector<LeaseRecord> GroupCastNode::lease_log(GroupId group) const {
-  const auto it = groups_.find(group);
-  return it != groups_.end() ? it->second.repl.log
-                             : std::vector<LeaseRecord>{};
+  const TreeState* tree = find_tree(group);
+  return tree != nullptr ? tree->repl.log : std::vector<LeaseRecord>{};
 }
 
 overlay::PeerId GroupCastNode::backup_parent(GroupId group) const {
-  const auto it = groups_.find(group);
-  return it != groups_.end() ? it->second.backup_parent : overlay::kNoPeer;
+  const TreeState* tree = find_tree(group);
+  return tree != nullptr ? tree->backup_parent : overlay::kNoPeer;
 }
 
+GroupCastNode::Footprint GroupCastNode::footprint(GroupId group) const {
+  const GroupRecord* entry = find(group);
+  if (entry == nullptr) return Footprint::kNone;
+  return entry->tree ? Footprint::kTree : Footprint::kCompact;
+}
 
 std::size_t GroupCastNode::memory_bytes() const {
-  // Hash sets amortize to about one pointer per bucket plus a node per
-  // element.
-  std::size_t bytes = sizeof(*this);
+  std::size_t bytes = sizeof(*this) + groups_.capacity() * sizeof(GroupRecord);
   if (lease_) bytes += lease_->memory_bytes();
-  for (const auto& [group, state] : groups_) {
-    bytes += kContainerEntryBytes + sizeof(GroupId) + sizeof(GroupState);
-    bytes += state.children.capacity() * sizeof(overlay::PeerId);
-    bytes += state.pending_acks.capacity() * sizeof(overlay::PeerId);
-    bytes += state.seen_payloads.memory_bytes();
-    bytes += state.seen_queries.memory_bytes();
-    bytes += state.child_last_seen.bucket_count() * sizeof(void*) +
-             state.child_last_seen.size() *
-                 (sizeof(overlay::PeerId) + sizeof(sim::SimTime) +
-                  kContainerEntryBytes);
-    bytes += ReliableEdge::memory_bytes(state);
-    bytes += LeaseReplica::memory_bytes(state.repl);
+  for (const auto& entry : groups_) {
+    bytes += entry.seen_queries.memory_bytes();
+    if (!entry.tree) continue;
+    const TreeState& tree = *entry.tree;
+    bytes += sizeof(TreeState);
+    bytes += tree.children.capacity() * sizeof(TreeState::Child);
+    bytes += tree.pending_acks.capacity() * sizeof(overlay::PeerId);
+    bytes += tree.seen_payloads.memory_bytes();
+    bytes += ReliableEdge::memory_bytes(tree);
+    bytes += LeaseReplica::memory_bytes(tree.repl);
   }
   return bytes;
 }
 
 // ---------------------------------------------------------- tree position
 
-void GroupCastNode::maybe_fold(GroupId group, GroupState& state) {
-  if (state.subscribed || !state.on_tree || !state.children.empty() ||
-      state.tree_parent == self_) {
+void GroupCastNode::maybe_fold(GroupId group, TreeState& tree) {
+  if (tree.subscribed || !tree.on_tree() || !tree.children.empty() ||
+      tree.tree_parent == self_) {
     return;
   }
-  transport_->send(self_, state.tree_parent, LeaveMsg{group, self_});
-  edges_.drop(state, state.tree_parent);
-  state.on_tree = false;
-  state.tree_parent = overlay::kNoPeer;
-  state.depth = kUnknownDepth;
+  transport_->send(self_, tree.tree_parent, LeaveMsg{group, self_});
+  edges_.drop(tree, tree.tree_parent);
+  tree.tree_parent = overlay::kNoPeer;
+  tree.depth = kUnknownDepth;
 }
 
-void GroupCastNode::ack_children(GroupId group, GroupState& state) {
-  for (const auto child : state.pending_acks) {
+void GroupCastNode::ack_children(GroupId group, TreeState& tree) {
+  for (const auto child : tree.pending_acks) {
     transport_->send(self_, child,
-                     JoinAckMsg{group, state.depth, offered_backup(state)});
+                     JoinAckMsg{group, tree.depth, offered_backup(tree)});
     // The deferred ack completes the join handshake: give the child a
     // fresh edge incarnation so its expected sequence starts in sync.
-    edges_.reopen(group, state, child);
+    edges_.reopen(group, tree, child);
   }
-  if (state.depth != kUnknownDepth) {
-    for (const auto child : state.children) {
-      if (std::find(state.pending_acks.begin(), state.pending_acks.end(),
-                    child) != state.pending_acks.end()) {
+  if (tree.depth != kUnknownDepth) {
+    for (const auto& child : tree.children) {
+      if (std::find(tree.pending_acks.begin(), tree.pending_acks.end(),
+                    child.peer) != tree.pending_acks.end()) {
         continue;  // its JoinAck above already carries the depth
       }
       transport_->send(
-          self_, child,
-          HeartbeatAckMsg{group, state.depth, offered_backup(state)});
+          self_, child.peer,
+          HeartbeatAckMsg{group, tree.depth, offered_backup(tree)});
     }
   }
-  state.pending_acks.clear();
+  tree.pending_acks.clear();
 }
 
-overlay::PeerId GroupCastNode::offered_backup(const GroupState& state) const {
-  if (!options_.replication.enabled || !state.on_tree) {
-    return overlay::kNoPeer;
-  }
-  if (state.tree_parent == self_ || state.tree_parent == overlay::kNoPeer) {
+overlay::PeerId GroupCastNode::offered_backup(const TreeState& tree) const {
+  if (!options_.replication.enabled || !tree.on_tree() ||
+      tree.tree_parent == self_) {
     return overlay::kNoPeer;  // roots have no grandparent to offer
   }
-  return state.tree_parent;
+  return tree.tree_parent;
+}
+
+void GroupCastNode::drop_child(TreeState& tree, overlay::PeerId child) {
+  std::erase_if(tree.children, [child](const TreeState::Child& c) {
+    return c.peer == child;
+  });
+  erase_value(tree.pending_acks, child);
+  edges_.drop(tree, child);
 }
 
 void GroupCastNode::root_self(GroupId group) {
-  auto& state = state_of(group);
-  if (state.on_tree && state.tree_parent == self_) return;
-  if (state.exchange != ReliableExchange::kNoToken) {
-    exchange_.cancel(state.exchange);
-    state.exchange = ReliableExchange::kNoToken;
+  auto& tree = tree_of(group);
+  if (tree.tree_parent == self_) return;
+  if (tree.exchange != ReliableExchange::kNoToken) {
+    exchange_.cancel(tree.exchange);
+    tree.exchange = ReliableExchange::kNoToken;
   }
-  if (state.on_tree && state.tree_parent != overlay::kNoPeer &&
-      state.tree_parent != self_) {
-    transport_->send(self_, state.tree_parent, LeaveMsg{group, self_});
-    edges_.drop(state, state.tree_parent);
+  if (tree.on_tree()) {
+    transport_->send(self_, tree.tree_parent, LeaveMsg{group, self_});
+    edges_.drop(tree, tree.tree_parent);
   }
-  state.on_tree = true;
-  state.search_pending = false;
-  state.recovering = false;
-  state.tree_parent = self_;
-  state.depth = 0;
-  state.avoid = overlay::kNoPeer;
-  state.attach_depth_limit = kUnknownDepth;
-  state.dissolved_once = false;
-  state.backup_parent = overlay::kNoPeer;
-  ack_children(group, state);  // they learn the new depth root-style
+  tree.search_pending = false;
+  tree.recovering = false;
+  tree.tree_parent = self_;
+  tree.depth = 0;
+  tree.avoid = overlay::kNoPeer;
+  tree.attach_depth_limit = kUnknownDepth;
+  tree.dissolved_once = false;
+  tree.backup_parent = overlay::kNoPeer;
+  ack_children(group, tree);  // they learn the new depth root-style
   maybe_schedule_heartbeat(group);
 }
 
@@ -402,73 +434,74 @@ void GroupCastNode::superseded(GroupId group) {
   // Heal reconciliation, tree half: a superseded acting root re-runs the
   // ladder to fold its whole subtree back under the new leader (its
   // depth-0 guard keeps it from attaching below its own descendants).
-  auto& state = state_of(group);
-  if (state.on_tree && state.tree_parent == self_) {
+  const TreeState* tree = find_tree(group);
+  if (tree != nullptr && tree->tree_parent == self_) {
     begin_recovery(group, overlay::kNoPeer);
   }
 }
 
 // ----------------------------------------------------------- retry ladder
 
-bool GroupCastNode::attach_allowed(const GroupState& state,
+bool GroupCastNode::attach_allowed(const TreeState& tree,
                                    overlay::PeerId target,
                                    std::uint32_t target_depth) const {
-  if (target == self_ || target == state.avoid) return false;
-  if (state.attach_depth_limit == kUnknownDepth) return true;
+  if (target == self_ || target == tree.avoid) return false;
+  if (tree.attach_depth_limit == kUnknownDepth) return true;
   // Guarded orphan: strict descendants carry a (possibly stale) depth of
   // at least ours + 1, so any target at our old depth or above the old
   // position is provably outside our own subtree.
   return target_depth != kUnknownDepth &&
-         target_depth <= state.attach_depth_limit;
+         target_depth <= tree.attach_depth_limit;
 }
 
-bool GroupCastNode::advert_rung_ok(const GroupState& state) const {
-  return state.has_advert && state.advert_parent != self_ &&
-         state.advert_parent != overlay::kNoPeer &&
-         state.advert_parent != state.avoid;
+bool GroupCastNode::advert_rung_ok(const GroupRecord& record) const {
+  return record.has_advert() && record.advert_parent != self_ &&
+         record.advert_parent != record.tree->avoid;
 }
 
 void GroupCastNode::start_ladder(GroupId group) {
-  auto& state = state_of(group);
-  state.ladder_attempts = 0;
-  state.search_pending = false;
+  auto& entry = record(group);
+  auto& tree = tree_of(entry);
+  tree.ladder_attempts = 0;
+  tree.search_pending = false;
   // Rung 0 (replication only): the backup parent precomputed by our old
   // parent — its own parent, so provably outside our subtree — is tried
   // before the regular ladder; a live backup re-adopts the orphan within
   // one round trip.
   const bool backup_rung_ok =
-      options_.replication.enabled && state.recovering &&
-      state.backup_parent != overlay::kNoPeer &&
-      state.backup_parent != self_ && state.backup_parent != state.avoid;
-  state.rung = backup_rung_ok          ? Rung::kBackup
-               : advert_rung_ok(state) ? Rung::kAdvertParent
-                                       : Rung::kRipple;
+      options_.replication.enabled && tree.recovering &&
+      tree.backup_parent != overlay::kNoPeer &&
+      tree.backup_parent != self_ && tree.backup_parent != tree.avoid;
+  tree.rung = backup_rung_ok          ? Rung::kBackup
+              : advert_rung_ok(entry) ? Rung::kAdvertParent
+                                      : Rung::kRipple;
   run_rung(group);
 }
 
 void GroupCastNode::run_rung(GroupId group) {
-  auto& state = state_of(group);
+  auto& tree = tree_of(group);
   const auto give_up = [this, group] {
-    state_of(group).exchange = ReliableExchange::kNoToken;
+    tree_of(group).exchange = ReliableExchange::kNoToken;
     advance_rung(group);
   };
-  switch (state.rung) {
+  switch (tree.rung) {
     case Rung::kBackup:
     case Rung::kAdvertParent:
-      state.exchange = exchange_.begin(
+      tree.exchange = exchange_.begin(
           [this, group](std::size_t) {
-            auto& st = state_of(group);
+            const auto& entry = record(group);
+            auto& st = *entry.tree;
             ++st.ladder_attempts;
             const auto target = st.rung == Rung::kBackup ? st.backup_parent
-                                                         : st.advert_parent;
+                                                         : entry.advert_parent;
             transport_->send(self_, target, JoinMsg{group, self_});
           },
           give_up);
       break;
     case Rung::kRipple:
-      state.exchange = exchange_.begin(
+      tree.exchange = exchange_.begin(
           [this, group](std::size_t attempt) {
-            auto& st = state_of(group);
+            auto& st = tree_of(group);
             ++st.ladder_attempts;
             st.search_pending = true;
             ++st.search_round;
@@ -493,15 +526,16 @@ void GroupCastNode::run_rung(GroupId group) {
           give_up);
       break;
     case Rung::kRendezvous:
-      state.exchange = exchange_.begin(
+      tree.exchange = exchange_.begin(
           [this, group](std::size_t attempt) {
-            auto& st = state_of(group);
+            const auto& entry = record(group);
+            auto& st = *entry.tree;
             ++st.ladder_attempts;
             // The rendezvous first; its deterministic replicas take over
             // on later attempts (covers a crashed rendezvous point).
             std::vector<overlay::PeerId> targets;
-            if (st.rendezvous != self_ && st.rendezvous != st.avoid) {
-              targets.push_back(st.rendezvous);
+            if (entry.rendezvous != self_ && entry.rendezvous != st.avoid) {
+              targets.push_back(entry.rendezvous);
             }
             const auto population = transport_->population().size();
             const std::size_t replica_count =
@@ -518,7 +552,7 @@ void GroupCastNode::run_rung(GroupId group) {
               };
             }
             for (const auto replica :
-                 rendezvous_replicas(group, st.rendezvous, population,
+                 rendezvous_replicas(group, entry.rendezvous, population,
                                      replica_count, alive)) {
               if (replica != self_ && replica != st.avoid) {
                 targets.push_back(replica);
@@ -535,22 +569,23 @@ void GroupCastNode::run_rung(GroupId group) {
 
 
 void GroupCastNode::advance_rung(GroupId group) {
-  auto& state = state_of(group);
-  if (state.on_tree) return;  // attached while the give-up was in flight
-  switch (state.rung) {
+  const auto& entry = record(group);
+  auto& tree = *entry.tree;
+  if (tree.on_tree()) return;  // attached while the give-up was in flight
+  switch (tree.rung) {
     case Rung::kBackup:
       // The backup was dead too: fall through to the regular first rung.
-      state.rung = advert_rung_ok(state) ? Rung::kAdvertParent : Rung::kRipple;
+      tree.rung = advert_rung_ok(entry) ? Rung::kAdvertParent : Rung::kRipple;
       run_rung(group);
       return;
     case Rung::kAdvertParent:
-      state.rung = Rung::kRipple;
+      tree.rung = Rung::kRipple;
       run_rung(group);
       return;
     case Rung::kRipple:
-      if (state.rendezvous != overlay::kNoPeer &&
-          state.rendezvous != self_) {
-        state.rung = Rung::kRendezvous;
+      if (entry.rendezvous != overlay::kNoPeer &&
+          entry.rendezvous != self_) {
+        tree.rung = Rung::kRendezvous;
         run_rung(group);
         return;
       }
@@ -563,41 +598,39 @@ void GroupCastNode::advance_rung(GroupId group) {
 }
 
 void GroupCastNode::terminal_failure(GroupId group) {
-  auto& state = state_of(group);
-  state.exchange = ReliableExchange::kNoToken;
-  state.search_pending = false;
+  auto& tree = tree_of(group);
+  tree.exchange = ReliableExchange::kNoToken;
+  tree.search_pending = false;
   // The tree position dissolves either way below: no reliable edge of
   // this group survives it (children are told to re-attach, and a later
   // re-attach starts fresh incarnations via the join handshake).
-  edges_.clear(state);
+  edges_.clear(tree);
   // Dissolve the tree position: the children re-attach on their own.  The
   // first dissolve also earns the now-childless node one unguarded retry
   // of the whole ladder before it reports failure.
-  const bool retry = !state.children.empty() && !state.dissolved_once;
-  if (!state.children.empty()) {
-    for (const auto child : state.children) {
-      transport_->send(self_, child, ParentLostMsg{group});
+  const bool retry = !tree.children.empty() && !tree.dissolved_once;
+  if (!tree.children.empty()) {
+    for (const auto& child : tree.children) {
+      transport_->send(self_, child.peer, ParentLostMsg{group});
     }
-    state.children.clear();
-    state.child_last_seen.clear();
-    state.pending_acks.clear();
+    tree.children.clear();
+    tree.pending_acks.clear();
   }
   if (retry) {
-    state.dissolved_once = true;
-    state.attach_depth_limit = kUnknownDepth;
+    tree.dissolved_once = true;
+    tree.attach_depth_limit = kUnknownDepth;
     start_ladder(group);
     return;
   }
-  state.recovering = false;
-  state.on_tree = false;
-  state.tree_parent = overlay::kNoPeer;
-  state.depth = kUnknownDepth;
-  state.attach_depth_limit = kUnknownDepth;
+  tree.recovering = false;
+  tree.tree_parent = overlay::kNoPeer;
+  tree.depth = kUnknownDepth;
+  tree.attach_depth_limit = kUnknownDepth;
   trace::tracer().emit(now().as_micros(),
                        trace::EventKind::kSubscriptionAttempt, self_,
                        overlay::kNoPeer, 0);
-  const bool was_subscribed = state.subscribed;
-  state.subscribed = false;
+  const bool was_subscribed = tree.subscribed;
+  tree.subscribed = false;
   if (was_subscribed && subscribe_callback_) {
     subscribe_callback_(group, false);
   }
@@ -606,52 +639,51 @@ void GroupCastNode::terminal_failure(GroupId group) {
 void GroupCastNode::complete_attach(GroupId group, overlay::PeerId parent,
                                     std::uint32_t parent_depth,
                                     overlay::PeerId backup) {
-  auto& state = state_of(group);
-  if (state.exchange != ReliableExchange::kNoToken) {
-    exchange_.settle(state.exchange);
-    state.exchange = ReliableExchange::kNoToken;
+  auto& tree = tree_of(group);
+  if (tree.exchange != ReliableExchange::kNoToken) {
+    exchange_.settle(tree.exchange);
+    tree.exchange = ReliableExchange::kNoToken;
   }
-  if (options_.replication.enabled && state.recovering &&
-      state.rung == Rung::kBackup) {
+  if (options_.replication.enabled && tree.recovering &&
+      tree.rung == Rung::kBackup) {
     trace::counters().incr(self_, trace::CounterId::kBackupAttaches);
   }
-  state.backup_parent = options_.replication.enabled && backup != self_
-                            ? backup
-                            : overlay::kNoPeer;
-  state.on_tree = true;
-  state.search_pending = false;
-  state.tree_parent = parent;
-  state.depth =
+  tree.backup_parent = options_.replication.enabled && backup != self_
+                           ? backup
+                           : overlay::kNoPeer;
+  tree.search_pending = false;
+  tree.tree_parent = parent;
+  tree.depth =
       parent_depth == kUnknownDepth ? kUnknownDepth : parent_depth + 1;
-  state.avoid = overlay::kNoPeer;
-  state.attach_depth_limit = kUnknownDepth;
-  state.dissolved_once = false;
-  state.parent_last_ack = now();
+  tree.avoid = overlay::kNoPeer;
+  tree.attach_depth_limit = kUnknownDepth;
+  tree.dissolved_once = false;
+  tree.parent_last_ack = now();
   // A new parent means a new path: the failure-detector estimate learned
   // on the old edge no longer describes this one.
-  state.hb_miss_ewma = 0.0;
-  state.hb_probe_outstanding = false;
+  tree.hb_miss_ewma = 0.0;
+  tree.hb_probe_outstanding = false;
   // Reattach re-sync, child side: whatever edge state a previous
   // incarnation of this parent link left behind is stale now.  The
   // parent's JoinAck is chased by its SeqSync (per-pair FIFO), which
   // seeds the fresh inbound edge; our outbound edge re-forms lazily on
   // the first payload we send up.
-  edges_.drop(state, parent);
+  edges_.drop(tree, parent);
   trace::tracer().emit(now().as_micros(), trace::EventKind::kTreeEdgeAdded,
                        self_, parent);
   trace::counters().incr(self_, trace::CounterId::kTreeEdges);
-  if (state.recovering) {
-    state.recovering = false;
+  if (tree.recovering) {
+    tree.recovering = false;
     trace::counters().incr(self_, trace::CounterId::kOrphansRecovered);
     trace::tracer().emit(now().as_micros(),
                          trace::EventKind::kOrphanRecovered, self_, parent,
-                         state.ladder_attempts);
+                         tree.ladder_attempts);
   }
   // Children whose joins we accepted before being attached ourselves get
   // their deferred acks now, carrying our freshly-known depth; children
   // retained through recovery get an unsolicited depth refresh.
-  ack_children(group, state);
-  if (state.subscribed) {
+  ack_children(group, tree);
+  if (tree.subscribed) {
     trace::counters().incr(self_, trace::CounterId::kSubscribeSuccesses);
     trace::tracer().emit(now().as_micros(),
                          trace::EventKind::kSubscriptionAttempt, self_,
@@ -666,13 +698,12 @@ void GroupCastNode::complete_attach(GroupId group, overlay::PeerId parent,
 void GroupCastNode::maybe_schedule_heartbeat(GroupId group) {
   if (options_.heartbeat_interval <= sim::SimTime::zero()) return;
   if (!running_) return;
-  auto& state = state_of(group);
-  if (state.heartbeat_scheduled) return;
-  const bool child_role = state.on_tree && state.tree_parent != self_ &&
-                          state.tree_parent != overlay::kNoPeer;
-  const bool parent_role = !state.children.empty();
+  TreeState* tree = find_tree(group);
+  if (tree == nullptr || tree->heartbeat_scheduled) return;
+  const bool child_role = tree->on_tree() && tree->tree_parent != self_;
+  const bool parent_role = !tree->children.empty();
   if (!child_role && !parent_role) return;
-  state.heartbeat_scheduled = true;
+  tree->heartbeat_scheduled = true;
   // Liveness deadlines are timestamp-based, so an early first service of
   // a group enrolling between ticks is safe.
   heartbeats_.enrol(group, transport_->simulator_for(self_),
@@ -689,42 +720,41 @@ void GroupCastNode::heartbeat_thunk(void* context, std::uint64_t) {
 }
 
 void GroupCastNode::heartbeat_tick(GroupId group) {
-  auto& state = state_of(group);
-  state.heartbeat_scheduled = false;
+  auto& tree = tree_of(group);
+  tree.heartbeat_scheduled = false;
   if (!running_) return;
   const auto t = now();
   const auto interval = options_.heartbeat_interval;
-  if (state.on_tree && state.tree_parent != self_ &&
-      state.tree_parent != overlay::kNoPeer) {
-    if (options_.adaptive && state.hb_probe_outstanding) {
+  if (tree.on_tree() && tree.tree_parent != self_) {
+    if (options_.adaptive && tree.hb_probe_outstanding) {
       // One miss sample per probed interval: did the previous heartbeat's
       // ack make it back before this tick?
-      ewma_update(state.hb_miss_ewma,
-                  state.parent_last_ack >= state.last_hb_probe ? 0.0 : 1.0);
-      state.hb_probe_outstanding = false;
+      ewma_update(tree.hb_miss_ewma,
+                  tree.parent_last_ack >= tree.last_hb_probe ? 0.0 : 1.0);
+      tree.hb_probe_outstanding = false;
       trace::histograms().record(
           trace::HistogramId::kEstimatedLoss,
           static_cast<std::uint64_t>(
-              std::llround(state.hb_miss_ewma * 1000.0)));
+              std::llround(tree.hb_miss_ewma * 1000.0)));
     }
     const std::size_t misses =
         options_.adaptive
-            ? adaptive_miss_threshold(state.hb_miss_ewma,
+            ? adaptive_miss_threshold(tree.hb_miss_ewma,
                                       options_.missed_heartbeats_to_fail)
             : options_.missed_heartbeats_to_fail;
     const auto deadline = interval * static_cast<std::int64_t>(misses);
-    if (t - state.parent_last_ack > deadline) {
-      begin_recovery(group, state.tree_parent);
+    if (t - tree.parent_last_ack > deadline) {
+      begin_recovery(group, tree.tree_parent);
     } else {
-      transport_->send(self_, state.tree_parent, HeartbeatMsg{group});
+      transport_->send(self_, tree.tree_parent, HeartbeatMsg{group});
       trace::counters().incr(self_, trace::CounterId::kHeartbeats);
       if (options_.adaptive) {
-        state.last_hb_probe = t;
-        state.hb_probe_outstanding = true;
+        tree.last_hb_probe = t;
+        tree.hb_probe_outstanding = true;
       }
     }
   }
-  if (!state.children.empty()) {
+  if (!tree.children.empty()) {
     // Prune children that went silent: one interval of slack beyond the
     // parent-side deadline so a child is never pruned before it would
     // have declared us dead.  Under adaptive detection a child may widen
@@ -738,45 +768,35 @@ void GroupCastNode::heartbeat_tick(GroupId group) {
     const auto child_deadline =
         interval * static_cast<std::int64_t>(child_misses + 1);
     std::vector<overlay::PeerId> ghosts;
-    for (const auto child : state.children) {
-      const auto it = state.child_last_seen.find(child);
-      const auto last = it != state.child_last_seen.end()
-                            ? it->second
-                            : sim::SimTime::zero();
-      if (t - last > child_deadline) ghosts.push_back(child);
+    for (const auto& child : tree.children) {
+      if (t - child.last_seen > child_deadline) ghosts.push_back(child.peer);
     }
-    for (const auto ghost : ghosts) {
-      erase_value(state.children, ghost);
-      erase_value(state.pending_acks, ghost);
-      state.child_last_seen.erase(ghost);
-      edges_.drop(state, ghost);
-    }
+    for (const auto ghost : ghosts) drop_child(tree, ghost);
     // A pure relay whose last child was pruned folds back off the tree.
-    if (!ghosts.empty()) maybe_fold(group, state);
+    if (!ghosts.empty()) maybe_fold(group, tree);
   }
   maybe_schedule_heartbeat(group);
 }
 
 void GroupCastNode::begin_recovery(GroupId group,
                                    overlay::PeerId dead_parent) {
-  auto& state = state_of(group);
-  if (!state.on_tree) return;
-  state.on_tree = false;
-  state.tree_parent = overlay::kNoPeer;
+  auto& tree = tree_of(group);
+  if (!tree.on_tree()) return;
+  tree.tree_parent = overlay::kNoPeer;
   // Only a subtree root with live descendants needs the cycle guard; a
   // childless orphan cannot be anyone's ancestor.
-  state.attach_depth_limit =
-      state.children.empty() && state.pending_acks.empty() ? kUnknownDepth
-                                                           : state.depth;
-  state.depth = kUnknownDepth;
-  state.avoid = dead_parent;
-  state.recovering = true;
+  tree.attach_depth_limit =
+      tree.children.empty() && tree.pending_acks.empty() ? kUnknownDepth
+                                                         : tree.depth;
+  tree.depth = kUnknownDepth;
+  tree.avoid = dead_parent;
+  tree.recovering = true;
   // Both directions of the dead parent's edge are gone; edges to retained
   // children stay live (their buffers cover losses during the recovery).
-  edges_.drop(state, dead_parent);
-  if (state.exchange != ReliableExchange::kNoToken) {
-    exchange_.cancel(state.exchange);
-    state.exchange = ReliableExchange::kNoToken;
+  edges_.drop(tree, dead_parent);
+  if (tree.exchange != ReliableExchange::kNoToken) {
+    exchange_.cancel(tree.exchange);
+    tree.exchange = ReliableExchange::kNoToken;
   }
   start_ladder(group);
 }
@@ -810,24 +830,23 @@ void GroupCastNode::handle(const Envelope& envelope) {
                              std::is_same_v<T, ReliableDataMsg> ||
                              std::is_same_v<T, SeqSyncMsg>) {
           // Group data and edge syncs only count on the tree.
-          auto& state = state_of(msg.group);
-          if (state.on_tree) edges_.handle(state, envelope.from, msg);
+          TreeState* tree = find_tree(msg.group);
+          if (tree != nullptr && tree->on_tree()) {
+            edges_.handle(*tree, envelope.from, msg);
+          }
         } else if constexpr (std::is_same_v<T, DataNackMsg> ||
-                             std::is_same_v<T, DataAckMsg>) {
-          edges_.handle(state_of(msg.group), envelope.from, msg);
-        } else if constexpr (std::is_same_v<T, FlowControlMsg>) {
-          const auto it = groups_.find(msg.group);
-          if (it != groups_.end()) {
-            edges_.handle(it->second, envelope.from, msg);
+                             std::is_same_v<T, DataAckMsg> ||
+                             std::is_same_v<T, FlowControlMsg>) {
+          // Without a tree record there is no edge to answer for.
+          if (TreeState* tree = find_tree(msg.group)) {
+            edges_.handle(*tree, envelope.from, msg);
           }
         } else if constexpr (std::is_same_v<T, LeaseMsg> ||
                              std::is_same_v<T, LeaseAckMsg> ||
                              std::is_same_v<T, ReplicateMsg> ||
                              std::is_same_v<T, ReplicateAckMsg> ||
                              std::is_same_v<T, HandoffMsg>) {
-          if (lease_) {
-            lease_->handle(state_of(msg.group).repl, envelope.from, msg);
-          }
+          if (lease_) lease_->handle(replica(msg.group), envelope.from, msg);
         }
       },
       envelope.body);
@@ -835,8 +854,8 @@ void GroupCastNode::handle(const Envelope& envelope) {
 
 void GroupCastNode::handle_advertise(const Envelope& envelope,
                                      const AdvertiseMsg& msg) {
-  auto& state = state_of(msg.group);
-  if (state.has_advert) {  // duplicate
+  auto& entry = record(msg.group);
+  if (entry.has_advert()) {  // duplicate
     trace::counters().incr(self_, trace::CounterId::kMessagesDropped);
     trace::tracer().emit(
         now().as_micros(), trace::EventKind::kMessageDropped, self_,
@@ -844,9 +863,8 @@ void GroupCastNode::handle_advertise(const Envelope& envelope,
         static_cast<std::uint64_t>(trace::DropReason::kDuplicate));
     return;
   }
-  state.has_advert = true;
-  state.rendezvous = msg.rendezvous;
-  state.advert_parent = envelope.from;
+  entry.rendezvous = msg.rendezvous;
+  entry.advert_parent = envelope.from;
   if (msg.ttl == 0) return;
   for (const auto target : select_forward_targets(
            options_.advertisement, transport_->population(), self_,
@@ -863,48 +881,53 @@ void GroupCastNode::handle_advertise(const Envelope& envelope,
 
 void GroupCastNode::handle_join(const Envelope& /*envelope*/,
                                 const JoinMsg& msg) {
-  auto& state = state_of(msg.group);
+  GroupRecord* entry = find(msg.group);
   // A join can only be honoured by a peer that can reach the tree.
-  if (!state.on_tree && !state.has_advert) return;  // stale join: ignored
-  if (msg.child == self_) return;
-  if (std::find(state.children.begin(), state.children.end(), msg.child) ==
-      state.children.end()) {
-    state.children.push_back(msg.child);
+  if (entry == nullptr || (!entry->on_tree() && !entry->has_advert())) {
+    return;  // stale join: ignored
   }
-  state.child_last_seen[msg.child] = now();
-  if (state.on_tree) {
+  if (msg.child == self_) return;
+  auto& tree = tree_of(*entry);
+  if (auto* child = tree.find_child(msg.child)) {
+    child->last_seen = now();
+  } else {
+    tree.children.push_back(TreeState::Child{msg.child, now()});
+  }
+  if (tree.on_tree()) {
     transport_->send(
         self_, msg.child,
-        JoinAckMsg{msg.group, state.depth, offered_backup(state)});
+        JoinAckMsg{msg.group, tree.depth, offered_backup(tree)});
     // The join handshake is where a (re)attaching child re-syncs its
     // expected sequence: a fresh edge incarnation rides right behind the
     // ack (per-pair FIFO), so the child never NACKs into whatever epoch
     // its previous parent link was on.
-    edges_.reopen(msg.group, state, msg.child);
+    edges_.reopen(msg.group, tree, msg.child);
     maybe_schedule_heartbeat(msg.group);
     return;
   }
   // Not attached ourselves yet: defer the ack until our own ladder lands
   // (the ack must carry a real depth), becoming a relay on the way.
-  if (std::find(state.pending_acks.begin(), state.pending_acks.end(),
-                msg.child) == state.pending_acks.end()) {
-    state.pending_acks.push_back(msg.child);
+  if (std::find(tree.pending_acks.begin(), tree.pending_acks.end(),
+                msg.child) == tree.pending_acks.end()) {
+    tree.pending_acks.push_back(msg.child);
   }
-  if (state.exchange == ReliableExchange::kNoToken) start_ladder(msg.group);
+  if (tree.exchange == ReliableExchange::kNoToken) start_ladder(msg.group);
 }
 
 void GroupCastNode::handle_join_ack(const Envelope& envelope,
                                     const JoinAckMsg& msg) {
-  auto& state = state_of(msg.group);
-  if (state.on_tree) {
-    if (envelope.from != state.tree_parent) {
+  // Every path below but the two retractions attaches, so the tree record
+  // is needed anyway.
+  auto& tree = tree_of(msg.group);
+  if (tree.on_tree()) {
+    if (envelope.from != tree.tree_parent) {
       // A slower rung answered after we attached elsewhere: retract so the
       // acker does not keep us in its child list.
       transport_->send(self_, envelope.from, LeaveMsg{msg.group, self_});
     }
     return;
   }
-  if (!attach_allowed(state, envelope.from, msg.depth)) {
+  if (!attach_allowed(tree, envelope.from, msg.depth)) {
     // Possibly our own (stale-depth) descendant; refuse and retract.  The
     // open exchange keeps retrying toward safer attach points.
     transport_->send(self_, envelope.from, LeaveMsg{msg.group, self_});
@@ -915,15 +938,15 @@ void GroupCastNode::handle_join_ack(const Envelope& envelope,
 
 void GroupCastNode::handle_ripple_query(const Envelope& envelope,
                                         const RippleQueryMsg& msg) {
-  auto& state = state_of(msg.group);
-  if (!state.seen_queries.insert(query_key(msg.origin, msg.round))) {
+  auto& entry = record(msg.group);
+  if (!entry.seen_queries.insert(query_key(msg.origin, msg.round))) {
     return;  // duplicate within this search round
   }
-  if (state.has_advert || state.on_tree) {
+  if (entry.has_advert() || entry.on_tree()) {
     transport_->send(
         self_, msg.origin,
         RippleHitMsg{msg.group, self_,
-                     state.on_tree ? state.depth : kUnknownDepth});
+                     entry.on_tree() ? entry.tree->depth : kUnknownDepth});
     return;
   }
   if (msg.ttl <= 1) return;
@@ -937,34 +960,33 @@ void GroupCastNode::handle_ripple_query(const Envelope& envelope,
 
 void GroupCastNode::handle_ripple_hit(const Envelope& /*envelope*/,
                                       const RippleHitMsg& msg) {
-  auto& state = state_of(msg.group);
-  if (state.on_tree) return;
-  if (!state.search_pending) return;  // already joining via earlier hit
-  if (!attach_allowed(state, msg.holder, msg.depth)) {
+  TreeState* tree = find_tree(msg.group);
+  if (tree == nullptr || tree->on_tree()) return;
+  if (!tree->search_pending) return;  // already joining via earlier hit
+  if (!attach_allowed(*tree, msg.holder, msg.depth)) {
     return;  // keep waiting: a safe holder may still answer
   }
-  state.search_pending = false;
+  tree->search_pending = false;
   transport_->send(self_, msg.holder, JoinMsg{msg.group, self_});
 }
 
 ReliableEdge::Links* GroupCastNode::links(GroupId group) {
   if (!running_) return nullptr;
-  const auto it = groups_.find(group);
-  return it != groups_.end() ? &it->second : nullptr;
+  return find_tree(group);
 }
 
 overlay::PeerId GroupCastNode::upstream(
     const ReliableEdge::Links& links) const {
-  const auto& state = static_cast<const GroupState&>(links);
-  return state.on_tree && state.tree_parent != self_ ? state.tree_parent
-                                                     : overlay::kNoPeer;
+  // kNoPeer off the tree, and for the root.
+  const auto parent = static_cast<const TreeState&>(links).tree_parent;
+  return parent != self_ ? parent : overlay::kNoPeer;
 }
 
 void GroupCastNode::deliver(GroupId group, ReliableEdge::Links& links,
                             overlay::PeerId via,
                             const BufferedPayload& payload) {
-  auto& state = static_cast<GroupState&>(links);
-  if (!state.seen_payloads.insert(
+  auto& tree = static_cast<TreeState&>(links);
+  if (!tree.seen_payloads.insert(
           payload_key(payload.origin, payload.payload_id))) {
     trace::counters().incr(self_, trace::CounterId::kMessagesDropped);
     trace::tracer().emit(
@@ -977,7 +999,7 @@ void GroupCastNode::deliver(GroupId group, ReliableEdge::Links& links,
       now().as_micros(), trace::EventKind::kPayloadDelivered, self_, via,
       trace::pack_provenance(payload.origin, payload.payload_id,
                              payload.hops));
-  if (state.subscribed) {
+  if (tree.subscribed) {
     if (payload.chunk) {
       // Chunk delivery metrics are viewer-side: relays forward without
       // judging deadlines.
@@ -1006,68 +1028,70 @@ void GroupCastNode::deliver(GroupId group, ReliableEdge::Links& links,
   BufferedPayload forward = payload;
   forward.seq = 0;  // sequences are edge-local; assigned at transmit
   ++forward.hops;
-  if (state.tree_parent != self_ && state.tree_parent != via &&
-      state.tree_parent != overlay::kNoPeer) {
-    edges_.send(group, state, state.tree_parent, forward);
+  if (tree.tree_parent != self_ && tree.tree_parent != via &&
+      tree.tree_parent != overlay::kNoPeer) {
+    edges_.send(group, tree, tree.tree_parent, forward);
     trace::counters().incr(self_, trace::CounterId::kMessagesForwarded);
   }
-  for (const auto child : state.children) {
-    if (child == via) continue;
-    edges_.send(group, state, child, forward);
+  for (const auto& child : tree.children) {
+    if (child.peer == via) continue;
+    edges_.send(group, tree, child.peer, forward);
     trace::counters().incr(self_, trace::CounterId::kMessagesForwarded);
   }
 }
 
 void GroupCastNode::handle_leave(const Envelope& /*envelope*/,
                                  const LeaveMsg& msg) {
-  auto& state = state_of(msg.group);
-  erase_value(state.children, msg.child);
-  erase_value(state.pending_acks, msg.child);
-  state.child_last_seen.erase(msg.child);
-  edges_.drop(state, msg.child);
+  TreeState* tree = find_tree(msg.group);
+  if (tree == nullptr) return;  // no child to lose
+  drop_child(*tree, msg.child);
   // A pure relay whose last child left can leave too.
-  maybe_fold(msg.group, state);
+  maybe_fold(msg.group, *tree);
 }
 
 void GroupCastNode::handle_heartbeat(const Envelope& envelope,
                                      const HeartbeatMsg& msg) {
-  auto& state = state_of(msg.group);
-  const bool is_child =
-      std::find(state.children.begin(), state.children.end(),
-                envelope.from) != state.children.end();
-  if (!is_child) {
+  TreeState* tree = find_tree(msg.group);
+  auto* child = tree != nullptr ? tree->find_child(envelope.from) : nullptr;
+  if (child == nullptr) {
     // The sender believes we are its parent but we disagree (it was
     // pruned, or we dissolved): tell it to re-attach.
     transport_->send(self_, envelope.from, ParentLostMsg{msg.group});
     return;
   }
-  state.child_last_seen[envelope.from] = now();
+  child->last_seen = now();
   // While we recover our own position the depth is unknown; the ack still
   // keeps the child from declaring us dead.
   transport_->send(
       self_, envelope.from,
       HeartbeatAckMsg{msg.group,
-                      state.on_tree ? state.depth : kUnknownDepth,
-                      offered_backup(state)});
+                      tree->on_tree() ? tree->depth : kUnknownDepth,
+                      offered_backup(*tree)});
 }
 
 void GroupCastNode::handle_heartbeat_ack(const Envelope& envelope,
                                          const HeartbeatAckMsg& msg) {
-  auto& state = state_of(msg.group);
-  if (!state.on_tree || envelope.from != state.tree_parent) return;
-  state.parent_last_ack = now();
-  if (msg.depth != kUnknownDepth) state.depth = msg.depth + 1;
+  TreeState* tree = find_tree(msg.group);
+  if (tree == nullptr || !tree->on_tree() ||
+      envelope.from != tree->tree_parent) {
+    return;
+  }
+  tree->parent_last_ack = now();
+  if (msg.depth != kUnknownDepth) tree->depth = msg.depth + 1;
   if (options_.replication.enabled && msg.backup != self_) {
     // The parent's own parent may have changed since the join: every ack
     // refreshes the rung-0 backup.
-    state.backup_parent = msg.backup;
+    tree->backup_parent = msg.backup;
   }
 }
 
 void GroupCastNode::handle_parent_lost(const Envelope& envelope,
                                        const ParentLostMsg& msg) {
-  auto& state = state_of(msg.group);
-  if (!state.on_tree || envelope.from != state.tree_parent) return;
+  const TreeState* tree = find_tree(msg.group);
+  if (tree == nullptr || !tree->on_tree() ||
+      envelope.from != tree->tree_parent) {
+    return;
+  }
   begin_recovery(msg.group, envelope.from);
 }
 

@@ -37,7 +37,7 @@
 
 #include <memory>
 #include <optional>
-#include <unordered_map>
+#include <vector>
 
 #include "core/advertisement.h"
 #include "core/lease_replica.h"
@@ -173,11 +173,14 @@ class GroupCastNode : private ReliableEdge::Host, private LeaseReplica::Host {
   /// Sequence the reliable edge from `peer` expects next (0 when none).
   std::uint64_t expected_seq(GroupId group, overlay::PeerId peer) const;
   /// Estimated resident bytes of this node's protocol state: the object
-  /// itself plus per-group dynamic state (children, dedup sets), plus what
-  /// the data plane and the lease replica each report for themselves.
-  /// Container book-keeping is approximated with a fixed per-entry
-  /// overhead; feeds the bytes_per_peer gauge.
+  /// and its group table by capacity, each tree record with its vectors
+  /// and dedup tables by capacity, plus what the data plane and the lease
+  /// replica each report for themselves.  Feeds the bytes_per_peer gauge.
   std::size_t memory_bytes() const;
+  /// What this node holds for a group: nothing, the compact record of a
+  /// peer that heard of it, or that plus the tree record.
+  enum class Footprint : std::uint8_t { kNone, kCompact, kTree };
+  Footprint footprint(GroupId group) const;
 
   // ------------------------------------------- replication inspection
   /// True if this node is in the group's replication member set (the
@@ -203,24 +206,39 @@ class GroupCastNode : private ReliableEdge::Host, private LeaseReplica::Host {
   enum class Rung : std::uint8_t { kBackup, kAdvertParent, kRipple,
                                    kRendezvous };
 
-  /// Everything this node knows about one group.  The group's reliable
-  /// edges are its base, so the data plane's call-backs hand the record
-  /// straight back.
-  struct GroupState : ReliableEdge::Links {
-    overlay::PeerId rendezvous = overlay::kNoPeer;
-    overlay::PeerId advert_parent = overlay::kNoPeer;  // self at rendezvous
-    bool has_advert = false;
+  /// The tree half of a group record: everything a peer needs once it
+  /// takes a tree role (root, relay, child, or the parent of a deferred
+  /// join) or starts a ladder.  Most peers that hear of a group never do
+  /// (docs/PERFORMANCE.md, "Sharded execution & memory budget"), so it is
+  /// heap-held and created on that first use, then kept for the node's
+  /// lifetime: a folded peer's edge epochs, payload dedup and search round
+  /// must outlive the fold.  The group's reliable edges are its base, so
+  /// the data plane's call-backs hand the record straight back.
+  struct TreeState : ReliableEdge::Links {
+    /// A tree child and when its last join or heartbeat arrived.
+    struct Child {
+      overlay::PeerId peer = overlay::kNoPeer;
+      sim::SimTime last_seen;
+    };
+
+    /// On the tree exactly while a parent is set (self at the root).
+    bool on_tree() const { return tree_parent != overlay::kNoPeer; }
+    Child* find_child(overlay::PeerId peer) {
+      for (auto& child : children) {
+        if (child.peer == peer) return &child;
+      }
+      return nullptr;
+    }
+
     bool subscribed = false;
-    bool on_tree = false;
     bool search_pending = false;
     overlay::PeerId tree_parent = overlay::kNoPeer;
     std::uint32_t depth = kUnknownDepth;
-    std::vector<overlay::PeerId> children;
-    // Flat open-addressing dedup tables: one 8-byte slot per entry
-    // instead of a heap node each (util/flat_set.h); these grow with
-    // every payload seen, so they dominate a long run's per-peer bytes.
+    std::vector<Child> children;  // in join order
+    // Flat open-addressing dedup table: one 8-byte slot per entry instead
+    // of a heap node each (util/flat_set.h); it grows with every payload
+    // seen, so it dominates a long run's per-peer bytes.
     util::FlatSet64 seen_payloads;
-    util::FlatSet64 seen_queries;  // origin<<32 | round
 
     // --- retry ladder (subscribe + orphan recovery share it) ---
     ReliableExchange::Token exchange = ReliableExchange::kNoToken;
@@ -240,7 +258,6 @@ class GroupCastNode : private ReliableEdge::Host, private LeaseReplica::Host {
     // --- tree-edge heartbeats ---
     bool heartbeat_scheduled = false;
     sim::SimTime parent_last_ack;
-    std::unordered_map<overlay::PeerId, sim::SimTime> child_last_seen;
     /// Adaptive detection: EWMA of per-window heartbeat-ack misses toward
     /// the current parent (sampled each tick a probe was outstanding),
     /// and the probe bookkeeping that feeds it.  Reset on re-attach.
@@ -253,6 +270,19 @@ class GroupCastNode : private ReliableEdge::Host, private LeaseReplica::Host {
     /// Rung-0 attach target: this node's grandparent, as last offered on
     /// a Join/Heartbeat ack (kNoPeer with replication off).
     overlay::PeerId backup_parent = overlay::kNoPeer;
+  };
+
+  /// What every peer that hears of a group keeps: 64 bytes, where the
+  /// tree record it usually never needs is 440.
+  struct GroupRecord {
+    GroupId group = 0;
+    overlay::PeerId rendezvous = overlay::kNoPeer;
+    overlay::PeerId advert_parent = overlay::kNoPeer;  // self at rendezvous
+    util::FlatSet64 seen_queries;  // origin<<32 | round
+    std::unique_ptr<TreeState> tree;  // null until the first tree role
+
+    bool has_advert() const { return advert_parent != overlay::kNoPeer; }
+    bool on_tree() const { return tree != nullptr && tree->on_tree(); }
   };
 
   /// Shared teardown behind stop() / crash().
@@ -281,7 +311,9 @@ class GroupCastNode : private ReliableEdge::Host, private LeaseReplica::Host {
   overlay::PeerId upstream(const ReliableEdge::Links& links) const override;
 
   // --- LeaseReplica::Host ---
-  ReplState& replica(GroupId group) override { return state_of(group).repl; }
+  /// A replication member keeps its replica state in its tree record,
+  /// created on the first lease message or group creation.
+  ReplState& replica(GroupId group) override { return tree_of(group).repl; }
   /// Makes this node the group's acting tree root (leaving any current
   /// parent, refreshing children) — the tree half of a committed handoff.
   void root_self(GroupId group) override;
@@ -293,28 +325,32 @@ class GroupCastNode : private ReliableEdge::Host, private LeaseReplica::Host {
   // --- tree position ---
   /// A pure relay (unsubscribed, childless, not the root) leaves the tree:
   /// tells its parent and forgets the edge.  No-op for any other node.
-  void maybe_fold(GroupId group, GroupState& state);
+  void maybe_fold(GroupId group, TreeState& tree);
   /// After (re)gaining a depth: acks the joins deferred while unattached
   /// (each with a fresh reliable edge) and pushes the depth to the other
   /// children, so descendant depths converge in one round.
-  void ack_children(GroupId group, GroupState& state);
+  void ack_children(GroupId group, TreeState& tree);
   /// The grandparent this node offers children as a rung-0 backup: its
   /// own tree parent, or kNoPeer when it is the root / replication is off
   /// (a root's child has no live grandparent to fall back on).
-  overlay::PeerId offered_backup(const GroupState& state) const;
+  overlay::PeerId offered_backup(const TreeState& tree) const;
+  /// Forgets a child: its tree edge, any deferred ack and its reliable
+  /// edges.
+  void drop_child(TreeState& tree, overlay::PeerId child);
 
   // --- retry ladder ---
   /// Starts (or restarts) the ladder at its first applicable rung.
   void start_ladder(GroupId group);
   /// True if the advert parent is a usable first regular rung.
-  bool advert_rung_ok(const GroupState& state) const;
+  /// Requires the record's tree.
+  bool advert_rung_ok(const GroupRecord& record) const;
   /// Opens the reliable exchange for the current rung.
   void run_rung(GroupId group);
   /// Current rung exhausted its attempts: next rung or terminal failure.
   void advance_rung(GroupId group);
   void terminal_failure(GroupId group);
   /// True if the ladder may attach under `target` at `target_depth`.
-  bool attach_allowed(const GroupState& state, overlay::PeerId target,
+  bool attach_allowed(const TreeState& tree, overlay::PeerId target,
                       std::uint32_t target_depth) const;
   /// Successful attach bookkeeping shared by every ack path.  `backup` is
   /// the grandparent the acking parent offered for rung 0 (kNoPeer when
@@ -332,7 +368,19 @@ class GroupCastNode : private ReliableEdge::Host, private LeaseReplica::Host {
   /// The parent is gone: become an orphan and re-run the ladder.
   void begin_recovery(GroupId group, overlay::PeerId dead_parent);
 
-  GroupState& state_of(GroupId group) { return groups_[group]; }
+  // --- the group table ---
+  /// The group's record, or nullptr.  Lookup never inserts: a message
+  /// for a group without a record is handled as if by a default record.
+  GroupRecord* find(GroupId group);
+  const GroupRecord* find(GroupId group) const;
+  TreeState* find_tree(GroupId group);
+  const TreeState* find_tree(GroupId group) const;
+  /// The group's record, created compact on first use (hearing an advert
+  /// or a ripple query, creating or subscribing to the group).
+  GroupRecord& record(GroupId group);
+  /// The group's tree record, created on first use.
+  TreeState& tree_of(GroupRecord& record);
+  TreeState& tree_of(GroupId group) { return tree_of(record(group)); }
   sim::SimTime now() const;
 
   overlay::PeerId self_;
@@ -351,7 +399,11 @@ class GroupCastNode : private ReliableEdge::Host, private LeaseReplica::Host {
   /// forwarding decision, kept for the node's lifetime.
   std::optional<double> resource_level_;
   SharedTick heartbeats_;
-  std::unordered_map<GroupId, GroupState> groups_;
+  /// Flat: a node is in a handful of groups, so a scan beats hashing and
+  /// costs no per-entry node.  Records move when the table grows; tree
+  /// records do not, so code that calls back into the application keeps
+  /// hold of the tree record only.
+  std::vector<GroupRecord> groups_;
   DataCallback data_callback_;
   ChunkCallback chunk_callback_;
   SubscribeCallback subscribe_callback_;

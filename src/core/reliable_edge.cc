@@ -655,8 +655,8 @@ std::size_t ReliableEdge::memory_bytes(const Links& links) {
   std::size_t bytes = 0;
   for (const auto& [peer, tx] : links.tx_edges) {
     bytes += kContainerEntryBytes + sizeof(overlay::PeerId) + sizeof(EdgeTx);
-    bytes += tx.buffer.size() * sizeof(BufferedPayload);
-    bytes += tx.pending.size() * sizeof(BufferedPayload);
+    bytes += (tx.buffer.capacity() + tx.pending.capacity()) *
+             sizeof(BufferedPayload);
   }
   for (const auto& [peer, rx] : links.rx_edges) {
     bytes += kContainerEntryBytes + sizeof(overlay::PeerId) + sizeof(EdgeRx);

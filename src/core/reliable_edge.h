@@ -14,17 +14,17 @@
 // DataMsg / epoch-0 ChunkMsg path.
 //
 // The node owns the tree.  Per-group edge state (Links) lives inside the
-// node's own per-group record, so no message pays a second lookup.  Two
+// node's own per-group tree record, so no message pays a second lookup.  Two
 // call-backs reach back into the node: delivering an in-order payload,
 // and naming the tree parent a throttle signal goes to.  The timers also
 // look a group's links up again when they fire.
 #pragma once
 
-#include <deque>
 #include <map>
 
 #include "core/transport.h"
 #include "sim/simulator.h"
+#include "util/ring_buffer.h"
 #include "util/rng.h"
 
 namespace groupcast::core {
@@ -118,19 +118,21 @@ struct BufferedPayload {
 /// Sender half of one directed reliable edge.  The buffer holds
 /// contiguous sequences [front.seq, next_seq): pushes append next_seq and
 /// pops come off the front (cumulative ack or capacity), so a NACKed
-/// sequence is found by index, not search.
+/// sequence is found by index, not search.  Both queues are ring buffers
+/// that allocate nothing until their first push, so an idle edge (a
+/// tombstone, or a child that never gets data) costs only sizeof(EdgeTx).
 struct EdgeTx {
   std::uint32_t epoch = 0;
   std::uint64_t next_seq = 0;
   std::uint64_t cum_acked = 0;
-  std::deque<BufferedPayload> buffer;
+  util::RingBuffer<BufferedPayload> buffer;
   sim::TimerHandle probe_timer;
   std::size_t probe_rounds = 0;
   std::uint64_t acked_at_last_probe = 0;
   /// Flow control: payloads waiting for window space (seq assigned at
   /// drain time, so wire sequences stay contiguous), and whether the
   /// receiver asked us to pause (its own downstream edge is blocked).
-  std::deque<BufferedPayload> pending;
+  util::RingBuffer<BufferedPayload> pending;
   bool peer_throttled = false;
   /// Lifetime peak of `buffer` on this directed edge; the
   /// kSendBufferHighWater counter mirrors it via delta increments.
@@ -167,7 +169,7 @@ struct EdgeRx {
 class ReliableEdge {
  public:
   /// Every reliable edge of one group at this node.  The host embeds it
-  /// in its per-group record (as a base, so a call-back can hand the
+  /// in its per-group tree record (as a base, so a call-back can hand the
   /// record back without a lookup).
   struct Links {
     /// Outbound edges of this group whose window is currently closed
@@ -243,7 +245,8 @@ class ReliableEdge {
   static std::size_t pending_depth(const Links& links, overlay::PeerId peer);
   static std::uint64_t expected_seq(const Links& links, overlay::PeerId peer);
   /// Estimated bytes of the group's edges, buffers and stashes beyond
-  /// sizeof(Links) (feeds the bytes_per_peer gauge).
+  /// sizeof(Links): ring buffers by capacity, map nodes with a fixed
+  /// per-entry overhead (feeds the bytes_per_peer gauge).
   static std::size_t memory_bytes(const Links& links);
 
  private:

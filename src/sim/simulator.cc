@@ -203,34 +203,67 @@ void Simulator::migrate_overflow() {
   }
 }
 
-bool Simulator::next_event_time(std::int64_t& when_us) {
-  migrate_overflow();
-  for (int level = 0; level < kLevels; ++level) {
+bool Simulator::first_occupied(int& level, int& slot) const {
+  for (level = 0; level < kLevels; ++level) {
     const int pos =
         static_cast<int>((cursor_us_ >> (kSlotBits * level)) & (kSlots - 1));
     const std::uint64_t mask = occupied_[level] >> pos;
     if (mask == 0) continue;
-    const int slot = pos + std::countr_zero(mask);
-    if (level == 0) {
-      // A level-0 slot is one microsecond wide; its start IS the time.
-      when_us = (cursor_us_ & ~std::int64_t{kSlots - 1}) | slot;
-      return true;
-    }
-    // Upper-level slots span many microseconds: scan the chain for the
-    // true minimum.  No cross-level comparison is needed — every event
-    // in a higher level lies beyond the end of this level's window.
-    std::int64_t best = -1;
-    for (std::uint32_t index = heads_[level][slot]; index != kNil;
-         index = nodes_[index].next) {
-      const std::int64_t candidate = nodes_[index].when.as_micros();
-      if (best < 0 || candidate < best) best = candidate;
-    }
-    when_us = best;
+    slot = pos + std::countr_zero(mask);
     return true;
   }
-  if (!overflow_.empty()) {
+  return false;
+}
+
+std::int64_t Simulator::slot_start(int level, int slot) const {
+  const int shift = kSlotBits * level;
+  const std::int64_t above = ~((std::int64_t{1} << (shift + kSlotBits)) - 1);
+  return (cursor_us_ & above) | (static_cast<std::int64_t>(slot) << shift);
+}
+
+bool Simulator::next_event_time(std::int64_t& when_us) {
+  migrate_overflow();
+  int level = 0;
+  int slot = 0;
+  if (!first_occupied(level, slot)) {
+    if (overflow_.empty()) return false;
     when_us = overflow_.front().when_us;  // beyond the wheel horizon
     return true;
+  }
+  if (level == 0) {
+    // A level-0 slot is one microsecond wide; its start IS the time.
+    when_us = slot_start(0, slot);
+    return true;
+  }
+  // Upper-level slots span many microseconds: scan the chain for the
+  // true minimum.  No cross-level comparison is needed — every event in a
+  // higher level lies beyond the end of this level's window.
+  std::int64_t best = -1;
+  for (std::uint32_t index = heads_[level][slot]; index != kNil;
+       index = nodes_[index].next) {
+    const std::int64_t candidate = nodes_[index].when.as_micros();
+    if (best < 0 || candidate < best) best = candidate;
+  }
+  when_us = best;
+  return true;
+}
+
+bool Simulator::event_due(std::int64_t deadline_us) {
+  migrate_overflow();
+  int level = 0;
+  int slot = 0;
+  if (!first_occupied(level, slot)) {
+    return !overflow_.empty() && overflow_.front().when_us <= deadline_us;
+  }
+  // The earliest events lie in [start, end]; only a deadline strictly
+  // inside an upper-level slot needs its chain.
+  const std::int64_t start = slot_start(level, slot);
+  const std::int64_t end = start + (std::int64_t{1} << (kSlotBits * level)) - 1;
+  if (end <= deadline_us) return true;
+  if (start > deadline_us) return false;
+  for (std::uint32_t index = heads_[level][slot]; index != kNil;
+       index = nodes_[index].next) {
+    if (nodes_[index].when.as_micros() <= deadline_us) return true;
   }
   return false;
 }
@@ -238,18 +271,9 @@ bool Simulator::next_event_time(std::int64_t& when_us) {
 bool Simulator::prepare_batch() {
   for (;;) {
     migrate_overflow();
-    int found_level = -1;
+    int found_level = 0;
     int found_slot = 0;
-    for (int level = 0; level < kLevels; ++level) {
-      const int pos = static_cast<int>((cursor_us_ >> (kSlotBits * level)) &
-                                       (kSlots - 1));
-      const std::uint64_t mask = occupied_[level] >> pos;
-      if (mask == 0) continue;
-      found_level = level;
-      found_slot = pos + std::countr_zero(mask);
-      break;
-    }
-    if (found_level < 0) {
+    if (!first_occupied(found_level, found_slot)) {
       if (overflow_.empty()) return false;
       // Wheel empty: jump the cursor straight to the heap minimum (no
       // queued event constrains it) and let migration pull entries in.
@@ -257,8 +281,7 @@ bool Simulator::prepare_batch() {
       continue;
     }
     if (found_level == 0) {
-      const std::int64_t batch_us =
-          (cursor_us_ & ~std::int64_t{kSlots - 1}) | found_slot;
+      const std::int64_t batch_us = slot_start(0, found_slot);
       cursor_us_ = batch_us;
       drain_.clear();
       drain_pos_ = 0;
@@ -282,10 +305,7 @@ bool Simulator::prepare_batch() {
     }
     // Cascade: advance the cursor to the slot's start and re-bin the
     // chain one or more levels down.
-    const int shift = kSlotBits * found_level;
-    const std::int64_t above = ~((std::int64_t{1} << (shift + kSlotBits)) - 1);
-    cursor_us_ = (cursor_us_ & above) |
-                 (static_cast<std::int64_t>(found_slot) << shift);
+    cursor_us_ = slot_start(found_level, found_slot);
     std::uint32_t index = heads_[found_level][found_slot];
     heads_[found_level][found_slot] = kNil;
     occupied_[found_level] &= ~(std::uint64_t{1} << found_slot);
@@ -358,8 +378,7 @@ std::size_t Simulator::run_until(SimTime deadline) {
   const bool tracing = tracer.enabled();
   std::size_t fired = 0;
   while (live_ > 0) {
-    std::int64_t when_us = 0;
-    if (!next_event_time(when_us) || when_us > deadline.as_micros()) break;
+    if (!event_due(deadline.as_micros())) break;
     if (!prepare_batch()) break;
     fired += fire_batch(tracer, tracing);
   }

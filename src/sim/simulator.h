@@ -210,9 +210,20 @@ class Simulator {
   void unlink_from_wheel(EventNode& node, std::uint32_t index);
   /// Moves overflow entries that now fit the wheel horizon into the wheel.
   void migrate_overflow();
+  /// The first occupied wheel slot at or after the cursor, lowest level
+  /// first; false when the wheel is empty (the overflow heap may not be).
+  bool first_occupied(int& level, int& slot) const;
+  /// Earliest time a slot of `level` at index `slot` covers, given the
+  /// cursor (the slot spans 2^(6 * level) microseconds from there).
+  std::int64_t slot_start(int level, int slot) const;
   /// Earliest pending event time; false when nothing is queued.  Does not
-  /// advance the wheel cursor (safe to call from run_until peeks).
+  /// advance the wheel cursor.
   bool next_event_time(std::int64_t& when_us);
+  /// True when a pending event is due at or before `deadline_us` — the
+  /// run_until test.  Exact like next_event_time, but an upper-level slot
+  /// lying wholly on one side of the deadline is decided without walking
+  /// its chain.
+  bool event_due(std::int64_t deadline_us);
   /// Cascades upper wheel levels until the earliest pending events sit in
   /// a level-0 slot, then pulls that slot into drain order.  Returns false
   /// when nothing is queued.  Advances the cursor to the batch time.

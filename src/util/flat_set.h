@@ -42,9 +42,10 @@ class FlatSet64 {
   std::size_t size() const { return size_ + (has_empty_key_ ? 1 : 0); }
   bool empty() const { return size() == 0; }
 
-  /// Retained bytes: the slot array is the whole footprint.
+  /// Retained bytes beyond sizeof(*this): the slot array (none until the
+  /// first insert).
   std::size_t memory_bytes() const {
-    return sizeof(*this) + slots_.capacity() * sizeof(std::uint64_t);
+    return slots_.capacity() * sizeof(std::uint64_t);
   }
 
  private:

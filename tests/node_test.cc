@@ -6,6 +6,8 @@
 #include <algorithm>
 #include <map>
 #include <memory>
+#include <variant>
+#include <vector>
 
 #include "core/node.h"
 #include "overlay/bootstrap.h"
@@ -293,6 +295,86 @@ TEST(Node, RelayChainCollapsesAfterLastChildLeaves) {
     EXPECT_TRUE(d.nodes[relay]->tree_children(6).empty() ||
                 d.nodes[relay]->on_tree(6));
   }
+}
+
+// ------------------------------------------------------- group records
+
+using Footprint = GroupCastNode::Footprint;
+
+TEST(Node, MessagesForAnUnknownGroupLeaveNoRecord) {
+  NodeOptions options;
+  options.reliability.enabled = true;
+  options.reliability.flow_control = true;
+  NodeDeployment d(16, 61, 0.0, options);
+  // Peer 1 becomes a bare endpoint that records what peer 0 answers.
+  d.nodes[1]->stop();
+  std::vector<Envelope> answers;
+  d.transport.register_node(1,
+                            [&](const Envelope& e) { answers.push_back(e); });
+  constexpr GroupId kUnknown = 77;
+  d.transport.send(1, 0, HeartbeatMsg{kUnknown});
+  d.transport.send(1, 0, DataAckMsg{kUnknown, 1, 5});
+  d.transport.send(1, 0, FlowControlMsg{kUnknown, true});
+  d.simulator.run();
+  // The heartbeat is answered as by a peer that disagrees it is the
+  // parent; the ack and the throttle find no edge and stay silent.
+  ASSERT_EQ(answers.size(), 1u);
+  EXPECT_EQ(answers[0].from, 0u);
+  const auto* lost = std::get_if<ParentLostMsg>(&answers[0].body);
+  ASSERT_NE(lost, nullptr);
+  EXPECT_EQ(lost->group, kUnknown);
+  EXPECT_EQ(d.nodes[0]->footprint(kUnknown), Footprint::kNone);
+}
+
+TEST(Node, OnlyTreePeersHoldTreeRecords) {
+  NodeDeployment d(48, 23);
+  d.nodes[0]->create_group(1);
+  d.simulator.run();
+  // After the flood, every advert holder but the root is a compact record.
+  std::size_t relays = 0;
+  for (PeerId p = 1; p < d.nodes.size(); ++p) {
+    const bool heard = d.nodes[p]->has_advertisement(1);
+    relays += heard ? 1 : 0;
+    EXPECT_EQ(d.nodes[p]->footprint(1),
+              heard ? Footprint::kCompact : Footprint::kNone)
+        << "peer " << p;
+  }
+  ASSERT_GT(relays, 0u);
+  EXPECT_EQ(d.nodes[0]->footprint(1), Footprint::kTree);
+  // A subscription gives tree records to the subscriber and the relays
+  // its join climbs through, and to no one else.
+  d.nodes[40]->subscribe(1);
+  d.simulator.run();
+  ASSERT_TRUE(d.nodes[40]->is_subscribed(1));
+  std::size_t trees = 0;
+  for (PeerId p = 0; p < d.nodes.size(); ++p) {
+    const bool tree = d.nodes[p]->footprint(1) == Footprint::kTree;
+    trees += tree ? 1 : 0;
+    EXPECT_EQ(tree, d.nodes[p]->on_tree(1)) << "peer " << p;
+  }
+  EXPECT_LT(trees, relays);
+}
+
+TEST(Node, SubscriberFoldedOffTheTreeKeepsItsRecord) {
+  NodeDeployment d(64, 47);
+  d.nodes[0]->create_group(5);
+  d.simulator.run();
+  PeerId leaf = 1;
+  while (!d.nodes[leaf]->has_advertisement(5)) ++leaf;
+  d.nodes[leaf]->subscribe(5);
+  d.simulator.run();
+  ASSERT_TRUE(d.nodes[leaf]->is_subscribed(5));
+  ASSERT_TRUE(d.nodes[leaf]->tree_children(5).empty());
+  d.nodes[leaf]->unsubscribe(5);
+  d.simulator.run();
+  EXPECT_FALSE(d.nodes[leaf]->on_tree(5));
+  // The fold keeps the advert (so a re-subscribe climbs the reverse path
+  // again) and the tree record (edge epochs and payload dedup).
+  EXPECT_TRUE(d.nodes[leaf]->has_advertisement(5));
+  EXPECT_EQ(d.nodes[leaf]->footprint(5), Footprint::kTree);
+  d.nodes[leaf]->subscribe(5);
+  d.simulator.run();
+  EXPECT_TRUE(d.nodes[leaf]->is_subscribed(5));
 }
 
 TEST(Node, DuplicatePayloadsSuppressed) {

@@ -119,6 +119,34 @@ TEST(TimerWheel, RunUntilFiresDeadlineEventsAndKeepsLaterOnes) {
   EXPECT_EQ(fired, (std::vector<std::uint64_t>{1, 2, 3}));
 }
 
+TEST(TimerWheel, RunUntilDeadlineInsideAnUpperLevelSlot) {
+  // From cursor 0, 100 us and 120 us share level-1 slot 1, which spans
+  // [64, 127]; 5000 us sits in a level-2 slot.
+  Simulator simulator;
+  std::vector<std::uint64_t> fired;
+  simulator.schedule_timer(SimTime::micros(120), &push_arg, &fired, 2);
+  simulator.schedule_timer(SimTime::micros(100), &push_arg, &fired, 1);
+  simulator.schedule_timer(SimTime::micros(5000), &push_arg, &fired, 3);
+  std::int64_t next_us = 0;
+  ASSERT_TRUE(simulator.peek_next_event(next_us));
+  EXPECT_EQ(next_us, 100);  // the peek stays exact
+  // Deadline inside the slot but before its earliest event: nothing fires.
+  EXPECT_EQ(simulator.run_until(SimTime::micros(90)), 0u);
+  EXPECT_EQ(simulator.now(), SimTime::micros(90));
+  // Deadline inside the slot between its two events: only the first fires.
+  EXPECT_EQ(simulator.run_until(SimTime::micros(110)), 1u);
+  EXPECT_EQ(fired, (std::vector<std::uint64_t>{1}));
+  EXPECT_EQ(simulator.now(), SimTime::micros(110));
+  // Deadline before a whole upper-level slot: it stays queued.
+  EXPECT_EQ(simulator.run_until(SimTime::micros(4000)), 1u);
+  EXPECT_EQ(fired, (std::vector<std::uint64_t>{1, 2}));
+  EXPECT_EQ(simulator.pending(), 1u);
+  // Deadline past the slot's end: it fires without a chain walk.
+  EXPECT_EQ(simulator.run_until(SimTime::micros(9000)), 1u);
+  EXPECT_EQ(fired, (std::vector<std::uint64_t>{1, 2, 3}));
+  EXPECT_EQ(simulator.now(), SimTime::micros(9000));
+}
+
 TEST(TimerWheel, OverflowHorizonEventsFireInOrder) {
   // ~19.1 simulated hours fit the wheel (2^36 us); park events past the
   // horizon in the overflow heap, mix in near events, and check global

@@ -1,10 +1,12 @@
-// Unit tests for util: RNG determinism and statistics, distributions.
+// Unit tests for util: RNG determinism and statistics, distributions,
+// the ring buffer.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "util/distributions.h"
 #include "util/require.h"
+#include "util/ring_buffer.h"
 #include "util/rng.h"
 #include "util/stats.h"
 
@@ -297,6 +299,94 @@ TEST(Require, MacrosThrowTypedErrors) {
   EXPECT_THROW(GC_ENSURE(false), InvariantError);
   EXPECT_NO_THROW(GC_REQUIRE(true));
   EXPECT_NO_THROW(GC_ENSURE(true));
+}
+
+TEST(RingBuffer, AllocatesNothingBeforeTheFirstPush) {
+  RingBuffer<int> ring;
+  EXPECT_EQ(ring.capacity(), 0u);
+  EXPECT_TRUE(ring.empty());
+  ring.push_back(7);
+  EXPECT_GT(ring.capacity(), 0u);
+  EXPECT_EQ(ring.front(), 7);
+}
+
+TEST(RingBuffer, PushPopAcrossWrapAroundKeepsFifoOrder) {
+  RingBuffer<int> ring;
+  for (int i = 0; i < 4; ++i) ring.push_back(i);
+  const std::size_t capacity = ring.capacity();
+  // Steady push-one-pop-one walks the head around the array several
+  // times without growing it.
+  int next_in = 4;
+  for (int expected = 0; expected < 20; ++expected) {
+    ASSERT_EQ(ring.front(), expected);
+    ring.pop_front();
+    ring.push_back(next_in++);
+    ASSERT_EQ(ring.size(), 4u);
+  }
+  EXPECT_EQ(ring.capacity(), capacity);
+  // Growing while wrapped keeps the order.
+  for (int i = 0; i < 9; ++i) ring.push_back(next_in++);
+  EXPECT_GT(ring.capacity(), capacity);
+  for (int expected = 20; expected < next_in; ++expected) {
+    ASSERT_EQ(ring.front(), expected);
+    ring.pop_front();
+  }
+  EXPECT_TRUE(ring.empty());
+}
+
+TEST(RingBuffer, IndexCountsFromTheFrontAfterAWrap) {
+  RingBuffer<int> ring;
+  for (int i = 0; i < 4; ++i) ring.push_back(i);
+  ring.pop_front();
+  ring.pop_front();
+  ring.push_back(4);
+  ring.push_back(5);  // wraps into the slots the pops freed
+  ASSERT_EQ(ring.size(), 4u);
+  for (std::size_t i = 0; i < ring.size(); ++i) {
+    EXPECT_EQ(ring[i], static_cast<int>(i) + 2);
+  }
+  ring[1] = 30;
+  const auto& view = ring;
+  EXPECT_EQ(view[1], 30);
+}
+
+TEST(RingBuffer, ClearEmptiesAndKeepsTheAllocation) {
+  RingBuffer<int> ring;
+  for (int i = 0; i < 6; ++i) ring.push_back(i);
+  ring.pop_front();
+  const std::size_t capacity = ring.capacity();
+  ring.clear();
+  EXPECT_TRUE(ring.empty());
+  EXPECT_EQ(ring.capacity(), capacity);
+  ring.push_back(9);
+  EXPECT_EQ(ring.size(), 1u);
+  EXPECT_EQ(ring.front(), 9);
+  EXPECT_THROW(RingBuffer<int>{}.pop_front(), PreconditionError);
+}
+
+TEST(RingBuffer, CopiesAreIndependentAndMovesLeaveAnEmptySource) {
+  RingBuffer<int> ring;
+  for (int i = 0; i < 5; ++i) ring.push_back(i);
+  ring.pop_front();  // head off zero, so copies must respect it
+  RingBuffer<int> copy = ring;
+  copy.push_back(99);
+  EXPECT_EQ(ring.size(), 4u);
+  ASSERT_EQ(copy.size(), 5u);
+  for (std::size_t i = 0; i < 4; ++i) EXPECT_EQ(copy[i], ring[i]);
+  EXPECT_EQ(copy[4], 99);
+
+  RingBuffer<int> moved = std::move(ring);
+  ASSERT_EQ(moved.size(), 4u);
+  EXPECT_EQ(moved.front(), 1);
+  EXPECT_TRUE(ring.empty());
+  EXPECT_EQ(ring.capacity(), 0u);
+  ring.push_back(5);  // a moved-from buffer is usable again
+  EXPECT_EQ(ring.front(), 5);
+
+  copy = std::move(moved);
+  ASSERT_EQ(copy.size(), 4u);
+  EXPECT_EQ(copy[3], 4);
+  EXPECT_TRUE(moved.empty());
 }
 
 }  // namespace
