@@ -82,7 +82,8 @@ int main(int argc, char** argv) {
                 "edges (requires --reliable)",
                 "false");
   flags.declare("window",
-                "recovery: sender window per reliable edge, in sequences",
+                "recovery: sender window per reliable edge, in sequences "
+                "(requires --flow-control)",
                 "32");
   flags.declare("adaptive",
                 "recovery/streaming: adaptive failure detection and NACK "
@@ -271,6 +272,7 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
+  const bool window_set = flags.get_int("window") != 32;
   if (!config.recovery.enabled) {
     // Recovery-only flags: the streaming harness and the engine pipeline
     // have no churn, replication or partition phase.
@@ -279,12 +281,29 @@ int main(int argc, char** argv) {
     if (config.recovery.graceful_fraction != 0.0) stray = "--graceful";
     if (config.recovery.replication) stray = "--replicas";
     if (config.recovery.partition_seconds != 0.0) stray = "--partition";
+    if (window_set) stray = "--window";
     if (stray != nullptr) {
       std::fprintf(stderr,
                    "sim_driver: %s only takes effect with --recovery\n",
                    stray);
       return 2;
     }
+  }
+  // Flags that refine another flag's feature: alone they do nothing.
+  const char* stray_refinement = nullptr;
+  const char* required = nullptr;
+  if (window_set && (runtime == nullptr || !runtime->flow_control)) {
+    stray_refinement = "--window";
+    required = "--flow-control";
+  }
+  if (flags.get_double("lease-ms") != 500.0 && !config.recovery.replication) {
+    stray_refinement = "--lease-ms";
+    required = "--replicas";
+  }
+  if (stray_refinement != nullptr) {
+    std::fprintf(stderr, "sim_driver: %s only takes effect with %s\n",
+                 stray_refinement, required);
+    return 2;
   }
   if (runtime != nullptr && runtime->flow_control && !runtime->reliable_data) {
     std::fprintf(stderr,

@@ -7,8 +7,8 @@
 #            and data-plane tests (everything that crosses the
 #            run_scenario_grid worker pool).
 #  3. fault: the churn-recovery sweep (bench_churn_recovery --jobs=4)
-#            under ASan, exercising crashes, partitions, burst loss and
-#            the NACK/retransmit data plane end to end.
+#            under ASan, exercising crashes, partitions and the
+#            NACK/retransmit data plane end to end.
 #  4. perf:  a Release build of bench_micro measures event-loop throughput
 #            (--json_out) and scripts/perf_gate.cmake fails the run if
 #            events/sec regressed >25% against bench/baselines/.

@@ -72,18 +72,6 @@ void FaultInjector::arm(CrashHook on_crash) {
                            trace::kNoNode, trace::kNoNode, 2);
     });
   }
-  for (const auto& burst : plan_.bursts) {
-    simulator.schedule_at(burst.begin, [this] {
-      trace::tracer().emit(transport_->simulator().now().as_micros(),
-                           trace::EventKind::kFaultInjected,
-                           trace::kNoNode, trace::kNoNode, 3);
-    });
-    simulator.schedule_at(burst.end, [this] {
-      trace::tracer().emit(transport_->simulator().now().as_micros(),
-                           trace::EventKind::kFaultInjected,
-                           trace::kNoNode, trace::kNoNode, 4);
-    });
-  }
 }
 
 bool FaultInjector::blocked(overlay::PeerId from, overlay::PeerId to,
@@ -98,10 +86,6 @@ bool FaultInjector::blocked(overlay::PeerId from, overlay::PeerId to,
     }
   }
   return false;
-}
-
-double FaultInjector::extra_loss(sim::SimTime now) const {
-  return sim::burst_loss(plan_, now);
 }
 
 }  // namespace groupcast::core

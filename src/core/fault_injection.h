@@ -3,7 +3,7 @@
 // A FaultInjector binds a sim::FaultPlan to a live deployment: it arms the
 // plan's crash events on the simulator (invoking a crash hook that stops
 // the victim node) and implements the Transport's FaultFilter so partition
-// windows and burst-loss intervals act on every send.  All decisions are
+// windows act on every send.  All decisions are
 // pure functions of the plan and the simulation clock, so a given
 // (seed, plan) pair always yields the identical fault sequence.
 #pragma once
@@ -49,12 +49,9 @@ class FaultInjector final : public FaultFilter {
     return crashed_;
   }
 
-  const sim::FaultPlan& plan() const { return plan_; }
-
   // FaultFilter:
   bool blocked(overlay::PeerId from, overlay::PeerId to,
                sim::SimTime now) const override;
-  double extra_loss(sim::SimTime now) const override;
 
  private:
   sim::FaultPlan plan_;

@@ -45,11 +45,9 @@ RetryPolicy lease_retry(const ReplicationOptions& options) {
   GC_REQUIRE_MSG(options.replicas >= 1, "replication.replicas must be >= 1");
   GC_REQUIRE_MSG(options.lease_interval > sim::SimTime::zero(),
                  "replication.lease_interval must be positive");
-  GC_REQUIRE_MSG(options.lease_duration > options.lease_interval,
-                 "replication.lease_duration must exceed the renewal interval");
   RetryPolicy policy;
   policy.base_timeout = options.lease_interval;
-  policy.max_timeout = options.lease_duration;
+  policy.max_timeout = options.lease_interval * kLeaseIntervals;
   return policy;
 }
 }  // namespace
@@ -158,7 +156,7 @@ void LeaseReplica::tick(GroupId group) {
         std::find(repl.members.begin(), repl.members.end(), self_) -
         repl.members.begin());
     const auto patience =
-        options_->lease_duration + options_->lease_interval * rank;
+        options_->lease_interval * (kLeaseIntervals + rank);
     if (now() - repl.last_lease_seen > patience) {
       start_round(group, repl, /*handoff=*/true,
                   std::max(repl.epoch, repl.promised) + 1);

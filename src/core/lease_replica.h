@@ -61,10 +61,12 @@ struct ReplicationOptions {
   /// Leaseholder renewal period; also the stagger unit for takeover
   /// candidates (member rank * interval) so proposals do not collide.
   sim::SimTime lease_interval = sim::SimTime::millis(500);
-  /// How long a member tolerates lease silence before proposing a
-  /// takeover.  Must exceed the renewal period by enough retry headroom.
-  sim::SimTime lease_duration = sim::SimTime::seconds(2.0);
 };
+
+/// The lease duration — how long a member tolerates lease silence before
+/// proposing a takeover — in renewal intervals: enough retry headroom
+/// past one missed renewal.
+inline constexpr std::int64_t kLeaseIntervals = 4;
 
 /// Per-member replication state: the fixed member set, the committed
 /// epoch/leader view, the promise floor for takeover proposals, and the

@@ -297,83 +297,6 @@ GroupHandle GroupCastMiddleware::establish_group(
   return group;
 }
 
-SubscriptionOutcome GroupCastMiddleware::add_subscriber(
-    GroupHandle& group, overlay::PeerId peer) {
-  GC_REQUIRE(peer < population_->size());
-  SubscriptionProtocol protocol(*population_, *graph_, config_.subscription);
-  const auto outcome =
-      protocol.subscribe(group.advert, peer, group.tree, &group.stats);
-  group.report.outcomes.push_back(outcome);
-  return outcome;
-}
-
-std::size_t GroupCastMiddleware::remove_subscriber(GroupHandle& group,
-                                                   overlay::PeerId peer) {
-  group.tree.unmark_subscriber(peer);
-  // Collapse the now-useless relay chain: repeatedly prune leaf relays.
-  std::size_t pruned = 0;
-  overlay::PeerId at = peer;
-  while (at != group.tree.root() && group.tree.children(at).empty() &&
-         !group.tree.is_subscriber(at)) {
-    const auto up = group.tree.parent(at);
-    pruned += group.tree.prune(at);
-    at = up;
-  }
-  return pruned;
-}
-
-GroupCastMiddleware::RepairReport GroupCastMiddleware::repair_after_failure(
-    GroupHandle& group, overlay::PeerId failed) {
-  GC_REQUIRE_MSG(group.tree.contains(failed), "peer is not on the tree");
-  GC_REQUIRE_MSG(failed != group.tree.root(),
-                 "rendezvous failure needs a new group");
-  RepairReport report;
-
-  // Who loses connectivity?
-  auto orphans = group.tree.subtree_subscribers(failed);
-  if (group.tree.is_subscriber(failed)) {
-    // The crashed peer itself is gone for good, not an orphan to re-add.
-    orphans.erase(std::find(orphans.begin(), orphans.end(), failed));
-  }
-  report.orphaned_subscribers = orphans.size();
-  report.pruned_nodes = group.tree.prune(failed);
-  trace::counters().incr(failed, trace::CounterId::kTreeRepairs);
-  trace::tracer().emit(0, trace::EventKind::kTreeRepair, failed,
-                       trace::kNoNode, report.pruned_nodes);
-
-  // Invalidate advertisement paths that pass through the failed peer:
-  // peers holding such a path would try to join through a corpse.
-  // valid[p]: 1 = chain reaches the rendezvous without `failed`,
-  // -1 = broken, 0 = unknown.
-  std::vector<std::int8_t> valid(population_->size(), 0);
-  valid[group.advert.rendezvous] = 1;
-  valid[failed] = -1;
-  for (overlay::PeerId p = 0; p < population_->size(); ++p) {
-    if (!group.advert.received(p) || valid[p] != 0) continue;
-    std::vector<overlay::PeerId> chain;
-    overlay::PeerId at = p;
-    while (valid[at] == 0) {
-      chain.push_back(at);
-      at = group.advert.parent.at(at);
-    }
-    const std::int8_t verdict = valid[at];
-    for (const auto c : chain) valid[c] = verdict;
-  }
-  for (overlay::PeerId p = 0; p < population_->size(); ++p) {
-    if (valid[p] == -1) group.advert.parent[p] = overlay::kNoPeer;
-  }
-
-  // Orphans re-subscribe through the normal protocol.
-  SubscriptionProtocol protocol(*population_, *graph_, config_.subscription);
-  for (const auto orphan : orphans) {
-    const auto outcome =
-        protocol.subscribe(group.advert, orphan, group.tree, &group.stats);
-    group.report.outcomes.push_back(outcome);
-    if (outcome.success) ++report.resubscribed;
-  }
-  return report;
-}
-
 GroupHandle GroupCastMiddleware::establish_random_group(
     std::size_t group_size) {
   GC_REQUIRE(group_size >= 1);

@@ -156,28 +156,6 @@ class GroupCastMiddleware {
     return GroupSession(*population_, group.tree);
   }
 
-  /// Subscribes one more peer to an established group (late join).
-  SubscriptionOutcome add_subscriber(GroupHandle& group,
-                                     overlay::PeerId peer);
-
-  /// Removes a subscriber.  A leaf leaves the tree (and pure-relay chains
-  /// above it collapse); an interior subscriber stays on as a relay.
-  /// Returns the number of tree nodes pruned.
-  std::size_t remove_subscriber(GroupHandle& group, overlay::PeerId peer);
-
-  struct RepairReport {
-    std::size_t pruned_nodes = 0;       // subtree size of the failed relay
-    std::size_t orphaned_subscribers = 0;
-    std::size_t resubscribed = 0;       // orphans back on the tree
-  };
-
-  /// Handles the crash of a tree node: its subtree is cut off, the stale
-  /// advertisement paths through it are invalidated, and every orphaned
-  /// subscriber re-runs the subscription protocol (reverse path if its
-  /// advert chain is still valid, ripple search otherwise).
-  RepairReport repair_after_failure(GroupHandle& group,
-                                    overlay::PeerId failed);
-
   /// Number of repair edges the constructor had to add to make the overlay
   /// connected (0 in the common case; see DESIGN.md).
   std::size_t connectivity_repair_edges() const { return repair_edges_; }

@@ -25,21 +25,11 @@ ReliableEdge::ReliableEdge(Host& host, overlay::PeerId self,
       self_(self),
       adaptive_(adaptive) {
   if (!options.enabled) return;
-  GC_REQUIRE(options.nack_delay > sim::SimTime::zero());
-  GC_REQUIRE(options.nack_retry_delay > sim::SimTime::zero());
-  GC_REQUIRE(options.probe_delay > sim::SimTime::zero());
-  GC_REQUIRE_MSG(options.nack_jitter >= 0.0 && options.nack_jitter <= 1.0,
-                 "reliability.nack_jitter must be in [0, 1]");
-  GC_REQUIRE_MSG(options.max_nack_rounds >= 1,
-                 "reliability.max_nack_rounds must be >= 1");
-  GC_REQUIRE_MSG(options.max_probe_rounds >= 1,
-                 "reliability.max_probe_rounds must be >= 1");
-  GC_REQUIRE(options.send_buffer_cap >= 1);
   GC_REQUIRE_MSG(options.ack_every >= 1, "reliability.ack_every must be >= 1");
   if (options.flow_control) {
     GC_REQUIRE_MSG(options.window >= 1, "reliability.window must be >= 1");
-    GC_REQUIRE_MSG(options.window <= options.send_buffer_cap,
-                   "reliability.window must fit within send_buffer_cap");
+    GC_REQUIRE_MSG(options.window <= kSendBufferCap,
+                   "reliability.window must fit within the send buffer");
   }
 }
 
@@ -111,7 +101,7 @@ void ReliableEdge::send(GroupId group, Links& links, overlay::PeerId to,
 
 void ReliableEdge::transmit(GroupId group, overlay::PeerId to, EdgeTx& tx,
                             const BufferedPayload& payload) {
-  if (tx.buffer.size() >= options_->send_buffer_cap) {
+  if (tx.buffer.size() >= kSendBufferCap) {
     tx.buffer.pop_front();  // oldest unacked copy falls off
   }
   const std::uint64_t seq = tx.next_seq++;
@@ -480,13 +470,13 @@ void ReliableEdge::handle(Links& links, overlay::PeerId from,
 // ---------------------------------------------------------------- timers
 
 sim::SimTime ReliableEdge::jittered(sim::SimTime base) {
-  const double stretch = 1.0 + options_->nack_jitter * rng_->uniform();
+  const double stretch = 1.0 + kNackJitter * rng_->uniform();
   return sim::SimTime::micros(static_cast<std::int64_t>(
       static_cast<double>(base.as_micros()) * stretch));
 }
 
 sim::SimTime ReliableEdge::nack_delay_for(const EdgeRx& rx) const {
-  const auto base = options_->nack_delay;
+  const auto base = kNackDelay;
   if (!adaptive_) return base;
   // The higher the measured loss, the more likely a gap is a real hole
   // rather than reordering in flight: shrink the batching delay, floored
@@ -497,7 +487,7 @@ sim::SimTime ReliableEdge::nack_delay_for(const EdgeRx& rx) const {
 }
 
 sim::SimTime ReliableEdge::nack_retry_for(const EdgeRx& rx) const {
-  const auto base = options_->nack_retry_delay;
+  const auto base = kNackRetryDelay;
   if (!adaptive_ || rx.repair_ewma_us <= 0.0) return base;
   // Pace retries by the measured repair time (2x covers the NACK plus
   // retransmission round trip): never faster than the first-NACK delay,
@@ -522,7 +512,7 @@ void ReliableEdge::maybe_schedule_probe(GroupId group, overlay::PeerId peer,
   if (wheel.timer_pending(tx.probe_timer)) return;
   tx.probe_rounds = 0;
   tx.acked_at_last_probe = tx.cum_acked;
-  tx.probe_timer = wheel.schedule_timer(jittered(options_->probe_delay),
+  tx.probe_timer = wheel.schedule_timer(jittered(kProbeDelay),
                                         &probe_thunk, this,
                                         pack_edge(group, peer));
 }
@@ -549,7 +539,7 @@ void ReliableEdge::on_nack_timer(GroupId group, overlay::PeerId peer) {
     rx.nack_rounds = 0;  // the gap closed while the timer was pending
     return;
   }
-  if (rx.nack_rounds >= options_->max_nack_rounds) {
+  if (rx.nack_rounds >= kMaxNackRounds) {
     // The sender's buffer no longer holds the gap (or the edge is dead):
     // skip past it instead of deadlocking the in-order pipeline.
     rx.nack_rounds = 0;
@@ -609,7 +599,7 @@ void ReliableEdge::on_probe_timer(GroupId group, overlay::PeerId peer) {
     ++tx.probe_rounds;
   }
   tx.acked_at_last_probe = tx.cum_acked;
-  if (tx.probe_rounds > options_->max_probe_rounds) {
+  if (tx.probe_rounds > kMaxProbeRounds) {
     // Rounds of silence: the receiver is gone (heartbeats prune the tree
     // edge separately); stop holding its unacked tail.
     tx.buffer.clear();
@@ -626,7 +616,7 @@ void ReliableEdge::on_probe_timer(GroupId group, overlay::PeerId peer) {
       tx.buffer.empty() ? tx.next_seq : tx.buffer.front().seq;
   transport_->send(self_, peer,
                    SeqSyncMsg{group, tx.epoch, base, tx.next_seq});
-  tx.probe_timer = simulator().schedule_timer(jittered(options_->probe_delay),
+  tx.probe_timer = simulator().schedule_timer(jittered(kProbeDelay),
                                               &probe_thunk, this,
                                               pack_edge(group, peer));
 }

@@ -36,27 +36,8 @@ namespace groupcast::core {
 /// fire-and-forget DataMsg path, byte-identical to before.
 struct DataReliabilityOptions {
   bool enabled = false;
-  /// Delay before a detected gap is NACKed; batches a burst of losses
-  /// into one request.  Jittered by a uniform factor in [1, 1 + jitter)
-  /// drawn from the node's RNG stream (SRM-style desynchronization).
-  sim::SimTime nack_delay = sim::SimTime::millis(40);
-  /// Wait after a NACK before the same gap may be NACKed again — the
-  /// suppression window while a retransmission is presumed in flight.
-  sim::SimTime nack_retry_delay = sim::SimTime::millis(250);
-  double nack_jitter = 0.5;
-  /// NACK rounds without progress before the receiver skips the gap
-  /// (the sender's buffer no longer holds it; waiting forever deadlocks).
-  std::size_t max_nack_rounds = 8;
-  /// Retransmit-buffer bound per directed edge; the oldest unacked entry
-  /// falls off when a send would exceed it.
-  std::size_t send_buffer_cap = 128;
   /// Cumulative-ack cadence: one ack per this many in-order deliveries.
   std::size_t ack_every = 8;
-  /// Ack-overdue probe: how long the sender waits on unacked data before
-  /// re-announcing its next sequence (tail-loss detection), and how many
-  /// silent rounds before it gives the receiver up and drops the buffer.
-  sim::SimTime probe_delay = sim::SimTime::millis(400);
-  std::size_t max_probe_rounds = 6;
   /// Ack-clocked flow control (docs/ROBUSTNESS.md, "Flow control &
   /// adaptive detection"): at most `window` unacked sequences in flight
   /// per directed edge; further sends queue at the sender and drain as
@@ -68,6 +49,27 @@ struct DataReliabilityOptions {
   /// retransmit-buffer cap so windowed data never falls off the buffer).
   std::size_t window = 32;
 };
+
+/// Delay before a detected gap is NACKed; batches a burst of losses into
+/// one request.  Every NACK and probe delay is jittered by a uniform
+/// factor in [1, 1 + kNackJitter) drawn from the node's RNG stream
+/// (SRM-style desynchronization).
+inline constexpr sim::SimTime kNackDelay = sim::SimTime::millis(40);
+/// Wait after a NACK before the same gap may be NACKed again — the
+/// suppression window while a retransmission is presumed in flight.
+inline constexpr sim::SimTime kNackRetryDelay = sim::SimTime::millis(250);
+inline constexpr double kNackJitter = 0.5;
+/// NACK rounds without progress before the receiver skips the gap (the
+/// sender's buffer no longer holds it; waiting forever deadlocks).
+inline constexpr std::size_t kMaxNackRounds = 8;
+/// Retransmit-buffer bound per directed edge; the oldest unacked entry
+/// falls off when a send would exceed it.
+inline constexpr std::size_t kSendBufferCap = 128;
+/// Ack-overdue probe: how long the sender waits on unacked data before
+/// re-announcing its next sequence (tail-loss detection), and how many
+/// silent rounds before it gives the receiver up and drops the buffer.
+inline constexpr sim::SimTime kProbeDelay = sim::SimTime::millis(400);
+inline constexpr std::size_t kMaxProbeRounds = 6;
 
 /// Internal payload id of a stream chunk: the top bit marks the chunk
 /// namespace (so chunk ids never collide with application payload ids),
@@ -298,7 +300,7 @@ class ReliableEdge {
   /// shortened (delay) or repair-time-paced (retry) when adaptive.
   sim::SimTime nack_delay_for(const EdgeRx& rx) const;
   sim::SimTime nack_retry_for(const EdgeRx& rx) const;
-  /// `base` stretched by a uniform factor in [1, 1 + nack_jitter).
+  /// `base` stretched by a uniform factor in [1, 1 + kNackJitter).
   sim::SimTime jittered(sim::SimTime base);
   /// Arms the batched/jittered NACK timer for the edge from `peer` unless
   /// one is already pending (the suppression rule).

@@ -15,9 +15,6 @@ ReliableExchange::ReliableExchange(sim::Simulator& simulator,
       owner_(owner),
       policy_(policy),
       rng_(rng.split()) {
-  GC_REQUIRE(policy_.max_attempts >= 1);
-  GC_REQUIRE(policy_.backoff >= 1.0);
-  GC_REQUIRE(policy_.jitter >= 0.0);
   GC_REQUIRE(policy_.base_timeout > sim::SimTime::zero());
   GC_REQUIRE(policy_.max_timeout >= policy_.base_timeout);
 }
@@ -25,7 +22,7 @@ ReliableExchange::ReliableExchange(sim::Simulator& simulator,
 sim::SimTime ReliableExchange::backoff_timeout(std::size_t attempt) const {
   const double scaled =
       static_cast<double>(policy_.base_timeout.as_micros()) *
-      std::pow(policy_.backoff, static_cast<double>(attempt));
+      std::pow(kRetryBackoff, static_cast<double>(attempt));
   const double capped = std::min(
       scaled, static_cast<double>(policy_.max_timeout.as_micros()));
   return sim::SimTime::micros(static_cast<std::int64_t>(capped));
@@ -56,7 +53,7 @@ void ReliableExchange::fire(Token token) {
 void ReliableExchange::arm_timeout(Token token, std::size_t attempt) {
   // One jitter draw per armed attempt keeps the RNG stream aligned with
   // the retry schedule regardless of when responses arrive.
-  const double stretch = 1.0 + policy_.jitter * rng_.uniform();
+  const double stretch = 1.0 + kRetryJitter * rng_.uniform();
   const auto timeout = sim::SimTime::micros(static_cast<std::int64_t>(
       static_cast<double>(backoff_timeout(attempt).as_micros()) * stretch));
   GC_REQUIRE(token < (Token{1} << 56) && attempt < 256);
@@ -74,7 +71,7 @@ void ReliableExchange::on_timeout(Token token, std::size_t attempt) {
   const auto it = entries_.find(token);
   if (it == entries_.end()) return;       // settled or cancelled
   if (it->second.attempt != attempt) return;  // stale timer
-  if (attempt + 1 >= policy_.max_attempts) {
+  if (attempt + 1 >= kMaxAttempts) {
     const GiveUpFn give_up = std::move(it->second.give_up);
     entries_.erase(it);
     trace::counters().incr(owner_, trace::CounterId::kControlGiveups);

@@ -26,14 +26,16 @@ namespace groupcast::core {
 struct RetryPolicy {
   /// Timeout of the first attempt.
   sim::SimTime base_timeout = sim::SimTime::seconds(1.0);
-  /// Multiplier applied per attempt (capped by max_timeout).
-  double backoff = 2.0;
+  /// Cap on the backed-off timeout.
   sim::SimTime max_timeout = sim::SimTime::seconds(8.0);
-  /// Each timeout is stretched by a uniform factor in [1, 1 + jitter).
-  double jitter = 0.1;
-  /// Total attempts (the first send included) before giving up.
-  std::size_t max_attempts = 3;
 };
+
+/// Multiplier applied to the timeout per attempt (capped by max_timeout).
+inline constexpr double kRetryBackoff = 2.0;
+/// Each timeout is stretched by a uniform factor in [1, 1 + kRetryJitter).
+inline constexpr double kRetryJitter = 0.1;
+/// Total attempts (the first send included) before giving up.
+inline constexpr std::size_t kMaxAttempts = 3;
 
 class ReliableExchange {
  public:
@@ -66,9 +68,8 @@ class ReliableExchange {
   bool pending(Token token) const { return entries_.count(token) != 0; }
   std::size_t in_flight() const { return entries_.size(); }
 
-  const RetryPolicy& policy() const { return policy_; }
-
-  /// Backoff before jitter: min(base * backoff^attempt, max_timeout).
+  /// Backoff before jitter:
+  /// min(base * kRetryBackoff^attempt, max_timeout).
   sim::SimTime backoff_timeout(std::size_t attempt) const;
 
  private:

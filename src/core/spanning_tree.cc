@@ -28,24 +28,6 @@ void SpanningTree::mark_subscriber(overlay::PeerId p) {
   subscribers_.insert(p);
 }
 
-void SpanningTree::unmark_subscriber(overlay::PeerId p) {
-  GC_REQUIRE_MSG(subscribers_.erase(p) == 1, "peer is not a subscriber");
-}
-
-std::vector<overlay::PeerId> SpanningTree::subtree_subscribers(
-    overlay::PeerId p) const {
-  GC_REQUIRE(contains(p));
-  std::vector<overlay::PeerId> out;
-  std::vector<overlay::PeerId> stack{p};
-  while (!stack.empty()) {
-    const auto at = stack.back();
-    stack.pop_back();
-    if (is_subscriber(at)) out.push_back(at);
-    for (const auto kid : children(at)) stack.push_back(kid);
-  }
-  return out;
-}
-
 overlay::PeerId SpanningTree::parent(overlay::PeerId p) const {
   const auto it = parent_.find(p);
   GC_REQUIRE_MSG(it != parent_.end(), "peer is not on the tree");
@@ -109,30 +91,6 @@ bool SpanningTree::is_consistent() const {
     }
   }
   return true;
-}
-
-std::size_t SpanningTree::prune(overlay::PeerId p) {
-  GC_REQUIRE(contains(p));
-  GC_REQUIRE_MSG(p != root_, "cannot prune the root");
-  // Collect the subtree.
-  std::vector<overlay::PeerId> stack{p};
-  std::vector<overlay::PeerId> doomed;
-  while (!stack.empty()) {
-    const auto at = stack.back();
-    stack.pop_back();
-    doomed.push_back(at);
-    for (const auto kid : children(at)) stack.push_back(kid);
-  }
-  // Detach from the parent's child list.
-  const auto up = parent(p);
-  auto& siblings = children_[up];
-  siblings.erase(std::find(siblings.begin(), siblings.end(), p));
-  for (const auto d : doomed) {
-    parent_.erase(d);
-    children_.erase(d);
-    subscribers_.erase(d);
-  }
-  return doomed.size();
 }
 
 }  // namespace groupcast::core

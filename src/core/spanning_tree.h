@@ -31,14 +31,9 @@ class SpanningTree {
 
   /// Marks a tree node as an actual subscriber (vs pure relay).
   void mark_subscriber(overlay::PeerId p);
-  /// Demotes a subscriber back to a relay (it stays on the tree).
-  void unmark_subscriber(overlay::PeerId p);
   bool is_subscriber(overlay::PeerId p) const {
     return subscribers_.contains(p);
   }
-
-  /// All subscribers in the subtree rooted at p (p included if subscribed).
-  std::vector<overlay::PeerId> subtree_subscribers(overlay::PeerId p) const;
 
   /// Parent of a node; root's parent is itself.
   overlay::PeerId parent(overlay::PeerId p) const;
@@ -59,10 +54,6 @@ class SpanningTree {
   /// parent links with no cycles.  Cheap enough to run in tests after
   /// every mutation batch.
   bool is_consistent() const;
-
-  /// Removes a *leaf* subtree rooted at p (p and all its descendants);
-  /// used when a subscriber departs.  Returns removed node count.
-  std::size_t prune(overlay::PeerId p);
 
  private:
   overlay::PeerId root_;

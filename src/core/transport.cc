@@ -216,16 +216,9 @@ void Transport::send(overlay::PeerId from, overlay::PeerId to,
     trace::tracer().emit(now.as_micros(), trace::EventKind::kMessageDropped,
                          from, to, static_cast<std::uint64_t>(reason));
   };
-  if (fault_filter_ != nullptr) {
-    if (fault_filter_->blocked(from, to, now)) {
-      drop(trace::DropReason::kPartitioned);
-      return;
-    }
-    const double burst = fault_filter_->extra_loss(now);
-    if (burst > 0.0 && lost(burst, from * 2 + 1, counter)) {
-      drop(trace::DropReason::kBurstLoss);
-      return;
-    }
+  if (fault_filter_ != nullptr && fault_filter_->blocked(from, to, now)) {
+    drop(trace::DropReason::kPartitioned);
+    return;
   }
   if (lost(options_.loss_probability, from * 2, counter)) {
     drop(trace::DropReason::kLoss);

@@ -303,7 +303,7 @@ enum class DetachMode {
   kGraceful,
 };
 
-/// Per-delivery fault queries the transport consults on every send.  A
+/// Per-delivery fault query the transport consults on every send.  A
 /// FaultInjector (core/fault_injection.h) implements this from a
 /// sim::FaultPlan; the indirection keeps the transport free of any
 /// dependency on fault-plan data.
@@ -313,8 +313,6 @@ class FaultFilter {
   /// True if `from` and `to` are separated by an active partition.
   virtual bool blocked(overlay::PeerId from, overlay::PeerId to,
                        sim::SimTime now) const = 0;
-  /// Extra drop probability from an active burst-loss interval (0 = none).
-  virtual double extra_loss(sim::SimTime now) const = 0;
 };
 
 class Transport final : public sim::ShardSet::Client {
@@ -328,7 +326,7 @@ class Transport final : public sim::ShardSet::Client {
   /// Sharded mode: peers are partitioned by *access router* (all peers on
   /// one stub router share a shard), deliveries run through per-shard
   /// arrival queues in (arrival, src, per-src send counter) order, and
-  /// loss/burst draws are stateless hashes of (seed, src, counter) — all
+  /// loss draws are stateless hashes of (seed, src, counter) — all
   /// of which makes the execution byte-identical at every shard count
   /// >= 2.  Installs itself as the shard set's client.
   Transport(sim::ShardSet& shards, const overlay::PeerPopulation& population,

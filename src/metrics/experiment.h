@@ -12,7 +12,6 @@
 #pragma once
 
 #include <span>
-#include <string>
 #include <vector>
 
 #include "core/middleware.h"
@@ -44,24 +43,16 @@ struct RuntimeOptions {
   bool flow_control = false;
   /// Adaptive failure detection and NACK cadence
   /// (core::NodeOptions::adaptive): per-edge loss/RTT estimators widen
-  /// heartbeat_misses and shorten NACK delays online.
+  /// the heartbeat miss window and shorten NACK delays online.
   bool adaptive = false;
-  /// Tree-edge heartbeat period of every node, seconds (> 0).
-  double heartbeat_seconds = 0.5;
-  /// Heartbeat intervals without an ack before a parent is declared dead.
-  /// The node default (2, the paper's two-miss rule) is tuned for a quiet
-  /// network; under steady loss p an ack round-trip survives with
-  /// (1-p)^2, so the harness default widens the window to keep the
-  /// false-positive rate negligible at the sweep's loss levels.
-  std::size_t heartbeat_misses = 6;
-  /// Length of one convergence epoch, seconds (> 0): the harness's unit of
-  /// settling and observation, and the delay before a subscriber whose
-  /// retry ladder gave up subscribes again.
-  double epoch_seconds = 4.0;
-  /// Epochs the harness waits for the tree to (re-)converge before giving
-  /// up.
-  std::size_t convergence_epochs = 10;
 };
+
+/// Length of one convergence epoch: the node-runtime harnesses' unit of
+/// settling and observation, and the delay before a subscriber whose
+/// retry ladder gave up subscribes again.
+inline constexpr sim::SimTime kEpoch = sim::SimTime::seconds(4.0);
+/// Epochs a harness waits for the tree to (re-)converge before giving up.
+inline constexpr std::size_t kConvergenceEpochs = 10;
 
 /// Switches a scenario from the engine-level pipeline to the node-runtime
 /// churn harness (metrics/recovery.h).  Churn is injected over one epoch;
@@ -76,14 +67,9 @@ struct RecoveryOptions : RuntimeOptions {
   std::size_t speaking_payloads = 4;
   /// Sender window per directed edge, in sequences (flow_control only).
   std::size_t flow_window = 32;
-  /// Every slow_peer_stride-th peer acks at a slow_ack_factor-times
-  /// coarser cadence (a "slow child"); 0 disables the impairment.
+  /// Every slow_peer_stride-th peer acks at a 10-times coarser cadence
+  /// (a "slow child"); 0 disables the impairment.
   std::size_t slow_peer_stride = 0;
-  /// Multiplier applied to the slow peers' reliability.ack_every (>= 1).
-  std::size_t slow_ack_factor = 10;
-  /// Extra fault-plan clauses (sim/fault_plan.h grammar; absolute sim
-  /// times) merged into the derived churn plan.  Empty = none.
-  std::string fault_plan;
   /// Rendezvous replication with leased leadership and quorum handoff
   /// (core::ReplicationOptions).  Off keeps every message, timer and RNG
   /// draw byte-identical to before.
@@ -95,14 +81,11 @@ struct RecoveryOptions : RuntimeOptions {
   double lease_seconds = 0.5;
   /// Length of the RP-side partition window injected after recovery has
   /// converged, seconds; 0 disables the partition phase.  Requires
-  /// replication: the phase exists to measure leased failover.
+  /// replication: the phase exists to measure leased failover.  A fifth
+  /// of the survivors is isolated with the rendezvous point on the
+  /// minority side (every replica stays on the majority side so a quorum
+  /// can elect), and each side publishes four payloads in the window.
   double partition_seconds = 0.0;
-  /// Fraction of survivors isolated with the rendezvous point on the
-  /// minority side, (0, 0.5] when partition_seconds > 0.  Every replica
-  /// stays on the majority side so a quorum can elect.
-  double partition_fraction = 0.2;
-  /// Payloads published *per side* during the partition window.
-  std::size_t partition_payloads = 4;
 };
 
 /// Multi-source group layout for the streaming harness.

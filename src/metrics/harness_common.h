@@ -61,8 +61,6 @@ class NodeRuntime {
   }
   bool sharded() const { return engine_.has_value(); }
 
-  /// One convergence epoch (RuntimeOptions::epoch_seconds).
-  sim::SimTime epoch() const { return epoch_; }
   /// The harness clock: the sum of every advance() so far.
   sim::SimTime clock() const { return clock_; }
   /// The engine's own clock after the last advance().
@@ -77,7 +75,7 @@ class NodeRuntime {
   /// Ends the retry loop for `peer` (a graceful leaver).  Call it from
   /// the peer's own shard: the per-peer flag is never locked.
   void drop_subscriber(overlay::PeerId peer) { want_[peer] = 0; }
-  /// Advances epoch by epoch, at most convergence_epochs times, until no
+  /// Advances epoch by epoch, at most kConvergenceEpochs times, until no
   /// peer has a control exchange pending on any of `groups`.
   void settle(std::span<const overlay::PeerId> peers,
               std::span<const core::GroupId> groups);
@@ -103,8 +101,6 @@ class NodeRuntime {
   /// than a shared set: every entry is only touched by closures of that
   /// one peer, which all run on its own shard, so no lock is needed.
   std::vector<char> want_;
-  const sim::SimTime epoch_;
-  const std::size_t convergence_epochs_;
   sim::SimTime clock_ = sim::SimTime::zero();
 };
 

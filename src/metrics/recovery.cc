@@ -35,7 +35,6 @@ void validate(const ScenarioConfig& config) {
   GC_REQUIRE_MSG(rec.crash_fraction + rec.graceful_fraction <= 1.0,
                  "crash_fraction + graceful_fraction must stay <= 1");
   GC_REQUIRE(rec.speaking_payloads >= 1);
-  GC_REQUIRE(rec.slow_ack_factor >= 1);
   GC_REQUIRE_MSG(rec.partition_seconds >= 0.0,
                  "recovery.partition_seconds must be >= 0");
   GC_REQUIRE_MSG(rec.partition_seconds == 0.0 || rec.replication,
@@ -45,15 +44,17 @@ void validate(const ScenarioConfig& config) {
     GC_REQUIRE_MSG(rec.lease_seconds > 0.0,
                    "recovery.lease_seconds must be > 0");
   }
-  if (rec.partition_seconds > 0.0) {
-    GC_REQUIRE_MSG(
-        rec.partition_fraction > 0.0 && rec.partition_fraction <= 0.5,
-        "recovery.partition_fraction must be in (0, 0.5]");
-    GC_REQUIRE(rec.partition_payloads >= 1);
-  }
 }
 
 constexpr core::GroupId kGroup = 1;
+
+/// A slow peer acks this many times less often than the others.
+constexpr std::size_t kSlowAckFactor = 10;
+/// Share of the survivors isolated with the rendezvous point on the
+/// minority side of the partition phase, and the payloads each side
+/// publishes inside the window.
+constexpr double kPartitionFraction = 0.2;
+constexpr std::uint64_t kPartitionPayloads = 4;
 
 /// Payload-id bases of the per-side partition probes; far above anything
 /// the speaking rounds use, so side counters never alias.
@@ -78,8 +79,6 @@ ScenarioResult run_recovery_scenario(const ScenarioConfig& config) {
           options.replication.replicas = rec.replicas;
           options.replication.lease_interval =
               sim::SimTime::seconds(rec.lease_seconds);
-          options.replication.lease_duration =
-              sim::SimTime::seconds(rec.lease_seconds * 4.0);
           // Ladder targeting must round-robin over at least the replica
           // quorum, or an orphan could never reach the elected
           // leaseholder.
@@ -91,14 +90,13 @@ ScenarioResult run_recovery_scenario(const ScenarioConfig& config) {
           // Slow child impairment: a coarser ack cadence starves the
           // parent's ack clock, backing data up in its per-edge sender
           // buffer.
-          options.reliability.ack_every *= rec.slow_ack_factor;
+          options.reliability.ack_every *= kSlowAckFactor;
         }
       });
   core::GroupCastMiddleware& middleware = runtime.middleware();
   util::Rng& rng = runtime.rng();
   core::Transport& transport = runtime.transport();
   auto& nodes = runtime.nodes();
-  const sim::SimTime epoch = runtime.epoch();
 
   // Flight recorder: one frame per protocol epoch, so recovery reports
   // carry the delivery / repair trajectory across the fault window.  Only
@@ -113,13 +111,13 @@ ScenarioResult run_recovery_scenario(const ScenarioConfig& config) {
                    "(run with shards == 1)");
     sim::Simulator& simulator = middleware.simulator();
     trace::flight_recorder().capture(simulator.now().as_micros());
-    recorder.emplace(simulator, epoch);
+    recorder.emplace(simulator, kEpoch);
   }
 
   // --- phase 1: establish the group ------------------------------------
   const overlay::PeerId rendezvous = middleware.pick_rendezvous();
   nodes[rendezvous]->create_group(kGroup);
-  runtime.advance(epoch);  // advertisement flood settles
+  runtime.advance(kEpoch);  // advertisement flood settles
 
   std::vector<overlay::PeerId> subscribers;
   const std::size_t group_size = config.effective_group_size();
@@ -154,16 +152,13 @@ ScenarioResult run_recovery_scenario(const ScenarioConfig& config) {
   const auto n_leave = static_cast<std::size_t>(
       rec.graceful_fraction * static_cast<double>(members.size()));
   sim::FaultPlan plan;
-  if (!rec.fault_plan.empty()) {
-    plan.merge(sim::FaultPlan::parse(rec.fault_plan));
-  }
   // Stagger the departures across one epoch so later failures can hit
   // peers that are already busy recovering from earlier ones.
   const sim::SimTime churn_start = runtime.clock();
   const std::size_t departures = n_crash + n_leave;
   for (std::size_t i = 0; i < departures; ++i) {
     const sim::SimTime at =
-        churn_start + sim::SimTime::micros(epoch.as_micros() * (i + 1) /
+        churn_start + sim::SimTime::micros(kEpoch.as_micros() * (i + 1) /
                                            (departures + 1));
     if (i < n_crash) {
       plan.crashes.push_back(
@@ -197,16 +192,16 @@ ScenarioResult run_recovery_scenario(const ScenarioConfig& config) {
   }
 
   const std::size_t messages_before_recovery = transport.messages_sent();
-  runtime.advance(epoch);  // the churn window itself
+  runtime.advance(kEpoch);  // the churn window itself
 
   // --- phase 3: observe recovery epoch by epoch -------------------------
   // An orphan is a survivor found off the tree at an epoch boundary; its
   // orphan time is the number of epochs until it is first seen re-attached
-  // (convergence_epochs if never).
+  // (kConvergenceEpochs if never).
   std::unordered_map<overlay::PeerId, std::size_t> reattach_epoch;
   std::unordered_set<overlay::PeerId> orphans;
-  std::size_t epochs_to_converge = rec.convergence_epochs;
-  for (std::size_t e = 1; e <= rec.convergence_epochs; ++e) {
+  std::size_t epochs_to_converge = kConvergenceEpochs;
+  for (std::size_t e = 1; e <= kConvergenceEpochs; ++e) {
     bool converged = true;
     for (const auto s : survivors) {
       const bool attached =
@@ -218,11 +213,11 @@ ScenarioResult run_recovery_scenario(const ScenarioConfig& config) {
         reattach_epoch[s] = e - 1;  // epochs spent orphaned
       }
     }
-    if (converged && epochs_to_converge == rec.convergence_epochs) {
+    if (converged && epochs_to_converge == kConvergenceEpochs) {
       epochs_to_converge = e - 1;
       break;
     }
-    runtime.advance(epoch);
+    runtime.advance(kEpoch);
   }
   result.epochs_to_converge = static_cast<double>(epochs_to_converge);
   if (!orphans.empty()) {
@@ -230,7 +225,7 @@ ScenarioResult run_recovery_scenario(const ScenarioConfig& config) {
     for (const auto o : orphans) {
       const auto it = reattach_epoch.find(o);
       total_epochs += static_cast<double>(
-          it != reattach_epoch.end() ? it->second : rec.convergence_epochs);
+          it != reattach_epoch.end() ? it->second : kConvergenceEpochs);
     }
     result.mean_orphan_epochs =
         total_epochs / static_cast<double>(orphans.size());
@@ -272,7 +267,7 @@ ScenarioResult run_recovery_scenario(const ScenarioConfig& config) {
     // subscribers is isolated.  Replicas are never enqueued — they (and
     // everything below them) belong to the majority.
     const std::size_t n_minority = std::max<std::size_t>(
-        1, static_cast<std::size_t>(rec.partition_fraction *
+        1, static_cast<std::size_t>(kPartitionFraction *
                                     static_cast<double>(survivors.size())));
     std::unordered_set<overlay::PeerId> minority_set{rendezvous};
     std::vector<overlay::PeerId> frontier{rendezvous};
@@ -352,13 +347,13 @@ ScenarioResult run_recovery_scenario(const ScenarioConfig& config) {
       }
       if (nodes[rendezvous]->running() &&
           nodes[rendezvous]->on_tree(kGroup)) {
-        for (std::uint64_t i = 0; i < rec.partition_payloads; ++i) {
+        for (std::uint64_t i = 0; i < kPartitionPayloads; ++i) {
           nodes[rendezvous]->publish(kGroup, kMinorityProbeBase + i);
         }
       }
       if (majority_leader != overlay::kNoPeer &&
           nodes[majority_leader]->on_tree(kGroup)) {
-        for (std::uint64_t i = 0; i < rec.partition_payloads; ++i) {
+        for (std::uint64_t i = 0; i < kPartitionPayloads; ++i) {
           nodes[majority_leader]->publish(kGroup, kMajorityProbeBase + i);
         }
       }
@@ -379,13 +374,13 @@ ScenarioResult run_recovery_scenario(const ScenarioConfig& config) {
               ? 1.0
               : static_cast<double>(minority_deliveries.load()) /
                     static_cast<double>(minority_probe_nodes *
-                                        rec.partition_payloads);
+                                        kPartitionPayloads);
       result.partition_majority_delivery =
           majority_probe_nodes == 0
               ? 1.0
               : static_cast<double>(majority_deliveries.load()) /
                     static_cast<double>(majority_probe_nodes *
-                                        rec.partition_payloads);
+                                        kPartitionPayloads);
     }
     transport.set_fault_filter(&injector);  // restore the churn plan
 
@@ -393,10 +388,10 @@ ScenarioResult run_recovery_scenario(const ScenarioConfig& config) {
     // folds its subtree back under the elected leader.
     auto healed = core::check_replication_invariants(views, kGroup);
     for (std::size_t e = 0;
-         e < rec.convergence_epochs &&
+         e < kConvergenceEpochs &&
          (!healed.ok() || !nodes[rendezvous]->on_tree(kGroup));
          ++e) {
-      runtime.advance(epoch);
+      runtime.advance(kEpoch);
       healed = core::check_replication_invariants(views, kGroup);
     }
     result.invariant_violations +=
@@ -451,7 +446,7 @@ ScenarioResult run_recovery_scenario(const ScenarioConfig& config) {
        ++payload) {
     nodes[speaker]->publish(kGroup, payload);
   }
-  runtime.advance(epoch);
+  runtime.advance(kEpoch);
   const std::size_t expected = survivors.size() * rec.speaking_payloads;
   result.delivery_ratio =
       expected == 0 ? 1.0
@@ -466,8 +461,8 @@ ScenarioResult run_recovery_scenario(const ScenarioConfig& config) {
   // snapshot.
   auto report =
       core::check_tree_invariants(views, kGroup, acting_root(), survivors);
-  for (std::size_t e = 0; e < rec.convergence_epochs && !report.ok(); ++e) {
-    runtime.advance(epoch);
+  for (std::size_t e = 0; e < kConvergenceEpochs && !report.ok(); ++e) {
+    runtime.advance(kEpoch);
     report =
         core::check_tree_invariants(views, kGroup, acting_root(), survivors);
   }

@@ -3,7 +3,7 @@
 // While run_scenario exercises the engine-level protocols on a quiet
 // network, this harness stands up one GroupCastNode per peer, injects a
 // deterministic fault plan (ungraceful crashes, graceful leaves, partition
-// windows, burst loss) through core::FaultInjector, and measures how the
+// windows) through core::FaultInjector, and measures how the
 // reliable control plane (docs/ROBUSTNESS.md) re-converges:
 //
 //   * delivery ratio of a post-churn speaking round,

@@ -74,7 +74,6 @@ ScenarioResult run_streaming_scenario(const ScenarioConfig& config) {
   util::Rng& rng = runtime.rng();
   core::Transport& transport = runtime.transport();
   auto& nodes = runtime.nodes();
-  const sim::SimTime epoch = runtime.epoch();
 
   // --- phase 1: sources, groups, and the advertisement flood ------------
   // Shared tree: the rendezvous roots the one group and every publisher
@@ -100,7 +99,7 @@ ScenarioResult run_streaming_scenario(const ScenarioConfig& config) {
   } else {
     nodes[rendezvous]->create_group(kGroupBase);
   }
-  runtime.advance(epoch);  // advertisement flood settles
+  runtime.advance(kEpoch);  // advertisement flood settles
 
   // --- phase 2: viewers subscribe, tree converges -----------------------
   std::vector<char> is_source(config.peer_count, 0);
@@ -238,7 +237,7 @@ ScenarioResult run_streaming_scenario(const ScenarioConfig& config) {
   runtime.advance(
       sim::SimTime::micros(interval.as_micros() *
                            static_cast<std::int64_t>(str.chunks + 1)) +
-      deadline_after + epoch);
+      deadline_after + kEpoch);
 
   // --- phase 4: the player model ----------------------------------------
   // Score each viewer against the chunks that were actually published

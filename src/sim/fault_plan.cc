@@ -1,10 +1,5 @@
 #include "sim/fault_plan.h"
 
-#include <algorithm>
-#include <cctype>
-#include <charconv>
-#include <sstream>
-
 #include "util/require.h"
 
 namespace groupcast::sim {
@@ -16,240 +11,6 @@ void FaultPlan::validate() const {
     GC_REQUIRE_MSG(!window.side_a.empty() && !window.side_b.empty(),
                    "partition sides must be non-empty");
   }
-  for (const auto& burst : bursts) {
-    GC_REQUIRE_MSG(burst.begin < burst.end,
-                   "burst window must have begin < end");
-    GC_REQUIRE_MSG(burst.loss_probability >= 0.0 &&
-                       burst.loss_probability <= 1.0,
-                   "burst loss probability must be in [0, 1]");
-  }
-}
-
-void FaultPlan::merge(const FaultPlan& other) {
-  crashes.insert(crashes.end(), other.crashes.begin(), other.crashes.end());
-  partitions.insert(partitions.end(), other.partitions.begin(),
-                    other.partitions.end());
-  bursts.insert(bursts.end(), other.bursts.begin(), other.bursts.end());
-}
-
-bool partitioned(const FaultPlan& plan, FaultNodeId a, FaultNodeId b,
-                 SimTime now) {
-  const auto in = [](const std::vector<FaultNodeId>& side, FaultNodeId n) {
-    return std::find(side.begin(), side.end(), n) != side.end();
-  };
-  for (const auto& window : plan.partitions) {
-    if (now < window.begin || now >= window.end) continue;
-    if ((in(window.side_a, a) && in(window.side_b, b)) ||
-        (in(window.side_a, b) && in(window.side_b, a))) {
-      return true;
-    }
-  }
-  return false;
-}
-
-double burst_loss(const FaultPlan& plan, SimTime now) {
-  double loss = 0.0;
-  for (const auto& burst : plan.bursts) {
-    if (now >= burst.begin && now < burst.end) {
-      loss = std::max(loss, burst.loss_probability);
-    }
-  }
-  return loss;
-}
-
-// ------------------------------------------------------------------ parse
-
-namespace {
-
-/// Cursor over the plan text with single-token helpers.  All errors throw
-/// PreconditionError naming the offending clause.
-class PlanScanner {
- public:
-  explicit PlanScanner(std::string_view clause) : text_(clause) {}
-
-  void skip_space() {
-    while (at_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[at_]))) {
-      ++at_;
-    }
-  }
-
-  bool eat(char c) {
-    skip_space();
-    if (at_ < text_.size() && text_[at_] == c) {
-      ++at_;
-      return true;
-    }
-    return false;
-  }
-
-  void expect(char c) {
-    GC_REQUIRE_MSG(eat(c), "expected '" + std::string(1, c) +
-                               "' in fault-plan clause: " +
-                               std::string(text_));
-  }
-
-  bool eat_word(std::string_view word) {
-    skip_space();
-    if (text_.substr(at_).starts_with(word)) {
-      at_ += word.size();
-      return true;
-    }
-    return false;
-  }
-
-  double number() {
-    skip_space();
-    double value = 0.0;
-    const char* begin = text_.data() + at_;
-    const char* end = text_.data() + text_.size();
-    const auto result = std::from_chars(begin, end, value);
-    GC_REQUIRE_MSG(result.ec == std::errc{},
-                   "expected a number in fault-plan clause: " +
-                       std::string(text_));
-    at_ += static_cast<std::size_t>(result.ptr - begin);
-    return value;
-  }
-
-  SimTime time() {
-    const double value = number();
-    // `ms` must be tried before the bare-`s` default.
-    if (eat_word("ms")) return SimTime::millis(value);
-    eat_word("s");
-    return SimTime::seconds(value);
-  }
-
-  FaultNodeId node() {
-    const double value = number();
-    GC_REQUIRE_MSG(value >= 0.0 && value == static_cast<double>(
-                                                static_cast<FaultNodeId>(value)),
-                   "node id must be a non-negative integer in clause: " +
-                       std::string(text_));
-    return static_cast<FaultNodeId>(value);
-  }
-
-  std::vector<FaultNodeId> nodes() {
-    std::vector<FaultNodeId> out;
-    out.push_back(node());
-    while (eat(',')) out.push_back(node());
-    return out;
-  }
-
-  void expect_end() {
-    skip_space();
-    GC_REQUIRE_MSG(at_ == text_.size(),
-                   "trailing input in fault-plan clause: " +
-                       std::string(text_));
-  }
-
- private:
-  std::string_view text_;
-  std::size_t at_ = 0;
-};
-
-void parse_clause(std::string_view clause, FaultPlan& plan) {
-  PlanScanner scan(clause);
-  scan.skip_space();
-  if (scan.eat_word("crash")) {
-    scan.expect('@');
-    CrashEvent crash;
-    crash.at = scan.time();
-    scan.expect(':');
-    crash.node = scan.node();
-    scan.expect_end();
-    plan.crashes.push_back(crash);
-    return;
-  }
-  if (scan.eat_word("partition")) {
-    scan.expect('@');
-    PartitionWindow window;
-    window.begin = scan.time();
-    scan.expect('-');
-    window.end = scan.time();
-    scan.expect(':');
-    window.side_a = scan.nodes();
-    scan.expect('|');
-    window.side_b = scan.nodes();
-    scan.expect_end();
-    plan.partitions.push_back(std::move(window));
-    return;
-  }
-  if (scan.eat_word("burst")) {
-    scan.expect('@');
-    BurstLoss burst;
-    burst.begin = scan.time();
-    scan.expect('-');
-    burst.end = scan.time();
-    scan.expect(':');
-    burst.loss_probability = scan.number();
-    scan.expect_end();
-    plan.bursts.push_back(burst);
-    return;
-  }
-  GC_REQUIRE_MSG(false, "unknown fault-plan clause: " + std::string(clause));
-}
-
-bool blank(std::string_view s) {
-  return std::all_of(s.begin(), s.end(), [](char c) {
-    return std::isspace(static_cast<unsigned char>(c));
-  });
-}
-
-std::string format_time(SimTime t) {
-  std::ostringstream os;
-  const auto us = t.as_micros();
-  if (us % 1'000'000 == 0) {
-    os << us / 1'000'000 << "s";
-  } else {
-    os << t.as_millis() << "ms";
-  }
-  return os.str();
-}
-
-}  // namespace
-
-FaultPlan FaultPlan::parse(std::string_view text) {
-  FaultPlan plan;
-  std::size_t start = 0;
-  for (std::size_t i = 0; i <= text.size(); ++i) {
-    if (i < text.size() && text[i] != ';' && text[i] != '\n') continue;
-    const auto clause = text.substr(start, i - start);
-    if (!blank(clause)) parse_clause(clause, plan);
-    start = i + 1;
-  }
-  plan.validate();
-  return plan;
-}
-
-std::string FaultPlan::to_text() const {
-  std::ostringstream os;
-  bool first = true;
-  const auto sep = [&] {
-    if (!first) os << "; ";
-    first = false;
-  };
-  for (const auto& crash : crashes) {
-    sep();
-    os << "crash@" << format_time(crash.at) << ":" << crash.node;
-  }
-  for (const auto& window : partitions) {
-    sep();
-    os << "partition@" << format_time(window.begin) << "-"
-       << format_time(window.end) << ":";
-    for (std::size_t i = 0; i < window.side_a.size(); ++i) {
-      os << (i ? "," : "") << window.side_a[i];
-    }
-    os << "|";
-    for (std::size_t i = 0; i < window.side_b.size(); ++i) {
-      os << (i ? "," : "") << window.side_b[i];
-    }
-  }
-  for (const auto& burst : bursts) {
-    sep();
-    os << "burst@" << format_time(burst.begin) << "-"
-       << format_time(burst.end) << ":" << burst.loss_probability;
-  }
-  return os.str();
 }
 
 }  // namespace groupcast::sim

@@ -1,23 +1,17 @@
 // Deterministic fault schedules for robustness experiments.
 //
-// A FaultPlan is pure data: node crashes pinned to instants, partition
-// windows separating two peer sets, and burst-loss intervals that raise
-// the transport's drop probability for a while.  Plans are built
-// programmatically (the recovery harness derives them from a seeded RNG)
-// or parsed from a compact textual grammar (see docs/ROBUSTNESS.md):
-//
-//   crash@12.5s:7; partition@30s-60s:1,2,3|4,5; burst@45s-48s:0.9
+// A FaultPlan is pure data: node crashes pinned to instants and partition
+// windows separating two peer sets.  The recovery harness builds its plans
+// programmatically from a seeded RNG.
 //
 // The plan itself never touches the simulator — injection is done by
 // core::FaultInjector, which schedules the crashes and answers the
-// transport's per-delivery fault queries.  Keeping the schedule as plain
+// transport's per-delivery partition query.  Keeping the schedule as plain
 // data is what makes recovery runs reproducible: same seed + same plan
-// text => the same events in the same order, byte-identical traces.
+// => the same events in the same order, byte-identical traces.
 #pragma once
 
 #include <cstdint>
-#include <string>
-#include <string_view>
 #include <vector>
 
 #include "sim/time.h"
@@ -31,8 +25,6 @@ using FaultNodeId = std::uint32_t;
 struct CrashEvent {
   SimTime at;
   FaultNodeId node = 0;
-
-  friend bool operator==(const CrashEvent&, const CrashEvent&) = default;
 };
 
 /// A timed two-sided network partition: while now is in [begin, end),
@@ -44,62 +36,15 @@ struct PartitionWindow {
   SimTime end;
   std::vector<FaultNodeId> side_a;
   std::vector<FaultNodeId> side_b;
-
-  friend bool operator==(const PartitionWindow&,
-                         const PartitionWindow&) = default;
-};
-
-/// A burst-loss interval: while now is in [begin, end), every send is
-/// additionally dropped with `loss_probability` (on top of the
-/// transport's own steady-state loss).
-struct BurstLoss {
-  SimTime begin;
-  SimTime end;
-  double loss_probability = 0.0;
-
-  friend bool operator==(const BurstLoss&, const BurstLoss&) = default;
 };
 
 struct FaultPlan {
   std::vector<CrashEvent> crashes;
   std::vector<PartitionWindow> partitions;
-  std::vector<BurstLoss> bursts;
 
-  bool empty() const {
-    return crashes.empty() && partitions.empty() && bursts.empty();
-  }
-
-  /// Throws PreconditionError unless every window has begin < end and
-  /// every burst probability is in [0, 1].
+  /// Throws PreconditionError unless every partition window has
+  /// begin < end and two non-empty sides.
   void validate() const;
-
-  /// Parses the textual grammar (clauses separated by ';' or newlines;
-  /// whitespace is free).  Times are floats with an optional `s` (default)
-  /// or `ms` suffix.  Throws PreconditionError on malformed input; the
-  /// returned plan is already validated.
-  ///
-  ///   plan      := clause ((';' | '\n') clause)*
-  ///   clause    := crash | partition | burst
-  ///   crash     := 'crash' '@' time ':' node
-  ///   partition := 'partition' '@' time '-' time ':' nodes '|' nodes
-  ///   burst     := 'burst' '@' time '-' time ':' probability
-  ///   nodes     := node (',' node)*
-  static FaultPlan parse(std::string_view text);
-
-  /// Canonical textual form; parse(to_text()) round-trips the plan.
-  std::string to_text() const;
-
-  /// Appends every event of `other` to this plan.
-  void merge(const FaultPlan& other);
-
-  friend bool operator==(const FaultPlan&, const FaultPlan&) = default;
 };
-
-/// True if the plan separates `a` from `b` at instant `now`.
-bool partitioned(const FaultPlan& plan, FaultNodeId a, FaultNodeId b,
-                 SimTime now);
-
-/// The largest burst-loss probability active at `now` (0 when none is).
-double burst_loss(const FaultPlan& plan, SimTime now);
 
 }  // namespace groupcast::sim

@@ -170,18 +170,6 @@ bool Simulator::cancel(TimerHandle handle) {
   return true;
 }
 
-TimerHandle Simulator::reschedule(TimerHandle handle, SimTime delay) {
-  GC_REQUIRE_MSG(timer_pending(handle),
-                 "reschedule requires a live timer handle");
-  EventNode& node = nodes_[handle.slot];
-  const TimerFn fn = node.fn;
-  void* context = node.context;
-  const std::uint64_t arg = node.arg;
-  Action action = std::move(node.action);
-  cancel(handle);
-  return enqueue(now_ + delay, fn, context, arg, std::move(action));
-}
-
 void Simulator::migrate_overflow() {
   while (!overflow_.empty()) {
     const OverflowRef top = overflow_.front();

@@ -17,8 +17,8 @@
 //    function pointer + context word in the pooled node, so periodic
 //    protocol timers (heartbeats, retransmit timeouts, transport
 //    deliveries) never touch std::function at all.
-//  * every schedule returns a TimerHandle that can cancel or reschedule
-//    the event before it fires; handles are generation-checked, so a
+//  * every schedule returns a TimerHandle that can cancel the event
+//    before it fires; handles are generation-checked, so a
 //    stale handle to an already-fired (and recycled) node is rejected
 //    rather than cancelling an unrelated event.
 //  * firing order is *exactly* the old binary-heap order — ascending
@@ -100,13 +100,6 @@ class Simulator {
 
   /// True while the event the handle refers to is still queued.
   bool timer_pending(TimerHandle handle) const;
-
-  /// Cancels `handle` and re-arms the same callback `delay` from now.
-  /// Returns the new handle (the old one becomes stale); an unassigned /
-  /// stale handle is a precondition violation — reschedule only what is
-  /// still pending.  The rescheduled event takes a fresh position in the
-  /// FIFO order of its new timestamp.
-  TimerHandle reschedule(TimerHandle handle, SimTime delay);
 
   /// Runs until the event queue drains.  Returns the number of events fired.
   std::size_t run();

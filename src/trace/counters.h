@@ -34,7 +34,8 @@ enum class CounterId : std::uint8_t {
   kSubscribeSuccesses,
   kRippleSearches,      // searches this node originated
   kTreeEdges,           // spanning-tree attachments (counted at the child)
-  kTreeRepairs,         // repair procedures run for this node's failure
+  kTreeRepairs,         // no emitter: the engine-level repair model is
+                        // gone; stays to keep the numbering of goldens
   kJoins,               // overlay join protocol completions
   kLeaves,              // graceful leaves + crashes
   kLinkRefills,         // links re-established by epoch maintenance

@@ -48,7 +48,8 @@ enum class EventKind : std::uint8_t {
   kMessageDropped,
   /// `node` ran a ripple search; `value` = search messages spent.
   kRippleSearch,
-  /// Tree repair after the failure of `node`; `value` = nodes pruned.
+  /// No emitter: the engine-level repair model is gone.  Stays so the
+  /// numeric ids that traces write keep their values.
   kTreeRepair,
   /// One maintenance epoch completed; `value` = dead links removed.
   kMaintenanceEpoch,
@@ -58,9 +59,8 @@ enum class EventKind : std::uint8_t {
   /// End-of-run counter export: counter `peer` (a CounterId) of `node`
   /// had `value`.  Lets trace_report diff counters between two runs.
   kCounterSnapshot,
-  /// A fault-plan event fired: `node` crashed (`value` = 0), a partition
-  /// window opened (`value` = 1) or closed (2), or a burst-loss interval
-  /// opened (3) or closed (4).
+  /// A fault-plan event fired: `node` crashed (`value` = 0), or a
+  /// partition window opened (`value` = 1) or closed (2).
   kFaultInjected,
   /// Orphaned node `node` reattached to the tree under new parent `peer`;
   /// `value` = recovery attempts it took.
@@ -115,7 +115,7 @@ enum class DropReason : std::uint8_t {
   kNoReceiver,      // receiver departed while the message was in flight
   kTtlExpired,      // TTL ran out before forwarding
   kPartitioned,     // sender and receiver were on opposite partition sides
-  kBurstLoss,       // dropped by a fault-plan burst-loss interval
+  kBurstLoss,       // no emitter (burst loss is gone); keeps the numbering
   kOriginDeparted,  // sender crashed before the scheduled delivery fired
   kStaleEpoch,      // sequenced payload from an out-of-date edge incarnation
   kCount_,

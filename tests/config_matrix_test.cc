@@ -4,6 +4,7 @@
 // between independently developed options.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <tuple>
 
 #include "core/middleware.h"
@@ -43,30 +44,45 @@ TEST_P(ConfigMatrix, DeploymentWorksEndToEnd) {
   EXPECT_GE(m.link_stress, 1.0 - 1e-9);
 }
 
-TEST_P(ConfigMatrix, MembershipChurnSurvives) {
+// Group communication, not single-source multicast: a payload from any
+// subscriber crosses every tree edge once and reaches every other
+// subscriber.
+TEST_P(ConfigMatrix, AnySubscriberReachesEveryOtherSubscriber) {
   GroupCastMiddleware middleware(config());
-  auto group = middleware.establish_random_group(20);
-  // One late join, one removal, one relay failure.
-  for (overlay::PeerId p = 0; p < 150; ++p) {
-    if (!group.tree.is_subscriber(p)) {
-      middleware.add_subscriber(group, p);
-      break;
-    }
+  const auto group = middleware.establish_random_group(25);
+  overlay::PeerId source = overlay::kNoPeer;  // lowest non-root subscriber
+  for (const auto s : group.tree.subscribers()) {
+    if (s != group.tree.root()) source = std::min(source, s);
   }
-  for (const auto node : group.tree.nodes()) {
-    if (node != group.tree.root() && group.tree.is_subscriber(node) &&
-        group.tree.children(node).empty()) {
-      middleware.remove_subscriber(group, node);
-      break;
-    }
+  ASSERT_NE(source, overlay::kNoPeer);
+  const auto result = middleware.session(group).disseminate(source);
+  EXPECT_EQ(result.source, source);
+  EXPECT_EQ(result.payload_messages, group.tree.nodes().size() - 1);
+  for (const auto s : group.tree.subscribers()) {
+    if (s == source) continue;
+    const auto it = result.subscriber_delay_ms.find(s);
+    ASSERT_NE(it, result.subscriber_delay_ms.end()) << "subscriber " << s;
+    EXPECT_GT(it->second, 0.0) << "subscriber " << s;
+    EXPECT_LE(it->second, result.max_delay_ms) << "subscriber " << s;
   }
-  for (const auto node : group.tree.nodes()) {
-    if (node != group.tree.root() && !group.tree.children(node).empty()) {
-      middleware.repair_after_failure(group, node);
-      break;
-    }
-  }
-  EXPECT_TRUE(group.tree.is_consistent());
+}
+
+// The capacity-loss model drops copies only at relays whose fan-out
+// exceeds what their capacity sustains; with a negligible stream nothing
+// is overloaded, so every subscriber is reached on every deployment.
+TEST_P(ConfigMatrix, NegligibleStreamMakesLossyDeliveryComplete) {
+  GroupCastMiddleware middleware(config());
+  const auto group = middleware.establish_random_group(25);
+  GroupSession::LossyOptions options;
+  options.stream_units = 1e-6;
+  util::Rng rng(31);
+  const auto result = middleware.session(group).disseminate_lossy(
+      group.advert.rendezvous, options, rng);
+  EXPECT_EQ(result.subscribers_total,
+            group.tree.subscribers().size() -
+                (group.tree.is_subscriber(group.advert.rendezvous) ? 1 : 0));
+  EXPECT_DOUBLE_EQ(result.delivery_ratio(), 1.0);
+  EXPECT_EQ(result.copies_dropped, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(

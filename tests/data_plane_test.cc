@@ -204,15 +204,6 @@ TEST(DataPlane, ValidationRejectsMalformedReliabilityOptions) {
                  PreconditionError);
   };
   NodeOptions options = reliable_options();
-  options.reliability.nack_jitter = 1.5;  // beyond the [0, 1] stretch
-  reject(options);
-  options = reliable_options();
-  options.reliability.nack_jitter = -0.1;
-  reject(options);
-  options = reliable_options();
-  options.reliability.max_nack_rounds = 0;  // a gap could never be skipped
-  reject(options);
-  options = reliable_options();
   options.reliability.ack_every = 0;  // no ack cadence at all
   reject(options);
   options = reliable_options();
@@ -221,8 +212,8 @@ TEST(DataPlane, ValidationRejectsMalformedReliabilityOptions) {
   reject(options);
   options = reliable_options();
   options.reliability.flow_control = true;
-  options.reliability.window = 256;  // windowed data would fall off the
-  options.reliability.send_buffer_cap = 128;  // retransmit buffer
+  // Windowed data would fall off the retransmit buffer.
+  options.reliability.window = core::kSendBufferCap + 1;
   reject(options);
   // The same values are fine while the features are off.
   options = reliable_options();
@@ -318,10 +309,8 @@ TEST(DataPlane, SlowChildFlowControlBoundsSenderBuffer) {
 // succeeds in order; the pin is the unbounded-versus-bounded depth.)
 TEST(DataPlane, SlowChildWithoutFlowControlFillsBufferToCap) {
   CounterScope scope(3);
-  constexpr std::size_t kCap = 8;
   const auto options_for = [](PeerId p) {
     NodeOptions options = reliable_options();
-    options.reliability.send_buffer_cap = kCap;
     options.reliability.ack_every = p == 2 ? 1000 : 2;
     return options;
   };
@@ -331,9 +320,11 @@ TEST(DataPlane, SlowChildWithoutFlowControlFillsBufferToCap) {
   d.nodes[2]->subscribe(9);
   d.simulator.run();
   ASSERT_EQ(d.nodes[2]->tree_parent(9), 0u);
-  for (std::uint64_t i = 0; i < 32; ++i) d.nodes[0]->publish(9, 7000 + i);
+  for (std::uint64_t i = 0; i < core::kSendBufferCap + 32; ++i) {
+    d.nodes[0]->publish(9, 7000 + i);
+  }
   // Everything beyond the cap fell off the retransmit buffer.
-  EXPECT_EQ(d.nodes[0]->send_buffer_depth(9, 2), kCap);
+  EXPECT_EQ(d.nodes[0]->send_buffer_depth(9, 2), core::kSendBufferCap);
   EXPECT_EQ(d.nodes[0]->pending_depth(9, 2), 0u);  // nothing parks
   EXPECT_EQ(trace::counters().total(trace::CounterId::kFlowBlocked), 0u);
   d.simulator.run();

@@ -255,7 +255,7 @@ TEST(HarnessGolden, SlowPeerCellTwoShards) {
   expect_golden(slow_peer_cell(2), 0xd0510600248a455aull, kFlowCounters);
 }
 
-// The nine shared runtime fields are validated once, for both harnesses:
+// The shared runtime fields are validated once, for both harnesses:
 // each bad value must be rejected loudly by recovery and streaming alike.
 TEST(HarnessValidation, SharedRuntimeFieldsRejectedByBothHarnesses) {
   using Mutation = void (*)(metrics::RuntimeOptions&);
@@ -272,13 +272,6 @@ TEST(HarnessValidation, SharedRuntimeFieldsRejectedByBothHarnesses) {
          o.flow_control = true;
          o.reliable_data = false;
        }},
-      {"zero heartbeat period",
-       [](metrics::RuntimeOptions& o) { o.heartbeat_seconds = 0; }},
-      {"zero heartbeat misses",
-       [](metrics::RuntimeOptions& o) { o.heartbeat_misses = 0; }},
-      {"zero epoch", [](metrics::RuntimeOptions& o) { o.epoch_seconds = 0; }},
-      {"zero convergence epochs",
-       [](metrics::RuntimeOptions& o) { o.convergence_epochs = 0; }},
   };
   using Select = metrics::RuntimeOptions& (*)(metrics::ScenarioConfig&);
   const struct {

@@ -131,72 +131,6 @@ TEST(LossySession, GroupCastBeatsRandomOverlayOnDelivery) {
             delivery(OverlayKind::kRandomPowerLaw));
 }
 
-TEST(LossySession, CascadingRelayFailuresRepairCleanly) {
-  // Two interior relays fail back to back; each repair must leave a
-  // coherent tree with every orphaned subscriber re-attached before the
-  // next failure lands.
-  MiddlewareConfig config;
-  config.peer_count = 300;
-  config.seed = 13;
-  GroupCastMiddleware middleware(config);
-  auto group = middleware.establish_random_group(60);
-
-  const auto pick_relay = [&](PeerId skip) {
-    for (PeerId p = 0; p < config.peer_count; ++p) {
-      if (p == group.advert.rendezvous || p == skip) continue;
-      if (group.tree.contains(p) && !group.tree.children(p).empty()) {
-        return p;
-      }
-    }
-    return overlay::kNoPeer;
-  };
-  const PeerId first = pick_relay(overlay::kNoPeer);
-  ASSERT_NE(first, overlay::kNoPeer);
-  const auto report_a = middleware.repair_after_failure(group, first);
-  EXPECT_GT(report_a.pruned_nodes, 0u);
-  EXPECT_EQ(report_a.resubscribed, report_a.orphaned_subscribers);
-  EXPECT_FALSE(group.tree.contains(first));
-
-  const PeerId second = pick_relay(first);
-  ASSERT_NE(second, overlay::kNoPeer);
-  const auto report_b = middleware.repair_after_failure(group, second);
-  EXPECT_EQ(report_b.resubscribed, report_b.orphaned_subscribers);
-  EXPECT_FALSE(group.tree.contains(second));
-
-  for (const auto s : group.tree.subscribers()) {
-    EXPECT_TRUE(group.tree.contains(s)) << "subscriber " << s;
-  }
-}
-
-TEST(LossySession, RepairedTreeStillDeliversLossless) {
-  // After an interior-relay repair the dissemination path must be intact:
-  // with effectively unlimited capacity every subscriber is reached.
-  MiddlewareConfig config;
-  config.peer_count = 300;
-  config.seed = 29;
-  GroupCastMiddleware middleware(config);
-  auto group = middleware.establish_random_group(60);
-  PeerId relay = overlay::kNoPeer;
-  for (PeerId p = 0; p < config.peer_count; ++p) {
-    if (p != group.advert.rendezvous && group.tree.contains(p) &&
-        !group.tree.children(p).empty()) {
-      relay = p;
-      break;
-    }
-  }
-  ASSERT_NE(relay, overlay::kNoPeer);
-  middleware.repair_after_failure(group, relay);
-
-  const auto session = middleware.session(group);
-  GroupSession::LossyOptions options;
-  options.stream_units = 1e-6;
-  util::Rng rng(31);
-  const auto result =
-      session.disseminate_lossy(group.advert.rendezvous, options, rng);
-  EXPECT_DOUBLE_EQ(result.delivery_ratio(), 1.0);
-  EXPECT_EQ(result.copies_dropped, 0u);
-}
-
 TEST(LossySession, Preconditions) {
   LossyFixture f;
   const GroupSession session(*f.world.population, f.tree);

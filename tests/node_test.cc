@@ -297,6 +297,46 @@ TEST(Node, RelayChainCollapsesAfterLastChildLeaves) {
   }
 }
 
+TEST(Node, UnsubscribedInteriorPeerKeepsRelaying) {
+  NodeDeployment d(64, 47);
+  d.nodes[0]->create_group(5);
+  d.simulator.run();
+  std::vector<PeerId> subscribers;
+  for (PeerId p = 1; p < d.nodes.size(); p += 3) {
+    d.nodes[p]->subscribe(5);
+    subscribers.push_back(p);
+  }
+  d.simulator.run();
+  PeerId interior = overlay::kNoPeer;
+  for (const auto s : subscribers) {
+    ASSERT_TRUE(d.nodes[s]->is_subscribed(5)) << "subscriber " << s;
+    if (interior == overlay::kNoPeer && !d.nodes[s]->tree_children(5).empty()) {
+      interior = s;
+    }
+  }
+  ASSERT_NE(interior, overlay::kNoPeer);
+  const auto children = d.nodes[interior]->tree_children(5);
+  d.nodes[interior]->unsubscribe(5);
+  d.simulator.run();
+  // It stops being a member but stays on the tree as a pure relay.
+  EXPECT_FALSE(d.nodes[interior]->is_subscribed(5));
+  EXPECT_TRUE(d.nodes[interior]->on_tree(5));
+  EXPECT_EQ(d.nodes[interior]->tree_children(5), children);
+  for (const auto child : children) {
+    EXPECT_EQ(d.nodes[child]->tree_parent(5), interior) << "child " << child;
+  }
+  std::map<PeerId, int> deliveries;
+  for (PeerId p = 0; p < d.nodes.size(); ++p) {
+    d.nodes[p]->on_data(
+        [&deliveries, p](GroupId, std::uint64_t, PeerId) { ++deliveries[p]; });
+  }
+  d.nodes[0]->publish(5, 9);
+  d.simulator.run();
+  for (const auto s : subscribers) {
+    EXPECT_EQ(deliveries[s], s == interior ? 0 : 1) << "subscriber " << s;
+  }
+}
+
 // ------------------------------------------------------- group records
 
 using Footprint = GroupCastNode::Footprint;

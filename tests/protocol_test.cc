@@ -95,22 +95,6 @@ TEST(SpanningTree, SubscribersAreTracked) {
   EXPECT_THROW(tree.mark_subscriber(9), PreconditionError);
 }
 
-TEST(SpanningTree, PruneRemovesSubtree) {
-  SpanningTree tree(0);
-  tree.attach(1, 0);
-  tree.attach(2, 1);
-  tree.attach(3, 2);
-  tree.attach(4, 0);
-  tree.mark_subscriber(3);
-  EXPECT_EQ(tree.prune(1), 3u);  // 1, 2, 3
-  EXPECT_FALSE(tree.contains(1));
-  EXPECT_FALSE(tree.contains(3));
-  EXPECT_TRUE(tree.contains(4));
-  EXPECT_EQ(tree.subscriber_count(), 0u);
-  EXPECT_TRUE(tree.is_consistent());
-  EXPECT_THROW(tree.prune(0), PreconditionError);  // cannot prune root
-}
-
 // ----------------------------------------------------------- advertisement
 
 TEST(Advertisement, NssaReachesEveryConnectedPeer) {

@@ -43,7 +43,6 @@ TEST(Recovery, ValidationRejectsBadOptionsLoudly) {
   rejects([](Options& r) { r.graceful_fraction = -0.1; });
   rejects([](Options& r) { r.graceful_fraction = 0.8; });  // sum > 1
   rejects([](Options& r) { r.speaking_payloads = 0; });
-  rejects([](Options& r) { r.slow_ack_factor = 0; });
   rejects([](Options& r) { r.partition_seconds = 10.0; });  // no replicas
   rejects([](Options& r) {
     r.replication = true;
@@ -57,16 +56,6 @@ TEST(Recovery, ValidationRejectsBadOptionsLoudly) {
     r.replication = true;
     r.partition_seconds = -1.0;
   });
-  rejects([](Options& r) {
-    r.replication = true;
-    r.partition_seconds = 10.0;
-    r.partition_fraction = 0.6;
-  });
-  rejects([](Options& r) {
-    r.replication = true;
-    r.partition_seconds = 10.0;
-    r.partition_payloads = 0;
-  });
 }
 
 // The ISSUE's acceptance bar: loss = 0.2 plus 30% ungraceful churn, and
@@ -78,7 +67,7 @@ TEST(Recovery, SurvivorsReattachUnderHeavyLossAndChurn) {
   EXPECT_GT(result.delivery_ratio, 0.0);
   EXPECT_GT(result.subscription_success_rate, 0.9);
   EXPECT_LT(result.epochs_to_converge,
-            static_cast<double>(hostile_point().recovery.convergence_epochs));
+            static_cast<double>(metrics::kConvergenceEpochs));
 }
 
 // The same hostile point must produce byte-identical numbers whether the
@@ -230,9 +219,9 @@ TEST(Recovery, BackupParentRungFiresUnderChurn) {
 }
 
 // Deployment driving one subscriber through a total outage of the control
-// plane: a burst-loss window with probability 1 swallows the JOIN and its
-// ack, exactly the dropped-JoinAck scenario that used to strand the
-// subscriber forever.
+// plane: a partition window cutting the subscriber off from every other
+// peer swallows the JOIN and its ack, exactly the dropped-JoinAck
+// scenario that used to strand the subscriber forever.
 struct JoinOutageFixture {
   core::GroupCastMiddleware middleware;
   util::Rng rng;
@@ -271,6 +260,18 @@ struct JoinOutageFixture {
     }
     return overlay::kNoPeer;
   }
+
+  /// A plan isolating `peer` from everyone else over [begin, end).
+  sim::FaultPlan outage(overlay::PeerId peer, sim::SimTime begin,
+                        sim::SimTime end) const {
+    sim::PartitionWindow window{begin, end, {peer}, {}};
+    for (overlay::PeerId p = 0; p < nodes.size(); ++p) {
+      if (p != peer) window.side_b.push_back(p);
+    }
+    sim::FaultPlan plan;
+    plan.partitions.push_back(std::move(window));
+    return plan;
+  }
 };
 
 // With the default retry policy the same outage only delays the join: the
@@ -278,10 +279,12 @@ struct JoinOutageFixture {
 // lands on the tree.
 TEST(Recovery, RetryLadderSurvivesDroppedJoinAck) {
   JoinOutageFixture f;
-  core::FaultInjector injector(sim::FaultPlan::parse("burst@5s-6.5s:1.0"),
-                               f.transport);
   const auto subscriber = f.pick_subscriber();
   ASSERT_NE(subscriber, overlay::kNoPeer);
+  core::FaultInjector injector(
+      f.outage(subscriber, sim::SimTime::seconds(5.0),
+               sim::SimTime::seconds(6.5)),
+      f.transport);
   bool reported = false, success = false;
   f.nodes[subscriber]->on_subscribe_result(
       [&](core::GroupId, bool ok) { reported = true; success = ok; });

@@ -2,7 +2,8 @@
 // fake host, with every message it sends captured at the other peers.
 // These pin the sequence-layer rules no node-level test isolates: the
 // NACK bitmask over non-adjacent holes, FIFO park-and-drain behind a
-// flow-control window, and a SeqSync base that skips an unrecoverable gap.
+// flow-control window, a SeqSync base that skips an unrecoverable gap, and
+// the NACK and probe round caps.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -88,10 +89,13 @@ class EdgeRig final : public ReliableEdge::Host {
 DataReliabilityOptions reliable() {
   DataReliabilityOptions options;
   options.enabled = true;
-  // One NACK round per test: the retry would muddy the captured stream.
-  options.nack_retry_delay = sim::SimTime::seconds(30);
   return options;
 }
+
+/// How long a test may run the wheel and still see one NACK round: the
+/// first NACK goes out within kNackDelay * (1 + kNackJitter) of the gap,
+/// and no retry before kNackDelay + kNackRetryDelay.
+constexpr sim::SimTime kOneNackRound = kNackDelay + kNackRetryDelay;
 
 std::vector<std::uint64_t> payload_ids(const std::vector<BufferedPayload>& v) {
   std::vector<std::uint64_t> ids;
@@ -107,13 +111,57 @@ TEST(ReliableEdgeSeam, NackMaskCoversTwoNonAdjacentHoles) {
   rig.arrive(4);  // 3 missing
   EXPECT_EQ(payload_ids(rig.delivered()), std::vector<std::uint64_t>{100});
 
-  const auto nacks =
-      rig.received<DataNackMsg>(kChild, sim::SimTime::seconds(2));
+  const auto nacks = rig.received<DataNackMsg>(kChild, kOneNackRound);
   ASSERT_EQ(nacks.size(), 1u);
   EXPECT_EQ(nacks[0].epoch, 1u);
   EXPECT_EQ(nacks[0].base_seq, 1u);
   // Bit i marks base + i missing: 1 and 3 are holes, 2 and 4 are parked.
   EXPECT_EQ(nacks[0].missing, 0b101u);
+}
+
+TEST(ReliableEdgeSeam, NackRoundsStopAtTheCapAndSkipTheGap) {
+  EdgeRig rig(reliable());
+  rig.edge().handle(rig.group(), kChild, SeqSyncMsg{kGroup, 1, 0, 0});
+  rig.arrive(0);
+  rig.arrive(2);  // 1 is never retransmitted
+  const auto nacks =
+      rig.received<DataNackMsg>(kChild, sim::SimTime::seconds(10));
+  // kMaxNackRounds requests for the hole, then the receiver gives up on
+  // it and releases the parked payload behind it.
+  ASSERT_EQ(nacks.size(), kMaxNackRounds);
+  for (const auto& nack : nacks) {
+    EXPECT_EQ(nack.base_seq, 1u);
+    EXPECT_EQ(nack.missing, 0b1u);
+  }
+  EXPECT_EQ(payload_ids(rig.delivered()),
+            (std::vector<std::uint64_t>{100, 102}));
+  EXPECT_EQ(ReliableEdge::expected_seq(rig.group(), kChild), 3u);
+}
+
+TEST(ReliableEdgeSeam, SilentReceiverLosesItsTailAfterTheProbeCap) {
+  EdgeRig rig(reliable());
+  BufferedPayload payload;
+  payload.origin = kSelf;
+  payload.payload_id = 1;
+  payload.hops = 1;
+  rig.edge().send(kGroup, rig.group(), kChild, payload);
+  // No probe fires before kProbeDelay: whatever SeqSync arrives by then
+  // is the handshake of the new edge.
+  const auto handshake =
+      rig.received<SeqSyncMsg>(kChild, sim::SimTime::micros(
+                                                 kProbeDelay.as_micros() / 2))
+          .size();
+  EXPECT_EQ(ReliableEdge::buffer_depth(rig.group(), kChild), 1u);
+  // The child never acks: kMaxProbeRounds re-announcements of the unacked
+  // tail, then the sender stops holding it.
+  const auto syncs =
+      rig.received<SeqSyncMsg>(kChild, sim::SimTime::seconds(20));
+  EXPECT_EQ(syncs.size(), handshake + kMaxProbeRounds);
+  for (std::size_t i = handshake; i < syncs.size(); ++i) {
+    EXPECT_EQ(syncs[i].base_seq, 0u);
+    EXPECT_EQ(syncs[i].next_seq, 1u);
+  }
+  EXPECT_EQ(ReliableEdge::buffer_depth(rig.group(), kChild), 0u);
 }
 
 TEST(ReliableEdgeSeam, AckReopeningTheWindowDrainsParkedPayloadsInOrder) {

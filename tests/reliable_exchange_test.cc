@@ -11,20 +11,10 @@
 namespace groupcast::core {
 namespace {
 
-RetryPolicy no_jitter_policy() {
-  RetryPolicy policy;
-  policy.base_timeout = sim::SimTime::seconds(1.0);
-  policy.backoff = 2.0;
-  policy.max_timeout = sim::SimTime::seconds(8.0);
-  policy.jitter = 0.0;
-  policy.max_attempts = 3;
-  return policy;
-}
-
 TEST(ReliableExchange, BackoffDoublesAndCaps) {
   sim::Simulator simulator;
   util::Rng rng(1);
-  ReliableExchange exchange(simulator, 0, no_jitter_policy(), rng);
+  ReliableExchange exchange(simulator, 0, RetryPolicy{}, rng);
   EXPECT_EQ(exchange.backoff_timeout(0), sim::SimTime::seconds(1.0));
   EXPECT_EQ(exchange.backoff_timeout(1), sim::SimTime::seconds(2.0));
   EXPECT_EQ(exchange.backoff_timeout(2), sim::SimTime::seconds(4.0));
@@ -34,10 +24,32 @@ TEST(ReliableExchange, BackoffDoublesAndCaps) {
   EXPECT_EQ(exchange.backoff_timeout(20), sim::SimTime::seconds(8.0));
 }
 
+TEST(ReliableExchange, BaseAndCapShapeTheBackoff) {
+  // The two settable fields: base_timeout is the first wait and
+  // max_timeout caps the doubling, as the lease replica sets them.
+  sim::Simulator simulator;
+  util::Rng rng(1);
+  RetryPolicy policy;
+  policy.base_timeout = sim::SimTime::millis(500);
+  policy.max_timeout = sim::SimTime::millis(2000);
+  ReliableExchange exchange(simulator, 0, policy, rng);
+  EXPECT_EQ(exchange.backoff_timeout(0), sim::SimTime::millis(500));
+  EXPECT_EQ(exchange.backoff_timeout(1), sim::SimTime::millis(1000));
+  EXPECT_EQ(exchange.backoff_timeout(2), sim::SimTime::millis(2000));
+  EXPECT_EQ(exchange.backoff_timeout(3), sim::SimTime::millis(2000));
+}
+
+/// True if `gap` lies in the jitter band [base, base * (1 + kRetryJitter)).
+bool in_jitter_band(sim::SimTime gap, sim::SimTime base) {
+  return gap >= base &&
+         static_cast<double>(gap.as_micros()) <
+             static_cast<double>(base.as_micros()) * (1.0 + kRetryJitter);
+}
+
 TEST(ReliableExchange, RetriesOnScheduleThenGivesUp) {
   sim::Simulator simulator;
   util::Rng rng(2);
-  ReliableExchange exchange(simulator, 0, no_jitter_policy(), rng);
+  ReliableExchange exchange(simulator, 0, RetryPolicy{}, rng);
   std::vector<std::pair<std::size_t, sim::SimTime>> sends;
   bool gave_up = false;
   sim::SimTime give_up_at;
@@ -50,23 +62,27 @@ TEST(ReliableExchange, RetriesOnScheduleThenGivesUp) {
         give_up_at = simulator.now();
       });
   simulator.run();
-  // Attempt 0 immediately, retries after 1s and 1+2s, give-up at 1+2+4s.
-  ASSERT_EQ(sends.size(), 3u);
+  // Attempt 0 immediately, retries ~1s and ~2s later, give-up ~4s after
+  // the last: every wait is the backoff stretched inside the jitter band.
+  ASSERT_EQ(sends.size(), kMaxAttempts);
   EXPECT_EQ(sends[0].first, 0u);
   EXPECT_EQ(sends[0].second, sim::SimTime::zero());
   EXPECT_EQ(sends[1].first, 1u);
-  EXPECT_EQ(sends[1].second, sim::SimTime::seconds(1.0));
+  EXPECT_TRUE(in_jitter_band(sends[1].second - sends[0].second,
+                             sim::SimTime::seconds(1.0)));
   EXPECT_EQ(sends[2].first, 2u);
-  EXPECT_EQ(sends[2].second, sim::SimTime::seconds(3.0));
+  EXPECT_TRUE(in_jitter_band(sends[2].second - sends[1].second,
+                             sim::SimTime::seconds(2.0)));
   EXPECT_TRUE(gave_up);
-  EXPECT_EQ(give_up_at, sim::SimTime::seconds(7.0));
+  EXPECT_TRUE(in_jitter_band(give_up_at - sends[2].second,
+                             sim::SimTime::seconds(4.0)));
   EXPECT_EQ(exchange.in_flight(), 0u);
 }
 
 TEST(ReliableExchange, SettleStopsTheClock) {
   sim::Simulator simulator;
   util::Rng rng(3);
-  ReliableExchange exchange(simulator, 0, no_jitter_policy(), rng);
+  ReliableExchange exchange(simulator, 0, RetryPolicy{}, rng);
   std::size_t sends = 0;
   bool gave_up = false;
   const auto token =
@@ -84,7 +100,7 @@ TEST(ReliableExchange, SettleStopsTheClock) {
 TEST(ReliableExchange, CancelSuppressesGiveUp) {
   sim::Simulator simulator;
   util::Rng rng(4);
-  ReliableExchange exchange(simulator, 0, no_jitter_policy(), rng);
+  ReliableExchange exchange(simulator, 0, RetryPolicy{}, rng);
   bool gave_up = false;
   const auto token =
       exchange.begin([](std::size_t) {}, [&] { gave_up = true; });
@@ -97,7 +113,7 @@ TEST(ReliableExchange, CancelSuppressesGiveUp) {
 TEST(ReliableExchange, CancelAllOnShutdown) {
   sim::Simulator simulator;
   util::Rng rng(5);
-  ReliableExchange exchange(simulator, 0, no_jitter_policy(), rng);
+  ReliableExchange exchange(simulator, 0, RetryPolicy{}, rng);
   bool gave_up = false;
   exchange.begin([](std::size_t) {}, [&] { gave_up = true; });
   exchange.begin([](std::size_t) {}, [&] { gave_up = true; });
@@ -111,30 +127,27 @@ TEST(ReliableExchange, CancelAllOnShutdown) {
 TEST(ReliableExchange, JitterStretchesWithinBounds) {
   sim::Simulator simulator;
   util::Rng rng(6);
-  RetryPolicy policy = no_jitter_policy();
-  policy.jitter = 0.5;
-  policy.max_attempts = 4;
-  ReliableExchange exchange(simulator, 0, policy, rng);
+  ReliableExchange exchange(simulator, 0, RetryPolicy{}, rng);
   std::vector<sim::SimTime> at;
   exchange.begin([&](std::size_t) { at.push_back(simulator.now()); },
-                 [] {});
+                 [&] { at.push_back(simulator.now()); });
   simulator.run();
-  ASSERT_EQ(at.size(), 4u);
+  ASSERT_EQ(at.size(), kMaxAttempts + 1);  // every send, then the give-up
+  bool stretched = false;
   for (std::size_t k = 0; k + 1 < at.size(); ++k) {
     const auto gap = at[k + 1] - at[k];
     const auto base = exchange.backoff_timeout(k);
-    EXPECT_GE(gap, base) << "attempt " << k;
-    EXPECT_LT(gap.as_micros(), base.as_micros() * 3 / 2) << "attempt " << k;
+    EXPECT_TRUE(in_jitter_band(gap, base)) << "attempt " << k;
+    stretched = stretched || gap > base;
   }
+  EXPECT_TRUE(stretched);  // the jitter draw is really applied
 }
 
 TEST(ReliableExchange, ScheduleIsDeterministicPerSeed) {
   auto schedule = [](std::uint64_t seed) {
     sim::Simulator simulator;
     util::Rng rng(seed);
-    RetryPolicy policy = no_jitter_policy();
-    policy.jitter = 0.3;
-    ReliableExchange exchange(simulator, 0, policy, rng);
+    ReliableExchange exchange(simulator, 0, RetryPolicy{}, rng);
     std::vector<std::int64_t> at;
     exchange.begin(
         [&](std::size_t) { at.push_back(simulator.now().as_micros()); },
@@ -149,7 +162,7 @@ TEST(ReliableExchange, ScheduleIsDeterministicPerSeed) {
 TEST(ReliableExchange, IndependentExchangesDoNotInterfere) {
   sim::Simulator simulator;
   util::Rng rng(7);
-  ReliableExchange exchange(simulator, 0, no_jitter_policy(), rng);
+  ReliableExchange exchange(simulator, 0, RetryPolicy{}, rng);
   std::size_t sends_a = 0, sends_b = 0;
   bool gave_up_b = false;
   const auto a = exchange.begin([&](std::size_t) { ++sends_a; }, [] {});
@@ -158,7 +171,7 @@ TEST(ReliableExchange, IndependentExchangesDoNotInterfere) {
   exchange.settle(a);
   simulator.run();
   EXPECT_EQ(sends_a, 1u);
-  EXPECT_EQ(sends_b, 3u);
+  EXPECT_EQ(sends_b, kMaxAttempts);
   EXPECT_TRUE(gave_up_b);
 }
 
@@ -168,19 +181,10 @@ TEST(ReliableExchange, RejectsNonsensePolicies) {
   auto make = [&](RetryPolicy policy) {
     ReliableExchange exchange(simulator, 0, policy, rng);
   };
-  RetryPolicy policy = no_jitter_policy();
-  policy.max_attempts = 0;
-  EXPECT_THROW(make(policy), PreconditionError);
-  policy = no_jitter_policy();
-  policy.backoff = 0.5;
-  EXPECT_THROW(make(policy), PreconditionError);
-  policy = no_jitter_policy();
-  policy.jitter = -0.1;
-  EXPECT_THROW(make(policy), PreconditionError);
-  policy = no_jitter_policy();
+  RetryPolicy policy;
   policy.base_timeout = sim::SimTime::zero();
   EXPECT_THROW(make(policy), PreconditionError);
-  policy = no_jitter_policy();
+  policy = RetryPolicy{};
   policy.max_timeout = sim::SimTime::millis(1.0);
   EXPECT_THROW(make(policy), PreconditionError);
 }

@@ -1,5 +1,5 @@
 // Tests for the timer-wheel scheduler features added on top of the basic
-// event-loop semantics covered by sim_test.cc: cancellable/reschedulable
+// event-loop semantics covered by sim_test.cc: cancellable
 // handles, the fixed-signature timer path, FIFO ordering across wheel
 // levels and the overflow heap, run_until boundaries, and a randomized
 // golden-equality check against a reference (when, seq) priority model.
@@ -53,29 +53,26 @@ TEST(TimerWheel, HandlesAreGenerationChecked) {
   EXPECT_EQ(fired, (std::vector<std::uint64_t>{1, 2}));
 }
 
-TEST(TimerWheel, RescheduleMovesTheDeadline) {
+TEST(TimerWheel, CancelThenScheduleMovesTheDeadline) {
+  // How a protocol timer re-arms: cancel the pending handle, schedule a
+  // fresh one.  The new event takes the new deadline and, at a shared
+  // instant, a FIFO position behind every event already queued there.
   Simulator simulator;
   std::vector<std::uint64_t> fired;
-  auto tick =
-      simulator.schedule_timer(SimTime::millis(10), &push_arg, &fired, 7);
-  simulator.schedule_timer(SimTime::millis(20), &push_arg, &fired, 8);
-  tick = simulator.reschedule(tick, SimTime::millis(30));
-  EXPECT_TRUE(simulator.timer_pending(tick));
-  simulator.run();
-  EXPECT_EQ(fired, (std::vector<std::uint64_t>{8, 7}));
-  EXPECT_EQ(simulator.now(), SimTime::millis(30));
-}
-
-TEST(TimerWheel, RescheduleTakesFreshFifoPosition) {
-  Simulator simulator;
-  std::vector<std::uint64_t> fired;
-  const auto moved =
+  auto moved =
       simulator.schedule_timer(SimTime::millis(5), &push_arg, &fired, 1);
   simulator.schedule_timer(SimTime::millis(5), &push_arg, &fired, 2);
-  // Same instant, but rescheduling re-enqueues: 1 now fires after 2.
-  simulator.reschedule(moved, SimTime::millis(5));
+  simulator.schedule_timer(SimTime::millis(20), &push_arg, &fired, 3);
+  EXPECT_TRUE(simulator.cancel(moved));
+  moved = simulator.schedule_timer(SimTime::millis(5), &push_arg, &fired, 1);
+  const auto later =
+      simulator.schedule_timer(SimTime::millis(10), &push_arg, &fired, 4);
+  EXPECT_TRUE(simulator.cancel(later));
+  simulator.schedule_timer(SimTime::millis(30), &push_arg, &fired, 4);
+  EXPECT_EQ(simulator.pending(), 4u);
   simulator.run();
-  EXPECT_EQ(fired, (std::vector<std::uint64_t>{2, 1}));
+  EXPECT_EQ(fired, (std::vector<std::uint64_t>{2, 1, 3, 4}));
+  EXPECT_EQ(simulator.now(), SimTime::millis(30));
 }
 
 TEST(TimerWheel, FifoTieBreakAcrossWheelLevels) {
