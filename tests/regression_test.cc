@@ -7,26 +7,74 @@
 // confirming the change is intended and EXPERIMENTS.md still holds.
 #include <gtest/gtest.h>
 
+#include <span>
+
 #include "core/middleware.h"
 #include "core/utility.h"
 #include "metrics/esm_metrics.h"
 #include "metrics/experiment.h"
 #include "metrics/graph_stats.h"
+#include "test_helpers.h"
 
 namespace groupcast {
 namespace {
 
+/// FNV-1a over a deployment's overlay adjacency (out-lists in stored
+/// order) and every peer's attachment, coordinate and capacity.
+std::uint64_t world_hash(const core::GroupCastMiddleware& middleware) {
+  testing::Fnv64 hash;
+  const auto& graph = middleware.graph();
+  for (overlay::PeerId p = 0; p < graph.peer_count(); ++p) {
+    const auto out = graph.out_neighbors(p);
+    hash.add(out.size());
+    hash.add(std::span<const overlay::PeerId>(out.begin(), out.size()));
+  }
+  for (const auto& peer : middleware.population().peers()) {
+    hash.add(peer.router);
+    hash.add(peer.access_latency_ms);
+    hash.add(peer.coord);
+    hash.add(peer.capacity);
+  }
+  return hash.value();
+}
+
 TEST(Regression, OverlayConstructionGoldens) {
-  core::MiddlewareConfig config;
-  config.peer_count = 500;
-  config.seed = 7;
-  core::GroupCastMiddleware middleware(config);
-  // Exact integer goldens: the RNG and join order are fully deterministic.
-  // (Re-pinned when the middleware moved to Rng::for_stream(seed, 0) —
-  // deployments now draw from a dedicated stream of the seed.)
-  EXPECT_EQ(middleware.graph().edge_count(), 4499u);
-  EXPECT_EQ(middleware.connectivity_repair_edges(), 0u);
-  EXPECT_TRUE(middleware.graph().connectivity().connected);
+  // One row per world kind the middleware builds.  Exact integer goldens:
+  // the RNG and join order are fully deterministic.
+  struct Row {
+    core::OverlayKind overlay;
+    core::UnderlayModel underlay;
+    std::size_t edges;
+    std::size_t repair_edges;
+    std::uint64_t hash;
+  };
+  const Row rows[] = {
+      {core::OverlayKind::kGroupCast, core::UnderlayModel::kTransitStub,
+       4499u, 0u, 0x5f1cc32da3b9e813ULL},
+      {core::OverlayKind::kRandomPowerLaw,
+       core::UnderlayModel::kTransitStub, 2746u, 0u, 0x0a3365b50a1f4417ULL},
+      {core::OverlayKind::kSupernode, core::UnderlayModel::kTransitStub,
+       3763u, 0u, 0x0d967c075c5322c0ULL},
+      {core::OverlayKind::kGroupCast, core::UnderlayModel::kWaxman, 4559u,
+       0u, 0xab575380bb1c8514ULL},
+  };
+  for (const auto& row : rows) {
+    SCOPED_TRACE(::testing::Message()
+                 << core::to_string(row.overlay) << " on "
+                 << (row.underlay == core::UnderlayModel::kWaxman
+                         ? "Waxman"
+                         : "transit-stub"));
+    core::MiddlewareConfig config;
+    config.peer_count = 500;
+    config.seed = 7;
+    config.overlay = row.overlay;
+    config.underlay_model = row.underlay;
+    core::GroupCastMiddleware middleware(config);
+    EXPECT_EQ(middleware.graph().edge_count(), row.edges);
+    EXPECT_EQ(middleware.connectivity_repair_edges(), row.repair_edges);
+    EXPECT_TRUE(middleware.graph().connectivity().connected);
+    EXPECT_EQ(world_hash(middleware), row.hash);
+  }
 }
 
 TEST(Regression, ScenarioGoldens) {

@@ -2,7 +2,9 @@
 // underlay + population, and hand-built graphs with known properties.
 #pragma once
 
+#include <cstdint>
 #include <memory>
+#include <span>
 
 #include "net/routing.h"
 #include "net/topology.h"
@@ -10,6 +12,26 @@
 #include "util/rng.h"
 
 namespace groupcast::testing {
+
+/// FNV-1a, 64-bit, over raw object bytes.
+class Fnv64 {
+ public:
+  template <typename T>
+  void add(std::span<const T> items) {
+    const auto* bytes = reinterpret_cast<const unsigned char*>(items.data());
+    for (std::size_t i = 0; i < items.size_bytes(); ++i) {
+      hash_ = (hash_ ^ bytes[i]) * 0x100000001b3ULL;
+    }
+  }
+  template <typename T>
+  void add(const T& item) {
+    add(std::span<const T>(&item, 1));
+  }
+  std::uint64_t value() const { return hash_; }
+
+ private:
+  std::uint64_t hash_ = 0xcbf29ce484222325ULL;
+};
 
 /// A compact transit-stub world (~2 transit domains) with `peers` peers.
 /// Deterministic for a given seed.
