@@ -2,8 +2,9 @@
 //
 // GroupCast peers carry a network coordinate in their identification tuple
 // <IP, port, coordinate, capacity> (Section 3.3) and estimate inter-peer
-// latency from coordinate distance.  The paper cites GNP [1] and
-// Vivaldi [15]; both embed hosts into a low-dimensional Euclidean space.
+// latency from coordinate distance.  The paper assigns them with GNP [1]
+// (coords/gnp.h), which embeds hosts into a low-dimensional Euclidean
+// space.
 #pragma once
 
 #include <array>

@@ -16,10 +16,11 @@ namespace {
 /// chunk amortizes the shared ticket without starving the tail.
 constexpr std::size_t kHostsPerChunk = 64;
 
-double noisy(double value, double noise, util::Rng& rng) {
-  if (noise <= 0.0) return value;
-  return value * rng.uniform(1.0 - noise, 1.0 + noise);
-}
+/// Spring relaxation rounds of the joint landmark embedding.
+constexpr std::size_t kLandmarkIterations = 2000;
+
+/// Nelder–Mead iteration budget per host fit.
+constexpr std::size_t kHostNmIterations = 300;
 
 /// Relative-error objective GNP minimizes: sum of ((est-real)/real)^2.
 double relative_error_sq(double estimated, double measured) {
@@ -45,10 +46,7 @@ GnpEmbedding::GnpEmbedding(std::size_t host_count, const LatencyOracle& oracle,
                                            std::vector<double>(n_landmarks));
   for (std::size_t i = 0; i < n_landmarks; ++i) {
     for (std::size_t j = i + 1; j < n_landmarks; ++j) {
-      const double d =
-          noisy(oracle(landmarks_[i], landmarks_[j]),
-                options.measurement_noise, rng);
-      lm_dist[i][j] = lm_dist[j][i] = d;
+      lm_dist[i][j] = lm_dist[j][i] = oracle(landmarks_[i], landmarks_[j]);
     }
   }
 
@@ -61,11 +59,11 @@ GnpEmbedding::GnpEmbedding(std::size_t host_count, const LatencyOracle& oracle,
   for (auto& c : lm) {
     for (std::size_t d = 0; d < kDims; ++d) c[d] = rng.uniform(-200.0, 200.0);
   }
-  for (std::size_t round = 0; round < options.landmark_iterations; ++round) {
+  for (std::size_t round = 0; round < kLandmarkIterations; ++round) {
     // Step size decays so the system settles.
     const double step =
         0.25 * (1.0 - static_cast<double>(round) /
-                          static_cast<double>(options.landmark_iterations));
+                          static_cast<double>(kLandmarkIterations));
     for (std::size_t i = 0; i < n_landmarks; ++i) {
       Coord force;
       for (std::size_t j = 0; j < n_landmarks; ++j) {
@@ -98,15 +96,13 @@ GnpEmbedding::GnpEmbedding(std::size_t host_count, const LatencyOracle& oracle,
   std::vector<char> is_landmark(host_count, 0);
   for (const auto l : landmarks_) is_landmark[l] = 1;
 
-  // Every probe is drawn here, serially and in host order, so the RNG
-  // stream (and its state after the constructor) is exactly that of a
-  // host-by-host loop; the fits below draw nothing.
+  // Every probe is taken here, on the calling thread, so the oracle need
+  // not be thread-safe; the fits below only read the probe rows.
   std::vector<double> probes(host_count * n_landmarks);
   for (std::size_t host = 0; host < host_count; ++host) {
     if (is_landmark[host]) continue;
     for (std::size_t j = 0; j < n_landmarks; ++j) {
-      probes[host * n_landmarks + j] =
-          noisy(oracle(host, landmarks_[j]), options.measurement_noise, rng);
+      probes[host * n_landmarks + j] = oracle(host, landmarks_[j]);
     }
   }
 
@@ -115,7 +111,7 @@ GnpEmbedding::GnpEmbedding(std::size_t host_count, const LatencyOracle& oracle,
   // run in parallel and come out byte-identical to a serial loop.
   using Point = std::array<double, kDims>;
   NelderMeadOptions nm;
-  nm.max_iterations = options.host_nm_iterations;
+  nm.max_iterations = kHostNmIterations;
   nm.initial_step = 40.0;
   util::parallel_for(host_count, kHostsPerChunk, [&](std::size_t host) {
     if (is_landmark[host]) return;

@@ -9,8 +9,8 @@
 //      Simplex Downhill (Nelder–Mead) method.
 //
 // The latency oracle abstracts "measuring": in the simulation it returns
-// the underlay's true shortest-path latency (optionally with measurement
-// noise), which is exactly the information real probes would gather.
+// the underlay's true shortest-path latency, which is exactly the
+// information real probes would gather.
 #pragma once
 
 #include <functional>
@@ -26,11 +26,8 @@ using LatencyOracle = std::function<double(std::size_t, std::size_t)>;
 
 struct GnpOptions {
   std::size_t landmarks = 8;
-  /// Multiplicative measurement noise: each probe is scaled by a factor
-  /// drawn uniformly from [1-noise, 1+noise].  0 disables noise.
-  double measurement_noise = 0.0;
-  std::size_t landmark_iterations = 2000;  // spring relaxation rounds
-  std::size_t host_nm_iterations = 300;    // Nelder–Mead budget per host
+
+  friend bool operator==(const GnpOptions&, const GnpOptions&) = default;
 };
 
 /// Embedding of `host_count` hosts.

@@ -45,6 +45,9 @@ struct AdvertisementOptions {
   /// Ablation hook: when >= 0, forwarders use this fixed resource level
   /// instead of sampling (see BootstrapOptions::pinned_resource_level).
   double pinned_resource_level = -1.0;
+
+  friend bool operator==(const AdvertisementOptions&,
+                         const AdvertisementOptions&) = default;
 };
 
 /// Outcome of one announcement: who received it, from whom, and when.

@@ -9,6 +9,13 @@
 
 namespace groupcast::core {
 
+namespace {
+
+/// Random-walk length used by pick_rendezvous().
+constexpr std::size_t kRendezvousWalkLength = 20;
+
+}  // namespace
+
 const char* to_string(OverlayKind kind) {
   switch (kind) {
     case OverlayKind::kGroupCast:
@@ -169,7 +176,7 @@ void GroupCastMiddleware::build_overlay() {
       break;
     }
     case OverlayKind::kRandomPowerLaw: {
-      overlay::generate_plod(*graph_, config_.plod, rng_);
+      overlay::generate_plod(*graph_, rng_);
       // PLOD peers are still registered so host-cache-based lookups and
       // maintenance work identically on both overlays.
       for (overlay::PeerId p = 0; p < config_.peer_count; ++p) {
@@ -179,7 +186,7 @@ void GroupCastMiddleware::build_overlay() {
     }
     case OverlayKind::kSupernode: {
       supernode_layout_ = overlay::build_supernode_overlay(
-          *population_, *graph_, *host_cache_, config_.supernode, rng_);
+          *population_, *graph_, *host_cache_, rng_);
       break;
     }
   }
@@ -261,7 +268,7 @@ overlay::PeerId GroupCastMiddleware::pick_rendezvous() {
   GC_REQUIRE_MSG(graph_->degree(at) > 0,
                  "no connected peers to host a rendezvous point");
   overlay::PeerId best = at;
-  for (std::size_t step = 0; step < config_.rendezvous_walk_length; ++step) {
+  for (std::size_t step = 0; step < kRendezvousWalkLength; ++step) {
     const auto nbrs = graph_->neighbors(at);
     if (nbrs.empty()) break;
     at = nbrs[rng_.uniform_index(nbrs.size())];

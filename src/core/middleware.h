@@ -52,13 +52,12 @@ struct MiddlewareConfig {
   overlay::PopulationConfig population;     // peer_count is overridden
   overlay::HostCacheOptions host_cache;
   overlay::BootstrapOptions bootstrap;
-  overlay::PlodOptions plod;
-  overlay::SupernodeOptions supernode;
   AdvertisementOptions advertisement;
   SubscriptionOptions subscription;
 
-  /// Random-walk length used by pick_rendezvous().
-  std::size_t rendezvous_walk_length = 20;
+  /// Equal configs build bit-identical deployments.
+  friend bool operator==(const MiddlewareConfig&,
+                         const MiddlewareConfig&) = default;
 };
 
 /// A fully-constructed deployment frozen right after bootstrap.

@@ -22,6 +22,9 @@ namespace groupcast::core {
 struct SubscriptionOptions {
   /// Initial TTL of the ripple search (the paper evaluates TTL = 2).
   std::size_t ripple_ttl = 2;
+
+  friend bool operator==(const SubscriptionOptions&,
+                         const SubscriptionOptions&) = default;
 };
 
 /// Per-subscriber outcome.

@@ -36,8 +36,7 @@ std::unique_ptr<core::GroupCastMiddleware> make_scenario_middleware(
     return std::make_unique<core::GroupCastMiddleware>(
         config.middleware_config());
   }
-  GC_REQUIRE_MSG(config.world->config.peer_count == config.peer_count &&
-                     config.world->config.seed == config.seed,
+  GC_REQUIRE_MSG(config.world->config == config.middleware_config(),
                  "attached deployment snapshot does not match the scenario");
   return std::make_unique<core::GroupCastMiddleware>(config.world);
 }
@@ -130,16 +129,10 @@ ScenarioResult run_repetition(const ScenarioConfig& rep,
   return run_scenario(rep);
 }
 
-/// True when two work items read identical values through
-/// middleware_config() — they then construct bit-identical deployments
-/// and can fork one shared snapshot.  Must cover every ScenarioConfig
-/// field that middleware_config() consults.
+/// True when two work items construct bit-identical deployments and can
+/// fork one shared snapshot.
 bool same_world(const ScenarioConfig& a, const ScenarioConfig& b) {
-  return a.peer_count == b.peer_count && a.seed == b.seed &&
-         a.overlay == b.overlay && a.scheme == b.scheme &&
-         a.forward_fraction == b.forward_fraction &&
-         a.advertisement_ttl == b.advertisement_ttl &&
-         a.ripple_ttl == b.ripple_ttl;
+  return a.middleware_config() == b.middleware_config();
 }
 
 /// Deduplicates world construction across work items: every cluster of

@@ -168,8 +168,8 @@ struct ScenarioConfig {
   /// work items that share a middleware config, so a sweep pays for
   /// underlay + embedding + bootstrap once per distinct world rather
   /// than once per cell.  A fork is bit-identical to a fresh
-  /// construction, so attaching a (matching) snapshot never changes
-  /// results.
+  /// construction, so attaching a snapshot never changes results; one
+  /// whose config differs from middleware_config() is refused.
   std::shared_ptr<const core::DeploymentSnapshot> world;
 
   std::size_t effective_group_size() const;
@@ -291,7 +291,8 @@ struct ScenarioResult {
 ScenarioResult run_scenario(const ScenarioConfig& config);
 
 /// The middleware for one scenario run: forks `config.world` when one is
-/// attached (after validating it matches the scenario), otherwise
+/// attached (PreconditionError unless its config equals
+/// middleware_config()), otherwise
 /// constructs a fresh deployment from middleware_config().  Shared by
 /// run_scenario and the node-runtime harnesses so every path honours
 /// snapshot reuse identically.

@@ -78,27 +78,33 @@ UnderlayTopology UnderlayTopology::Builder::build() && {
 
 namespace {
 
+/// Extra random edges per domain graph beyond the connecting ring,
+/// expressed as a fraction of node count (adds redundancy / path choice).
+constexpr double kExtraEdgeFraction = 0.35;
+
 /// Connects `members` into a random connected sub-graph: a randomized ring
-/// (guaranteeing connectivity) plus `extra_fraction * |members|` random
-/// chords.  Latencies are drawn uniformly from [lo, hi].
+/// (guaranteeing connectivity) plus `kExtraEdgeFraction * |members|`
+/// random chords.  Latencies are drawn uniformly from `latency`.
 void connect_domain(UnderlayTopology::Builder& builder,
-                    std::vector<RouterId> members, double lo, double hi,
-                    double extra_fraction, util::Rng& rng) {
+                    std::vector<RouterId> members, LatencyRange latency,
+                    util::Rng& rng) {
   if (members.size() < 2) return;
   rng.shuffle(members);
   for (std::size_t i = 0; i + 1 < members.size(); ++i) {
-    builder.add_link(members[i], members[i + 1], rng.uniform(lo, hi));
+    builder.add_link(members[i], members[i + 1],
+                     rng.uniform(latency.min_ms, latency.max_ms));
   }
   if (members.size() > 2) {
-    builder.add_link(members.back(), members.front(), rng.uniform(lo, hi));
+    builder.add_link(members.back(), members.front(),
+                     rng.uniform(latency.min_ms, latency.max_ms));
   }
   const auto extras = static_cast<std::size_t>(
-      std::ceil(extra_fraction * static_cast<double>(members.size())));
+      std::ceil(kExtraEdgeFraction * static_cast<double>(members.size())));
   for (std::size_t i = 0; i < extras; ++i) {
     const auto a = members[rng.uniform_index(members.size())];
     const auto b = members[rng.uniform_index(members.size())];
     if (a == b || builder.has_link(a, b)) continue;
-    builder.add_link(a, b, rng.uniform(lo, hi));
+    builder.add_link(a, b, rng.uniform(latency.min_ms, latency.max_ms));
   }
 }
 
@@ -118,9 +124,7 @@ UnderlayTopology generate_transit_stub(const TransitStubConfig& config,
     for (std::uint32_t r = 0; r < config.routers_per_transit_domain; ++r) {
       transit[d].push_back(builder.add_router(RouterKind::kTransit, d));
     }
-    connect_domain(builder, transit[d], config.intra_transit_min_ms,
-                   config.intra_transit_max_ms, config.extra_edge_fraction,
-                   rng);
+    connect_domain(builder, transit[d], kIntraTransitLatency, rng);
   }
 
   // 2. Inter-domain transit links: ring over domains plus random chords,
@@ -132,8 +136,8 @@ UnderlayTopology generate_transit_stub(const TransitStubConfig& config,
       const RouterId a = transit[d][rng.uniform_index(transit[d].size())];
       const RouterId b = transit[e][rng.uniform_index(transit[e].size())];
       if (!builder.has_link(a, b)) {
-        builder.add_link(a, b, rng.uniform(config.transit_transit_min_ms,
-                                           config.transit_transit_max_ms));
+        builder.add_link(a, b, rng.uniform(kTransitTransitLatency.min_ms,
+                                           kTransitTransitLatency.max_ms));
       }
       if (config.transit_domains > 2 && rng.chance(0.5)) {
         const std::uint32_t f =
@@ -144,8 +148,8 @@ UnderlayTopology generate_transit_stub(const TransitStubConfig& config,
           const RouterId g = transit[d][rng.uniform_index(transit[d].size())];
           if (c != g && !builder.has_link(c, g)) {
             builder.add_link(c, g,
-                             rng.uniform(config.transit_transit_min_ms,
-                                         config.transit_transit_max_ms));
+                             rng.uniform(kTransitTransitLatency.min_ms,
+                                         kTransitTransitLatency.max_ms));
           }
         }
       }
@@ -163,14 +167,12 @@ UnderlayTopology generate_transit_stub(const TransitStubConfig& config,
           stub.push_back(
               builder.add_router(RouterKind::kStub, stub_domain_index));
         }
-        connect_domain(builder, stub, config.intra_stub_min_ms,
-                       config.intra_stub_max_ms, config.extra_edge_fraction,
-                       rng);
+        connect_domain(builder, stub, kIntraStubLatency, rng);
         // Gateway link from a random stub router up to the transit router.
         const RouterId gateway = stub[rng.uniform_index(stub.size())];
         builder.add_link(gateway, attach,
-                         rng.uniform(config.transit_stub_min_ms,
-                                     config.transit_stub_max_ms));
+                         rng.uniform(kTransitStubLatency.min_ms,
+                                     kTransitStubLatency.max_ms));
         ++stub_domain_index;
       }
     }
@@ -181,22 +183,19 @@ UnderlayTopology generate_transit_stub(const TransitStubConfig& config,
 
 UnderlayTopology generate_waxman(const WaxmanConfig& config, util::Rng& rng) {
   GC_REQUIRE(config.routers >= 2);
-  GC_REQUIRE(config.alpha > 0.0 && config.alpha <= 1.0);
-  GC_REQUIRE(config.beta > 0.0);
-  GC_REQUIRE(config.plane_side_ms > 0.0);
 
   // Place routers on the plane.
   std::vector<std::pair<double, double>> position(config.routers);
   for (auto& [x, y] : position) {
-    x = rng.uniform(0.0, config.plane_side_ms);
-    y = rng.uniform(0.0, config.plane_side_ms);
+    x = rng.uniform(0.0, kWaxmanPlaneSideMs);
+    y = rng.uniform(0.0, kWaxmanPlaneSideMs);
   }
   const auto distance = [&position](std::uint32_t a, std::uint32_t b) {
     const double dx = position[a].first - position[b].first;
     const double dy = position[a].second - position[b].second;
     return std::sqrt(dx * dx + dy * dy);
   };
-  const double max_distance = config.plane_side_ms * std::numbers::sqrt2;
+  const double max_distance = kWaxmanPlaneSideMs * std::numbers::sqrt2;
 
   UnderlayTopology::Builder builder;
   for (std::uint32_t r = 0; r < config.routers; ++r) {
@@ -206,7 +205,7 @@ UnderlayTopology generate_waxman(const WaxmanConfig& config, util::Rng& rng) {
     for (std::uint32_t b = a + 1; b < config.routers; ++b) {
       const double d = distance(a, b);
       const double p =
-          config.alpha * std::exp(-d / (config.beta * max_distance));
+          kWaxmanAlpha * std::exp(-d / (kWaxmanBeta * max_distance));
       if (rng.chance(p)) {
         builder.add_link(a, b, std::max(d, 0.05));
       }

@@ -40,29 +40,14 @@ struct Link {
   double latency_ms = 0.0;
 };
 
-/// Parameters of the transit-stub generator.  The defaults produce a
+/// Sizes of the transit-stub generator.  The defaults produce a
 /// ~600-router internetwork suitable for overlays of a few thousand peers;
-/// scale `stub_domains_per_transit_router` / `routers_per_stub_domain` up
-/// for the 32k-peer sweeps.
+/// scale_config_for_peers() widens the stub tier for larger overlays.
 struct TransitStubConfig {
   std::uint32_t transit_domains = 4;
   std::uint32_t routers_per_transit_domain = 4;
   std::uint32_t stub_domains_per_transit_router = 3;
   std::uint32_t routers_per_stub_domain = 12;
-
-  /// Extra random edges per domain graph beyond the connecting ring,
-  /// expressed as a fraction of node count (adds redundancy / path choice).
-  double extra_edge_fraction = 0.35;
-
-  // Latency ranges (ms) per link class.
-  double transit_transit_min_ms = 30.0;
-  double transit_transit_max_ms = 130.0;
-  double intra_transit_min_ms = 8.0;
-  double intra_transit_max_ms = 25.0;
-  double transit_stub_min_ms = 5.0;
-  double transit_stub_max_ms = 20.0;
-  double intra_stub_min_ms = 1.0;
-  double intra_stub_max_ms = 6.0;
 
   std::uint32_t total_routers() const {
     const std::uint32_t transit = transit_domains * routers_per_transit_domain;
@@ -70,6 +55,16 @@ struct TransitStubConfig {
                          routers_per_stub_domain;
   }
 };
+
+/// Uniform latency range (ms) of one transit-stub link class.
+struct LatencyRange {
+  double min_ms;
+  double max_ms;
+};
+inline constexpr LatencyRange kTransitTransitLatency{30.0, 130.0};
+inline constexpr LatencyRange kIntraTransitLatency{8.0, 25.0};
+inline constexpr LatencyRange kTransitStubLatency{5.0, 20.0};
+inline constexpr LatencyRange kIntraStubLatency{1.0, 6.0};
 
 /// Immutable router-level topology.  Construct via `generate_transit_stub`
 /// or assemble explicitly with `Builder` (used by tests).
@@ -126,20 +121,21 @@ class UnderlayTopology::Builder {
 UnderlayTopology generate_transit_stub(const TransitStubConfig& config,
                                        util::Rng& rng);
 
-/// Parameters of the Waxman random-graph generator — GT-ITM's other
-/// classic model, used here as an ablation underlay to check that the
-/// paper's conclusions do not hinge on the transit-stub structure.
-/// Routers are placed uniformly in a square of side `plane_side_ms`
-/// (coordinates double as propagation distance); an edge between routers
-/// at distance d exists with probability  alpha * exp(-d / (beta * L)),
-/// where L is the maximum possible distance.
+/// Waxman random-graph generator — GT-ITM's other classic model, used
+/// here as an ablation underlay to check that the paper's conclusions do
+/// not hinge on the transit-stub structure.  Routers are placed uniformly
+/// in a square of side kWaxmanPlaneSideMs (coordinates double as
+/// propagation distance); an edge between routers at distance d exists
+/// with probability  kWaxmanAlpha * exp(-d / (kWaxmanBeta * L)), where L is
+/// the maximum possible distance.  Every router is flagged kStub (peers
+/// may attach anywhere); disconnected graphs are stitched with
+/// nearest-neighbour repair edges.
+inline constexpr double kWaxmanAlpha = 0.15;
+inline constexpr double kWaxmanBeta = 0.18;
+inline constexpr double kWaxmanPlaneSideMs = 250.0;
+
 struct WaxmanConfig {
   std::uint32_t routers = 200;
-  double alpha = 0.15;
-  double beta = 0.18;
-  double plane_side_ms = 250.0;
-  /// Every router is flagged kStub (peers may attach anywhere).
-  /// Disconnected graphs are stitched with nearest-neighbour repair edges.
 };
 
 UnderlayTopology generate_waxman(const WaxmanConfig& config, util::Rng& rng);

@@ -20,12 +20,7 @@ GroupCastBootstrap::GroupCastBootstrap(const PeerPopulation& population,
       host_cache_(&host_cache),
       options_(options),
       rng_(rng.split()),
-      joined_(population.size(), 0) {
-  GC_REQUIRE(options_.degree_min >= 1);
-  GC_REQUIRE(options_.degree_max >= options_.degree_min);
-  GC_REQUIRE(options_.fallback_back_link_prob >= 0.0 &&
-             options_.fallback_back_link_prob <= 1.0);
-}
+      joined_(population.size(), 0) {}
 
 GroupCastBootstrap::GroupCastBootstrap(const GroupCastBootstrap& other,
                                        OverlayGraph& graph,
@@ -39,10 +34,9 @@ GroupCastBootstrap::GroupCastBootstrap(const GroupCastBootstrap& other,
 
 std::size_t GroupCastBootstrap::target_degree(double capacity) const {
   GC_REQUIRE(capacity > 0.0);
-  const double raw =
-      options_.degree_base * std::pow(capacity, options_.degree_exponent);
-  return std::clamp(static_cast<std::size_t>(std::ceil(raw)),
-                    options_.degree_min, options_.degree_max);
+  const double raw = kDegreeBase * std::pow(capacity, kDegreeExponent);
+  return std::clamp(static_cast<std::size_t>(std::ceil(raw)), kDegreeMin,
+                    kDegreeMax);
 }
 
 double GroupCastBootstrap::back_link_probability(
@@ -135,7 +129,7 @@ JoinStats GroupCastBootstrap::join(PeerId peer) {
       const auto nbrs_of_chosen = graph_->neighbors(chosen);
       const double pb = back_link_probability(chosen, peer, nbrs_of_chosen);
       const bool accepted =
-          rng_.chance(pb) || rng_.chance(options_.fallback_back_link_prob);
+          rng_.chance(pb) || rng_.chance(kFallbackBackLinkProb);
       if (accepted && graph_->add_edge(chosen, peer)) {
         ++stats.back_links_accepted;
       }
@@ -193,7 +187,7 @@ std::size_t GroupCastBootstrap::refill(PeerId peer) {
       ++created;
       const double pb =
           back_link_probability(chosen, peer, graph_->neighbors(chosen));
-      if (rng_.chance(pb) || rng_.chance(options_.fallback_back_link_prob)) {
+      if (rng_.chance(pb) || rng_.chance(kFallbackBackLinkProb)) {
         graph_->add_edge(chosen, peer);
       }
     }

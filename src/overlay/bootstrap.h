@@ -24,22 +24,26 @@
 
 namespace groupcast::overlay {
 
+/// Out-degree target: clamp(ceil(kDegreeBase * capacity^kDegreeExponent),
+/// kDegreeMin, kDegreeMax).  Scales connection count with capacity so
+/// powerful peers become hubs.
+inline constexpr double kDegreeBase = 1.6;
+inline constexpr double kDegreeExponent = 0.32;
+inline constexpr std::size_t kDegreeMin = 2;
+inline constexpr std::size_t kDegreeMax = 48;
+
+/// p_b: probability of accepting a back link that failed the PB test.
+inline constexpr double kFallbackBackLinkProb = 0.5;
+
 struct BootstrapOptions {
-  /// Out-degree target: clamp(ceil(base * capacity^exponent), min, max).
-  /// Scales connection count with capacity so powerful peers become hubs.
-  double degree_base = 1.6;
-  double degree_exponent = 0.32;
-  std::size_t degree_min = 2;
-  std::size_t degree_max = 48;
-
-  /// p_b: probability of accepting a back link that failed the PB test.
-  double fallback_back_link_prob = 0.5;
-
   /// Ablation hook: when >= 0, every peer uses this fixed resource level
   /// instead of the sampled estimate (pinning the utility blend: r -> 0
   /// gives distance-only selection, r -> 1 capacity-only).  < 0 = paper
   /// behaviour.
   double pinned_resource_level = -1.0;
+
+  friend bool operator==(const BootstrapOptions&,
+                         const BootstrapOptions&) = default;
 };
 
 /// Per-join protocol cost accounting.
@@ -96,8 +100,6 @@ class GroupCastBootstrap {
   /// tests.  `nbrs` is k's current neighbour set.
   double back_link_probability(PeerId k, PeerId i,
                                const std::vector<PeerId>& nbrs) const;
-
-  const BootstrapOptions& options() const { return options_; }
 
  private:
   const PeerPopulation* population_;

@@ -20,6 +20,9 @@ struct HostCacheOptions {
   std::size_t capacity = 1000;     // max cached entries
   std::size_t min_batch = 5;       // lower bound on |B_i|
   std::size_t max_batch = 8;       // upper bound on |B_i|
+
+  friend bool operator==(const HostCacheOptions&,
+                         const HostCacheOptions&) = default;
 };
 
 class HostCacheServer {

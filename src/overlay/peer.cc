@@ -1,24 +1,10 @@
 #include "overlay/peer.h"
 
-#include <algorithm>
-
-#include "util/require.h"
-
 namespace groupcast::overlay {
 
 CapacityDistribution::CapacityDistribution()
-    : CapacityDistribution({1.0, 10.0, 100.0, 1000.0, 10000.0},
-                           {0.20, 0.45, 0.30, 0.049, 0.001}) {}
-
-CapacityDistribution::CapacityDistribution(std::vector<double> levels,
-                                           std::vector<double> weights)
-    : levels_(std::move(levels)), categorical_(std::move(weights)) {
-  GC_REQUIRE(levels_.size() == categorical_.size());
-  GC_REQUIRE(!levels_.empty());
-  GC_REQUIRE_MSG(std::is_sorted(levels_.begin(), levels_.end()),
-                 "capacity levels must be ascending");
-  for (double level : levels_) GC_REQUIRE(level > 0.0);
-}
+    : levels_{1.0, 10.0, 100.0, 1000.0, 10000.0},
+      categorical_({0.20, 0.45, 0.30, 0.049, 0.001}) {}
 
 double CapacityDistribution::sample(util::Rng& rng) const {
   return levels_[categorical_.sample(rng)];

@@ -25,7 +25,7 @@ struct PeerInfo {
   PeerId id = kNoPeer;
   net::RouterId router = 0;        // stub router the peer attaches to
   double access_latency_ms = 0.5;  // last-mile latency to that router
-  coords::Coord coord;             // GNP/Vivaldi network coordinate
+  coords::Coord coord;             // GNP network coordinate
   double capacity = 1.0;           // number of 64kbps flows supported
 };
 
@@ -36,9 +36,6 @@ class CapacityDistribution {
  public:
   /// Builds the paper's Table 1 distribution.
   CapacityDistribution();
-
-  /// Custom levels/weights (tests use small synthetic tables).
-  CapacityDistribution(std::vector<double> levels, std::vector<double> weights);
 
   /// Draws a capacity value.
   double sample(util::Rng& rng) const;

@@ -9,27 +9,22 @@
 
 namespace groupcast::overlay {
 
-PlodResult generate_plod(OverlayGraph& graph, const PlodOptions& options,
-                         util::Rng& rng) {
+PlodResult generate_plod(OverlayGraph& graph, util::Rng& rng) {
   const std::size_t n = graph.peer_count();
   GC_REQUIRE(n >= 2);
   GC_REQUIRE_MSG(graph.edge_count() == 0, "PLOD requires an empty graph");
-  GC_REQUIRE(options.min_degree >= 1);
-  const std::size_t max_degree =
-      options.max_degree == 0 ? std::max<std::size_t>(64, n / 10)
-                              : options.max_degree;
-  GC_REQUIRE(max_degree >= options.min_degree);
+  const std::size_t max_degree = std::max<std::size_t>(64, n / 10);
 
   PlodResult result;
 
   // 1. Sample each node's degree credit from P(d) ∝ d^-α over
-  //    {min_degree, .., max_degree}.
-  const std::size_t span = max_degree - options.min_degree + 1;
-  util::ZipfDistribution zipf(span, options.alpha);
+  //    {kPlodMinDegree, .., max_degree}.
+  const std::size_t span = max_degree - kPlodMinDegree + 1;
+  util::ZipfDistribution zipf(span, kPlodAlpha);
   std::vector<std::size_t> credit(n);
   for (std::size_t i = 0; i < n; ++i) {
-    // Zipf rank 1 (most probable) maps to min_degree.
-    credit[i] = options.min_degree + (zipf.sample(rng) - 1);
+    // Zipf rank 1 (most probable) maps to kPlodMinDegree.
+    credit[i] = kPlodMinDegree + (zipf.sample(rng) - 1);
     result.assigned_credits += credit[i];
   }
 
@@ -39,8 +34,7 @@ PlodResult generate_plod(OverlayGraph& graph, const PlodOptions& options,
   for (std::size_t i = 0; i < n; ++i) {
     if (credit[i] > 0) pool.push_back(static_cast<PeerId>(i));
   }
-  std::size_t attempts_left = result.assigned_credits *
-                              options.max_attempts_factor;
+  std::size_t attempts_left = result.assigned_credits * kPlodAttemptsFactor;
   auto compact = [&pool, &credit]() {
     pool.erase(std::remove_if(pool.begin(), pool.end(),
                               [&credit](PeerId p) { return credit[p] == 0; }),

@@ -10,22 +10,21 @@
 
 namespace groupcast::overlay {
 
-struct PlodOptions {
-  /// Degree-law exponent; the paper's Figure 8 uses α = 1.8.
-  double alpha = 1.8;
-  /// Degree credits are drawn from ranks {min_degree .. max_degree} with
-  /// P(d) ∝ d^-α.  The floor of 3 keeps the realized graph well connected
-  /// (Gnutella-like mean degree ≈ 4), matching the connectivity of the
-  /// paper's baseline networks; with a floor of 2 the generator produces
-  /// long degree-2 chains on which scoped floods die out.
-  std::size_t min_degree = 3;
-  /// 0 = auto: max(64, peer_count / 10), letting hub sizes grow with the
-  /// network as in measured Gnutella snapshots.
-  std::size_t max_degree = 0;
-  /// Random (src, dst) pairing attempts per remaining credit before giving
-  /// up on placing the remaining budget.
-  std::size_t max_attempts_factor = 20;
-};
+/// Degree-law exponent; the paper's Figure 8 uses α = 1.8.
+inline constexpr double kPlodAlpha = 1.8;
+
+/// Degree credits are drawn from ranks {kPlodMinDegree .. max degree} with
+/// P(d) ∝ d^-α, where the max degree is max(64, peer_count / 10), letting
+/// hub sizes grow with the network as in measured Gnutella snapshots.  The
+/// floor of 3 keeps the realized graph well connected (Gnutella-like mean
+/// degree ≈ 4), matching the connectivity of the paper's baseline
+/// networks; with a floor of 2 the generator produces long degree-2 chains
+/// on which scoped floods die out.
+inline constexpr std::size_t kPlodMinDegree = 3;
+
+/// Random (src, dst) pairing attempts per assigned credit before giving up
+/// on placing the remaining budget.
+inline constexpr std::size_t kPlodAttemptsFactor = 20;
 
 /// Result of a PLOD run.
 struct PlodResult {
@@ -41,7 +40,6 @@ struct PlodResult {
 /// repair edges (and counted in the result) so that downstream experiments
 /// always run on a connected overlay — the paper's comparisons presuppose
 /// one.
-PlodResult generate_plod(OverlayGraph& graph, const PlodOptions& options,
-                         util::Rng& rng);
+PlodResult generate_plod(OverlayGraph& graph, util::Rng& rng);
 
 }  // namespace groupcast::overlay

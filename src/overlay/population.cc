@@ -4,12 +4,19 @@
 
 namespace groupcast::overlay {
 
+namespace {
+
+/// Last-mile latency (ms) between a peer and its stub router, drawn
+/// uniformly per peer.
+constexpr double kAccessLatencyMinMs = 0.2;
+constexpr double kAccessLatencyMaxMs = 2.0;
+
+}  // namespace
+
 PeerPopulation::PeerPopulation(const net::IpRouting& routing,
                                const PopulationConfig& config, util::Rng& rng)
-    : routing_(&routing), capacities_(config.capacities) {
+    : routing_(&routing) {
   GC_REQUIRE(config.peer_count >= 2);
-  GC_REQUIRE(config.access_latency_min_ms > 0.0);
-  GC_REQUIRE(config.access_latency_max_ms >= config.access_latency_min_ms);
 
   const auto stubs = routing.topology().stub_routers();
   GC_REQUIRE_MSG(!stubs.empty(), "underlay has no stub routers");
@@ -19,8 +26,7 @@ PeerPopulation::PeerPopulation(const net::IpRouting& routing,
     PeerInfo& p = peers_[id];
     p.id = id;
     p.router = stubs[rng.uniform_index(stubs.size())];
-    p.access_latency_ms = rng.uniform(config.access_latency_min_ms,
-                                      config.access_latency_max_ms);
+    p.access_latency_ms = rng.uniform(kAccessLatencyMinMs, kAccessLatencyMaxMs);
     p.capacity = capacities_.sample(rng);
   }
 
@@ -28,22 +34,9 @@ PeerPopulation::PeerPopulation(const net::IpRouting& routing,
   const coords::LatencyOracle oracle = [this](std::size_t a, std::size_t b) {
     return latency_ms(static_cast<PeerId>(a), static_cast<PeerId>(b));
   };
-  switch (config.coordinates) {
-    case CoordinateSystem::kGnp: {
-      coords::GnpEmbedding gnp(config.peer_count, oracle, rng, config.gnp);
-      for (PeerId id = 0; id < config.peer_count; ++id) {
-        peers_[id].coord = gnp.coordinate(id);
-      }
-      break;
-    }
-    case CoordinateSystem::kVivaldi: {
-      coords::VivaldiModel vivaldi(config.peer_count, rng, config.vivaldi);
-      vivaldi.run_rounds(config.vivaldi_rounds, oracle, rng);
-      for (PeerId id = 0; id < config.peer_count; ++id) {
-        peers_[id].coord = vivaldi.coordinate(id);
-      }
-      break;
-    }
+  const coords::GnpEmbedding gnp(config.peer_count, oracle, rng, config.gnp);
+  for (PeerId id = 0; id < config.peer_count; ++id) {
+    peers_[id].coord = gnp.coordinate(id);
   }
 }
 

@@ -9,31 +9,21 @@
 #include <vector>
 
 #include "coords/gnp.h"
-#include "coords/vivaldi.h"
 #include "net/routing.h"
 #include "overlay/peer.h"
 
 namespace groupcast::overlay {
 
-/// How peers obtain their network coordinates.  The paper's evaluation
-/// uses GNP [1]; Vivaldi [15] is the landmark-free alternative it cites.
-enum class CoordinateSystem { kGnp, kVivaldi };
-
 struct PopulationConfig {
   std::size_t peer_count = 1000;
-  double access_latency_min_ms = 0.2;
-  double access_latency_max_ms = 2.0;
-  CoordinateSystem coordinates = CoordinateSystem::kGnp;
   coords::GnpOptions gnp;
-  coords::VivaldiOptions vivaldi;
-  /// Sampling rounds for the Vivaldi variant (each node measures one
-  /// random peer per round).
-  std::size_t vivaldi_rounds = 60;
-  CapacityDistribution capacities{};
+
+  friend bool operator==(const PopulationConfig&,
+                         const PopulationConfig&) = default;
 };
 
-/// Immutable peer set: attachment points, capacities, true latencies and
-/// estimated (coordinate) distances.
+/// Immutable peer set: attachment points, Table 1 capacities, true
+/// latencies and estimated (GNP coordinate) distances.
 class PeerPopulation {
  public:
   PeerPopulation(const net::IpRouting& routing, const PopulationConfig& config,

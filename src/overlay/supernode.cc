@@ -10,17 +10,14 @@ namespace groupcast::overlay {
 SupernodeLayout build_supernode_overlay(const PeerPopulation& population,
                                         OverlayGraph& graph,
                                         HostCacheServer& host_cache,
-                                        const SupernodeOptions& options,
                                         util::Rng& rng) {
   GC_REQUIRE_MSG(graph.edge_count() == 0,
                  "supernode construction requires an empty graph");
-  GC_REQUIRE(options.leaf_links >= 1);
-  GC_REQUIRE(options.capacity_threshold > 0.0);
 
   SupernodeLayout layout;
   layout.is_supernode.assign(population.size(), 0);
   for (PeerId p = 0; p < population.size(); ++p) {
-    if (population.info(p).capacity >= options.capacity_threshold) {
+    if (population.info(p).capacity >= kSupernodeCapacityThreshold) {
       layout.supernodes.push_back(p);
       layout.is_supernode[p] = 1;
     } else {
@@ -34,12 +31,12 @@ SupernodeLayout build_supernode_overlay(const PeerPopulation& population,
   // A dedicated host cache keeps the candidate pool inside the tier.
   HostCacheServer core_cache(population, HostCacheOptions{}, rng);
   GroupCastBootstrap core_bootstrap(population, graph, core_cache,
-                                    options.core, rng);
+                                    BootstrapOptions{}, rng);
   auto join_order = layout.supernodes;
   rng.shuffle(join_order);
   for (const auto sn : join_order) core_bootstrap.join(sn);
 
-  // Leaf tier: every leaf attaches to `leaf_links` supernodes chosen by
+  // Leaf tier: every leaf attaches to kLeafLinks supernodes chosen by
   // the utility function.  Supernodes always accept leaves (that is what
   // they signed up for).
   for (const auto leaf : layout.leaves) {
@@ -55,7 +52,7 @@ SupernodeLayout build_supernode_overlay(const PeerPopulation& population,
             leaf, PeerPopulation::kResourceSample, rng));
     const auto prefs = core::selection_preferences(r, scored);
     const auto picks = core::weighted_sample_without_replacement(
-        prefs, options.leaf_links, rng);
+        prefs, kLeafLinks, rng);
     for (const auto idx : picks) {
       const auto sn = layout.supernodes[idx];
       graph.add_edge(leaf, sn);

@@ -18,15 +18,12 @@
 
 namespace groupcast::overlay {
 
-struct SupernodeOptions {
-  /// Peers at or above this capacity form the core tier (Table 1: 100x
-  /// keeps ~35% of peers in the core).
-  double capacity_threshold = 100.0;
-  /// Supernodes each leaf attaches to (primary + backups).
-  std::size_t leaf_links = 2;
-  /// Bootstrap parameters for the core tier.
-  BootstrapOptions core;
-};
+/// Peers at or above this capacity form the core tier (Table 1: 100x
+/// keeps ~35% of peers in the core).
+inline constexpr double kSupernodeCapacityThreshold = 100.0;
+
+/// Supernodes each leaf attaches to (primary + backups).
+inline constexpr std::size_t kLeafLinks = 2;
 
 struct SupernodeLayout {
   std::vector<PeerId> supernodes;
@@ -42,11 +39,11 @@ struct SupernodeLayout {
 };
 
 /// Builds the two-tier overlay into `graph` (must be empty) and registers
-/// every peer with `host_cache`.  Returns the tier assignment.
+/// every peer with `host_cache`.  The core tier joins with the default
+/// BootstrapOptions.  Returns the tier assignment.
 SupernodeLayout build_supernode_overlay(const PeerPopulation& population,
                                         OverlayGraph& graph,
                                         HostCacheServer& host_cache,
-                                        const SupernodeOptions& options,
                                         util::Rng& rng);
 
 }  // namespace groupcast::overlay

@@ -1,7 +1,6 @@
 // Tests for network coordinates: Coord arithmetic, the Nelder–Mead
 // minimizer (against analytic optima), GNP embedding accuracy on
-// synthetic Euclidean data and on a transit-stub underlay, and Vivaldi
-// convergence.
+// synthetic Euclidean data and on a transit-stub underlay.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -10,9 +9,7 @@
 #include "coords/coord.h"
 #include "coords/gnp.h"
 #include "coords/nelder_mead.h"
-#include "coords/vivaldi.h"
 #include "test_helpers.h"
-#include "util/require.h"
 #include "util/stats.h"
 
 namespace groupcast::coords {
@@ -145,50 +142,6 @@ TEST(Gnp, CoordinatesCorrelateWithTrueDistance) {
     }
   }
   EXPECT_GT(util::pearson(est, real), 0.8);
-}
-
-TEST(Vivaldi, ConvergesOnSyntheticDistances) {
-  util::Rng rng(31);
-  std::vector<Coord> truth(40);
-  for (auto& c : truth) {
-    for (std::size_t d = 0; d < kDims; ++d) c[d] = rng.uniform(0, 200);
-  }
-  const auto oracle = [&truth](std::size_t a, std::size_t b) {
-    return truth[a].distance_to(truth[b]);
-  };
-  VivaldiModel model(truth.size(), rng);
-  model.run_rounds(200, oracle, rng);
-  util::Rng eval(32);
-  EXPECT_LT(model.median_relative_error(oracle, eval), 0.12);
-}
-
-TEST(Vivaldi, ErrorEstimatesShrink) {
-  util::Rng rng(37);
-  std::vector<Coord> truth(20);
-  for (auto& c : truth) {
-    for (std::size_t d = 0; d < kDims; ++d) c[d] = rng.uniform(0, 100);
-  }
-  const auto oracle = [&truth](std::size_t a, std::size_t b) {
-    return truth[a].distance_to(truth[b]);
-  };
-  VivaldiModel model(truth.size(), rng);
-  const double before = model.node(0).error;
-  model.run_rounds(150, oracle, rng);
-  EXPECT_LT(model.node(0).error, before);
-}
-
-TEST(Vivaldi, ObservePreconditions) {
-  util::Rng rng(41);
-  VivaldiModel model(3, rng);
-  EXPECT_THROW(model.observe(0, 0, 10.0), PreconditionError);
-  EXPECT_THROW(model.observe(0, 1, -1.0), PreconditionError);
-  EXPECT_THROW(model.observe(0, 9, 1.0), PreconditionError);
-  EXPECT_NO_THROW(model.observe(0, 1, 10.0));
-}
-
-TEST(Vivaldi, RequiresAtLeastTwoNodes) {
-  util::Rng rng(43);
-  EXPECT_THROW(VivaldiModel(1, rng), PreconditionError);
 }
 
 }  // namespace

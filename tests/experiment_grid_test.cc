@@ -1,8 +1,8 @@
 // Tests for the parallel experiment grid (metrics::run_scenario_grid and
 // the run_scenario_averaged wrapper): the determinism contract — results
 // byte-identical for every job count, including counter snapshots — the
-// seed ladder, the reduction semantics, and error propagation out of the
-// worker pool.
+// seed ladder, the reduction semantics, error propagation out of the
+// worker pool, and the check on a caller-attached world.
 #include <gtest/gtest.h>
 
 #include <span>
@@ -267,6 +267,35 @@ TEST(ExperimentGrid, MoreJobsThanWorkItems) {
       std::span<const metrics::ScenarioConfig>(&config, 1), options);
   ASSERT_EQ(wide.size(), 1u);
   expect_identical(narrow[0], wide[0]);
+}
+
+// ------------------------------------------------------ attached worlds
+
+TEST(Experiment, AttachedWorldMustMatchTheScenario) {
+  // A fork runs the snapshot's config, so a snapshot built for another
+  // overlay or announcement scheme must be refused, even when its peer
+  // count and seed match the scenario's.
+  metrics::ScenarioConfig scenario;
+  scenario.peer_count = 60;
+  scenario.seed = 3;
+
+  auto power_law = scenario;
+  power_law.overlay = core::OverlayKind::kRandomPowerLaw;
+  scenario.world = core::GroupCastMiddleware::make_snapshot(
+      power_law.middleware_config());
+  EXPECT_THROW(metrics::make_scenario_middleware(scenario),
+               PreconditionError);
+
+  auto nssa = scenario;
+  nssa.scheme = core::AnnouncementScheme::kNssa;
+  scenario.world =
+      core::GroupCastMiddleware::make_snapshot(nssa.middleware_config());
+  EXPECT_THROW(metrics::make_scenario_middleware(scenario),
+               PreconditionError);
+
+  scenario.world =
+      core::GroupCastMiddleware::make_snapshot(scenario.middleware_config());
+  EXPECT_NE(metrics::make_scenario_middleware(scenario), nullptr);
 }
 
 }  // namespace

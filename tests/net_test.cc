@@ -83,18 +83,18 @@ TEST(TransitStub, LinkLatenciesWithinConfiguredRanges) {
     if (ka == RouterKind::kTransit && kb == RouterKind::kTransit) {
       // Same transit domain -> intra range; different -> long-haul range.
       if (topo.router(link.a).domain == topo.router(link.b).domain) {
-        EXPECT_GE(link.latency_ms, config.intra_transit_min_ms);
-        EXPECT_LE(link.latency_ms, config.intra_transit_max_ms);
+        EXPECT_GE(link.latency_ms, kIntraTransitLatency.min_ms);
+        EXPECT_LE(link.latency_ms, kIntraTransitLatency.max_ms);
       } else {
-        EXPECT_GE(link.latency_ms, config.transit_transit_min_ms);
-        EXPECT_LE(link.latency_ms, config.transit_transit_max_ms);
+        EXPECT_GE(link.latency_ms, kTransitTransitLatency.min_ms);
+        EXPECT_LE(link.latency_ms, kTransitTransitLatency.max_ms);
       }
     } else if (ka == RouterKind::kStub && kb == RouterKind::kStub) {
-      EXPECT_GE(link.latency_ms, config.intra_stub_min_ms);
-      EXPECT_LE(link.latency_ms, config.intra_stub_max_ms);
+      EXPECT_GE(link.latency_ms, kIntraStubLatency.min_ms);
+      EXPECT_LE(link.latency_ms, kIntraStubLatency.max_ms);
     } else {
-      EXPECT_GE(link.latency_ms, config.transit_stub_min_ms);
-      EXPECT_LE(link.latency_ms, config.transit_stub_max_ms);
+      EXPECT_GE(link.latency_ms, kTransitStubLatency.min_ms);
+      EXPECT_LE(link.latency_ms, kTransitStubLatency.max_ms);
     }
   }
 }

@@ -20,17 +20,19 @@ struct SupernodeFixture {
         graph(peers),
         cache(*world.population, HostCacheOptions{}, world.rng),
         layout(build_supernode_overlay(*world.population, graph, cache,
-                                       SupernodeOptions{}, world.rng)) {}
+                                       world.rng)) {}
 };
 
 TEST(Supernode, TierAssignmentFollowsCapacity) {
   SupernodeFixture f;
   for (const auto sn : f.layout.supernodes) {
-    EXPECT_GE(f.world.population->info(sn).capacity, 100.0);
+    EXPECT_GE(f.world.population->info(sn).capacity,
+              kSupernodeCapacityThreshold);
     EXPECT_TRUE(f.layout.is_supernode[sn]);
   }
   for (const auto leaf : f.layout.leaves) {
-    EXPECT_LT(f.world.population->info(leaf).capacity, 100.0);
+    EXPECT_LT(f.world.population->info(leaf).capacity,
+              kSupernodeCapacityThreshold);
     EXPECT_FALSE(f.layout.is_supernode[leaf]);
   }
   EXPECT_EQ(f.layout.supernodes.size() + f.layout.leaves.size(), 200u);
@@ -43,7 +45,7 @@ TEST(Supernode, LeavesOnlyConnectToSupernodes) {
   for (const auto leaf : f.layout.leaves) {
     const auto nbrs = f.graph.neighbors(leaf);
     EXPECT_GE(nbrs.size(), 1u);
-    EXPECT_LE(f.graph.out_neighbors(leaf).size(), 2u);  // leaf_links
+    EXPECT_LE(f.graph.out_neighbors(leaf).size(), kLeafLinks);
     for (const auto n : nbrs) {
       EXPECT_TRUE(f.layout.is_supernode[n])
           << "leaf " << leaf << " linked to leaf " << n;
@@ -61,20 +63,32 @@ TEST(Supernode, EveryPeerIsInHostCache) {
   for (PeerId p = 0; p < 200; ++p) EXPECT_TRUE(f.cache.contains(p));
 }
 
-TEST(Supernode, RejectsNonEmptyGraphAndBadOptions) {
+TEST(Supernode, RejectsNonEmptyGraphAndEmptyCore) {
   testing::SmallWorld world(32, 5);
   HostCacheServer cache(*world.population, HostCacheOptions{}, world.rng);
   OverlayGraph dirty(32);
   dirty.add_edge(0, 1);
-  EXPECT_THROW(build_supernode_overlay(*world.population, dirty, cache,
-                                       SupernodeOptions{}, world.rng),
-               PreconditionError);
-  OverlayGraph graph(32);
-  SupernodeOptions bad;
-  bad.capacity_threshold = 1e12;  // nobody qualifies
-  EXPECT_THROW(build_supernode_overlay(*world.population, graph, cache, bad,
-                                       world.rng),
-               PreconditionError);
+  EXPECT_THROW(
+      build_supernode_overlay(*world.population, dirty, cache, world.rng),
+      PreconditionError);
+  // Table 1 puts 65% of peers below the threshold, so some three-peer
+  // world has no peer that qualifies for the core tier.
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    testing::SmallWorld tiny(3, seed);
+    bool any_qualifies = false;
+    for (const auto& peer : tiny.population->peers()) {
+      any_qualifies |= peer.capacity >= kSupernodeCapacityThreshold;
+    }
+    if (any_qualifies) continue;
+    HostCacheServer tiny_cache(*tiny.population, HostCacheOptions{},
+                               tiny.rng);
+    OverlayGraph graph(3);
+    EXPECT_THROW(
+        build_supernode_overlay(*tiny.population, graph, tiny_cache, tiny.rng),
+        PreconditionError);
+    return;
+  }
+  FAIL() << "every seeded three-peer world has a supernode";
 }
 
 TEST(Supernode, MiddlewarePipelineRunsOnTwoTiers) {
