@@ -268,6 +268,12 @@ struct FootprintStats {
   std::size_t timer_bytes = 0;      // simulator wheel + overflow capacity
   std::size_t graph_bytes = 0;      // overlay adjacency arena + spans
   std::size_t bytes_per_peer = 0;   // total / peers
+  // The world under the runtime, reported next to bytes_per_peer (which
+  // keeps its pinned definition): IP routing tables, peer records and the
+  // overlay adjacency, per peer.
+  std::size_t routing_bytes = 0;
+  std::size_t population_bytes = 0;
+  std::size_t world_bytes_per_peer = 0;
 };
 
 FootprintStats probe_memory_footprint() {
@@ -316,6 +322,11 @@ FootprintStats probe_memory_footprint() {
   const std::size_t total = stats.node_bytes + stats.transport_bytes +
                             stats.timer_bytes + stats.graph_bytes;
   stats.bytes_per_peer = total / stats.peers;
+  stats.routing_bytes = middleware.routing().memory_bytes();
+  stats.population_bytes = middleware.population().memory_bytes();
+  stats.world_bytes_per_peer =
+      (stats.routing_bytes + stats.population_bytes + stats.graph_bytes) /
+      stats.peers;
   // Export through the counter plane too, so --trace_out captures carry
   // the gauge (no-op when tracing is off).
   trace::counters().incr(trace::kNoNode, trace::CounterId::kBytesPerPeer,
@@ -371,7 +382,10 @@ void write_micro_json(const std::string& path, std::size_t shards) {
       .integer("transport_bytes", footprint.transport_bytes)
       .integer("timer_bytes", footprint.timer_bytes)
       .integer("graph_bytes", footprint.graph_bytes)
-      .integer("bytes_per_peer", footprint.bytes_per_peer);
+      .integer("bytes_per_peer", footprint.bytes_per_peer)
+      .integer("routing_bytes", footprint.routing_bytes)
+      .integer("population_bytes", footprint.population_bytes)
+      .integer("world_bytes_per_peer", footprint.world_bytes_per_peer);
   const double wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
@@ -381,7 +395,8 @@ void write_micro_json(const std::string& path, std::size_t shards) {
       .number("wall_clock_seconds", wall_seconds)
       .integer("events_fired", events)
       .number("events_per_second", best_rate)
-      .integer("bytes_per_peer", footprint.bytes_per_peer);
+      .integer("bytes_per_peer", footprint.bytes_per_peer)
+      .integer("world_bytes_per_peer", footprint.world_bytes_per_peer);
   if (shards > 1) {
     report.root()
         .integer("shards", shards)

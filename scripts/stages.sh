@@ -20,7 +20,7 @@
 #   scripts/stages.sh bench-smoke         # perfbench/test_bench.py: the
 #                                         # repo benchmark at tiny scale,
 #                                         # its checks and compare verdicts
-#   scripts/stages.sh nightly-scale [build-dir]  # 100k peers, shards 2/4/8
+#   scripts/stages.sh nightly-scale [build-dir]  # 100k peers, shards 2/4/8; 1M
 #   scripts/stages.sh nightly-tsan  [build-dir]  # full ctest under TSan
 #   scripts/stages.sh nightly-bench [build-dir]  # scale-4 sweeps + perf gate
 #   scripts/stages.sh lint-format         # clang-format --dry-run --Werror
@@ -265,8 +265,15 @@ stage_nightly_scale() {
     ref="${out}"
   done
   grep -q "violations 0$" "${ref}"
+  # One 1M-peer world through the engine pipeline (about 50 s and 0.4 GB
+  # on a 4-core box): its 42,256-router underlay routes in about 25 MB of
+  # tables, where dense R×R tables would take 21.4 GB.
+  local million="${build_dir}/nightly_scale_1m.txt"
+  "${build_dir}/examples/sim_driver" --peers=1000000 --groups=1 \
+    --group-size=100 > "${million}"
+  grep -q "^GroupCast scenario: 1000000 peers" "${million}"
   echo "stages.sh: nightly 100k-peer scale ladder clean (shards 2/4/8" \
-    "byte-identical)"
+    "byte-identical); 1M-peer engine world completed"
 }
 
 # Nightly TSan: the FULL ctest suite under ThreadSanitizer.  The

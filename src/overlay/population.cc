@@ -48,6 +48,10 @@ double PeerPopulation::latency_ms(PeerId a, PeerId b) const {
          routing_->distance_ms(pa.router, pb.router) + pb.access_latency_ms;
 }
 
+std::size_t PeerPopulation::memory_bytes() const {
+  return sizeof(*this) + peers_.capacity() * sizeof(PeerInfo);
+}
+
 double PeerPopulation::coord_distance_ms(PeerId a, PeerId b) const {
   return peers_.at(a).coord.distance_to(peers_.at(b).coord);
 }

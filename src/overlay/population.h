@@ -55,6 +55,10 @@ class PeerPopulation {
 
   const net::IpRouting& routing() const { return *routing_; }
 
+  /// Bytes of retained peer state (capacity-based): the per-peer records.
+  /// The routing tables are the IpRouting's own (see its memory_bytes()).
+  std::size_t memory_bytes() const;
+
  private:
   const net::IpRouting* routing_;
   CapacityDistribution capacities_;

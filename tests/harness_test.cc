@@ -248,11 +248,11 @@ TEST(HarnessGolden, PartitionCellTwoShards) {
 }
 
 TEST(HarnessGolden, SlowPeerCellSingleWheel) {
-  expect_golden(slow_peer_cell(1), 0xc2ec325d54659978ull, kFlowCounters);
+  expect_golden(slow_peer_cell(1), 0x3b15ac685057896eull, kFlowCounters);
 }
 
 TEST(HarnessGolden, SlowPeerCellTwoShards) {
-  expect_golden(slow_peer_cell(2), 0xd0510600248a455aull, kFlowCounters);
+  expect_golden(slow_peer_cell(2), 0xe3faeaa12e906d8full, kFlowCounters);
 }
 
 // The shared runtime fields are validated once, for both harnesses:

@@ -1,9 +1,14 @@
-// Tests for the IP underlay: topology builder/generator, all-pairs
-// routing (validated against brute-force Floyd–Warshall on random graphs),
+// Tests for the IP underlay: topology builder/generator, IP
+// routing (validated against brute-force Floyd–Warshall and a dense Dijkstra
+// oracle on every pair, and against the oracle on a 1M-peer underlay),
 // and the IP-multicast baseline.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <functional>
 #include <limits>
+#include <queue>
+#include <vector>
 
 #include "net/multicast.h"
 #include "net/routing.h"
@@ -136,19 +141,26 @@ TEST(Routing, PathEndpointsAndContiguity) {
 
 TEST(Routing, DistanceMatrixExactlySymmetric) {
   // Shortest-path distance is symmetric on an undirected underlay, and
-  // IpRouting promises it *exactly*: dist_ is double and symmetrized after
-  // the per-source Dijkstra passes, so equal-cost tie-breaks and float
-  // rounding cannot leave distance_ms(a, b) != distance_ms(b, a).
+  // IpRouting promises it *exactly*: its tables are double and
+  // symmetrized after the per-source Dijkstra passes, and a cross-leaf
+  // distance adds the two up-legs before the core entry, so equal-cost
+  // tie-breaks and float rounding cannot leave distance_ms(a, b) !=
+  // distance_ms(b, a).
   for (const std::uint64_t seed : {1ULL, 5ULL, 9ULL}) {
     WaxmanConfig config;
     config.routers = 120;
-    util::Rng rng(seed);
-    const auto topo = generate_waxman(config, rng);
-    const IpRouting routing(topo);
-    for (RouterId a = 0; a < topo.router_count(); ++a) {
-      for (RouterId b = a + 1; b < topo.router_count(); ++b) {
-        EXPECT_EQ(routing.distance_ms(a, b), routing.distance_ms(b, a))
-            << "seed=" << seed << " a=" << a << " b=" << b;
+    util::Rng waxman_rng(seed);
+    const auto waxman = generate_waxman(config, waxman_rng);
+    util::Rng transit_stub_rng(seed);
+    const auto transit_stub = generate_transit_stub({}, transit_stub_rng);
+    for (const UnderlayTopology* topo : {&waxman, &transit_stub}) {
+      const IpRouting routing(*topo);
+      for (RouterId a = 0; a < topo->router_count(); ++a) {
+        for (RouterId b = a + 1; b < topo->router_count(); ++b) {
+          ASSERT_EQ(routing.distance_ms(a, b), routing.distance_ms(b, a))
+              << "seed=" << seed << " routers=" << topo->router_count()
+              << " a=" << a << " b=" << b;
+        }
       }
     }
   }
@@ -203,7 +215,7 @@ TEST_P(RoutingPropertyTest, DijkstraMatchesFloydWarshall) {
   const auto reference = floyd_warshall(topo);
   for (RouterId a = 0; a < topo.router_count(); ++a) {
     for (RouterId b = 0; b < topo.router_count(); ++b) {
-      EXPECT_NEAR(routing.distance_ms(a, b), reference[a][b], 1e-3)
+      EXPECT_NEAR(routing.distance_ms(a, b), reference[a][b], 1e-9)
           << a << "->" << b;
     }
   }
@@ -227,12 +239,231 @@ TEST_P(RoutingPropertyTest, PathLatencySumsEqualDistance) {
     double sum = 0.0;
     routing.for_each_path_link(
         a, b, [&](LinkId l) { sum += topo.link(l).latency_ms; });
-    EXPECT_NEAR(sum, routing.distance_ms(a, b), 1e-3);
+    EXPECT_NEAR(sum, routing.distance_ms(a, b), 1e-9);
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RoutingPropertyTest,
                          ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
+
+/// Test-only oracle: plain Dijkstra from `src` over the whole underlay,
+/// with no hierarchy and no shared tables.
+std::vector<double> oracle_from(const UnderlayTopology& topo, RouterId src) {
+  std::vector<double> dist(topo.router_count(),
+                           std::numeric_limits<double>::infinity());
+  using Item = std::pair<double, RouterId>;
+  std::priority_queue<Item, std::vector<Item>, std::greater<>> heap;
+  dist[src] = 0.0;
+  heap.emplace(0.0, src);
+  while (!heap.empty()) {
+    const auto [d, at] = heap.top();
+    heap.pop();
+    if (d > dist[at]) continue;
+    for (const auto& [link, nbr] : topo.neighbors(at)) {
+      const double cand = d + topo.link(link).latency_ms;
+      if (cand < dist[nbr]) {
+        dist[nbr] = cand;
+        heap.emplace(cand, nbr);
+      }
+    }
+  }
+  return dist;
+}
+
+/// Sum of link latencies along IpRouting's walk from `a` to `b`.
+double walked_ms(const IpRouting& routing, RouterId a, RouterId b) {
+  double sum = 0.0;
+  routing.for_each_path_link(a, b, [&](LinkId l) {
+    sum += routing.topology().link(l).latency_ms;
+  });
+  return sum;
+}
+
+/// Largest disagreements of `routing` over the pairs (a, b) for every
+/// `a` in `sources` and every b: against the dense oracle, between the
+/// two directions, and between a path walk's link sum and distance_ms.
+struct OracleGap {
+  double distance = 0.0;
+  double walk = 0.0;
+  std::size_t asymmetric = 0;
+  std::size_t pairs = 0;
+};
+
+OracleGap oracle_gap(const IpRouting& routing,
+                     const std::vector<RouterId>& sources,
+                     std::size_t walk_stride = 1) {
+  const auto& topo = routing.topology();
+  OracleGap gap;
+  for (const RouterId a : sources) {
+    const auto reference = oracle_from(topo, a);
+    for (RouterId b = 0; b < topo.router_count(); ++b) {
+      const double d = routing.distance_ms(a, b);
+      gap.distance = std::max(gap.distance, std::abs(d - reference[b]));
+      if (d != routing.distance_ms(b, a)) ++gap.asymmetric;
+      if (b % walk_stride == 0) {
+        gap.walk = std::max(gap.walk, std::abs(walked_ms(routing, a, b) - d));
+      }
+      ++gap.pairs;
+    }
+  }
+  return gap;
+}
+
+std::vector<RouterId> all_routers(const UnderlayTopology& topo) {
+  std::vector<RouterId> out(topo.router_count());
+  for (RouterId r = 0; r < out.size(); ++r) out[r] = r;
+  return out;
+}
+
+void expect_exact_on_every_pair(const IpRouting& routing) {
+  const auto gap = oracle_gap(routing, all_routers(routing.topology()));
+  EXPECT_LE(gap.distance, 1e-9);
+  EXPECT_LE(gap.walk, 1e-9);
+  EXPECT_EQ(gap.asymmetric, 0u);
+}
+
+class RoutingOracleTest : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(RoutingOracleTest, TransitStubMatchesDenseDijkstraOnEveryPair) {
+  // Four shapes in rotation, the 20k-peer one (976 routers) among them.
+  const std::uint64_t seed = GetParam();
+  TransitStubConfig config;
+  switch (seed % 4) {
+    case 0: config = scale_config_for_peers(20000); break;
+    case 1: break;  // the default 592-router shape
+    case 2: config = scale_config_for_peers(2000); break;
+    default:
+      config.transit_domains = 2;
+      config.routers_per_transit_domain = 2;
+      config.stub_domains_per_transit_router = 2;
+      config.routers_per_stub_domain = 4;
+  }
+  util::Rng rng(seed);
+  const auto topo = generate_transit_stub(config, rng);
+  if (seed % 4 == 0) {
+    ASSERT_EQ(topo.router_count(), 976u);
+  }
+  const IpRouting routing(topo);
+  // Every stub domain hangs off one gateway link: all of them are leaves
+  // and the transit routers are the whole core.
+  const std::size_t transit =
+      config.transit_domains * config.routers_per_transit_domain;
+  EXPECT_EQ(routing.core_routers(), transit);
+  EXPECT_EQ(routing.leaf_count(),
+            transit * config.stub_domains_per_transit_router);
+  expect_exact_on_every_pair(routing);
+}
+
+TEST_P(RoutingOracleTest, WaxmanHasNoLeavesAndMatchesDenseDijkstra) {
+  WaxmanConfig config;
+  config.routers = 150;
+  util::Rng rng(GetParam());
+  const auto topo = generate_waxman(config, rng);
+  const IpRouting routing(topo);
+  EXPECT_EQ(routing.leaf_count(), 0u);
+  EXPECT_EQ(routing.core_routers(), topo.router_count());
+  expect_exact_on_every_pair(routing);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, RoutingOracleTest,
+                         ::testing::Range<std::uint64_t>(1, 17));
+
+TEST(RoutingOracle, LeavesAreFoundFromLinksNotKinds) {
+  // Transit ring T0-T3; stub domain 0 hangs off T0 (a leaf); stub domain
+  // 1 is multi-homed to T1 and T3 (core); stub domain 2 is one router off
+  // domain 1 (a leaf whose core router is a stub router); the two routers
+  // labelled stub domain 3 hang off different transit routers (core).
+  UnderlayTopology::Builder b;
+  std::vector<RouterId> t;
+  for (std::uint32_t i = 0; i < 4; ++i) {
+    t.push_back(b.add_router(RouterKind::kTransit, i / 2));
+  }
+  const auto stub = [&b](std::uint32_t domain) {
+    return b.add_router(RouterKind::kStub, domain);
+  };
+  const RouterId s0 = stub(0), s1 = stub(0), s2 = stub(0);
+  const RouterId u0 = stub(1), u1 = stub(1), u2 = stub(1);
+  const RouterId v0 = stub(2);
+  const RouterId w0 = stub(3), w1 = stub(3);
+  b.add_link(t[0], t[1], 40.0);
+  b.add_link(t[1], t[2], 10.0);
+  b.add_link(t[2], t[3], 40.0);
+  b.add_link(t[3], t[0], 10.0);
+  b.add_link(s0, s1, 2.0);
+  b.add_link(s1, s2, 3.0);
+  b.add_link(s1, t[0], 7.0);
+  b.add_link(u0, u1, 2.0);
+  b.add_link(u1, u2, 2.0);
+  b.add_link(u0, t[1], 5.0);
+  b.add_link(u2, t[3], 6.0);
+  b.add_link(v0, u1, 4.0);
+  b.add_link(w0, t[2], 3.0);
+  b.add_link(w1, t[3], 3.0);
+  const auto topo = std::move(b).build();
+  const IpRouting routing(topo);
+  EXPECT_EQ(routing.leaf_count(), 2u);
+  EXPECT_EQ(routing.core_routers(), 4u + 3u + 2u);
+  expect_exact_on_every_pair(routing);
+  // Through the multi-homed domain: s2 -> s1 -> T0 -> T3 -> u2 -> u1 -> v0.
+  EXPECT_DOUBLE_EQ(routing.distance_ms(s2, v0), 3 + 7 + 10 + 6 + 2 + 4);
+  EXPECT_EQ(routing.path(s2, v0),
+            (std::vector<RouterId>{s2, s1, t[0], t[3], u2, u1, v0}));
+}
+
+TEST(RoutingOracle, TwoStubDomainsJoinedByOneLinkAreAllCore) {
+  // Each domain's only outside link lands in the other: neither can hang
+  // off a core router, so both route through the dense core table.
+  UnderlayTopology::Builder b;
+  const RouterId a0 = b.add_router(RouterKind::kStub, 0);
+  const RouterId a1 = b.add_router(RouterKind::kStub, 0);
+  const RouterId b0 = b.add_router(RouterKind::kStub, 1);
+  const RouterId b1 = b.add_router(RouterKind::kStub, 1);
+  b.add_link(a0, a1, 1.5);
+  b.add_link(a1, b0, 9.0);
+  b.add_link(b0, b1, 2.5);
+  const auto topo = std::move(b).build();
+  const IpRouting routing(topo);
+  EXPECT_EQ(routing.leaf_count(), 0u);
+  EXPECT_EQ(routing.core_routers(), 4u);
+  expect_exact_on_every_pair(routing);
+  EXPECT_DOUBLE_EQ(routing.distance_ms(a0, b1), 13.0);
+}
+
+TEST(RoutingScale, MemoryBytesCoverLeafAndCoreTables) {
+  // 20k peers: 64 leaves of 15 routers and a 16-router core, against
+  // 12 B × 976² = 11.4 MB for dense tables.
+  util::Rng rng(20000);
+  const auto topo = generate_transit_stub(scale_config_for_peers(20000), rng);
+  const IpRouting routing(topo);
+  const std::size_t tables = 64 * 15 * 15 * 12 + 16 * 16 * 12;
+  EXPECT_GE(routing.memory_bytes(), tables);
+  EXPECT_LE(routing.memory_bytes(), std::size_t{256} << 10);
+}
+
+TEST(RoutingScale, MillionPeerShapeRoutesInSmallTables) {
+  // The underlay of a 1M-peer world: 42,256 routers, where dense R×R
+  // tables would take 21.4 GB.
+  util::Rng rng(1000000);
+  const auto topo =
+      generate_transit_stub(scale_config_for_peers(1'000'000), rng);
+  ASSERT_EQ(topo.router_count(), 42256u);
+  const IpRouting routing(topo);
+  EXPECT_LE(routing.memory_bytes(), std::size_t{32} << 20);
+  EXPECT_EQ(routing.core_routers(), 16u);
+  // Oracle Dijkstra from a transit router and three stub routers, against
+  // every destination; path walks on every 40th.
+  util::Rng picker(3);
+  std::vector<RouterId> sources{0};
+  for (int i = 0; i < 3; ++i) {
+    sources.push_back(static_cast<RouterId>(
+        16 + picker.uniform_index(topo.router_count() - 16)));
+  }
+  const auto gap = oracle_gap(routing, sources, 40);
+  EXPECT_GE(gap.pairs, 1000u);
+  EXPECT_LE(gap.distance, 1e-9);
+  EXPECT_LE(gap.walk, 1e-9);
+  EXPECT_EQ(gap.asymmetric, 0u);
+}
 
 TEST(Multicast, DelayEqualsUnicastShortestPath) {
   testing::SmallWorld world(4, 7);

@@ -50,11 +50,11 @@ TEST(Regression, OverlayConstructionGoldens) {
   };
   const Row rows[] = {
       {core::OverlayKind::kGroupCast, core::UnderlayModel::kTransitStub,
-       4499u, 0u, 0x5f1cc32da3b9e813ULL},
+       4500u, 0u, 0x95be9e76bad40c78ULL},
       {core::OverlayKind::kRandomPowerLaw,
-       core::UnderlayModel::kTransitStub, 2746u, 0u, 0x0a3365b50a1f4417ULL},
+       core::UnderlayModel::kTransitStub, 2746u, 0u, 0x178e6da1afdfb50bULL},
       {core::OverlayKind::kSupernode, core::UnderlayModel::kTransitStub,
-       3763u, 0u, 0x0d967c075c5322c0ULL},
+       3764u, 0u, 0x7c43be16ccce7631ULL},
       {core::OverlayKind::kGroupCast, core::UnderlayModel::kWaxman, 4559u,
        0u, 0xab575380bb1c8514ULL},
   };

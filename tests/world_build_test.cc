@@ -53,13 +53,13 @@ std::uint64_t routing_hash(const net::IpRouting& routing) {
 
 TEST(GnpGolden, NoiselessEmbeddingIsByteIdentical) {
   const auto digest = embed_small_world();
-  EXPECT_EQ(digest.coords_hash, 0xcb82ee7a17da546eULL);
+  EXPECT_EQ(digest.coords_hash, 0x9259bbb74fad66aeULL);
   EXPECT_EQ(digest.next_draw, 0xbc7fc551db50c908ULL);
 }
 
 TEST(RoutingGolden, SmallWorldTablesAreByteIdentical) {
   const testing::SmallWorld world(2000, 61);
-  EXPECT_EQ(routing_hash(*world.routing), 0xcc5be86b2a27d0efULL);
+  EXPECT_EQ(routing_hash(*world.routing), 0x5c7b8a68b1f3b217ULL);
 }
 
 TEST(RoutingGolden, TransitStubTablesAreByteIdentical) {
@@ -68,7 +68,7 @@ TEST(RoutingGolden, TransitStubTablesAreByteIdentical) {
   util::Rng rng(71);
   const auto underlay = net::generate_transit_stub({}, rng);
   ASSERT_EQ(underlay.router_count(), 592u);
-  EXPECT_EQ(routing_hash(net::IpRouting(underlay)), 0x352b7ff8529f71d0ULL);
+  EXPECT_EQ(routing_hash(net::IpRouting(underlay)), 0x38f7839a83ff81a4ULL);
 }
 
 }  // namespace
