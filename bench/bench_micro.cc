@@ -201,10 +201,6 @@ struct ShardedProbeStats {
 class NullShardClient : public groupcast::sim::ShardSet::Client {
  public:
   void merge_inbound(std::size_t) override {}
-  std::int64_t next_arrival_us(std::size_t) override { return -1; }
-  std::size_t deliver_arrivals_at(std::size_t, std::int64_t) override {
-    return 0;
-  }
 };
 
 ShardedProbeStats probe_sharded_event_loop(std::size_t shards,
@@ -264,7 +260,7 @@ ShardedProbeStats probe_sharded_event_loop(std::size_t shards,
 struct FootprintStats {
   std::size_t peers = 0;
   std::size_t node_bytes = 0;       // sum of GroupCastNode::memory_bytes()
-  std::size_t transport_bytes = 0;  // handler/generation/in-flight slots
+  std::size_t transport_bytes = 0;  // per-peer tables/in-flight slots
   std::size_t timer_bytes = 0;      // simulator wheel + overflow capacity
   std::size_t graph_bytes = 0;      // overlay adjacency arena + spans
   std::size_t bytes_per_peer = 0;   // total / peers

@@ -27,50 +27,25 @@ FaultInjector::~FaultInjector() { transport_->set_fault_filter(nullptr); }
 void FaultInjector::arm(CrashHook on_crash) {
   GC_REQUIRE_MSG(!armed_, "fault plan already armed");
   armed_ = true;
-  if (transport_->sharded()) {
-    // Each crash fires on the victim's own shard (the only thread allowed
-    // to touch the victim's node state) and is pre-declared to the
-    // transport so in-flight suppression needs no cross-shard reads.
-    // crashed_ is appended from several workers; the mutex keeps the
-    // bookkeeping safe and crashed() exposes it sorted.
-    for (const auto& crash : plan_.crashes) {
-      const auto victim = static_cast<overlay::PeerId>(crash.node);
-      transport_->declare_crash(victim, crash.at);
-      transport_->simulator_for(victim).schedule_at(
-          crash.at, [this, victim, on_crash] {
-            {
-              const std::lock_guard<std::mutex> lock(crashed_mu_);
-              crashed_.push_back(victim);
-            }
-            if (on_crash) on_crash(victim);
-          });
-    }
-    return;
-  }
-  auto& simulator = transport_->simulator();
+  // Each crash fires on the victim's own shard (the only thread allowed to
+  // touch the victim's node state) and is declared to the transport up
+  // front, so in-flight suppression needs no cross-shard reads.  crashed_
+  // is appended from several shards; the mutex keeps the bookkeeping safe
+  // and crashed() exposes it sorted.
   for (const auto& crash : plan_.crashes) {
     const auto victim = static_cast<overlay::PeerId>(crash.node);
-    simulator.schedule_at(crash.at, [this, victim, on_crash] {
-      crashed_.push_back(victim);
-      trace::tracer().emit(transport_->simulator().now().as_micros(),
-                           trace::EventKind::kFaultInjected, victim,
-                           overlay::kNoPeer, 0);
-      if (on_crash) on_crash(victim);
-    });
-  }
-  // Window edges are traced so recovery timelines can be read off the
-  // event stream; the filter itself needs no scheduling.
-  for (const auto& window : plan_.partitions) {
-    simulator.schedule_at(window.begin, [this] {
-      trace::tracer().emit(transport_->simulator().now().as_micros(),
-                           trace::EventKind::kFaultInjected,
-                           trace::kNoNode, trace::kNoNode, 1);
-    });
-    simulator.schedule_at(window.end, [this] {
-      trace::tracer().emit(transport_->simulator().now().as_micros(),
-                           trace::EventKind::kFaultInjected,
-                           trace::kNoNode, trace::kNoNode, 2);
-    });
+    transport_->declare_crash(victim, crash.at);
+    transport_->simulator_for(victim).schedule_at(
+        crash.at, [this, victim, on_crash] {
+          {
+            const std::lock_guard<std::mutex> lock(crashed_mu_);
+            crashed_.push_back(victim);
+          }
+          trace::tracer().emit(
+              transport_->simulator_for(victim).now().as_micros(),
+              trace::EventKind::kFaultInjected, victim, overlay::kNoPeer, 0);
+          if (on_crash) on_crash(victim);
+        });
   }
 }
 

@@ -1,8 +1,8 @@
 // Deterministic fault injection for node-runtime experiments.
 //
 // A FaultInjector binds a sim::FaultPlan to a live deployment: it arms the
-// plan's crash events on the simulator (invoking a crash hook that stops
-// the victim node) and implements the Transport's FaultFilter so partition
+// plan's crash events on the victims' shards (invoking a crash hook that
+// stops the victim node) and implements the Transport's FaultFilter so partition
 // windows act on every send.  All decisions are
 // pure functions of the plan and the simulation clock, so a given
 // (seed, plan) pair always yields the identical fault sequence.
@@ -34,18 +34,16 @@ class FaultInjector final : public FaultFilter {
   FaultInjector(const FaultInjector&) = delete;
   FaultInjector& operator=(const FaultInjector&) = delete;
 
-  /// Schedules every crash of the plan on the simulator.  Call once,
-  /// before running; `on_crash` fires at each crash instant.
+  /// Declares every crash of the plan to the transport and schedules it
+  /// on the victim's shard.  Call once, before running; `on_crash` fires
+  /// at each crash instant.
   void arm(CrashHook on_crash);
 
-  /// Peers crashed by the plan so far.  In sharded mode crashes land from
-  /// several worker threads, so the list is sorted by peer id before it
-  /// is returned (call only while the shard workers are parked); in
-  /// single-wheel mode it is in firing order, as before.
+  /// Peers crashed by the plan so far, sorted by peer id: crashes land
+  /// from several shard threads (call only while the shard workers are
+  /// parked).
   const std::vector<overlay::PeerId>& crashed() const {
-    if (transport_->sharded()) {
-      std::sort(crashed_.begin(), crashed_.end());
-    }
+    std::sort(crashed_.begin(), crashed_.end());
     return crashed_;
   }
 

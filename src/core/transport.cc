@@ -27,36 +27,24 @@ std::unique_ptr<net::BandwidthModel> make_bandwidth_model(
 
 }  // namespace
 
-Transport::Transport(sim::Simulator* simulator, sim::ShardSet* shards,
+Transport::Transport(std::vector<sim::Simulator*> simulators,
+                     sim::ShardSet* shards,
                      const overlay::PeerPopulation& population,
                      TransportOptions options, util::Rng& rng)
-    : simulator_(simulator),
+    : simulators_(std::move(simulators)),
+      shards_(shards),
       population_(&population),
       options_(options),
       bandwidth_(make_bandwidth_model(options.bandwidth, population)),
-      rng_(rng.split()),
+      loss_seed_(rng.split()()),
       handlers_(population.size()),
-      generation_(population.size(), 0),
-      shard_state_(shards != nullptr ? shards->num_shards() : 1),
-      shards_(shards) {
+      shard_state_(simulators_.size()),
+      peer_shard_(population.size()),
+      send_counter_(population.size(), 0),
+      crash_(population.size()) {
   GC_REQUIRE(options_.loss_probability >= 0.0 &&
              options_.loss_probability <= 1.0);
-}
-
-Transport::Transport(sim::Simulator& simulator,
-                     const overlay::PeerPopulation& population,
-                     TransportOptions options, util::Rng& rng)
-    : Transport(&simulator, nullptr, population, options, rng) {}
-
-Transport::Transport(sim::ShardSet& shards,
-                     const overlay::PeerPopulation& population,
-                     TransportOptions options, util::Rng& rng)
-    : Transport(nullptr, &shards, population, options, rng) {
-  loss_seed_ = rng_();
-  const auto num_shards = shards.num_shards();
-  peer_shard_.resize(population.size());
-  send_counter_.resize(population.size(), 0);
-  crash_at_us_.resize(population.size(), -1);
+  const auto num_shards = simulators_.size();
   for (overlay::PeerId p = 0; p < population.size(); ++p) {
     // Shard by access router: every peer pair split across shards is then
     // separated by at least one inter-router hop, which is what lets the
@@ -68,10 +56,39 @@ Transport::Transport(sim::ShardSet& shards,
         util::splitmix64(state) % num_shards);
   }
   for (auto& state : shard_state_) state.outbox.resize(num_shards);
-  shards.set_client(this);
+  for (auto* simulator : simulators_) {
+    simulator->set_keyed_handler(&Transport::deliver_thunk, this);
+  }
+  if (shards_ != nullptr) shards_->set_client(this);
+}
+
+Transport::Transport(sim::Simulator& simulator,
+                     const overlay::PeerPopulation& population,
+                     TransportOptions options, util::Rng& rng)
+    : Transport({&simulator}, nullptr, population, options, rng) {}
+
+namespace {
+
+std::vector<sim::Simulator*> shard_simulators(sim::ShardSet& shards) {
+  std::vector<sim::Simulator*> out;
+  for (std::size_t i = 0; i < shards.num_shards(); ++i) {
+    out.push_back(&shards.shard(i));
+  }
+  return out;
+}
+
+}  // namespace
+
+Transport::Transport(sim::ShardSet& shards,
+                     const overlay::PeerPopulation& population,
+                     TransportOptions options, util::Rng& rng)
+    : Transport(shard_simulators(shards), &shards, population, options, rng) {
 }
 
 Transport::~Transport() {
+  for (auto* simulator : simulators_) {
+    simulator->set_keyed_handler(nullptr, nullptr);
+  }
   if (shards_ != nullptr) shards_->set_client(nullptr);
 }
 
@@ -100,26 +117,24 @@ std::size_t Transport::bytes_sent() const {
 }
 
 std::size_t Transport::memory_bytes() const {
-  std::size_t total = handlers_.capacity() * sizeof(Handler) +
-                      generation_.capacity() * sizeof(std::uint64_t) +
-                      inflight_.capacity() * sizeof(InFlight);
+  std::size_t total = simulators_.capacity() * sizeof(sim::Simulator*) +
+                      handlers_.capacity() * sizeof(Handler) +
+                      peer_shard_.capacity() * sizeof(std::uint32_t) +
+                      send_counter_.capacity() * sizeof(std::uint32_t) +
+                      crash_.capacity() * sizeof(CrashMark);
   if (bandwidth_ != nullptr) total += bandwidth_->memory_bytes();
-  total += peer_shard_.capacity() * sizeof(std::uint32_t) +
-           send_counter_.capacity() * sizeof(std::uint64_t) +
-           crash_at_us_.capacity() * sizeof(std::int64_t);
   for (const auto& state : shard_state_) {
-    total += sizeof(ShardState) +
-             state.arrivals.capacity() * sizeof(ShardRecord);
+    total += sizeof(ShardState) + state.inflight.capacity() * sizeof(InFlight);
     for (const auto& box : state.outbox) {
-      total += box.capacity() * sizeof(ShardRecord);
+      total += sizeof(box) + box.capacity() * sizeof(Outbound);
     }
   }
   return total;
 }
 
 void Transport::declare_crash(overlay::PeerId peer, sim::SimTime at) {
-  GC_REQUIRE(shards_ != nullptr && peer < crash_at_us_.size());
-  crash_at_us_[peer] = at.as_micros();
+  GC_REQUIRE(peer < crash_.size());
+  crash_[peer] = CrashMark{at.as_micros()};
 }
 
 void Transport::register_node(overlay::PeerId peer, Handler handler) {
@@ -132,8 +147,9 @@ void Transport::register_node(overlay::PeerId peer, Handler handler) {
 void Transport::unregister_node(overlay::PeerId peer, DetachMode mode) {
   GC_REQUIRE(peer < handlers_.size());
   handlers_[peer] = nullptr;
-  if (mode == DetachMode::kCrash) {
-    ++generation_[peer];  // kills this peer's in-flight sends
+  if (mode == DetachMode::kCrash && simulators_.size() == 1) {
+    crash_[peer] =
+        CrashMark{simulators_[0]->now().as_micros(), send_counter_[peer]};
   }
 }
 
@@ -172,8 +188,8 @@ MessageKind Transport::kind_of(const MessageBody& body) {
   return kKinds[body.index()];
 }
 
-bool Transport::lost(double p, std::uint64_t stream, std::uint64_t counter) {
-  if (shards_ == nullptr) return rng_.chance(p);
+bool Transport::lost(double p, std::uint64_t stream,
+                     std::uint64_t counter) const {
   if (p <= 0.0) return false;
   if (p >= 1.0) return true;
   std::uint64_t state = loss_seed_ ^ (stream * 0x9E3779B97F4A7C15ULL);
@@ -187,25 +203,25 @@ void Transport::send(overlay::PeerId from, overlay::PeerId to,
                      MessageBody body) {
   GC_REQUIRE(from < handlers_.size() && to < handlers_.size());
   GC_REQUIRE_MSG(from != to, "loopback sends are a protocol bug");
-  const bool sharded = shards_ != nullptr;
-  const std::uint32_t src = sharded ? peer_shard_[from] : 0;
+  const std::uint32_t src = peer_shard_[from];
   ShardState& state = shard_state_[src];
   ++state.sent;
   state.stats.count(kind_of(body));
   const std::size_t wire_bytes = encoded_size(body);
   state.bytes_sent += wire_bytes;
   trace::counters().incr(from, trace::CounterId::kMessagesSent);
-  // The per-sender counter keys the sharded loss hashes and arrival order.
-  const std::uint64_t counter = sharded ? send_counter_[from]++ : 0;
-  const auto now = simulator_for(from).now();
+  // The per-sender counter keys the loss hashes and the delivery order;
+  // its top value is reserved for declared crashes (CrashMark::sends).
+  const std::uint32_t counter = send_counter_[from]++;
+  GC_REQUIRE_MSG(counter < CrashMark{}.sends, "per-sender send counter full");
+  const auto now = simulators_[src]->now();
   // Uplink pacing drains the sender's token bucket on *every* send — the
   // frame is serialized onto the access link whether or not the network
   // drops it downstream — so the bucket state is identical no matter
-  // where a message later dies.  Sharded, the buckets need no
-  // synchronization: each peer's bucket is only touched here, on the
-  // sending peer's own shard, in the deterministic (arrival, src, counter)
-  // execution order.  Pacing only ever *adds* delay, so the conservative
-  // lookahead bound still holds.
+  // where a message later dies.  The buckets need no synchronization:
+  // each peer's bucket is only touched here, on the sending peer's own
+  // shard, in the deterministic execution order.  Pacing only ever *adds*
+  // delay, so the conservative lookahead bound still holds.
   std::int64_t pacing_us = 0;
   if (bandwidth_ != nullptr) {
     pacing_us = bandwidth_->acquire_uplink(from, wire_bytes, now.as_micros());
@@ -233,62 +249,61 @@ void Transport::send(overlay::PeerId from, overlay::PeerId to,
   // deliveries; the histogram sees the latency they will experience.
   trace::histograms().record(trace::HistogramId::kEdgeDelayUs,
                              static_cast<std::uint64_t>(latency.as_micros()));
-  if (!sharded) {
-    const auto slot = allocate_slot();
-    InFlight& record = inflight_[slot];
-    record.from = from;
-    record.to = to;
-    record.sent_in = generation_[from];
-    record.body = std::move(body);
-    simulator_->schedule_timer(latency, &Transport::deliver_thunk, this, slot);
-    return;
-  }
-  ShardRecord record{now.as_micros(), (now + latency).as_micros(), counter,
-                     from, to, std::move(body)};
+  const std::uint64_t key = (std::uint64_t{from} << 32) | counter;
+  InFlight message{to, kNoSlot, now.as_micros(), std::move(body)};
+  const auto arrival_us = (now + latency).as_micros();
   const auto dst = peer_shard_[to];
   if (dst == src) {
-    // Same shard (same access router): deliver through the shard's own
-    // arrival queue, which keeps delivery order a pure function of
-    // (arrival, src, counter) whatever the shard count.
-    state.arrivals.push_back(std::move(record));
-    std::push_heap(state.arrivals.begin(), state.arrivals.end(),
-                   LaterRecord{});
+    // Same shard (same access router, or a one-shard run): straight onto
+    // the shard's own simulator.
+    schedule(dst, arrival_us, key, std::move(message));
   } else {
-    state.outbox[dst].push_back(std::move(record));
+    state.outbox[dst].push_back(Outbound{arrival_us, key, std::move(message)});
   }
 }
 
-void Transport::deliver_thunk(void* context, std::uint64_t slot) {
-  static_cast<Transport*>(context)->deliver(static_cast<std::uint32_t>(slot));
-}
-
-std::uint32_t Transport::allocate_slot() {
-  if (free_head_ != kNoSlot) {
-    const auto slot = free_head_;
-    free_head_ = inflight_[slot].next_free;
-    return slot;
+void Transport::schedule(std::size_t shard, std::int64_t arrival_us,
+                         std::uint64_t key, InFlight&& message) {
+  ShardState& state = shard_state_[shard];
+  std::uint32_t slot = state.free_head;
+  if (slot != kNoSlot) {
+    state.free_head = state.inflight[slot].next_free;
+  } else {
+    slot = static_cast<std::uint32_t>(state.inflight.size());
+    state.inflight.emplace_back();
   }
-  inflight_.emplace_back();
-  return static_cast<std::uint32_t>(inflight_.size() - 1);
+  state.inflight[slot] = std::move(message);
+  simulators_[shard]->schedule_keyed_at(sim::SimTime::micros(arrival_us),
+                                        key,
+                                        (std::uint64_t{shard} << 32) | slot);
 }
 
-void Transport::deliver(std::uint32_t slot) {
-  // Move the record out and recycle the slot before dispatching: the
+void Transport::deliver_thunk(void* context, std::uint64_t key,
+                              std::uint64_t arg) {
+  static_cast<Transport*>(context)->deliver(
+      static_cast<overlay::PeerId>(key >> 32),
+      static_cast<std::uint32_t>(key), static_cast<std::uint32_t>(arg >> 32),
+      static_cast<std::uint32_t>(arg));
+}
+
+void Transport::deliver(overlay::PeerId from, std::uint32_t counter,
+                        std::uint32_t shard, std::uint32_t slot) {
+  // Move the message out and recycle the slot before dispatching: the
   // handler may itself send, which allocates slots and can grow the pool.
-  InFlight& record = inflight_[slot];
-  const auto from = record.from;
+  ShardState& state = shard_state_[shard];
+  InFlight& record = state.inflight[slot];
   const auto to = record.to;
-  const bool sender_crashed = generation_[from] != record.sent_in;
+  const auto now_us = simulators_[shard]->now().as_micros();
+  // The sender crashed in flight iff it crashed after this send and at or
+  // before now; a declared crash follows every send of its instant.
+  const CrashMark crash = crash_[from];
+  const bool sent_before_crash =
+      record.send_us < crash.at_us ||
+      (record.send_us == crash.at_us && counter < crash.sends);
+  const bool sender_crashed = sent_before_crash && crash.at_us <= now_us;
   MessageBody body = std::move(record.body);
-  record.next_free = free_head_;
-  free_head_ = slot;
-  dispatch(simulator_->now().as_micros(), from, to, sender_crashed,
-           std::move(body));
-}
-
-void Transport::dispatch(std::int64_t now_us, overlay::PeerId from,
-                         overlay::PeerId to, bool sender_crashed,
-                         MessageBody&& body) {
+  record.next_free = state.free_head;
+  state.free_head = slot;
   if (sender_crashed) {
     trace::counters().incr(from, trace::CounterId::kMessagesDropped);
     trace::tracer().emit(
@@ -308,44 +323,14 @@ void Transport::dispatch(std::int64_t now_us, overlay::PeerId from,
   handler(Envelope{from, to, std::move(body)});
 }
 
-// ------------------------------------------------------------- sharded mode
-
 void Transport::merge_inbound(std::size_t shard) {
-  ShardState& state = shard_state_[shard];
   for (auto& src : shard_state_) {
     auto& box = src.outbox[shard];
-    for (auto& record : box) {
-      state.arrivals.push_back(std::move(record));
-      std::push_heap(state.arrivals.begin(), state.arrivals.end(),
-                     LaterRecord{});
+    for (auto& parked : box) {
+      schedule(shard, parked.arrival_us, parked.key, std::move(parked.message));
     }
     box.clear();
   }
-}
-
-std::int64_t Transport::next_arrival_us(std::size_t shard) {
-  const ShardState& state = shard_state_[shard];
-  return state.arrivals.empty() ? -1 : state.arrivals.front().arrival_us;
-}
-
-std::size_t Transport::deliver_arrivals_at(std::size_t shard,
-                                           std::int64_t t_us) {
-  ShardState& state = shard_state_[shard];
-  std::size_t fired = 0;
-  while (!state.arrivals.empty() && state.arrivals.front().arrival_us <= t_us) {
-    std::pop_heap(state.arrivals.begin(), state.arrivals.end(), LaterRecord{});
-    ShardRecord record = std::move(state.arrivals.back());
-    state.arrivals.pop_back();
-    ++fired;
-    // The sender crashed in flight iff its declared crash falls in [send,
-    // arrival]; mirrors the single-wheel generation check without a
-    // cross-thread read.
-    const auto crash_us = crash_at_us_[record.from];
-    dispatch(shards_->shard(shard).now().as_micros(), record.from, record.to,
-             crash_us >= record.send_us && crash_us <= record.arrival_us,
-             std::move(record.body));
-  }
-  return fired;
 }
 
 }  // namespace groupcast::core

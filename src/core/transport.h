@@ -315,20 +315,25 @@ class FaultFilter {
                        sim::SimTime now) const = 0;
 };
 
+/// One send/deliver path at every shard count: peers are partitioned by
+/// access router (all peers on one stub router share a shard), every
+/// message becomes a keyed event on its receiver's shard wheel, keyed by
+/// (sender, per-sender send counter), and loss draws are stateless hashes
+/// of (seed, sender, counter).  Within an instant deliveries therefore fire
+/// in (sender, counter) order before any plain timer, whichever shard or
+/// epoch scheduled them, and the execution is byte-identical at every
+/// shard count.
 class Transport final : public sim::ShardSet::Client {
  public:
   using Handler = std::function<void(const Envelope&)>;
 
+  /// A one-shard transport on a bare simulator (unit tests, bench_micro).
   Transport(sim::Simulator& simulator,
             const overlay::PeerPopulation& population,
             TransportOptions options, util::Rng& rng);
 
-  /// Sharded mode: peers are partitioned by *access router* (all peers on
-  /// one stub router share a shard), deliveries run through per-shard
-  /// arrival queues in (arrival, src, per-src send counter) order, and
-  /// loss draws are stateless hashes of (seed, src, counter) — all
-  /// of which makes the execution byte-identical at every shard count
-  /// >= 2.  Installs itself as the shard set's client.
+  /// A transport over `shards`' wheels; installs itself as the shard
+  /// set's client.
   Transport(sim::ShardSet& shards, const overlay::PeerPopulation& population,
             TransportOptions options, util::Rng& rng);
 
@@ -337,9 +342,12 @@ class Transport final : public sim::ShardSet::Client {
   /// Attaches a node; messages to `peer` are delivered to `handler`.
   void register_node(overlay::PeerId peer, Handler handler);
 
-  /// Detaches a node.  In-flight messages *to* it are dropped on arrival
-  /// in either mode; what happens to messages it already sent depends on
-  /// `mode` (kCrash suppresses them, kGraceful lets them land).
+  /// Detaches a node.  In-flight messages *to* it are dropped on arrival;
+  /// what happens to messages it already sent depends on `mode` (kCrash
+  /// suppresses them, kGraceful lets them land).  On a one-shard
+  /// transport kCrash records the crash at now(); with several shards a
+  /// crash must be declared up front (declare_crash), since other shards
+  /// read the crash instant while they deliver.
   void unregister_node(overlay::PeerId peer,
                        DetachMode mode = DetachMode::kCrash);
 
@@ -356,44 +364,34 @@ class Transport final : public sim::ShardSet::Client {
   /// Total wire bytes of every message sent (per the encoding in wire.h).
   std::size_t bytes_sent() const;
 
-  /// The single-wheel simulator; only valid outside sharded mode.
-  sim::Simulator& simulator() { return *simulator_; }
-  /// The simulator that owns `peer`'s events: the shard it hashes to in
-  /// sharded mode, the single wheel otherwise.  Node code resolves its
-  /// clock and timers through this so it runs unchanged in both modes.
+  /// The simulator that owns `peer`'s events: the wheel of the shard it
+  /// hashes to.  Node code resolves its clock and timers through this.
   sim::Simulator& simulator_for(overlay::PeerId peer) {
-    return shards_ != nullptr ? shards_->shard(peer_shard_[peer])
-                              : *simulator_;
+    return *simulators_[peer_shard_[peer]];
   }
-  bool sharded() const { return shards_ != nullptr; }
 
-  /// Pre-declares an ungraceful crash at `at` (sharded mode only): a
-  /// message is suppressed in flight iff its sender has a declared crash
-  /// in [send, arrival].  Replaces the single-wheel generation check,
-  /// which a delivering shard could not read race-free.
+  /// Declares an ungraceful crash of `peer` at `at`, before the run
+  /// reaches it: a message is suppressed in flight iff its sender crashed
+  /// after sending it and at or before its arrival.
   void declare_crash(overlay::PeerId peer, sim::SimTime at);
 
   const overlay::PeerPopulation& population() const { return *population_; }
 
-  /// Resident bytes of transport state: handler/generation tables plus
-  /// the pooled in-flight slots (single-wheel) or the per-shard arrival
-  /// queues and mailboxes (sharded).  Feeds the bytes_per_peer footprint
-  /// gauge in bench_micro.
+  /// Resident bytes of transport state: the per-peer tables plus each
+  /// shard's pooled in-flight slots and mailboxes.  Feeds the
+  /// bytes_per_peer footprint gauge in bench_micro.
   std::size_t memory_bytes() const;
 
   // sim::ShardSet::Client:
   void merge_inbound(std::size_t shard) override;
-  std::int64_t next_arrival_us(std::size_t shard) override;
-  std::size_t deliver_arrivals_at(std::size_t shard,
-                                  std::int64_t t_us) override;
 
   /// Installs (or, with nullptr, removes) the fault filter consulted on
   /// every send.  The filter must outlive its installation.
   void set_fault_filter(const FaultFilter* filter) { fault_filter_ = filter; }
 
  private:
-  /// The constructors' common part; exactly one engine is non-null.
-  Transport(sim::Simulator* simulator, sim::ShardSet* shards,
+  /// The constructors' common part: one simulator per shard.
+  Transport(std::vector<sim::Simulator*> simulators, sim::ShardSet* shards,
             const overlay::PeerPopulation& population,
             TransportOptions options, util::Rng& rng);
 
@@ -401,93 +399,77 @@ class Transport final : public sim::ShardSet::Client {
 
   static constexpr std::uint32_t kNoSlot = 0xFFFFFFFFu;
 
-  /// One pooled in-flight message.  Delivery runs through the simulator's
-  /// fixed-signature timer path with the slot index as the argument, so a
-  /// send costs no per-message heap allocation: slots recycle through a
-  /// free list and the pool's high-water mark is the peak number of
-  /// messages concurrently in flight.
+  /// One message in flight, in a pooled slot of its receiver's shard.
+  /// Its delivery is a keyed event of that shard's simulator with key
+  /// (sender, send counter) and argument (shard, slot), so a send costs no
+  /// per-message heap allocation: slots recycle through a per-shard free
+  /// list.
   struct InFlight {
-    overlay::PeerId from = overlay::kNoPeer;
     overlay::PeerId to = overlay::kNoPeer;
-    std::uint64_t sent_in = 0;
-    MessageBody body;
     std::uint32_t next_free = kNoSlot;
-  };
-
-  static void deliver_thunk(void* context, std::uint64_t slot);
-  void deliver(std::uint32_t slot);
-  std::uint32_t allocate_slot();
-  /// The delivery tail both engines share: drops the message if its
-  /// sender crashed in flight (`sender_crashed`, the engine's own test) or
-  /// its receiver is gone, else hands it to the receiver's handler.
-  void dispatch(std::int64_t now_us, overlay::PeerId from, overlay::PeerId to,
-                bool sender_crashed, MessageBody&& body);
-
-  /// One cross-shard (or same-shard) delivery in flight.  Arrival queues
-  /// pop in ascending (arrival_us, from, counter) — a total order, since
-  /// (from, counter) is unique — so delivery order does not depend on
-  /// which epoch barrier merged the record.
-  struct ShardRecord {
     std::int64_t send_us = 0;
-    std::int64_t arrival_us = 0;
-    std::uint64_t counter = 0;
-    overlay::PeerId from = overlay::kNoPeer;
-    overlay::PeerId to = overlay::kNoPeer;
     MessageBody body;
   };
-  struct LaterRecord {
-    bool operator()(const ShardRecord& a, const ShardRecord& b) const {
-      if (a.arrival_us != b.arrival_us) return a.arrival_us > b.arrival_us;
-      if (a.from != b.from) return a.from > b.from;
-      return a.counter > b.counter;
-    }
+  /// A message parked for another shard until the next epoch barrier.
+  struct Outbound {
+    std::int64_t arrival_us = 0;
+    std::uint64_t key = 0;
+    InFlight message;
   };
   /// Per-shard message-plane state, owned by the shard's worker thread
   /// (outboxes hand over at epoch barriers; the main thread may touch any
-  /// shard while the workers are parked).  The single wheel keeps its
-  /// counters in one of these and leaves the queues empty.
+  /// shard while the workers are parked).
   struct alignas(64) ShardState {
     MessageStats stats;
     std::size_t sent = 0;
     std::size_t lost = 0;
     std::size_t bytes_sent = 0;
-    std::vector<ShardRecord> arrivals;               // min-heap, LaterRecord
-    std::vector<std::vector<ShardRecord>> outbox;    // indexed by dst shard
+    std::vector<InFlight> inflight;
+    std::uint32_t free_head = kNoSlot;
+    std::vector<std::vector<Outbound>> outbox;  // indexed by dst shard
+  };
+  /// When a peer crashed: at `at_us`, after its first `sends` sends (a
+  /// declared crash follows every send of its instant).
+  struct CrashMark {
+    std::int64_t at_us = -1;
+    std::uint32_t sends = 0xFFFFFFFFu;
   };
 
-  /// The loss draw for one send, true with probability p.  The single
-  /// wheel draws from its sequential RNG; sharded, it is a stateless
+  /// Parks `message` in a pooled slot of `shard` and schedules its
+  /// delivery there at `arrival_us` under `key`.
+  void schedule(std::size_t shard, std::int64_t arrival_us,
+                std::uint64_t key, InFlight&& message);
+  static void deliver_thunk(void* context, std::uint64_t key,
+                            std::uint64_t arg);
+  /// Drops the message (sent by `from` as its `counter`-th send) in
+  /// `slot` of `shard` if its sender crashed in flight or its receiver is
+  /// gone, else hands it to the receiver.
+  void deliver(overlay::PeerId from, std::uint32_t counter,
+               std::uint32_t shard, std::uint32_t slot);
+
+  /// The loss draw for one send, true with probability p: a stateless
   /// splitmix64 hash of (seed, stream, counter) mapped to [0, 1), which is
   /// independent of thread interleaving and shard count.
-  bool lost(double p, std::uint64_t stream, std::uint64_t counter);
+  bool lost(double p, std::uint64_t stream, std::uint64_t counter) const;
   /// `field` summed over the shard states.
   std::size_t total(std::size_t ShardState::*field) const;
 
-  sim::Simulator* simulator_;
+  /// One per shard; the shard set's wheels, or the bare simulator.
+  std::vector<sim::Simulator*> simulators_;
+  sim::ShardSet* shards_;
   const overlay::PeerPopulation* population_;
   TransportOptions options_;
   /// Access-link pacing (null when both caps are 0).  Uplink buckets are
   /// only touched from the owning sender's send path, so the model needs
-  /// no synchronization even in sharded mode.
+  /// no synchronization.
   std::unique_ptr<net::BandwidthModel> bandwidth_;
-  util::Rng rng_;
+  std::uint64_t loss_seed_;
   std::vector<Handler> handlers_;
-  /// Bumped on every unregister; a delivery whose captured generation is
-  /// stale came from a peer that crashed mid-flight and is suppressed.
-  std::vector<std::uint64_t> generation_;
   const FaultFilter* fault_filter_ = nullptr;
-  std::vector<InFlight> inflight_;
-  std::uint32_t free_head_ = kNoSlot;
-  /// One per shard; exactly one on the single wheel.
   std::vector<ShardState> shard_state_;
-
-  // Sharded-mode state (empty in single-wheel mode).
-  sim::ShardSet* shards_ = nullptr;
-  std::uint64_t loss_seed_ = 0;
   std::vector<std::uint32_t> peer_shard_;
-  std::vector<std::uint64_t> send_counter_;
-  /// Declared crash instant per peer, or -1 (none).
-  std::vector<std::int64_t> crash_at_us_;
+  std::vector<std::uint32_t> send_counter_;
+  std::vector<CrashMark> crash_;
 };
 
 }  // namespace groupcast::core

@@ -26,6 +26,12 @@ struct ShardTrace {
 
 namespace {
 
+core::TransportOptions with_loss(core::TransportOptions options,
+                                 double loss_probability) {
+  options.loss_probability = loss_probability;
+  return options;
+}
+
 /// Conservative lookahead of the sharded kernel, in microseconds.  Peers
 /// are sharded by access router, so every cross-shard message crosses at
 /// least one underlay link and pays two (distinct) access latencies: its
@@ -61,15 +67,15 @@ std::int64_t shard_lookahead_us(const net::UnderlayTopology& underlay,
 }
 
 /// Installs one ShardTrace per shard (empty when the caller collects
-/// nothing): each shard's worker thread gets isolated registries so the
-/// run's samples never contend and merge deterministically.
+/// nothing): each shard's thread gets isolated registries so the run's
+/// samples never contend and merge deterministically.
 std::vector<std::unique_ptr<ShardTrace>> install_shard_trace(
-    sim::ShardSet& engine, std::size_t shards, std::size_t peer_count) {
+    sim::ShardSet& engine, std::size_t peer_count) {
   std::vector<std::unique_ptr<ShardTrace>> shard_trace;
   if (!trace::counters().enabled() && !trace::histograms().enabled()) {
     return shard_trace;
   }
-  for (std::size_t i = 0; i < shards; ++i) {
+  for (std::size_t i = 0; i < engine.num_shards(); ++i) {
     auto per_shard = std::make_unique<ShardTrace>();
     if (trace::counters().enabled()) {
       per_shard->counters.enable(peer_count);
@@ -148,25 +154,18 @@ NodeRuntime::NodeRuntime(const ScenarioConfig& config,
     : config_(config),
       middleware_(make_scenario_middleware(config)),
       rng_(middleware_->rng().split()),
+      engine_(config.shards,
+              shard_lookahead_us(middleware_->underlay(),
+                                 middleware_->population()),
+              middleware_->simulator().now()),
+      transport_(engine_, middleware_->population(),
+                 with_loss(transport_options, runtime.loss_probability),
+                 rng_),
       want_(config.peer_count, 0) {
-  transport_options.loss_probability = runtime.loss_probability;
-  if (config.shards > 1) {
-    engine_.emplace(config.shards,
-                    shard_lookahead_us(middleware_->underlay(),
-                                       middleware_->population()),
-                    middleware_->simulator().now());
-    transport_.emplace(*engine_, middleware_->population(),
-                       transport_options, rng_);
-    // Worker threads resolve the trace facilities thread-locally; give
-    // each shard its own registries whenever the caller collects
-    // anything, and fold the snapshots back in before the result
-    // captures them.
-    shard_trace_ =
-        install_shard_trace(*engine_, config.shards, config.peer_count);
-  } else {
-    transport_.emplace(middleware_->simulator(), middleware_->population(),
-                       transport_options, rng_);
-  }
+  // Shard threads resolve the trace facilities thread-locally; give each
+  // shard its own registries whenever the caller collects anything, and
+  // fold the snapshots back in before the result captures them.
+  shard_trace_ = install_shard_trace(engine_, config.peer_count);
 
   const core::NodeOptions node_options = map_node_options(config, runtime);
   nodes_.reserve(config.peer_count);
@@ -174,24 +173,16 @@ NodeRuntime::NodeRuntime(const ScenarioConfig& config,
     auto per_node = node_options;
     if (tune) tune(p, per_node);
     nodes_.push_back(std::make_unique<core::GroupCastNode>(
-        p, *transport_, middleware_->graph(), std::move(per_node), rng_));
+        p, transport_, middleware_->graph(), std::move(per_node), rng_));
     nodes_.back()->start();
   }
 }
 
 NodeRuntime::~NodeRuntime() = default;
 
-sim::SimTime NodeRuntime::engine_now() const {
-  return engine_ ? engine_->now() : middleware_->simulator().now();
-}
-
 void NodeRuntime::advance(sim::SimTime by) {
   clock_ = clock_ + by;
-  if (engine_) {
-    engine_->run_until(clock_);
-  } else {
-    middleware_->simulator().run_until(clock_);
-  }
+  engine_.run_until(clock_);
 }
 
 void NodeRuntime::arm_subscriber(overlay::PeerId peer) {
@@ -204,7 +195,7 @@ void NodeRuntime::arm_subscriber(overlay::PeerId peer) {
 
 void NodeRuntime::resubscribe_later(overlay::PeerId peer,
                                     core::GroupId group) {
-  auto& node_sim = transport_->simulator_for(peer);
+  auto& node_sim = transport_.simulator_for(peer);
   node_sim.schedule_at(node_sim.now() + kEpoch, [this, peer, group] {
     auto& node = *nodes_[peer];
     if (want_[peer] != 0 && node.running() && !node.is_subscribed(group)) {
@@ -232,19 +223,15 @@ void NodeRuntime::finish(ScenarioResult& result) {
   result.config = config_;
   result.repair_edges = middleware_->connectivity_repair_edges();
   result.subscription_messages =
-      static_cast<double>(transport_->messages_sent());
-  if (engine_) {
-    result.events_fired = engine_->events_fired();
-    // Per-shard wheels each track a high-water mark; a cross-shard
-    // maximum would vary with the shard count, so the sharded engine
-    // reports 0 here (documented in PERFORMANCE.md).
-    result.queue_high_water = 0;
-    result.events_per_shard = engine_->events_per_shard();
-    fold_shard_trace(*engine_, shard_trace_);
-  } else {
-    result.events_fired = middleware_->simulator().events_fired();
-    result.queue_high_water = middleware_->simulator().queue_high_water();
-  }
+      static_cast<double>(transport_.messages_sent());
+  result.events_fired = engine_.events_fired();
+  // Per-shard wheels each track a high-water mark; a cross-shard maximum
+  // would vary with the shard count, so a sharded run reports 0 here.
+  result.queue_high_water = engine_.num_shards() == 1
+                                ? engine_.shard(0).queue_high_water()
+                                : 0;
+  result.events_per_shard = engine_.events_per_shard();
+  fold_shard_trace(engine_, shard_trace_);
   if (trace::counters().enabled()) {
     result.counters = trace::counters().snapshot();
   }

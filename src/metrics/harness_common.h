@@ -1,14 +1,13 @@
 // The node-runtime core shared by the recovery and streaming harnesses
 // (metrics/recovery.h, metrics/streaming.h): one place that stands up a
-// deployment of core::GroupCastNode peers on either event engine, drives
-// it epoch by epoch, keeps subscribers retrying, and captures the engine
+// deployment of core::GroupCastNode peers on a sim::ShardSet, drives it
+// epoch by epoch, keeps subscribers retrying, and captures the engine
 // and trace facilities into the result.  The harnesses keep only their
 // own phases on top.  Not part of the public metrics API.
 #pragma once
 
 #include <functional>
 #include <memory>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -31,10 +30,9 @@ void validate_runtime(const ScenarioConfig& config,
 
 /// One node-runtime run.  Construction, in this order: builds the
 /// middleware from the config (forking an attached world) and splits the
-/// harness RNG off it; picks the engine — the middleware's single wheel
-/// at shards == 1, a ShardSet of conservative-lookahead wheels otherwise;
-/// constructs the transport on it; gives every shard its own trace
-/// registries; maps the runtime fields onto core::NodeOptions; then
+/// harness RNG off it; starts a ShardSet of config.shards
+/// conservative-lookahead wheels at the middleware's clock; constructs the
+/// transport on it; gives every shard its own trace registries; maps the runtime fields onto core::NodeOptions; then
 /// constructs and starts one node per peer.  Every RNG split and event
 /// schedule happens in that fixed order, so a (config, seed) pair is one
 /// deterministic trajectory whatever the grid's job count.
@@ -55,16 +53,16 @@ class NodeRuntime {
   core::GroupCastMiddleware& middleware() { return *middleware_; }
   /// The harness's own RNG stream, split off the middleware's.
   util::Rng& rng() { return rng_; }
-  core::Transport& transport() { return *transport_; }
+  core::Transport& transport() { return transport_; }
   std::vector<std::unique_ptr<core::GroupCastNode>>& nodes() {
     return nodes_;
   }
-  bool sharded() const { return engine_.has_value(); }
+  sim::ShardSet& engine() { return engine_; }
 
   /// The harness clock: the sum of every advance() so far.
   sim::SimTime clock() const { return clock_; }
   /// The engine's own clock after the last advance().
-  sim::SimTime engine_now() const;
+  sim::SimTime engine_now() const { return engine_.now(); }
   /// Runs the engine `by` past the harness clock.
   void advance(sim::SimTime by);
 
@@ -93,8 +91,8 @@ class NodeRuntime {
   util::Rng rng_;
   // The engine is declared before the transport (the ShardSet's client)
   // so the transport is torn down first.
-  std::optional<sim::ShardSet> engine_;
-  std::optional<core::Transport> transport_;
+  sim::ShardSet engine_;
+  core::Transport transport_;
   std::vector<std::unique_ptr<ShardTrace>> shard_trace_;
   std::vector<std::unique_ptr<core::GroupCastNode>> nodes_;
   /// Which peers still want their groups.  A per-peer byte vector rather

@@ -102,14 +102,13 @@ ScenarioResult run_recovery_scenario(const ScenarioConfig& config) {
   // carry the delivery / repair trajectory across the fault window.  Only
   // armed when the facility is on — a disabled run schedules no extra
   // events and stays byte-identical to pre-recorder builds.  The recorder
-  // snapshots global state from an event handler, which has no safe home
-  // on a sharded run — require the single wheel.
+  // snapshots the calling thread's registries from an event handler,
+  // which only a one-shard run (it runs on the calling thread) can host.
   std::optional<sim::PeriodicRecorder> recorder;
   if (trace::flight_recorder().enabled()) {
-    GC_REQUIRE_MSG(!runtime.sharded(),
-                   "the flight recorder requires the single-wheel engine "
-                   "(run with shards == 1)");
-    sim::Simulator& simulator = middleware.simulator();
+    GC_REQUIRE_MSG(config.shards == 1,
+                   "the flight recorder requires shards == 1");
+    sim::Simulator& simulator = runtime.engine().shard(0);
     trace::flight_recorder().capture(simulator.now().as_micros());
     recorder.emplace(simulator, kEpoch);
   }
@@ -324,8 +323,8 @@ ScenarioResult run_recovery_scenario(const ScenarioConfig& config) {
           break;
         }
       }
-      // Atomic tallies: in sharded mode the probes land on whatever shard
-      // owns the receiver.  Relaxed is enough — totals are read only
+      // Atomic tallies: the probes land on whatever shard owns the
+      // receiver.  Relaxed is enough — totals are read only
       // after the workers park at the epoch barrier.
       std::atomic<std::size_t> minority_deliveries{0};
       std::atomic<std::size_t> majority_deliveries{0};
@@ -425,9 +424,7 @@ ScenarioResult run_recovery_scenario(const ScenarioConfig& config) {
   std::atomic<std::size_t> deliveries{0};
   const sim::SimTime published_at = runtime.engine_now();
   for (const auto s : survivors) {
-    // The delay sample reads the receiver's own clock: on the single
-    // wheel that is the shared simulator (same object as before), on a
-    // sharded run the receiver's shard.
+    // The delay sample reads the receiver's own clock, its shard's.
     sim::Simulator& node_sim = transport.simulator_for(s);
     nodes[s]->on_data([&deliveries, &node_sim, published_at](
                           core::GroupId, std::uint64_t, overlay::PeerId) {

@@ -19,6 +19,7 @@ ShardSet::ShardSet(std::size_t num_shards, std::int64_t lookahead_us,
     shard.simulator = std::make_unique<Simulator>();
     shard.simulator->run_until(start);  // align the clock, fires nothing
   }
+  if (num_shards == 1) return;  // runs on the calling thread
   threads_.reserve(num_shards);
   for (std::size_t i = 0; i < num_shards; ++i) {
     threads_.emplace_back([this, i] { worker_main(i); });
@@ -45,6 +46,10 @@ void ShardSet::broadcast(Command cmd) {
 }
 
 void ShardSet::exec_on_shards(const std::function<void(std::size_t)>& fn) {
+  if (threads_.empty()) {
+    fn(0);
+    return;
+  }
   exec_fn_ = &fn;
   broadcast(Command::kExec);
   exec_fn_ = nullptr;
@@ -53,15 +58,21 @@ void ShardSet::exec_on_shards(const std::function<void(std::size_t)>& fn) {
 void ShardSet::run_until(SimTime deadline) {
   GC_REQUIRE(client_ != nullptr);
   GC_REQUIRE(deadline >= now_);
-  deadline_us_ = deadline.as_micros();
-  broadcast(Command::kRun);
+  if (threads_.empty()) {
+    // One shard: no cross-shard traffic, so the whole span is one epoch.
+    client_->merge_inbound(0);
+    shards_[0].simulator->run_until(deadline);
+  } else {
+    deadline_us_ = deadline.as_micros();
+    broadcast(Command::kRun);
+  }
   now_ = deadline;
 }
 
 std::uint64_t ShardSet::events_fired() const {
   std::uint64_t total = 0;
   for (const auto& shard : shards_) {
-    total += shard.simulator->events_fired() + shard.delivered_events;
+    total += shard.simulator->events_fired();
   }
   return total;
 }
@@ -70,7 +81,7 @@ std::vector<std::uint64_t> ShardSet::events_per_shard() const {
   std::vector<std::uint64_t> out;
   out.reserve(shards_.size());
   for (const auto& shard : shards_) {
-    out.push_back(shard.simulator->events_fired() + shard.delivered_events);
+    out.push_back(shard.simulator->events_fired());
   }
   return out;
 }
@@ -116,14 +127,8 @@ void ShardSet::run_worker(std::size_t i) {
     // is visible — safe to merge.
     barrier_.arrive_and_wait();
     client_->merge_inbound(i);
-    std::int64_t next = -1;
     std::int64_t wheel_us = 0;
-    if (self.simulator->peek_next_event(wheel_us)) next = wheel_us;
-    const std::int64_t arrival_us = client_->next_arrival_us(i);
-    if (arrival_us >= 0 && (next < 0 || arrival_us < next)) {
-      next = arrival_us;
-    }
-    self.next_us = next;
+    self.next_us = self.simulator->peek_next_event(wheel_us) ? wheel_us : -1;
     // Barrier 2: every shard published its earliest pending instant; the
     // leader picks the epoch target.  Any event fired in the epoch is at
     // time >= m, so everything it sends arrives at >= m + lookahead —
@@ -144,35 +149,9 @@ void ShardSet::run_worker(std::size_t i) {
         run_done_ = target_us_ >= deadline;
       }
     });
-    run_interleaved(i, target_us_);
+    self.simulator->run_until(SimTime::micros(target_us_));
     if (run_done_) return;
   }
-}
-
-void ShardSet::run_interleaved(std::size_t i, std::int64_t target_us) {
-  Shard& self = shards_[i];
-  Simulator& simulator = *self.simulator;
-  for (;;) {
-    std::int64_t wheel_us = 0;
-    const bool has_wheel = simulator.peek_next_event(wheel_us);
-    const std::int64_t arrival_us = client_->next_arrival_us(i);
-    std::int64_t t = -1;
-    if (has_wheel && wheel_us <= target_us) t = wheel_us;
-    if (arrival_us >= 0 && arrival_us <= target_us &&
-        (t < 0 || arrival_us < t)) {
-      t = arrival_us;
-    }
-    if (t < 0) break;
-    if (arrival_us >= 0 && arrival_us <= t) {
-      // Arrivals first at equal instants: handlers observe now() == t and
-      // may schedule same-instant wheel events, which the run_until below
-      // then fires.
-      simulator.advance_now(SimTime::micros(t));
-      self.delivered_events += client_->deliver_arrivals_at(i, t);
-    }
-    simulator.run_until(SimTime::micros(t));
-  }
-  simulator.run_until(SimTime::micros(target_us));
 }
 
 }  // namespace groupcast::sim

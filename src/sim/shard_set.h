@@ -1,35 +1,37 @@
 // Conservative-lookahead parallel discrete-event execution.
 //
 // A ShardSet runs N independent timer wheels (one sim::Simulator per
-// shard) on N persistent worker threads and advances them in lockstep
-// epochs.  The epoch rule is the classic conservative bound: if every
-// cross-shard interaction takes at least `lookahead_us` of simulated time
-// to arrive, all shards can run an epoch of that width concurrently
-// without ever receiving a message timestamped in their past.  Cross-shard
-// traffic is the client's job (core::Transport): sends during an epoch are
-// parked in per-(src, dst) mailboxes, merged into per-shard arrival queues
-// at the epoch barrier, and delivered by the shard runner in a fixed
-// (arrival, src, per-src counter) total order — so the execution is
-// byte-identical at every shard count >= 2 (see docs/PERFORMANCE.md,
-// "Sharded execution & memory budget", for the full determinism
-// contract).
+// shard) and advances them in lockstep epochs.  The epoch rule is the
+// classic conservative bound: if every cross-shard interaction takes at
+// least `lookahead_us` of simulated time to arrive, all shards can run an
+// epoch of that width concurrently without ever receiving a message
+// timestamped in their past.  Cross-shard traffic is the client's job
+// (core::Transport): sends during an epoch are parked in per-(src, dst)
+// mailboxes and, at the epoch barrier, scheduled on the destination
+// shard's wheel as keyed events (Simulator::schedule_keyed_at).  The key
+// fixes their order within an instant, so the execution is byte-identical
+// at every shard count (see docs/PERFORMANCE.md, "Sharded execution &
+// memory budget", for the determinism contract).
 //
 // Epochs are not fixed-width: at each barrier the leader computes the
-// global minimum pending event time m (wheel events and queued arrivals)
-// and sets the next epoch target to min(deadline, m + lookahead - 1) —
-// empty stretches are skipped in one hop, dense stretches advance one
-// lookahead window at a time.  Any message sent inside the epoch is
-// timestamped >= m, so it arrives strictly after the target and is safe
-// to merge at the next barrier.
+// global minimum pending event time m over every shard's wheel and sets
+// the next epoch target to min(deadline, m + lookahead - 1) — empty
+// stretches are skipped in one hop, dense stretches advance one lookahead
+// window at a time.  Any message sent inside the epoch is timestamped
+// >= m, so it arrives strictly after the target and is safe to merge at
+// the next barrier.
 //
-// Thread model: worker i owns shard i's Simulator and all node state
-// hashed to it; the constructing thread ("main") may touch any shard
-// only while the workers are parked between run_until calls (the
+// Thread model: with N >= 2, worker i owns shard i's Simulator and all
+// node state hashed to it; the constructing thread ("main") may touch any
+// shard only while the workers are parked between run_until calls (the
 // command handoff is a mutex + condvar, so parking gives full
 // happens-before in both directions).  Barriers inside a run are
 // busy-wait sense barriers: at the event densities the recovery bench
 // produces (a few events per lookahead window per shard) a futex wake
-// per epoch would cost more than the epoch's work.
+// per epoch would cost more than the epoch's work.  A one-shard set has
+// no cross-shard traffic and so no epochs: it starts no worker and runs
+// each run_until as one span on the calling thread, whose thread-local
+// tracing, counters and flight recorder therefore see every event.
 #pragma once
 
 #include <atomic>
@@ -48,21 +50,14 @@ namespace groupcast::sim {
 class ShardSet {
  public:
   /// The cross-shard message plane (implemented by core::Transport).
-  /// All three hooks are invoked on the shard's worker thread (or on the
-  /// main thread while the workers are parked, for shard-less setup).
   class Client {
    public:
     virtual ~Client() = default;
-    /// Drain every inbound mailbox for `shard` into its arrival queue.
-    /// Called at each epoch barrier, after all sends of the previous
-    /// epoch are visible and before the next epoch target is chosen.
+    /// Schedules every message parked for `shard` on its wheel.  Called
+    /// on the shard's worker at each epoch barrier, after all sends of the
+    /// previous epoch are visible and before the next epoch target is
+    /// chosen.
     virtual void merge_inbound(std::size_t shard) = 0;
-    /// Earliest queued arrival for `shard` in micros, or -1 when none.
-    virtual std::int64_t next_arrival_us(std::size_t shard) = 0;
-    /// Deliver every arrival for `shard` at exactly `t_us`; returns the
-    /// number of deliveries fired (they count as events).
-    virtual std::size_t deliver_arrivals_at(std::size_t shard,
-                                            std::int64_t t_us) = 0;
   };
 
   /// `lookahead_us` must be a strictly positive lower bound on the
@@ -83,10 +78,11 @@ class ShardSet {
   /// Installs the message plane.  Must be set before the first run.
   void set_client(Client* client) { client_ = client; }
 
-  /// Runs `fn(shard)` once per shard, each on that shard's own worker
-  /// thread, and returns when all have finished.  Used to install
-  /// per-shard thread-local instrumentation (scoped counter/histogram
-  /// registries) whose guards must live on the owning thread.
+  /// Runs `fn(shard)` once per shard, each on the thread that runs that
+  /// shard (the calling thread for a one-shard set), and returns when all
+  /// have finished.  Used to install per-shard thread-local
+  /// instrumentation (scoped counter/histogram registries) whose guards
+  /// must live on the owning thread.
   void exec_on_shards(const std::function<void(std::size_t)>& fn);
 
   /// Advances every shard to `deadline` (inclusive, like
@@ -97,8 +93,8 @@ class ShardSet {
   /// The global clock: every shard's now() after the last run_until.
   SimTime now() const { return now_; }
 
-  /// Total events fired across all shards (wheel events plus client
-  /// deliveries).  Invariant across shard counts.
+  /// Total events fired across all shards.  Invariant across shard
+  /// counts.
   std::uint64_t events_fired() const;
   /// Per-shard event totals, for the shard-imbalance bench columns.
   std::vector<std::uint64_t> events_per_shard() const;
@@ -159,18 +155,13 @@ class ShardSet {
 
   struct alignas(64) Shard {
     std::unique_ptr<Simulator> simulator;
-    std::uint64_t delivered_events = 0;
-    /// This shard's earliest pending instant (wheel or arrival queue),
-    /// or -1; published before the target barrier, read by the leader.
+    /// This shard's earliest pending instant, or -1; published before
+    /// the target barrier, read by the leader.
     std::int64_t next_us = -1;
   };
 
   void worker_main(std::size_t i);
   void run_worker(std::size_t i);
-  /// Interleaves wheel events and client arrivals up to `target_us`
-  /// inclusive: at each instant, arrivals deliver first, then wheel
-  /// events (including any the handlers scheduled for the same instant).
-  void run_interleaved(std::size_t i, std::int64_t target_us);
   void broadcast(Command cmd);
 
   std::vector<Shard> shards_;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstddef>
+#include <limits>
 #include <utility>
 
 #include "util/require.h"
@@ -18,6 +19,17 @@ struct OverflowLater {
     return b < a;
   }
 };
+
+/// Heap comparator: pops keyed events in ascending (when, key) order.
+struct KeyedLater {
+  template <typename Event>
+  bool operator()(const Event& a, const Event& b) const {
+    if (a.when_us != b.when_us) return a.when_us > b.when_us;
+    return a.key > b.key;
+  }
+};
+
+constexpr std::int64_t kForever = std::numeric_limits<std::int64_t>::max();
 
 }  // namespace
 
@@ -139,6 +151,23 @@ TimerHandle Simulator::schedule_timer_at(SimTime when, TimerFn fn,
   return enqueue(when, fn, context, arg, nullptr);
 }
 
+void Simulator::set_keyed_handler(KeyedFn fn, void* context) {
+  GC_REQUIRE_MSG(fn == nullptr || keyed_fn_ == nullptr,
+                 "a keyed handler is already installed");
+  keyed_fn_ = fn;
+  keyed_context_ = context;
+}
+
+void Simulator::schedule_keyed_at(SimTime when, std::uint64_t key,
+                                  std::uint64_t arg) {
+  GC_REQUIRE_MSG(when > now_, "a keyed event must lie after now()");
+  GC_REQUIRE_MSG(keyed_fn_ != nullptr, "no keyed handler installed");
+  keyed_.push_back(KeyedEvent{when.as_micros(), key, arg});
+  std::push_heap(keyed_.begin(), keyed_.end(), KeyedLater{});
+  ++live_;
+  if (live_ > queue_high_water_) queue_high_water_ = live_;
+}
+
 bool Simulator::timer_pending(TimerHandle handle) const {
   if (!handle.assigned() || handle.slot >= nodes_.size()) return false;
   const EventNode& node = nodes_[handle.slot];
@@ -209,7 +238,16 @@ std::int64_t Simulator::slot_start(int level, int slot) const {
   return (cursor_us_ & above) | (static_cast<std::int64_t>(slot) << shift);
 }
 
-bool Simulator::next_event_time(std::int64_t& when_us) {
+bool Simulator::peek_next_event(std::int64_t& when_us) {
+  bool found = next_wheel_time(when_us);
+  if (!keyed_.empty() && (!found || keyed_.front().when_us < when_us)) {
+    when_us = keyed_.front().when_us;
+    found = true;
+  }
+  return found;
+}
+
+bool Simulator::next_wheel_time(std::int64_t& when_us) {
   migrate_overflow();
   int level = 0;
   int slot = 0;
@@ -318,15 +356,7 @@ std::size_t Simulator::fire_batch(trace::Tracer& tracer, bool tracing) {
     }
     now_ = node.when;
     --live_;
-    if (tracing) {
-      if (queue_high_water_ > reported_high_water_) {
-        reported_high_water_ = queue_high_water_;
-        tracer.emit(now_.as_micros(), trace::EventKind::kEventLoopLag,
-                    trace::kNoNode, trace::kNoNode, queue_high_water_);
-      }
-      tracer.emit(now_.as_micros(), trace::EventKind::kSimEvent,
-                  trace::kNoNode, trace::kNoNode, live_);
-    }
+    if (tracing) trace_fire(tracer);
     // Move the callback out before recycling the node: the callback may
     // schedule new events that reuse this very slab slot.
     const TimerFn fn = node.fn;
@@ -348,6 +378,52 @@ std::size_t Simulator::fire_batch(trace::Tracer& tracer, bool tracing) {
   return fired;
 }
 
+void Simulator::trace_fire(trace::Tracer& tracer) {
+  if (queue_high_water_ > reported_high_water_) {
+    reported_high_water_ = queue_high_water_;
+    tracer.emit(now_.as_micros(), trace::EventKind::kEventLoopLag,
+                trace::kNoNode, trace::kNoNode, queue_high_water_);
+  }
+  tracer.emit(now_.as_micros(), trace::EventKind::kSimEvent, trace::kNoNode,
+              trace::kNoNode, live_);
+}
+
+std::size_t Simulator::fire_keyed(trace::Tracer& tracer, bool tracing) {
+  const std::int64_t instant_us = keyed_.front().when_us;
+  now_ = SimTime::micros(instant_us);
+  std::size_t fired = 0;
+  // Handlers may only schedule keyed events after now(), so none joins
+  // this instant while it fires.
+  while (!keyed_.empty() && keyed_.front().when_us == instant_us) {
+    std::pop_heap(keyed_.begin(), keyed_.end(), KeyedLater{});
+    const KeyedEvent event = keyed_.back();
+    keyed_.pop_back();
+    --live_;
+    if (tracing) trace_fire(tracer);
+    keyed_fn_(keyed_context_, event.key, event.arg);
+    ++events_fired_;
+    ++fired;
+  }
+  return fired;
+}
+
+bool Simulator::fire_next(std::int64_t deadline_us, trace::Tracer& tracer,
+                          bool tracing, std::size_t& fired) {
+  if (!keyed_.empty() && keyed_.front().when_us <= deadline_us) {
+    // Keyed events go first at their instant: only a wheel event
+    // strictly before it fires ahead of them.
+    if (!event_due(keyed_.front().when_us - 1)) {
+      fired += fire_keyed(tracer, tracing);
+      return true;
+    }
+  } else if (!event_due(deadline_us)) {
+    return false;
+  }
+  if (!prepare_batch()) return false;
+  fired += fire_batch(tracer, tracing);
+  return true;
+}
+
 std::size_t Simulator::run() {
   // Hoisted per-run: installing a sink *during* a run takes effect at the
   // next run() call, which keeps the per-event cost of disabled tracing to
@@ -355,8 +431,7 @@ std::size_t Simulator::run() {
   auto& tracer = trace::tracer();
   const bool tracing = tracer.enabled();
   std::size_t fired = 0;
-  while (live_ > 0 && prepare_batch()) {
-    fired += fire_batch(tracer, tracing);
+  while (live_ > 0 && fire_next(kForever, tracer, tracing, fired)) {
   }
   return fired;
 }
@@ -365,10 +440,7 @@ std::size_t Simulator::run_until(SimTime deadline) {
   auto& tracer = trace::tracer();
   const bool tracing = tracer.enabled();
   std::size_t fired = 0;
-  while (live_ > 0) {
-    if (!event_due(deadline.as_micros())) break;
-    if (!prepare_batch()) break;
-    fired += fire_batch(tracer, tracing);
+  while (live_ > 0 && fire_next(deadline.as_micros(), tracer, tracing, fired)) {
   }
   if (now_ < deadline) now_ = deadline;
   return fired;
@@ -380,6 +452,7 @@ void Simulator::clear() {
     for (int slot = 0; slot < kSlots; ++slot) heads_[level][slot] = kNil;
   }
   overflow_.clear();
+  keyed_.clear();
   drain_.clear();
   drain_pos_ = 0;
   for (std::uint32_t index = 0;

@@ -3,7 +3,11 @@
 // This is the C++ equivalent of the p-sim simulator the paper's evaluation
 // runs on: a single-threaded event loop with timestamped callbacks.  Events
 // scheduled for the same instant run in scheduling (FIFO) order, which keeps
-// protocol traces deterministic for a given seed.
+// protocol traces deterministic for a given seed.  Keyed events (message
+// deliveries, see schedule_keyed_at) are the one exception: at any instant
+// they fire before every plain timer, in ascending key order, so their
+// order does not depend on when, or on which thread's behalf, they were
+// scheduled.
 //
 // The event queue is a hashed hierarchical timer wheel (kLevels levels of
 // kSlots slots, one occupancy bitmap per level) over a slab of pooled event
@@ -15,8 +19,8 @@
 //    list).
 //  * the fixed-signature timer path (schedule_timer) stores a bare
 //    function pointer + context word in the pooled node, so periodic
-//    protocol timers (heartbeats, retransmit timeouts, transport
-//    deliveries) never touch std::function at all.
+//    protocol timers (heartbeats, retransmit timeouts) never touch
+//    std::function at all.
 //  * every schedule returns a TimerHandle that can cancel the event
 //    before it fires; handles are generation-checked, so a
 //    stale handle to an already-fired (and recycled) node is rejected
@@ -28,6 +32,13 @@
 // Events further out than the wheel horizon (2^36 us, ~19 simulated hours)
 // park in an overflow heap and migrate into the wheel as the clock
 // approaches them.
+//
+// Keyed events live beside the wheel in a min-heap of 24-byte (when, key,
+// arg) entries, all firing one installed handler.  A message in flight
+// already holds its body in the sender's pooled slot, so a full 88-byte
+// wheel node per message would more than double its footprint; keyed
+// events need neither cancellation nor a FIFO sequence, which is all the
+// node adds.
 //
 // A Simulator instance is thread-confined, not thread-safe: one thread
 // drives it for its whole lifetime.  Independent simulators may run on
@@ -94,6 +105,22 @@ class Simulator {
   TimerHandle schedule_timer_at(SimTime when, TimerFn fn, void* context,
                                 std::uint64_t arg = 0);
 
+  /// Callback of keyed events: receives the event's key and argument.
+  using KeyedFn = void (*)(void* context, std::uint64_t key,
+                           std::uint64_t arg);
+  /// Installs the handler every keyed event fires (the message plane's
+  /// delivery hook); nullptr uninstalls it.  One handler per simulator.
+  void set_keyed_handler(KeyedFn fn, void* context);
+
+  /// Schedules a keyed event: at instant `when` it fires before every
+  /// plain timer, and keyed events fire in ascending `key` order whatever
+  /// order they were scheduled in (equal keys at one instant fire in an
+  /// unspecified order).  `when` must lie strictly after now(), so a keyed
+  /// event never joins an instant that is already firing.  Keyed events
+  /// cannot be cancelled.
+  void schedule_keyed_at(SimTime when, std::uint64_t key,
+                         std::uint64_t arg = 0);
+
   /// Cancels a pending event.  Returns false if the handle is stale (the
   /// event already fired, was cancelled, or the simulator was cleared).
   bool cancel(TimerHandle handle);
@@ -108,8 +135,8 @@ class Simulator {
   /// events after the deadline remain queued.  Returns events fired.
   std::size_t run_until(SimTime deadline);
 
-  /// Number of live events waiting in the queue (cancelled events leave
-  /// the count immediately).
+  /// Number of live events waiting in the queue, keyed ones included
+  /// (cancelled events leave the count immediately).
   std::size_t pending() const { return live_; }
 
   /// Deepest the event queue has ever been for this simulator — the
@@ -127,7 +154,8 @@ class Simulator {
   std::size_t memory_bytes() const {
     return sizeof(*this) + nodes_.capacity() * sizeof(EventNode) +
            overflow_.capacity() * sizeof(OverflowRef) +
-           drain_.capacity() * sizeof(std::uint32_t);
+           drain_.capacity() * sizeof(std::uint32_t) +
+           keyed_.capacity() * sizeof(KeyedEvent);
   }
 
   /// Earliest pending event time; false when nothing is queued.  Public
@@ -135,18 +163,7 @@ class Simulator {
   /// the global minimum over every shard's wheel to size the next
   /// lookahead epoch.  May migrate overflow entries but never fires
   /// events or advances the clock.
-  bool peek_next_event(std::int64_t& when_us) {
-    return next_event_time(when_us);
-  }
-
-  /// Fast-forwards now() to `when` without firing anything — the sharded
-  /// runner uses it so cross-shard deliveries at instant `when` observe
-  /// now() == when before any wheel event at that instant runs.  Requires
-  /// that no pending event is scheduled strictly before `when`; a `when`
-  /// in the past is a no-op.
-  void advance_now(SimTime when) {
-    if (when > now_) now_ = when;
-  }
+  bool peek_next_event(std::int64_t& when_us);
 
   /// Drops all pending events (used by tests and teardown).  Every
   /// outstanding TimerHandle becomes stale.
@@ -182,6 +199,13 @@ class Simulator {
     std::uint8_t wheel_slot = 0;
   };
 
+  /// A keyed event; the keyed heap pops in ascending (when, key).
+  struct KeyedEvent {
+    std::int64_t when_us;
+    std::uint64_t key;
+    std::uint64_t arg;
+  };
+
   /// Overflow entries ordered by (when, seq) via std::greater (min-heap).
   struct OverflowRef {
     std::int64_t when_us;
@@ -209,11 +233,11 @@ class Simulator {
   /// Earliest time a slot of `level` at index `slot` covers, given the
   /// cursor (the slot spans 2^(6 * level) microseconds from there).
   std::int64_t slot_start(int level, int slot) const;
-  /// Earliest pending event time; false when nothing is queued.  Does not
-  /// advance the wheel cursor.
-  bool next_event_time(std::int64_t& when_us);
-  /// True when a pending event is due at or before `deadline_us` — the
-  /// run_until test.  Exact like next_event_time, but an upper-level slot
+  /// Earliest pending wheel event time; false when the wheel is empty.
+  /// Does not advance the wheel cursor.
+  bool next_wheel_time(std::int64_t& when_us);
+  /// True when a pending wheel event is due at or before `deadline_us`.
+  /// Exact like next_wheel_time, but an upper-level slot
   /// lying wholly on one side of the deadline is decided without walking
   /// its chain.
   bool event_due(std::int64_t deadline_us);
@@ -223,6 +247,16 @@ class Simulator {
   bool prepare_batch();
   /// Fires the prepared batch; returns events actually run.
   std::size_t fire_batch(trace::Tracer& tracer, bool tracing);
+  /// Fires every keyed event at the keyed heap's earliest instant, which
+  /// no wheel event may precede; returns how many fired.
+  std::size_t fire_keyed(trace::Tracer& tracer, bool tracing);
+  /// Fires the earliest pending instant if it lies at or before
+  /// `deadline_us`: its keyed events, else its wheel batch.  Returns
+  /// false when nothing is due.
+  bool fire_next(std::int64_t deadline_us, trace::Tracer& tracer,
+                 bool tracing, std::size_t& fired);
+  /// Traces one event about to fire (and any new queue high-water).
+  void trace_fire(trace::Tracer& tracer);
 
   int level_for(std::int64_t when_us) const;
 
@@ -247,6 +281,9 @@ class Simulator {
   std::vector<std::uint32_t> drain_;
   std::size_t drain_pos_ = 0;
   bool draining_ = false;
+  std::vector<KeyedEvent> keyed_;  // std::push_heap min-heap
+  KeyedFn keyed_fn_ = nullptr;
+  void* keyed_context_ = nullptr;
 
  public:
   Simulator();

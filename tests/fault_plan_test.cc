@@ -13,6 +13,8 @@
 #include "overlay/host_cache.h"
 #include "sim/fault_plan.h"
 #include "test_helpers.h"
+#include "trace/sink.h"
+#include "trace/trace.h"
 #include "util/require.h"
 
 namespace groupcast {
@@ -129,6 +131,48 @@ TEST(Transport, GracefulDetachLetsInFlightSendsLand) {
   f.simulator.run();
   ASSERT_EQ(f.inbox.size(), 1u);
   EXPECT_EQ(f.inbox[0].from, 2u);
+}
+
+// The one crash rule: a message dies iff its sender crashed after sending
+// it and at or before its arrival.  A one-shard transport takes the crash
+// instant from unregister_node(kCrash); a graceful detach sets none.
+TEST(Transport, CrashBetweenSendAndArrivalDropsAsOriginDeparted) {
+  for (const auto mode :
+       {core::DetachMode::kCrash, core::DetachMode::kGraceful}) {
+    TransportFixture f;
+    f.attach(2);
+    f.attach(3);
+    trace::ScopedSink sink(std::make_unique<trace::RingBufferSink>(64));
+    const auto sent_at = SimTime::millis(1);
+    const auto detach_at = sent_at + SimTime::micros(1);
+    f.simulator.schedule_at(sent_at, [&f] {
+      f.transport.send(2, 3, core::HeartbeatMsg{9});
+    });
+    f.simulator.schedule_at(detach_at, [&f, mode] {
+      f.transport.unregister_node(2, mode);
+    });
+    f.simulator.run();
+    std::vector<trace::TraceEvent> drops;
+    for (const auto& event :
+         static_cast<trace::RingBufferSink*>(sink.get())->events()) {
+      if (event.kind == trace::EventKind::kMessageDropped) {
+        drops.push_back(event);
+      }
+    }
+    if (mode == core::DetachMode::kGraceful) {
+      ASSERT_EQ(f.inbox.size(), 1u);
+      EXPECT_EQ(f.inbox[0].from, 2u);
+      EXPECT_TRUE(drops.empty());
+      continue;
+    }
+    EXPECT_TRUE(f.inbox.empty());
+    ASSERT_EQ(drops.size(), 1u);
+    EXPECT_EQ(drops[0].node, 2u);
+    EXPECT_EQ(drops[0].peer, 3u);
+    EXPECT_EQ(drops[0].value, static_cast<std::uint64_t>(
+                                  trace::DropReason::kOriginDeparted));
+    EXPECT_GT(drops[0].t_us, detach_at.as_micros());  // dropped on arrival
+  }
 }
 
 TEST(Transport, ReRegisteringAfterCrashStartsACleanGeneration) {

@@ -3,9 +3,10 @@
 // absolute goldens of each harness's output.
 //
 // ShardDeterminism and the jobs 1-vs-4 tests only compare runs with each
-// other; the goldens pin the actual output of four cells, at the single
-// wheel and at two shards, as an FNV-64 hash over every ScenarioResult
-// metric plus the counter and histogram snapshots.  A recovery cell and a
+// other; the goldens pin the actual output of four cells, at one shard
+// and at two shards, as an FNV-64 hash over every ScenarioResult metric
+// plus the counter and histogram snapshots.  The two differ only in the
+// engine gauges (events_per_shard, queue_high_water).  A recovery cell and a
 // streaming cell cover the tree and the data plane; a partition cell and
 // a slow-peer cell cover rendezvous replication and flow control, which
 // the first two never turn on.  Any change to an RNG split, an event
@@ -215,16 +216,16 @@ metrics::ScenarioConfig slow_peer_cell(std::size_t shards) {
   return point;
 }
 
-TEST(HarnessGolden, RecoveryCellSingleWheel) {
-  expect_golden(recovery_cell(1), 0x01397e3b7a15f18eull);
+TEST(HarnessGolden, RecoveryCellOneShard) {
+  expect_golden(recovery_cell(1), 0x5989b7c1c7c671bbull);
 }
 
 TEST(HarnessGolden, RecoveryCellTwoShards) {
   expect_golden(recovery_cell(2), 0x095f7ce6281b9edaull);
 }
 
-TEST(HarnessGolden, StreamingCellSingleWheel) {
-  expect_golden(streaming_cell(1), 0xc4a768d3581a49f4ull);
+TEST(HarnessGolden, StreamingCellOneShard) {
+  expect_golden(streaming_cell(1), 0x2c58305757fbbd19ull);
 }
 
 TEST(HarnessGolden, StreamingCellTwoShards) {
@@ -239,16 +240,16 @@ constexpr std::initializer_list<trace::CounterId> kFlowCounters = {
     trace::CounterId::kFlowBlocked, trace::CounterId::kFlowThrottles,
     trace::CounterId::kNacksSent, trace::CounterId::kRetransmits};
 
-TEST(HarnessGolden, PartitionCellSingleWheel) {
-  expect_golden(partition_cell(1), 0x634b6c7aaeafdfc9ull, kLeaseCounters);
+TEST(HarnessGolden, PartitionCellOneShard) {
+  expect_golden(partition_cell(1), 0xc901ee1f8f9432ffull, kLeaseCounters);
 }
 
 TEST(HarnessGolden, PartitionCellTwoShards) {
   expect_golden(partition_cell(2), 0xdbf630d3116c78ceull, kLeaseCounters);
 }
 
-TEST(HarnessGolden, SlowPeerCellSingleWheel) {
-  expect_golden(slow_peer_cell(1), 0x3b15ac685057896eull, kFlowCounters);
+TEST(HarnessGolden, SlowPeerCellOneShard) {
+  expect_golden(slow_peer_cell(1), 0xa4304143564e5a69ull, kFlowCounters);
 }
 
 TEST(HarnessGolden, SlowPeerCellTwoShards) {

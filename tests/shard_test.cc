@@ -31,10 +31,6 @@ namespace {
 class NullClient : public sim::ShardSet::Client {
  public:
   void merge_inbound(std::size_t) override {}
-  std::int64_t next_arrival_us(std::size_t) override { return -1; }
-  std::size_t deliver_arrivals_at(std::size_t, std::int64_t) override {
-    return 0;
-  }
 };
 
 TEST(ShardSet, RunsTimersOnEveryShardAndCountsEvents) {
@@ -154,8 +150,8 @@ struct BurstAccounting {
                          const BurstAccounting&) = default;
 };
 
-/// The sharded_burst traffic on one engine: `num_shards` == 0 is the
-/// single wheel, anything else a ShardSet of that many shards.
+/// The sharded_burst traffic: `num_shards` == 0 is a one-shard transport
+/// on a bare simulator, anything else a ShardSet of that many shards.
 BurstAccounting burst_accounting(std::size_t num_shards) {
   testing::SmallWorld world(/*peers=*/48, /*seed=*/7);
   const core::TransportOptions options;
@@ -190,9 +186,9 @@ BurstAccounting burst_accounting(std::size_t num_shards) {
   return out;
 }
 
-// The merged per-shard counters must agree with the single wheel's: the
-// same traffic is the same sends, bytes, per-kind stats and deliveries
-// on either engine and at any shard count.
+// The merged per-shard counters must agree with the bare simulator's: the
+// same traffic is the same sends, bytes, per-kind stats and deliveries at
+// any shard count.
 TEST(ShardSet, TransportAccountingAgreesAcrossEngines) {
   const auto wheel = burst_accounting(0);
   EXPECT_EQ(wheel.sent, 48u * 3u * 5u);

@@ -1,7 +1,7 @@
 // Tests for the timer-wheel scheduler features added on top of the basic
 // event-loop semantics covered by sim_test.cc: cancellable
 // handles, the fixed-signature timer path, FIFO ordering across wheel
-// levels and the overflow heap, run_until boundaries, and a randomized
+// levels and the overflow heap, keyed-event ordering, run_until boundaries, and a randomized
 // golden-equality check against a reference (when, seq) priority model.
 #include <gtest/gtest.h>
 
@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "sim/simulator.h"
+#include "util/require.h"
 #include "util/rng.h"
 
 namespace groupcast::sim {
@@ -161,6 +162,96 @@ TEST(TimerWheel, OverflowHorizonEventsFireInOrder) {
   EXPECT_EQ(simulator.run(), 3u);
   EXPECT_EQ(fired, (std::vector<std::uint64_t>{1, 2, 3}));
   EXPECT_EQ(simulator.now(), farther);
+}
+
+// --- keyed events (message deliveries): keyed first, in key order -------
+
+/// Keyed handler: records the event's argument.
+void push_keyed_arg(void* context, std::uint64_t /*key*/, std::uint64_t arg) {
+  static_cast<std::vector<std::uint64_t>*>(context)->push_back(arg);
+}
+
+TEST(TimerWheel, KeyedEventFiresBeforePlainTimerAtSameInstant) {
+  Simulator simulator;
+  std::vector<std::uint64_t> fired;
+  simulator.set_keyed_handler(&push_keyed_arg, &fired);
+  const auto at = SimTime::millis(3);
+  simulator.schedule_timer_at(at, &push_arg, &fired, 1);
+  simulator.schedule_keyed_at(at, /*key=*/7, 2);
+  simulator.schedule_timer_at(at, &push_arg, &fired, 3);
+  EXPECT_EQ(simulator.pending(), 3u);
+  EXPECT_EQ(simulator.run(), 3u);
+  EXPECT_EQ(fired, (std::vector<std::uint64_t>{2, 1, 3}));
+  EXPECT_EQ(simulator.events_fired(), 3u);
+}
+
+TEST(TimerWheel, KeyedEventsFireInAscendingKeyOrder) {
+  Simulator simulator;
+  std::vector<std::uint64_t> fired;
+  simulator.set_keyed_handler(&push_keyed_arg, &fired);
+  const auto at = SimTime::millis(2);
+  // Scheduled out of key order, partly from inside an earlier event, and
+  // with the largest key: the firing order is the key order.  A plain
+  // timer one microsecond earlier still fires first.
+  simulator.schedule_keyed_at(at, 30, 30);
+  simulator.schedule_keyed_at(at, ~std::uint64_t{0}, 99);
+  simulator.schedule_at(SimTime::millis(1), [&] {
+    simulator.schedule_keyed_at(at, 10, 10);
+  });
+  simulator.schedule_keyed_at(at, 20, 20);
+  simulator.schedule_timer_at(at - SimTime::micros(1), &push_arg, &fired, 1);
+  EXPECT_EQ(simulator.run(), 6u);
+  EXPECT_EQ(fired, (std::vector<std::uint64_t>{1, 10, 20, 30, 99}));
+}
+
+TEST(TimerWheel, KeyedEventAtOrBeforeNowIsRefused) {
+  Simulator simulator;
+  std::vector<std::uint64_t> fired;
+  // No handler installed yet.
+  EXPECT_THROW(simulator.schedule_keyed_at(SimTime::millis(1), 1),
+               PreconditionError);
+  simulator.set_keyed_handler(&push_keyed_arg, &fired);
+  EXPECT_THROW(simulator.set_keyed_handler(&push_keyed_arg, &fired),
+               PreconditionError);
+  simulator.run_until(SimTime::millis(5));
+  EXPECT_THROW(simulator.schedule_keyed_at(SimTime::millis(5), 1),
+               PreconditionError);
+  EXPECT_THROW(simulator.schedule_keyed_at(SimTime::millis(4), 1),
+               PreconditionError);
+  // Nor may an event add a keyed event to the instant it is firing in.
+  bool refused = false;
+  simulator.schedule_at(SimTime::millis(7), [&] {
+    try {
+      simulator.schedule_keyed_at(simulator.now(), 1);
+    } catch (const PreconditionError&) {
+      refused = true;
+    }
+  });
+  simulator.run();
+  EXPECT_TRUE(refused);
+  EXPECT_TRUE(fired.empty());
+}
+
+TEST(TimerWheel, KeyedOrderHoldsAcrossOverflowHorizon) {
+  // Past the 2^36 us wheel horizon plain timers park in the overflow heap
+  // and migrate later; keyed events at the same instant still go first,
+  // and run_until stops short of them like it does of wheel events.
+  Simulator simulator;
+  std::vector<std::uint64_t> fired;
+  simulator.set_keyed_handler(&push_keyed_arg, &fired);
+  const auto far = SimTime::micros((std::int64_t{1} << 37) + 5);
+  simulator.schedule_timer_at(far, &push_arg, &fired, 1);
+  simulator.schedule_keyed_at(far, 9, 9);
+  simulator.schedule_keyed_at(far, 4, 4);
+  simulator.schedule_timer_at(far, &push_arg, &fired, 3);
+  std::int64_t next_us = 0;
+  ASSERT_TRUE(simulator.peek_next_event(next_us));
+  EXPECT_EQ(next_us, far.as_micros());
+  EXPECT_EQ(simulator.run_until(far - SimTime::micros(1)), 0u);
+  EXPECT_EQ(simulator.pending(), 4u);
+  EXPECT_EQ(simulator.run_until(far), 4u);
+  EXPECT_EQ(fired, (std::vector<std::uint64_t>{4, 9, 1, 3}));
+  EXPECT_EQ(simulator.now(), far);
 }
 
 TEST(TimerWheel, ClearMakesHandlesStale) {
