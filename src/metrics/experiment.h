@@ -254,16 +254,19 @@ struct ScenarioResult {
   /// is off or repetitions < 2), for the same reason as delivery_ratio.
   double chunk_miss_ratio_stddev = 0.0;
 
-  // Event-loop workload of the deployment's simulator: how many events the
-  // run fired and the deepest its queue ever got.  The averaged/grid
-  // runners sum events across repetitions and keep the maximum queue
-  // depth, so the numbers describe the whole point, not one topology.
+  // Event-loop workload: how many events the run fired and the deepest
+  // one event queue ever got (for the node-runtime harnesses, the maximum
+  // over the shard wheels, so it varies with the shard count).  The
+  // averaged/grid runners sum events across repetitions and keep the
+  // maximum queue depth, so the numbers describe the whole point, not one
+  // topology.
   std::uint64_t events_fired = 0;
   std::uint64_t queue_high_water = 0;
 
-  // Per-shard event counts of the sharded kernel (config.shards entries
-  // when shards >= 2, empty otherwise).  events_fired is their sum, which
-  // is shard-count invariant; the per-shard split exposes load imbalance.
+  // Per-shard event counts of the node-runtime harnesses' ShardSet
+  // (config.shards entries; empty for engine-level runs).  events_fired is
+  // their sum, which is shard-count invariant; the per-shard split exposes
+  // load imbalance.
   // The averaged/grid runners sum the vectors element-wise across
   // repetitions.
   std::vector<std::uint64_t> events_per_shard;

@@ -225,11 +225,7 @@ void NodeRuntime::finish(ScenarioResult& result) {
   result.subscription_messages =
       static_cast<double>(transport_.messages_sent());
   result.events_fired = engine_.events_fired();
-  // Per-shard wheels each track a high-water mark; a cross-shard maximum
-  // would vary with the shard count, so a sharded run reports 0 here.
-  result.queue_high_water = engine_.num_shards() == 1
-                                ? engine_.shard(0).queue_high_water()
-                                : 0;
+  result.queue_high_water = engine_.queue_high_water();
   result.events_per_shard = engine_.events_per_shard();
   fold_shard_trace(engine_, shard_trace_);
   if (trace::counters().enabled()) {

@@ -86,6 +86,14 @@ std::vector<std::uint64_t> ShardSet::events_per_shard() const {
   return out;
 }
 
+std::size_t ShardSet::queue_high_water() const {
+  std::size_t deepest = 0;
+  for (const auto& shard : shards_) {
+    deepest = std::max(deepest, shard.simulator->queue_high_water());
+  }
+  return deepest;
+}
+
 std::size_t ShardSet::memory_bytes() const {
   std::size_t total = sizeof(*this) + shards_.capacity() * sizeof(Shard) +
                       threads_.capacity() * sizeof(std::thread);

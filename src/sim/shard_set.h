@@ -98,6 +98,8 @@ class ShardSet {
   std::uint64_t events_fired() const;
   /// Per-shard event totals, for the shard-imbalance bench columns.
   std::vector<std::uint64_t> events_per_shard() const;
+  /// The deepest any one shard's event queue has been.
+  std::size_t queue_high_water() const;
 
   std::size_t memory_bytes() const;
 

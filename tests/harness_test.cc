@@ -123,12 +123,21 @@ metrics::ScenarioResult run_cell(const metrics::ScenarioConfig& config) {
 
 /// `exercised` names counters the cell exists to drive: each must be
 /// non-zero, so a pin cannot silently stop covering its code path.
+/// `without_high_water`, when non-zero, pins the hash with
+/// queue_high_water zeroed: the two-shard pins from when a sharded run
+/// reported 0 there, which show its trajectory has not moved since.
 void expect_golden(const metrics::ScenarioConfig& config,
                    std::uint64_t golden,
-                   std::initializer_list<trace::CounterId> exercised = {}) {
+                   std::initializer_list<trace::CounterId> exercised = {},
+                   std::uint64_t without_high_water = 0) {
   const auto result = run_cell(config);
   const std::uint64_t hash = result_hash(result);
   EXPECT_EQ(hash, golden) << "golden hash moved: now 0x" << std::hex << hash;
+  if (without_high_water != 0) {
+    auto zeroed = result;
+    zeroed.queue_high_water = 0;
+    EXPECT_EQ(result_hash(zeroed), without_high_water);
+  }
   // Guard against a vacuous pin: the cell must have collected samples.
   EXPECT_GT(result.events_fired, 0u);
   EXPECT_FALSE(result.counters.per_node.empty());
@@ -221,7 +230,8 @@ TEST(HarnessGolden, RecoveryCellOneShard) {
 }
 
 TEST(HarnessGolden, RecoveryCellTwoShards) {
-  expect_golden(recovery_cell(2), 0x095f7ce6281b9edaull);
+  expect_golden(recovery_cell(2), 0x3b383b833a1843a1ull, {},
+                0x095f7ce6281b9edaull);
 }
 
 TEST(HarnessGolden, StreamingCellOneShard) {
@@ -229,7 +239,8 @@ TEST(HarnessGolden, StreamingCellOneShard) {
 }
 
 TEST(HarnessGolden, StreamingCellTwoShards) {
-  expect_golden(streaming_cell(2), 0x69ec9d1e1f69ba87ull);
+  expect_golden(streaming_cell(2), 0xc286354af60eff32ull, {},
+                0x69ec9d1e1f69ba87ull);
 }
 
 // The lease and flow-control cells must keep driving their sub-protocols.
@@ -245,7 +256,8 @@ TEST(HarnessGolden, PartitionCellOneShard) {
 }
 
 TEST(HarnessGolden, PartitionCellTwoShards) {
-  expect_golden(partition_cell(2), 0xdbf630d3116c78ceull, kLeaseCounters);
+  expect_golden(partition_cell(2), 0x25cc45c319a8d174ull, kLeaseCounters,
+                0xdbf630d3116c78ceull);
 }
 
 TEST(HarnessGolden, SlowPeerCellOneShard) {
@@ -253,7 +265,8 @@ TEST(HarnessGolden, SlowPeerCellOneShard) {
 }
 
 TEST(HarnessGolden, SlowPeerCellTwoShards) {
-  expect_golden(slow_peer_cell(2), 0xe3faeaa12e906d8full, kFlowCounters);
+  expect_golden(slow_peer_cell(2), 0x74093c721fe4f023ull, kFlowCounters,
+                0xe3faeaa12e906d8full);
 }
 
 // The shared runtime fields are validated once, for both harnesses:
