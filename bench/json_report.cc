@@ -177,6 +177,7 @@ void fill_scenario_cell(JsonObject& cell,
         .number("mean_orphan_epochs", r.mean_orphan_epochs)
         .number("epochs_to_converge", r.epochs_to_converge)
         .number("invariant_violations", r.invariant_violations)
+        .number("invariant_violations_max", r.invariant_violations_max)
         .integer("control_retries",
                  r.counters.total(trace::CounterId::kControlRetries))
         .integer("control_giveups",

@@ -193,11 +193,13 @@ ScenarioResult reduce_scenario_repetitions(
     total.mean_orphan_epochs += one.mean_orphan_epochs / k;
     total.epochs_to_converge += one.epochs_to_converge / k;
     total.control_overhead += one.control_overhead / k;
-    total.invariant_violations += one.invariant_violations / k;
+    total.invariant_violations += one.invariant_violations;
+    total.invariant_violations_max = std::max(
+        total.invariant_violations_max, one.invariant_violations_max);
     total.partition_majority_delivery += one.partition_majority_delivery / k;
     total.partition_minority_delivery += one.partition_minority_delivery / k;
     total.lease_handoffs += one.lease_handoffs / k;
-    total.epoch_conflicts += one.epoch_conflicts / k;
+    total.epoch_conflicts += one.epoch_conflicts;
     total.chunk_miss_ratio += one.chunk_miss_ratio / k;
     total.startup_delay_ms += one.startup_delay_ms / k;
     total.rebuffer_events += one.rebuffer_events / k;

@@ -153,13 +153,13 @@ struct ScenarioConfig {
   /// Mutually exclusive with recovery.enabled.
   StreamingOptions streaming;
 
-  /// Worker shards for the node-runtime harnesses' event kernel
-  /// (sim/shard_set.h).  1 (the default) runs on the classic single-wheel
-  /// simulator and stays byte-identical to pre-shard builds; N >= 2
-  /// partitions peers by access router across N conservative-lookahead
-  /// shards, byte-identical across every N >= 2.  Only meaningful with
-  /// recovery.enabled or streaming.enabled; must not exceed peer_count.
-  /// Engine-level scenarios reject shards > 1.
+  /// Shards of the node-runtime harnesses' event kernel
+  /// (sim/shard_set.h): peers are partitioned by access router across N
+  /// conservative-lookahead wheels; 1 (the default) runs on the calling
+  /// thread, N >= 2 on N workers.  Results are byte-identical at every N
+  /// except the engine gauges events_per_shard and queue_high_water.
+  /// Only meaningful with recovery.enabled or streaming.enabled; must not
+  /// exceed peer_count.  Engine-level scenarios reject shards > 1.
   std::size_t shards = 1;
 
   /// Pre-built deployment to fork instead of constructing one from
@@ -209,7 +209,11 @@ struct ScenarioResult {
   double mean_orphan_epochs = 0.0;    // mean epochs orphans stayed cut off
   double epochs_to_converge = 0.0;    // convergence_epochs if never
   double control_overhead = 0.0;      // recovery-window msgs / survivor
-  double invariant_violations = 0.0;  // core/invariants.h at the end
+  // core/invariants.h at the end.  Must stay 0, so reductions sum it over
+  // the repetitions (a mean would hide a broken world behind clean ones)
+  // and keep the worst repetition's count in invariant_violations_max.
+  double invariant_violations = 0.0;
+  double invariant_violations_max = 0.0;
 
   // Partition-heal sweep (recovery.replication + partition_seconds > 0;
   // all zero otherwise).  Delivery ratios are measured per partition side
@@ -218,7 +222,7 @@ struct ScenarioResult {
   double partition_majority_delivery = 0.0;
   double partition_minority_delivery = 0.0;
   double lease_handoffs = 0.0;        // committed takeovers (counter sum)
-  double epoch_conflicts = 0.0;       // must stay 0: quorum intersection
+  double epoch_conflicts = 0.0;       // must stay 0; summed, not averaged
 
   // Streaming harness (metrics/streaming.h) — populated only when
   // config.streaming.enabled; all zero otherwise.  Viewer-eligible means
@@ -334,7 +338,9 @@ std::vector<ScenarioResult> run_scenario_grid(
     std::span<const ScenarioConfig> points, const GridOptions& options = {});
 
 /// Folds repetition results (in seed-ladder order) into one averaged
-/// result: metric fields are arithmetic means, repair_edges sums, the
+/// result: metric fields are arithmetic means, except the must-be-0 counts
+/// (invariant_violations and epoch_conflicts), which sum, and
+/// invariant_violations_max, which keeps the maximum; repair_edges sums, the
 /// *_stddev fields are sample stddevs across the repetitions, and counter
 /// snapshots merge.  Exposed so callers can reproduce exactly what the
 /// grid computes from individual run_scenario results.

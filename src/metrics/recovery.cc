@@ -465,6 +465,7 @@ ScenarioResult run_recovery_scenario(const ScenarioConfig& config) {
   }
   result.invariant_violations +=
       static_cast<double>(report.violations.size());
+  result.invariant_violations_max = result.invariant_violations;
   result.avg_tree_nodes = static_cast<double>(report.tree_nodes);
 
   // Reuse the engine-level fields that still make sense here so grid

@@ -170,6 +170,22 @@ TEST(ExperimentGrid, ReductionAveragesMeansAndSumsRepairEdges) {
   EXPECT_DOUBLE_EQ(reduced.delay_penalty_stddev, delays.stddev());
 }
 
+// The must-be-0 counts sum over the repetitions instead of averaging, so
+// one broken world cannot hide behind clean ones; the worst world's
+// violation count is kept as well.
+TEST(ExperimentGrid, ReductionSumsMustBeZeroCounts) {
+  const auto config = small_config(88);
+  std::vector<metrics::ScenarioResult> reps(2);
+  reps[0].invariant_violations = reps[0].invariant_violations_max = 1.0;
+  reps[1].invariant_violations = reps[1].invariant_violations_max = 2.0;
+  reps[0].epoch_conflicts = 1.0;
+  reps[1].epoch_conflicts = 3.0;
+  const auto reduced = metrics::reduce_scenario_repetitions(config, reps);
+  EXPECT_DOUBLE_EQ(reduced.invariant_violations, 3.0);
+  EXPECT_DOUBLE_EQ(reduced.invariant_violations_max, 2.0);
+  EXPECT_DOUBLE_EQ(reduced.epoch_conflicts, 4.0);
+}
+
 // -------------------------------------------------------------- counters
 
 TEST(ExperimentGrid, GridCountersMatchManuallyMergedRuns) {
