@@ -2,8 +2,8 @@
 // (metrics/harness_common.h): validation of the shared runtime fields, and
 // absolute goldens of each harness's output.
 //
-// ShardDeterminism and the jobs 1-vs-4 tests only compare runs with each
-// other; the goldens pin the actual output of four cells, at one shard
+// ShardDeterminism (below and in shard_test.cc) and the jobs 1-vs-4 tests
+// only compare runs with each other; the goldens pin the actual output of four cells, at one shard
 // and at two shards, as an FNV-64 hash over every ScenarioResult metric
 // plus the counter and histogram snapshots.  The two differ only in the
 // engine gauges (events_per_shard, queue_high_water).  A recovery cell and a
@@ -267,6 +267,47 @@ TEST(HarnessGolden, SlowPeerCellOneShard) {
 TEST(HarnessGolden, SlowPeerCellTwoShards) {
   expect_golden(slow_peer_cell(2), 0x74093c721fe4f023ull, kFlowCounters,
                 0xe3faeaa12e906d8full);
+}
+
+// One determinism domain: every cell follows the same trajectory at 1, 2
+// and 4 shards.  Only the engine gauges may move with the shard count —
+// how the events split across the shards and how deep one shard's queue
+// got — so the full result hash must agree once those two are cleared.
+void expect_shard_count_invariant(
+    metrics::ScenarioConfig (*cell)(std::size_t)) {
+  const auto without_gauges = [](metrics::ScenarioResult r) {
+    r.events_per_shard.clear();
+    r.queue_high_water = 0;
+    return r;
+  };
+  const auto one = run_cell(cell(1));
+  for (const std::size_t shards : {2u, 4u}) {
+    const auto other = run_cell(cell(shards));
+    EXPECT_EQ(other.events_per_shard.size(), shards);
+    EXPECT_EQ(result_hash(without_gauges(other)),
+              result_hash(without_gauges(one)))
+        << shards << " shards diverged from one";
+    EXPECT_EQ(other.invariant_violations_max, one.invariant_violations_max);
+    EXPECT_EQ(other.counters.totals, one.counters.totals);
+    EXPECT_EQ(other.counters.per_node, one.counters.per_node);
+    EXPECT_EQ(other.histograms.data, one.histograms.data);
+  }
+}
+
+TEST(ShardDeterminism, RecoveryCellIdenticalAtOneTwoAndFourShards) {
+  expect_shard_count_invariant(&recovery_cell);
+}
+
+TEST(ShardDeterminism, StreamingCellIdenticalAtOneTwoAndFourShards) {
+  expect_shard_count_invariant(&streaming_cell);
+}
+
+TEST(ShardDeterminism, PartitionCellIdenticalAtOneTwoAndFourShards) {
+  expect_shard_count_invariant(&partition_cell);
+}
+
+TEST(ShardDeterminism, SlowPeerCellIdenticalAtOneTwoAndFourShards) {
+  expect_shard_count_invariant(&slow_peer_cell);
 }
 
 // The shared runtime fields are validated once, for both harnesses:

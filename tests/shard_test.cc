@@ -1,6 +1,6 @@
 // The sharded event kernel (sim/shard_set.h) and its determinism
 // contract: a recovery scenario must produce byte-identical metrics,
-// counters and histograms at every shard count >= 2, cross-shard delivery
+// counters and histograms at every shard count, cross-shard delivery
 // order must not depend on which epoch barrier merged a message, and the
 // shard-count preconditions must reject nonsense loudly.
 #include <gtest/gtest.h>
@@ -72,6 +72,30 @@ TEST(ShardSet, ExecRunsOnDistinctWorkerThreads) {
   EXPECT_EQ(ids, again);
 }
 
+// A one-shard set starts no worker: exec and every event run on the
+// calling thread, whose thread-local trace facilities therefore see them.
+TEST(ShardSet, OneShardRunsOnTheCallingThread) {
+  sim::ShardSet shards(1, /*lookahead_us=*/500);
+  NullClient client;
+  shards.set_client(&client);
+  std::thread::id exec_id;
+  shards.exec_on_shards([&](std::size_t) {
+    exec_id = std::this_thread::get_id();
+  });
+  EXPECT_EQ(exec_id, std::this_thread::get_id());
+  std::vector<std::thread::id> fired_on;
+  for (int k = 1; k <= 3; ++k) {
+    shards.shard(0).schedule_at(sim::SimTime::millis(k), [&fired_on] {
+      fired_on.push_back(std::this_thread::get_id());
+    });
+  }
+  shards.run_until(sim::SimTime::millis(10));
+  EXPECT_EQ(fired_on, std::vector<std::thread::id>(
+                          3, std::this_thread::get_id()));
+  EXPECT_EQ(shards.events_fired(), 3u);
+  EXPECT_EQ(shards.shard(0).now(), sim::SimTime::millis(10));
+}
+
 /// One delivery observed by a receiver, in observation order.
 using Delivery = std::tuple<overlay::PeerId, overlay::PeerId, std::uint64_t,
                             std::int64_t>;
@@ -79,7 +103,7 @@ using Delivery = std::tuple<overlay::PeerId, overlay::PeerId, std::uint64_t,
 /// Drives a burst of cross-peer DataMsg traffic through `transport` and
 /// returns every delivery in per-receiver observation order.  Sends are
 /// issued from *inside* scheduled events so, when sharded, they traverse
-/// the real outbox / merge / arrival-queue machinery.
+/// the real outbox / merge / keyed-delivery machinery.
 std::vector<Delivery> drive_burst(core::Transport& transport,
                                   const std::function<void()>& run) {
   const auto peers = transport.population().size();
@@ -128,14 +152,13 @@ std::vector<Delivery> sharded_burst(std::size_t num_shards) {
 
 // The ordering golden: the per-receiver delivery sequence (who, what,
 // in which order) is a pure function of the traffic, not of the shard
-// count — the arrival queues order by (arrival, src, send counter)
-// regardless of which epoch barrier merged each record.
+// count — deliveries are keyed wheel events ordered by (arrival, src,
+// send counter) regardless of which epoch barrier scheduled them.
 TEST(ShardSet, CrossShardDeliveryOrderInvariantAcrossShardCounts) {
-  const auto two = sharded_burst(2);
-  const auto four = sharded_burst(4);
-  const auto seven = sharded_burst(7);
-  EXPECT_EQ(two, four);
-  EXPECT_EQ(two, seven);
+  const auto one = sharded_burst(1);
+  EXPECT_EQ(sharded_burst(2), one);
+  EXPECT_EQ(sharded_burst(4), one);
+  EXPECT_EQ(sharded_burst(7), one);
 }
 
 /// What the transport itself accounts for one drive_burst run.
@@ -197,6 +220,7 @@ TEST(ShardSet, TransportAccountingAgreesAcrossEngines) {
   const auto payload = static_cast<std::size_t>(core::MessageKind::kPayload);
   EXPECT_EQ(wheel.per_kind[payload], wheel.sent);
   EXPECT_EQ(wheel.deliveries.size(), wheel.sent);
+  EXPECT_EQ(burst_accounting(1), wheel);
   EXPECT_EQ(burst_accounting(2), wheel);
   EXPECT_EQ(burst_accounting(4), wheel);
 }
@@ -213,9 +237,9 @@ metrics::ScenarioConfig shard_point(std::size_t shards) {
   return point;
 }
 
-// The tentpole's determinism contract: every metric field, the counter
-// totals and the histogram bins of a hostile recovery run are
-// byte-identical at shard counts 2, 4 and 8.
+// The determinism contract: every metric field, the counter totals and
+// the histogram bins of a hostile recovery run are byte-identical at shard
+// counts 1, 2, 4 and 8.
 TEST(ShardDeterminism, RecoveryResultsIdenticalAcrossShardCounts) {
   metrics::GridOptions options;
   options.repetitions = 1;
@@ -223,14 +247,14 @@ TEST(ShardDeterminism, RecoveryResultsIdenticalAcrossShardCounts) {
   options.histograms = true;
 
   std::vector<metrics::ScenarioResult> results;
-  for (const std::size_t shards : {2u, 4u, 8u}) {
+  for (const std::size_t shards : {1u, 2u, 4u, 8u}) {
     const std::vector<metrics::ScenarioConfig> points{shard_point(shards)};
     auto reduced = metrics::run_scenario_grid(points, options);
     ASSERT_EQ(reduced.size(), 1u);
     results.push_back(std::move(reduced.front()));
   }
   const auto& base = results.front();
-  ASSERT_EQ(base.events_per_shard.size(), 2u);
+  ASSERT_EQ(base.events_per_shard.size(), 1u);
   for (std::size_t i = 1; i < results.size(); ++i) {
     const auto& other = results[i];
     EXPECT_EQ(base.delivery_ratio, other.delivery_ratio);
@@ -239,6 +263,7 @@ TEST(ShardDeterminism, RecoveryResultsIdenticalAcrossShardCounts) {
     EXPECT_EQ(base.epochs_to_converge, other.epochs_to_converge);
     EXPECT_EQ(base.control_overhead, other.control_overhead);
     EXPECT_EQ(base.invariant_violations, other.invariant_violations);
+    EXPECT_EQ(base.invariant_violations_max, other.invariant_violations_max);
     EXPECT_EQ(base.subscription_success_rate,
               other.subscription_success_rate);
     EXPECT_EQ(base.subscription_messages, other.subscription_messages);
@@ -248,12 +273,12 @@ TEST(ShardDeterminism, RecoveryResultsIdenticalAcrossShardCounts) {
     EXPECT_EQ(base.histograms.data, other.histograms.data);
     // The total workload is invariant; only its split across shards moves.
     EXPECT_EQ(base.events_fired, other.events_fired);
-    EXPECT_EQ(other.events_per_shard.size(), i == 1 ? 4u : 8u);
+    EXPECT_EQ(other.events_per_shard.size(), std::size_t{1} << i);
     std::uint64_t sum = 0;
     for (const auto events : other.events_per_shard) sum += events;
     EXPECT_EQ(sum, other.events_fired);
   }
-  // The sharded run exercised the same machinery as the single wheel.
+  // The run exercised the recovery machinery.
   EXPECT_GT(base.counters.total(trace::CounterId::kControlRetries), 0u);
   EXPECT_GT(base.counters.total(trace::CounterId::kHeartbeats), 0u);
   EXPECT_DOUBLE_EQ(base.reattached_fraction, 1.0);
