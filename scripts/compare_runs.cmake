@@ -1,34 +1,40 @@
-# End-to-end determinism check for the parallel experiment harness:
-# runs sim_driver twice with identical scenario flags — once sequential
-# (--jobs=1), once on a worker pool (--jobs=4) — and fails unless the two
-# CSV outputs are byte-identical.
+# End-to-end determinism check: runs sim_driver over each scenario once per
+# setting of the flag that varies, and fails unless every run of one
+# scenario prints byte-identical output.
 #
-# Invoked by ctest (see tools/CMakeLists.txt):
-#   cmake -DSIM_DRIVER=<path-to-sim_driver> -P scripts/compare_runs.cmake
-if(NOT DEFINED SIM_DRIVER)
-  message(FATAL_ERROR "pass -DSIM_DRIVER=<path to the sim_driver binary>")
-endif()
+#   cmake -DSIM_DRIVER=<path-to-sim_driver> -DVARY="--jobs=1 --jobs=4"
+#         -DSCENARIOS="<flags>|<flags>" -P scripts/compare_runs.cmake
+#
+# VARY lists the settings to compare, space-separated; SCENARIOS lists the
+# scenarios, each a space-separated flag string, separated by '|'.
+# Invoked by ctest (see tools/CMakeLists.txt).
+foreach(required SIM_DRIVER VARY SCENARIOS)
+  if(NOT DEFINED ${required})
+    message(FATAL_ERROR "pass -D${required}=... (see the header comment)")
+  endif()
+endforeach()
 
-set(scenario --peers=300 --groups=2 --seed=11 --topologies=3 --csv)
-
-execute_process(COMMAND ${SIM_DRIVER} ${scenario} --jobs=1
-                OUTPUT_VARIABLE sequential_out
-                RESULT_VARIABLE sequential_rc)
-if(NOT sequential_rc EQUAL 0)
-  message(FATAL_ERROR "sequential run failed (exit ${sequential_rc})")
-endif()
-
-execute_process(COMMAND ${SIM_DRIVER} ${scenario} --jobs=4
-                OUTPUT_VARIABLE parallel_out
-                RESULT_VARIABLE parallel_rc)
-if(NOT parallel_rc EQUAL 0)
-  message(FATAL_ERROR "parallel run failed (exit ${parallel_rc})")
-endif()
-
-if(NOT sequential_out STREQUAL parallel_out)
-  message(FATAL_ERROR "parallel run diverged from sequential run:\n"
-                      "--jobs=1: ${sequential_out}"
-                      "--jobs=4: ${parallel_out}")
-endif()
-
-message(STATUS "--jobs=4 output is byte-identical to --jobs=1")
+separate_arguments(settings UNIX_COMMAND "${VARY}")
+string(REPLACE "|" ";" scenarios "${SCENARIOS}")
+foreach(scenario IN LISTS scenarios)
+  separate_arguments(scenario_args UNIX_COMMAND "${scenario}")
+  set(reference_setting "")
+  foreach(setting IN LISTS settings)
+    execute_process(COMMAND ${SIM_DRIVER} ${scenario_args} ${setting}
+                    OUTPUT_VARIABLE out
+                    RESULT_VARIABLE rc)
+    if(NOT rc EQUAL 0)
+      message(FATAL_ERROR "${scenario} ${setting}: run failed (exit ${rc})")
+    endif()
+    if(reference_setting STREQUAL "")
+      set(reference_setting "${setting}")
+      set(reference_out "${out}")
+    elseif(NOT out STREQUAL reference_out)
+      message(FATAL_ERROR "${scenario}: ${setting} diverged from "
+                          "${reference_setting}:\n"
+                          "${reference_setting}: ${reference_out}"
+                          "${setting}: ${out}")
+    endif()
+  endforeach()
+  message(STATUS "${scenario}: byte-identical across ${VARY}")
+endforeach()

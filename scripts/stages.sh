@@ -20,7 +20,7 @@
 #   scripts/stages.sh bench-smoke         # perfbench/test_bench.py: the
 #                                         # repo benchmark at tiny scale,
 #                                         # its checks and compare verdicts
-#   scripts/stages.sh nightly-scale [build-dir]  # 100k peers, shards 2/4/8; 1M
+#   scripts/stages.sh nightly-scale [build-dir]  # 100k peers, shards 1/2/4/8; 1M
 #   scripts/stages.sh nightly-tsan  [build-dir]  # full ctest under TSan
 #   scripts/stages.sh nightly-bench [build-dir]  # scale-4 sweeps + perf gate
 #   scripts/stages.sh lint-format         # clang-format --dry-run --Werror
@@ -67,9 +67,10 @@ stage_asan() {
 
 # TSan: every test that crosses a thread.  util::parallel_for runs the
 # grid/averaged runners (jobs > 1) and the world build (per-host GNP fits,
-# per-source Dijkstra), ShardSet runs sharded scenarios, and the tracing
-# facilities are per-thread.  Recovery and data-plane runs go through the
-# same grid pool, so their determinism/acceptance tests ride along too.
+# per-source Dijkstra), ShardSet runs sharded scenarios (the shard and
+# harness tests), and the tracing facilities are per-thread.  Recovery and
+# data-plane runs go through the same grid pool, so their
+# determinism/acceptance tests ride along too.
 stage_tsan() {
   local build_dir="${1:-${repo_root}/build-tsan}"
   cmake -B "${build_dir}" -S "${repo_root}" \
@@ -79,7 +80,7 @@ stage_tsan() {
   cmake --build "${build_dir}" -j "${jobs}" --target groupcast_tests
   ctest --test-dir "${build_dir}" --no-tests=error \
     --output-on-failure -j "${jobs}" \
-    -R 'Experiment|ExperimentGrid|Counter|Tracer|Trace|Recovery|FaultPlan|FaultInjector|ReliableExchange|DataPlane|Histogram|FlightRecorder|GridDeterminism|Provenance|ShardSet|ShardDeterminism|Streaming|Gnp|Coords|NelderMead|Parallel|Routing|HarnessGolden'
+    -R 'Experiment|ExperimentGrid|Counter|Tracer|Trace|Recovery|FaultPlan|FaultInjector|ReliableExchange|DataPlane|Histogram|FlightRecorder|GridDeterminism|Provenance|ShardSet|ShardDeterminism|Streaming|Gnp|Coords|NelderMead|Parallel|Routing|Harness'
   echo "stages.sh: parallel-runner tests clean under TSan"
 }
 
@@ -152,27 +153,27 @@ stage_perf() {
   echo "stages.sh: perf smoke within budget (bench_micro events/sec)"
 }
 
-# Scale smoke: the sharded event kernel at six figures of peers.  One
-# 100k-peer churn cell through the recovery harness at --shards=2 and
-# --shards=4; the runs must finish (that alone was out of reach for the
-# single wheel's per-peer footprint before the memory diet) and their
-# stdout must be byte-identical — the summary deliberately omits the
-# shard count, so a straight diff proves the determinism contract at
-# scale (docs/PERFORMANCE.md, "Sharded execution & memory budget").
+# Scale smoke: the event kernel at six figures of peers.  One 100k-peer
+# churn cell through the recovery harness at --shards=1, 2 and 4; the runs
+# must finish and their stdout must be byte-identical — the summary
+# deliberately omits the shard count, so a straight diff proves the
+# determinism contract at scale (docs/PERFORMANCE.md, "Sharded execution
+# & memory budget").
 stage_scale() {
   local build_dir="${1:-${repo_root}/build-perf}"
   cmake -B "${build_dir}" -S "${repo_root}" -DCMAKE_BUILD_TYPE=Release
   cmake --build "${build_dir}" -j "${jobs}" --target sim_driver
   require_binary "${build_dir}/examples/sim_driver"
-  local out2="${build_dir}/scale_smoke_shards2.txt"
-  local out4="${build_dir}/scale_smoke_shards4.txt"
-  "${build_dir}/examples/sim_driver" --peers=100000 --groups=1 --seed=1 \
-    --recovery=true --crash=0.15 --shards=2 > "${out2}"
-  "${build_dir}/examples/sim_driver" --peers=100000 --groups=1 --seed=1 \
-    --recovery=true --crash=0.15 --shards=4 > "${out4}"
-  diff "${out2}" "${out4}"
-  grep -q "violations 0$" "${out2}"
-  echo "stages.sh: 100k-peer scale smoke clean (shards 2 and 4" \
+  local shard_count out ref=""
+  for shard_count in 1 2 4; do
+    out="${build_dir}/scale_smoke_shards${shard_count}.txt"
+    "${build_dir}/examples/sim_driver" --peers=100000 --groups=1 --seed=1 \
+      --recovery=true --crash=0.15 --shards="${shard_count}" > "${out}"
+    if [[ -n "${ref}" ]]; then diff "${ref}" "${out}"; fi
+    ref="${out}"
+  done
+  grep -q "violations 0$" "${ref}"
+  echo "stages.sh: 100k-peer scale smoke clean (shards 1, 2 and 4" \
     "byte-identical)"
 }
 
@@ -248,16 +249,16 @@ stage_bench_smoke() {
   echo "stages.sh: benchmark smoke clean (perfbench/test_bench.py)"
 }
 
-# Nightly scale: the 100k-peer churn cell across shards 2, 4, AND 8 —
-# the pre-merge scale stage stops at two counts; the nightly proves the
-# full ladder stays byte-identical.
+# Nightly scale: the 100k-peer churn cell across shards 1, 2, 4 AND 8 —
+# the pre-merge scale stage stops at four; the nightly proves the full
+# ladder stays byte-identical.
 stage_nightly_scale() {
   local build_dir="${1:-${repo_root}/build-perf}"
   cmake -B "${build_dir}" -S "${repo_root}" -DCMAKE_BUILD_TYPE=Release
   cmake --build "${build_dir}" -j "${jobs}" --target sim_driver
   require_binary "${build_dir}/examples/sim_driver"
   local shard_count out ref=""
-  for shard_count in 2 4 8; do
+  for shard_count in 1 2 4 8; do
     out="${build_dir}/nightly_scale_shards${shard_count}.txt"
     "${build_dir}/examples/sim_driver" --peers=100000 --groups=1 --seed=1 \
       --recovery=true --crash=0.15 --shards="${shard_count}" > "${out}"
@@ -272,7 +273,7 @@ stage_nightly_scale() {
   "${build_dir}/examples/sim_driver" --peers=1000000 --groups=1 \
     --group-size=100 > "${million}"
   grep -q "^GroupCast scenario: 1000000 peers" "${million}"
-  echo "stages.sh: nightly 100k-peer scale ladder clean (shards 2/4/8" \
+  echo "stages.sh: nightly 100k-peer scale ladder clean (shards 1/2/4/8" \
     "byte-identical); 1M-peer engine world completed"
 }
 
