@@ -209,9 +209,8 @@ struct ScenarioResult {
   double mean_orphan_epochs = 0.0;    // mean epochs orphans stayed cut off
   double epochs_to_converge = 0.0;    // convergence_epochs if never
   double control_overhead = 0.0;      // recovery-window msgs / survivor
-  // core/invariants.h at the end.  Must stay 0, so reductions sum it over
-  // the repetitions (a mean would hide a broken world behind clean ones)
-  // and keep the worst repetition's count in invariant_violations_max.
+  // core/invariants.h at the end; must stay 0, so reductions sum it and
+  // keep the worst repetition's count in invariant_violations_max.
   double invariant_violations = 0.0;
   double invariant_violations_max = 0.0;
 

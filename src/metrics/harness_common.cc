@@ -154,10 +154,8 @@ NodeRuntime::NodeRuntime(const ScenarioConfig& config,
     : config_(config),
       middleware_(make_scenario_middleware(config)),
       rng_(middleware_->rng().split()),
-      engine_(config.shards,
-              shard_lookahead_us(middleware_->underlay(),
-                                 middleware_->population()),
-              middleware_->simulator().now()),
+      engine_(config.shards, shard_lookahead_us(middleware_->underlay(),
+                                                middleware_->population())),
       transport_(engine_, middleware_->population(),
                  with_loss(transport_options, runtime.loss_probability),
                  rng_),

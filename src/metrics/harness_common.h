@@ -31,8 +31,7 @@ void validate_runtime(const ScenarioConfig& config,
 /// One node-runtime run.  Construction, in this order: builds the
 /// middleware from the config (forking an attached world) and splits the
 /// harness RNG off it; starts a ShardSet of config.shards
-/// conservative-lookahead wheels at the middleware's clock; constructs the
-/// transport on it; gives every shard its own trace registries; maps the runtime fields onto core::NodeOptions; then
+/// conservative-lookahead wheels; constructs the transport on it; gives every shard its own trace registries; maps the runtime fields onto core::NodeOptions; then
 /// constructs and starts one node per peer.  Every RNG split and event
 /// schedule happens in that fixed order, so a (config, seed) pair is one
 /// deterministic trajectory whatever the grid's job count.
@@ -59,10 +58,9 @@ class NodeRuntime {
   }
   sim::ShardSet& engine() { return engine_; }
 
-  /// The harness clock: the sum of every advance() so far.
+  /// The harness clock, which the engine's matches: the sum of every
+  /// advance() so far.
   sim::SimTime clock() const { return clock_; }
-  /// The engine's own clock after the last advance().
-  sim::SimTime engine_now() const { return engine_.now(); }
   /// Runs the engine `by` past the harness clock.
   void advance(sim::SimTime by);
 

@@ -422,7 +422,7 @@ ScenarioResult run_recovery_scenario(const ScenarioConfig& config) {
 
   // --- phase 4: delivery-ratio probe ------------------------------------
   std::atomic<std::size_t> deliveries{0};
-  const sim::SimTime published_at = runtime.engine_now();
+  const sim::SimTime published_at = runtime.clock();
   for (const auto s : survivors) {
     // The delay sample reads the receiver's own clock, its shard's.
     sim::Simulator& node_sim = transport.simulator_for(s);

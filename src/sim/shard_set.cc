@@ -7,18 +7,13 @@
 
 namespace groupcast::sim {
 
-ShardSet::ShardSet(std::size_t num_shards, std::int64_t lookahead_us,
-                   SimTime start)
+ShardSet::ShardSet(std::size_t num_shards, std::int64_t lookahead_us)
     : shards_(num_shards),
       lookahead_us_(lookahead_us),
-      now_(start),
       barrier_(static_cast<std::uint32_t>(num_shards)) {
   GC_REQUIRE(num_shards >= 1);
   GC_REQUIRE_MSG(lookahead_us > 0, "lookahead must be positive");
-  for (auto& shard : shards_) {
-    shard.simulator = std::make_unique<Simulator>();
-    shard.simulator->run_until(start);  // align the clock, fires nothing
-  }
+  for (auto& shard : shards_) shard.simulator = std::make_unique<Simulator>();
   if (num_shards == 1) return;  // runs on the calling thread
   threads_.reserve(num_shards);
   for (std::size_t i = 0; i < num_shards; ++i) {

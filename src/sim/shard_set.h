@@ -61,11 +61,8 @@ class ShardSet {
   };
 
   /// `lookahead_us` must be a strictly positive lower bound on the
-  /// simulated latency of every cross-shard interaction.  `start` presets
-  /// every shard's clock (the harness hands over from a single-threaded
-  /// bootstrap simulator mid-run).
-  ShardSet(std::size_t num_shards, std::int64_t lookahead_us,
-           SimTime start = SimTime::zero());
+  /// simulated latency of every cross-shard interaction.
+  ShardSet(std::size_t num_shards, std::int64_t lookahead_us);
   ~ShardSet();
 
   ShardSet(const ShardSet&) = delete;

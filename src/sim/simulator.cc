@@ -12,24 +12,14 @@ namespace groupcast::sim {
 
 namespace {
 
-/// Heap comparator: pops overflow entries in ascending (when, seq) order.
-struct OverflowLater {
+/// Heap comparator: pops overflow entries in ascending (when, seq) order,
+/// keyed events in ascending (when, key, arg).
+struct Later {
   template <typename Ref>
   bool operator()(const Ref& a, const Ref& b) const {
     return b < a;
   }
 };
-
-/// Heap comparator: pops keyed events in ascending (when, key) order.
-struct KeyedLater {
-  template <typename Event>
-  bool operator()(const Event& a, const Event& b) const {
-    if (a.when_us != b.when_us) return a.when_us > b.when_us;
-    return a.key > b.key;
-  }
-};
-
-constexpr std::int64_t kForever = std::numeric_limits<std::int64_t>::max();
 
 }  // namespace
 
@@ -83,7 +73,7 @@ void Simulator::place(std::uint32_t index) {
   if (level >= kLevels) {
     node.state = NodeState::kOverflow;
     overflow_.push_back(OverflowRef{when_us, node.seq, index});
-    std::push_heap(overflow_.begin(), overflow_.end(), OverflowLater{});
+    std::push_heap(overflow_.begin(), overflow_.end(), Later{});
     return;
   }
   const int slot =
@@ -160,12 +150,11 @@ void Simulator::set_keyed_handler(KeyedFn fn, void* context) {
 
 void Simulator::schedule_keyed_at(SimTime when, std::uint64_t key,
                                   std::uint64_t arg) {
-  GC_REQUIRE_MSG(when > now_, "a keyed event must lie after now()");
-  GC_REQUIRE_MSG(keyed_fn_ != nullptr, "no keyed handler installed");
+  GC_REQUIRE_MSG(when > now_ && keyed_fn_ != nullptr,
+                 "a keyed event needs a handler and must lie after now()");
   keyed_.push_back(KeyedEvent{when.as_micros(), key, arg});
-  std::push_heap(keyed_.begin(), keyed_.end(), KeyedLater{});
-  ++live_;
-  if (live_ > queue_high_water_) queue_high_water_ = live_;
+  std::push_heap(keyed_.begin(), keyed_.end(), Later{});
+  if (++live_ > queue_high_water_) queue_high_water_ = live_;
 }
 
 bool Simulator::timer_pending(TimerHandle handle) const {
@@ -208,7 +197,7 @@ void Simulator::migrate_overflow() {
     const bool stale = node.state != NodeState::kOverflow ||
                        node.seq != top.seq || node.cancelled;
     if (!stale && level_for(top.when_us) >= kLevels) break;
-    std::pop_heap(overflow_.begin(), overflow_.end(), OverflowLater{});
+    std::pop_heap(overflow_.begin(), overflow_.end(), Later{});
     overflow_.pop_back();
     if (stale) {
       if (node.state == NodeState::kOverflow && node.seq == top.seq) {
@@ -388,60 +377,53 @@ void Simulator::trace_fire(trace::Tracer& tracer) {
               trace::kNoNode, live_);
 }
 
-std::size_t Simulator::fire_keyed(trace::Tracer& tracer, bool tracing) {
-  const std::int64_t instant_us = keyed_.front().when_us;
-  now_ = SimTime::micros(instant_us);
-  std::size_t fired = 0;
-  // Handlers may only schedule keyed events after now(), so none joins
-  // this instant while it fires.
-  while (!keyed_.empty() && keyed_.front().when_us == instant_us) {
-    std::pop_heap(keyed_.begin(), keyed_.end(), KeyedLater{});
-    const KeyedEvent event = keyed_.back();
-    keyed_.pop_back();
-    --live_;
-    if (tracing) trace_fire(tracer);
-    keyed_fn_(keyed_context_, event.key, event.arg);
-    ++events_fired_;
-    ++fired;
-  }
-  return fired;
-}
-
 bool Simulator::fire_next(std::int64_t deadline_us, trace::Tracer& tracer,
                           bool tracing, std::size_t& fired) {
-  if (!keyed_.empty() && keyed_.front().when_us <= deadline_us) {
-    // Keyed events go first at their instant: only a wheel event
-    // strictly before it fires ahead of them.
-    if (!event_due(keyed_.front().when_us - 1)) {
-      fired += fire_keyed(tracer, tracing);
-      return true;
+  const bool keyed_due =
+      !keyed_.empty() && keyed_.front().when_us <= deadline_us;
+  // Keyed events go first at their instant: only a wheel event strictly
+  // before it fires ahead of them.
+  if (keyed_due && !event_due(keyed_.front().when_us - 1)) {
+    const std::int64_t instant_us = keyed_.front().when_us;
+    now_ = SimTime::micros(instant_us);
+    // Handlers only schedule keyed events after now(), so none joins this
+    // instant while it fires.
+    while (!keyed_.empty() && keyed_.front().when_us == instant_us) {
+      std::pop_heap(keyed_.begin(), keyed_.end(), Later{});
+      const KeyedEvent event = keyed_.back();
+      keyed_.pop_back();
+      --live_;
+      if (tracing) trace_fire(tracer);
+      keyed_fn_(keyed_context_, event.key, event.arg);
+      ++events_fired_;
+      ++fired;
     }
-  } else if (!event_due(deadline_us)) {
-    return false;
+    return true;
   }
+  if (!keyed_due && !event_due(deadline_us)) return false;
   if (!prepare_batch()) return false;
   fired += fire_batch(tracer, tracing);
   return true;
 }
 
-std::size_t Simulator::run() {
+std::size_t Simulator::run_to(std::int64_t deadline_us) {
   // Hoisted per-run: installing a sink *during* a run takes effect at the
   // next run() call, which keeps the per-event cost of disabled tracing to
   // one predictable branch.
   auto& tracer = trace::tracer();
   const bool tracing = tracer.enabled();
   std::size_t fired = 0;
-  while (live_ > 0 && fire_next(kForever, tracer, tracing, fired)) {
+  while (live_ > 0 && fire_next(deadline_us, tracer, tracing, fired)) {
   }
   return fired;
 }
 
+std::size_t Simulator::run() {
+  return run_to(std::numeric_limits<std::int64_t>::max());
+}
+
 std::size_t Simulator::run_until(SimTime deadline) {
-  auto& tracer = trace::tracer();
-  const bool tracing = tracer.enabled();
-  std::size_t fired = 0;
-  while (live_ > 0 && fire_next(deadline.as_micros(), tracer, tracing, fired)) {
-  }
+  const std::size_t fired = run_to(deadline.as_micros());
   if (now_ < deadline) now_ = deadline;
   return fired;
 }

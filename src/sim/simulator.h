@@ -4,10 +4,8 @@
 // runs on: a single-threaded event loop with timestamped callbacks.  Events
 // scheduled for the same instant run in scheduling (FIFO) order, which keeps
 // protocol traces deterministic for a given seed.  Keyed events (message
-// deliveries, see schedule_keyed_at) are the one exception: at any instant
-// they fire before every plain timer, in ascending key order, so their
-// order does not depend on when, or on which thread's behalf, they were
-// scheduled.
+// deliveries, see schedule_keyed_at) are the one exception: they fire
+// first at their instant, in key order, however they were scheduled.
 //
 // The event queue is a hashed hierarchical timer wheel (kLevels levels of
 // kSlots slots, one occupancy bitmap per level) over a slab of pooled event
@@ -34,11 +32,8 @@
 // approaches them.
 //
 // Keyed events live beside the wheel in a min-heap of 24-byte (when, key,
-// arg) entries, all firing one installed handler.  A message in flight
-// already holds its body in the sender's pooled slot, so a full 88-byte
-// wheel node per message would more than double its footprint; keyed
-// events need neither cancellation nor a FIFO sequence, which is all the
-// node adds.
+// arg) entries that all fire one installed handler: an 88-byte wheel node
+// per in-flight message would double the message's footprint.
 //
 // A Simulator instance is thread-confined, not thread-safe: one thread
 // drives it for its whole lifetime.  Independent simulators may run on
@@ -113,11 +108,9 @@ class Simulator {
   void set_keyed_handler(KeyedFn fn, void* context);
 
   /// Schedules a keyed event: at instant `when` it fires before every
-  /// plain timer, and keyed events fire in ascending `key` order whatever
-  /// order they were scheduled in (equal keys at one instant fire in an
-  /// unspecified order).  `when` must lie strictly after now(), so a keyed
-  /// event never joins an instant that is already firing.  Keyed events
-  /// cannot be cancelled.
+  /// plain timer, and keyed events fire in ascending `key` order (equal
+  /// keys in `arg` order).  `when` must lie strictly after now(),
+  /// so no keyed event joins an instant already firing.  Not cancellable.
   void schedule_keyed_at(SimTime when, std::uint64_t key,
                          std::uint64_t arg = 0);
 
@@ -199,11 +192,12 @@ class Simulator {
     std::uint8_t wheel_slot = 0;
   };
 
-  /// A keyed event; the keyed heap pops in ascending (when, key).
+  /// A keyed event; the keyed heap pops in ascending (when, key, arg).
   struct KeyedEvent {
     std::int64_t when_us;
     std::uint64_t key;
     std::uint64_t arg;
+    friend auto operator<=>(const KeyedEvent&, const KeyedEvent&) = default;
   };
 
   /// Overflow entries ordered by (when, seq) via std::greater (min-heap).
@@ -247,14 +241,12 @@ class Simulator {
   bool prepare_batch();
   /// Fires the prepared batch; returns events actually run.
   std::size_t fire_batch(trace::Tracer& tracer, bool tracing);
-  /// Fires every keyed event at the keyed heap's earliest instant, which
-  /// no wheel event may precede; returns how many fired.
-  std::size_t fire_keyed(trace::Tracer& tracer, bool tracing);
-  /// Fires the earliest pending instant if it lies at or before
-  /// `deadline_us`: its keyed events, else its wheel batch.  Returns
-  /// false when nothing is due.
+  /// Fires the earliest pending instant's keyed events, else its wheel
+  /// batch, if it lies at or before `deadline_us`; false if none is due.
   bool fire_next(std::int64_t deadline_us, trace::Tracer& tracer,
                  bool tracing, std::size_t& fired);
+  /// run() / run_until() without the final clock fast-forward.
+  std::size_t run_to(std::int64_t deadline_us);
   /// Traces one event about to fire (and any new queue high-water).
   void trace_fire(trace::Tracer& tracer);
 
