@@ -102,9 +102,9 @@ int main(int argc, char** argv) {
                 "many seconds mid-run (requires --replicas)",
                 "0");
   flags.declare("shards",
-                "recovery/streaming: worker shards for the event kernel "
-                "(1 = the classic single wheel; >= 2 runs router-sharded, "
-                "byte-identical at every shard count >= 2)",
+                "recovery/streaming: router shards of the event kernel, "
+                "one worker thread each from 2 up (output is "
+                "byte-identical at every shard count)",
                 "1");
   flags.declare("streaming",
                 "run the live-streaming workload harness instead of the "

@@ -40,8 +40,9 @@ class CliTracing {
                   "experiment-grid worker threads (0 = all hardware threads)",
                   "1");
     flags.declare("shards",
-                  "event-kernel worker shards per run (1 = the classic "
-                  "single wheel; >= 2 runs router-sharded)",
+                  "event-kernel router shards per run, one worker "
+                  "thread each from 2 up (results are byte-identical "
+                  "at every shard count)",
                   "1");
     if (!flags.parse(argc, argv)) {
       std::fprintf(stderr, "%s\n%s", flags.error().c_str(),
