@@ -1,11 +1,11 @@
 // Deterministic fault injection for node-runtime experiments.
 //
 // A FaultInjector binds a sim::FaultPlan to a live deployment: it arms the
-// plan's crash events on the victims' shards (invoking a crash hook that
-// stops the victim node) and implements the Transport's FaultFilter so partition
-// windows act on every send.  All decisions are
-// pure functions of the plan and the simulation clock, so a given
-// (seed, plan) pair always yields the identical fault sequence.
+// plan's crash events on the victims' shards (invoking a crash hook that stops
+// the victim node) and implements the Transport's FaultFilter so partition
+// windows act on every send.  All decisions are pure functions of the plan and
+// the simulation clock, so a given (seed, plan) pair always yields the
+// identical fault sequence.
 #pragma once
 
 #include <algorithm>

@@ -317,12 +317,12 @@ class FaultFilter {
 
 /// One send/deliver path at every shard count: peers are partitioned by
 /// access router (all peers on one stub router share a shard), every
-/// message becomes a keyed event on its receiver's shard wheel, keyed by
-/// (sender, per-sender send counter), and loss draws are stateless hashes
-/// of (seed, sender, counter).  Within an instant deliveries therefore fire
-/// in (sender, counter) order before any plain timer, whichever shard or
-/// epoch scheduled them, and the execution is byte-identical at every
-/// shard count.
+/// message becomes a keyed event of its receiver's shard simulator, keyed
+/// by (sender, per-sender send counter), and loss draws are stateless
+/// hashes of (seed, sender, counter).  Within an instant deliveries
+/// therefore fire in (sender, counter) order before any plain timer,
+/// whichever shard or epoch scheduled them, and the execution is
+/// byte-identical at every shard count.
 class Transport final : public sim::ShardSet::Client {
  public:
   using Handler = std::function<void(const Envelope&)>;
@@ -332,7 +332,7 @@ class Transport final : public sim::ShardSet::Client {
             const overlay::PeerPopulation& population,
             TransportOptions options, util::Rng& rng);
 
-  /// A transport over `shards`' wheels; installs itself as the shard
+  /// A transport over `shards`' simulators; installs itself as the shard
   /// set's client.
   Transport(sim::ShardSet& shards, const overlay::PeerPopulation& population,
             TransportOptions options, util::Rng& rng);

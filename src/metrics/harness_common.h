@@ -28,13 +28,14 @@ struct ShardTrace;
 void validate_runtime(const ScenarioConfig& config,
                       const RuntimeOptions& runtime, const char* harness);
 
-/// One node-runtime run.  Construction, in this order: builds the
-/// middleware from the config (forking an attached world) and splits the
-/// harness RNG off it; starts a ShardSet of config.shards
-/// conservative-lookahead wheels; constructs the transport on it; gives every shard its own trace registries; maps the runtime fields onto core::NodeOptions; then
-/// constructs and starts one node per peer.  Every RNG split and event
-/// schedule happens in that fixed order, so a (config, seed) pair is one
-/// deterministic trajectory whatever the grid's job count.
+/// One node-runtime run.  Construction, in this order: builds the middleware
+/// from the config (forking an attached world) and splits the harness RNG off
+/// it; starts a ShardSet of config.shards conservative-lookahead wheels;
+/// constructs the transport on it; gives every shard its own trace registries;
+/// maps the runtime fields onto core::NodeOptions; then constructs and starts
+/// one node per peer.  Every RNG split and event schedule happens in that fixed
+/// order, so a (config, seed) pair is one deterministic trajectory whatever the
+/// grid's job count.
 class NodeRuntime {
  public:
   /// Per-peer refinement of the shared NodeOptions mapping, for harness

@@ -2,17 +2,17 @@
 // (metrics/harness_common.h): validation of the shared runtime fields, and
 // absolute goldens of each harness's output.
 //
-// ShardDeterminism (below and in shard_test.cc) and the jobs 1-vs-4 tests
-// only compare runs with each other; the goldens pin the actual output of four cells, at one shard
-// and at two shards, as an FNV-64 hash over every ScenarioResult metric
-// plus the counter and histogram snapshots.  The two differ only in the
-// engine gauges (events_per_shard, queue_high_water).  A recovery cell and a
-// streaming cell cover the tree and the data plane; a partition cell and
-// a slow-peer cell cover rendezvous replication and flow control, which
-// the first two never turn on.  Any change to an RNG split, an event
-// schedule or a wire byte moves a hash; a refactor that keeps the
-// trajectories must keep all eight.  The config echo
-// (ScenarioResult::config) is the run's input, so it is not hashed.
+// ShardDeterminism (below and in shard_test.cc) and the jobs 1-vs-4 tests only
+// compare runs with each other; the goldens pin the actual output of four
+// cells, at one shard and at two shards, as an FNV-64 hash over every
+// ScenarioResult metric plus the counter and histogram snapshots.  The two
+// differ only in the engine gauges (events_per_shard, queue_high_water).  A
+// recovery cell and a streaming cell cover the tree and the data plane; a
+// partition cell and a slow-peer cell cover rendezvous replication and flow
+// control, which the first two never turn on.  Any change to an RNG split, an
+// event schedule or a wire byte moves a hash; a refactor that keeps the
+// trajectories must keep all eight.  The config echo (ScenarioResult::config)
+// is the run's input, so it is not hashed.
 #include <gtest/gtest.h>
 
 #include <cstdint>

@@ -1,7 +1,7 @@
 // Tests for the timer-wheel scheduler features added on top of the basic
-// event-loop semantics covered by sim_test.cc: cancellable
-// handles, the fixed-signature timer path, FIFO ordering across wheel
-// levels and the overflow heap, keyed-event ordering, run_until boundaries, and a randomized
+// event-loop semantics covered by sim_test.cc: cancellable handles, the
+// fixed-signature timer path, FIFO ordering across wheel levels and the
+// overflow heap, keyed-event ordering, run_until boundaries, and a randomized
 // golden-equality check against a reference (when, seq) priority model.
 #include <gtest/gtest.h>
 
