@@ -59,8 +59,9 @@ enum class EventKind : std::uint8_t {
   /// End-of-run counter export: counter `peer` (a CounterId) of `node`
   /// had `value`.  Lets trace_report diff counters between two runs.
   kCounterSnapshot,
-  /// A fault-plan event fired: `node` crashed (`value` = 0), or a
-  /// partition window opened (`value` = 1) or closed (2).
+  /// A fault-plan crash fired: `node` crashed (`value` = 0).  Partition
+  /// windows are traced through their drops (kMessageDropped, reason
+  /// kPartitioned).
   kFaultInjected,
   /// Orphaned node `node` reattached to the tree under new parent `peer`;
   /// `value` = recovery attempts it took.
