@@ -1,7 +1,7 @@
 #include "core/transport.h"
 
-#include <algorithm>
 #include <iterator>
+#include <utility>
 #include <variant>
 
 #include "core/wire.h"
