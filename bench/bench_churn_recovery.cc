@@ -136,12 +136,9 @@ int main(int argc, char** argv) {
   options.counters = true;
   // Distribution + trajectory views (histogram summaries and the
   // per-epoch timeline in each JSON cell); merged order-independently,
-  // so the report stays byte-identical at every --jobs count.
+  // so the report stays byte-identical at every --jobs and --shards count.
   options.histograms = true;
-  // The per-epoch timeline snapshots global counters from an event handler,
-  // which has no safe home on a sharded run (docs/PERFORMANCE.md, "Sharded
-  // execution"); sharded reports omit the timeline field instead.
-  options.timeline = shards == 1;
+  options.timeline = true;
   const auto start = std::chrono::steady_clock::now();
   const auto results = metrics::run_scenario_grid(points, options);
   const double wall_seconds =
@@ -226,7 +223,7 @@ int main(int argc, char** argv) {
   std::printf("\n(+/- = seed-to-seed stddev of the delivery ratio; orphan "
               "= mean epochs survivors spent detached; conv = epochs to "
               "full re-convergence; viol = tree-invariant violations at "
-              "the end — expect 0)\n");
+              "the end, summed over the repetitions)\n");
   std::printf("\nPartition-heal cells (both sides must keep delivering "
               "through the cut):\n");
   for (std::size_t i = first_partition_cell; i < results.size(); ++i) {

@@ -1,5 +1,6 @@
-// Shared driver for the Figure 11–17 benches: the overlay-size sweep and
-// the {overlay} × {announcement scheme} grid of the paper's Section 4.
+// The paper's Section 4 sweep behind bench_fig11_17: the overlay-size
+// sweep and the {overlay} × {announcement scheme} grid (all_combos() is
+// shared with bench_delivery_ratio).
 //
 // Default sweep sizes are reduced so that `for b in build/bench/*; do $b;
 // done` completes in minutes; set GROUPCAST_BENCH_SCALE=2 to add the 8k/16k
@@ -7,14 +8,12 @@
 #pragma once
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <string>
 #include <vector>
 
 #include "json_report.h"
 #include "metrics/experiment.h"
-#include "trace/cli.h"
 #include "trace/counters.h"
 
 namespace groupcast::bench {
@@ -66,35 +65,19 @@ inline std::vector<Combo> all_combos() {
   };
 }
 
-/// SSA-only pair (Figures 12 and 13 compare the two overlays under SSA).
-inline std::vector<Combo> ssa_combos() {
-  return {
-      {core::OverlayKind::kGroupCast, core::AnnouncementScheme::kSsaUtility,
-       "GroupCast"},
-      {core::OverlayKind::kRandomPowerLaw,
-       core::AnnouncementScheme::kSsaUtility, "random-PL"},
-  };
-}
+/// Base seed of every sweep point; repetitions ladder from it.
+inline constexpr std::uint64_t kSweepSeed = 1000;
 
 inline metrics::ScenarioConfig point_config(std::size_t peer_count,
                                             const Combo& combo,
-                                            const SweepPlan& plan,
-                                            std::uint64_t seed = 1000) {
+                                            const SweepPlan& plan) {
   metrics::ScenarioConfig config;
   config.peer_count = peer_count;
   config.overlay = combo.overlay;
   config.scheme = combo.scheme;
   config.groups = plan.groups;
-  config.seed = seed;
+  config.seed = kSweepSeed;
   return config;
-}
-
-inline metrics::ScenarioResult run_point(std::size_t peer_count,
-                                         const Combo& combo,
-                                         const SweepPlan& plan,
-                                         std::uint64_t seed = 1000) {
-  return metrics::run_scenario_averaged(point_config(peer_count, combo, plan, seed),
-                                        plan.repetitions, plan.jobs);
 }
 
 /// Runs the whole sizes x combos grid (every repetition of every point) on
@@ -102,15 +85,14 @@ inline metrics::ScenarioResult run_point(std::size_t peer_count,
 /// order: result of (sizes[i], combos[j]) at index i * combos.size() + j.
 /// Parallelism spans the entire grid, so the pool stays busy even when
 /// one large point dominates; output is byte-identical to running each
-/// point sequentially through run_point.
+/// point sequentially through metrics::run_scenario_averaged.
 inline std::vector<metrics::ScenarioResult> run_sweep_grid(
-    const SweepPlan& plan, const std::vector<Combo>& combos,
-    std::uint64_t seed = 1000) {
+    const SweepPlan& plan, const std::vector<Combo>& combos) {
   std::vector<metrics::ScenarioConfig> points;
   points.reserve(plan.sizes.size() * combos.size());
   for (const std::size_t n : plan.sizes) {
     for (const auto& combo : combos) {
-      points.push_back(point_config(n, combo, plan, seed));
+      points.push_back(point_config(n, combo, plan));
     }
   }
   metrics::GridOptions options;
@@ -151,23 +133,6 @@ inline void write_sweep_json(const std::string& path, const char* bench_name,
     fill_scenario_cell(cell, results[i]);
   }
   report.write_file(path);
-}
-
-/// run_sweep_grid plus the --json_out hook: when `tracing` carries a
-/// --json_out path, the grid is wall-clocked and written out as
-/// BENCH_<name>.json via write_sweep_json.
-inline std::vector<metrics::ScenarioResult> run_sweep_grid_reported(
-    const trace::CliTracing& tracing, const char* bench_name,
-    const SweepPlan& plan, const std::vector<Combo>& combos,
-    std::uint64_t seed = 1000) {
-  const auto start = std::chrono::steady_clock::now();
-  auto results = run_sweep_grid(plan, combos, seed);
-  const double wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-  write_sweep_json(tracing.json_out(), bench_name, combos, results,
-                   wall_seconds, plan.jobs);
-  return results;
 }
 
 inline void print_sweep_header(const char* title, const SweepPlan& plan) {

@@ -22,7 +22,7 @@
 #                                         # its checks and compare verdicts
 #   scripts/stages.sh nightly-scale [build-dir]  # 100k peers, shards 1/2/4/8; 1M
 #   scripts/stages.sh nightly-tsan  [build-dir]  # full ctest under TSan
-#   scripts/stages.sh nightly-bench [build-dir]  # scale-4 sweeps + perf gate
+#   scripts/stages.sh nightly-bench [build-dir]  # scale-4 sweeps (Figs. 11-17 too) + perf gate
 #   scripts/stages.sh lint-format         # clang-format --dry-run --Werror
 #   scripts/stages.sh lint-tidy [build-dir]  # clang-tidy over src/core
 #
@@ -118,8 +118,8 @@ stage_fault() {
   grep -q "partition: majority delivery 100.0%, minority delivery 100.0%" \
     <<< "${partition_out}"
   grep -q "epoch conflicts 0.0" <<< "${partition_out}"
-  # Anchored: sim_driver prints the mean violation count with %.4g, so a
-  # fractional mean such as 0.375 must not pass for zero.
+  # Anchored: sim_driver prints the violation count summed over the
+  # topologies with %.4g, so only an exact 0 passes (not 0.375 or 05).
   grep -q "violations 0$" <<< "${partition_out}"
   echo "stages.sh: churn-recovery sweep + partition-heal sweep clean under" \
     "ASan (--jobs=4; both partition sides pinned at 100% delivery;" \
@@ -301,10 +301,11 @@ stage_nightly_bench() {
   local build_dir="${1:-${repo_root}/build-perf}"
   cmake -B "${build_dir}" -S "${repo_root}" -DCMAKE_BUILD_TYPE=Release
   cmake --build "${build_dir}" -j "${jobs}" \
-    --target bench_micro bench_churn_recovery bench_streaming
+    --target bench_micro bench_churn_recovery bench_streaming bench_fig11_17
   require_binary "${build_dir}/bench/bench_micro" \
     "${build_dir}/bench/bench_churn_recovery" \
-    "${build_dir}/bench/bench_streaming"
+    "${build_dir}/bench/bench_streaming" \
+    "${build_dir}/bench/bench_fig11_17"
   local perf_json="${build_dir}/BENCH_micro.json"
   "${build_dir}/bench/bench_micro" '--benchmark_filter=^$' \
     --json_out="${perf_json}" > /dev/null
@@ -319,8 +320,12 @@ stage_nightly_bench() {
   GROUPCAST_BENCH_SCALE=4 "${build_dir}/bench/bench_streaming" \
     --jobs=0 --json_out="${build_dir}/BENCH_streaming_scale4.json" \
     > /dev/null
+  # The paper's Section 4 sweep (Figs. 11-17) at paper scale, run once.
+  GROUPCAST_BENCH_SCALE=4 "${build_dir}/bench/bench_fig11_17" \
+    --jobs=0 --json_out="${build_dir}/BENCH_fig11_17_scale4.json" \
+    > /dev/null
   echo "stages.sh: nightly bench sweeps clean (perf gate + scale-4" \
-    "recovery and streaming JSONs)"
+    "recovery, streaming and Figs. 11-17 JSONs)"
 }
 
 # Formatting gate: every tracked C++ file must match .clang-format

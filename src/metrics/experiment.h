@@ -287,9 +287,10 @@ struct ScenarioResult {
   // merges are order-independent and --jobs=N output is byte-identical.
   trace::HistogramSnapshot histograms;
 
-  // Flight-recorder time series: one frame per recovery epoch (empty for
-  // engine-level scenarios or when the facility is off).  Repetition
-  // timelines merge keyed by sim time (trace::merge_timelines).
+  // Flight-recorder time series: one frame per epoch of a recovery or
+  // streaming run (empty for engine-level scenarios or when the facility
+  // is off).  Repetition timelines merge keyed by sim time
+  // (trace::merge_timelines).
   std::vector<trace::FlightFrame> timeline;
 };
 
@@ -323,9 +324,9 @@ struct GridOptions {
   /// trace::HistogramRegistry, merged into ScenarioResult::histograms).
   /// Off by default, one-branch record() cost when off.
   bool histograms = false;
-  /// Record a flight-recorder frame per recovery epoch (isolated
+  /// Record a flight-recorder frame per node-runtime epoch (isolated
   /// trace::FlightRecorder, merged into ScenarioResult::timeline).
-  /// Off by default; a disabled run schedules no recorder events.
+  /// Off by default; on or off, the run fires the same events.
   bool timeline = false;
 };
 

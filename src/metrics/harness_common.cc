@@ -7,6 +7,7 @@
 
 #include "sim/time.h"
 #include "trace/counters.h"
+#include "trace/flight_recorder.h"
 #include "trace/histogram.h"
 #include "util/require.h"
 
@@ -162,7 +163,10 @@ NodeRuntime::NodeRuntime(const ScenarioConfig& config,
       want_(config.peer_count, 0) {
   // Shard threads resolve the trace facilities thread-locally; give each
   // shard its own registries whenever the caller collects anything, and
-  // fold the snapshots back in before the result captures them.
+  // fold the snapshots back in before the result captures them.  At one
+  // shard that includes the calling thread, so keep the caller's own.
+  caller_counters_ = &trace::counters();
+  caller_histograms_ = &trace::histograms();
   shard_trace_ = install_shard_trace(engine_, config.peer_count);
 
   const core::NodeOptions node_options = map_node_options(config, runtime);
@@ -174,13 +178,41 @@ NodeRuntime::NodeRuntime(const ScenarioConfig& config,
         p, transport_, middleware_->graph(), std::move(per_node), rng_));
     nodes_.back()->start();
   }
+  capture_frame();
 }
 
 NodeRuntime::~NodeRuntime() = default;
 
 void NodeRuntime::advance(sim::SimTime by) {
   clock_ = clock_ + by;
-  engine_.run_until(clock_);
+  if (!trace::flight_recorder().enabled()) {
+    engine_.run_until(clock_);
+    return;
+  }
+  // One frame at every epoch boundary in (now, clock_], taken after every
+  // event of that instant has fired.
+  const std::int64_t epoch = kEpoch.as_micros();
+  for (std::int64_t t = (engine_.now().as_micros() / epoch + 1) * epoch;
+       t <= clock_.as_micros(); t += epoch) {
+    engine_.run_until(sim::SimTime::micros(t));
+    capture_frame();
+  }
+  if (engine_.now() < clock_) engine_.run_until(clock_);
+}
+
+void NodeRuntime::capture_frame() {
+  if (!trace::flight_recorder().enabled()) return;
+  trace::FlightFrame frame;
+  frame.t_us = engine_.now().as_micros();
+  // What the calling thread records lands in the caller's registries at
+  // N >= 2 shards and in shard 0's at one shard, so the sum over both is
+  // the same at every shard count.  The workers are parked between
+  // run_until calls, so their registries are safe to read here.
+  frame.add(*caller_counters_, *caller_histograms_);
+  for (const auto& per_shard : shard_trace_) {
+    frame.add(per_shard->counters, per_shard->histograms);
+  }
+  trace::flight_recorder().capture(frame);
 }
 
 void NodeRuntime::arm_subscriber(overlay::PeerId peer) {
@@ -218,6 +250,12 @@ void NodeRuntime::settle(std::span<const overlay::PeerId> peers,
 }
 
 void NodeRuntime::finish(ScenarioResult& result) {
+  if (trace::flight_recorder().enabled()) {
+    // A final frame, so the timeline ends at the settled end state even
+    // when the run stops between epoch boundaries.
+    capture_frame();
+    result.timeline = trace::flight_recorder().frames();
+  }
   result.config = config_;
   result.repair_edges = middleware_->connectivity_repair_edges();
   result.subscription_messages =

@@ -57,12 +57,14 @@ class NodeRuntime {
   std::vector<std::unique_ptr<core::GroupCastNode>>& nodes() {
     return nodes_;
   }
-  sim::ShardSet& engine() { return engine_; }
 
   /// The harness clock, which the engine's matches: the sum of every
   /// advance() so far.
   sim::SimTime clock() const { return clock_; }
-  /// Runs the engine `by` past the harness clock.
+  /// Runs the engine `by` past the harness clock.  While the flight
+  /// recorder is on, the run stops at every kEpoch multiple it crosses
+  /// and captures a frame there; while it is off, this is one
+  /// ShardSet::run_until.
   void advance(sim::SimTime by);
 
   /// Application-level retry loop: marks `peer` as wanting its groups and
@@ -79,10 +81,18 @@ class NodeRuntime {
 
   /// Folds the shard trace back and captures the run into `result`: the
   /// config, repair edges, messages sent, the engine's event counts and
-  /// queue high-water, and the counter and histogram snapshots.
+  /// queue high-water, the counter and histogram snapshots, and (with a
+  /// final frame) the flight-recorder timeline.
   void finish(ScenarioResult& result);
 
  private:
+  /// Captures a flight-recorder frame at the engine clock: the run's
+  /// counter totals and histogram sample counts so far, summed over the
+  /// caller's and the shards' registries.  A no-op while the recorder is
+  /// off.  Construction captures the first frame, once every node has
+  /// started.
+  void capture_frame();
+
   void resubscribe_later(overlay::PeerId peer, core::GroupId group);
 
   const ScenarioConfig& config_;
@@ -93,6 +103,10 @@ class NodeRuntime {
   sim::ShardSet engine_;
   core::Transport transport_;
   std::vector<std::unique_ptr<ShardTrace>> shard_trace_;
+  /// The calling thread's registries from before the shards' were
+  /// installed (at one shard those replace them on the calling thread).
+  trace::CounterRegistry* caller_counters_ = nullptr;
+  trace::HistogramRegistry* caller_histograms_ = nullptr;
   std::vector<std::unique_ptr<core::GroupCastNode>> nodes_;
   /// Which peers still want their groups.  A per-peer byte vector rather
   /// than a shared set: every entry is only touched by closures of that

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <optional>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -14,10 +13,8 @@
 #include "core/node.h"
 #include "metrics/harness_common.h"
 #include "sim/fault_plan.h"
-#include "sim/recorder.h"
 #include "trace/counters.h"
 #include "trace/histogram.h"
-#include "trace/trace.h"
 #include "util/require.h"
 
 namespace groupcast::metrics {
@@ -97,21 +94,6 @@ ScenarioResult run_recovery_scenario(const ScenarioConfig& config) {
   util::Rng& rng = runtime.rng();
   core::Transport& transport = runtime.transport();
   auto& nodes = runtime.nodes();
-
-  // Flight recorder: one frame per protocol epoch, so recovery reports
-  // carry the delivery / repair trajectory across the fault window.  Only
-  // armed when the facility is on — a disabled run schedules no extra
-  // events and stays byte-identical to pre-recorder builds.  The recorder
-  // snapshots the calling thread's registries from an event handler,
-  // which only a one-shard run (it runs on the calling thread) can host.
-  std::optional<sim::PeriodicRecorder> recorder;
-  if (trace::flight_recorder().enabled()) {
-    GC_REQUIRE_MSG(config.shards == 1,
-                   "the flight recorder requires shards == 1");
-    sim::Simulator& simulator = runtime.engine().shard(0);
-    trace::flight_recorder().capture(simulator.now().as_micros());
-    recorder.emplace(simulator, kEpoch);
-  }
 
   // --- phase 1: establish the group ------------------------------------
   const overlay::PeerId rendezvous = middleware.pick_rendezvous();
@@ -475,12 +457,6 @@ ScenarioResult run_recovery_scenario(const ScenarioConfig& config) {
                           : static_cast<double>(members.size()) /
                                 static_cast<double>(subscribers.size());
   runtime.finish(result);
-  if (trace::flight_recorder().enabled()) {
-    // A final frame so the timeline's last point reflects the settled
-    // end state even when convergence beat the periodic capture.
-    trace::flight_recorder().capture(runtime.clock().as_micros());
-    result.timeline = trace::flight_recorder().frames();
-  }
   return result;
 }
 

@@ -31,7 +31,7 @@
 // per epoch would cost more than the epoch's work.  A one-shard set has
 // no cross-shard traffic and so no epochs: it starts no worker and runs
 // each run_until as one span on the calling thread, whose thread-local
-// tracing, counters and flight recorder therefore see every event.
+// tracing and counters therefore see every event.
 #pragma once
 
 #include <atomic>

@@ -13,23 +13,25 @@ void FlightFrame::merge(const FlightFrame& other) {
   }
 }
 
+void FlightFrame::add(const CounterRegistry& counters,
+                      const HistogramRegistry& histograms) {
+  for (std::size_t i = 0; i < kCounterIds; ++i) {
+    this->counters[i] += counters.total(static_cast<CounterId>(i));
+  }
+  for (std::size_t i = 0; i < kHistogramIds; ++i) {
+    samples[i] += histograms.of(static_cast<HistogramId>(i)).count;
+  }
+}
+
 void FlightRecorder::enable(std::size_t capacity) {
   frames_.clear();
   capacity_ = std::max<std::size_t>(1, capacity);
   enabled_ = true;
 }
 
-void FlightRecorder::capture(std::int64_t t_us) {
+void FlightRecorder::capture(const FlightFrame& frame) {
   if (!enabled_) return;
-  FlightFrame frame;
-  frame.t_us = t_us;
-  const auto counter_snap = counters().snapshot();
-  frame.counters = counter_snap.totals;
-  for (std::size_t i = 0; i < kHistogramIds; ++i) {
-    frame.samples[i] =
-        histograms().of(static_cast<HistogramId>(i)).count;
-  }
-  if (!frames_.empty() && frames_.back().t_us == t_us) {
+  if (!frames_.empty() && frames_.back().t_us == frame.t_us) {
     frames_.back() = frame;
     return;
   }

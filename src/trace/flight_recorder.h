@@ -1,10 +1,10 @@
 // Flight recorder: a bounded ring of periodic sim-time snapshots.
 //
-// Each capture() stamps the calling thread's *active* counter and
-// histogram registries (cumulative totals, not deltas) into a FlightFrame
-// keyed by simulated time.  Recovery benches capture one frame per
-// protocol epoch, turning the end-state delivery numbers into
-// trajectories across the fault window.  The ring is bounded: once full,
+// Each frame holds cumulative counter totals and histogram sample counts
+// (not deltas) keyed by simulated time.  The node-runtime harness
+// captures one frame per protocol epoch, summed over its shards'
+// registries, turning the end-state delivery numbers into trajectories
+// across the fault window.  The ring is bounded: once full,
 // the oldest frame is dropped, so a long run keeps its most recent
 // history — the flight-recorder idea.
 //
@@ -34,6 +34,9 @@ struct FlightFrame {
 
   /// Element-wise integer accumulation (timestamps must match).
   void merge(const FlightFrame& other);
+  /// Adds `counters`' totals and `histograms`' sample counts.
+  void add(const CounterRegistry& counters,
+           const HistogramRegistry& histograms);
 
   friend bool operator==(const FlightFrame&, const FlightFrame&) = default;
 };
@@ -53,10 +56,9 @@ class FlightRecorder {
   /// Stops recording; frames are kept until enable() or reset().
   void disable() { enabled_ = false; }
 
-  /// Snapshots the calling thread's active counters() and histograms()
-  /// into a frame stamped `t_us`; no-op (one branch) while disabled.
-  /// Re-capturing an existing stamp overwrites that frame.
-  void capture(std::int64_t t_us);
+  /// Appends `frame`; no-op (one branch) while disabled.  Re-capturing
+  /// the newest stamp overwrites that frame.
+  void capture(const FlightFrame& frame);
 
   std::size_t size() const { return frames_.size(); }
   std::size_t capacity() const { return capacity_; }

@@ -122,9 +122,15 @@ TEST(FlightRecorder, RingBoundsAndSameStampOverwrite) {
   trace::counters().enable(4);
   trace::flight_recorder().enable(/*capacity=*/3);
 
+  const auto capture = [](std::int64_t t_us) {
+    FlightFrame frame;
+    frame.t_us = t_us;
+    frame.add(trace::counters(), trace::histograms());
+    trace::flight_recorder().capture(frame);
+  };
   for (std::int64_t t = 0; t < 5; ++t) {
     trace::counters().incr(0, trace::CounterId::kMessagesSent);
-    trace::flight_recorder().capture(t * 1000);
+    capture(t * 1000);
   }
   auto frames = trace::flight_recorder().frames();
   ASSERT_EQ(frames.size(), 3u);  // oldest two dropped
@@ -135,7 +141,7 @@ TEST(FlightRecorder, RingBoundsAndSameStampOverwrite) {
 
   // Re-capturing the newest stamp overwrites instead of appending.
   trace::counters().incr(0, trace::CounterId::kMessagesSent);
-  trace::flight_recorder().capture(4000);
+  capture(4000);
   frames = trace::flight_recorder().frames();
   ASSERT_EQ(frames.size(), 3u);
   EXPECT_EQ(frames.back().counters[sent], 6u);

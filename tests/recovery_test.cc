@@ -200,6 +200,40 @@ TEST(Recovery, PartitionGridIdenticalAcrossJobCounts) {
   EXPECT_GT(a[0].counters.total(trace::CounterId::kLeaseHandoffs), 0u);
 }
 
+// The flight recorder stops at every epoch boundary, inside the partition
+// window's long advances too, on a sharded run: a frame at t = 0, one at
+// every kEpoch multiple and a last one at the end of the run, whose
+// totals are the run's.
+TEST(Recovery, PartitionTimelineHasAFrameAtEveryEpoch) {
+  auto point = partition_point();
+  point.shards = 2;
+  const std::vector<metrics::ScenarioConfig> points{point};
+  metrics::GridOptions options;
+  options.counters = true;
+  options.timeline = true;
+  const auto results = metrics::run_scenario_grid(points, options);
+  ASSERT_EQ(results.size(), 1u);
+  const auto& timeline = results[0].timeline;
+  ASSERT_FALSE(timeline.empty());
+
+  const std::int64_t epoch = metrics::kEpoch.as_micros();
+  const std::int64_t end = timeline.back().t_us;
+  EXPECT_GT(end, 30 * 1'000'000);  // the run spans the partition window
+  std::vector<std::int64_t> expected;
+  for (std::int64_t t = 0; t <= end; t += epoch) expected.push_back(t);
+  if (expected.back() != end) expected.push_back(end);
+  std::vector<std::int64_t> stamps;
+  for (const auto& frame : timeline) stamps.push_back(frame.t_us);
+  EXPECT_EQ(stamps, expected);
+
+  const auto sent = static_cast<std::size_t>(trace::CounterId::kMessagesSent);
+  for (std::size_t i = 1; i < timeline.size(); ++i) {
+    EXPECT_LE(timeline[i - 1].counters[sent], timeline[i].counters[sent]);
+  }
+  EXPECT_GT(timeline.back().counters[sent], 0u);
+  EXPECT_EQ(timeline.back().counters, results[0].counters.totals);
+}
+
 // Backup-parent failover is rung 0 of the recovery ladder when
 // replication is on: under crash churn at least some orphans must
 // re-attach through their pre-arranged backup instead of the slower

@@ -19,7 +19,6 @@
 #include "metrics/experiment.h"
 #include "sim/shard_set.h"
 #include "test_helpers.h"
-#include "trace/flight_recorder.h"
 #include "util/require.h"
 #include "util/rng.h"
 
@@ -237,14 +236,15 @@ metrics::ScenarioConfig shard_point(std::size_t shards) {
   return point;
 }
 
-// The determinism contract: every metric field, the counter totals and
-// the histogram bins of a hostile recovery run are byte-identical at shard
-// counts 1, 2, 4 and 8.
+// The determinism contract: every metric field, the counter totals, the
+// histogram bins and the flight-recorder timeline of a hostile recovery
+// run are byte-identical at shard counts 1, 2, 4 and 8.
 TEST(ShardDeterminism, RecoveryResultsIdenticalAcrossShardCounts) {
   metrics::GridOptions options;
   options.repetitions = 1;
   options.counters = true;
   options.histograms = true;
+  options.timeline = true;
 
   std::vector<metrics::ScenarioResult> results;
   for (const std::size_t shards : {1u, 2u, 4u, 8u}) {
@@ -271,6 +271,7 @@ TEST(ShardDeterminism, RecoveryResultsIdenticalAcrossShardCounts) {
     EXPECT_EQ(base.counters.totals, other.counters.totals);
     EXPECT_EQ(base.counters.per_node, other.counters.per_node);
     EXPECT_EQ(base.histograms.data, other.histograms.data);
+    EXPECT_EQ(base.timeline, other.timeline);
     // The total workload is invariant; only its split across shards moves.
     EXPECT_EQ(base.events_fired, other.events_fired);
     EXPECT_EQ(other.events_per_shard.size(), std::size_t{1} << i);
@@ -283,6 +284,7 @@ TEST(ShardDeterminism, RecoveryResultsIdenticalAcrossShardCounts) {
   EXPECT_GT(base.counters.total(trace::CounterId::kHeartbeats), 0u);
   EXPECT_DOUBLE_EQ(base.reattached_fraction, 1.0);
   EXPECT_DOUBLE_EQ(base.invariant_violations, 0.0);
+  EXPECT_GT(base.timeline.size(), 2u);
 }
 
 TEST(ShardDeterminism, ShardCountValidation) {
@@ -296,14 +298,6 @@ TEST(ShardDeterminism, ShardCountValidation) {
   engine_level.groups = 1;
   engine_level.shards = 2;
   EXPECT_THROW(metrics::run_scenario(engine_level), PreconditionError);
-}
-
-TEST(ShardDeterminism, FlightRecorderRefusesShardedRuns) {
-  trace::FlightRecorder recorder;
-  recorder.enable();
-  trace::ScopedFlightRecorder guard(recorder);
-  auto point = shard_point(2);
-  EXPECT_THROW(metrics::run_scenario(point), PreconditionError);
 }
 
 }  // namespace

@@ -152,8 +152,7 @@ TEST(Streaming, MultiSourceGridIdenticalAcrossJobCounts) {
   }
 }
 
-// The sharded event kernel must agree with itself at every shard count
-// >= 2 (the single wheel is a different, also-deterministic trajectory).
+// The sharded event kernel must agree with itself at every shard count.
 TEST(Streaming, ShardCountInvariantResults) {
   auto point = streaming_point();
   point.streaming.reliable_data = true;
@@ -169,6 +168,31 @@ TEST(Streaming, ShardCountInvariantResults) {
   EXPECT_DOUBLE_EQ(two.chunks_played_per_viewer,
                    four.chunks_played_per_viewer);
   EXPECT_DOUBLE_EQ(two.subscription_messages, four.subscription_messages);
+}
+
+// A streaming run carries the flight-recorder timeline too, the same at
+// one shard and at two: a frame at t = 0, one per epoch boundary, and a
+// last one whose totals are the run's.
+TEST(Streaming, TimelineIdenticalAcrossShardCounts) {
+  metrics::GridOptions options;
+  options.counters = true;
+  options.timeline = true;
+  std::vector<metrics::ScenarioResult> results;
+  for (const std::size_t shards : {1u, 2u}) {
+    auto point = streaming_point();
+    point.shards = shards;
+    const std::vector<metrics::ScenarioConfig> points{point};
+    results.push_back(metrics::run_scenario_grid(points, options).front());
+  }
+  const auto& timeline = results[0].timeline;
+  ASSERT_GE(timeline.size(), 2u);
+  EXPECT_EQ(timeline.front().t_us, 0);
+  EXPECT_EQ(timeline[1].t_us, metrics::kEpoch.as_micros());
+  EXPECT_EQ(timeline.back().counters, results[0].counters.totals);
+  EXPECT_GT(timeline.back().counters[static_cast<std::size_t>(
+                trace::CounterId::kChunksDelivered)],
+            0u);
+  EXPECT_EQ(timeline, results[1].timeline);
 }
 
 }  // namespace
