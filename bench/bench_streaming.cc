@@ -13,7 +13,7 @@
 // --jobs=N parallelizes over the grid via metrics::run_scenario_grid;
 // results are byte-identical for every job count.  --shards=N runs each
 // cell on the sharded event kernel (byte-identical at every N, 1
-// included).
+// included); without the flag the runtime chooses the count.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>

@@ -103,9 +103,10 @@ int main(int argc, char** argv) {
                 "0");
   flags.declare("shards",
                 "recovery/streaming: router shards of the event kernel, "
-                "one worker thread each from 2 up (output is "
+                "one worker thread each from 2 up; 0 = one per 5000 "
+                "peers, up to the hardware threads (output is "
                 "byte-identical at every shard count)",
-                "1");
+                "0");
   flags.declare("streaming",
                 "run the live-streaming workload harness instead of the "
                 "engine pipeline",
@@ -326,10 +327,10 @@ int main(int argc, char** argv) {
     return 2;
   }
   const std::int64_t shards_raw = flags.get_int("shards");
-  if (shards_raw < 1 ||
+  if (shards_raw < 0 ||
       static_cast<std::size_t>(shards_raw) > config.peer_count) {
     std::fprintf(stderr,
-                 "sim_driver: --shards must be between 1 and --peers "
+                 "sim_driver: --shards must be between 0 and --peers "
                  "(got %lld for %zu peers)\n",
                  static_cast<long long>(shards_raw), config.peer_count);
     return 2;
@@ -436,6 +437,15 @@ int main(int argc, char** argv) {
     std::printf("  messages sent %.0f, subscription success %.1f%%\n",
                 r.subscription_messages,
                 100.0 * r.subscription_success_rate);
+    // Mean per topology, like the total above.
+    std::printf("  messages by kind:");
+    for (std::size_t k = 0; k < core::kMessageKinds; ++k) {
+      const auto kind = static_cast<core::MessageKind>(k);
+      std::printf("%s %s %.0f", k == 0 ? "" : ",", core::to_string(kind),
+                  static_cast<double>(r.messages_by_kind.of(kind)) /
+                      static_cast<double>(topologies));
+    }
+    std::printf("\n");
   }
   if (config.recovery.enabled) {
     std::printf("  avg tree: %.0f nodes\n", r.avg_tree_nodes);

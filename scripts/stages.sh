@@ -10,7 +10,8 @@
 #   scripts/stages.sh perf  [build-dir]   # Release perf smoke vs baseline
 #   scripts/stages.sh scale [build-dir]   # Release 100k-peer churn cell,
 #                                         # sharded, byte-compared across
-#                                         # shard counts
+#                                         # shard counts and the runtime's
+#                                         # own choice
 #   scripts/stages.sh trace [build-dir]   # observability smoke: capture a
 #                                         # recovery trace, run every
 #                                         # trace_report mode
@@ -20,7 +21,7 @@
 #   scripts/stages.sh bench-smoke         # perfbench/test_bench.py: the
 #                                         # repo benchmark at tiny scale,
 #                                         # its checks and compare verdicts
-#   scripts/stages.sh nightly-scale [build-dir]  # 100k peers, shards 1/2/4/8; 1M
+#   scripts/stages.sh nightly-scale [build-dir]  # 100k peers, shards 1/2/4/8/chosen; 1M
 #   scripts/stages.sh nightly-tsan  [build-dir]  # full ctest under TSan
 #   scripts/stages.sh nightly-bench [build-dir]  # scale-4 sweeps (Figs. 11-17 too) + perf gate
 #   scripts/stages.sh lint-format         # clang-format --dry-run --Werror
@@ -154,27 +155,29 @@ stage_perf() {
 }
 
 # Scale smoke: the event kernel at six figures of peers.  One 100k-peer
-# churn cell through the recovery harness at --shards=1, 2 and 4; the runs
-# must finish and their stdout must be byte-identical — the summary
-# deliberately omits the shard count, so a straight diff proves the
-# determinism contract at scale (docs/PERFORMANCE.md, "Sharded execution
-# & memory budget").
+# churn cell through the recovery harness at --shards=1, 2 and 4, and once
+# without --shards (the runtime's own choice); the runs must finish and
+# their stdout must be byte-identical — the summary deliberately omits the
+# shard count, so a straight diff proves the determinism contract at scale
+# (docs/PERFORMANCE.md, "Sharded execution & memory budget").
 stage_scale() {
   local build_dir="${1:-${repo_root}/build-perf}"
   cmake -B "${build_dir}" -S "${repo_root}" -DCMAKE_BUILD_TYPE=Release
   cmake --build "${build_dir}" -j "${jobs}" --target sim_driver
   require_binary "${build_dir}/examples/sim_driver"
   local shard_count out ref=""
-  for shard_count in 1 2 4; do
-    out="${build_dir}/scale_smoke_shards${shard_count}.txt"
+  for shard_count in 1 2 4 chosen; do
+    out="${build_dir}/scale_smoke_shards_${shard_count}.txt"
+    local shards_flag=(--shards="${shard_count}")
+    if [[ "${shard_count}" == chosen ]]; then shards_flag=(); fi
     "${build_dir}/examples/sim_driver" --peers=100000 --groups=1 --seed=1 \
-      --recovery=true --crash=0.15 --shards="${shard_count}" > "${out}"
+      --recovery=true --crash=0.15 "${shards_flag[@]}" > "${out}"
     if [[ -n "${ref}" ]]; then diff "${ref}" "${out}"; fi
     ref="${out}"
   done
   grep -q "violations 0$" "${ref}"
-  echo "stages.sh: 100k-peer scale smoke clean (shards 1, 2 and 4" \
-    "byte-identical)"
+  echo "stages.sh: 100k-peer scale smoke clean (shards 1, 2, 4 and the" \
+    "runtime's choice byte-identical)"
 }
 
 # Observability smoke: capture a seeded recovery trace with sim_driver,
@@ -249,19 +252,21 @@ stage_bench_smoke() {
   echo "stages.sh: benchmark smoke clean (perfbench/test_bench.py)"
 }
 
-# Nightly scale: the 100k-peer churn cell across shards 1, 2, 4 AND 8 —
-# the pre-merge scale stage stops at four; the nightly proves the full
-# ladder stays byte-identical.
+# Nightly scale: the 100k-peer churn cell across shards 1, 2, 4 AND 8,
+# and without --shards — the pre-merge scale stage stops at four; the
+# nightly proves the full ladder stays byte-identical.
 stage_nightly_scale() {
   local build_dir="${1:-${repo_root}/build-perf}"
   cmake -B "${build_dir}" -S "${repo_root}" -DCMAKE_BUILD_TYPE=Release
   cmake --build "${build_dir}" -j "${jobs}" --target sim_driver
   require_binary "${build_dir}/examples/sim_driver"
   local shard_count out ref=""
-  for shard_count in 1 2 4 8; do
-    out="${build_dir}/nightly_scale_shards${shard_count}.txt"
+  for shard_count in 1 2 4 8 chosen; do
+    out="${build_dir}/nightly_scale_shards_${shard_count}.txt"
+    local shards_flag=(--shards="${shard_count}")
+    if [[ "${shard_count}" == chosen ]]; then shards_flag=(); fi
     "${build_dir}/examples/sim_driver" --peers=100000 --groups=1 --seed=1 \
-      --recovery=true --crash=0.15 --shards="${shard_count}" > "${out}"
+      --recovery=true --crash=0.15 "${shards_flag[@]}" > "${out}"
     if [[ -n "${ref}" ]]; then diff "${ref}" "${out}"; fi
     ref="${out}"
   done
@@ -274,7 +279,8 @@ stage_nightly_scale() {
     --group-size=100 > "${million}"
   grep -q "^GroupCast scenario: 1000000 peers" "${million}"
   echo "stages.sh: nightly 100k-peer scale ladder clean (shards 1/2/4/8" \
-    "byte-identical); 1M-peer engine world completed"
+    "and the runtime's choice byte-identical); 1M-peer engine world" \
+    "completed"
 }
 
 # Nightly TSan: the FULL ctest suite under ThreadSanitizer.  The

@@ -25,6 +25,16 @@ enum class MessageKind : std::uint8_t {
 inline constexpr std::size_t kMessageKinds =
     static_cast<std::size_t>(MessageKind::kCount_);
 
+/// Lower-case name of a message kind, for reports.
+inline const char* to_string(MessageKind kind) {
+  static constexpr const char* kNames[] = {
+      "advertisement", "ripple_search", "ripple_response", "subscribe_join",
+      "subscribe_ack", "payload",       "maintenance",
+  };
+  static_assert(std::size(kNames) == kMessageKinds);
+  return kNames[static_cast<std::size_t>(kind)];
+}
+
 /// Plain counters, one per message kind.
 class MessageStats {
  public:

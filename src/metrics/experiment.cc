@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <memory>
 
+#include "metrics/harness_common.h"
 #include "metrics/recovery.h"
 #include "metrics/streaming.h"
 #include "trace/trace.h"
@@ -43,17 +44,17 @@ std::unique_ptr<core::GroupCastMiddleware> make_scenario_middleware(
 
 ScenarioResult run_scenario(const ScenarioConfig& config) {
   GC_REQUIRE(config.groups >= 1);
-  GC_REQUIRE_MSG(config.shards >= 1, "config.shards must be >= 1");
   GC_REQUIRE_MSG(!(config.recovery.enabled && config.streaming.enabled),
                  "recovery and streaming harnesses are mutually exclusive");
   if (config.recovery.enabled) return run_recovery_scenario(config);
   if (config.streaming.enabled) return run_streaming_scenario(config);
-  GC_REQUIRE_MSG(config.shards == 1,
+  GC_REQUIRE_MSG(config.shards <= 1,
                  "shards > 1 requires a node-runtime harness (recovery "
                  "or streaming); engine-level scenarios run on the single "
                  "wheel");
   ScenarioResult result;
   result.config = config;
+  result.config.shards = detail::resolve_shards(config);
 
   const auto middleware_ptr = make_scenario_middleware(config);
   core::GroupCastMiddleware& middleware = *middleware_ptr;
@@ -169,6 +170,9 @@ ScenarioResult reduce_scenario_repetitions(
   GC_REQUIRE(!repetitions.empty());
   ScenarioResult total;
   total.config = config;
+  // The shard count that ran; every repetition of a point resolves
+  // config.shards alike (same peer count, same kind of thread).
+  total.config.shards = repetitions.front().config.shards;
   const double k = static_cast<double>(repetitions.size());
   util::Summary delay_samples, overload_samples, link_samples;
   util::Summary delivery_samples, reattach_samples, miss_samples;
@@ -181,6 +185,7 @@ ScenarioResult reduce_scenario_repetitions(
     miss_samples.add(one.chunk_miss_ratio);
     total.advertisement_messages += one.advertisement_messages / k;
     total.subscription_messages += one.subscription_messages / k;
+    total.messages_by_kind += one.messages_by_kind;
     total.receiving_rate += one.receiving_rate / k;
     total.subscription_success_rate += one.subscription_success_rate / k;
     total.lookup_latency_ms += one.lookup_latency_ms / k;

@@ -14,6 +14,7 @@
 #include <span>
 #include <vector>
 
+#include "core/message.h"
 #include "core/middleware.h"
 #include "metrics/esm_metrics.h"
 #include "trace/counters.h"
@@ -155,12 +156,17 @@ struct ScenarioConfig {
 
   /// Shards of the node-runtime harnesses' event kernel
   /// (sim/shard_set.h): peers are partitioned by access router across N
-  /// conservative-lookahead wheels; 1 (the default) runs on the calling
-  /// thread, N >= 2 on N workers.  Results are byte-identical at every N
-  /// except the engine gauges events_per_shard and queue_high_water.
-  /// Only meaningful with recovery.enabled or streaming.enabled; must not
-  /// exceed peer_count.  Engine-level scenarios reject shards > 1.
-  std::size_t shards = 1;
+  /// conservative-lookahead wheels; 1 runs on the calling thread, N >= 2
+  /// on N workers.  0 (the default) lets the runtime choose, the way
+  /// GridOptions::jobs = 0 does: one shard per kPeersPerShard (5000)
+  /// peers up to the hardware thread count, and 1 for engine-level
+  /// scenarios, under a trace sink or on a grid worker
+  /// (metrics/harness_common.h, resolve_shards).  Results are
+  /// byte-identical at every N except the engine gauges events_per_shard
+  /// and queue_high_water; ScenarioResult::config records the count that
+  /// ran.  Must not exceed peer_count.  Engine-level scenarios reject
+  /// shards > 1.
+  std::size_t shards = 0;
 
   /// Pre-built deployment to fork instead of constructing one from
   /// middleware_config() (see core::DeploymentSnapshot).  Normally left
@@ -183,6 +189,11 @@ struct ScenarioResult {
   // Figure 11: message loads.
   double advertisement_messages = 0.0;   // mean per group
   double subscription_messages = 0.0;    // mean per group
+
+  // Node-runtime harnesses only (all zero otherwise): the transport's
+  // sends by message kind, whose total is the run's messages sent.  The
+  // averaged/grid runners sum the counts across repetitions.
+  core::MessageStats messages_by_kind;
 
   // Figure 12: rates.
   double receiving_rate = 0.0;           // mean fraction reached by advert

@@ -3,12 +3,15 @@
 #include <algorithm>
 #include <limits>
 #include <string>
+#include <thread>
 #include <utility>
 
 #include "sim/time.h"
 #include "trace/counters.h"
 #include "trace/flight_recorder.h"
 #include "trace/histogram.h"
+#include "trace/trace.h"
+#include "util/parallel.h"
 #include "util/require.h"
 
 namespace groupcast::metrics::detail {
@@ -119,6 +122,11 @@ constexpr sim::SimTime kHeartbeatInterval = sim::SimTime::seconds(0.5);
 /// negligible at the sweeps' loss levels.
 constexpr std::size_t kHeartbeatMisses = 6;
 
+ScenarioConfig with_resolved_shards(ScenarioConfig config) {
+  config.shards = resolve_shards(config);
+  return config;
+}
+
 core::NodeOptions map_node_options(const ScenarioConfig& config,
                                    const RuntimeOptions& runtime) {
   core::NodeOptions options;
@@ -134,6 +142,16 @@ core::NodeOptions map_node_options(const ScenarioConfig& config,
 
 }  // namespace
 
+std::size_t resolve_shards(const ScenarioConfig& config) {
+  if (!config.recovery.enabled && !config.streaming.enabled) return 1;
+  if (config.shards != 0) return config.shards;
+  if (trace::tracer().enabled() || util::in_parallel_worker()) return 1;
+  const std::size_t hardware =
+      std::max<std::size_t>(1, std::thread::hardware_concurrency());
+  return std::clamp<std::size_t>(config.peer_count / kPeersPerShard, 1,
+                                 hardware);
+}
+
 void validate_runtime(const ScenarioConfig& config,
                       const RuntimeOptions& runtime, const char* harness) {
   const std::string name = harness;
@@ -143,7 +161,6 @@ void validate_runtime(const ScenarioConfig& config,
       name + ".loss_probability must be in [0, 1]");
   GC_REQUIRE_MSG(!runtime.flow_control || runtime.reliable_data,
                  name + ".flow_control requires reliable_data");
-  GC_REQUIRE_MSG(config.shards >= 1, "config.shards must be >= 1");
   GC_REQUIRE_MSG(config.shards <= config.peer_count,
                  "config.shards must not exceed peer_count");
 }
@@ -152,11 +169,11 @@ NodeRuntime::NodeRuntime(const ScenarioConfig& config,
                          const RuntimeOptions& runtime,
                          core::TransportOptions transport_options,
                          const NodeTuner& tune)
-    : config_(config),
-      middleware_(make_scenario_middleware(config)),
+    : config_(with_resolved_shards(config)),
+      middleware_(make_scenario_middleware(config_)),
       rng_(middleware_->rng().split()),
-      engine_(config.shards, shard_lookahead_us(middleware_->underlay(),
-                                                middleware_->population())),
+      engine_(config_.shards, shard_lookahead_us(middleware_->underlay(),
+                                                 middleware_->population())),
       transport_(engine_, middleware_->population(),
                  with_loss(transport_options, runtime.loss_probability),
                  rng_),
@@ -260,6 +277,7 @@ void NodeRuntime::finish(ScenarioResult& result) {
   result.repair_edges = middleware_->connectivity_repair_edges();
   result.subscription_messages =
       static_cast<double>(transport_.messages_sent());
+  result.messages_by_kind = transport_.stats();
   result.events_fired = engine_.events_fired();
   result.queue_high_water = engine_.queue_high_water();
   result.events_per_shard = engine_.events_per_shard();

@@ -22,6 +22,22 @@ namespace groupcast::metrics::detail {
 
 struct ShardTrace;
 
+/// Peers per event-kernel shard when the runtime chooses the shard count:
+/// a run gets one shard per kPeersPerShard peers.  Measured crossover
+/// (docs/PERFORMANCE.md, "Choosing the shard count"): below about 10k
+/// peers the barrier overhead of a second wheel costs as much as it buys.
+inline constexpr std::size_t kPeersPerShard = 5000;
+
+/// The shard count a run of `config` executes on.  An explicit
+/// config.shards (>= 1) is kept.  config.shards == 0 lets the runtime
+/// choose: 1 for an engine-level scenario, while the calling thread's
+/// tracer has a sink (the per-event stream is one thread's), and on a
+/// util::parallel_for worker (a grid cell must not oversubscribe the
+/// cores); otherwise min(hardware threads, peer_count / kPeersPerShard),
+/// at least 1.  Results are byte-identical at every count, so the choice
+/// moves only the wall time and the engine gauges.
+std::size_t resolve_shards(const ScenarioConfig& config);
+
 /// Rejects a run whose shared runtime fields or shard count are out of
 /// range; `harness` ("recovery" / "streaming") names the option struct in
 /// the messages.
@@ -30,12 +46,12 @@ void validate_runtime(const ScenarioConfig& config,
 
 /// One node-runtime run.  Construction, in this order: builds the middleware
 /// from the config (forking an attached world) and splits the harness RNG off
-/// it; starts a ShardSet of config.shards conservative-lookahead wheels;
-/// constructs the transport on it; gives every shard its own trace registries;
-/// maps the runtime fields onto core::NodeOptions; then constructs and starts
-/// one node per peer.  Every RNG split and event schedule happens in that fixed
-/// order, so a (config, seed) pair is one deterministic trajectory whatever the
-/// grid's job count.
+/// it; starts a ShardSet of resolve_shards(config) conservative-lookahead
+/// wheels; constructs the transport on it; gives every shard its own trace
+/// registries; maps the runtime fields onto core::NodeOptions; then
+/// constructs and starts one node per peer.  Every RNG split and event
+/// schedule happens in that fixed order, so a (config, seed) pair is one
+/// deterministic trajectory whatever the grid's job count.
 class NodeRuntime {
  public:
   /// Per-peer refinement of the shared NodeOptions mapping, for harness
@@ -80,9 +96,10 @@ class NodeRuntime {
               std::span<const core::GroupId> groups);
 
   /// Folds the shard trace back and captures the run into `result`: the
-  /// config, repair edges, messages sent, the engine's event counts and
-  /// queue high-water, the counter and histogram snapshots, and (with a
-  /// final frame) the flight-recorder timeline.
+  /// config (with the shard count that ran), repair edges, messages sent
+  /// in all and by kind, the engine's event counts and queue high-water,
+  /// the counter and histogram snapshots, and (with a final frame) the
+  /// flight-recorder timeline.
   void finish(ScenarioResult& result);
 
  private:
@@ -95,7 +112,8 @@ class NodeRuntime {
 
   void resubscribe_later(overlay::PeerId peer, core::GroupId group);
 
-  const ScenarioConfig& config_;
+  /// The caller's config with config.shards resolved.
+  const ScenarioConfig config_;
   std::unique_ptr<core::GroupCastMiddleware> middleware_;
   util::Rng rng_;
   // The engine is declared before the transport (the ShardSet's client)

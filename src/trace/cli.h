@@ -41,9 +41,10 @@ class CliTracing {
                   "1");
     flags.declare("shards",
                   "event-kernel router shards per run, one worker "
-                  "thread each from 2 up (results are byte-identical "
-                  "at every shard count)",
-                  "1");
+                  "thread each from 2 up; 0 = one per 5000 peers, up to "
+                  "the hardware threads (results are byte-identical at "
+                  "every shard count)",
+                  "0");
     if (!flags.parse(argc, argv)) {
       std::fprintf(stderr, "%s\n%s", flags.error().c_str(),
                    flags.help(argv[0]).c_str());
@@ -70,16 +71,17 @@ class CliTracing {
                    argv[0]);
       std::exit(2);
     }
-    shards_ = static_cast<std::size_t>(
-        std::max<std::int64_t>(0, flags.get_int("shards")));
-    if (shards_ == 0) {
-      std::fprintf(stderr, "%s: --shards must be >= 1\n", argv[0]);
+    const std::int64_t shards = flags.get_int("shards");
+    if (shards < 0) {
+      std::fprintf(stderr, "%s: --shards must be >= 0\n", argv[0]);
       std::exit(2);
     }
+    shards_ = static_cast<std::size_t>(shards);
     // Same thread-confinement rule as --jobs: a sharded run fires events
     // on several workers at once, so there is no single totally-ordered
-    // event stream for the JSONL sink to record.
-    if (!trace_out.empty() && shards_ != 1) {
+    // event stream for the JSONL sink to record.  (Left to choose, a run
+    // under the sink resolves to one shard.)
+    if (!trace_out.empty() && shards_ > 1) {
       std::fprintf(stderr,
                    "%s: --trace_out requires --shards=1 (a sharded run has "
                    "no single totally-ordered event stream to trace).\n"
@@ -116,8 +118,8 @@ class CliTracing {
   /// the path constructor was used; 0 means "all hardware threads").
   std::size_t jobs() const { return jobs_; }
 
-  /// Event-kernel shards requested via --shards (1 when absent or when
-  /// the path constructor was used).
+  /// Event-kernel shards requested via --shards (0, "let the runtime
+  /// choose", when absent or when the path constructor was used).
   std::size_t shards() const { return shards_; }
 
   /// --json_out destination for the bench's machine-readable report
@@ -136,7 +138,7 @@ class CliTracing {
 
   std::unique_ptr<ScopedSink> sink_;
   std::size_t jobs_ = 1;
-  std::size_t shards_ = 1;
+  std::size_t shards_ = 0;
   std::string json_out_;
 };
 

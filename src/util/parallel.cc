@@ -16,6 +16,8 @@ namespace {
 thread_local bool tl_parallel_worker = false;
 }  // namespace
 
+bool in_parallel_worker() { return tl_parallel_worker; }
+
 void parallel_for_chunks(
     std::size_t n, std::size_t grain,
     const std::function<void(std::size_t, std::size_t)>& body,

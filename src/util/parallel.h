@@ -9,7 +9,8 @@
 //
 // Nesting: a parallel_for called on a worker of another parallel_for runs
 // inline on that worker, so a world built inside a parallel grid cell
-// does not oversubscribe the cores.
+// does not oversubscribe the cores.  in_parallel_worker() exposes the same
+// guard to code that starts threads of its own (the sharded event kernel).
 #pragma once
 
 #include <cstddef>
@@ -28,6 +29,10 @@ void parallel_for_chunks(
     std::size_t n, std::size_t grain,
     const std::function<void(std::size_t, std::size_t)>& body,
     std::size_t workers = 0);
+
+/// True on a worker thread of a running parallel_for, where a nested
+/// parallel_for runs inline.
+bool in_parallel_worker();
 
 /// Calls body(i) for every i in [0, n); see parallel_for_chunks.
 template <typename Body>

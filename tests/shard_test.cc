@@ -288,8 +288,11 @@ TEST(ShardDeterminism, RecoveryResultsIdenticalAcrossShardCounts) {
 }
 
 TEST(ShardDeterminism, ShardCountValidation) {
-  auto zero = shard_point(0);
-  EXPECT_THROW(metrics::run_scenario(zero), PreconditionError);
+  // 0 is not an error: it lets the runtime choose, and a 200-peer run
+  // stays on one shard.
+  const auto chosen = metrics::run_scenario(shard_point(0));
+  EXPECT_EQ(chosen.config.shards, 1u);
+  EXPECT_EQ(chosen.events_per_shard.size(), 1u);
   auto oversubscribed = shard_point(4);
   oversubscribed.peer_count = 3;
   EXPECT_THROW(metrics::run_scenario(oversubscribed), PreconditionError);
