@@ -32,7 +32,7 @@ metrics::ScenarioConfig make_config(core::AnnouncementScheme scheme,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const groupcast::trace::CliTracing tracing(argc, argv);
+  const groupcast::trace::CliTracing tracing(argc, argv, {.jobs = true});
   using core::AnnouncementScheme;
 
   // All three ablation sweeps share one grid, so --jobs parallelism spans

@@ -47,7 +47,8 @@ metrics::ScenarioConfig recovery_point(std::size_t peers, double loss,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const trace::CliTracing tracing(argc, argv);
+  const trace::CliTracing tracing(argc, argv,
+                                  {.jobs = true, .shards = true});
   const std::size_t shards = tracing.shards();
   const double scale = metrics::bench_scale();
   // Scale ladder (ROADMAP: "GROUPCAST_BENCH_SCALE=4 recovery runs at 8k+

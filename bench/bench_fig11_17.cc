@@ -144,7 +144,7 @@ void print_metric(const Sweep& sweep, const char* title, const char* column,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const trace::CliTracing tracing(argc, argv);
+  const trace::CliTracing tracing(argc, argv, {.jobs = true});
   auto plan = bench::default_sweep_plan();
   plan.jobs = tracing.jobs();
   bench::print_sweep_header(

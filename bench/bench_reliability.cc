@@ -24,7 +24,8 @@
 #include "trace/counters.h"
 
 int main(int argc, char** argv) {
-  const groupcast::trace::CliTracing tracing(argc, argv);
+  const groupcast::trace::CliTracing tracing(
+      argc, argv, {.jobs = true, .shards = true});
   using namespace groupcast;
 
   const std::size_t peers = metrics::bench_scale() >= 2.0 ? 2000 : 1000;

@@ -44,7 +44,8 @@ metrics::ScenarioConfig streaming_point(std::size_t peers, double loss,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const trace::CliTracing tracing(argc, argv);
+  const trace::CliTracing tracing(argc, argv,
+                                  {.jobs = true, .shards = true});
   const std::size_t shards = tracing.shards();
   const double scale = metrics::bench_scale();
   // Scale ladder: 400 -> 800 -> 16384 peers; the flash crowd grows with

@@ -275,7 +275,9 @@ void fill_scenario_cell(JsonObject& cell,
         .number("shard_imbalance",
                 min_events > 0 ? static_cast<double>(max_events) /
                                      static_cast<double>(min_events)
-                               : 0.0);
+                               : 0.0)
+        .integer("lookahead_us", static_cast<std::uint64_t>(r.lookahead_us))
+        .integer("shard_epochs", r.shard_epochs);
   }
   fill_histogram_fields(cell, r.histograms);
   fill_timeline_field(cell, r.timeline);

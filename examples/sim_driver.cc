@@ -102,7 +102,8 @@ int main(int argc, char** argv) {
                 "many seconds mid-run (requires --replicas)",
                 "0");
   flags.declare("shards",
-                "recovery/streaming: router shards of the event kernel, "
+                "recovery/streaming: event-kernel shards (whole stub "
+                "domains each), "
                 "one worker thread each from 2 up; 0 = one per 5000 "
                 "peers, up to the hardware threads (output is "
                 "byte-identical at every shard count)",

@@ -1,5 +1,6 @@
 #include "core/transport.h"
 
+#include <algorithm>
 #include <iterator>
 #include <utility>
 #include <variant>
@@ -30,6 +31,7 @@ std::unique_ptr<net::BandwidthModel> make_bandwidth_model(
 Transport::Transport(std::vector<sim::Simulator*> simulators,
                      sim::ShardSet* shards,
                      const overlay::PeerPopulation& population,
+                     std::vector<std::uint32_t> peer_shard,
                      TransportOptions options, util::Rng& rng)
     : simulators_(std::move(simulators)),
       shards_(shards),
@@ -39,22 +41,17 @@ Transport::Transport(std::vector<sim::Simulator*> simulators,
       loss_seed_(rng.split()()),
       handlers_(population.size()),
       shard_state_(simulators_.size()),
-      peer_shard_(population.size()),
+      peer_shard_(std::move(peer_shard)),
       send_counter_(population.size(), 0),
       crash_(population.size()) {
   GC_REQUIRE(options_.loss_probability >= 0.0 &&
              options_.loss_probability <= 1.0);
   const auto num_shards = simulators_.size();
-  for (overlay::PeerId p = 0; p < population.size(); ++p) {
-    // Shard by access router: every peer pair split across shards is then
-    // separated by at least one inter-router hop, which is what lets the
-    // lookahead window include the router-to-router latency floor instead
-    // of just two access latencies.
-    std::uint64_t state = population.info(p).router + 1;
-    util::splitmix64(state);
-    peer_shard_[p] = static_cast<std::uint32_t>(
-        util::splitmix64(state) % num_shards);
-  }
+  GC_REQUIRE(peer_shard_.size() == population.size());
+  GC_REQUIRE(std::all_of(peer_shard_.begin(), peer_shard_.end(),
+                         [num_shards](std::uint32_t s) {
+                           return s < num_shards;
+                         }));
   for (auto& state : shard_state_) state.outbox.resize(num_shards);
   for (auto* simulator : simulators_) {
     simulator->set_keyed_handler(&Transport::deliver_thunk, this);
@@ -65,7 +62,9 @@ Transport::Transport(std::vector<sim::Simulator*> simulators,
 Transport::Transport(sim::Simulator& simulator,
                      const overlay::PeerPopulation& population,
                      TransportOptions options, util::Rng& rng)
-    : Transport({&simulator}, nullptr, population, options, rng) {}
+    : Transport({&simulator}, nullptr, population,
+                std::vector<std::uint32_t>(population.size(), 0), options,
+                rng) {}
 
 namespace {
 
@@ -81,9 +80,10 @@ std::vector<sim::Simulator*> shard_simulators(sim::ShardSet& shards) {
 
 Transport::Transport(sim::ShardSet& shards,
                      const overlay::PeerPopulation& population,
+                     std::span<const std::uint32_t> peer_shard,
                      TransportOptions options, util::Rng& rng)
-    : Transport(shard_simulators(shards), &shards, population, options, rng) {
-}
+    : Transport(shard_simulators(shards), &shards, population,
+                {peer_shard.begin(), peer_shard.end()}, options, rng) {}
 
 Transport::~Transport() {
   for (auto* simulator : simulators_) {
@@ -221,7 +221,8 @@ void Transport::send(overlay::PeerId from, overlay::PeerId to,
   // where a message later dies.  The buckets need no synchronization:
   // each peer's bucket is only touched here, on the sending peer's own
   // shard, in the deterministic execution order.  Pacing only ever *adds*
-  // delay, so the conservative lookahead bound still holds.
+  // delay, so the lookahead (a floor under the bare peer latency between
+  // shards) still holds.
   std::int64_t pacing_us = 0;
   if (bandwidth_ != nullptr) {
     pacing_us = bandwidth_->acquire_uplink(from, wire_bytes, now.as_micros());
@@ -254,8 +255,8 @@ void Transport::send(overlay::PeerId from, overlay::PeerId to,
   const auto arrival_us = (now + latency).as_micros();
   const auto dst = peer_shard_[to];
   if (dst == src) {
-    // Same shard (same access router, or a one-shard run): straight onto
-    // the shard's own simulator.
+    // Same shard (one stub domain, or domains placed together, or a
+    // one-shard run): straight onto the shard's own simulator.
     schedule(dst, arrival_us, key, std::move(message));
   } else {
     state.outbox[dst].push_back(Outbound{arrival_us, key, std::move(message)});

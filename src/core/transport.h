@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <variant>
 #include <vector>
 
@@ -316,8 +317,8 @@ class FaultFilter {
 };
 
 /// One send/deliver path at every shard count: peers are partitioned by
-/// access router (all peers on one stub router share a shard), every
-/// message becomes a keyed event of its receiver's shard simulator, keyed
+/// stub domain (core/shard_partition.h), every message becomes a keyed
+/// event of its receiver's shard simulator, keyed
 /// by (sender, per-sender send counter), and loss draws are stateless
 /// hashes of (seed, sender, counter).  Within an instant deliveries
 /// therefore fire in (sender, counter) order before any plain timer,
@@ -332,9 +333,11 @@ class Transport final : public sim::ShardSet::Client {
             const overlay::PeerPopulation& population,
             TransportOptions options, util::Rng& rng);
 
-  /// A transport over `shards`' simulators; installs itself as the shard
-  /// set's client.
+  /// A transport over `shards`' simulators, running peer p's events on
+  /// shard peer_shard[p] (a partition_shards() split, whose lookahead the
+  /// shard set must run with); installs itself as the shard set's client.
   Transport(sim::ShardSet& shards, const overlay::PeerPopulation& population,
+            std::span<const std::uint32_t> peer_shard,
             TransportOptions options, util::Rng& rng);
 
   ~Transport() override;
@@ -364,8 +367,8 @@ class Transport final : public sim::ShardSet::Client {
   /// Total wire bytes of every message sent (per the encoding in wire.h).
   std::size_t bytes_sent() const;
 
-  /// The simulator that owns `peer`'s events: the wheel of the shard it
-  /// hashes to.  Node code resolves its clock and timers through this.
+  /// The simulator that owns `peer`'s events: the wheel of its shard.
+  /// Node code resolves its clock and timers through this.
   sim::Simulator& simulator_for(overlay::PeerId peer) {
     return *simulators_[peer_shard_[peer]];
   }
@@ -393,7 +396,8 @@ class Transport final : public sim::ShardSet::Client {
   /// The constructors' common part: one simulator per shard.
   Transport(std::vector<sim::Simulator*> simulators, sim::ShardSet* shards,
             const overlay::PeerPopulation& population,
-            TransportOptions options, util::Rng& rng);
+            std::vector<std::uint32_t> peer_shard, TransportOptions options,
+            util::Rng& rng);
 
   static MessageKind kind_of(const MessageBody& body);
 

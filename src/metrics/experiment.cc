@@ -222,6 +222,11 @@ ScenarioResult reduce_scenario_repetitions(
     for (std::size_t s = 0; s < one.events_per_shard.size(); ++s) {
       total.events_per_shard[s] += one.events_per_shard[s];
     }
+    total.shard_epochs += one.shard_epochs;
+    if (one.lookahead_us > 0 &&
+        (total.lookahead_us == 0 || one.lookahead_us < total.lookahead_us)) {
+      total.lookahead_us = one.lookahead_us;
+    }
     total.delay_penalty_group_stddev += one.delay_penalty_group_stddev / k;
     total.overload_index_group_stddev +=
         one.overload_index_group_stddev / k;

@@ -155,17 +155,17 @@ struct ScenarioConfig {
   StreamingOptions streaming;
 
   /// Shards of the node-runtime harnesses' event kernel
-  /// (sim/shard_set.h): peers are partitioned by access router across N
-  /// conservative-lookahead wheels; 1 runs on the calling thread, N >= 2
-  /// on N workers.  0 (the default) lets the runtime choose, the way
-  /// GridOptions::jobs = 0 does: one shard per kPeersPerShard (5000)
-  /// peers up to the hardware thread count, and 1 for engine-level
-  /// scenarios, under a trace sink or on a grid worker
+  /// (sim/shard_set.h): whole stub domains are partitioned across N
+  /// conservative-lookahead wheels (core/shard_partition.h); 1 runs on
+  /// the calling thread, N >= 2 on N workers.  0 (the default) lets the
+  /// runtime choose, the way GridOptions::jobs = 0 does: one shard per
+  /// kPeersPerShard (5000) peers up to the hardware thread count, and 1
+  /// for engine-level scenarios, under a trace sink or on a grid worker
   /// (metrics/harness_common.h, resolve_shards).  Results are
-  /// byte-identical at every N except the engine gauges events_per_shard
-  /// and queue_high_water; ScenarioResult::config records the count that
-  /// ran.  Must not exceed peer_count.  Engine-level scenarios reject
-  /// shards > 1.
+  /// byte-identical at every N except the engine gauges events_per_shard,
+  /// queue_high_water, shard_epochs and lookahead_us;
+  /// ScenarioResult::config records the count that ran.  Must not exceed
+  /// peer_count.  Engine-level scenarios reject shards > 1.
   std::size_t shards = 0;
 
   /// Pre-built deployment to fork instead of constructing one from
@@ -284,6 +284,13 @@ struct ScenarioResult {
   // The averaged/grid runners sum the vectors element-wise across
   // repetitions.
   std::vector<std::uint64_t> events_per_shard;
+  // The ShardSet's lockstep epochs (two barriers each; one per run_until
+  // at one shard) and its lookahead in microseconds, 0 when no two peers
+  // sit on different shards.  Like events_per_shard they move with the
+  // shard count.  The averaged/grid runners sum the epochs and keep the
+  // narrowest non-zero lookahead.
+  std::uint64_t shard_epochs = 0;
+  std::int64_t lookahead_us = 0;
 
   // Protocol counters, captured from the calling thread's active registry
   // (trace::counters()) when it is enabled — empty otherwise.  The

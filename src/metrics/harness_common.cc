@@ -1,7 +1,6 @@
 #include "metrics/harness_common.h"
 
 #include <algorithm>
-#include <limits>
 #include <string>
 #include <thread>
 #include <utility>
@@ -34,40 +33,6 @@ core::TransportOptions with_loss(core::TransportOptions options,
                                  double loss_probability) {
   options.loss_probability = loss_probability;
   return options;
-}
-
-/// Conservative lookahead of the sharded kernel, in microseconds.  Peers
-/// are sharded by access router, so every cross-shard message crosses at
-/// least one underlay link and pays two (distinct) access latencies: its
-/// delay is bounded below by the two smallest access latencies in the
-/// population plus the cheapest physical link.  One microsecond of
-/// headroom absorbs the float-sum rounding between this bound and the
-/// per-pair latency the transport actually converts.  (Bandwidth pacing
-/// only ever *adds* delay on top of that latency, so the bound holds
-/// unchanged for capped runs.)
-std::int64_t shard_lookahead_us(const net::UnderlayTopology& underlay,
-                                const overlay::PeerPopulation& population) {
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  double first = kInf, second = kInf;
-  for (const auto& peer : population.peers()) {
-    const double access = peer.access_latency_ms;
-    if (access < first) {
-      second = first;
-      first = access;
-    } else if (access < second) {
-      second = access;
-    }
-  }
-  double min_link = kInf;
-  for (net::LinkId l = 0; l < underlay.link_count(); ++l) {
-    min_link = std::min(min_link, underlay.link(l).latency_ms);
-  }
-  const double bound_ms = first + second + min_link;
-  GC_REQUIRE_MSG(bound_ms > 0.0 && bound_ms < kInf,
-                 "sharded execution needs a positive cross-router latency "
-                 "floor (>= 2 peers and >= 1 underlay link)");
-  return std::max<std::int64_t>(
-      1, sim::SimTime::millis(bound_ms).as_micros() - 1);
 }
 
 /// Installs one ShardTrace per shard (empty when the caller collects
@@ -172,9 +137,10 @@ NodeRuntime::NodeRuntime(const ScenarioConfig& config,
     : config_(with_resolved_shards(config)),
       middleware_(make_scenario_middleware(config_)),
       rng_(middleware_->rng().split()),
-      engine_(config_.shards, shard_lookahead_us(middleware_->underlay(),
-                                                 middleware_->population())),
-      transport_(engine_, middleware_->population(),
+      partition_(core::partition_shards(middleware_->population(),
+                                        config_.shards)),
+      engine_(config_.shards, partition_.lookahead_us),
+      transport_(engine_, middleware_->population(), partition_.peer_shard,
                  with_loss(transport_options, runtime.loss_probability),
                  rng_),
       want_(config.peer_count, 0) {
@@ -281,6 +247,10 @@ void NodeRuntime::finish(ScenarioResult& result) {
   result.events_fired = engine_.events_fired();
   result.queue_high_water = engine_.queue_high_water();
   result.events_per_shard = engine_.events_per_shard();
+  result.shard_epochs = engine_.epochs();
+  result.lookahead_us = partition_.lookahead_us == sim::kUnboundedLookahead
+                            ? 0
+                            : partition_.lookahead_us;
   fold_shard_trace(engine_, shard_trace_);
   if (trace::counters().enabled()) {
     result.counters = trace::counters().snapshot();

@@ -13,6 +13,7 @@
 
 #include "core/middleware.h"
 #include "core/node.h"
+#include "core/shard_partition.h"
 #include "core/transport.h"
 #include "metrics/experiment.h"
 #include "sim/shard_set.h"
@@ -25,7 +26,8 @@ struct ShardTrace;
 /// Peers per event-kernel shard when the runtime chooses the shard count:
 /// a run gets one shard per kPeersPerShard peers.  Measured crossover
 /// (docs/PERFORMANCE.md, "Choosing the shard count"): below about 10k
-/// peers the barrier overhead of a second wheel costs as much as it buys.
+/// peers a second wheel buys the churn harness less than 25% (17% at
+/// 5k), while every count this rule picks above one gains at least 35%.
 inline constexpr std::size_t kPeersPerShard = 5000;
 
 /// The shard count a run of `config` executes on.  An explicit
@@ -46,12 +48,14 @@ void validate_runtime(const ScenarioConfig& config,
 
 /// One node-runtime run.  Construction, in this order: builds the middleware
 /// from the config (forking an attached world) and splits the harness RNG off
-/// it; starts a ShardSet of resolve_shards(config) conservative-lookahead
-/// wheels; constructs the transport on it; gives every shard its own trace
-/// registries; maps the runtime fields onto core::NodeOptions; then
-/// constructs and starts one node per peer.  Every RNG split and event
-/// schedule happens in that fixed order, so a (config, seed) pair is one
-/// deterministic trajectory whatever the grid's job count.
+/// it; splits the peers by stub domain over resolve_shards(config) shards
+/// (core::partition_shards) and starts a ShardSet of that many wheels with
+/// the split's lookahead; constructs the transport on it; gives every shard
+/// its own trace registries; maps the runtime fields onto
+/// core::NodeOptions; then constructs and starts one node per peer.  Every
+/// RNG split and event schedule happens in that fixed order, so a (config,
+/// seed) pair is one deterministic trajectory whatever the grid's job
+/// count.
 class NodeRuntime {
  public:
   /// Per-peer refinement of the shared NodeOptions mapping, for harness
@@ -97,9 +101,9 @@ class NodeRuntime {
 
   /// Folds the shard trace back and captures the run into `result`: the
   /// config (with the shard count that ran), repair edges, messages sent
-  /// in all and by kind, the engine's event counts and queue high-water,
-  /// the counter and histogram snapshots, and (with a final frame) the
-  /// flight-recorder timeline.
+  /// in all and by kind, the engine's event counts, queue high-water,
+  /// epochs and lookahead, the counter and histogram snapshots, and (with
+  /// a final frame) the flight-recorder timeline.
   void finish(ScenarioResult& result);
 
  private:
@@ -116,6 +120,7 @@ class NodeRuntime {
   const ScenarioConfig config_;
   std::unique_ptr<core::GroupCastMiddleware> middleware_;
   util::Rng rng_;
+  core::ShardPartition partition_;
   // The engine is declared before the transport (the ShardSet's client)
   // so the transport is torn down first.
   sim::ShardSet engine_;

@@ -57,15 +57,24 @@ class IpRouting {
   std::size_t core_routers() const { return core_n_; }
   std::size_t leaf_count() const { return leaves_.size(); }
 
+  /// leaf_of() of a router outside every leaf.
+  static constexpr std::uint32_t kNoLeaf =
+      std::numeric_limits<std::uint32_t>::max();
+  /// The leaf `router` sits in (an index below leaf_count()), or kNoLeaf
+  /// for a core router.
+  std::uint32_t leaf_of(RouterId router) const {
+    return place_.at(router).leaf;
+  }
+  /// up() of the distance formula above: `router`'s distance to its
+  /// leaf's gateway plus the gateway link; 0 for a core router.
+  double up_ms(RouterId router) const { return place_.at(router).up_ms; }
+
   /// Bytes of retained routing state (capacity-based).
   std::size_t memory_bytes() const;
 
   const UnderlayTopology& topology() const { return *topology_; }
 
  private:
-  static constexpr std::uint32_t kNoLeaf =
-      std::numeric_limits<std::uint32_t>::max();
-
   /// Where a router sits in the hierarchy.
   struct Place {
     double up_ms = 0.0;          // to the gateway, plus the gateway link

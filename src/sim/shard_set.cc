@@ -57,6 +57,7 @@ void ShardSet::run_until(SimTime deadline) {
     // One shard: no cross-shard traffic, so the whole span is one epoch.
     client_->merge_inbound(0);
     shards_[0].simulator->run_until(deadline);
+    ++epochs_;
   } else {
     deadline_us_ = deadline.as_micros();
     broadcast(Command::kRun);
@@ -144,12 +145,15 @@ void ShardSet::run_worker(std::size_t i) {
           m = shard.next_us;
         }
       }
-      if (m < 0 || m > deadline) {
+      ++epochs_;
+      // Compared as deadline - m so an unbounded lookahead cannot
+      // overflow m + lookahead.
+      if (m < 0 || m > deadline || deadline - m < lookahead_us_) {
         target_us_ = deadline;
         run_done_ = true;
       } else {
-        target_us_ = std::min(deadline, m + lookahead_us_ - 1);
-        run_done_ = target_us_ >= deadline;
+        target_us_ = m + lookahead_us_ - 1;
+        run_done_ = false;
       }
     });
     self.simulator->run_until(SimTime::micros(target_us_));

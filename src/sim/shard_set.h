@@ -22,22 +22,25 @@
 // the next barrier.
 //
 // Thread model: with N >= 2, worker i owns shard i's Simulator and all
-// node state hashed to it; the constructing thread ("main") may touch any
+// node state placed on it; the constructing thread ("main") may touch any
 // shard only while the workers are parked between run_until calls (the
 // command handoff is a mutex + condvar, so parking gives full
 // happens-before in both directions).  Barriers inside a run are
-// busy-wait sense barriers: at the event densities the recovery bench
-// produces (a few events per lookahead window per shard) a futex wake
-// per epoch would cost more than the epoch's work.  A one-shard set has
-// no cross-shard traffic and so no epochs: it starts no worker and runs
-// each run_until as one span on the calling thread, whose thread-local
-// tracing and counters therefore see every event.
+// busy-wait sense barriers.  Whole stub domains share a shard
+// (core/shard_partition.h), so the lookahead spans two gateway links and
+// an epoch is short but not empty: about 150 events per shard, well
+// under a millisecond of wall time, on the 10k-peer churn benchmark; a
+// futex wake and reschedule at each of its two barriers would add a
+// sizeable share of that.  A one-shard set has no cross-shard traffic: it starts no worker
+// and runs each run_until as one epoch on the calling thread, whose
+// thread-local tracing and counters therefore see every event.
 #pragma once
 
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -46,6 +49,11 @@
 #include "sim/simulator.h"
 
 namespace groupcast::sim {
+
+/// A lookahead for a set whose shards never message each other: every
+/// run_until is then one epoch.
+inline constexpr std::int64_t kUnboundedLookahead =
+    std::numeric_limits<std::int64_t>::max();
 
 class ShardSet {
  public:
@@ -61,7 +69,8 @@ class ShardSet {
   };
 
   /// `lookahead_us` must be a strictly positive lower bound on the
-  /// simulated latency of every cross-shard interaction.
+  /// simulated latency of every cross-shard interaction (or
+  /// kUnboundedLookahead when there is none).
   ShardSet(std::size_t num_shards, std::int64_t lookahead_us);
   ~ShardSet();
 
@@ -97,6 +106,9 @@ class ShardSet {
   std::vector<std::uint64_t> events_per_shard() const;
   /// The deepest any one shard's event queue has been.
   std::size_t queue_high_water() const;
+  /// Lockstep epochs run so far, each closed by two barriers; a one-shard
+  /// set counts each run_until as one.
+  std::uint64_t epochs() const { return epochs_; }
 
   std::size_t memory_bytes() const;
 
@@ -184,6 +196,7 @@ class ShardSet {
   SpinBarrier barrier_;
   std::int64_t target_us_ = 0;
   bool run_done_ = false;
+  std::uint64_t epochs_ = 0;
 };
 
 }  // namespace groupcast::sim

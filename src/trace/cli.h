@@ -4,11 +4,13 @@
 // out of scope.  Without the flag the guard is inert and the binary runs
 // exactly as before (tracing stays disabled, zero hot-path cost).
 //
-// Also parses --jobs=<n>, the worker count the binaries hand to the
-// experiment grid (metrics::run_scenario_grid): 1 = sequential (default),
-// 0 = one worker per hardware thread.  Results are byte-identical for
-// every value — the grid gives each run an isolated RNG stream and
-// counter registry.
+// A binary that runs an experiment grid also takes --jobs=<n>, the worker
+// count it hands to metrics::run_scenario_grid: 1 = sequential (default),
+// 0 = one worker per hardware thread; one that runs the node runtime also
+// takes --shards=<n>.  Results are byte-identical for every value — the
+// grid gives each run an isolated RNG stream and counter registry.  A
+// binary declares only the flags it reads (CliReads), so it refuses, with
+// exit 2 and its usage, a flag it would ignore.
 #pragma once
 
 #include <algorithm>
@@ -24,27 +26,37 @@
 
 namespace groupcast::trace {
 
+/// The run-shape flags a binary reads, beyond --trace_out and --json_out.
+struct CliReads {
+  bool jobs = false;
+  bool shards = false;
+};
+
 class CliTracing {
  public:
-  /// Parses argv; only --trace_out, --jobs (and --help) are accepted.
-  /// Exits with a usage message on unknown flags, matching the repo's
-  /// other CLIs.
-  CliTracing(int argc, char** argv) {
+  /// Parses argv: --trace_out, --json_out, --help, and whichever of --jobs
+  /// and --shards `reads` names.  Exits 2 with a usage message on any
+  /// other flag, matching the repo's other CLIs.
+  CliTracing(int argc, char** argv, CliReads reads = {}) {
     util::Flags flags;
     flags.declare("trace_out", "write a JSONL protocol trace to this path",
                   "");
     flags.declare("json_out",
                   "write a machine-readable BENCH report (JSON) to this path",
                   "");
-    flags.declare("jobs",
-                  "experiment-grid worker threads (0 = all hardware threads)",
-                  "1");
-    flags.declare("shards",
-                  "event-kernel router shards per run, one worker "
-                  "thread each from 2 up; 0 = one per 5000 peers, up to "
-                  "the hardware threads (results are byte-identical at "
-                  "every shard count)",
-                  "0");
+    if (reads.jobs) {
+      flags.declare(
+          "jobs", "experiment-grid worker threads (0 = all hardware threads)",
+          "1");
+    }
+    if (reads.shards) {
+      flags.declare("shards",
+                    "event-kernel shards per run, one worker thread each "
+                    "from 2 up; 0 = one per 5000 peers, up to the hardware "
+                    "threads (results are byte-identical at every shard "
+                    "count)",
+                    "0");
+    }
     if (!flags.parse(argc, argv)) {
       std::fprintf(stderr, "%s\n%s", flags.error().c_str(),
                    flags.help(argv[0]).c_str());
@@ -54,8 +66,10 @@ class CliTracing {
       std::printf("%s", flags.help(argv[0]).c_str());
       std::exit(0);
     }
-    jobs_ = static_cast<std::size_t>(
-        std::max<std::int64_t>(0, flags.get_int("jobs")));
+    if (reads.jobs) {
+      jobs_ = static_cast<std::size_t>(
+          std::max<std::int64_t>(0, flags.get_int("jobs")));
+    }
     json_out_ = flags.get_string("json_out");
     const auto trace_out = flags.get_string("trace_out");
     // Per-event capture is thread-confined: worker threads have no sink,
@@ -71,7 +85,7 @@ class CliTracing {
                    argv[0]);
       std::exit(2);
     }
-    const std::int64_t shards = flags.get_int("shards");
+    const std::int64_t shards = reads.shards ? flags.get_int("shards") : 0;
     if (shards < 0) {
       std::fprintf(stderr, "%s: --shards must be >= 0\n", argv[0]);
       std::exit(2);

@@ -11,7 +11,8 @@
 // partition cell and a slow-peer cell cover rendezvous replication and flow
 // control, which the first two never turn on.  Any change to an RNG split, an
 // event schedule or a wire byte moves a hash; a refactor that keeps the
-// trajectories must keep all eight.  The config echo (ScenarioResult::config)
+// trajectories must keep all eight, and a change to the shard partition
+// may move only the four two-shard pins.  The config echo (ScenarioResult::config)
 // is the run's input, so it is not hashed.
 #include <gtest/gtest.h>
 
@@ -130,9 +131,10 @@ metrics::ScenarioResult run_cell(const metrics::ScenarioConfig& config) {
 
 /// `exercised` names counters the cell exists to drive: each must be
 /// non-zero, so a pin cannot silently stop covering its code path.
-/// `without_high_water`, when non-zero, pins the hash with
-/// queue_high_water zeroed: the two-shard pins from when a sharded run
-/// reported 0 there, which show its trajectory has not moved since.
+/// `without_high_water`, when non-zero, also pins the hash with
+/// queue_high_water zeroed, so a change that moves only one shard's queue
+/// depth is told apart from one that moves how the events split across
+/// the shards (the stub-domain partition sets that split).
 void expect_golden(const metrics::ScenarioConfig& config,
                    std::uint64_t golden,
                    std::initializer_list<trace::CounterId> exercised = {},
@@ -237,8 +239,8 @@ TEST(HarnessGolden, RecoveryCellOneShard) {
 }
 
 TEST(HarnessGolden, RecoveryCellTwoShards) {
-  expect_golden(recovery_cell(2), 0x3b383b833a1843a1ull, {},
-                0x095f7ce6281b9edaull);
+  expect_golden(recovery_cell(2), 0xb483ccff1b66ce0aull, {},
+                0x89b4e0187f6806b8ull);
 }
 
 TEST(HarnessGolden, StreamingCellOneShard) {
@@ -246,8 +248,8 @@ TEST(HarnessGolden, StreamingCellOneShard) {
 }
 
 TEST(HarnessGolden, StreamingCellTwoShards) {
-  expect_golden(streaming_cell(2), 0xc286354af60eff32ull, {},
-                0x69ec9d1e1f69ba87ull);
+  expect_golden(streaming_cell(2), 0x2b353bee0274bc05ull, {},
+                0x695a156fd460f2f5ull);
 }
 
 // The lease and flow-control cells must keep driving their sub-protocols.
@@ -263,8 +265,8 @@ TEST(HarnessGolden, PartitionCellOneShard) {
 }
 
 TEST(HarnessGolden, PartitionCellTwoShards) {
-  expect_golden(partition_cell(2), 0x25cc45c319a8d174ull, kLeaseCounters,
-                0xdbf630d3116c78ceull);
+  expect_golden(partition_cell(2), 0x5205c35d8a0fca7dull, kLeaseCounters,
+                0x3f4281c53ea5c912ull);
 }
 
 TEST(HarnessGolden, SlowPeerCellOneShard) {
@@ -272,8 +274,8 @@ TEST(HarnessGolden, SlowPeerCellOneShard) {
 }
 
 TEST(HarnessGolden, SlowPeerCellTwoShards) {
-  expect_golden(slow_peer_cell(2), 0x74093c721fe4f023ull, kFlowCounters,
-                0xe3faeaa12e906d8full);
+  expect_golden(slow_peer_cell(2), 0xdbbb73a3373f3bb4ull, kFlowCounters,
+                0x4916205e49b0b9a7ull);
 }
 
 // One determinism domain: every cell follows the same trajectory at 1, 2
@@ -449,6 +451,20 @@ TEST(HarnessShards, ChosenCountRunsAndMatchesOneShard) {
   EXPECT_EQ(results[0].counters.totals, results[1].counters.totals);
   EXPECT_EQ(results[0].histograms.data, results[1].histograms.data);
   EXPECT_GT(results[0].counters.total(trace::CounterId::kNacksSent), 0u);
+}
+
+// A sharded run reports the ShardSet's epochs and the partition's
+// lookahead, which span the cell's stub-domain gateway links; a one-shard
+// run has one epoch per advance and no lookahead.
+TEST(HarnessShards, ResultCarriesEpochsAndLookahead) {
+  const auto one = run_cell(recovery_cell(1));
+  const auto two = run_cell(recovery_cell(2));
+  EXPECT_EQ(one.lookahead_us, 0);
+  EXPECT_GT(one.shard_epochs, 0u);
+  // Two access links plus at least one 5 ms transit-stub gateway link.
+  EXPECT_GT(two.lookahead_us, 5'000);
+  EXPECT_GT(two.shard_epochs, one.shard_epochs);
+  EXPECT_LT(two.shard_epochs, two.events_fired);
 }
 
 // The shared runtime fields are validated once, for both harnesses:

@@ -15,6 +15,7 @@
 #include <tuple>
 #include <vector>
 
+#include "core/shard_partition.h"
 #include "core/transport.h"
 #include "metrics/experiment.h"
 #include "sim/shard_set.h"
@@ -95,6 +96,42 @@ TEST(ShardSet, OneShardRunsOnTheCallingThread) {
   EXPECT_EQ(shards.shard(0).now(), sim::SimTime::millis(10));
 }
 
+// Each epoch runs one lookahead window from the earliest pending event;
+// after the last event the rest of the span is one more epoch.  An
+// unbounded lookahead (no cross-shard traffic) makes every run_until one
+// epoch.
+TEST(ShardSet, CountsItsEpochs) {
+  NullClient client;
+  const auto timers_at_1_to_4_ms = [](sim::ShardSet& shards) {
+    for (std::size_t i = 0; i < shards.num_shards(); ++i) {
+      for (int k = 1; k <= 4; ++k) {
+        shards.shard(i).schedule_at(sim::SimTime::millis(k), [] {});
+      }
+    }
+  };
+  sim::ShardSet windowed(2, /*lookahead_us=*/500);
+  windowed.set_client(&client);
+  timers_at_1_to_4_ms(windowed);
+  EXPECT_EQ(windowed.epochs(), 0u);
+  windowed.run_until(sim::SimTime::millis(10));
+  EXPECT_EQ(windowed.epochs(), 5u);
+
+  sim::ShardSet unbounded(2, sim::kUnboundedLookahead);
+  unbounded.set_client(&client);
+  timers_at_1_to_4_ms(unbounded);
+  unbounded.run_until(sim::SimTime::millis(10));
+  EXPECT_EQ(unbounded.epochs(), 1u);
+  EXPECT_EQ(unbounded.events_fired(), 8u);
+  unbounded.run_until(sim::SimTime::millis(20));
+  EXPECT_EQ(unbounded.epochs(), 2u);
+
+  sim::ShardSet single(1, /*lookahead_us=*/500);
+  single.set_client(&client);
+  timers_at_1_to_4_ms(single);
+  single.run_until(sim::SimTime::millis(10));
+  EXPECT_EQ(single.epochs(), 1u);
+}
+
 /// One delivery observed by a receiver, in observation order.
 using Delivery = std::tuple<overlay::PeerId, overlay::PeerId, std::uint64_t,
                             std::int64_t>;
@@ -141,9 +178,11 @@ std::vector<Delivery> drive_burst(core::Transport& transport,
 
 std::vector<Delivery> sharded_burst(std::size_t num_shards) {
   testing::SmallWorld world(/*peers=*/48, /*seed=*/7);
-  sim::ShardSet shards(num_shards, /*lookahead_us=*/300);
+  const auto partition = core::partition_shards(*world.population, num_shards);
+  sim::ShardSet shards(num_shards, partition.lookahead_us);
   core::TransportOptions options;
-  core::Transport transport(shards, *world.population, options, world.rng);
+  core::Transport transport(shards, *world.population, partition.peer_shard,
+                            options, world.rng);
   // Transit-stub paths reach hundreds of ms; leave room for every tail.
   return drive_burst(transport,
                      [&shards] { shards.run_until(sim::SimTime::seconds(2)); });
@@ -184,9 +223,12 @@ BurstAccounting burst_accounting(std::size_t num_shards) {
     transport = std::make_unique<core::Transport>(wheel, *world.population,
                                                   options, world.rng);
   } else {
-    shards = std::make_unique<sim::ShardSet>(num_shards, /*lookahead_us=*/300);
-    transport = std::make_unique<core::Transport>(*shards, *world.population,
-                                                  options, world.rng);
+    const auto partition =
+        core::partition_shards(*world.population, num_shards);
+    shards = std::make_unique<sim::ShardSet>(num_shards,
+                                             partition.lookahead_us);
+    transport = std::make_unique<core::Transport>(
+        *shards, *world.population, partition.peer_shard, options, world.rng);
   }
   BurstAccounting out;
   out.deliveries = drive_burst(*transport, [&] {
