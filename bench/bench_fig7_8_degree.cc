@@ -35,8 +35,7 @@ void report(const char* title, groupcast::core::OverlayKind kind,
   std::printf("  clustering coefficient: %.4f\n",
               middleware.graph().clustering_coefficient());
   std::printf("  avg overlay hop distance (sampled): %.2f\n",
-              middleware.mutable_graph().average_hop_distance(
-                  middleware.rng(), 300));
+              middleware.graph().average_hop_distance(middleware.rng(), 300));
 }
 
 }  // namespace

@@ -167,8 +167,8 @@ void GroupCastMiddleware::build_overlay() {
     case OverlayKind::kGroupCast: {
       // Peers join one at a time in random order, as in the paper's
       // Section 4.1 arrival process.  (Arrival *spacing* does not affect
-      // the resulting topology when no departures are scheduled, so the
-      // joins are executed directly rather than through the simulator.)
+      // the resulting topology, since no peer departs, so the joins are
+      // executed directly rather than through the simulator.)
       std::vector<overlay::PeerId> order(config_.peer_count);
       std::iota(order.begin(), order.end(), 0);
       rng_.shuffle(order);
@@ -177,8 +177,8 @@ void GroupCastMiddleware::build_overlay() {
     }
     case OverlayKind::kRandomPowerLaw: {
       overlay::generate_plod(*graph_, rng_);
-      // PLOD peers are still registered so host-cache-based lookups and
-      // maintenance work identically on both overlays.
+      // PLOD peers are still registered so host-cache-based lookups work
+      // identically on both overlays.
       for (overlay::PeerId p = 0; p < config_.peer_count; ++p) {
         host_cache_->register_peer(p);
       }

@@ -131,9 +131,6 @@ class GroupCastMiddleware {
   const net::IpRouting& routing() const { return *routing_; }
   const overlay::PeerPopulation& population() const { return *population_; }
   const overlay::OverlayGraph& graph() const { return *graph_; }
-  overlay::OverlayGraph& mutable_graph() { return *graph_; }
-  overlay::GroupCastBootstrap& bootstrap() { return *bootstrap_; }
-  overlay::HostCacheServer& host_cache() { return *host_cache_; }
   sim::Simulator& simulator() { return simulator_; }
   util::Rng& rng() { return rng_; }
 

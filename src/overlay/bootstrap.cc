@@ -63,8 +63,8 @@ double GroupCastBootstrap::back_link_probability(
 }
 
 namespace {
-/// Candidate discovery shared by join() and refill(): probe the bootstrap
-/// peers, merge their neighbour lists into LC with occurrence frequencies.
+/// Candidate discovery for join(): probe the bootstrap peers, merge their
+/// neighbour lists into LC with occurrence frequencies.
 std::unordered_map<PeerId, std::size_t> gather_candidates(
     const OverlayGraph& graph, PeerId self,
     const std::vector<PeerId>& bootstrap_peers, JoinStats& stats) {
@@ -86,10 +86,6 @@ JoinStats GroupCastBootstrap::join(PeerId peer) {
   GC_REQUIRE(peer < population_->size());
   GC_REQUIRE_MSG(!joined_[peer], "peer is already a member of the overlay");
   JoinStats stats;
-
-  // A peer re-entering after a crash may still have half-open links that
-  // its old neighbours have not detected yet; a fresh join supersedes them.
-  graph_->isolate(peer);
 
   // Step 1: bootstrap candidates from the host cache.
   const auto bootstrap_peers = host_cache_->bootstrap_candidates(peer);
@@ -142,86 +138,6 @@ JoinStats GroupCastBootstrap::join(PeerId peer) {
   trace::tracer().emit(0, trace::EventKind::kPeerJoin, peer, kNoPeer,
                        stats.out_links_created);
   return stats;
-}
-
-std::size_t GroupCastBootstrap::refill(PeerId peer) {
-  GC_REQUIRE(peer < population_->size());
-  GC_REQUIRE_MSG(joined_[peer], "refill requires a joined peer");
-
-  const std::size_t have = graph_->out_neighbors(peer).size();
-  const std::size_t want = target_degree(population_->info(peer).capacity);
-  if (have >= want) return 0;
-
-  JoinStats stats;
-  // Candidate pool: host-cache batch plus neighbours-of-neighbours
-  // (the peers we can reach without a directory round-trip).
-  auto bootstrap_peers = host_cache_->bootstrap_candidates(peer);
-  for (const PeerId nbr : graph_->neighbors(peer)) {
-    bootstrap_peers.push_back(nbr);
-  }
-  auto frequency = gather_candidates(*graph_, peer, bootstrap_peers, stats);
-  // Existing neighbours are not candidates for new links.
-  for (const PeerId nbr : graph_->neighbors(peer)) frequency.erase(nbr);
-  if (frequency.empty()) return 0;
-
-  std::vector<PeerId> candidates;
-  std::vector<core::Candidate> scored;
-  for (const auto& [id, freq] : frequency) {
-    candidates.push_back(id);
-    scored.push_back(core::Candidate{
-        static_cast<double>(freq), population_->coord_distance_ms(peer, id)});
-  }
-  const double r_i = core::clamp_resource_level(
-      options_.pinned_resource_level >= 0.0
-          ? options_.pinned_resource_level
-          : population_->sampled_resource_level(
-                peer, PeerPopulation::kResourceSample, rng_));
-  const auto prefs = core::selection_preferences(r_i, scored);
-  const auto picks =
-      core::weighted_sample_without_replacement(prefs, want - have, rng_);
-
-  std::size_t created = 0;
-  for (const std::size_t idx : picks) {
-    const PeerId chosen = candidates[idx];
-    if (graph_->add_edge(peer, chosen)) {
-      ++created;
-      const double pb =
-          back_link_probability(chosen, peer, graph_->neighbors(chosen));
-      if (rng_.chance(pb) || rng_.chance(kFallbackBackLinkProb)) {
-        graph_->add_edge(chosen, peer);
-      }
-    }
-  }
-  if (created > 0) {
-    trace::counters().incr(peer, trace::CounterId::kLinkRefills, created);
-  }
-  return created;
-}
-
-void GroupCastBootstrap::leave(PeerId peer) {
-  GC_REQUIRE(peer < population_->size());
-  GC_REQUIRE_MSG(joined_[peer], "peer is not a member of the overlay");
-  graph_->isolate(peer);
-  host_cache_->deregister_peer(peer);
-  joined_[peer] = 0;
-  trace::counters().incr(peer, trace::CounterId::kLeaves);
-  trace::tracer().emit(0, trace::EventKind::kPeerLeave, peer, kNoPeer, 0);
-}
-
-void GroupCastBootstrap::fail(PeerId peer) {
-  GC_REQUIRE(peer < population_->size());
-  GC_REQUIRE_MSG(joined_[peer], "peer is not a member of the overlay");
-  // A crash leaves everything dangling: neighbours keep half-open links
-  // until heartbeats detect the failure, and the host cache keeps a stale
-  // directory entry.  MaintenanceProtocol cleans both up.
-  joined_[peer] = 0;
-  trace::counters().incr(peer, trace::CounterId::kLeaves);
-  trace::tracer().emit(0, trace::EventKind::kPeerLeave, peer, kNoPeer, 1);
-}
-
-void GroupCastBootstrap::report_failure(PeerId dead) {
-  GC_REQUIRE(dead < population_->size());
-  if (!joined_[dead]) host_cache_->deregister_peer(dead);
 }
 
 }  // namespace groupcast::overlay

@@ -63,35 +63,16 @@ class GroupCastBootstrap {
 
   /// Fork copy (deployment snapshots): identical protocol state — options,
   /// RNG stream position, joined set — rebound to the fork's own graph and
-  /// host cache so later joins/refills replay bit-identically without
-  /// touching the donor's structures.
+  /// host cache, so a fork never touches the donor's structures.
   GroupCastBootstrap(const GroupCastBootstrap& other, OverlayGraph& graph,
                      HostCacheServer& host_cache);
 
   /// Executes the full join protocol for `peer` and registers it with the
-  /// host cache.  Idempotent joins are a precondition violation (a peer
-  /// must leave before rejoining).
+  /// host cache.  A peer joins at most once; a second join is a
+  /// precondition violation.
   JoinStats join(PeerId peer);
 
-  /// Graceful departure: drops the peer's links and host-cache entry.
-  void leave(PeerId peer);
-
-  /// Ungraceful failure: drops the links but leaves the (now stale)
-  /// host-cache entry behind, as a crash would.
-  void fail(PeerId peer);
-
-  /// Epoch repair for an already-joined peer whose out-degree fell below
-  /// target (neighbour failures): reruns the candidate-gathering and
-  /// utility selection to top the neighbour list back up.  Returns the
-  /// number of new out links.  (Section 3.3, "Neighborhood Link
-  /// Maintenance".)
-  std::size_t refill(PeerId peer);
-
   bool is_joined(PeerId peer) const { return joined_.at(peer) != 0; }
-
-  /// Called by maintenance when heartbeats expose a crashed peer: purges
-  /// the stale host-cache entry so later joins stop being pointed at it.
-  void report_failure(PeerId dead);
 
   /// Out-degree target for a peer of the given capacity.
   std::size_t target_degree(double capacity) const;

@@ -39,16 +39,6 @@ void OverlayGraph::append(Span& span, PeerId value) {
   }
 }
 
-bool OverlayGraph::erase(Span& span, PeerId value) {
-  const auto begin = arena_.begin() + span.offset;
-  const auto end = begin + span.size;
-  const auto it = std::find(begin, end, value);
-  if (it == end) return false;
-  std::copy(it + 1, end, it);  // ordered erase, exactly like vector::erase
-  --span.size;
-  return true;
-}
-
 void OverlayGraph::compact() {
   std::vector<PeerId> packed;
   packed.reserve(edge_count_ * 2);
@@ -78,25 +68,6 @@ bool OverlayGraph::add_edge(PeerId from, PeerId to) {
   append(in_[to], from);
   ++edge_count_;
   return true;
-}
-
-bool OverlayGraph::remove_edge(PeerId from, PeerId to) {
-  GC_REQUIRE(from < out_.size() && to < out_.size());
-  if (!erase(out_[from], to)) return false;
-  erase(in_[to], from);
-  --edge_count_;
-  return true;
-}
-
-void OverlayGraph::isolate(PeerId peer) {
-  GC_REQUIRE(peer < out_.size());
-  // Copy: remove_edge mutates the adjacency runs we iterate.
-  const auto out_view = view(out_[peer]);
-  const std::vector<PeerId> outs(out_view.begin(), out_view.end());
-  for (const PeerId to : outs) remove_edge(peer, to);
-  const auto in_view = view(in_[peer]);
-  const std::vector<PeerId> ins(in_view.begin(), in_view.end());
-  for (const PeerId from : ins) remove_edge(from, peer);
 }
 
 bool OverlayGraph::has_edge(PeerId from, PeerId to) const {

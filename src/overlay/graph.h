@@ -5,6 +5,9 @@
 // target (Section 3.3).  Messages flow over the union of both directions —
 // the links are long-lived transport connections, as in Gnutella — but the
 // distinction matters for how the topology forms, so the graph keeps it.
+// Edges are only ever added: the overlay is built once (bootstrap joins,
+// PLOD or the supernode builder, then the middleware's connectivity
+// repair) and is read-only afterwards.
 //
 // Storage: both adjacency directions live in one shared PeerId arena with a
 // 12-byte {offset, size, capacity} span per peer per direction, instead of
@@ -14,8 +17,8 @@
 // execution & memory budget".  Appends relocate a full span to the arena
 // tail (amortized O(1)); the garbage this leaves behind is compacted away
 // once it exceeds half the arena.  Per-span element order is exactly the
-// order std::vector kept — append at the back, erase shifts left — so
-// neighbour iteration, and everything seeded from it, is byte-identical.
+// order std::vector kept (append at the back), so neighbour iteration,
+// and everything seeded from it, is byte-identical.
 #pragma once
 
 #include <vector>
@@ -53,12 +56,6 @@ class OverlayGraph {
   /// exists.  Self-edges are a precondition violation.
   bool add_edge(PeerId from, PeerId to);
 
-  /// Removes a directed edge; returns false if absent.
-  bool remove_edge(PeerId from, PeerId to);
-
-  /// Drops all edges incident to `peer` in either direction (peer failure).
-  void isolate(PeerId peer);
-
   bool has_edge(PeerId from, PeerId to) const;
 
   /// True if a link exists in either direction.
@@ -83,8 +80,8 @@ class OverlayGraph {
   std::size_t memory_bytes() const;
 
   /// Rebuilds the arena with zero garbage and per-span capacity == size.
-  /// Called automatically when relocation garbage piles up; exposed for
-  /// long-lived graphs that just finished a churn storm.
+  /// Called automatically when relocation garbage piles up; exposed so a
+  /// finished build can drop its relocation slack.
   void compact();
 
   /// True if the union (undirected view) of the graph is connected over
@@ -116,7 +113,6 @@ class OverlayGraph {
     return {arena_.data() + span.offset, span.size};
   }
   void append(Span& span, PeerId value);
-  bool erase(Span& span, PeerId value);
 
   std::vector<PeerId> arena_;  // shared by both directions of every peer
   std::vector<Span> out_;

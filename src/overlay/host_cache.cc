@@ -34,17 +34,6 @@ void HostCacheServer::register_peer(PeerId peer) {
   entries_.push_back(peer);
 }
 
-void HostCacheServer::deregister_peer(PeerId peer) {
-  GC_REQUIRE(peer < position_.size());
-  const auto slot = position_[peer];
-  if (slot < 0) return;
-  const PeerId last = entries_.back();
-  entries_[static_cast<std::size_t>(slot)] = last;
-  position_[last] = slot;
-  entries_.pop_back();
-  position_[peer] = -1;
-}
-
 bool HostCacheServer::contains(PeerId peer) const {
   GC_REQUIRE(peer < position_.size());
   return position_[peer] >= 0;

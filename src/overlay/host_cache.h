@@ -33,9 +33,6 @@ class HostCacheServer {
   /// Registers an active peer (on join).  Evicts a random entry when full.
   void register_peer(PeerId peer);
 
-  /// Removes a peer (on graceful departure / detected failure).
-  void deregister_peer(PeerId peer);
-
   bool contains(PeerId peer) const;
   std::size_t size() const { return entries_.size(); }
 

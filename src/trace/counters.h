@@ -37,8 +37,10 @@ enum class CounterId : std::uint8_t {
   kTreeRepairs,         // no emitter: the engine-level repair model is
                         // gone; stays to keep the numbering of goldens
   kJoins,               // overlay join protocol completions
-  kLeaves,              // graceful leaves + crashes
-  kLinkRefills,         // links re-established by epoch maintenance
+  kLeaves,              // no emitter: the overlay has no departures;
+                        // stays to keep the numbering of goldens
+  kLinkRefills,         // no emitter: the epoch link repair is gone;
+                        // stays to keep the numbering of goldens
   kControlRetries,      // reliable-exchange attempts after the first
   kControlGiveups,      // reliable exchanges that exhausted every attempt
   kOrphansRecovered,    // orphaned nodes that reattached to a tree

@@ -41,7 +41,8 @@ enum class EventKind : std::uint8_t {
   kTreeEdgeAdded,
   /// `node` completed the overlay join protocol; `value` = out links.
   kPeerJoin,
-  /// `node` left the overlay; `value` = 1 for a crash, 0 for graceful.
+  /// No emitter: the overlay has no departures.  Stays so the numeric
+  /// ids that traces write keep their values.
   kPeerLeave,
   /// A message from `node` to `peer` was dropped (duplicate suppression,
   /// loss, or a departed receiver); `value` = a DropReason.
@@ -51,7 +52,8 @@ enum class EventKind : std::uint8_t {
   /// No emitter: the engine-level repair model is gone.  Stays so the
   /// numeric ids that traces write keep their values.
   kTreeRepair,
-  /// One maintenance epoch completed; `value` = dead links removed.
+  /// No emitter: the analytic overlay maintenance model is gone.  Stays
+  /// so the numeric ids that traces write keep their values.
   kMaintenanceEpoch,
   /// An IP multicast reference tree was merged for source router `node`;
   /// `value` = distinct physical links in the tree.

@@ -1,6 +1,6 @@
 // Workload distributions used throughout the evaluation: Zipf capacities
-// (Section 3.1 synthetic study), exponential inter-arrival times
-// (Section 4.1), and a generic categorical sampler (Table 1).
+// (Section 3.1 synthetic study) and a generic categorical sampler
+// (Table 1).
 #pragma once
 
 #include <cstdint>

@@ -1,8 +1,5 @@
 #include "util/rng.h"
 
-#include <cmath>
-#include <numbers>
-
 #include "util/require.h"
 
 namespace groupcast::util {
@@ -81,31 +78,6 @@ bool Rng::chance(double p) {
   if (p <= 0.0) return false;
   if (p >= 1.0) return true;
   return uniform() < p;
-}
-
-double Rng::exponential(double mean) {
-  GC_REQUIRE(mean > 0.0);
-  double u = uniform();
-  // uniform() can return exactly 0; log(0) is -inf.
-  while (u == 0.0) u = uniform();
-  return -mean * std::log(u);
-}
-
-double Rng::weibull(double shape, double scale) {
-  GC_REQUIRE(shape > 0.0);
-  GC_REQUIRE(scale > 0.0);
-  double u = uniform();
-  while (u == 0.0) u = uniform();
-  return scale * std::pow(-std::log(u), 1.0 / shape);
-}
-
-double Rng::normal(double mean, double stddev) {
-  double u1 = uniform();
-  while (u1 == 0.0) u1 = uniform();
-  const double u2 = uniform();
-  const double mag =
-      std::sqrt(-2.0 * std::log(u1)) * std::cos(2.0 * std::numbers::pi * u2);
-  return mean + stddev * mag;
 }
 
 std::vector<std::size_t> Rng::sample_indices(std::size_t n, std::size_t k) {

@@ -51,18 +51,6 @@ class Rng {
   /// Bernoulli trial with success probability p (clamped to [0,1]).
   bool chance(double p);
 
-  /// Exponential variate with the given mean (> 0).
-  double exponential(double mean);
-
-  /// Weibull variate with the given shape (> 0) and scale (> 0), by
-  /// inverse transform.  shape == 1 degenerates to Exponential(scale);
-  /// shape < 1 produces the heavy-tailed session lengths measured for
-  /// real P2P peers.
-  double weibull(double shape, double scale);
-
-  /// Standard normal variate (Box–Muller, no caching).
-  double normal(double mean = 0.0, double stddev = 1.0);
-
   /// Fisher–Yates shuffle of a vector.
   template <typename T>
   void shuffle(std::vector<T>& v) {

@@ -1,16 +1,11 @@
 // Tests for deterministic fault injection: fault-plan validation, the
 // injector's crash scheduling, partition drops at the transport, the
-// transport's crash semantics, and the option-validation regressions that
-// ride along (ChurnOptions::failure_fraction,
-// TransportOptions::loss_probability).
+// transport's crash semantics, and the option-validation regression that
+// rides along (TransportOptions::loss_probability).
 #include <gtest/gtest.h>
 
 #include "core/fault_injection.h"
 #include "core/transport.h"
-#include "overlay/bootstrap.h"
-#include "overlay/churn.h"
-#include "overlay/graph.h"
-#include "overlay/host_cache.h"
 #include "sim/fault_plan.h"
 #include "test_helpers.h"
 #include "trace/sink.h"
@@ -200,7 +195,7 @@ TEST(Transport, SendsFromNeverRegisteredDriversStillDeliver) {
   EXPECT_EQ(f.inbox.size(), 1u);
 }
 
-// ------------------------------------------------- option-range regressions
+// -------------------------------------------------- option-range regression
 
 TEST(TransportOptionsValidation, RejectsOutOfRangeLossProbability) {
   testing::SmallWorld world(8, 1);
@@ -214,24 +209,6 @@ TEST(TransportOptionsValidation, RejectsOutOfRangeLossProbability) {
   EXPECT_THROW(
       Transport(simulator, *world.population, options, world.rng),
       PreconditionError);
-}
-
-TEST(ChurnOptionsValidation, RejectsOutOfRangeFailureFraction) {
-  testing::SmallWorld world(8, 2);
-  sim::Simulator simulator;
-  overlay::OverlayGraph graph(8);
-  overlay::HostCacheServer cache(*world.population,
-                                 overlay::HostCacheOptions{}, world.rng);
-  overlay::GroupCastBootstrap bootstrap(*world.population, graph, cache,
-                                        overlay::BootstrapOptions{},
-                                        world.rng);
-  overlay::ChurnOptions options;
-  options.failure_fraction = 1.5;
-  EXPECT_THROW(overlay::ChurnModel(simulator, bootstrap, options, world.rng),
-               PreconditionError);
-  options.failure_fraction = -0.5;
-  EXPECT_THROW(overlay::ChurnModel(simulator, bootstrap, options, world.rng),
-               PreconditionError);
 }
 
 }  // namespace

@@ -89,28 +89,6 @@ TEST(Rng, ChanceProbabilityApproximate) {
   EXPECT_NEAR(static_cast<double>(hits) / n, 0.3, 0.01);
 }
 
-TEST(Rng, ExponentialMeanMatches) {
-  Rng rng(23);
-  double total = 0.0;
-  const int n = 200000;
-  for (int i = 0; i < n; ++i) total += rng.exponential(2.5);
-  EXPECT_NEAR(total / n, 2.5, 0.05);
-}
-
-TEST(Rng, ExponentialRejectsNonPositiveMean) {
-  Rng rng(1);
-  EXPECT_THROW(rng.exponential(0.0), PreconditionError);
-  EXPECT_THROW(rng.exponential(-1.0), PreconditionError);
-}
-
-TEST(Rng, NormalMoments) {
-  Rng rng(29);
-  Summary s;
-  for (int i = 0; i < 100000; ++i) s.add(rng.normal(10.0, 3.0));
-  EXPECT_NEAR(s.mean(), 10.0, 0.05);
-  EXPECT_NEAR(s.stddev(), 3.0, 0.05);
-}
-
 TEST(Rng, SampleIndicesDistinctAndInRange) {
   Rng rng(31);
   const auto picks = rng.sample_indices(50, 20);

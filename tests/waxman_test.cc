@@ -1,15 +1,12 @@
-// Tests for the Waxman underlay generator and the Weibull session model.
+// Tests for the Waxman underlay generator.
 #include <gtest/gtest.h>
 
-#include <cmath>
+#include <numbers>
 
 #include "net/routing.h"
 #include "net/topology.h"
-#include "overlay/churn.h"
-#include "overlay/host_cache.h"
-#include "test_helpers.h"
+#include "overlay/population.h"
 #include "util/require.h"
-#include "util/stats.h"
 
 namespace groupcast {
 namespace {
@@ -82,63 +79,6 @@ TEST(Waxman, RejectsBadParameters) {
   net::WaxmanConfig bad;
   bad.routers = 1;
   EXPECT_THROW(net::generate_waxman(bad, rng), PreconditionError);
-}
-
-// ----------------------------------------------------------------- Weibull
-
-TEST(Weibull, ShapeOneIsExponential) {
-  util::Rng rng(11);
-  util::Summary s;
-  for (int i = 0; i < 100000; ++i) s.add(rng.weibull(1.0, 3.0));
-  EXPECT_NEAR(s.mean(), 3.0, 0.1);
-  // Exponential: stddev == mean.
-  EXPECT_NEAR(s.stddev(), 3.0, 0.15);
-}
-
-TEST(Weibull, HeavyTailForSmallShape) {
-  util::Rng rng(13);
-  util::Summary s;
-  const double shape = 0.5;
-  const double scale = 1.0;
-  for (int i = 0; i < 100000; ++i) s.add(rng.weibull(shape, scale));
-  // Mean of Weibull(0.5, 1) = Gamma(3) = 2; stddev far above the mean.
-  EXPECT_NEAR(s.mean(), 2.0, 0.15);
-  EXPECT_GT(s.stddev(), s.mean());
-}
-
-TEST(Weibull, RejectsBadParameters) {
-  util::Rng rng(1);
-  EXPECT_THROW(rng.weibull(0.0, 1.0), PreconditionError);
-  EXPECT_THROW(rng.weibull(1.0, 0.0), PreconditionError);
-}
-
-TEST(WeibullChurn, MeanSessionPreservedAcrossShapes) {
-  // Departure times minus arrival times must average mean_session for both
-  // the exponential and heavy-tailed settings.
-  for (const double shape : {1.0, 0.6}) {
-    testing::SmallWorld world(64, 17);
-    overlay::OverlayGraph graph(64);
-    overlay::HostCacheServer cache(*world.population,
-                                   overlay::HostCacheOptions{}, world.rng);
-    overlay::GroupCastBootstrap bootstrap(*world.population, graph, cache,
-                                          overlay::BootstrapOptions{},
-                                          world.rng);
-    sim::Simulator simulator;
-    overlay::ChurnOptions options;
-    options.mean_interarrival = sim::SimTime::seconds(0.01);
-    options.mean_session = sim::SimTime::seconds(100.0);
-    options.session_shape = shape;
-    options.failure_fraction = 0.0;
-    overlay::ChurnModel churn(simulator, bootstrap, options, world.rng);
-    std::vector<overlay::PeerId> order;
-    for (overlay::PeerId p = 0; p < 64; ++p) order.push_back(p);
-    churn.start(order);
-    simulator.run();
-    EXPECT_EQ(churn.stats().graceful_leaves, 64u) << "shape " << shape;
-    // All sessions ended; mean session length is bounded sanely (64
-    // samples: generous tolerance).
-    EXPECT_GT(simulator.now().as_seconds(), 50.0);
-  }
 }
 
 }  // namespace
