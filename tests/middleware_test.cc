@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "core/middleware.h"
 #include "metrics/experiment.h"
@@ -37,6 +38,35 @@ TEST(Middleware, BuildsConnectedGroupCastOverlay) {
 TEST(Middleware, BuildsConnectedPlodOverlay) {
   GroupCastMiddleware middleware(small_config(OverlayKind::kRandomPowerLaw));
   EXPECT_TRUE(middleware.graph().connectivity().connected);
+}
+
+// The overlay is built once, in the constructor; establishing groups and
+// disseminating over them reads it and never adds or drops a link.
+TEST(Middleware, GroupsAndSessionsLeaveTheOverlayUnchanged) {
+  for (const auto kind : {OverlayKind::kGroupCast,
+                          OverlayKind::kRandomPowerLaw,
+                          OverlayKind::kSupernode}) {
+    SCOPED_TRACE(to_string(kind));
+    GroupCastMiddleware middleware(small_config(kind, 13));
+    const auto& graph = middleware.graph();
+    const auto adjacency = [&graph] {
+      std::vector<std::vector<PeerId>> rows(graph.peer_count());
+      for (PeerId p = 0; p < graph.peer_count(); ++p) {
+        const auto span = graph.out_neighbors(p);
+        rows[p].assign(span.begin(), span.end());
+      }
+      return rows;
+    };
+    const auto before = adjacency();
+    const std::size_t edges = graph.edge_count();
+    for (int round = 0; round < 3; ++round) {
+      auto group = middleware.establish_random_group(30);
+      const auto session = middleware.session(group);
+      static_cast<void>(session.disseminate(group.advert.rendezvous));
+    }
+    EXPECT_EQ(graph.edge_count(), edges);
+    EXPECT_EQ(adjacency(), before);
+  }
 }
 
 TEST(Middleware, RendezvousIsConnectedAndCapable) {
