@@ -104,8 +104,8 @@ int main(int argc, char** argv) {
   flags.declare("shards",
                 "recovery/streaming: event-kernel shards (whole stub "
                 "domains each), "
-                "one worker thread each from 2 up; 0 = one per 5000 "
-                "peers, up to the hardware threads (output is "
+                "one worker thread each from 2 up; 0 = 1 below 10000 "
+                "peers, else one per hardware thread (output is "
                 "byte-identical at every shard count)",
                 "0");
   flags.declare("streaming",

@@ -4,15 +4,6 @@
 
 namespace groupcast::coords {
 
-double Coord::distance_to(const Coord& other) const {
-  double acc = 0.0;
-  for (std::size_t i = 0; i < kDims; ++i) {
-    const double d = v_[i] - other.v_[i];
-    acc += d * d;
-  }
-  return std::sqrt(acc);
-}
-
 double Coord::magnitude() const {
   double acc = 0.0;
   for (double x : v_) acc += x * x;

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <array>
+#include <cmath>
 #include <cstddef>
 #include <ostream>
 
@@ -28,7 +29,15 @@ class Coord {
   double operator[](std::size_t i) const { return v_[i]; }
 
   /// Euclidean distance to another coordinate (estimated latency, ms).
-  double distance_to(const Coord& other) const;
+  /// Inline: the host cache evaluates it once per cached entry per join.
+  double distance_to(const Coord& other) const {
+    double acc = 0.0;
+    for (std::size_t i = 0; i < kDims; ++i) {
+      const double d = v_[i] - other.v_[i];
+      acc += d * d;
+    }
+    return std::sqrt(acc);
+  }
 
   /// Euclidean norm.
   double magnitude() const;

@@ -34,7 +34,7 @@ double AdvertisementState::receiving_rate() const {
 std::vector<overlay::PeerId> select_forward_targets(
     const AdvertisementOptions& options,
     const overlay::PeerPopulation& population, overlay::PeerId from,
-    const std::vector<overlay::PeerId>& neighbors, overlay::PeerId exclude,
+    overlay::OverlayGraph::NeighborSpan neighbors, overlay::PeerId exclude,
     std::optional<double>& resource_level, util::Rng& rng) {
   std::vector<overlay::PeerId> pool;
   pool.reserve(neighbors.size());

@@ -159,9 +159,9 @@ struct ScenarioConfig {
   /// conservative-lookahead wheels (core/shard_partition.h); 1 runs on
   /// the calling thread, N >= 2 on N workers.  0 (the default) lets the
   /// runtime choose, the way GridOptions::jobs = 0 does: one shard per
-  /// kPeersPerShard (5000) peers up to the hardware thread count, and 1
-  /// for engine-level scenarios, under a trace sink or on a grid worker
-  /// (metrics/harness_common.h, resolve_shards).  Results are
+  /// hardware thread from 2 * kPeersPerShard (10,000) peers up, and 1
+  /// below that, for engine-level scenarios, under a trace sink or on a
+  /// grid worker (metrics/harness_common.h, resolve_shards).  Results are
   /// byte-identical at every N except the engine gauges events_per_shard,
   /// queue_high_water, shard_epochs and lookahead_us;
   /// ScenarioResult::config records the count that ran.  Must not exceed

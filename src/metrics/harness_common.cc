@@ -111,10 +111,8 @@ std::size_t resolve_shards(const ScenarioConfig& config) {
   if (!config.recovery.enabled && !config.streaming.enabled) return 1;
   if (config.shards != 0) return config.shards;
   if (trace::tracer().enabled() || util::in_parallel_worker()) return 1;
-  const std::size_t hardware =
-      std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  return std::clamp<std::size_t>(config.peer_count / kPeersPerShard, 1,
-                                 hardware);
+  if (config.peer_count < 2 * kPeersPerShard) return 1;
+  return std::max<std::size_t>(1, std::thread::hardware_concurrency());
 }
 
 void validate_runtime(const ScenarioConfig& config,

@@ -23,11 +23,11 @@ namespace groupcast::metrics::detail {
 
 struct ShardTrace;
 
-/// Peers per event-kernel shard when the runtime chooses the shard count:
-/// a run gets one shard per kPeersPerShard peers.  Measured crossover
-/// (docs/PERFORMANCE.md, "Choosing the shard count"): below about 10k
-/// peers a second wheel buys the churn harness less than 25% (17% at
-/// 5k), while every count this rule picks above one gains at least 35%.
+/// Sets the crossover when the runtime chooses the shard count: a run of
+/// fewer than 2 * kPeersPerShard peers gets one shard, a larger one every
+/// hardware thread.  Measured (docs/PERFORMANCE.md, "Choosing the shard
+/// count"): at 5k peers a second wheel buys the churn harness 17%, while
+/// from 10k peers up four shards beat two by 27% or more.
 inline constexpr std::size_t kPeersPerShard = 5000;
 
 /// The shard count a run of `config` executes on.  An explicit
@@ -35,9 +35,9 @@ inline constexpr std::size_t kPeersPerShard = 5000;
 /// choose: 1 for an engine-level scenario, while the calling thread's
 /// tracer has a sink (the per-event stream is one thread's), and on a
 /// util::parallel_for worker (a grid cell must not oversubscribe the
-/// cores); otherwise min(hardware threads, peer_count / kPeersPerShard),
-/// at least 1.  Results are byte-identical at every count, so the choice
-/// moves only the wall time and the engine gauges.
+/// cores), and below 2 * kPeersPerShard peers; otherwise the hardware
+/// thread count.  Results are byte-identical at every count, so the
+/// choice moves only the wall time and the engine gauges.
 std::size_t resolve_shards(const ScenarioConfig& config);
 
 /// Rejects a run whose shared runtime fields or shard count are out of

@@ -40,7 +40,7 @@ std::size_t GroupCastBootstrap::target_degree(double capacity) const {
 }
 
 double GroupCastBootstrap::back_link_probability(
-    PeerId k, PeerId i, const std::vector<PeerId>& nbrs) const {
+    PeerId k, PeerId i, OverlayGraph::NeighborSpan nbrs) const {
   if (nbrs.empty()) return 1.0;  // a lonely peer takes anyone
   const double n = static_cast<double>(nbrs.size());
   const double ck = population_->info(k).capacity;
@@ -122,8 +122,8 @@ JoinStats GroupCastBootstrap::join(PeerId peer) {
       const PeerId chosen = candidates[idx];
       if (graph_->add_edge(peer, chosen)) ++stats.out_links_created;
       ++stats.back_link_requests;
-      const auto nbrs_of_chosen = graph_->neighbors(chosen);
-      const double pb = back_link_probability(chosen, peer, nbrs_of_chosen);
+      const double pb =
+          back_link_probability(chosen, peer, graph_->neighbors(chosen));
       const bool accepted =
           rng_.chance(pb) || rng_.chance(kFallbackBackLinkProb);
       if (accepted && graph_->add_edge(chosen, peer)) {

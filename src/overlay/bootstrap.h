@@ -80,7 +80,7 @@ class GroupCastBootstrap {
   /// The back-link acceptance probability PB_k(Nbr(p_k), p_i) — exposed for
   /// tests.  `nbrs` is k's current neighbour set.
   double back_link_probability(PeerId k, PeerId i,
-                               const std::vector<PeerId>& nbrs) const;
+                               OverlayGraph::NeighborSpan nbrs) const;
 
  private:
   const PeerPopulation* population_;

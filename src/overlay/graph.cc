@@ -7,105 +7,89 @@
 
 namespace groupcast::overlay {
 
-namespace {
+OverlayGraph::OverlayGraph(std::size_t peer_count) : spans_(peer_count) {}
 
-// Compaction trigger: once relocation garbage exceeds the live half of a
-// non-trivial arena, rebuild.  Amortized O(1) per append — every relocated
-// slot is copied at most once more before enough garbage accrues again.
-constexpr std::size_t kCompactionFloor = 1024;
-
-}  // namespace
-
-OverlayGraph::OverlayGraph(std::size_t peer_count)
-    : out_(peer_count), in_(peer_count) {}
-
-void OverlayGraph::append(Span& span, PeerId value) {
-  if (span.size == span.capacity) {
-    // Relocate the span to the arena tail with doubled capacity; the old
-    // run becomes garbage until the next compaction.
-    const std::uint32_t grown = span.capacity == 0 ? 4 : span.capacity * 2;
-    const std::size_t at = arena_.size();
-    arena_.resize(at + grown, kNoPeer);
-    std::copy(arena_.begin() + span.offset,
-              arena_.begin() + span.offset + span.size, arena_.begin() + at);
-    live_ += grown - span.capacity;
-    span.offset = static_cast<std::uint32_t>(at);
-    span.capacity = grown;
-  }
-  arena_[span.offset + span.size] = value;
-  ++span.size;
-  if (arena_.size() > kCompactionFloor && arena_.size() - live_ > live_) {
-    compact();
-  }
+void OverlayGraph::reserve_one(Span& span) {
+  if (span.size < span.capacity) return;
+  // Relocate the span to the arena tail with doubled capacity; the old
+  // run becomes garbage until the next compaction.
+  const std::uint32_t grown = span.capacity == 0 ? 4 : span.capacity * 2;
+  const std::size_t at = arena_.size();
+  arena_.resize(at + grown, kNoPeer);
+  std::copy(arena_.begin() + span.offset,
+            arena_.begin() + span.offset + span.size, arena_.begin() + at);
+  span.offset = static_cast<std::uint32_t>(at);
+  span.capacity = grown;
 }
 
 void OverlayGraph::compact() {
+  std::size_t entries = 0;
+  for (const auto& span : spans_) entries += span.size;
   std::vector<PeerId> packed;
-  packed.reserve(edge_count_ * 2);
-  const auto repack = [&](Span& span) {
+  packed.reserve(entries);
+  for (auto& span : spans_) {
     const auto at = static_cast<std::uint32_t>(packed.size());
     packed.insert(packed.end(), arena_.begin() + span.offset,
                   arena_.begin() + span.offset + span.size);
     span.offset = at;
     span.capacity = span.size;
-  };
-  for (auto& span : out_) repack(span);
-  for (auto& span : in_) repack(span);
+  }
   arena_ = std::move(packed);
-  live_ = arena_.size();
 }
 
 std::size_t OverlayGraph::memory_bytes() const {
   return sizeof(*this) + arena_.capacity() * sizeof(PeerId) +
-         (out_.capacity() + in_.capacity()) * sizeof(Span);
+         spans_.capacity() * sizeof(Span);
 }
 
 bool OverlayGraph::add_edge(PeerId from, PeerId to) {
-  GC_REQUIRE(from < out_.size() && to < out_.size());
+  GC_REQUIRE(from < spans_.size() && to < spans_.size());
   GC_REQUIRE_MSG(from != to, "self edges are not allowed");
   if (has_edge(from, to)) return false;
-  append(out_[from], to);
-  append(in_[to], from);
+
+  // `to` joins the end of from's out-prefix.  If it was an in-only
+  // neighbour, rotate it out of the tail; otherwise shift the tail right
+  // by one.  Either way the tail keeps its arrival order.
+  Span& src = spans_[from];
+  const auto row = arena_.begin() + src.offset;
+  const auto found = std::find(row + src.out, row + src.size, to);
+  if (found != row + src.size) {
+    std::rotate(row + src.out, found, found + 1);
+  } else {
+    reserve_one(src);
+    const auto base = arena_.begin() + src.offset;
+    std::copy_backward(base + src.out, base + src.size, base + src.size + 1);
+    base[src.out] = to;
+    ++src.size;
+  }
+  ++src.out;
+
+  // `from` joins to's in-only tail unless it is already an out-link there.
+  Span& dst = spans_[to];
+  const auto outs = arena_.begin() + dst.offset;
+  if (std::find(outs, outs + dst.out, from) == outs + dst.out) {
+    reserve_one(dst);
+    arena_[dst.offset + dst.size] = from;
+    ++dst.size;
+  }
   ++edge_count_;
   return true;
 }
 
 bool OverlayGraph::has_edge(PeerId from, PeerId to) const {
-  GC_REQUIRE(from < out_.size() && to < out_.size());
-  const auto outs = view(out_[from]);
+  GC_REQUIRE(from < spans_.size() && to < spans_.size());
+  const auto outs = out_neighbors(from);
   return std::find(outs.begin(), outs.end(), to) != outs.end();
-}
-
-std::vector<PeerId> OverlayGraph::neighbors(PeerId p) const {
-  GC_REQUIRE(p < out_.size());
-  const auto outs = view(out_[p]);
-  std::vector<PeerId> result(outs.begin(), outs.end());
-  for (const PeerId q : view(in_[p])) {
-    if (std::find(result.begin(), result.end(), q) == result.end()) {
-      result.push_back(q);
-    }
-  }
-  return result;
-}
-
-std::size_t OverlayGraph::degree(PeerId p) const {
-  GC_REQUIRE(p < out_.size());
-  const auto outs = view(out_[p]);
-  std::size_t count = outs.size();
-  for (const PeerId q : view(in_[p])) {
-    if (std::find(outs.begin(), outs.end(), q) == outs.end()) ++count;
-  }
-  return count;
 }
 
 OverlayGraph::Connectivity OverlayGraph::connectivity() const {
   Connectivity result;
-  const std::size_t n = out_.size();
+  const std::size_t n = spans_.size();
   std::vector<char> seen(n, 0);
   std::size_t active = 0;
   PeerId start = kNoPeer;
   for (PeerId p = 0; p < n; ++p) {
-    if (out_[p].size != 0 || in_[p].size != 0) {
+    if (spans_[p].size != 0) {
       ++active;
       if (start == kNoPeer) start = p;
     } else {
@@ -138,7 +122,7 @@ OverlayGraph::Connectivity OverlayGraph::connectivity() const {
 
 double OverlayGraph::average_hop_distance(util::Rng& rng,
                                           std::size_t samples) const {
-  const std::size_t n = out_.size();
+  const std::size_t n = spans_.size();
   if (n < 2) return 0.0;
   double total = 0.0;
   std::size_t counted = 0;
@@ -170,7 +154,7 @@ double OverlayGraph::average_hop_distance(util::Rng& rng,
 }
 
 double OverlayGraph::clustering_coefficient() const {
-  const std::size_t n = out_.size();
+  const std::size_t n = spans_.size();
   double total = 0.0;
   std::size_t counted = 0;
   for (PeerId p = 0; p < n; ++p) {

@@ -1,4 +1,4 @@
-// Directed overlay graph.
+// Overlay graph: directed links, one neighbour list per peer.
 //
 // GroupCast's bootstrap creates *forwarding* (outgoing) edges chosen by the
 // joiner and *back links* (incoming edges) accepted probabilistically by the
@@ -9,18 +9,21 @@
 // PLOD or the supernode builder, then the middleware's connectivity
 // repair) and is read-only afterwards.
 //
-// Storage: both adjacency directions live in one shared PeerId arena with a
-// 12-byte {offset, size, capacity} span per peer per direction, instead of
-// a std::vector (24-byte header + its own heap block) each.  At 100k peers
-// that is the difference between ~5 MB of vector headers plus 200k small
-// allocations and one flat array — see docs/PERFORMANCE.md, "Sharded
-// execution & memory budget".  Appends relocate a full span to the arena
-// tail (amortized O(1)); the garbage this leaves behind is compacted away
-// once it exceeds half the arena.  Per-span element order is exactly the
-// order std::vector kept (append at the back), so neighbour iteration,
-// and everything seeded from it, is byte-identical.
+// Storage: every peer's Nbr(p) lives in one shared PeerId arena as a
+// 16-byte {offset, size, capacity, out} span, instead of a std::vector
+// (24-byte header + its own heap block).  The first `out` entries are p's
+// out-links in insertion order; after them come the in-links that are not
+// also out-links, in arrival order.  A link present in both directions is
+// stored once per endpoint, so the arena holds 2E − M entries for E
+// directed edges of which M have their reverse.  Appends relocate a full
+// span to the arena tail with doubled capacity (amortized O(1)); the
+// garbage this leaves behind is at most half the arena, and a finished
+// build drops it with compact().  See docs/PERFORMANCE.md, "Arena
+// adjacency".
 #pragma once
 
+#include <algorithm>
+#include <span>
 #include <vector>
 
 #include "overlay/peer.h"
@@ -30,26 +33,13 @@ namespace groupcast::overlay {
 
 class OverlayGraph {
  public:
-  /// Read-only view of one peer's adjacency run in the arena.  Invalidated
-  /// by any edge mutation (like the vector iterators it replaced).
-  class NeighborSpan {
-   public:
-    NeighborSpan(const PeerId* data, std::size_t size)
-        : data_(data), size_(size) {}
-    const PeerId* begin() const { return data_; }
-    const PeerId* end() const { return data_ + size_; }
-    std::size_t size() const { return size_; }
-    bool empty() const { return size_ == 0; }
-    PeerId operator[](std::size_t i) const { return data_[i]; }
-
-   private:
-    const PeerId* data_;
-    std::size_t size_;
-  };
+  /// Read-only view of one peer's run in the arena.  add_edge may move
+  /// the run, so a view must not be held across it.
+  using NeighborSpan = std::span<const PeerId>;
 
   explicit OverlayGraph(std::size_t peer_count);
 
-  std::size_t peer_count() const { return out_.size(); }
+  std::size_t peer_count() const { return spans_.size(); }
   std::size_t edge_count() const { return edge_count_; }
 
   /// Adds a directed edge from -> to.  Returns false (no-op) if it already
@@ -60,28 +50,34 @@ class OverlayGraph {
 
   /// True if a link exists in either direction.
   bool connected(PeerId a, PeerId b) const {
-    return has_edge(a, b) || has_edge(b, a);
+    const auto nbrs = neighbors(a);
+    return std::find(nbrs.begin(), nbrs.end(), b) != nbrs.end();
   }
 
+  /// All peers connected to `p` in either direction, each once: the
+  /// out-links in insertion order, then the other in-links in arrival
+  /// order.  This is Nbr(p) in the paper: the set messages can be
+  /// exchanged with.
+  NeighborSpan neighbors(PeerId p) const {
+    GC_REQUIRE(p < spans_.size());
+    const Span& span = spans_[p];
+    return {arena_.data() + span.offset, span.size};
+  }
+
+  /// The out-links of `p`: the prefix of neighbors(p).
   NeighborSpan out_neighbors(PeerId p) const {
-    GC_REQUIRE(p < out_.size());
-    return view(out_[p]);
+    return neighbors(p).first(spans_[p].out);
   }
 
-  /// All peers connected to `p` in either direction, deduplicated.
-  /// This is Nbr(p) in the paper: the set messages can be exchanged with.
-  std::vector<PeerId> neighbors(PeerId p) const;
-
-  /// |neighbors(p)| without materializing the vector.
-  std::size_t degree(PeerId p) const;
+  /// |Nbr(p)|.
+  std::size_t degree(PeerId p) const { return neighbors(p).size(); }
 
   /// Retained bytes of the adjacency store (arena + spans), capacity-based
   /// and deterministic for a fixed edge history.
   std::size_t memory_bytes() const;
 
-  /// Rebuilds the arena with zero garbage and per-span capacity == size.
-  /// Called automatically when relocation garbage piles up; exposed so a
-  /// finished build can drop its relocation slack.
+  /// Rebuilds the arena with zero garbage and per-span capacity == size,
+  /// so a finished build drops its relocation slack.
   void compact();
 
   /// True if the union (undirected view) of the graph is connected over
@@ -107,18 +103,15 @@ class OverlayGraph {
     std::uint32_t offset = 0;
     std::uint32_t size = 0;
     std::uint32_t capacity = 0;
+    std::uint32_t out = 0;  // entries [0, out) are out-links
   };
 
-  NeighborSpan view(const Span& span) const {
-    return {arena_.data() + span.offset, span.size};
-  }
-  void append(Span& span, PeerId value);
+  /// Makes room for one more entry in `span`, relocating it if full.
+  void reserve_one(Span& span);
 
-  std::vector<PeerId> arena_;  // shared by both directions of every peer
-  std::vector<Span> out_;
-  std::vector<Span> in_;
+  std::vector<PeerId> arena_;  // every peer's span
+  std::vector<Span> spans_;
   std::size_t edge_count_ = 0;
-  std::size_t live_ = 0;  // arena slots inside some span's capacity
 };
 
 }  // namespace groupcast::overlay

@@ -27,11 +27,13 @@ void HostCacheServer::register_peer(PeerId peer) {
     const PeerId victim = entries_[victim_slot];
     position_[victim] = -1;
     entries_[victim_slot] = peer;
+    coords_[victim_slot] = population_->info(peer).coord;
     position_[peer] = static_cast<std::int32_t>(victim_slot);
     return;
   }
   position_[peer] = static_cast<std::int32_t>(entries_.size());
   entries_.push_back(peer);
+  coords_.push_back(population_->info(peer).coord);
 }
 
 bool HostCacheServer::contains(PeerId peer) const {
@@ -42,10 +44,14 @@ bool HostCacheServer::contains(PeerId peer) const {
 std::vector<PeerId> HostCacheServer::bootstrap_candidates(PeerId joiner) {
   GC_REQUIRE(joiner < position_.size());
 
-  std::vector<PeerId> pool;
+  // Each entry's coordinate distance to the joiner, computed once.
+  const coords::Coord& here = population_->info(joiner).coord;
+  std::vector<std::pair<double, PeerId>> pool;
   pool.reserve(entries_.size());
-  for (const PeerId p : entries_) {
-    if (p != joiner) pool.push_back(p);
+  for (std::size_t i = 0; i < entries_.size(); ++i) {
+    if (entries_[i] != joiner) {
+      pool.emplace_back(here.distance_to(coords_[i]), entries_[i]);
+    }
   }
   if (pool.empty()) return {};
 
@@ -53,27 +59,26 @@ std::vector<PeerId> HostCacheServer::bootstrap_candidates(PeerId joiner) {
       pool.size(),
       options_.min_batch +
           rng_.uniform_index(options_.max_batch - options_.min_batch + 1));
-  const std::size_t closest_half = (batch + 1) / 2;
+  const auto closest_half = static_cast<std::ptrdiff_t>((batch + 1) / 2);
 
-  // BD_i: closest by network-coordinate distance.
-  std::partial_sort(
-      pool.begin(),
-      pool.begin() + static_cast<std::ptrdiff_t>(
-                         std::min(closest_half, pool.size())),
-      pool.end(), [&](PeerId a, PeerId b) {
-        return population_->coord_distance_ms(joiner, a) <
-               population_->coord_distance_ms(joiner, b);
-      });
-  std::vector<PeerId> result(
-      pool.begin(),
-      pool.begin() + static_cast<std::ptrdiff_t>(
-                         std::min(closest_half, pool.size())));
+  // BD_i: closest by network-coordinate distance.  The comparator reads
+  // the distance alone, so the whole pool ends in the permutation that
+  // the BR_i draws below index into.
+  std::partial_sort(pool.begin(), pool.begin() + closest_half, pool.end(),
+                    [](const auto& a, const auto& b) {
+                      return a.first < b.first;
+                    });
+  std::vector<PeerId> result;
+  result.reserve(batch);
+  for (auto it = pool.begin(); it != pool.begin() + closest_half; ++it) {
+    result.push_back(it->second);
+  }
 
   // BR_i: random picks from the remainder, skipping duplicates.
   std::size_t attempts = 0;
   while (result.size() < batch && attempts < pool.size() * 4 + 16) {
     ++attempts;
-    const PeerId pick = pool[rng_.uniform_index(pool.size())];
+    const PeerId pick = pool[rng_.uniform_index(pool.size())].second;
     if (std::find(result.begin(), result.end(), pick) == result.end()) {
       result.push_back(pick);
     }

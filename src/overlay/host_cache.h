@@ -46,6 +46,7 @@ class HostCacheServer {
   HostCacheOptions options_;
   util::Rng rng_;
   std::vector<PeerId> entries_;           // insertion order (cheap eviction)
+  std::vector<coords::Coord> coords_;     // entries_[i]'s coordinate
   std::vector<std::int32_t> position_;    // peer -> index in entries_, or -1
 };
 

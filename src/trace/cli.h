@@ -52,9 +52,9 @@ class CliTracing {
     if (reads.shards) {
       flags.declare("shards",
                     "event-kernel shards per run, one worker thread each "
-                    "from 2 up; 0 = one per 5000 peers, up to the hardware "
-                    "threads (results are byte-identical at every shard "
-                    "count)",
+                    "from 2 up; 0 = 1 below 10000 peers, else one per "
+                    "hardware thread (results are byte-identical at every "
+                    "shard count)",
                     "0");
     }
     if (!flags.parse(argc, argv)) {

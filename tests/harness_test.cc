@@ -343,19 +343,18 @@ TEST(HarnessShards, EngineLevelRunsOnOneShard) {
   EXPECT_EQ(resolve_shards(engine_level), 1u);
 }
 
-TEST(HarnessShards, OneShardPerPeersPerShardUpToTheHardware) {
+TEST(HarnessShards, OneShardBelowTwicePeersPerShardThenEveryThread) {
   EXPECT_EQ(resolve_shards(node_runtime_point(300)), 1u);
   EXPECT_EQ(resolve_shards(node_runtime_point(2 * kPeersPerShard - 1)), 1u);
   EXPECT_EQ(resolve_shards(node_runtime_point(2 * kPeersPerShard)),
-            std::min<std::size_t>(2, hardware_threads()));
+            hardware_threads());
   EXPECT_EQ(resolve_shards(node_runtime_point(4 * kPeersPerShard)),
-            std::min<std::size_t>(4, hardware_threads()));
+            hardware_threads());
   // Streaming resolves by the same rule.
   auto streaming = node_runtime_point(4 * kPeersPerShard);
   streaming.recovery.enabled = false;
   streaming.streaming.enabled = true;
-  EXPECT_EQ(resolve_shards(streaming),
-            std::min<std::size_t>(4, hardware_threads()));
+  EXPECT_EQ(resolve_shards(streaming), hardware_threads());
 }
 
 TEST(HarnessShards, NeverMoreShardsThanPeersOrHardwareThreads) {
@@ -375,8 +374,7 @@ TEST(HarnessShards, OneShardUnderATraceSink) {
     const trace::ScopedSink sink(std::make_unique<trace::NullSink>());
     EXPECT_EQ(resolve_shards(big), 1u);
   }
-  EXPECT_EQ(resolve_shards(big),
-            std::min<std::size_t>(100, hardware_threads()));
+  EXPECT_EQ(resolve_shards(big), hardware_threads());
 }
 
 TEST(HarnessShards, OneShardOnAParallelForWorker) {
@@ -410,9 +408,9 @@ TEST(HarnessShards, ExplicitCountIsKept) {
 }
 
 // Left to choose, a run executes on exactly the resolved count and records
-// it; on a world big enough for two shards (at least two hardware threads
-// assumed) the result equals the one-shard run's but for the engine
-// gauges.  One world, forked by both runs of the grid.
+// it; on a world big enough to shard (one shard per hardware thread) the
+// result equals the one-shard run's but for the engine gauges.  One world,
+// forked by both runs of the grid.
 TEST(HarnessShards, ChosenCountRunsAndMatchesOneShard) {
   auto chosen = node_runtime_point(2 * kPeersPerShard);
   chosen.groups = 1;
@@ -424,7 +422,7 @@ TEST(HarnessShards, ChosenCountRunsAndMatchesOneShard) {
   auto one = chosen;
   one.shards = 1;
   const std::size_t resolved = resolve_shards(chosen);
-  EXPECT_EQ(resolved, std::min<std::size_t>(2, hardware_threads()));
+  EXPECT_EQ(resolved, hardware_threads());
 
   metrics::GridOptions options;
   options.counters = true;

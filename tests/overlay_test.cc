@@ -6,6 +6,8 @@
 #include <algorithm>
 #include <ostream>
 #include <set>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "metrics/graph_stats.h"
@@ -167,11 +169,12 @@ TEST(OverlayGraph, AverageHopDistanceOnLine) {
   EXPECT_NEAR(avg, 3.3, 0.6);
 }
 
-// Out-adjacency of every peer, in iteration order.
-std::vector<std::vector<PeerId>> out_adjacency(const OverlayGraph& graph) {
+// Out-adjacency (or, with `all`, Nbr) of every peer, in iteration order.
+std::vector<std::vector<PeerId>> out_adjacency(const OverlayGraph& graph,
+                                               bool all = false) {
   std::vector<std::vector<PeerId>> rows(graph.peer_count());
   for (PeerId p = 0; p < graph.peer_count(); ++p) {
-    const auto span = graph.out_neighbors(p);
+    const auto span = all ? graph.neighbors(p) : graph.out_neighbors(p);
     rows[p].assign(span.begin(), span.end());
   }
   return rows;
@@ -202,9 +205,10 @@ TEST(OverlayGraph, OutNeighborsKeepInsertionOrder) {
   const auto out = graph.out_neighbors(0);
   EXPECT_EQ(std::vector<PeerId>(out.begin(), out.end()),
             (std::vector<PeerId>{4, 2, 5}));
+  // Nbr(0): the out-links, then the in-only link from 1.
   const auto nbrs = graph.neighbors(0);
-  EXPECT_EQ(std::set<PeerId>(nbrs.begin(), nbrs.end()),
-            (std::set<PeerId>{1, 2, 4, 5}));
+  EXPECT_EQ(std::vector<PeerId>(nbrs.begin(), nbrs.end()),
+            (std::vector<PeerId>{4, 2, 5, 1}));
 }
 
 TEST(OverlayGraph, EdgeCountAndDegreeMatchAdjacency) {
@@ -225,14 +229,13 @@ TEST(OverlayGraph, EdgeCountAndDegreeMatchAdjacency) {
 TEST(OverlayGraph, CompactKeepsAdjacencyAndOrder) {
   OverlayGraph graph = random_graph(80, 1200, 89);
   const auto rows = out_adjacency(graph);
-  std::vector<std::vector<PeerId>> nbrs(80);
-  for (PeerId p = 0; p < 80; ++p) nbrs[p] = graph.neighbors(p);
+  const auto nbrs = out_adjacency(graph, /*all=*/true);
   const std::size_t edges = graph.edge_count();
   const std::size_t bytes = graph.memory_bytes();
 
   graph.compact();
   EXPECT_EQ(out_adjacency(graph), rows);
-  for (PeerId p = 0; p < 80; ++p) EXPECT_EQ(graph.neighbors(p), nbrs[p]);
+  EXPECT_EQ(out_adjacency(graph, /*all=*/true), nbrs);
   EXPECT_EQ(graph.edge_count(), edges);
   EXPECT_LE(graph.memory_bytes(), bytes);
 
@@ -246,6 +249,113 @@ TEST(OverlayGraph, CompactKeepsAdjacencyAndOrder) {
   EXPECT_TRUE(graph.add_edge(from, 1));
   EXPECT_EQ(graph.edge_count(), edges + 1);
   EXPECT_EQ(graph.out_neighbors(from).size(), rows[from].size() + 1);
+}
+
+// Reference model of the graph: plain out/in lists in insertion and
+// arrival order.  Nbr(p) is p's out-links, then the in-links that are not
+// also out-links.
+struct AdjacencyModel {
+  std::vector<std::vector<PeerId>> out, in;
+
+  explicit AdjacencyModel(std::size_t peers) : out(peers), in(peers) {}
+
+  bool has_edge(PeerId from, PeerId to) const {
+    return std::find(out[from].begin(), out[from].end(), to) !=
+           out[from].end();
+  }
+  bool add_edge(PeerId from, PeerId to) {
+    if (has_edge(from, to)) return false;
+    out[from].push_back(to);
+    in[to].push_back(from);
+    return true;
+  }
+  std::vector<PeerId> neighbors(PeerId p) const {
+    std::vector<PeerId> result = out[p];
+    for (const PeerId q : in[p]) {
+      if (!has_edge(p, q)) result.push_back(q);
+    }
+    return result;
+  }
+};
+
+// neighbors(p) equals `nbrs` (the model's Nbr(p)), out_neighbors(p) is its
+// prefix holding the model's out-links, and degree(p) is its size.
+::testing::AssertionResult MatchesModel(const OverlayGraph& graph,
+                                        const AdjacencyModel& model,
+                                        const std::vector<PeerId>& nbrs,
+                                        PeerId p) {
+  const auto span = graph.neighbors(p);
+  if (!std::equal(span.begin(), span.end(), nbrs.begin(), nbrs.end())) {
+    return ::testing::AssertionFailure() << "Nbr(" << p << ") differs";
+  }
+  const auto out = graph.out_neighbors(p);
+  if (out.data() != span.data() ||
+      !std::equal(out.begin(), out.end(), model.out[p].begin(),
+                  model.out[p].end())) {
+    return ::testing::AssertionFailure()
+           << "out-links of " << p << " are not the prefix";
+  }
+  if (graph.degree(p) != nbrs.size()) {
+    return ::testing::AssertionFailure() << "degree(" << p << ") differs";
+  }
+  return ::testing::AssertionSuccess();
+}
+
+// has_edge agrees with the model in both directions for every neighbour.
+void ExpectEdgesMatch(const OverlayGraph& graph, const AdjacencyModel& model,
+                      const std::vector<PeerId>& nbrs, PeerId p) {
+  for (const PeerId q : nbrs) {
+    EXPECT_EQ(graph.has_edge(p, q), model.has_edge(p, q)) << p << "->" << q;
+    EXPECT_EQ(graph.has_edge(q, p), model.has_edge(q, p)) << q << "->" << p;
+  }
+}
+
+TEST(OverlayGraph, NeighborOrderMatchesReferenceModel) {
+  for (const std::size_t peers : {50, 150, 500}) {
+    SCOPED_TRACE(::testing::Message() << peers << " peers");
+    OverlayGraph graph(peers);
+    AdjacencyModel model(peers);
+    std::vector<std::vector<PeerId>> nbrs(peers);  // model Nbr, kept current
+    std::vector<std::pair<PeerId, PeerId>> edges;
+    util::Rng rng(peers);
+    for (std::size_t step = 0; step < 12 * peers; ++step) {
+      if (step % (4 * peers) == 3 * peers) {
+        // Spans left at capacity == size relocate on their next add.
+        const std::size_t bytes = graph.memory_bytes();
+        graph.compact();
+        EXPECT_LT(graph.memory_bytes(), bytes);
+      }
+      PeerId from = 0;
+      PeerId to = 0;
+      const auto kind = rng.uniform_index(4);
+      if (kind < 2 && !edges.empty()) {
+        // 0: the reverse of an existing edge; 1: a duplicate add.
+        std::tie(from, to) = edges[rng.uniform_index(edges.size())];
+        if (kind == 0) std::swap(from, to);
+      } else {
+        from = static_cast<PeerId>(rng.uniform_index(peers));
+        to = static_cast<PeerId>(rng.uniform_index(peers - 1));
+        if (to >= from) ++to;
+      }
+      const bool added = model.add_edge(from, to);
+      ASSERT_EQ(graph.add_edge(from, to), added) << "step " << step;
+      if (added) edges.emplace_back(from, to);
+      nbrs[from] = model.neighbors(from);
+      nbrs[to] = model.neighbors(to);
+      for (PeerId p = 0; p < peers; ++p) {
+        ASSERT_TRUE(MatchesModel(graph, model, nbrs[p], p)) << "step " << step;
+      }
+      ExpectEdgesMatch(graph, model, nbrs[from], from);
+      ExpectEdgesMatch(graph, model, nbrs[to], to);
+    }
+    EXPECT_EQ(graph.edge_count(), edges.size());
+
+    graph.compact();
+    for (PeerId p = 0; p < peers; ++p) {
+      ASSERT_TRUE(MatchesModel(graph, model, nbrs[p], p));
+      ExpectEdgesMatch(graph, model, nbrs[p], p);
+    }
+  }
 }
 
 // ------------------------------------------------------------ host cache
@@ -335,6 +445,95 @@ TEST(HostCache, EmptyCacheYieldsNoCandidates) {
   EXPECT_TRUE(cache.bootstrap_candidates(0).empty());
   cache.register_peer(4);
   EXPECT_TRUE(cache.bootstrap_candidates(4).empty());  // only the joiner
+}
+
+// The bootstrap query as first written: partial_sort over peer ids with a
+// comparator that recomputes both coordinate distances on every call.
+// Registration and the RNG stream are HostCacheServer's.
+class ComparatorOnIdsCache {
+ public:
+  ComparatorOnIdsCache(const PeerPopulation& population,
+                       HostCacheOptions options, util::Rng& rng)
+      : population_(&population),
+        options_(options),
+        rng_(rng.split()),
+        position_(population.size(), -1) {}
+
+  void register_peer(PeerId peer) {
+    if (position_[peer] >= 0) return;
+    if (entries_.size() >= options_.capacity) {
+      const auto victim_slot = rng_.uniform_index(entries_.size());
+      position_[entries_[victim_slot]] = -1;
+      entries_[victim_slot] = peer;
+      position_[peer] = static_cast<std::int32_t>(victim_slot);
+      return;
+    }
+    position_[peer] = static_cast<std::int32_t>(entries_.size());
+    entries_.push_back(peer);
+  }
+
+  std::vector<PeerId> bootstrap_candidates(PeerId joiner) {
+    std::vector<PeerId> pool;
+    for (const PeerId p : entries_) {
+      if (p != joiner) pool.push_back(p);
+    }
+    if (pool.empty()) return {};
+    const std::size_t batch = std::min<std::size_t>(
+        pool.size(),
+        options_.min_batch +
+            rng_.uniform_index(options_.max_batch - options_.min_batch + 1));
+    const auto closest_half =
+        static_cast<std::ptrdiff_t>(std::min((batch + 1) / 2, pool.size()));
+    std::partial_sort(pool.begin(), pool.begin() + closest_half, pool.end(),
+                      [&](PeerId a, PeerId b) {
+                        return population_->coord_distance_ms(joiner, a) <
+                               population_->coord_distance_ms(joiner, b);
+                      });
+    std::vector<PeerId> result(pool.begin(), pool.begin() + closest_half);
+    std::size_t attempts = 0;
+    while (result.size() < batch && attempts < pool.size() * 4 + 16) {
+      ++attempts;
+      const PeerId pick = pool[rng_.uniform_index(pool.size())];
+      if (std::find(result.begin(), result.end(), pick) == result.end()) {
+        result.push_back(pick);
+      }
+    }
+    return result;
+  }
+
+ private:
+  const PeerPopulation* population_;
+  HostCacheOptions options_;
+  util::Rng rng_;
+  std::vector<PeerId> entries_;
+  std::vector<std::int32_t> position_;
+};
+
+// The cached-distance query returns exactly what the comparator-on-ids
+// query returns, the random half included: both sorts see the same
+// comparison outcomes, so the whole pool ends in the same permutation.
+TEST(HostCache, CandidatesMatchComparatorOnIdsOracle) {
+  testing::SmallWorld world(4000, 103);
+  util::Rng seed_a(107);
+  util::Rng seed_b(107);
+  HostCacheServer cache(*world.population, HostCacheOptions{}, seed_a);
+  ComparatorOnIdsCache oracle(*world.population, HostCacheOptions{}, seed_b);
+  for (PeerId p = 0; p < 3000; ++p) {
+    cache.register_peer(p);
+    oracle.register_peer(p);
+  }
+  ASSERT_EQ(cache.size(), HostCacheOptions{}.capacity);
+  util::Rng pick(109);
+  for (std::size_t i = 0; i < 200; ++i) {
+    // Joiners both inside and outside the cache; each then registers, as
+    // a join does.
+    const auto joiner = static_cast<PeerId>(pick.uniform_index(4000));
+    ASSERT_EQ(cache.bootstrap_candidates(joiner),
+              oracle.bootstrap_candidates(joiner))
+        << "joiner #" << i << " (peer " << joiner << ")";
+    cache.register_peer(joiner);
+    oracle.register_peer(joiner);
+  }
 }
 
 // ------------------------------------------------------------- bootstrap
