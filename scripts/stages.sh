@@ -68,7 +68,9 @@ stage_asan() {
 
 # TSan: every test that crosses a thread.  util::parallel_for runs the
 # grid/averaged runners (jobs > 1) and the world build (per-host GNP fits,
-# per-source Dijkstra), ShardSet runs sharded scenarios (the shard and
+# per-source Dijkstra), the middleware's ChunkPipeline fits coordinates
+# during the bootstrap joins (the world-build, host-cache, bootstrap and
+# overlay-golden tests), ShardSet runs sharded scenarios (the shard and
 # harness tests), and the tracing facilities are per-thread.  Recovery and
 # data-plane runs go through the same grid pool, so their
 # determinism/acceptance tests ride along too.
@@ -81,7 +83,7 @@ stage_tsan() {
   cmake --build "${build_dir}" -j "${jobs}" --target groupcast_tests
   ctest --test-dir "${build_dir}" --no-tests=error \
     --output-on-failure -j "${jobs}" \
-    -R 'Experiment|ExperimentGrid|Counter|Tracer|Trace|Recovery|FaultPlan|FaultInjector|ReliableExchange|DataPlane|Histogram|FlightRecorder|GridDeterminism|Provenance|ShardSet|ShardDeterminism|Streaming|Gnp|Coords|NelderMead|Parallel|Routing|Harness'
+    -R 'Experiment|ExperimentGrid|Counter|Tracer|Trace|Recovery|FaultPlan|FaultInjector|ReliableExchange|DataPlane|Histogram|FlightRecorder|GridDeterminism|Provenance|ShardSet|ShardDeterminism|Streaming|Gnp|Coords|NelderMead|Parallel|Routing|Harness|WorldBuild|HostCache|Bootstrap|Regression.OverlayConstruction'
   echo "stages.sh: parallel-runner tests clean under TSan"
 }
 

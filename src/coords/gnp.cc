@@ -12,10 +12,6 @@ namespace groupcast::coords {
 
 namespace {
 
-/// Hosts per parallel_for chunk: one fit takes tens of microseconds, so a
-/// chunk amortizes the shared ticket without starving the tail.
-constexpr std::size_t kHostsPerChunk = 64;
-
 /// Spring relaxation rounds of the joint landmark embedding.
 constexpr std::size_t kLandmarkIterations = 2000;
 
@@ -31,8 +27,9 @@ double relative_error_sq(double estimated, double measured) {
 
 }  // namespace
 
-GnpEmbedding::GnpEmbedding(std::size_t host_count, const LatencyOracle& oracle,
-                           util::Rng& rng, const GnpOptions& options) {
+GnpLandmarks::GnpLandmarks(std::size_t host_count, const LatencyOracle& oracle,
+                           util::Rng& rng, const GnpOptions& options)
+    : host_count_(host_count) {
   GC_REQUIRE(host_count >= 2);
   const std::size_t n_landmarks = std::min(options.landmarks, host_count);
   GC_REQUIRE(n_landmarks >= 2);
@@ -87,55 +84,65 @@ GnpEmbedding::GnpEmbedding(std::size_t host_count, const LatencyOracle& oracle,
     }
   }
 
-  // Phase 2: every host (landmarks keep their phase-1 coordinates) solves
-  // its coordinate against the landmarks with Nelder–Mead.
-  coords_.resize(host_count);
-  for (std::size_t i = 0; i < n_landmarks; ++i) {
-    coords_[landmarks_[i]] = lm[i];
-  }
-  std::vector<char> is_landmark(host_count, 0);
-  for (const auto l : landmarks_) is_landmark[l] = 1;
+  landmark_coords_ = std::move(lm);
 
-  // Every probe is taken here, on the calling thread, so the oracle need
-  // not be thread-safe; the fits below only read the probe rows.
-  std::vector<double> probes(host_count * n_landmarks);
+  // Every host's probe row, taken here on the calling thread; a landmark's
+  // row is never read.
+  probes_.resize(host_count * n_landmarks);
   for (std::size_t host = 0; host < host_count; ++host) {
-    if (is_landmark[host]) continue;
+    if (std::find(landmarks_.begin(), landmarks_.end(), host) !=
+        landmarks_.end()) {
+      continue;
+    }
     for (std::size_t j = 0; j < n_landmarks; ++j) {
-      probes[host * n_landmarks + j] = oracle(host, landmarks_[j]);
+      probes_[host * n_landmarks + j] = oracle(host, landmarks_[j]);
     }
   }
+}
 
-  // Each fit is a pure function of its probe row and the landmark
-  // coordinates and writes only its own host's coordinate, so the fits
-  // run in parallel and come out byte-identical to a serial loop.
+Coord GnpLandmarks::fit(std::size_t host) const {
+  GC_REQUIRE(host < host_count_);
+  const std::size_t n_landmarks = landmarks_.size();
+  const auto& lm = landmark_coords_;
+  for (std::size_t j = 0; j < n_landmarks; ++j) {
+    if (landmarks_[j] == host) return lm[j];
+  }
   using Point = std::array<double, kDims>;
+  const double* probe = &probes_[host * n_landmarks];
+  const auto objective = [&](const Point& x) {
+    double total = 0.0;
+    for (std::size_t j = 0; j < n_landmarks; ++j) {
+      double acc = 0.0;
+      for (std::size_t d = 0; d < kDims; ++d) {
+        const double diff = x[d] - lm[j][d];
+        acc += diff * diff;
+      }
+      total += relative_error_sq(std::sqrt(acc), probe[j]);
+    }
+    return total;
+  };
+  // Start at the closest landmark's coordinate — a good initial guess.
+  std::size_t nearest = 0;
+  for (std::size_t j = 1; j < n_landmarks; ++j) {
+    if (probe[j] < probe[nearest]) nearest = j;
+  }
+  Point start{};
+  for (std::size_t d = 0; d < kDims; ++d) start[d] = lm[nearest][d];
   NelderMeadOptions nm;
   nm.max_iterations = kHostNmIterations;
   nm.initial_step = 40.0;
-  util::parallel_for(host_count, kHostsPerChunk, [&](std::size_t host) {
-    if (is_landmark[host]) return;
-    const double* probe = &probes[host * n_landmarks];
-    const auto objective = [&](const Point& x) {
-      double total = 0.0;
-      for (std::size_t j = 0; j < n_landmarks; ++j) {
-        double acc = 0.0;
-        for (std::size_t d = 0; d < kDims; ++d) {
-          const double diff = x[d] - lm[j][d];
-          acc += diff * diff;
-        }
-        total += relative_error_sq(std::sqrt(acc), probe[j]);
-      }
-      return total;
-    };
-    // Start at the closest landmark's coordinate — a good initial guess.
-    std::size_t nearest = 0;
-    for (std::size_t j = 1; j < n_landmarks; ++j) {
-      if (probe[j] < probe[nearest]) nearest = j;
-    }
-    Point start{};
-    for (std::size_t d = 0; d < kDims; ++d) start[d] = lm[nearest][d];
-    coords_[host] = Coord(nelder_mead(objective, start, nm).x);
+  return Coord(nelder_mead(objective, start, nm).x);
+}
+
+GnpEmbedding::GnpEmbedding(std::size_t host_count, const LatencyOracle& oracle,
+                           util::Rng& rng, const GnpOptions& options) {
+  const GnpLandmarks landmarks(host_count, oracle, rng, options);
+  landmarks_ = landmarks.hosts();
+  // Each fit writes only its own host's slot, so the parallel loop comes
+  // out byte-identical to a serial one.
+  coords_.resize(host_count);
+  util::parallel_for(host_count, kGnpFitGrain, [&](std::size_t host) {
+    coords_[host] = landmarks.fit(host);
   });
 }
 

@@ -30,12 +30,44 @@ struct GnpOptions {
   friend bool operator==(const GnpOptions&, const GnpOptions&) = default;
 };
 
-/// Embedding of `host_count` hosts.
+/// Hosts per chunk of a parallel fit loop: one fit takes tens of
+/// microseconds, so a chunk amortizes the shared ticket without starving
+/// the tail.
+inline constexpr std::size_t kGnpFitGrain = 64;
+
+/// The serial half of GNP: the landmark sample, the joint landmark
+/// embedding (phase 1) and every host's landmark probes.  fit() is phase 2
+/// for one host.  Every oracle call and RNG draw happens in the
+/// constructor, on the calling thread, so the oracle need not be
+/// thread-safe and the fits may run in any order on any thread.
+class GnpLandmarks {
+ public:
+  /// @param host_count total number of hosts to embed (>= 2)
+  /// @param oracle latency measurements; must be symmetric and non-negative
+  GnpLandmarks(std::size_t host_count, const LatencyOracle& oracle,
+               util::Rng& rng, const GnpOptions& options = {});
+
+  /// The landmark hosts.
+  const std::vector<std::size_t>& hosts() const { return landmarks_; }
+
+  /// Phase 2 for one host: its coordinate solved against the landmark
+  /// coordinates with Nelder–Mead (a landmark keeps its phase-1
+  /// coordinate).  A pure function of the host's probe row, so distinct
+  /// hosts may be fitted concurrently.
+  Coord fit(std::size_t host) const;
+
+ private:
+  std::size_t host_count_;
+  std::vector<std::size_t> landmarks_;
+  std::vector<Coord> landmark_coords_;  // landmarks_[j]'s coordinate
+  std::vector<double> probes_;  // row per host: latency to each landmark
+};
+
+/// Embedding of `host_count` hosts: GnpLandmarks, then every host's fit in
+/// parallel.
 class GnpEmbedding {
  public:
-  /// Runs the full two-phase GNP procedure.
-  /// @param host_count total number of hosts to embed (>= landmarks)
-  /// @param oracle latency measurements; must be symmetric and non-negative
+  /// Runs the full two-phase GNP procedure; parameters as GnpLandmarks.
   GnpEmbedding(std::size_t host_count, const LatencyOracle& oracle,
                util::Rng& rng, const GnpOptions& options = {});
 

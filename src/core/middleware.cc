@@ -1,10 +1,13 @@
 #include "core/middleware.h"
 
 #include <algorithm>
+#include <atomic>
 #include <numeric>
 #include <queue>
+#include <thread>
 
 #include "trace/trace.h"
+#include "util/parallel.h"
 #include "util/require.h"
 
 namespace groupcast::core {
@@ -13,6 +16,46 @@ namespace {
 
 /// Random-walk length used by pick_rendezvous().
 constexpr std::size_t kRendezvousWalkLength = 20;
+
+/// True when a build fits the GNP coordinates beside its joins: only a
+/// GroupCast build with a spare core, and not on a parallel_for worker,
+/// whose build fits every coordinate inline first.
+bool fits_beside_joins(const MiddlewareConfig& config) {
+  return config.overlay == OverlayKind::kGroupCast &&
+         !util::in_parallel_worker() &&
+         std::thread::hardware_concurrency() > 1;
+}
+
+/// Joins `order` on the calling thread while one background thread per
+/// spare core fits the GNP coordinates in the same order, kGnpFitGrain
+/// hosts a chunk.  A join waits only for its own peer's chunk: it reads
+/// the coordinates of the joiner and of peers that joined before it,
+/// never of a later one.  The joins stay on this thread because their
+/// counters and trace events are thread-local.
+void join_while_fitting(overlay::GroupCastBootstrap& bootstrap,
+                        overlay::PeerPopulation& population,
+                        const std::vector<overlay::PeerId>& order) {
+  std::atomic<std::size_t> fitted{0};
+  util::ChunkPipeline fits(
+      order.size(), coords::kGnpFitGrain,
+      [&](std::size_t begin, std::size_t end) {
+        for (std::size_t i = begin; i < end; ++i) {
+          population.fit_coordinate(order[i]);
+        }
+        // Whichever thread fits the last host frees the probe rows.
+        if (fitted.fetch_add(end - begin, std::memory_order_acq_rel) +
+                (end - begin) ==
+            order.size()) {
+          population.end_fits();
+        }
+      },
+      std::thread::hardware_concurrency() - 1);
+  for (std::size_t t = 0; t < order.size(); ++t) {
+    fits.wait_for(t);
+    bootstrap.join(order[t]);
+  }
+  fits.finish();
+}
 
 }  // namespace
 
@@ -57,8 +100,17 @@ GroupCastMiddleware::GroupCastMiddleware(const MiddlewareConfig& config)
 
   auto pop_config = config_.population;
   pop_config.peer_count = config_.peer_count;
-  population_ = std::make_shared<const overlay::PeerPopulation>(
-      *routing_, pop_config, rng_);
+  // Fitted here, or during the joins (build_overlay); the draws and
+  // probes happen here either way.
+  std::shared_ptr<overlay::PeerPopulation> unfitted;
+  if (fits_beside_joins(config_)) {
+    unfitted = std::make_shared<overlay::PeerPopulation>(
+        *routing_, pop_config, rng_, overlay::PeerPopulation::DeferFits{});
+    population_ = unfitted;
+  } else {
+    population_ = std::make_shared<const overlay::PeerPopulation>(
+        *routing_, pop_config, rng_);
+  }
 
   graph_ = std::make_unique<overlay::OverlayGraph>(config_.peer_count);
   host_cache_ = std::make_unique<overlay::HostCacheServer>(
@@ -69,7 +121,7 @@ GroupCastMiddleware::GroupCastMiddleware(const MiddlewareConfig& config)
   trace::tracer().emit(
       0, trace::EventKind::kPhaseBegin, trace::kNoNode, trace::kNoNode,
       static_cast<std::uint64_t>(trace::Phase::kBootstrap));
-  build_overlay();
+  build_overlay(unfitted.get());
   repair_edges_ = ensure_connected();
 }
 
@@ -162,7 +214,7 @@ std::shared_ptr<const DeploymentSnapshot> GroupCastMiddleware::make_snapshot(
   return snapshot;
 }
 
-void GroupCastMiddleware::build_overlay() {
+void GroupCastMiddleware::build_overlay(overlay::PeerPopulation* unfitted) {
   switch (config_.overlay) {
     case OverlayKind::kGroupCast: {
       // Peers join one at a time in random order, as in the paper's
@@ -172,7 +224,11 @@ void GroupCastMiddleware::build_overlay() {
       std::vector<overlay::PeerId> order(config_.peer_count);
       std::iota(order.begin(), order.end(), 0);
       rng_.shuffle(order);
-      for (const auto peer : order) bootstrap_->join(peer);
+      if (unfitted != nullptr) {
+        join_while_fitting(*bootstrap_, *unfitted, order);
+      } else {
+        for (const auto peer : order) bootstrap_->join(peer);
+      }
       break;
     }
     case OverlayKind::kRandomPowerLaw: {

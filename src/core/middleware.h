@@ -162,7 +162,9 @@ class GroupCastMiddleware {
   }
 
  private:
-  void build_overlay();
+  /// Builds the configured overlay.  A GroupCast build whose population
+  /// still has `unfitted` coordinates fits them alongside the joins.
+  void build_overlay(overlay::PeerPopulation* unfitted);
   std::size_t ensure_connected();
 
   MiddlewareConfig config_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory_resource>
 #include <unordered_map>
 
 #include "core/utility.h"
@@ -63,12 +64,22 @@ double GroupCastBootstrap::back_link_probability(
 }
 
 namespace {
+
+/// Bytes of the per-join arena: the largest candidate list of a 20k-peer
+/// build (about 200 peers) needs under a quarter of it; a larger one
+/// spills to the heap.
+constexpr std::size_t kJoinArenaBytes = 32 * 1024;
+
+using FrequencyMap = std::pmr::unordered_map<PeerId, std::size_t>;
+
 /// Candidate discovery for join(): probe the bootstrap peers, merge their
-/// neighbour lists into LC with occurrence frequencies.
-std::unordered_map<PeerId, std::size_t> gather_candidates(
-    const OverlayGraph& graph, PeerId self,
-    const std::vector<PeerId>& bootstrap_peers, JoinStats& stats) {
-  std::unordered_map<PeerId, std::size_t> frequency;
+/// neighbour lists into LC with occurrence frequencies.  The map's hash and
+/// bucket policy are std::unordered_map's, so its iteration order is too.
+FrequencyMap gather_candidates(const OverlayGraph& graph, PeerId self,
+                               const std::vector<PeerId>& bootstrap_peers,
+                               JoinStats& stats,
+                               std::pmr::memory_resource* arena) {
+  FrequencyMap frequency(arena);
   for (const PeerId target : bootstrap_peers) {
     stats.probe_messages += 2;  // probe + response
     ++frequency[target];        // the bootstrap peer is itself a candidate
@@ -80,6 +91,7 @@ std::unordered_map<PeerId, std::size_t> gather_candidates(
   stats.candidates_seen = frequency.size();
   return frequency;
 }
+
 }  // namespace
 
 JoinStats GroupCastBootstrap::join(PeerId peer) {
@@ -90,14 +102,18 @@ JoinStats GroupCastBootstrap::join(PeerId peer) {
   // Step 1: bootstrap candidates from the host cache.
   const auto bootstrap_peers = host_cache_->bootstrap_candidates(peer);
 
-  // Step 2: probe and compile LC_i.
+  // Step 2: probe and compile LC_i.  The candidate structures live in an
+  // arena over a buffer kept between joins, so they take nothing from the
+  // heap.
+  if (arena_.empty()) arena_.resize(kJoinArenaBytes);
+  std::pmr::monotonic_buffer_resource arena(arena_.data(), arena_.size());
   const auto frequency =
-      gather_candidates(*graph_, peer, bootstrap_peers, stats);
+      gather_candidates(*graph_, peer, bootstrap_peers, stats, &arena);
 
   if (!frequency.empty()) {
     // Step 3: utility scores via Eq. 6 (capacity := occurrence frequency).
-    std::vector<PeerId> candidates;
-    std::vector<core::Candidate> scored;
+    std::pmr::vector<PeerId> candidates(&arena);
+    std::pmr::vector<core::Candidate> scored(&arena);
     candidates.reserve(frequency.size());
     scored.reserve(frequency.size());
     for (const auto& [id, freq] : frequency) {

@@ -18,6 +18,9 @@
 // (Figure 9).
 #pragma once
 
+#include <cstddef>
+#include <vector>
+
 #include "overlay/graph.h"
 #include "overlay/host_cache.h"
 #include "overlay/population.h"
@@ -89,6 +92,8 @@ class GroupCastBootstrap {
   BootstrapOptions options_;
   util::Rng rng_;
   std::vector<char> joined_;
+  /// join()'s arena buffer: allocated by the first join, never copied.
+  std::vector<std::byte> arena_;
 };
 
 }  // namespace groupcast::overlay

@@ -44,45 +44,43 @@ bool HostCacheServer::contains(PeerId peer) const {
 std::vector<PeerId> HostCacheServer::bootstrap_candidates(PeerId joiner) {
   GC_REQUIRE(joiner < position_.size());
 
-  // Each entry's coordinate distance to the joiner, computed once.
+  // Each entry's squared coordinate distance to the joiner, computed once.
   const coords::Coord& here = population_->info(joiner).coord;
-  std::vector<std::pair<double, PeerId>> pool;
-  pool.reserve(entries_.size());
+  pool_.clear();
   for (std::size_t i = 0; i < entries_.size(); ++i) {
     if (entries_[i] != joiner) {
-      pool.emplace_back(here.distance_to(coords_[i]), entries_[i]);
+      pool_.emplace_back(here.squared_distance_to(coords_[i]), entries_[i]);
     }
   }
-  if (pool.empty()) return {};
+  if (pool_.empty()) return {};
 
   const std::size_t batch = std::min<std::size_t>(
-      pool.size(),
+      pool_.size(),
       options_.min_batch +
           rng_.uniform_index(options_.max_batch - options_.min_batch + 1));
   const auto closest_half = static_cast<std::ptrdiff_t>((batch + 1) / 2);
 
-  // BD_i: closest by network-coordinate distance.  The comparator reads
-  // the distance alone, so the whole pool ends in the permutation that
-  // the BR_i draws below index into.
-  std::partial_sort(pool.begin(), pool.begin() + closest_half, pool.end(),
-                    [](const auto& a, const auto& b) {
-                      return a.first < b.first;
-                    });
+  // BD_i: closest by network-coordinate distance.  The comparator has the
+  // outcomes of comparing the distances alone, so the whole pool ends in
+  // the permutation that the BR_i draws below index into.
+  std::partial_sort(pool_.begin(), pool_.begin() + closest_half, pool_.end(),
+                    closer_by_distance);
   std::vector<PeerId> result;
   result.reserve(batch);
-  for (auto it = pool.begin(); it != pool.begin() + closest_half; ++it) {
+  for (auto it = pool_.begin(); it != pool_.begin() + closest_half; ++it) {
     result.push_back(it->second);
   }
 
   // BR_i: random picks from the remainder, skipping duplicates.
   std::size_t attempts = 0;
-  while (result.size() < batch && attempts < pool.size() * 4 + 16) {
+  while (result.size() < batch && attempts < pool_.size() * 4 + 16) {
     ++attempts;
-    const PeerId pick = pool[rng_.uniform_index(pool.size())].second;
+    const PeerId pick = pool_[rng_.uniform_index(pool_.size())].second;
     if (std::find(result.begin(), result.end(), pick) == result.end()) {
       result.push_back(pick);
     }
   }
+  pool_.clear();
   return result;
 }
 

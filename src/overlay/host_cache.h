@@ -10,6 +10,8 @@
 // 5 <= |B_i| <= 8."                                         (Section 3.3)
 #pragma once
 
+#include <cmath>
+#include <utility>
 #include <vector>
 
 #include "overlay/population.h"
@@ -25,6 +27,17 @@ struct HostCacheOptions {
                          const HostCacheOptions&) = default;
 };
 
+/// Orders bootstrap_candidates' (squared distance, peer) pool entries as
+/// their distances order them: true exactly when sqrt(a.first) <
+/// sqrt(b.first).  sqrt rounds monotonically, so that implies a.first <
+/// b.first, and the cheap test rejects most pairs without a root.  Two
+/// squares one ulp apart can share a root; then neither is closer, as
+/// with the distances themselves.
+inline bool closer_by_distance(const std::pair<double, PeerId>& a,
+                               const std::pair<double, PeerId>& b) {
+  return a.first < b.first && std::sqrt(a.first) < std::sqrt(b.first);
+}
+
 class HostCacheServer {
  public:
   HostCacheServer(const PeerPopulation& population, HostCacheOptions options,
@@ -35,6 +48,8 @@ class HostCacheServer {
 
   bool contains(PeerId peer) const;
   std::size_t size() const { return entries_.size(); }
+  /// The cached peers, in slot order.
+  const std::vector<PeerId>& entries() const { return entries_; }
 
   /// Bootstrap query: returns B_i = BD_i ∪ BR_i (closest half by network
   /// coordinate distance to `joiner`, random half), never including the
@@ -48,6 +63,10 @@ class HostCacheServer {
   std::vector<PeerId> entries_;           // insertion order (cheap eviction)
   std::vector<coords::Coord> coords_;     // entries_[i]'s coordinate
   std::vector<std::int32_t> position_;    // peer -> index in entries_, or -1
+  /// bootstrap_candidates' (squared distance, entry) pool, kept between
+  /// queries for its capacity and left empty after each, so a copy of the
+  /// cache copies no pool.
+  std::vector<std::pair<double, PeerId>> pool_;
 };
 
 }  // namespace groupcast::overlay

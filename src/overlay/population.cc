@@ -1,5 +1,6 @@
 #include "overlay/population.h"
 
+#include "util/parallel.h"
 #include "util/require.h"
 
 namespace groupcast::overlay {
@@ -15,6 +16,17 @@ constexpr double kAccessLatencyMaxMs = 2.0;
 
 PeerPopulation::PeerPopulation(const net::IpRouting& routing,
                                const PopulationConfig& config, util::Rng& rng)
+    : PeerPopulation(routing, config, rng, DeferFits{}) {
+  util::parallel_for(peers_.size(), coords::kGnpFitGrain,
+                     [this](std::size_t id) {
+                       fit_coordinate(static_cast<PeerId>(id));
+                     });
+  end_fits();
+}
+
+PeerPopulation::PeerPopulation(const net::IpRouting& routing,
+                               const PopulationConfig& config, util::Rng& rng,
+                               DeferFits)
     : routing_(&routing) {
   GC_REQUIRE(config.peer_count >= 2);
 
@@ -30,14 +42,17 @@ PeerPopulation::PeerPopulation(const net::IpRouting& routing,
     p.capacity = capacities_.sample(rng);
   }
 
-  // Coordinate assignment over the true peer-pair latencies.
+  // GNP's serial half over the true peer-pair latencies.
   const coords::LatencyOracle oracle = [this](std::size_t a, std::size_t b) {
     return latency_ms(static_cast<PeerId>(a), static_cast<PeerId>(b));
   };
-  const coords::GnpEmbedding gnp(config.peer_count, oracle, rng, config.gnp);
-  for (PeerId id = 0; id < config.peer_count; ++id) {
-    peers_[id].coord = gnp.coordinate(id);
-  }
+  gnp_ = std::make_unique<const coords::GnpLandmarks>(config.peer_count,
+                                                      oracle, rng, config.gnp);
+}
+
+void PeerPopulation::fit_coordinate(PeerId id) {
+  GC_REQUIRE_MSG(gnp_ != nullptr, "the GNP fits have ended");
+  peers_.at(id).coord = gnp_->fit(id);
 }
 
 double PeerPopulation::latency_ms(PeerId a, PeerId b) const {

@@ -26,8 +26,28 @@ struct PopulationConfig {
 /// latencies and estimated (GNP coordinate) distances.
 class PeerPopulation {
  public:
+  /// Draws the peers and fits every GNP coordinate (in parallel).
   PeerPopulation(const net::IpRouting& routing, const PopulationConfig& config,
                  util::Rng& rng);
+
+  /// Tag of the constructor that leaves the GNP host fits to the caller.
+  struct DeferFits {};
+
+  /// Makes every draw and probe the synchronous constructor makes, in the
+  /// same order, but leaves each peer's coordinate unset until
+  /// fit_coordinate(id) has run for it.  The synchronous constructor is
+  /// this one followed by every fit and end_fits().
+  PeerPopulation(const net::IpRouting& routing, const PopulationConfig& config,
+                 util::Rng& rng, DeferFits);
+
+  /// GNP phase 2 for one peer of a deferred-fit population.  Fits of
+  /// distinct peers may run concurrently with each other and with reads of
+  /// any other peer's fields; the peer's own coordinate must not be read
+  /// until its fit has returned.
+  void fit_coordinate(PeerId id);
+
+  /// Frees the GNP probe rows; call once every coordinate is fitted.
+  void end_fits() { gnp_.reset(); }
 
   std::size_t size() const { return peers_.size(); }
   const PeerInfo& info(PeerId id) const { return peers_.at(id); }
@@ -63,6 +83,7 @@ class PeerPopulation {
   const net::IpRouting* routing_;
   CapacityDistribution capacities_;
   std::vector<PeerInfo> peers_;
+  std::unique_ptr<const coords::GnpLandmarks> gnp_;  // set while fits pend
 };
 
 }  // namespace groupcast::overlay

@@ -5,6 +5,7 @@
 #include <exception>
 #include <mutex>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "util/require.h"
@@ -14,6 +15,12 @@ namespace groupcast::util {
 namespace {
 /// Set on parallel_for worker threads: a nested call runs inline.
 thread_local bool tl_parallel_worker = false;
+
+/// Chunks of at most `grain` items that cover [0, n).
+std::size_t chunk_count(std::size_t n, std::size_t grain) {
+  GC_REQUIRE(grain >= 1);
+  return n / grain + (n % grain != 0 ? 1 : 0);
+}
 }  // namespace
 
 bool in_parallel_worker() { return tl_parallel_worker; }
@@ -22,9 +29,8 @@ void parallel_for_chunks(
     std::size_t n, std::size_t grain,
     const std::function<void(std::size_t, std::size_t)>& body,
     std::size_t workers) {
-  GC_REQUIRE(grain >= 1);
+  const std::size_t chunks = chunk_count(n, grain);
   if (n == 0) return;
-  const std::size_t chunks = n / grain + (n % grain != 0 ? 1 : 0);
   if (workers == 0) {
     workers = std::max<std::size_t>(1, std::thread::hardware_concurrency());
   }
@@ -70,6 +76,76 @@ void parallel_for_chunks(
   }
   for (std::thread& worker : pool) worker.join();
   if (first_error) std::rethrow_exception(first_error);
+}
+
+ChunkPipeline::ChunkPipeline(
+    std::size_t n, std::size_t grain,
+    std::function<void(std::size_t, std::size_t)> body, std::size_t workers)
+    : n_(n),
+      grain_(grain),
+      chunks_(chunk_count(n, grain)),
+      body_(std::move(body)),
+      done_(std::make_unique<std::atomic<int>[]>(chunks_)) {
+  workers = std::min(workers, chunks_);
+  pool_.reserve(workers);
+  try {
+    for (std::size_t t = 0; t < workers; ++t) {
+      pool_.emplace_back([this] {
+        tl_parallel_worker = true;
+        while (run_next()) {
+        }
+      });
+    }
+  } catch (...) {
+    stop();
+    throw;
+  }
+}
+
+ChunkPipeline::~ChunkPipeline() { stop(); }
+
+void ChunkPipeline::stop() {
+  next_.store(chunks_, std::memory_order_relaxed);
+  for (std::thread& worker : pool_) worker.join();
+  pool_.clear();
+}
+
+bool ChunkPipeline::run_next() {
+  const std::size_t chunk = next_.fetch_add(1, std::memory_order_relaxed);
+  if (chunk >= chunks_) return false;
+  const std::size_t begin = chunk * grain_;
+  int state = 1;
+  try {
+    body_(begin, std::min(n_, begin + grain_));
+  } catch (...) {
+    std::lock_guard<std::mutex> lock(error_mutex_);
+    if (!first_error_) first_error_ = std::current_exception();
+    state = 2;
+  }
+  done_[chunk].store(state, std::memory_order_release);
+  done_[chunk].notify_all();
+  return true;
+}
+
+void ChunkPipeline::wait_for(std::size_t i) {
+  GC_REQUIRE(i < n_);
+  const std::size_t chunk = i / grain_;
+  std::atomic<int>& done = done_[chunk];
+  while (done.load(std::memory_order_acquire) == 0) {
+    // Help while the chunk is unclaimed; otherwise its worker is on it.
+    if (next_.load(std::memory_order_relaxed) > chunk || !run_next()) {
+      done.wait(0, std::memory_order_acquire);
+    }
+  }
+  if (done.load(std::memory_order_relaxed) == 2) {
+    std::lock_guard<std::mutex> lock(error_mutex_);
+    std::rethrow_exception(first_error_);
+  }
+}
+
+void ChunkPipeline::finish() {
+  for (std::size_t begin = 0; begin < n_; begin += grain_) wait_for(begin);
+  stop();
 }
 
 }  // namespace groupcast::util

@@ -7,14 +7,25 @@
 // chunk changes from run to run, but every item writes only its own
 // output, so the results never depend on the schedule.
 //
+// ChunkPipeline runs the same kind of loop on background threads while
+// the calling thread goes on with work that consumes the items in index
+// order (the overlay joins consume the GNP fits this way).
+//
 // Nesting: a parallel_for called on a worker of another parallel_for runs
 // inline on that worker, so a world built inside a parallel grid cell
 // does not oversubscribe the cores.  in_parallel_worker() exposes the same
-// guard to code that starts threads of its own (the sharded event kernel).
+// guard to code that starts threads of its own (the sharded event kernel,
+// the world build's ChunkPipeline).
 #pragma once
 
+#include <atomic>
 #include <cstddef>
+#include <exception>
 #include <functional>
+#include <memory>
+#include <mutex>
+#include <thread>
+#include <vector>
 
 namespace groupcast::util {
 
@@ -45,5 +56,46 @@ void parallel_for(std::size_t n, std::size_t grain, Body&& body,
       },
       workers);
 }
+
+/// Calls body(begin, end) for the chunks of [0, n) as parallel_for_chunks
+/// does, but on `workers` background threads that start at construction,
+/// claiming chunks in index order.  wait_for(i) returns once the chunk
+/// holding item i has run, and every write the chunk made is visible to
+/// the caller from then on.  A caller whose chunk no worker has claimed
+/// yet runs the next unclaimed chunks itself, so the pipeline also
+/// finishes with zero workers.
+class ChunkPipeline {
+ public:
+  ChunkPipeline(std::size_t n, std::size_t grain,
+                std::function<void(std::size_t, std::size_t)> body,
+                std::size_t workers);
+  /// Skips the chunks not yet claimed and joins the workers.
+  ~ChunkPipeline();
+  ChunkPipeline(const ChunkPipeline&) = delete;
+  ChunkPipeline& operator=(const ChunkPipeline&) = delete;
+
+  /// Blocks until item i's chunk has run.  If that chunk threw, rethrows
+  /// the first exception any chunk threw.
+  void wait_for(std::size_t i);
+
+  /// wait_for every item, then joins the workers.
+  void finish();
+
+ private:
+  /// Claims and runs the next chunk; false when none is left.
+  bool run_next();
+  void stop();
+
+  std::size_t n_;
+  std::size_t grain_;
+  std::size_t chunks_;
+  std::function<void(std::size_t, std::size_t)> body_;
+  std::atomic<std::size_t> next_{0};
+  /// done_[c] becomes 1 once chunk c has run, 2 if it threw.
+  std::unique_ptr<std::atomic<int>[]> done_;
+  std::mutex error_mutex_;
+  std::exception_ptr first_error_;
+  std::vector<std::thread> pool_;
+};
 
 }  // namespace groupcast::util

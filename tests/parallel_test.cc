@@ -1,6 +1,7 @@
 // Tests for util::parallel_for: every index is visited exactly once, the
 // first exception reaches the caller, and a nested call runs inline on
-// the worker that makes it.
+// the worker that makes it.  ChunkPipeline: a waiter sees its chunk's
+// writes, with or without workers, and a chunk's exception reaches it.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -68,6 +69,64 @@ TEST(ParallelFor, NestedCallRunsInlineOnTheCallingWorker) {
 
 TEST(ParallelFor, RejectsZeroGrain) {
   EXPECT_THROW(parallel_for(4, 0, [](std::size_t) {}), PreconditionError);
+}
+
+TEST(ParallelChunkPipeline, WaiterSeesEveryWriteOfItsChunk) {
+  constexpr std::size_t n = 10 * kGrain + 3;
+  for (const std::size_t workers : {std::size_t{0}, std::size_t{1},
+                                    std::size_t{3}}) {
+    // Plain ints: wait_for must order the chunk's writes before the read.
+    std::vector<int> value(n, -1);
+    std::vector<std::atomic<int>> visits(n);
+    ChunkPipeline pipeline(
+        n, kGrain,
+        [&](std::size_t begin, std::size_t end) {
+          for (std::size_t i = begin; i < end; ++i) {
+            value[i] = static_cast<int>(i);
+            visits[i].fetch_add(1);
+          }
+        },
+        workers);
+    for (std::size_t i = 0; i < n; ++i) {
+      pipeline.wait_for(i);
+      ASSERT_EQ(value[i], static_cast<int>(i)) << "workers=" << workers;
+    }
+    pipeline.finish();
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(visits[i].load(), 1) << "workers=" << workers << " i=" << i;
+    }
+  }
+}
+
+TEST(ParallelChunkPipeline, ChunkExceptionReachesTheWaiter) {
+  for (const std::size_t workers : {std::size_t{0}, std::size_t{3}}) {
+    ChunkPipeline pipeline(
+        100, 3,
+        [](std::size_t begin, std::size_t end) {
+          if (begin <= 42 && 42 < end) throw std::runtime_error("failed");
+        },
+        workers);
+    pipeline.wait_for(0);
+    EXPECT_THROW(pipeline.wait_for(42), std::runtime_error)
+        << "workers=" << workers;
+    EXPECT_THROW(pipeline.finish(), std::runtime_error);
+  }
+}
+
+TEST(ParallelChunkPipeline, DestructorStopsWithoutFinishing) {
+  std::atomic<std::size_t> ran{0};
+  {
+    ChunkPipeline pipeline(
+        1000, 1, [&](std::size_t, std::size_t) { ran.fetch_add(1); }, 2);
+    pipeline.wait_for(0);
+  }
+  EXPECT_GE(ran.load(), 1u);
+  EXPECT_LE(ran.load(), 1000u);
+}
+
+TEST(ParallelChunkPipeline, RejectsZeroGrain) {
+  EXPECT_THROW(ChunkPipeline(4, 0, [](std::size_t, std::size_t) {}, 1),
+               PreconditionError);
 }
 
 }  // namespace
