@@ -29,19 +29,14 @@ class Coord {
   double operator[](std::size_t i) const { return v_[i]; }
 
   /// Euclidean distance to another coordinate (estimated latency, ms).
+  /// Inline: the host cache evaluates it once per cached entry per join.
   double distance_to(const Coord& other) const {
-    return std::sqrt(squared_distance_to(other));
-  }
-
-  /// Squared Euclidean distance; distance_to is its square root.  Inline:
-  /// the host cache evaluates it once per cached entry per join.
-  double squared_distance_to(const Coord& other) const {
     double acc = 0.0;
     for (std::size_t i = 0; i < kDims; ++i) {
       const double d = v_[i] - other.v_[i];
       acc += d * d;
     }
-    return acc;
+    return std::sqrt(acc);
   }
 
   /// Euclidean norm.

@@ -134,16 +134,20 @@ Coord GnpLandmarks::fit(std::size_t host) const {
   return Coord(nelder_mead(objective, start, nm).x);
 }
 
+std::vector<Coord> GnpLandmarks::fit_all() const {
+  // Each fit writes only its own host's slot, so the parallel loop comes
+  // out byte-identical to a serial one.
+  std::vector<Coord> coords(host_count_);
+  util::parallel_for(host_count_, kGnpFitGrain,
+                     [&](std::size_t host) { coords[host] = fit(host); });
+  return coords;
+}
+
 GnpEmbedding::GnpEmbedding(std::size_t host_count, const LatencyOracle& oracle,
                            util::Rng& rng, const GnpOptions& options) {
   const GnpLandmarks landmarks(host_count, oracle, rng, options);
   landmarks_ = landmarks.hosts();
-  // Each fit writes only its own host's slot, so the parallel loop comes
-  // out byte-identical to a serial one.
-  coords_.resize(host_count);
-  util::parallel_for(host_count, kGnpFitGrain, [&](std::size_t host) {
-    coords_[host] = landmarks.fit(host);
-  });
+  coords_ = landmarks.fit_all();
 }
 
 double GnpEmbedding::median_relative_error(const LatencyOracle& oracle,

@@ -56,6 +56,10 @@ class GnpLandmarks {
   /// hosts may be fitted concurrently.
   Coord fit(std::size_t host) const;
 
+  /// fit() of every host, kGnpFitGrain hosts a chunk on parallel_for; the
+  /// one loop that fits a whole embedding.
+  std::vector<Coord> fit_all() const;
+
  private:
   std::size_t host_count_;
   std::vector<std::size_t> landmarks_;
@@ -63,8 +67,7 @@ class GnpLandmarks {
   std::vector<double> probes_;  // row per host: latency to each landmark
 };
 
-/// Embedding of `host_count` hosts: GnpLandmarks, then every host's fit in
-/// parallel.
+/// Embedding of `host_count` hosts: GnpLandmarks, then its fit_all().
 class GnpEmbedding {
  public:
   /// Runs the full two-phase GNP procedure; parameters as GnpLandmarks.

@@ -17,21 +17,14 @@ namespace {
 /// Random-walk length used by pick_rendezvous().
 constexpr std::size_t kRendezvousWalkLength = 20;
 
-/// True when a build fits the GNP coordinates beside its joins: only a
-/// GroupCast build with a spare core, and not on a parallel_for worker,
-/// whose build fits every coordinate inline first.
-bool fits_beside_joins(const MiddlewareConfig& config) {
-  return config.overlay == OverlayKind::kGroupCast &&
-         !util::in_parallel_worker() &&
-         std::thread::hardware_concurrency() > 1;
-}
-
 /// Joins `order` on the calling thread while one background thread per
 /// spare core fits the GNP coordinates in the same order, kGnpFitGrain
 /// hosts a chunk.  A join waits only for its own peer's chunk: it reads
 /// the coordinates of the joiner and of peers that joined before it,
 /// never of a later one.  The joins stay on this thread because their
-/// counters and trace events are thread-local.
+/// counters and trace events are thread-local.  Inside a parallel_for
+/// chunk (a grid cell) there are no background threads: each wait fits
+/// its chunk on this thread.
 void join_while_fitting(overlay::GroupCastBootstrap& bootstrap,
                         overlay::PeerPopulation& population,
                         const std::vector<overlay::PeerId>& order) {
@@ -49,7 +42,9 @@ void join_while_fitting(overlay::GroupCastBootstrap& bootstrap,
           population.end_fits();
         }
       },
-      std::thread::hardware_concurrency() - 1);
+      util::in_parallel_worker()
+          ? 0
+          : std::max(1u, std::thread::hardware_concurrency()) - 1);
   for (std::size_t t = 0; t < order.size(); ++t) {
     fits.wait_for(t);
     bootstrap.join(order[t]);
@@ -100,10 +95,10 @@ GroupCastMiddleware::GroupCastMiddleware(const MiddlewareConfig& config)
 
   auto pop_config = config_.population;
   pop_config.peer_count = config_.peer_count;
-  // Fitted here, or during the joins (build_overlay); the draws and
-  // probes happen here either way.
+  // A GroupCast build fits the coordinates during its joins
+  // (build_overlay); the draws and probes happen here either way.
   std::shared_ptr<overlay::PeerPopulation> unfitted;
-  if (fits_beside_joins(config_)) {
+  if (config_.overlay == OverlayKind::kGroupCast) {
     unfitted = std::make_shared<overlay::PeerPopulation>(
         *routing_, pop_config, rng_, overlay::PeerPopulation::DeferFits{});
     population_ = unfitted;
@@ -224,11 +219,7 @@ void GroupCastMiddleware::build_overlay(overlay::PeerPopulation* unfitted) {
       std::vector<overlay::PeerId> order(config_.peer_count);
       std::iota(order.begin(), order.end(), 0);
       rng_.shuffle(order);
-      if (unfitted != nullptr) {
-        join_while_fitting(*bootstrap_, *unfitted, order);
-      } else {
-        for (const auto peer : order) bootstrap_->join(peer);
-      }
+      join_while_fitting(*bootstrap_, *unfitted, order);
       break;
     }
     case OverlayKind::kRandomPowerLaw: {

@@ -162,8 +162,9 @@ class GroupCastMiddleware {
   }
 
  private:
-  /// Builds the configured overlay.  A GroupCast build whose population
-  /// still has `unfitted` coordinates fits them alongside the joins.
+  /// Builds the configured overlay.  A GroupCast build fits the
+  /// `unfitted` population's coordinates alongside its joins; the other
+  /// kinds get a fitted population and pass null.
   void build_overlay(overlay::PeerPopulation* unfitted);
   std::size_t ensure_connected();
 

@@ -44,12 +44,12 @@ bool HostCacheServer::contains(PeerId peer) const {
 std::vector<PeerId> HostCacheServer::bootstrap_candidates(PeerId joiner) {
   GC_REQUIRE(joiner < position_.size());
 
-  // Each entry's squared coordinate distance to the joiner, computed once.
+  // Each entry's coordinate distance to the joiner, computed once.
   const coords::Coord& here = population_->info(joiner).coord;
   pool_.clear();
   for (std::size_t i = 0; i < entries_.size(); ++i) {
     if (entries_[i] != joiner) {
-      pool_.emplace_back(here.squared_distance_to(coords_[i]), entries_[i]);
+      pool_.emplace_back(here.distance_to(coords_[i]), entries_[i]);
     }
   }
   if (pool_.empty()) return {};
@@ -60,11 +60,13 @@ std::vector<PeerId> HostCacheServer::bootstrap_candidates(PeerId joiner) {
           rng_.uniform_index(options_.max_batch - options_.min_batch + 1));
   const auto closest_half = static_cast<std::ptrdiff_t>((batch + 1) / 2);
 
-  // BD_i: closest by network-coordinate distance.  The comparator has the
-  // outcomes of comparing the distances alone, so the whole pool ends in
-  // the permutation that the BR_i draws below index into.
+  // BD_i: closest by network-coordinate distance.  The comparator reads
+  // the distance alone, so the whole pool ends in the permutation that
+  // the BR_i draws below index into.
   std::partial_sort(pool_.begin(), pool_.begin() + closest_half, pool_.end(),
-                    closer_by_distance);
+                    [](const auto& a, const auto& b) {
+                      return a.first < b.first;
+                    });
   std::vector<PeerId> result;
   result.reserve(batch);
   for (auto it = pool_.begin(); it != pool_.begin() + closest_half; ++it) {

@@ -10,7 +10,6 @@
 // 5 <= |B_i| <= 8."                                         (Section 3.3)
 #pragma once
 
-#include <cmath>
 #include <utility>
 #include <vector>
 
@@ -26,17 +25,6 @@ struct HostCacheOptions {
   friend bool operator==(const HostCacheOptions&,
                          const HostCacheOptions&) = default;
 };
-
-/// Orders bootstrap_candidates' (squared distance, peer) pool entries as
-/// their distances order them: true exactly when sqrt(a.first) <
-/// sqrt(b.first).  sqrt rounds monotonically, so that implies a.first <
-/// b.first, and the cheap test rejects most pairs without a root.  Two
-/// squares one ulp apart can share a root; then neither is closer, as
-/// with the distances themselves.
-inline bool closer_by_distance(const std::pair<double, PeerId>& a,
-                               const std::pair<double, PeerId>& b) {
-  return a.first < b.first && std::sqrt(a.first) < std::sqrt(b.first);
-}
 
 class HostCacheServer {
  public:
@@ -63,9 +51,9 @@ class HostCacheServer {
   std::vector<PeerId> entries_;           // insertion order (cheap eviction)
   std::vector<coords::Coord> coords_;     // entries_[i]'s coordinate
   std::vector<std::int32_t> position_;    // peer -> index in entries_, or -1
-  /// bootstrap_candidates' (squared distance, entry) pool, kept between
-  /// queries for its capacity and left empty after each, so a copy of the
-  /// cache copies no pool.
+  /// bootstrap_candidates' (distance, entry) pool, kept between queries
+  /// for its capacity and left empty after each, so a copy of the cache
+  /// copies no pool.
   std::vector<std::pair<double, PeerId>> pool_;
 };
 

@@ -1,6 +1,5 @@
 #include "overlay/population.h"
 
-#include "util/parallel.h"
 #include "util/require.h"
 
 namespace groupcast::overlay {
@@ -17,10 +16,8 @@ constexpr double kAccessLatencyMaxMs = 2.0;
 PeerPopulation::PeerPopulation(const net::IpRouting& routing,
                                const PopulationConfig& config, util::Rng& rng)
     : PeerPopulation(routing, config, rng, DeferFits{}) {
-  util::parallel_for(peers_.size(), coords::kGnpFitGrain,
-                     [this](std::size_t id) {
-                       fit_coordinate(static_cast<PeerId>(id));
-                     });
+  const auto coords = gnp_->fit_all();
+  for (PeerId id = 0; id < peers_.size(); ++id) peers_[id].coord = coords[id];
   end_fits();
 }
 

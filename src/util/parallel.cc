@@ -13,8 +13,20 @@
 namespace groupcast::util {
 
 namespace {
-/// Set on parallel_for worker threads: a nested call runs inline.
+/// Set while a thread runs a chunk: a nested call runs inline.
 thread_local bool tl_parallel_worker = false;
+
+/// Marks the calling thread as running a chunk while in scope.
+class WorkerScope {
+ public:
+  WorkerScope() : was_worker_(std::exchange(tl_parallel_worker, true)) {}
+  ~WorkerScope() { tl_parallel_worker = was_worker_; }
+  WorkerScope(const WorkerScope&) = delete;
+  WorkerScope& operator=(const WorkerScope&) = delete;
+
+ private:
+  bool was_worker_;
+};
 
 /// Chunks of at most `grain` items that cover [0, n).
 std::size_t chunk_count(std::size_t n, std::size_t grain) {
@@ -41,41 +53,8 @@ void parallel_for_chunks(
     }
     return;
   }
-
-  // The chunk ticket is the only shared mutable word; every chunk is
-  // claimed by exactly one worker.
-  std::atomic<std::size_t> next{0};
-  std::mutex error_mutex;
-  std::exception_ptr first_error;
-  const auto work = [&] {
-    tl_parallel_worker = true;
-    for (;;) {
-      const std::size_t chunk = next.fetch_add(1, std::memory_order_relaxed);
-      if (chunk >= chunks) return;
-      const std::size_t begin = chunk * grain;
-      try {
-        body(begin, std::min(n, begin + grain));
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(error_mutex);
-        if (!first_error) first_error = std::current_exception();
-        // Drain the remaining tickets so the pool winds down quickly.
-        next.store(chunks, std::memory_order_relaxed);
-        return;
-      }
-    }
-  };
-  std::vector<std::thread> pool;
-  pool.reserve(workers);
-  try {
-    for (std::size_t t = 0; t < workers; ++t) pool.emplace_back(work);
-  } catch (...) {
-    // Thread creation failed: stop the started workers before unwinding.
-    next.store(chunks, std::memory_order_relaxed);
-    for (std::thread& worker : pool) worker.join();
-    throw;
-  }
-  for (std::thread& worker : pool) worker.join();
-  if (first_error) std::rethrow_exception(first_error);
+  // The caller is the last of the `workers` threads.
+  ChunkPipeline(n, grain, body, workers - 1).finish();
 }
 
 ChunkPipeline::ChunkPipeline(
@@ -91,7 +70,6 @@ ChunkPipeline::ChunkPipeline(
   try {
     for (std::size_t t = 0; t < workers; ++t) {
       pool_.emplace_back([this] {
-        tl_parallel_worker = true;
         while (run_next()) {
         }
       });
@@ -114,15 +92,25 @@ bool ChunkPipeline::run_next() {
   const std::size_t chunk = next_.fetch_add(1, std::memory_order_relaxed);
   if (chunk >= chunks_) return false;
   const std::size_t begin = chunk * grain_;
-  int state = 1;
   try {
+    const WorkerScope scope;
     body_(begin, std::min(n_, begin + grain_));
   } catch (...) {
-    std::lock_guard<std::mutex> lock(error_mutex_);
-    if (!first_error_) first_error_ = std::current_exception();
-    state = 2;
+    {
+      std::lock_guard<std::mutex> lock(error_mutex_);
+      if (!first_error_) first_error_ = std::current_exception();
+    }
+    // Skip the chunks not yet claimed; their waiters rethrow as well.
+    const std::size_t unclaimed = next_.exchange(chunks_);
+    done_[chunk].store(2, std::memory_order_release);
+    done_[chunk].notify_all();
+    for (std::size_t c = unclaimed; c < chunks_; ++c) {
+      done_[c].store(2, std::memory_order_release);
+      done_[c].notify_all();
+    }
+    return true;
   }
-  done_[chunk].store(state, std::memory_order_release);
+  done_[chunk].store(1, std::memory_order_release);
   done_[chunk].notify_all();
   return true;
 }
@@ -144,6 +132,8 @@ void ChunkPipeline::wait_for(std::size_t i) {
 }
 
 void ChunkPipeline::finish() {
+  while (run_next()) {
+  }
   for (std::size_t begin = 0; begin < n_; begin += grain_) wait_for(begin);
   stop();
 }

@@ -2,20 +2,19 @@
 //
 // The world build (per-host GNP fits, per-source Dijkstra) and the
 // experiment grid consist of independent work items whose results land in
-// per-item slots.  parallel_for hands out fixed-size chunks of [0, n) from
-// an atomic counter to a pool of worker threads.  Which thread runs which
-// chunk changes from run to run, but every item writes only its own
-// output, so the results never depend on the schedule.
+// per-item slots.  ChunkPipeline hands out fixed-size chunks of [0, n),
+// in index order, from an atomic ticket to a pool of threads.  Which
+// thread runs which chunk changes from run to run, but every item writes
+// only its own output, so the results never depend on the schedule.
+// parallel_for runs such a pipeline with the caller as one of its
+// threads; the overlay joins instead consume a pipeline's items in index
+// order while its background threads produce them (the GNP fits).
 //
-// ChunkPipeline runs the same kind of loop on background threads while
-// the calling thread goes on with work that consumes the items in index
-// order (the overlay joins consume the GNP fits this way).
-//
-// Nesting: a parallel_for called on a worker of another parallel_for runs
-// inline on that worker, so a world built inside a parallel grid cell
+// Nesting: a parallel_for called from inside a chunk runs inline on the
+// thread running that chunk, so a world built inside a parallel grid cell
 // does not oversubscribe the cores.  in_parallel_worker() exposes the same
 // guard to code that starts threads of its own (the sharded event kernel,
-// the world build's ChunkPipeline).
+// the world build's fits).
 #pragma once
 
 #include <atomic>
@@ -31,18 +30,19 @@ namespace groupcast::util {
 
 /// Calls body(begin, end) for consecutive chunks [begin, end) of [0, n),
 /// each at most `grain` long, on up to `workers` threads (0 = one per
-/// hardware thread).  Runs every chunk inline on the calling thread when
-/// there is only one chunk or one worker, or when called from a worker of
-/// another parallel_for; otherwise the caller waits while the pool runs.
-/// The first exception a chunk throws is rethrown here once every worker
-/// has stopped; chunks not yet started are skipped.
+/// hardware thread), the calling thread included.  Runs every chunk
+/// inline on the calling thread when there is only one chunk or one
+/// worker, or when called from inside a chunk of another loop; otherwise
+/// it is ChunkPipeline(n, grain, body, workers - 1).finish().  The first
+/// exception a chunk throws is rethrown here once every thread has
+/// stopped; chunks not yet claimed are skipped.
 void parallel_for_chunks(
     std::size_t n, std::size_t grain,
     const std::function<void(std::size_t, std::size_t)>& body,
     std::size_t workers = 0);
 
-/// True on a worker thread of a running parallel_for, where a nested
-/// parallel_for runs inline.
+/// True while the calling thread runs a chunk of a parallel_for or a
+/// ChunkPipeline, where a nested parallel_for runs inline.
 bool in_parallel_worker();
 
 /// Calls body(i) for every i in [0, n); see parallel_for_chunks.
@@ -57,13 +57,14 @@ void parallel_for(std::size_t n, std::size_t grain, Body&& body,
       workers);
 }
 
-/// Calls body(begin, end) for the chunks of [0, n) as parallel_for_chunks
-/// does, but on `workers` background threads that start at construction,
-/// claiming chunks in index order.  wait_for(i) returns once the chunk
+/// Calls body(begin, end) for the chunks of [0, n), each at most `grain`
+/// long, on `workers` background threads that start at construction and
+/// claim chunks in index order.  wait_for(i) returns once the chunk
 /// holding item i has run, and every write the chunk made is visible to
 /// the caller from then on.  A caller whose chunk no worker has claimed
 /// yet runs the next unclaimed chunks itself, so the pipeline also
-/// finishes with zero workers.
+/// finishes with zero workers.  Once a chunk throws, the chunks not yet
+/// claimed are skipped.
 class ChunkPipeline {
  public:
   ChunkPipeline(std::size_t n, std::size_t grain,
@@ -74,11 +75,12 @@ class ChunkPipeline {
   ChunkPipeline(const ChunkPipeline&) = delete;
   ChunkPipeline& operator=(const ChunkPipeline&) = delete;
 
-  /// Blocks until item i's chunk has run.  If that chunk threw, rethrows
-  /// the first exception any chunk threw.
+  /// Blocks until item i's chunk has run.  If that chunk threw or was
+  /// skipped, rethrows the first exception any chunk threw.
   void wait_for(std::size_t i);
 
-  /// wait_for every item, then joins the workers.
+  /// Runs the unclaimed chunks on the caller, waits for every chunk, then
+  /// joins the workers.
   void finish();
 
  private:
@@ -91,7 +93,8 @@ class ChunkPipeline {
   std::size_t chunks_;
   std::function<void(std::size_t, std::size_t)> body_;
   std::atomic<std::size_t> next_{0};
-  /// done_[c] becomes 1 once chunk c has run, 2 if it threw.
+  /// done_[c] becomes 1 once chunk c has run, 2 if it threw or was
+  /// skipped after another chunk threw.
   std::unique_ptr<std::atomic<int>[]> done_;
   std::mutex error_mutex_;
   std::exception_ptr first_error_;

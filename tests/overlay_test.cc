@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
 #include <ostream>
 #include <set>
 #include <tuple>
@@ -535,50 +534,6 @@ TEST(HostCache, CandidatesMatchComparatorOnIdsOracle) {
     cache.register_peer(joiner);
     oracle.register_peer(joiner);
   }
-}
-
-// Near-tie pool entries: squared distances one ulp apart whose roots
-// round equal.  The squared-distance comparator must leave the pool in
-// exactly the permutation that comparing the roots (the distances) does,
-// since the BR_i draws index into the whole permuted pool.
-TEST(HostCache, SquaredComparatorMatchesRootComparatorOnNearTies) {
-  util::Rng rng(113);
-  std::vector<std::pair<double, PeerId>> pool;
-  PeerId next_id = 0;
-  while (pool.size() < 600) {
-    const double distance = rng.uniform(1.0, 200.0);
-    const double square = distance * distance;
-    const double above = std::nextafter(square, 2.0 * square);
-    if (std::sqrt(above) != std::sqrt(square)) continue;
-    pool.emplace_back(square, next_id++);
-    pool.emplace_back(above, next_id++);
-  }
-  const auto by_roots = [](const auto& a, const auto& b) {
-    return std::sqrt(a.first) < std::sqrt(b.first);
-  };
-  const auto by_squares = [](const auto& a, const auto& b) {
-    return a.first < b.first;
-  };
-  bool ties_mattered = false;
-  for (std::size_t trial = 0; trial < 64; ++trial) {
-    rng.shuffle(pool);
-    // |BD_i| is at most 4; wider heads exercise more tie comparisons.
-    const auto head = static_cast<std::ptrdiff_t>(1 + trial % 16);
-    auto expected = pool;
-    std::partial_sort(expected.begin(), expected.begin() + head,
-                      expected.end(), by_roots);
-    auto actual = pool;
-    std::partial_sort(actual.begin(), actual.begin() + head, actual.end(),
-                      closer_by_distance);
-    ASSERT_EQ(actual, expected) << "trial " << trial;
-    auto squares = pool;
-    std::partial_sort(squares.begin(), squares.begin() + head,
-                      squares.end(), by_squares);
-    ties_mattered = ties_mattered || squares != expected;
-  }
-  // Comparing the squares alone would have moved the pool: the near ties
-  // reach the comparisons.
-  EXPECT_TRUE(ties_mattered);
 }
 
 // ------------------------------------------------------------- bootstrap

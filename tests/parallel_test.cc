@@ -1,7 +1,8 @@
 // Tests for util::parallel_for: every index is visited exactly once, the
 // first exception reaches the caller, and a nested call runs inline on
-// the worker that makes it.  ChunkPipeline: a waiter sees its chunk's
-// writes, with or without workers, and a chunk's exception reaches it.
+// the thread that makes it.  ChunkPipeline: a waiter sees its chunk's
+// writes, with or without workers, a chunk's exception reaches it, and
+// the chunks not yet claimed are skipped.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -46,11 +47,13 @@ TEST(ParallelFor, NestedCallRunsInlineOnTheCallingWorker) {
   constexpr std::size_t kOuter = 8;
   constexpr std::size_t kInner = 4;
   std::vector<std::thread::id> outer(kOuter);
+  std::vector<char> outer_on_worker(kOuter, 0);
   std::vector<std::thread::id> inner(kOuter * kInner);
   parallel_for(
       kOuter, 1,
       [&](std::size_t i) {
         outer[i] = std::this_thread::get_id();
+        outer_on_worker[i] = in_parallel_worker() ? 1 : 0;
         parallel_for(
             kInner, 1,
             [&](std::size_t j) {
@@ -59,8 +62,10 @@ TEST(ParallelFor, NestedCallRunsInlineOnTheCallingWorker) {
             4);
       },
       4);
+  // The caller runs chunks too, and is marked as a worker while it does.
+  EXPECT_EQ(outer_on_worker, std::vector<char>(kOuter, 1));
+  EXPECT_FALSE(in_parallel_worker());
   for (std::size_t i = 0; i < kOuter; ++i) {
-    EXPECT_NE(outer[i], std::this_thread::get_id());
     for (std::size_t j = 0; j < kInner; ++j) {
       EXPECT_EQ(inner[i * kInner + j], outer[i]) << i << "," << j;
     }
@@ -111,6 +116,21 @@ TEST(ParallelChunkPipeline, ChunkExceptionReachesTheWaiter) {
         << "workers=" << workers;
     EXPECT_THROW(pipeline.finish(), std::runtime_error);
   }
+}
+
+TEST(ParallelChunkPipeline, ChunkExceptionSkipsTheUnclaimedChunks) {
+  // No workers: finish() claims the chunks in order on this thread.
+  std::size_t ran = 0;
+  ChunkPipeline pipeline(
+      100, 1,
+      [&](std::size_t begin, std::size_t) {
+        ++ran;
+        if (begin == 10) throw std::runtime_error("failed");
+      },
+      0);
+  EXPECT_THROW(pipeline.finish(), std::runtime_error);
+  EXPECT_EQ(ran, 11u);
+  EXPECT_THROW(pipeline.wait_for(50), std::runtime_error);
 }
 
 TEST(ParallelChunkPipeline, DestructorStopsWithoutFinishing) {
