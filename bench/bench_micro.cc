@@ -1,12 +1,14 @@
 // Micro-benchmarks (google-benchmark) for the hot paths of the library:
 // utility evaluation, weighted sampling, the event queue, Dijkstra routing
-// construction, the bootstrap join, and SSA announcement.
+// construction, the bootstrap join, SSA announcement and the tree-invariant
+// checker.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <memory>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -14,6 +16,7 @@
 
 #include "baselines/chord.h"
 #include "core/advertisement.h"
+#include "core/invariants.h"
 #include "core/middleware.h"
 #include "core/node.h"
 #include "core/transport.h"
@@ -145,6 +148,50 @@ void BM_ChordRoute(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ChordRoute)->Arg(1000);
+
+// The tree-invariant checker on a synthetic N-peer tree, each peer joined
+// under a uniformly drawn earlier one and every other peer a subscriber.
+// One iteration fills a TreeView (rows, then CSR children in join order)
+// from the parent links and checks it, so the cost tracked is the view
+// build plus the three passes of check_tree_invariants.
+void BM_TreeInvariants(benchmark::State& state) {
+  const auto n = static_cast<overlay::PeerId>(state.range(0));
+  util::Rng rng(9);
+  std::vector<overlay::PeerId> parent(n, 0);
+  for (overlay::PeerId p = 1; p < n; ++p) {
+    parent[p] = static_cast<overlay::PeerId>(rng.uniform_index(p));
+  }
+  std::vector<overlay::PeerId> subscribers;
+  for (overlay::PeerId p = 1; p < n; p += 2) subscribers.push_back(p);
+  for (auto _ : state) {
+    core::TreeView view(n);
+    for (overlay::PeerId p = 0; p < n; ++p) {
+      view.live[p] = 1;
+      view.member[p] = 1;
+      view.parent[p] = parent[p];
+      if (p != 0) ++view.child_begin[parent[p] + 1];
+    }
+    std::partial_sum(view.child_begin.begin(), view.child_begin.end(),
+                     view.child_begin.begin());
+    view.children.resize(view.child_begin.back());
+    std::vector<std::uint32_t> next(view.child_begin.begin(),
+                                    view.child_begin.end() - 1);
+    for (overlay::PeerId p = 1; p < n; ++p) {
+      view.children[next[parent[p]]++] = p;
+    }
+    const auto report = core::check_tree_invariants(view, 0, subscribers);
+    if (!report.ok()) {
+      state.SkipWithError("synthetic tree reported a violation");
+      break;
+    }
+    benchmark::DoNotOptimize(report.reachable_subscribers);
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_TreeInvariants)
+    ->Unit(benchmark::kMicrosecond)
+    ->Arg(10000)
+    ->Arg(100000);
 
 // Fixed event-loop throughput probe behind --json_out: schedules `count`
 // events with randomized timestamps (a mix of the closure and the

@@ -9,9 +9,10 @@
 #  3. fault: the churn-recovery sweep (bench_churn_recovery --jobs=4)
 #            under ASan, exercising crashes, partitions and the
 #            NACK/retransmit data plane end to end.
-#  4. perf:  a Release build of bench_micro measures event-loop throughput
-#            (--json_out) and scripts/perf_gate.cmake fails the run if
-#            events/sec regressed >25% against bench/baselines/.
+#  4. perf:  Release builds of bench_micro at HEAD and at HEAD^ measure
+#            event-loop throughput (--json_out, five alternating runs
+#            each) and scripts/perf_gate.cmake fails the run if the
+#            median events/sec regressed >25% against the parent's.
 #  4b. trace: observability smoke — a seeded recovery capture piped
 #            through every trace_report mode (summary / histograms /
 #            timeline / message), failing on missing markers.

@@ -1,7 +1,7 @@
 #include "core/invariants.h"
 
 #include <algorithm>
-#include <deque>
+#include <numeric>
 #include <sstream>
 #include <unordered_map>
 #include <unordered_set>
@@ -32,46 +32,74 @@ std::string describe(const char* what, overlay::PeerId a,
 
 }  // namespace
 
+void fill_tree_row(TreeView& view, overlay::PeerId p,
+                   const GroupCastNode* node, GroupId group,
+                   std::vector<overlay::PeerId>& children) {
+  if (node == nullptr || !node->running()) return;
+  view.live[p] = 1;
+  if (node->on_tree(group)) {
+    view.member[p] = 1;
+    view.parent[p] = node->tree_parent(group);
+  }
+  const std::size_t before = children.size();
+  node->for_each_tree_child(
+      group, [&children](overlay::PeerId child) { children.push_back(child); });
+  view.child_begin[p + 1] =
+      static_cast<std::uint32_t>(children.size() - before);
+}
+
+TreeView tree_view(const std::vector<const GroupCastNode*>& nodes,
+                   GroupId group) {
+  TreeView view(nodes.size());
+  for (overlay::PeerId p = 0; p < nodes.size(); ++p) {
+    fill_tree_row(view, p, nodes[p], group, view.children);
+  }
+  std::partial_sum(view.child_begin.begin(), view.child_begin.end(),
+                   view.child_begin.begin());
+  return view;
+}
+
 InvariantReport check_tree_invariants(
-    const std::vector<const GroupCastNode*>& nodes, GroupId group,
-    overlay::PeerId rendezvous,
+    const TreeView& view, overlay::PeerId rendezvous,
     const std::vector<overlay::PeerId>& expected_subscribers) {
   InvariantReport report;
   const auto violation = [&report](std::string text) {
     report.violations.push_back(std::move(text));
   };
+  const std::size_t n = view.size();
+
+  // listed[p]: p's parent lists p among its children.
+  std::vector<std::uint8_t> listed(n, 0);
+  for (overlay::PeerId p = 0; p < n; ++p) {
+    for (const auto child : view.children_of(p)) {
+      if (child < n && view.parent[child] == p) listed[child] = 1;
+    }
+  }
 
   // --- local-view symmetry + no edges to departed peers -----------------
-  for (overlay::PeerId p = 0; p < nodes.size(); ++p) {
-    const auto* node = at(nodes, p);
-    if (node == nullptr || !node->running()) continue;
-    const bool member = node->on_tree(group);
-    if (member) ++report.tree_nodes;
-    if (member) {
-      const auto parent = node->tree_parent(group);
+  for (overlay::PeerId p = 0; p < n; ++p) {
+    if (!view.alive(p)) continue;
+    if (view.member[p] != 0) {
+      ++report.tree_nodes;
+      const auto parent = view.parent[p];
       if (parent != p) {
-        if (!alive(nodes, parent)) {
+        if (!view.alive(parent)) {
           violation(describe("parent is a departed peer", p, parent));
-        } else if (!nodes[parent]->on_tree(group)) {
+        } else if (!view.on_tree(parent)) {
           violation(describe("parent is off the tree", p, parent));
-        } else {
-          const auto kids = nodes[parent]->tree_children(group);
-          if (std::find(kids.begin(), kids.end(), p) == kids.end()) {
-            violation(describe("parent does not list child", parent, p));
-          }
+        } else if (listed[p] == 0) {
+          violation(describe("parent does not list child", parent, p));
         }
       }
     }
-    for (const auto child : node->tree_children(group)) {
-      if (!alive(nodes, child)) {
+    for (const auto child : view.children_of(p)) {
+      if (!view.alive(child)) {
         violation(describe("child edge to departed peer", p, child));
-        continue;
-      }
-      if (!nodes[child]->on_tree(group)) {
+      } else if (!view.on_tree(child)) {
         // Transient while the child's join ack is in flight; after a
         // convergence window it means an inconsistent edge.
         violation(describe("child is off the tree", p, child));
-      } else if (nodes[child]->tree_parent(group) != p) {
+      } else if (view.parent[child] != p) {
         violation(describe("child points at another parent", p, child));
       }
     }
@@ -80,11 +108,11 @@ InvariantReport check_tree_invariants(
   // --- acyclicity of parent links --------------------------------------
   {
     // 0 = unvisited, 1 = on the current walk, 2 = proven acyclic.
-    std::vector<std::uint8_t> mark(nodes.size(), 0);
-    for (overlay::PeerId p = 0; p < nodes.size(); ++p) {
-      if (!alive(nodes, p) || !nodes[p]->on_tree(group)) continue;
-      if (mark[p] != 0) continue;
-      std::vector<overlay::PeerId> walk;
+    std::vector<std::uint8_t> mark(n, 0);
+    std::vector<overlay::PeerId> walk;
+    for (overlay::PeerId p = 0; p < n; ++p) {
+      if (!view.on_tree(p) || mark[p] != 0) continue;
+      walk.clear();
       auto cursor = p;
       while (true) {
         if (mark[cursor] == 1) {
@@ -95,10 +123,9 @@ InvariantReport check_tree_invariants(
         if (mark[cursor] == 2) break;
         mark[cursor] = 1;
         walk.push_back(cursor);
-        if (!alive(nodes, cursor) || !nodes[cursor]->on_tree(group)) break;
-        const auto parent = nodes[cursor]->tree_parent(group);
-        if (parent == cursor || parent == overlay::kNoPeer) break;
-        if (!alive(nodes, parent)) break;  // reported above
+        if (!view.on_tree(cursor)) break;
+        const auto parent = view.parent[cursor];
+        if (parent == cursor || !view.alive(parent)) break;  // reported above
         cursor = parent;
       }
       for (const auto seen : walk) mark[seen] = 2;
@@ -106,22 +133,22 @@ InvariantReport check_tree_invariants(
   }
 
   // --- reachability of expected subscribers from the rendezvous ---------
-  std::unordered_set<overlay::PeerId> reachable;
-  if (alive(nodes, rendezvous) && nodes[rendezvous]->on_tree(group)) {
-    std::deque<overlay::PeerId> frontier{rendezvous};
-    reachable.insert(rendezvous);
-    while (!frontier.empty()) {
-      const auto head = frontier.front();
-      frontier.pop_front();
-      for (const auto child : nodes[head]->tree_children(group)) {
-        if (!alive(nodes, child) || !nodes[child]->on_tree(group)) continue;
-        if (reachable.insert(child).second) frontier.push_back(child);
+  // FIFO breadth-first over child edges; `frontier` is the queue.
+  std::vector<std::uint8_t> reachable(n, 0);
+  if (view.on_tree(rendezvous)) {
+    std::vector<overlay::PeerId> frontier{rendezvous};
+    reachable[rendezvous] = 1;
+    for (std::size_t head = 0; head < frontier.size(); ++head) {
+      for (const auto child : view.children_of(frontier[head])) {
+        if (!view.on_tree(child) || reachable[child] != 0) continue;
+        reachable[child] = 1;
+        frontier.push_back(child);
       }
     }
   }
   for (const auto subscriber : expected_subscribers) {
-    if (!alive(nodes, subscriber)) continue;  // crashed: nothing expected
-    if (reachable.count(subscriber)) {
+    if (!view.alive(subscriber)) continue;  // crashed: nothing expected
+    if (reachable[subscriber] != 0) {
       ++report.reachable_subscribers;
     } else {
       ++report.stranded_subscribers;

@@ -254,9 +254,8 @@ overlay::PeerId GroupCastNode::tree_parent(GroupId group) const {
 std::vector<overlay::PeerId> GroupCastNode::tree_children(
     GroupId group) const {
   std::vector<overlay::PeerId> peers;
-  if (const TreeState* tree = find_tree(group)) {
-    for (const auto& child : tree->children) peers.push_back(child.peer);
-  }
+  for_each_tree_child(
+      group, [&peers](overlay::PeerId child) { peers.push_back(child); });
   return peers;
 }
 

@@ -155,6 +155,14 @@ class GroupCastNode : private ReliableEdge::Host, private LeaseReplica::Host {
   /// Tree parent; self for the rendezvous.  Requires on_tree(group).
   overlay::PeerId tree_parent(GroupId group) const;
   std::vector<overlay::PeerId> tree_children(GroupId group) const;
+  /// Calls `visit(child)` for each tree child of `group`, in join order,
+  /// without allocating (tree_children() copies them).
+  template <typename Visit>
+  void for_each_tree_child(GroupId group, Visit&& visit) const {
+    if (const TreeState* tree = find_tree(group)) {
+      for (const auto& child : tree->children) visit(child.peer);
+    }
+  }
   /// Depth on the tree (root = 0); kUnknownDepth when off the tree.
   std::uint32_t tree_depth(GroupId group) const;
   /// True while a subscribe / recovery ladder has an exchange in flight.

@@ -1,6 +1,7 @@
 #include "metrics/harness_common.h"
 
 #include <algorithm>
+#include <numeric>
 #include <string>
 #include <thread>
 #include <utility>
@@ -141,6 +142,7 @@ NodeRuntime::NodeRuntime(const ScenarioConfig& config,
       transport_(engine_, middleware_->population(), partition_.peer_shard,
                  with_loss(transport_options, runtime.loss_probability),
                  rng_),
+      shard_peers_(config_.shards),
       want_(config.peer_count, 0) {
   // Shard threads resolve the trace facilities thread-locally; give each
   // shard its own registries whenever the caller collects anything, and
@@ -150,6 +152,9 @@ NodeRuntime::NodeRuntime(const ScenarioConfig& config,
   caller_histograms_ = &trace::histograms();
   shard_trace_ = install_shard_trace(engine_, config.peer_count);
 
+  for (overlay::PeerId p = 0; p < config.peer_count; ++p) {
+    shard_peers_[shard_of(p)].push_back(p);
+  }
   const core::NodeOptions node_options = map_node_options(config, runtime);
   nodes_.reserve(config.peer_count);
   for (overlay::PeerId p = 0; p < config.peer_count; ++p) {
@@ -162,7 +167,45 @@ NodeRuntime::NodeRuntime(const ScenarioConfig& config,
   capture_frame();
 }
 
-NodeRuntime::~NodeRuntime() = default;
+NodeRuntime::~NodeRuntime() {
+  engine_.exec_on_shards([this](std::size_t i) {
+    for (const auto p : shard_peers_[i]) nodes_[p].reset();
+  });
+}
+
+void NodeRuntime::on_shards(std::span<const overlay::PeerId> peers,
+                            const std::function<void(overlay::PeerId)>& fn) {
+  engine_.exec_on_shards([&](std::size_t i) {
+    for (const auto p : peers) {
+      if (shard_of(p) == i) fn(p);
+    }
+  });
+}
+
+core::TreeView NodeRuntime::tree_view(core::GroupId group) {
+  core::TreeView view(nodes_.size());
+  // Each shard appends its peers' children, in its peer order, to its own
+  // buffer; the caller then lays the buffers out in PeerId order.
+  std::vector<std::vector<overlay::PeerId>> shard_children(
+      engine_.num_shards());
+  engine_.exec_on_shards([&](std::size_t i) {
+    for (const auto p : shard_peers_[i]) {
+      core::fill_tree_row(view, p, nodes_[p].get(), group, shard_children[i]);
+    }
+  });
+  std::partial_sum(view.child_begin.begin(), view.child_begin.end(),
+                   view.child_begin.begin());
+  view.children.resize(view.child_begin.back());
+  for (std::size_t i = 0; i < shard_children.size(); ++i) {
+    auto from = shard_children[i].begin();
+    for (const auto p : shard_peers_[i]) {
+      const auto count = view.child_begin[p + 1] - view.child_begin[p];
+      std::copy_n(from, count, view.children.begin() + view.child_begin[p]);
+      from += count;
+    }
+  }
+  return view;
+}
 
 void NodeRuntime::advance(sim::SimTime by) {
   clock_ = clock_ + by;

@@ -11,6 +11,7 @@
 #include <span>
 #include <vector>
 
+#include "core/invariants.h"
 #include "core/middleware.h"
 #include "core/node.h"
 #include "core/shard_partition.h"
@@ -55,7 +56,7 @@ void validate_runtime(const ScenarioConfig& config,
 /// core::NodeOptions; then constructs and starts one node per peer.  Every
 /// RNG split and event schedule happens in that fixed order, so a (config,
 /// seed) pair is one deterministic trajectory whatever the grid's job
-/// count.
+/// count.  Destruction tears each shard's nodes down on its worker.
 class NodeRuntime {
  public:
   /// Per-peer refinement of the shared NodeOptions mapping, for harness
@@ -77,6 +78,23 @@ class NodeRuntime {
   std::vector<std::unique_ptr<core::GroupCastNode>>& nodes() {
     return nodes_;
   }
+  sim::ShardSet& engine() { return engine_; }
+  /// The shard whose worker runs `peer`'s events.
+  std::size_t shard_of(overlay::PeerId peer) const {
+    return partition_.peer_shard[peer];
+  }
+
+  /// Runs `fn(p)` for every p in `peers`, each on the worker of p's shard
+  /// (the calling thread at one shard); a shard visits its peers in list
+  /// order, and the call returns once every shard is done.  A node call
+  /// schedules only on its own shard's wheel and sends through its shard's
+  /// outbox, so a loop of node calls run this way leaves every wheel as
+  /// the serial loop would.  Call it between advance() calls only.
+  void on_shards(std::span<const overlay::PeerId> peers,
+                 const std::function<void(overlay::PeerId)>& fn);
+  /// `group`'s tree view (core::TreeView), each shard's rows filled on its
+  /// worker; equal to core::tree_view over the nodes.
+  core::TreeView tree_view(core::GroupId group);
 
   /// The harness clock, which the engine's matches: the sum of every
   /// advance() so far.
@@ -130,6 +148,8 @@ class NodeRuntime {
   /// installed (at one shard those replace them on the calling thread).
   trace::CounterRegistry* caller_counters_ = nullptr;
   trace::HistogramRegistry* caller_histograms_ = nullptr;
+  /// Each shard's peers in ascending order.
+  std::vector<std::vector<overlay::PeerId>> shard_peers_;
   std::vector<std::unique_ptr<core::GroupCastNode>> nodes_;
   /// Which peers still want their groups.  A per-peer byte vector rather
   /// than a shared set: every entry is only touched by closures of that

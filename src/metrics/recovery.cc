@@ -112,7 +112,9 @@ ScenarioResult run_recovery_scenario(const ScenarioConfig& config) {
   // Application-level retry loop (graceful leavers drop out of it below),
   // then the tree converges.
   for (const auto s : subscribers) runtime.arm_subscriber(s);
-  for (const auto s : subscribers) nodes[s]->subscribe(kGroup);
+  runtime.on_shards(subscribers, [&nodes](overlay::PeerId s) {
+    nodes[s]->subscribe(kGroup);
+  });
   runtime.settle(subscribers, {&kGroup, 1});
 
   // Churn acts on the members that actually made it onto the tree as
@@ -225,10 +227,6 @@ ScenarioResult run_recovery_scenario(const ScenarioConfig& config) {
                           messages_before_recovery) /
       static_cast<double>(std::max<std::size_t>(1, survivors.size()));
 
-  std::vector<const core::GroupCastNode*> views;
-  views.reserve(nodes.size());
-  for (const auto& node : nodes) views.push_back(node.get());
-
   // --- phase 3b: RP-side partition window and heal ----------------------
   // The rendezvous point plus a slice of its own subtree are cut off from
   // the rest of the network (every replica stays on the majority side, so
@@ -236,6 +234,9 @@ ScenarioResult run_recovery_scenario(const ScenarioConfig& config) {
   // counted per side, and the heal must merge the divergent lease logs
   // with neither duplicate nor lost epochs.
   if (rec.replication && rec.partition_seconds > 0.0) {
+    std::vector<const core::GroupCastNode*> views;
+    views.reserve(nodes.size());
+    for (const auto& node : nodes) views.push_back(node.get());
     const auto replica_set = core::rendezvous_replicas(
         kGroup, rendezvous, config.peer_count,
         std::min(rec.replicas, config.peer_count - 1));
@@ -438,12 +439,14 @@ ScenarioResult run_recovery_scenario(const ScenarioConfig& config) {
   // parent relay in turn), so give the structure the same convergence
   // budget before the final verdict instead of judging a mid-cascade
   // snapshot.
-  auto report =
-      core::check_tree_invariants(views, kGroup, acting_root(), survivors);
+  const auto check_tree = [&] {
+    return core::check_tree_invariants(runtime.tree_view(kGroup),
+                                       acting_root(), survivors);
+  };
+  auto report = check_tree();
   for (std::size_t e = 0; e < kConvergenceEpochs && !report.ok(); ++e) {
     runtime.advance(kEpoch);
-    report =
-        core::check_tree_invariants(views, kGroup, acting_root(), survivors);
+    report = check_tree();
   }
   result.invariant_violations +=
       static_cast<double>(report.violations.size());

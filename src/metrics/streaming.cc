@@ -130,9 +130,9 @@ ScenarioResult run_streaming_scenario(const ScenarioConfig& config) {
     for (const auto p : publishers) runtime.arm_subscriber(p);
     for (const auto p : publishers) nodes[p]->subscribe(kGroupBase);
   }
-  for (const auto v : viewers) {
+  runtime.on_shards(viewers, [&](overlay::PeerId v) {
     for (const auto g : all_groups) nodes[v]->subscribe(g);
-  }
+  });
   runtime.settle(viewers, all_groups);
 
   // --- phase 3: the streaming window ------------------------------------

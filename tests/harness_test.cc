@@ -32,6 +32,7 @@
 #include "trace/trace.h"
 #include "util/parallel.h"
 #include "util/require.h"
+#include "util/rng.h"
 
 namespace groupcast {
 namespace {
@@ -463,6 +464,58 @@ TEST(HarnessShards, ResultCarriesEpochsAndLookahead) {
   EXPECT_GT(two.lookahead_us, 5'000);
   EXPECT_GT(two.shard_epochs, one.shard_epochs);
   EXPECT_LT(two.shard_epochs, two.events_fired);
+}
+
+// --------------------------------------- node calls on the shard workers
+
+// on_shards visits every listed peer exactly once, on the worker thread of
+// its own shard (the calling thread at one shard), and each shard in the
+// order the list gives its peers.
+TEST(HarnessOnShards, VisitsEachListedPeerOnceOnItsWorkerInListOrder) {
+  for (const std::size_t shards : {1u, 2u, 4u}) {
+    auto config = node_runtime_point(300, shards);
+    config.seed = 9006;
+    metrics::detail::NodeRuntime runtime(config, config.recovery,
+                                         core::TransportOptions{});
+    std::vector<std::thread::id> worker(shards);
+    runtime.engine().exec_on_shards(
+        [&](std::size_t i) { worker[i] = std::this_thread::get_id(); });
+    if (shards == 1) {
+      EXPECT_EQ(worker[0], std::this_thread::get_id());
+    }
+
+    std::vector<overlay::PeerId> peers;
+    for (overlay::PeerId p = 0; p < config.peer_count; p += 3) {
+      peers.push_back(p);
+    }
+    util::Rng order(17);
+    order.shuffle(peers);
+    // Each shard appends only to its own slot, from its own worker.
+    struct Visit {
+      overlay::PeerId peer;
+      std::thread::id thread;
+    };
+    std::vector<std::vector<Visit>> visits(shards);
+    runtime.on_shards(peers, [&](overlay::PeerId p) {
+      visits[runtime.shard_of(p)].push_back({p, std::this_thread::get_id()});
+    });
+
+    std::size_t total = 0;
+    for (std::size_t i = 0; i < shards; ++i) {
+      std::vector<overlay::PeerId> expected;
+      for (const auto p : peers) {
+        if (runtime.shard_of(p) == i) expected.push_back(p);
+      }
+      std::vector<overlay::PeerId> seen;
+      for (const auto& visit : visits[i]) {
+        seen.push_back(visit.peer);
+        EXPECT_EQ(visit.thread, worker[i]) << "peer " << visit.peer;
+      }
+      EXPECT_EQ(seen, expected) << "shard " << i << " of " << shards;
+      total += seen.size();
+    }
+    EXPECT_EQ(total, peers.size());
+  }
 }
 
 // The shared runtime fields are validated once, for both harnesses:

@@ -109,7 +109,8 @@ struct LiveTree {
   InvariantReport check() const {
     std::vector<const GroupCastNode*> views;
     for (const auto& n : nodes) views.push_back(n.get());
-    return check_tree_invariants(views, kTreeGroup, kTreeRoot, subscribers);
+    return check_tree_invariants(tree_view(views, kTreeGroup), kTreeRoot,
+                                 subscribers);
   }
 };
 
