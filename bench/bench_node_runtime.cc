@@ -46,6 +46,7 @@ int main(int argc, char** argv) {
   overlay::GroupCastBootstrap bootstrap(population, graph, cache,
                                         overlay::BootstrapOptions{}, rng);
   for (overlay::PeerId p = 0; p < peers; ++p) bootstrap.join(p);
+  overlay::emit_joins(bootstrap.joins());
 
   sim::Simulator simulator;
   core::Transport transport(simulator, population, core::TransportOptions{},

@@ -76,6 +76,8 @@ stage_asan() {
 # subscribes and node teardown run on the shard workers), and the tracing
 # facilities are per-thread.  Recovery and data-plane runs go through the
 # same grid pool, so their determinism/acceptance tests ride along too.
+# Middleware runs forks of one shared, read-only world on parallel_for
+# workers at once.
 stage_tsan() {
   local build_dir="${1:-${repo_root}/build-tsan}"
   cmake -B "${build_dir}" -S "${repo_root}" \
@@ -85,7 +87,7 @@ stage_tsan() {
   cmake --build "${build_dir}" -j "${jobs}" --target groupcast_tests
   ctest --test-dir "${build_dir}" --no-tests=error \
     --output-on-failure -j "${jobs}" \
-    -R 'Experiment|ExperimentGrid|Counter|Tracer|Trace|Recovery|FaultPlan|FaultInjector|ReliableExchange|DataPlane|Histogram|FlightRecorder|GridDeterminism|Provenance|ShardSet|ShardDeterminism|Streaming|Gnp|Coords|NelderMead|Parallel|Routing|Harness|WorldBuild|HostCache|Bootstrap|Regression.OverlayConstruction|TreeView|Invariant'
+    -R 'Experiment|ExperimentGrid|Counter|Tracer|Trace|Recovery|FaultPlan|FaultInjector|ReliableExchange|DataPlane|Histogram|FlightRecorder|GridDeterminism|Provenance|ShardSet|ShardDeterminism|Streaming|Gnp|Coords|NelderMead|Parallel|Routing|Harness|WorldBuild|HostCache|Bootstrap|Regression.OverlayConstruction|TreeView|Invariant|Middleware'
   echo "stages.sh: parallel-runner tests clean under TSan"
 }
 

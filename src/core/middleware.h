@@ -1,9 +1,11 @@
 // GroupCastMiddleware — the public façade of the library.
 //
-// One object owns a complete simulated deployment: the IP underlay, the
-// peer population with GNP coordinates and Table 1 capacities, the overlay
-// (GroupCast utility-aware or the random power-law baseline), and the
-// protocol engines.  Applications (see examples/) use it as:
+// A deployment — the IP underlay, the peer population with GNP coordinates
+// and Table 1 capacities, the overlay (GroupCast utility-aware, the random
+// power-law baseline or the two-tier variant) — is built once into an
+// immutable DeploymentSnapshot.  A middleware is a thin view of one: it
+// adds its own RNG stream and simulator and runs the protocol engines on
+// the shared world.  Applications (see examples/) use it as:
 //
 //   core::MiddlewareConfig config;
 //   config.peer_count = 2000;
@@ -23,8 +25,6 @@
 #include "overlay/bootstrap.h"
 #include "overlay/plod.h"
 #include "overlay/supernode.h"
-#include "trace/counters.h"
-#include "trace/event.h"
 
 namespace groupcast::core {
 
@@ -60,35 +60,40 @@ struct MiddlewareConfig {
                          const MiddlewareConfig&) = default;
 };
 
-/// A fully-constructed deployment frozen right after bootstrap.
+/// A built deployment — the world every middleware runs on.
 ///
-/// Building the world — underlay generation, the GNP embedding, and
-/// peer_count bootstrap joins — dominates the wall clock of parameter
-/// sweeps whose cells share a MiddlewareConfig.  make_snapshot() pays
-/// that cost once; the forking constructor then stamps out independent
-/// GroupCastMiddleware instances that are bit-identical to a fresh
-/// construction: same RNG stream positions (middleware, bootstrap, host
-/// cache), same overlay graph, and the same construction-phase counters
-/// and trace events (recorded here and replayed into the forking run's
-/// registry/sink).  See docs/PERFORMANCE.md.
-///
-/// Create with GroupCastMiddleware::make_snapshot(); treat as opaque and
-/// share via shared_ptr<const ...> — forks only read it.
+/// make_snapshot() builds it: underlay generation, IP routing, the GNP
+/// embedding, the host cache and the peer_count bootstrap joins, then
+/// connectivity repair.  After that nothing mutates it, so any number of
+/// GroupCastMiddleware instances, on any threads, share one world through
+/// shared_ptr<const ...> and copy none of it.  Sweeps whose cells share a
+/// MiddlewareConfig build the world once and run every cell on it; each
+/// run is bit-identical to a fresh construction (same RNG stream
+/// position, same overlay graph, same construction-phase counters and
+/// trace events, which the middleware replays from `joins`).  See
+/// docs/PERFORMANCE.md.
 struct DeploymentSnapshot {
   MiddlewareConfig config;
   std::shared_ptr<const net::UnderlayTopology> underlay;
   std::shared_ptr<const net::IpRouting> routing;
   std::shared_ptr<const overlay::PeerPopulation> population;
   std::unique_ptr<const overlay::OverlayGraph> graph;
+  /// Every peer is registered.  Nothing reads it after the build yet; the
+  /// planned epoch repair of dead neighbours will look peers up in it.
   std::unique_ptr<const overlay::HostCacheServer> host_cache;
+  /// Null in a make_snapshot() world: the bootstrap is a build-time
+  /// object.  perfbench's layer-by-layer build writes it and nothing reads
+  /// it (ROADMAP: owed to the next change to the benchmark).
   std::unique_ptr<const overlay::GroupCastBootstrap> bootstrap;
   overlay::SupernodeLayout supernode_layout;
-  /// Post-construction state of the deployment's generator stream.
+  /// The deployment's generator stream, positioned after the build; every
+  /// middleware starts its own copy here.
   util::Rng rng{0};
   std::size_t repair_edges = 0;
-  /// Counters and trace events construction emitted, replayed per fork.
-  trace::CounterSnapshot counters;
-  std::vector<trace::TraceEvent> events;
+  /// The build's joins in join order: every GroupCast join, or the
+  /// supernode core tier's (moved here, which leaves
+  /// `supernode_layout.core_joins` empty); empty for the power-law overlay.
+  overlay::JoinLog joins;
 };
 
 /// One established communication group.
@@ -104,33 +109,31 @@ struct GroupHandle {
 
 class GroupCastMiddleware {
  public:
+  /// Builds a world for `config` and runs on it alone.
   explicit GroupCastMiddleware(const MiddlewareConfig& config);
 
-  /// Forks a snapshot: shares the immutable underlay / routing /
-  /// population, copies the mutable overlay graph, host cache and
-  /// bootstrap protocol state, restores the post-construction RNG
-  /// streams, and replays the recorded construction-phase counters and
-  /// trace events into the calling thread's registry / sink.  The result
-  /// is indistinguishable from `GroupCastMiddleware(snapshot->config)`.
-  explicit GroupCastMiddleware(
-      std::shared_ptr<const DeploymentSnapshot> snapshot);
+  /// Runs on a shared world: starts its own copy of the world's RNG stream
+  /// and its own simulator, and emits the construction-phase
+  /// instrumentation — kPhaseBegin(kBootstrap), then kJoins and kPeerJoin
+  /// per logged join — into the calling thread's registry and sink.  The
+  /// result is indistinguishable from `GroupCastMiddleware(world->config)`.
+  explicit GroupCastMiddleware(std::shared_ptr<const DeploymentSnapshot> world);
 
-  /// Builds a deployment for `config` once and freezes it for forking.
-  /// Construction runs under a private counter registry and trace sink so
-  /// the recording never leaks into (or reads from) the caller's; the
-  /// captured instrumentation replays per fork instead.
+  /// Builds the deployment `config` names.  Emits no instrumentation.
   static std::shared_ptr<const DeploymentSnapshot> make_snapshot(
       const MiddlewareConfig& config);
 
-  // Non-copyable (owns large immutable state); movable is unnecessary.
+  // Non-copyable (owns a simulator); movable is unnecessary.
   GroupCastMiddleware(const GroupCastMiddleware&) = delete;
   GroupCastMiddleware& operator=(const GroupCastMiddleware&) = delete;
 
-  const MiddlewareConfig& config() const { return config_; }
-  const net::UnderlayTopology& underlay() const { return *underlay_; }
-  const net::IpRouting& routing() const { return *routing_; }
-  const overlay::PeerPopulation& population() const { return *population_; }
-  const overlay::OverlayGraph& graph() const { return *graph_; }
+  const MiddlewareConfig& config() const { return world_->config; }
+  const net::UnderlayTopology& underlay() const { return *world_->underlay; }
+  const net::IpRouting& routing() const { return *world_->routing; }
+  const overlay::PeerPopulation& population() const {
+    return *world_->population;
+  }
+  const overlay::OverlayGraph& graph() const { return *world_->graph; }
   sim::Simulator& simulator() { return simulator_; }
   util::Rng& rng() { return rng_; }
 
@@ -149,38 +152,24 @@ class GroupCastMiddleware {
   /// A dissemination session over an established group's tree.  The handle
   /// must outlive the session.
   GroupSession session(const GroupHandle& group) const {
-    return GroupSession(*population_, group.tree);
+    return GroupSession(population(), group.tree);
   }
 
-  /// Number of repair edges the constructor had to add to make the overlay
+  /// Number of repair edges the build had to add to make the overlay
   /// connected (0 in the common case; see DESIGN.md).
-  std::size_t connectivity_repair_edges() const { return repair_edges_; }
+  std::size_t connectivity_repair_edges() const {
+    return world_->repair_edges;
+  }
 
   /// Tier assignment; only populated for OverlayKind::kSupernode.
   const overlay::SupernodeLayout& supernode_layout() const {
-    return supernode_layout_;
+    return world_->supernode_layout;
   }
 
  private:
-  /// Builds the configured overlay.  A GroupCast build fits the
-  /// `unfitted` population's coordinates alongside its joins; the other
-  /// kinds get a fitted population and pass null.
-  void build_overlay(overlay::PeerPopulation* unfitted);
-  std::size_t ensure_connected();
-
-  MiddlewareConfig config_;
+  std::shared_ptr<const DeploymentSnapshot> world_;
   util::Rng rng_;
   sim::Simulator simulator_;
-  // Immutable after construction and therefore shared between forks of a
-  // DeploymentSnapshot; mutable structures below stay per-instance.
-  std::shared_ptr<const net::UnderlayTopology> underlay_;
-  std::shared_ptr<const net::IpRouting> routing_;
-  std::shared_ptr<const overlay::PeerPopulation> population_;
-  std::unique_ptr<overlay::OverlayGraph> graph_;
-  std::unique_ptr<overlay::HostCacheServer> host_cache_;
-  std::unique_ptr<overlay::GroupCastBootstrap> bootstrap_;
-  overlay::SupernodeLayout supernode_layout_;
-  std::size_t repair_edges_ = 0;
 };
 
 }  // namespace groupcast::core

@@ -139,11 +139,12 @@ bool same_world(const ScenarioConfig& a, const ScenarioConfig& b) {
 /// Deduplicates world construction across work items: every cluster of
 /// two or more items with the same middleware config gets one
 /// DeploymentSnapshot (built here, serially, before the pool starts) that
-/// each run forks instead of rebuilding underlay + embedding + bootstrap.
-/// Items whose world is unique keep constructing inline — a snapshot
-/// would only add recording overhead — and items arriving with a
-/// caller-attached world keep it.  Forks are bit-identical to fresh
-/// constructions, so results do not depend on what shares with what.
+/// each run shares instead of rebuilding underlay + embedding + bootstrap.
+/// Items whose world is unique keep building it inside their own pool
+/// task, so those builds run in parallel rather than here one after the
+/// other, and items arriving with a caller-attached world keep it.  A run
+/// on a shared world is bit-identical to a fresh construction, so results
+/// do not depend on what shares with what.
 void attach_shared_worlds(std::vector<ScenarioConfig>& items) {
   for (std::size_t i = 0; i < items.size(); ++i) {
     if (items[i].world != nullptr) continue;

@@ -23,16 +23,6 @@ GroupCastBootstrap::GroupCastBootstrap(const PeerPopulation& population,
       rng_(rng.split()),
       joined_(population.size(), 0) {}
 
-GroupCastBootstrap::GroupCastBootstrap(const GroupCastBootstrap& other,
-                                       OverlayGraph& graph,
-                                       HostCacheServer& host_cache)
-    : population_(other.population_),
-      graph_(&graph),
-      host_cache_(&host_cache),
-      options_(other.options_),
-      rng_(other.rng_),
-      joined_(other.joined_) {}
-
 std::size_t GroupCastBootstrap::target_degree(double capacity) const {
   GC_REQUIRE(capacity > 0.0);
   const double raw = kDegreeBase * std::pow(capacity, kDegreeExponent);
@@ -150,10 +140,19 @@ JoinStats GroupCastBootstrap::join(PeerId peer) {
 
   joined_[peer] = 1;
   host_cache_->register_peer(peer);
-  trace::counters().incr(peer, trace::CounterId::kJoins);
-  trace::tracer().emit(0, trace::EventKind::kPeerJoin, peer, kNoPeer,
-                       stats.out_links_created);
+  joins_.push_back({peer, static_cast<std::uint32_t>(stats.out_links_created)});
   return stats;
+}
+
+void emit_joins(std::span<const JoinRecord> joins) {
+  auto& counters = trace::counters();
+  auto& tracer = trace::tracer();
+  if (!counters.enabled() && !tracer.enabled()) return;
+  for (const JoinRecord& join : joins) {
+    counters.incr(join.peer, trace::CounterId::kJoins);
+    tracer.emit(0, trace::EventKind::kPeerJoin, join.peer, kNoPeer,
+                join.out_links);
+  }
 }
 
 }  // namespace groupcast::overlay

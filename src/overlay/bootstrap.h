@@ -19,6 +19,9 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "overlay/graph.h"
@@ -58,24 +61,38 @@ struct JoinStats {
   std::size_t candidates_seen = 0;      // |LC_i| (distinct)
 };
 
+/// One join, as GroupCastBootstrap logs it.  Eight bytes, so a built world
+/// keeps the log of all its joins and replays their instrumentation into
+/// every run on it (see emit_joins).
+struct JoinRecord {
+  PeerId peer = kNoPeer;
+  std::uint32_t out_links = 0;  // JoinStats::out_links_created
+};
+using JoinLog = std::vector<JoinRecord>;
+
+/// Emits the instrumentation of `joins`, in order, into the calling
+/// thread's registry and sink: per join one kJoins count and one kPeerJoin
+/// event (value: out-links created).  Returns at once while both are off.
+void emit_joins(std::span<const JoinRecord> joins);
+
 class GroupCastBootstrap {
  public:
   GroupCastBootstrap(const PeerPopulation& population, OverlayGraph& graph,
                      HostCacheServer& host_cache, BootstrapOptions options,
                      util::Rng& rng);
 
-  /// Fork copy (deployment snapshots): identical protocol state — options,
-  /// RNG stream position, joined set — rebound to the fork's own graph and
-  /// host cache, so a fork never touches the donor's structures.
-  GroupCastBootstrap(const GroupCastBootstrap& other, OverlayGraph& graph,
-                     HostCacheServer& host_cache);
-
-  /// Executes the full join protocol for `peer` and registers it with the
-  /// host cache.  A peer joins at most once; a second join is a
-  /// precondition violation.
+  /// Executes the full join protocol for `peer`, registers it with the
+  /// host cache and appends it to joins().  A peer joins at most once; a
+  /// second join is a precondition violation.  Emits no instrumentation:
+  /// pass joins() to emit_joins for that.
   JoinStats join(PeerId peer);
 
   bool is_joined(PeerId peer) const { return joined_.at(peer) != 0; }
+
+  /// Every join so far, in join order.
+  const JoinLog& joins() const { return joins_; }
+  /// Moves the log out, leaving it empty.
+  JoinLog take_joins() { return std::move(joins_); }
 
   /// Out-degree target for a peer of the given capacity.
   std::size_t target_degree(double capacity) const;
@@ -92,7 +109,8 @@ class GroupCastBootstrap {
   BootstrapOptions options_;
   util::Rng rng_;
   std::vector<char> joined_;
-  /// join()'s arena buffer: allocated by the first join, never copied.
+  JoinLog joins_;
+  /// join()'s arena buffer: allocated by the first join.
   std::vector<std::byte> arena_;
 };
 

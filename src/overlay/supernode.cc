@@ -35,6 +35,7 @@ SupernodeLayout build_supernode_overlay(const PeerPopulation& population,
   auto join_order = layout.supernodes;
   rng.shuffle(join_order);
   for (const auto sn : join_order) core_bootstrap.join(sn);
+  layout.core_joins = core_bootstrap.take_joins();
 
   // Leaf tier: every leaf attaches to kLeafLinks supernodes chosen by
   // the utility function.  Supernodes always accept leaves (that is what

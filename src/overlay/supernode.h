@@ -29,6 +29,8 @@ struct SupernodeLayout {
   std::vector<PeerId> supernodes;
   std::vector<PeerId> leaves;
   std::vector<char> is_supernode;  // indexed by peer
+  /// The core tier's joins, in join order.
+  JoinLog core_joins;
 
   double core_fraction() const {
     const auto total = supernodes.size() + leaves.size();
@@ -40,7 +42,7 @@ struct SupernodeLayout {
 
 /// Builds the two-tier overlay into `graph` (must be empty) and registers
 /// every peer with `host_cache`.  The core tier joins with the default
-/// BootstrapOptions.  Returns the tier assignment.
+/// BootstrapOptions.  Returns the tier assignment and the core tier's joins.
 SupernodeLayout build_supernode_overlay(const PeerPopulation& population,
                                         OverlayGraph& graph,
                                         HostCacheServer& host_cache,

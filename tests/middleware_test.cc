@@ -2,6 +2,7 @@
 // experiment harness in metrics/.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -11,6 +12,7 @@
 #include "trace/counters.h"
 #include "trace/sink.h"
 #include "trace/trace.h"
+#include "util/parallel.h"
 #include "util/require.h"
 #include "util/stats.h"
 
@@ -195,51 +197,102 @@ struct DeploymentOutcome {
   std::vector<trace::TraceEvent> events;
 };
 
-TEST(Middleware, DeploymentSnapshotForkMatchesFreshConstruction) {
-  const auto config = small_config(OverlayKind::kGroupCast, 11);
-
-  // Builds a middleware (fresh when `snapshot` is null, forked otherwise),
-  // establishes a group, and captures results + counters + trace events
-  // under run-private instrumentation.
-  const auto run = [&](std::shared_ptr<const DeploymentSnapshot> snapshot) {
-    trace::CounterRegistry registry;
-    registry.enable(config.peer_count);
-    trace::ScopedCounterRegistry counter_guard(registry);
-    trace::RingBufferSink ring(1 << 16);
-    trace::tracer().set_sink(&ring);
-    DeploymentOutcome out;
-    {
-      const auto middleware =
-          snapshot ? std::make_unique<GroupCastMiddleware>(snapshot)
-                   : std::make_unique<GroupCastMiddleware>(config);
-      out.edges = middleware->graph().edge_count();
-      auto group = middleware->establish_random_group(25);
-      out.advert_messages = group.advert.messages;
-      out.advert_parent = group.advert.parent;
-      out.subscribers = group.tree.subscriber_count();
-    }
-    trace::tracer().set_sink(nullptr);
-    out.counters = registry.snapshot();
-    out.events = ring.events();
-    EXPECT_EQ(ring.dropped(), 0u);
-    return out;
-  };
-
-  const auto fresh = run(nullptr);
-  const auto snapshot = GroupCastMiddleware::make_snapshot(config);
-  // Two forks off one snapshot: forking must not consume snapshot state.
-  for (int i = 0; i < 2; ++i) {
-    const auto fork = run(snapshot);
-    EXPECT_EQ(fork.edges, fresh.edges);
-    EXPECT_EQ(fork.advert_messages, fresh.advert_messages);
-    EXPECT_EQ(fork.advert_parent, fresh.advert_parent);
-    EXPECT_EQ(fork.subscribers, fresh.subscribers);
-    // Construction counters are merged from the snapshot and construction
-    // trace events are replayed, so the full instrumentation record of a
-    // forked run equals a fresh run's.
-    EXPECT_EQ(fork.counters, fresh.counters);
-    EXPECT_EQ(fork.events, fresh.events);
+// Builds a middleware (fresh when `world` is null, on the shared world
+// otherwise), establishes a group, and captures results + counters + trace
+// events under run-private instrumentation.
+DeploymentOutcome run_deployment(
+    const MiddlewareConfig& config,
+    std::shared_ptr<const DeploymentSnapshot> world) {
+  trace::CounterRegistry registry;
+  registry.enable(config.peer_count);
+  trace::ScopedCounterRegistry counter_guard(registry);
+  trace::RingBufferSink ring(1 << 16);
+  trace::tracer().set_sink(&ring);
+  DeploymentOutcome out;
+  {
+    const auto middleware =
+        world ? std::make_unique<GroupCastMiddleware>(world)
+              : std::make_unique<GroupCastMiddleware>(config);
+    out.edges = middleware->graph().edge_count();
+    auto group = middleware->establish_random_group(25);
+    out.advert_messages = group.advert.messages;
+    out.advert_parent = group.advert.parent;
+    out.subscribers = group.tree.subscriber_count();
   }
+  trace::tracer().set_sink(nullptr);
+  out.counters = registry.snapshot();
+  out.events = ring.events();
+  EXPECT_EQ(ring.dropped(), 0u);
+  return out;
+}
+
+void expect_same_outcome(const DeploymentOutcome& a,
+                         const DeploymentOutcome& b) {
+  EXPECT_EQ(a.edges, b.edges);
+  EXPECT_EQ(a.advert_messages, b.advert_messages);
+  EXPECT_EQ(a.advert_parent, b.advert_parent);
+  EXPECT_EQ(a.subscribers, b.subscribers);
+  EXPECT_EQ(a.counters, b.counters);
+  EXPECT_EQ(a.events, b.events);
+}
+
+std::size_t count_events(const std::vector<trace::TraceEvent>& events,
+                         trace::EventKind kind) {
+  return static_cast<std::size_t>(
+      std::count_if(events.begin(), events.end(),
+                    [kind](const auto& e) { return e.kind == kind; }));
+}
+
+TEST(Middleware, DeploymentSnapshotForkMatchesFreshConstruction) {
+  for (const auto kind : {OverlayKind::kGroupCast,
+                          OverlayKind::kRandomPowerLaw,
+                          OverlayKind::kSupernode}) {
+    SCOPED_TRACE(to_string(kind));
+    const auto config = small_config(kind, 11);
+    const auto fresh = run_deployment(config, nullptr);
+    const auto world = GroupCastMiddleware::make_snapshot(config);
+    // Two forks off one world: forking must not consume world state.
+    for (int i = 0; i < 2; ++i) {
+      // The construction counters and trace events replay from the
+      // world's join log, so the full instrumentation record of a forked
+      // run equals a fresh run's.
+      expect_same_outcome(run_deployment(config, world), fresh);
+    }
+    // Every GroupCast peer joins through the bootstrap; the power-law
+    // overlay joins nobody; the supernode build logs its core tier only.
+    std::size_t joins = 0;
+    if (kind == OverlayKind::kGroupCast) joins = config.peer_count;
+    if (kind == OverlayKind::kSupernode) {
+      joins = world->supernode_layout.supernodes.size();
+      EXPECT_GT(joins, 0u);
+      EXPECT_LT(joins, config.peer_count);
+    }
+    EXPECT_EQ(world->joins.size(), joins);
+    EXPECT_EQ(fresh.counters.total(trace::CounterId::kJoins), joins);
+    EXPECT_EQ(count_events(fresh.events, trace::EventKind::kPeerJoin), joins);
+    EXPECT_EQ(world->bootstrap, nullptr);
+
+    // Forks share the world's overlay instead of copying it.
+    const GroupCastMiddleware a(world);
+    const GroupCastMiddleware b(world);
+    EXPECT_EQ(&a.graph(), &b.graph());
+    EXPECT_EQ(&a.graph(), world->graph.get());
+  }
+}
+
+// Forks of one world run concurrently on grid workers: the world is read
+// only, and the instrumentation is per thread, so each concurrent run
+// equals the same run made serially, counters and trace events included.
+TEST(Middleware, ConcurrentForksOfOneWorldMatchSerialForks) {
+  const auto config = small_config(OverlayKind::kGroupCast, 17);
+  const auto world = GroupCastMiddleware::make_snapshot(config);
+  const auto serial = run_deployment(config, world);
+  std::vector<DeploymentOutcome> concurrent(2);
+  util::parallel_for(
+      concurrent.size(), 1,
+      [&](std::size_t i) { concurrent[i] = run_deployment(config, world); },
+      2);
+  for (const auto& run : concurrent) expect_same_outcome(run, serial);
 }
 
 TEST(Experiment, AveragingIsDeterministicAndWithinRange) {

@@ -649,34 +649,11 @@ TEST(Bootstrap, SameSeedBuildsIdenticalOverlay) {
   EXPECT_EQ(out_adjacency(a.graph), out_adjacency(b.graph));
 }
 
-// The fork constructor (deployment snapshots) copies the protocol state
-// and rebinds it to the fork's own graph and host cache: the fork's joins
-// replay the donor's exactly and never touch the donor's structures.
-TEST(Bootstrap, ForkContinuesTheDonorsJoins) {
-  BootstrapFixture f(120, 109);
-  for (PeerId p = 0; p < 60; ++p) f.bootstrap.join(p);
-  OverlayGraph fork_graph = f.graph;
-  HostCacheServer fork_cache = f.cache;
-  GroupCastBootstrap fork(f.bootstrap, fork_graph, fork_cache);
-  for (PeerId p = 0; p < 120; ++p) {
-    EXPECT_EQ(fork.is_joined(p), f.bootstrap.is_joined(p));
-  }
-  EXPECT_THROW(fork.join(5), PreconditionError);  // joined before the fork
-
-  const auto donor_rows = out_adjacency(f.graph);
-  for (PeerId p = 60; p < 120; ++p) fork.join(p);
-  EXPECT_EQ(out_adjacency(f.graph), donor_rows);
-  EXPECT_FALSE(f.bootstrap.is_joined(60));
-  EXPECT_FALSE(f.cache.contains(60));
-
-  for (PeerId p = 60; p < 120; ++p) f.bootstrap.join(p);
-  EXPECT_EQ(out_adjacency(fork_graph), out_adjacency(f.graph));
-}
-
 // The overlay is built by joins only, so it must hold these invariants
 // after every join, for every utility blend: a peer that has not joined
 // has no edge (candidates come only from joined peers), a join adds
-// exactly the links its stats report, and every link joins two members.
+// exactly the links its stats report and logs them, and every link joins
+// two members.
 struct JoinWorld {
   std::size_t peers;
   std::uint64_t seed;
@@ -713,6 +690,9 @@ TEST_P(JoinProperty, EdgesOnlyBetweenJoinedPeersAndStatsMatchEdges) {
 
     EXPECT_TRUE(bootstrap.is_joined(peer));
     EXPECT_TRUE(cache.contains(peer));
+    ASSERT_EQ(bootstrap.joins().size(), joined + 1);
+    EXPECT_EQ(bootstrap.joins().back().peer, peer);
+    EXPECT_EQ(bootstrap.joins().back().out_links, stats.out_links_created);
     EXPECT_EQ(graph.edge_count(),
               edges_before + stats.out_links_created +
                   stats.back_links_accepted);

@@ -40,6 +40,19 @@ TEST(Supernode, TierAssignmentFollowsCapacity) {
   EXPECT_NEAR(f.layout.core_fraction(), 0.35, 0.12);
 }
 
+TEST(Supernode, CoreJoinsAreLoggedOncePerSupernode) {
+  SupernodeFixture f;
+  ASSERT_EQ(f.layout.core_joins.size(), f.layout.supernodes.size());
+  std::vector<char> seen(200, 0);
+  for (const auto& join : f.layout.core_joins) {
+    EXPECT_TRUE(f.layout.is_supernode[join.peer]);
+    EXPECT_FALSE(seen[join.peer]) << "peer " << join.peer << " joined twice";
+    seen[join.peer] = 1;
+  }
+  // The first core joiner finds nobody to link to.
+  EXPECT_EQ(f.layout.core_joins.front().out_links, 0u);
+}
+
 TEST(Supernode, LeavesOnlyConnectToSupernodes) {
   SupernodeFixture f;
   for (const auto leaf : f.layout.leaves) {
