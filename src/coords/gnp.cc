@@ -143,32 +143,4 @@ std::vector<Coord> GnpLandmarks::fit_all() const {
   return coords;
 }
 
-GnpEmbedding::GnpEmbedding(std::size_t host_count, const LatencyOracle& oracle,
-                           util::Rng& rng, const GnpOptions& options) {
-  const GnpLandmarks landmarks(host_count, oracle, rng, options);
-  landmarks_ = landmarks.hosts();
-  coords_ = landmarks.fit_all();
-}
-
-double GnpEmbedding::median_relative_error(const LatencyOracle& oracle,
-                                           util::Rng& rng,
-                                           std::size_t sample_pairs) const {
-  GC_REQUIRE(coords_.size() >= 2);
-  std::vector<double> errors;
-  errors.reserve(sample_pairs);
-  for (std::size_t s = 0; s < sample_pairs; ++s) {
-    const auto a = rng.uniform_index(coords_.size());
-    auto b = rng.uniform_index(coords_.size());
-    if (a == b) continue;
-    const double real = oracle(a, b);
-    if (real <= 0.0) continue;
-    const double est = coords_[a].distance_to(coords_[b]);
-    errors.push_back(std::abs(est - real) / real);
-  }
-  if (errors.empty()) return 0.0;
-  std::nth_element(errors.begin(), errors.begin() + errors.size() / 2,
-                   errors.end());
-  return errors[errors.size() / 2];
-}
-
 }  // namespace groupcast::coords

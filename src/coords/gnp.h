@@ -67,27 +67,4 @@ class GnpLandmarks {
   std::vector<double> probes_;  // row per host: latency to each landmark
 };
 
-/// Embedding of `host_count` hosts: GnpLandmarks, then its fit_all().
-class GnpEmbedding {
- public:
-  /// Runs the full two-phase GNP procedure; parameters as GnpLandmarks.
-  GnpEmbedding(std::size_t host_count, const LatencyOracle& oracle,
-               util::Rng& rng, const GnpOptions& options = {});
-
-  const Coord& coordinate(std::size_t host) const { return coords_.at(host); }
-  const std::vector<Coord>& coordinates() const { return coords_; }
-  const std::vector<std::size_t>& landmark_hosts() const {
-    return landmarks_;
-  }
-
-  /// Median relative error |est - real| / real over sampled host pairs —
-  /// the standard GNP accuracy figure; useful for tests and diagnostics.
-  double median_relative_error(const LatencyOracle& oracle, util::Rng& rng,
-                               std::size_t sample_pairs = 2000) const;
-
- private:
-  std::vector<Coord> coords_;
-  std::vector<std::size_t> landmarks_;
-};
-
 }  // namespace groupcast::coords

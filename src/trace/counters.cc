@@ -24,14 +24,8 @@ const char* to_string(CounterId id) {
       return "ripple_searches";
     case CounterId::kTreeEdges:
       return "tree_edges";
-    case CounterId::kTreeRepairs:
-      return "tree_repairs";
     case CounterId::kJoins:
       return "joins";
-    case CounterId::kLeaves:
-      return "leaves";
-    case CounterId::kLinkRefills:
-      return "link_refills";
     case CounterId::kControlRetries:
       return "control_retries";
     case CounterId::kControlGiveups:

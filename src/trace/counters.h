@@ -1,7 +1,7 @@
 // Per-node monotonic counters.
 //
 // Every peer accumulates protocol counters (messages sent / received /
-// forwarded / dropped, advertisements forwarded, tree repairs, ripple
+// forwarded / dropped, advertisements forwarded, orphan recoveries, ripple
 // searches, ...) in a CounterRegistry.  The registry is disabled by
 // default: incr() is then a single predictable branch, so the figure-sweep
 // benches pay nothing.  When enabled (sim_driver --trace_out, tests), the
@@ -34,13 +34,7 @@ enum class CounterId : std::uint8_t {
   kSubscribeSuccesses,
   kRippleSearches,      // searches this node originated
   kTreeEdges,           // spanning-tree attachments (counted at the child)
-  kTreeRepairs,         // no emitter: the engine-level repair model is
-                        // gone; stays to keep the numbering of goldens
   kJoins,               // overlay join protocol completions
-  kLeaves,              // no emitter: the overlay has no departures;
-                        // stays to keep the numbering of goldens
-  kLinkRefills,         // no emitter: the epoch link repair is gone;
-                        // stays to keep the numbering of goldens
   kControlRetries,      // reliable-exchange attempts after the first
   kControlGiveups,      // reliable exchanges that exhausted every attempt
   kOrphansRecovered,    // orphaned nodes that reattached to a tree

@@ -1,9 +1,9 @@
 // Typed protocol events for the observability layer.
 //
 // Every significant protocol action (an advertisement copy forwarded, a
-// subscription attempt resolved, a tree edge grown, a peer joining or
-// leaving the overlay, a message dropped, the simulator queue reaching a
-// new high-water mark) is describable as one fixed-size TraceEvent: a
+// subscription attempt resolved, a tree edge grown, a peer joining the
+// overlay, a message dropped, the simulator queue reaching a new
+// high-water mark) is describable as one fixed-size TraceEvent: a
 // sim-timestamp, an event kind, up to two peer ids, and one integer value
 // whose meaning depends on the kind.  Events are plain data — recording
 // one never allocates, so sinks can sit on the protocol hot paths.
@@ -41,20 +41,11 @@ enum class EventKind : std::uint8_t {
   kTreeEdgeAdded,
   /// `node` completed the overlay join protocol; `value` = out links.
   kPeerJoin,
-  /// No emitter: the overlay has no departures.  Stays so the numeric
-  /// ids that traces write keep their values.
-  kPeerLeave,
   /// A message from `node` to `peer` was dropped (duplicate suppression,
   /// loss, or a departed receiver); `value` = a DropReason.
   kMessageDropped,
   /// `node` ran a ripple search; `value` = search messages spent.
   kRippleSearch,
-  /// No emitter: the engine-level repair model is gone.  Stays so the
-  /// numeric ids that traces write keep their values.
-  kTreeRepair,
-  /// No emitter: the analytic overlay maintenance model is gone.  Stays
-  /// so the numeric ids that traces write keep their values.
-  kMaintenanceEpoch,
   /// An IP multicast reference tree was merged for source router `node`;
   /// `value` = distinct physical links in the tree.
   kIpTreeBuilt,
@@ -116,9 +107,7 @@ enum class DropReason : std::uint8_t {
   kDuplicate = 0,   // duplicate-suppression at the receiver
   kLoss,            // lossy transport
   kNoReceiver,      // receiver departed while the message was in flight
-  kTtlExpired,      // TTL ran out before forwarding
   kPartitioned,     // sender and receiver were on opposite partition sides
-  kBurstLoss,       // no emitter (burst loss is gone); keeps the numbering
   kOriginDeparted,  // sender crashed before the scheduled delivery fired
   kStaleEpoch,      // sequenced payload from an out-of-date edge incarnation
   kCount_,

@@ -1,10 +1,16 @@
 #include "trace/sink.h"
 
+#include <algorithm>
+#include <array>
 #include <cerrno>
 #include <cinttypes>
 #include <cstdlib>
 #include <cstring>
+#include <string_view>
+#include <utility>
 
+#include "trace/counters.h"
+#include "trace/histogram.h"
 #include "util/require.h"
 
 namespace groupcast::trace {
@@ -61,13 +67,71 @@ void RingBufferSink::clear() {
 
 // ------------------------------------------------------------------ JSONL
 
+namespace {
+
+using Names = std::vector<const char*>;
+
+template <typename Id>
+Names names_of() {
+  Names names;
+  for (std::size_t i = 0; i < static_cast<std::size_t>(Id::kCount_); ++i) {
+    names.push_back(to_string(static_cast<Id>(i)));
+  }
+  return names;
+}
+
+/// The numeric fields of a line, in key order.
+enum Field { kNodeField, kPeerField, kValueField, kNoField };
+constexpr const char* kFieldKeys[] = {"node", "peer", "value"};
+
+/// The field of a kind that carries an id, and the names of its ids by
+/// id.  Timeline series are the counters, then the histograms.
+struct NamedField {
+  Field field = kNoField;
+  Names names;
+};
+
+const NamedField& named_field(EventKind kind) {
+  static const auto table = [] {
+    std::array<NamedField, kEventKinds> t;
+    const auto at = [&t](EventKind k) -> NamedField& {
+      return t[static_cast<std::size_t>(k)];
+    };
+    at(EventKind::kPhaseBegin) = {kValueField, names_of<Phase>()};
+    at(EventKind::kMessageDropped) = {kValueField, names_of<DropReason>()};
+    at(EventKind::kCounterSnapshot) = {kPeerField, names_of<CounterId>()};
+    at(EventKind::kHistogramBin) = {kNodeField, names_of<HistogramId>()};
+    Names series = names_of<CounterId>();
+    for (const char* name : names_of<HistogramId>()) series.push_back(name);
+    at(EventKind::kTimelineFrame) = {kPeerField, std::move(series)};
+    return t;
+  }();
+  return table[static_cast<std::size_t>(kind)];
+}
+
+}  // namespace
+
 std::string to_jsonl(const TraceEvent& event) {
-  char line[160];
+  const NamedField& named = named_field(event.kind);
+  const std::uint64_t raw[kNoField] = {event.node, event.peer, event.value};
+  char fields[kNoField][40];
+  for (int f = 0; f < kNoField; ++f) {
+    if (f == named.field) {
+      std::snprintf(fields[f], sizeof(fields[f]), "\"%s\"",
+                    raw[f] < named.names.size() ? named.names[raw[f]] : "?");
+    } else if (f == kValueField) {
+      std::snprintf(fields[f], sizeof(fields[f]), "%" PRIu64, raw[f]);
+    } else {
+      std::snprintf(fields[f], sizeof(fields[f]), "%" PRId64,
+                    id_out(static_cast<NodeId>(raw[f])));
+    }
+  }
+  char line[192];
   std::snprintf(line, sizeof(line),
-                "{\"t_us\":%" PRId64 ",\"kind\":\"%s\",\"node\":%" PRId64
-                ",\"peer\":%" PRId64 ",\"value\":%" PRIu64 "}",
-                event.t_us, to_string(event.kind), id_out(event.node),
-                id_out(event.peer), event.value);
+                "{\"t_us\":%" PRId64
+                ",\"kind\":\"%s\",\"node\":%s,\"peer\":%s,\"value\":%s}",
+                event.t_us, to_string(event.kind), fields[kNodeField],
+                fields[kPeerField], fields[kValueField]);
   return line;
 }
 
@@ -93,38 +157,40 @@ bool parse_int_field(const std::string& line, const char* key,
   return true;
 }
 
-bool parse_kind_field(const std::string& line, EventKind* out) {
-  auto at = find_value(line, "kind");
+/// Reads the quoted name of `key` as its index in `names`.
+bool parse_name_field(const std::string& line, const char* key,
+                      const Names& names, std::int64_t* out) {
+  auto at = find_value(line, key);
   if (at == std::string::npos) return false;
   while (at < line.size() && line[at] == ' ') ++at;
   if (at >= line.size() || line[at] != '"') return false;
   const auto close = line.find('"', at + 1);
   if (close == std::string::npos) return false;
-  const std::string name = line.substr(at + 1, close - at - 1);
-  for (std::size_t k = 0; k < kEventKinds; ++k) {
-    if (name == to_string(static_cast<EventKind>(k))) {
-      *out = static_cast<EventKind>(k);
-      return true;
-    }
-  }
-  return false;
+  const auto name = std::string_view(line).substr(at + 1, close - at - 1);
+  const auto it = std::find(names.begin(), names.end(), name);
+  if (it == names.end()) return false;
+  *out = it - names.begin();
+  return true;
 }
 
 }  // namespace
 
 std::optional<TraceEvent> parse_jsonl(const std::string& line) {
-  TraceEvent event;
-  std::int64_t t = 0, node = 0, peer = 0, value = 0;
+  static const Names kinds = names_of<EventKind>();
+  std::int64_t t = 0, kind = 0, f[kNoField] = {0, 0, 0};
   if (!parse_int_field(line, "t_us", &t)) return std::nullopt;
-  if (!parse_kind_field(line, &event.kind)) return std::nullopt;
-  if (!parse_int_field(line, "node", &node)) return std::nullopt;
-  if (!parse_int_field(line, "peer", &peer)) return std::nullopt;
-  if (!parse_int_field(line, "value", &value)) return std::nullopt;
-  event.t_us = t;
-  event.node = id_in(node);
-  event.peer = id_in(peer);
-  event.value = static_cast<std::uint64_t>(value);
-  return event;
+  if (!parse_name_field(line, "kind", kinds, &kind)) return std::nullopt;
+  const NamedField& named = named_field(static_cast<EventKind>(kind));
+  for (int i = 0; i < kNoField; ++i) {
+    const bool ok =
+        i == named.field
+            ? parse_name_field(line, kFieldKeys[i], named.names, &f[i])
+            : parse_int_field(line, kFieldKeys[i], &f[i]);
+    if (!ok) return std::nullopt;
+  }
+  return TraceEvent{t, static_cast<EventKind>(kind), id_in(f[kNodeField]),
+                    id_in(f[kPeerField]),
+                    static_cast<std::uint64_t>(f[kValueField])};
 }
 
 JsonlFileSink::JsonlFileSink(const std::string& path) : path_(path) {

@@ -7,9 +7,9 @@
 //    keep "the last N things that happened" around for tests and for
 //    post-mortem inspection after an assertion failure.
 //  * JsonlFileSink  — one JSON object per line, append-only.  The format
-//    is deterministic (fixed key order, integer fields only), so two runs
-//    of the same seed produce byte-identical files; tools/trace_report
-//    consumes it.
+//    is deterministic (fixed key order, integers and enumerator names), so
+//    two runs of the same seed produce byte-identical files;
+//    tools/trace_report consumes it.
 #pragma once
 
 #include <cstdio>
@@ -64,11 +64,16 @@ class RingBufferSink final : public TraceSink {
 
 /// Serializes one event as a single JSONL line (no trailing newline).
 /// Fixed key order: {"t_us":..,"kind":"..","node":..,"peer":..,"value":..}
-/// `node`/`peer` are emitted as -1 when they are kNoPeer.
+/// `node`/`peer` are emitted as -1 when they are kNoPeer.  The field that
+/// carries an id holds the id's name as a string: the Phase `value` of
+/// phase_begin, the DropReason `value` of message_dropped, the CounterId
+/// `peer` of counter_snapshot, the HistogramId `node` of histogram_bin and
+/// the counter or histogram `peer` of timeline_frame.
 std::string to_jsonl(const TraceEvent& event);
 
 /// Parses a line produced by to_jsonl (tolerant of key order and extra
-/// whitespace).  Returns nullopt on malformed input or an unknown kind.
+/// whitespace).  Returns nullopt on malformed input, an unknown kind or an
+/// unknown id name.
 std::optional<TraceEvent> parse_jsonl(const std::string& line);
 
 /// Appends events to a JSONL file, one line each.

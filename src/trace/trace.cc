@@ -18,16 +18,10 @@ const char* to_string(EventKind kind) {
       return "tree_edge_added";
     case EventKind::kPeerJoin:
       return "peer_join";
-    case EventKind::kPeerLeave:
-      return "peer_leave";
     case EventKind::kMessageDropped:
       return "message_dropped";
     case EventKind::kRippleSearch:
       return "ripple_search";
-    case EventKind::kTreeRepair:
-      return "tree_repair";
-    case EventKind::kMaintenanceEpoch:
-      return "maintenance_epoch";
     case EventKind::kIpTreeBuilt:
       return "ip_tree_built";
     case EventKind::kCounterSnapshot:
@@ -80,12 +74,8 @@ const char* to_string(DropReason reason) {
       return "loss";
     case DropReason::kNoReceiver:
       return "no-receiver";
-    case DropReason::kTtlExpired:
-      return "ttl-expired";
     case DropReason::kPartitioned:
       return "partitioned";
-    case DropReason::kBurstLoss:
-      return "burst-loss";
     case DropReason::kOriginDeparted:
       return "origin-departed";
     case DropReason::kStaleEpoch:

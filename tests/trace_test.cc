@@ -4,13 +4,16 @@
 
 #include <cstdio>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "metrics/experiment.h"
 #include "sim/simulator.h"
 #include "trace/counters.h"
+#include "trace/histogram.h"
 #include "trace/sink.h"
 #include "trace/trace.h"
 
@@ -62,17 +65,19 @@ TEST(RingBufferSink, KeepsMostRecentOnWraparound) {
 TEST(RingBufferSink, BelowCapacityReturnsInOrder) {
   RingBufferSink ring(8);
   ring.record(TraceEvent{1, EventKind::kPeerJoin, 7, kNoNode, 2});
-  ring.record(TraceEvent{2, EventKind::kPeerLeave, 7, kNoNode, 0});
+  ring.record(TraceEvent{2, EventKind::kRippleSearch, 7, kNoNode, 0});
   const auto events = ring.events();
   ASSERT_EQ(events.size(), 2u);
   EXPECT_EQ(events[0].kind, EventKind::kPeerJoin);
-  EXPECT_EQ(events[1].kind, EventKind::kPeerLeave);
+  EXPECT_EQ(events[1].kind, EventKind::kRippleSearch);
 }
 
 TEST(Jsonl, RoundTripsEveryEventKind) {
   for (std::size_t k = 0; k < static_cast<std::size_t>(EventKind::kCount_);
        ++k) {
-    const TraceEvent event{123456, static_cast<EventKind>(k), 42, 7, 99};
+    // In range for whichever field carries an id: histogram 4, counter 7,
+    // phase or drop reason 2.
+    const TraceEvent event{123456, static_cast<EventKind>(k), 4, 7, 2};
     const auto line = to_jsonl(event);
     const auto parsed = parse_jsonl(line);
     ASSERT_TRUE(parsed.has_value()) << line;
@@ -81,8 +86,7 @@ TEST(Jsonl, RoundTripsEveryEventKind) {
 }
 
 TEST(Jsonl, RoundTripsNoNodeAsMinusOne) {
-  const TraceEvent event{0, EventKind::kMaintenanceEpoch, kNoNode, kNoNode,
-                         3};
+  const TraceEvent event{0, EventKind::kIpTreeBuilt, kNoNode, kNoNode, 3};
   const auto line = to_jsonl(event);
   EXPECT_NE(line.find("\"node\":-1"), std::string::npos) << line;
   const auto parsed = parse_jsonl(line);
@@ -127,7 +131,7 @@ TEST(Jsonl, ReaderSkipsAndCountsMalformedLines) {
     std::ofstream out(path);
     out << to_jsonl(TraceEvent{1, EventKind::kPeerJoin, 0, kNoNode, 0})
         << "\ngarbage line\n"
-        << to_jsonl(TraceEvent{2, EventKind::kPeerLeave, 0, kNoNode, 0})
+        << to_jsonl(TraceEvent{2, EventKind::kRippleSearch, 0, kNoNode, 0})
         << "\n";
   }
   std::size_t malformed = 0;
@@ -135,6 +139,104 @@ TEST(Jsonl, ReaderSkipsAndCountsMalformedLines) {
   ASSERT_TRUE(events.has_value());
   EXPECT_EQ(events->size(), 2u);
   EXPECT_EQ(malformed, 1u);
+  std::remove(path.c_str());
+}
+
+// ------------------------------------------------------------ id names
+
+// Names, not positions, identify ids in traces and goldens: every id of
+// every family has its own name, and the JSONL carries it.
+template <typename Id>
+std::vector<std::string> names_of() {
+  std::vector<std::string> names;
+  for (std::size_t i = 0; i < static_cast<std::size_t>(Id::kCount_); ++i) {
+    names.emplace_back(to_string(static_cast<Id>(i)));
+  }
+  return names;
+}
+
+/// Timeline series share one id space: the counters, then the histograms.
+std::vector<std::string> series_names() {
+  auto names = names_of<CounterId>();
+  for (auto& name : names_of<HistogramId>()) names.push_back(name);
+  return names;
+}
+
+void expect_named_and_unique(const std::vector<std::string>& names,
+                             const char* family) {
+  std::set<std::string> seen;
+  for (const auto& name : names) {
+    EXPECT_NE(name, "?") << family;
+    EXPECT_TRUE(seen.insert(name).second) << family << " repeats " << name;
+  }
+}
+
+TEST(TraceNames, EveryIdHasItsOwnName) {
+  expect_named_and_unique(names_of<CounterId>(), "CounterId");
+  expect_named_and_unique(names_of<HistogramId>(), "HistogramId");
+  expect_named_and_unique(names_of<EventKind>(), "EventKind");
+  expect_named_and_unique(names_of<Phase>(), "Phase");
+  expect_named_and_unique(names_of<DropReason>(), "DropReason");
+  expect_named_and_unique(series_names(), "timeline series");
+}
+
+/// The event of `kind` whose id-carrying field holds `id`.
+TraceEvent with_id(EventKind kind, std::uint64_t id) {
+  TraceEvent event{5, kind, 3, 4, 6};
+  if (kind == EventKind::kHistogramBin) {
+    event.node = static_cast<NodeId>(id);
+  } else if (kind == EventKind::kCounterSnapshot ||
+             kind == EventKind::kTimelineFrame) {
+    event.peer = static_cast<NodeId>(id);
+  } else {
+    event.value = id;
+  }
+  return event;
+}
+
+TEST(TraceNames, IdCarryingKindsRoundTripEveryIdByName) {
+  const struct {
+    EventKind kind;
+    const char* key;
+    std::vector<std::string> names;
+  } cases[] = {
+      {EventKind::kPhaseBegin, "value", names_of<Phase>()},
+      {EventKind::kMessageDropped, "value", names_of<DropReason>()},
+      {EventKind::kCounterSnapshot, "peer", names_of<CounterId>()},
+      {EventKind::kHistogramBin, "node", names_of<HistogramId>()},
+      {EventKind::kTimelineFrame, "peer", series_names()},
+  };
+  for (const auto& c : cases) {
+    for (std::size_t id = 0; id < c.names.size(); ++id) {
+      const TraceEvent event = with_id(c.kind, id);
+      const auto line = to_jsonl(event);
+      const std::string field =
+          std::string("\"") + c.key + "\":\"" + c.names[id] + "\"";
+      EXPECT_NE(line.find(field), std::string::npos) << line;
+      const auto parsed = parse_jsonl(line);
+      ASSERT_TRUE(parsed.has_value()) << line;
+      EXPECT_EQ(*parsed, event) << line;
+    }
+  }
+}
+
+TEST(TraceNames, ReaderCountsAnUnknownNameAsMalformed) {
+  const auto path = temp_path("trace_unknown_name.jsonl");
+  {
+    std::ofstream out(path);
+    out << to_jsonl(with_id(EventKind::kCounterSnapshot, 0)) << "\n"
+        << R"({"t_us":1,"kind":"counter_snapshot","node":0,)"
+        << R"("peer":"no_such_counter","value":1})" << "\n"
+        << R"({"t_us":1,"kind":"message_dropped","node":0,"peer":1,)"
+        << R"("value":1})" << "\n"
+        << to_jsonl(with_id(EventKind::kPhaseBegin, 1)) << "\n";
+  }
+  std::size_t malformed = 0;
+  const auto events = read_jsonl_file(path, &malformed);
+  ASSERT_TRUE(events.has_value());
+  EXPECT_EQ(events->size(), 2u);
+  // A name no id carries and a number where a name belongs.
+  EXPECT_EQ(malformed, 2u);
   std::remove(path.c_str());
 }
 
@@ -213,11 +315,11 @@ TEST(CounterRegistry, ActiveRegistryIsPerThread) {
   bool worker_saw_injected = true;
   std::thread worker([&] {
     worker_saw_injected = (&counters() == &main_local);
-    counters().incr(0, CounterId::kLeaves);  // disabled default: no-op
+    counters().incr(0, CounterId::kJoins);  // disabled default: no-op
   });
   worker.join();
   EXPECT_FALSE(worker_saw_injected);
-  EXPECT_EQ(main_local.total(CounterId::kLeaves), 0u);
+  EXPECT_EQ(main_local.total(CounterId::kJoins), 0u);
 }
 
 TEST(CounterSnapshot, MergeIsElementWiseAndGrows) {

@@ -40,9 +40,9 @@ EmbeddingDigest embed_small_world() {
                                  static_cast<overlay::PeerId>(b));
   };
   util::Rng rng(67);
-  const coords::GnpEmbedding gnp(peers, oracle, rng);
+  const auto coords = coords::GnpLandmarks(peers, oracle, rng).fit_all();
   testing::Fnv64 hash;
-  hash.add(std::span<const coords::Coord>(gnp.coordinates()));
+  hash.add(std::span<const coords::Coord>(coords));
   return {hash.value(), rng()};
 }
 
