@@ -59,8 +59,8 @@ LeaseReplica::LeaseReplica(Host& host, overlay::PeerId self,
       transport_(&transport),
       options_(&options),
       self_(self),
-      exchange_(transport.simulator_for(self), self, lease_retry(options),
-                rng) {}
+      retry_(lease_retry(options)),
+      exchange_(transport.simulator_for(self), self, retry_, rng) {}
 
 sim::SimTime LeaseReplica::now() const {
   return transport_->simulator_for(self_).now();

@@ -61,6 +61,9 @@ struct ReplicationOptions {
   /// Leaseholder renewal period; also the stagger unit for takeover
   /// candidates (member rank * interval) so proposals do not collide.
   sim::SimTime lease_interval = sim::SimTime::millis(500);
+
+  friend bool operator==(const ReplicationOptions&,
+                         const ReplicationOptions&) = default;
 };
 
 /// The lease duration — how long a member tolerates lease silence before
@@ -193,6 +196,7 @@ class LeaseReplica {
   Transport* transport_;
   const ReplicationOptions* options_;
   overlay::PeerId self_;
+  RetryPolicy retry_;  // derived from the lease interval; read by exchange_
   ReliableExchange exchange_;
   SharedTick tick_;
 };

@@ -20,6 +20,12 @@ std::uint64_t query_key(overlay::PeerId origin, std::uint32_t round) {
   return (static_cast<std::uint64_t>(origin) << 32) | round;
 }
 
+std::shared_ptr<const NodeOptions> non_null(
+    std::shared_ptr<const NodeOptions> options) {
+  GC_REQUIRE(options != nullptr);
+  return options;
+}
+
 void erase_value(std::vector<overlay::PeerId>& v, overlay::PeerId value) {
   const auto it = std::find(v.begin(), v.end(), value);
   if (it != v.end()) v.erase(it);
@@ -35,23 +41,24 @@ constexpr std::size_t kMaxAdaptiveMisses = 12;
 
 GroupCastNode::GroupCastNode(overlay::PeerId self, Transport& transport,
                              const overlay::OverlayGraph& graph,
-                             NodeOptions options, util::Rng& rng)
+                             std::shared_ptr<const NodeOptions> options,
+                             util::Rng& rng)
     : self_(self),
       transport_(&transport),
       graph_(&graph),
-      options_(options),
+      options_(non_null(std::move(options))),
       rng_(rng.split()),
-      exchange_(transport.simulator_for(self), self, options.retry, rng_),
-      edges_(*this, self, transport, options_.reliability, options.adaptive,
-             rng_) {
+      exchange_(transport.simulator_for(self), self, options_->retry, rng_),
+      edges_(*this, self, transport, options_->reliability,
+             options_->adaptive, rng_) {
   GC_REQUIRE(self < transport.population().size());
-  GC_REQUIRE(options_.ripple_ttl >= 1);
-  GC_REQUIRE(options_.missed_heartbeats_to_fail >= 1);
-  GC_REQUIRE(options_.heartbeat_interval >= sim::SimTime::zero());
-  if (options_.replication.enabled) {
+  GC_REQUIRE(options_->ripple_ttl >= 1);
+  GC_REQUIRE(options_->missed_heartbeats_to_fail >= 1);
+  GC_REQUIRE(options_->heartbeat_interval >= sim::SimTime::zero());
+  if (options_->replication.enabled) {
     lease_ = std::make_unique<LeaseReplica>(
         static_cast<LeaseReplica::Host&>(*this), self, transport,
-        options_.replication, rng_);
+        options_->replication, rng_);
   }
 }
 
@@ -140,13 +147,13 @@ void GroupCastNode::create_group(GroupId group) {
   tree.tree_parent = self_;
   tree.depth = 0;
   for (const auto target : select_forward_targets(
-           options_.advertisement, transport_->population(), self_,
+           options_->advertisement, transport_->population(), self_,
            graph_->neighbors(self_), self_, resource_level_, rng_)) {
     transport_->send(
         self_, target,
         AdvertiseMsg{group, self_,
                      static_cast<std::uint32_t>(
-                         options_.advertisement.ttl - 1)});
+                         options_->advertisement.ttl - 1)});
   }
   if (lease_) lease_->create(group, tree.repl);
 }
@@ -156,7 +163,7 @@ void GroupCastNode::subscribe(GroupId group) {
   auto& tree = tree_of(group);
   if (tree.on_tree()) {
     tree.subscribed = true;
-    if (subscribe_callback_) subscribe_callback_(group, true);
+    report_subscribe(group, true);
     return;
   }
   tree.subscribed = true;  // desired; effective once on the tree
@@ -340,6 +347,7 @@ GroupCastNode::Footprint GroupCastNode::footprint(GroupId group) const {
 
 std::size_t GroupCastNode::memory_bytes() const {
   std::size_t bytes = sizeof(*this) + groups_.capacity() * sizeof(GroupRecord);
+  if (callbacks_) bytes += sizeof(Callbacks);
   if (lease_) bytes += lease_->memory_bytes();
   for (const auto& entry : groups_) {
     bytes += entry.seen_queries.memory_bytes();
@@ -391,7 +399,7 @@ void GroupCastNode::ack_children(GroupId group, TreeState& tree) {
 }
 
 overlay::PeerId GroupCastNode::offered_backup(const TreeState& tree) const {
-  if (!options_.replication.enabled || !tree.on_tree() ||
+  if (!options_->replication.enabled || !tree.on_tree() ||
       tree.tree_parent == self_) {
     return overlay::kNoPeer;  // roots have no grandparent to offer
   }
@@ -468,7 +476,7 @@ void GroupCastNode::start_ladder(GroupId group) {
   // before the regular ladder; a live backup re-adopts the orphan within
   // one round trip.
   const bool backup_rung_ok =
-      options_.replication.enabled && tree.recovering &&
+      options_->replication.enabled && tree.recovering &&
       tree.backup_parent != overlay::kNoPeer &&
       tree.backup_parent != self_ && tree.backup_parent != tree.avoid;
   tree.rung = backup_rung_ok          ? Rung::kBackup
@@ -507,7 +515,7 @@ void GroupCastNode::run_rung(GroupId group) {
             // Widen the scope on every retry: a lost hit or a too-small
             // radius both look like a timeout.
             const auto ttl = static_cast<std::uint32_t>(
-                options_.ripple_ttl + attempt);
+                options_->ripple_ttl + attempt);
             std::size_t queries = 0;
             for (const auto n : graph_->neighbors(self_)) {
               if (n == st.avoid) continue;
@@ -538,14 +546,14 @@ void GroupCastNode::run_rung(GroupId group) {
             }
             const auto population = transport_->population().size();
             const std::size_t replica_count =
-                std::min(options_.rendezvous_replicas,
+                std::min(options_->rendezvous_replicas,
                          population > 0 ? population - 1 : 0);
             // With replication on, skip replicas that have departed so the
             // round-robin lands on a live (possibly acting-root) member;
             // the filter stays off otherwise to preserve the legacy
             // target order.
             LivenessFilter alive;
-            if (options_.replication.enabled) {
+            if (options_->replication.enabled) {
               alive = [this](overlay::PeerId p) {
                 return transport_->is_registered(p);
               };
@@ -630,9 +638,7 @@ void GroupCastNode::terminal_failure(GroupId group) {
                        overlay::kNoPeer, 0);
   const bool was_subscribed = tree.subscribed;
   tree.subscribed = false;
-  if (was_subscribed && subscribe_callback_) {
-    subscribe_callback_(group, false);
-  }
+  if (was_subscribed) report_subscribe(group, false);
 }
 
 void GroupCastNode::complete_attach(GroupId group, overlay::PeerId parent,
@@ -643,11 +649,11 @@ void GroupCastNode::complete_attach(GroupId group, overlay::PeerId parent,
     exchange_.settle(tree.exchange);
     tree.exchange = ReliableExchange::kNoToken;
   }
-  if (options_.replication.enabled && tree.recovering &&
+  if (options_->replication.enabled && tree.recovering &&
       tree.rung == Rung::kBackup) {
     trace::counters().incr(self_, trace::CounterId::kBackupAttaches);
   }
-  tree.backup_parent = options_.replication.enabled && backup != self_
+  tree.backup_parent = options_->replication.enabled && backup != self_
                            ? backup
                            : overlay::kNoPeer;
   tree.search_pending = false;
@@ -687,7 +693,7 @@ void GroupCastNode::complete_attach(GroupId group, overlay::PeerId parent,
     trace::tracer().emit(now().as_micros(),
                          trace::EventKind::kSubscriptionAttempt, self_,
                          parent, 1);
-    if (subscribe_callback_) subscribe_callback_(group, true);
+    report_subscribe(group, true);
   }
   maybe_schedule_heartbeat(group);
 }
@@ -695,7 +701,7 @@ void GroupCastNode::complete_attach(GroupId group, overlay::PeerId parent,
 // ------------------------------------------- heartbeats / failure detection
 
 void GroupCastNode::maybe_schedule_heartbeat(GroupId group) {
-  if (options_.heartbeat_interval <= sim::SimTime::zero()) return;
+  if (options_->heartbeat_interval <= sim::SimTime::zero()) return;
   if (!running_) return;
   TreeState* tree = find_tree(group);
   if (tree == nullptr || tree->heartbeat_scheduled) return;
@@ -706,7 +712,7 @@ void GroupCastNode::maybe_schedule_heartbeat(GroupId group) {
   // Liveness deadlines are timestamp-based, so an early first service of
   // a group enrolling between ticks is safe.
   heartbeats_.enrol(group, transport_->simulator_for(self_),
-                    options_.heartbeat_interval, &heartbeat_thunk, this);
+                    options_->heartbeat_interval, &heartbeat_thunk, this);
 }
 
 void GroupCastNode::heartbeat_thunk(void* context, std::uint64_t) {
@@ -723,9 +729,9 @@ void GroupCastNode::heartbeat_tick(GroupId group) {
   tree.heartbeat_scheduled = false;
   if (!running_) return;
   const auto t = now();
-  const auto interval = options_.heartbeat_interval;
+  const auto interval = options_->heartbeat_interval;
   if (tree.on_tree() && tree.tree_parent != self_) {
-    if (options_.adaptive && tree.hb_probe_outstanding) {
+    if (options_->adaptive && tree.hb_probe_outstanding) {
       // One miss sample per probed interval: did the previous heartbeat's
       // ack make it back before this tick?
       ewma_update(tree.hb_miss_ewma,
@@ -737,17 +743,17 @@ void GroupCastNode::heartbeat_tick(GroupId group) {
               std::llround(tree.hb_miss_ewma * 1000.0)));
     }
     const std::size_t misses =
-        options_.adaptive
+        options_->adaptive
             ? adaptive_miss_threshold(tree.hb_miss_ewma,
-                                      options_.missed_heartbeats_to_fail)
-            : options_.missed_heartbeats_to_fail;
+                                      options_->missed_heartbeats_to_fail)
+            : options_->missed_heartbeats_to_fail;
     const auto deadline = interval * static_cast<std::int64_t>(misses);
     if (t - tree.parent_last_ack > deadline) {
       begin_recovery(group, tree.tree_parent);
     } else {
       transport_->send(self_, tree.tree_parent, HeartbeatMsg{group});
       trace::counters().incr(self_, trace::CounterId::kHeartbeats);
-      if (options_.adaptive) {
+      if (options_->adaptive) {
         tree.last_hb_probe = t;
         tree.hb_probe_outstanding = true;
       }
@@ -760,10 +766,10 @@ void GroupCastNode::heartbeat_tick(GroupId group) {
     // its own deadline up to kMaxAdaptiveMisses, so the slack must cover
     // the widest window any child could be using.
     const std::size_t child_misses =
-        options_.adaptive
-            ? std::max(options_.missed_heartbeats_to_fail,
+        options_->adaptive
+            ? std::max(options_->missed_heartbeats_to_fail,
                        kMaxAdaptiveMisses)
-            : options_.missed_heartbeats_to_fail;
+            : options_->missed_heartbeats_to_fail;
     const auto child_deadline =
         interval * static_cast<std::int64_t>(child_misses + 1);
     std::vector<overlay::PeerId> ghosts;
@@ -866,7 +872,7 @@ void GroupCastNode::handle_advertise(const Envelope& envelope,
   entry.advert_parent = envelope.from;
   if (msg.ttl == 0) return;
   for (const auto target : select_forward_targets(
-           options_.advertisement, transport_->population(), self_,
+           options_->advertisement, transport_->population(), self_,
            graph_->neighbors(self_), envelope.from, resource_level_, rng_)) {
     transport_->send(self_, target,
                      AdvertiseMsg{msg.group, msg.rendezvous, msg.ttl - 1});
@@ -1011,21 +1017,20 @@ void GroupCastNode::deliver(GroupId group, ReliableEdge::Links& links,
       } else {
         trace::counters().incr(self_, trace::CounterId::kChunksLate);
       }
-      if (chunk_callback_) {
-        chunk_callback_(group,
-                        ChunkMsg{group, payload.origin,
-                                 chunk_stream(payload.payload_id),
-                                 chunk_index(payload.payload_id),
-                                 payload.deadline_us, payload.chunk_bytes, 0,
-                                 0, payload.hops});
+      if (callbacks_ && callbacks_->chunk) {
+        callbacks_->chunk(group,
+                          ChunkMsg{group, payload.origin,
+                                   chunk_stream(payload.payload_id),
+                                   chunk_index(payload.payload_id),
+                                   payload.deadline_us, payload.chunk_bytes,
+                                   0, 0, payload.hops});
       }
-    } else if (data_callback_) {
-      data_callback_(group, payload.payload_id, payload.origin);
+    } else if (callbacks_ && callbacks_->data) {
+      callbacks_->data(group, payload.payload_id, payload.origin);
     }
   }
   // Forward along the tree, away from the sender.
   BufferedPayload forward = payload;
-  forward.seq = 0;  // sequences are edge-local; assigned at transmit
   ++forward.hops;
   if (tree.tree_parent != self_ && tree.tree_parent != via &&
       tree.tree_parent != overlay::kNoPeer) {
@@ -1077,7 +1082,7 @@ void GroupCastNode::handle_heartbeat_ack(const Envelope& envelope,
   }
   tree->parent_last_ack = now();
   if (msg.depth != kUnknownDepth) tree->depth = msg.depth + 1;
-  if (options_.replication.enabled && msg.backup != self_) {
+  if (options_->replication.enabled && msg.backup != self_) {
     // The parent's own parent may have changed since the join: every ack
     // refreshes the rung-0 backup.
     tree->backup_parent = msg.backup;

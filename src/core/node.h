@@ -80,6 +80,8 @@ struct NodeOptions {
   DataReliabilityOptions reliability;
   /// Rendezvous replication: leased leadership with quorum handoff.
   ReplicationOptions replication;
+
+  friend bool operator==(const NodeOptions&, const NodeOptions&) = default;
 };
 
 class GroupCastNode : private ReliableEdge::Host, private LeaseReplica::Host {
@@ -93,9 +95,18 @@ class GroupCastNode : private ReliableEdge::Host, private LeaseReplica::Host {
   using ChunkCallback = std::function<void(GroupId, const ChunkMsg&)>;
   using SubscribeCallback = std::function<void(GroupId, bool success)>;
 
+  /// Reads `options` through the shared pointer for its whole life, so
+  /// nodes built with equal options can share one copy.
+  GroupCastNode(overlay::PeerId self, Transport& transport,
+                const overlay::OverlayGraph& graph,
+                std::shared_ptr<const NodeOptions> options, util::Rng& rng);
+  /// A node with an options copy of its own.
   GroupCastNode(overlay::PeerId self, Transport& transport,
                 const overlay::OverlayGraph& graph, NodeOptions options,
-                util::Rng& rng);
+                util::Rng& rng)
+      : GroupCastNode(self, transport, graph,
+                      std::make_shared<const NodeOptions>(std::move(options)),
+                      rng) {}
   ~GroupCastNode();
 
   GroupCastNode(const GroupCastNode&) = delete;
@@ -140,12 +151,14 @@ class GroupCastNode : private ReliableEdge::Host, private LeaseReplica::Host {
                      std::uint32_t chunk_id, sim::SimTime deadline,
                      std::uint32_t payload_bytes);
 
-  void on_data(DataCallback callback) { data_callback_ = std::move(callback); }
+  void on_data(DataCallback callback) {
+    callbacks().data = std::move(callback);
+  }
   void on_chunk(ChunkCallback callback) {
-    chunk_callback_ = std::move(callback);
+    callbacks().chunk = std::move(callback);
   }
   void on_subscribe_result(SubscribeCallback callback) {
-    subscribe_callback_ = std::move(callback);
+    callbacks().subscribe = std::move(callback);
   }
 
   // ----------------------------------------------------------- inspection
@@ -180,10 +193,12 @@ class GroupCastNode : private ReliableEdge::Host, private LeaseReplica::Host {
                                              std::size_t floor_misses);
   /// Sequence the reliable edge from `peer` expects next (0 when none).
   std::uint64_t expected_seq(GroupId group, overlay::PeerId peer) const;
-  /// Estimated resident bytes of this node's protocol state: the object
-  /// and its group table by capacity, each tree record with its vectors
-  /// and dedup tables by capacity, plus what the data plane and the lease
-  /// replica each report for themselves.  Feeds the bytes_per_peer gauge.
+  /// Estimated resident bytes of this node's protocol state: the object,
+  /// its call-back block and its group table by capacity, each tree
+  /// record with its vectors and dedup tables by capacity, plus what the
+  /// data plane and the lease replica each report for themselves.  The
+  /// options are shared between nodes and not counted.  Feeds the
+  /// bytes_per_peer gauge.
   std::size_t memory_bytes() const;
   /// What this node holds for a group: nothing, the compact record of a
   /// peer that heard of it, or that plus the tree record.
@@ -243,10 +258,10 @@ class GroupCastNode : private ReliableEdge::Host, private LeaseReplica::Host {
     overlay::PeerId tree_parent = overlay::kNoPeer;
     std::uint32_t depth = kUnknownDepth;
     std::vector<Child> children;  // in join order
-    // Flat open-addressing dedup table: one 8-byte slot per entry instead
-    // of a heap node each (util/flat_set.h); it grows with every payload
-    // seen, so it dominates a long run's per-peer bytes.
-    util::FlatSet64 seen_payloads;
+    // One sequence window per (origin, stream) instead of a slot per
+    // payload (util/flat_set.h): a stream's chunks cost 24 bytes however
+    // many of them pass through.
+    util::WindowSet64 seen_payloads;
 
     // --- retry ladder (subscribe + orphan recovery share it) ---
     ReliableExchange::Token exchange = ReliableExchange::kNoToken;
@@ -280,8 +295,8 @@ class GroupCastNode : private ReliableEdge::Host, private LeaseReplica::Host {
     overlay::PeerId backup_parent = overlay::kNoPeer;
   };
 
-  /// What every peer that hears of a group keeps: 64 bytes, where the
-  /// tree record it usually never needs is 440.
+  /// What every peer that hears of a group keeps: 40 bytes, where the
+  /// tree record it usually never needs is 432.
   struct GroupRecord {
     GroupId group = 0;
     overlay::PeerId rendezvous = overlay::kNoPeer;
@@ -391,10 +406,28 @@ class GroupCastNode : private ReliableEdge::Host, private LeaseReplica::Host {
   TreeState& tree_of(GroupId group) { return tree_of(record(group)); }
   sim::SimTime now() const;
 
+  /// The application call-backs, in one block allocated when the first
+  /// is set: most nodes (relays, bystanders) never get one.
+  struct Callbacks {
+    DataCallback data;
+    ChunkCallback chunk;
+    SubscribeCallback subscribe;
+  };
+  Callbacks& callbacks() {
+    if (!callbacks_) callbacks_ = std::make_unique<Callbacks>();
+    return *callbacks_;
+  }
+  void report_subscribe(GroupId group, bool success) {
+    if (callbacks_ && callbacks_->subscribe) {
+      callbacks_->subscribe(group, success);
+    }
+  }
+
   overlay::PeerId self_;
   Transport* transport_;
   const overlay::OverlayGraph* graph_;
-  NodeOptions options_;
+  /// Shared, read-only: NodeRuntime builds one copy per distinct set.
+  std::shared_ptr<const NodeOptions> options_;
   util::Rng rng_;
   ReliableExchange exchange_;
   ReliableEdge edges_;
@@ -412,9 +445,7 @@ class GroupCastNode : private ReliableEdge::Host, private LeaseReplica::Host {
   /// records do not, so code that calls back into the application keeps
   /// hold of the tree record only.
   std::vector<GroupRecord> groups_;
-  DataCallback data_callback_;
-  ChunkCallback chunk_callback_;
-  SubscribeCallback subscribe_callback_;
+  std::unique_ptr<Callbacks> callbacks_;
 };
 
 }  // namespace groupcast::core

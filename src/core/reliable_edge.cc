@@ -105,9 +105,7 @@ void ReliableEdge::transmit(GroupId group, overlay::PeerId to, EdgeTx& tx,
     tx.buffer.pop_front();  // oldest unacked copy falls off
   }
   const std::uint64_t seq = tx.next_seq++;
-  BufferedPayload entry = payload;
-  entry.seq = seq;
-  tx.buffer.push_back(entry);
+  tx.buffer.push_back(payload);
   if (tx.buffer.size() > tx.high_water) {
     // Watermark per directed edge: each edge contributes its own lifetime
     // peak to the counter.  (A node-wide maximum used to swallow a second
@@ -115,7 +113,7 @@ void ReliableEdge::transmit(GroupId group, overlay::PeerId to, EdgeTx& tx,
     // under-reported total retransmit-buffer memory.)
     trace::counters().incr(self_, trace::CounterId::kSendBufferHighWater,
                            tx.buffer.size() - tx.high_water);
-    tx.high_water = tx.buffer.size();
+    tx.high_water = static_cast<std::uint32_t>(tx.buffer.size());
   }
   if (options_->flow_control) {
     trace::histograms().record(trace::HistogramId::kWindowOccupancy,
@@ -195,7 +193,7 @@ void ReliableEdge::tombstone(Links& links, EdgeTx& tx) {
   simulator().cancel(tx.probe_timer);
   discard_pending(links, tx);
   const std::uint32_t epoch = tx.epoch;
-  const std::size_t high_water = tx.high_water;
+  const std::uint32_t high_water = tx.high_water;
   tx = EdgeTx{};
   tx.epoch = epoch;
   tx.high_water = high_water;  // lifetime peak, like the epoch
@@ -257,7 +255,6 @@ void ReliableEdge::handle(Links& links, overlay::PeerId from,
 void ReliableEdge::handle(Links& links, overlay::PeerId from,
                           const ChunkMsg& msg) {
   BufferedPayload payload;
-  payload.seq = msg.seq;
   payload.origin = msg.origin;
   payload.payload_id = chunk_payload_id(msg.stream, msg.chunk_id);
   payload.hops = msg.hops;
@@ -270,23 +267,21 @@ void ReliableEdge::handle(Links& links, overlay::PeerId from,
     host_->deliver(msg.group, links, from, payload);
     return;
   }
-  accept(msg.group, links, from, msg.epoch, payload);
+  accept(msg.group, links, from, msg.epoch, msg.seq, payload);
 }
 
 void ReliableEdge::handle(Links& links, overlay::PeerId from,
                           const ReliableDataMsg& msg) {
   BufferedPayload payload;
-  payload.seq = msg.seq;
   payload.origin = msg.origin;
   payload.payload_id = msg.payload_id;
   payload.hops = msg.hops;
-  accept(msg.group, links, from, msg.epoch, payload);
+  accept(msg.group, links, from, msg.epoch, msg.seq, payload);
 }
 
 void ReliableEdge::accept(GroupId group, Links& links, overlay::PeerId from,
-                          std::uint32_t epoch,
+                          std::uint32_t epoch, std::uint64_t seq,
                           const BufferedPayload& payload) {
-  const std::uint64_t seq = payload.seq;
   const auto it = links.rx_edges.find(from);
   if (it == links.rx_edges.end() || !it->second.synced ||
       it->second.epoch != epoch) {
@@ -361,7 +356,7 @@ void ReliableEdge::drain_rx(GroupId group, Links& links,
 
 void ReliableEdge::trim(EdgeTx& tx, std::uint64_t cumulative) {
   if (cumulative > tx.cum_acked) tx.cum_acked = cumulative;
-  while (!tx.buffer.empty() && tx.buffer.front().seq < tx.cum_acked) {
+  while (!tx.buffer.empty() && tx.front_seq() < tx.cum_acked) {
     tx.buffer.pop_front();
   }
 }
@@ -376,7 +371,7 @@ void ReliableEdge::handle(Links& links, overlay::PeerId from,
   // base is an implicit cumulative ack: every sequence below it arrived.
   trim(tx, msg.base_seq);
   if (!tx.buffer.empty()) {
-    const std::uint64_t front = tx.buffer.front().seq;
+    const std::uint64_t front = tx.front_seq();
     for (std::uint64_t i = 0; i < 64; ++i) {
       if ((msg.missing & (1ull << i)) == 0) continue;
       const std::uint64_t seq = msg.base_seq + i;
@@ -387,7 +382,7 @@ void ReliableEdge::handle(Links& links, overlay::PeerId from,
           from,
           trace::pack_provenance(entry.origin, entry.payload_id, entry.hops));
       transport_->send(self_, from,
-                       payload_msg(msg.group, tx.epoch, entry.seq, entry));
+                       payload_msg(msg.group, tx.epoch, seq, entry));
       trace::counters().incr(self_, trace::CounterId::kRetransmits);
     }
   }
@@ -612,8 +607,7 @@ void ReliableEdge::on_probe_timer(GroupId group, overlay::PeerId peer) {
   // is the oldest sequence still retransmittable — a receiver adopting
   // this announcement after losing the handshake starts there, not at
   // next_seq, so the buffered backlog is recovered instead of skipped.
-  const std::uint64_t base =
-      tx.buffer.empty() ? tx.next_seq : tx.buffer.front().seq;
+  const std::uint64_t base = tx.front_seq();
   transport_->send(self_, peer,
                    SeqSyncMsg{group, tx.epoch, base, tx.next_seq});
   tx.probe_timer = simulator().schedule_timer(jittered(kProbeDelay),

@@ -48,6 +48,9 @@ struct DataReliabilityOptions {
   /// Sender window per directed edge, in sequences (>= 1, <= the
   /// retransmit-buffer cap so windowed data never falls off the buffer).
   std::size_t window = 32;
+
+  friend bool operator==(const DataReliabilityOptions&,
+                         const DataReliabilityOptions&) = default;
 };
 
 /// Delay before a detected gap is NACKed; batches a burst of losses into
@@ -102,45 +105,50 @@ inline void ewma_update(double& estimate, double sample) {
 inline constexpr std::size_t kContainerEntryBytes = 3 * sizeof(void*);
 
 /// One payload held for retransmission (EdgeTx) or parked ahead of a gap
-/// (EdgeRx).
+/// (EdgeRx): 32 bytes.  Its edge sequence is not stored — the retransmit
+/// buffer's sequences are contiguous up to the edge's next_seq and the
+/// stash is keyed by sequence.
 struct BufferedPayload {
-  std::uint64_t seq = 0;
-  overlay::PeerId origin = overlay::kNoPeer;
-  std::uint32_t hops = 0;  // provenance: tree depth of the copy
   std::uint64_t payload_id = 0;
   /// Stream-chunk descriptor: when `chunk` is set, payload_id encodes
   /// chunk_payload_id(stream, chunk_id) and the copy travels as a
   /// ChunkMsg (deadline + size preserved across buffering, parking,
   /// and retransmission).
-  bool chunk = false;
   std::int64_t deadline_us = 0;
+  overlay::PeerId origin = overlay::kNoPeer;
+  std::uint32_t hops = 0;  // provenance: tree depth of the copy
   std::uint32_t chunk_bytes = 0;
+  bool chunk = false;
 };
 
 /// Sender half of one directed reliable edge.  The buffer holds
-/// contiguous sequences [front.seq, next_seq): pushes append next_seq and
-/// pops come off the front (cumulative ack or capacity), so a NACKed
+/// contiguous sequences [front_seq(), next_seq): pushes append next_seq
+/// and pops come off the front (cumulative ack or capacity), so a NACKed
 /// sequence is found by index, not search.  Both queues are ring buffers
 /// that allocate nothing until their first push, so an idle edge (a
 /// tombstone, or a child that never gets data) costs only sizeof(EdgeTx).
 struct EdgeTx {
-  std::uint32_t epoch = 0;
+  /// Sequence of the buffer's front entry (next_seq when it is empty).
+  std::uint64_t front_seq() const { return next_seq - buffer.size(); }
+
   std::uint64_t next_seq = 0;
   std::uint64_t cum_acked = 0;
-  util::RingBuffer<BufferedPayload> buffer;
-  sim::TimerHandle probe_timer;
-  std::size_t probe_rounds = 0;
   std::uint64_t acked_at_last_probe = 0;
+  util::RingBuffer<BufferedPayload> buffer;
   /// Flow control: payloads waiting for window space (seq assigned at
-  /// drain time, so wire sequences stay contiguous), and whether the
-  /// receiver asked us to pause (its own downstream edge is blocked).
+  /// drain time, so wire sequences stay contiguous).
   util::RingBuffer<BufferedPayload> pending;
+  sim::TimerHandle probe_timer;
+  std::uint32_t epoch = 0;
+  std::uint32_t probe_rounds = 0;
+  /// Lifetime peak of `buffer` on this directed edge (at most
+  /// kSendBufferCap); the kSendBufferHighWater counter mirrors it via
+  /// delta increments.  Survives tombstoning (like `epoch`), so
+  /// re-incarnations only add new peaks beyond the old one.
+  std::uint32_t high_water = 0;
+  /// Whether the receiver asked us to pause (its own downstream edge is
+  /// blocked).
   bool peer_throttled = false;
-  /// Lifetime peak of `buffer` on this directed edge; the
-  /// kSendBufferHighWater counter mirrors it via delta increments.
-  /// Survives tombstoning (like `epoch`), so re-incarnations only add new
-  /// peaks beyond the old one.
-  std::size_t high_water = 0;
 };
 
 /// Receiver half of one directed reliable edge.  `synced` flips on the
@@ -153,10 +161,10 @@ struct EdgeRx {
   bool synced = false;
   std::uint64_t expected = 0;
   std::uint64_t tail_next = 0;
-  std::map<std::uint64_t, BufferedPayload> stash;
+  std::map<std::uint64_t, BufferedPayload> stash;  // by sequence
   sim::TimerHandle nack_timer;
-  std::size_t nack_rounds = 0;
-  std::size_t delivered_since_ack = 0;
+  std::uint32_t nack_rounds = 0;  // at most kMaxNackRounds
+  std::uint32_t delivered_since_ack = 0;
   /// When the current repair round's first NACK went out; feeds the
   /// NACK-to-repair histogram once in-order progress resumes.
   sim::SimTime last_nack_at;
@@ -263,7 +271,8 @@ class ReliableEdge {
   /// ChunkMsg arrivals: duplicate suppression, in-order delivery, gap
   /// parking, and NACK scheduling.
   void accept(GroupId group, Links& links, overlay::PeerId from,
-              std::uint32_t epoch, const BufferedPayload& payload);
+              std::uint32_t epoch, std::uint64_t seq,
+              const BufferedPayload& payload);
   /// Empties an outbound edge (timer, buffer, parked payloads) but keeps
   /// its epoch and lifetime high-water mark.
   void tombstone(Links& links, EdgeTx& tx);

@@ -9,22 +9,22 @@
 namespace groupcast::core {
 
 ReliableExchange::ReliableExchange(sim::Simulator& simulator,
-                                   overlay::PeerId owner, RetryPolicy policy,
-                                   util::Rng& rng)
+                                   overlay::PeerId owner,
+                                   const RetryPolicy& policy, util::Rng& rng)
     : simulator_(&simulator),
       owner_(owner),
-      policy_(policy),
+      policy_(&policy),
       rng_(rng.split()) {
-  GC_REQUIRE(policy_.base_timeout > sim::SimTime::zero());
-  GC_REQUIRE(policy_.max_timeout >= policy_.base_timeout);
+  GC_REQUIRE(policy.base_timeout > sim::SimTime::zero());
+  GC_REQUIRE(policy.max_timeout >= policy.base_timeout);
 }
 
 sim::SimTime ReliableExchange::backoff_timeout(std::size_t attempt) const {
   const double scaled =
-      static_cast<double>(policy_.base_timeout.as_micros()) *
+      static_cast<double>(policy_->base_timeout.as_micros()) *
       std::pow(kRetryBackoff, static_cast<double>(attempt));
   const double capped = std::min(
-      scaled, static_cast<double>(policy_.max_timeout.as_micros()));
+      scaled, static_cast<double>(policy_->max_timeout.as_micros()));
   return sim::SimTime::micros(static_cast<std::int64_t>(capped));
 }
 

@@ -28,6 +28,8 @@ struct RetryPolicy {
   sim::SimTime base_timeout = sim::SimTime::seconds(1.0);
   /// Cap on the backed-off timeout.
   sim::SimTime max_timeout = sim::SimTime::seconds(8.0);
+
+  friend bool operator==(const RetryPolicy&, const RetryPolicy&) = default;
 };
 
 /// Multiplier applied to the timeout per attempt (capped by max_timeout).
@@ -48,9 +50,12 @@ class ReliableExchange {
   using GiveUpFn = std::function<void()>;
 
   /// `owner` attributes the retry/give-up counters; `rng` is split once
-  /// for the jitter stream.
+  /// for the jitter stream.  `policy` is read by reference (a node's
+  /// shared options hold it) and must outlive the exchange.
   ReliableExchange(sim::Simulator& simulator, overlay::PeerId owner,
-                   RetryPolicy policy, util::Rng& rng);
+                   const RetryPolicy& policy, util::Rng& rng);
+  ReliableExchange(sim::Simulator&, overlay::PeerId, RetryPolicy&&,
+                   util::Rng&) = delete;
 
   /// Starts an exchange: fires attempt 0 immediately and arms its timeout.
   Token begin(SendFn send, GiveUpFn give_up);
@@ -90,7 +95,7 @@ class ReliableExchange {
 
   sim::Simulator* simulator_;
   overlay::PeerId owner_;
-  RetryPolicy policy_;
+  const RetryPolicy* policy_;
   util::Rng rng_;
   Token next_token_ = 1;
   std::unordered_map<Token, Entry> entries_;

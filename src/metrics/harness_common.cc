@@ -156,12 +156,23 @@ NodeRuntime::NodeRuntime(const ScenarioConfig& config,
     shard_peers_[shard_of(p)].push_back(p);
   }
   const core::NodeOptions node_options = map_node_options(config, runtime);
+  // Nodes read their options through a shared pointer: one copy per
+  // distinct set (a tuner makes one or two), not one per node.
+  std::vector<std::shared_ptr<const core::NodeOptions>> option_sets;
   nodes_.reserve(config.peer_count);
   for (overlay::PeerId p = 0; p < config.peer_count; ++p) {
     auto per_node = node_options;
     if (tune) tune(p, per_node);
+    auto shared = std::find_if(
+        option_sets.begin(), option_sets.end(),
+        [&per_node](const auto& set) { return *set == per_node; });
+    if (shared == option_sets.end()) {
+      option_sets.push_back(
+          std::make_shared<const core::NodeOptions>(std::move(per_node)));
+      shared = option_sets.end() - 1;
+    }
     nodes_.push_back(std::make_unique<core::GroupCastNode>(
-        p, transport_, middleware_->graph(), std::move(per_node), rng_));
+        p, transport_, middleware_->graph(), *shared, rng_));
     nodes_.back()->start();
   }
   capture_frame();

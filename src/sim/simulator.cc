@@ -81,9 +81,16 @@ void Simulator::place(std::uint32_t index) {
   node.state = NodeState::kWheel;
   node.level = static_cast<std::uint8_t>(level);
   node.wheel_slot = static_cast<std::uint8_t>(slot);
+  const std::uint64_t bit = std::uint64_t{1} << slot;
+  // An empty slot starts its minimum here.  A stale minimum is a lower
+  // bound of the chain's, so an earlier event is the exact new one.
+  if (heads_[level][slot] == kNil || when_us < min_us_[level][slot]) {
+    min_us_[level][slot] = when_us;
+    stale_min_[level] &= ~bit;
+  }
   node.next = heads_[level][slot];
   heads_[level][slot] = index;
-  occupied_[level] |= std::uint64_t{1} << slot;
+  occupied_[level] |= bit;
 }
 
 void Simulator::unlink_from_wheel(EventNode& node, std::uint32_t index) {
@@ -92,9 +99,26 @@ void Simulator::unlink_from_wheel(EventNode& node, std::uint32_t index) {
   std::uint32_t* link = &heads_[level][slot];
   while (*link != index) link = &nodes_[*link].next;
   *link = node.next;
+  const std::uint64_t bit = std::uint64_t{1} << slot;
   if (heads_[level][slot] == kNil) {
-    occupied_[level] &= ~(std::uint64_t{1} << slot);
+    occupied_[level] &= ~bit;
+  } else if (node.when.as_micros() == min_us_[level][slot]) {
+    stale_min_[level] |= bit;
   }
+}
+
+std::int64_t Simulator::slot_min(int level, int slot) {
+  const std::uint64_t bit = std::uint64_t{1} << slot;
+  if ((stale_min_[level] & bit) != 0) {
+    std::int64_t best = std::numeric_limits<std::int64_t>::max();
+    for (std::uint32_t index = heads_[level][slot]; index != kNil;
+         index = nodes_[index].next) {
+      best = std::min(best, nodes_[index].when.as_micros());
+    }
+    min_us_[level][slot] = best;
+    stale_min_[level] &= ~bit;
+  }
+  return min_us_[level][slot];
 }
 
 TimerHandle Simulator::enqueue(SimTime when, TimerFn fn, void* context,
@@ -245,21 +269,9 @@ bool Simulator::next_wheel_time(std::int64_t& when_us) {
     when_us = overflow_.front().when_us;  // beyond the wheel horizon
     return true;
   }
-  if (level == 0) {
-    // A level-0 slot is one microsecond wide; its start IS the time.
-    when_us = slot_start(0, slot);
-    return true;
-  }
-  // Upper-level slots span many microseconds: scan the chain for the
-  // true minimum.  No cross-level comparison is needed — every event in a
-  // higher level lies beyond the end of this level's window.
-  std::int64_t best = -1;
-  for (std::uint32_t index = heads_[level][slot]; index != kNil;
-       index = nodes_[index].next) {
-    const std::int64_t candidate = nodes_[index].when.as_micros();
-    if (best < 0 || candidate < best) best = candidate;
-  }
-  when_us = best;
+  // No cross-level comparison is needed: every event in a higher level
+  // lies beyond the end of this level's window.
+  when_us = slot_min(level, slot);
   return true;
 }
 
@@ -271,16 +283,12 @@ bool Simulator::event_due(std::int64_t deadline_us) {
     return !overflow_.empty() && overflow_.front().when_us <= deadline_us;
   }
   // The earliest events lie in [start, end]; only a deadline strictly
-  // inside an upper-level slot needs its chain.
+  // inside an upper-level slot needs the slot's minimum.
   const std::int64_t start = slot_start(level, slot);
   const std::int64_t end = start + (std::int64_t{1} << (kSlotBits * level)) - 1;
   if (end <= deadline_us) return true;
   if (start > deadline_us) return false;
-  for (std::uint32_t index = heads_[level][slot]; index != kNil;
-       index = nodes_[index].next) {
-    if (nodes_[index].when.as_micros() <= deadline_us) return true;
-  }
-  return false;
+  return slot_min(level, slot) <= deadline_us;
 }
 
 bool Simulator::prepare_batch() {

@@ -219,6 +219,9 @@ class Simulator {
   void place(std::uint32_t index);
   /// Unlinks a kWheel node from its slot chain.
   void unlink_from_wheel(EventNode& node, std::uint32_t index);
+  /// Earliest event time in an occupied slot: the kept minimum, recomputed
+  /// from the chain only after a cancel removed it.
+  std::int64_t slot_min(int level, int slot);
   /// Moves overflow entries that now fit the wheel horizon into the wheel.
   void migrate_overflow();
   /// The first occupied wheel slot at or after the cursor, lowest level
@@ -231,9 +234,8 @@ class Simulator {
   /// Does not advance the wheel cursor.
   bool next_wheel_time(std::int64_t& when_us);
   /// True when a pending wheel event is due at or before `deadline_us`.
-  /// Exact like next_wheel_time, but an upper-level slot
-  /// lying wholly on one side of the deadline is decided without walking
-  /// its chain.
+  /// An upper-level slot lying wholly on one side of the deadline is
+  /// decided without reading its minimum.
   bool event_due(std::int64_t deadline_us);
   /// Cascades upper wheel levels until the earliest pending events sit in
   /// a level-0 slot, then pulls that slot into drain order.  Returns false
@@ -264,6 +266,11 @@ class Simulator {
 
   std::uint64_t occupied_[kLevels] = {};
   std::uint32_t heads_[kLevels][kSlots];
+  /// Earliest `when` of each occupied slot's chain, set by place().  A
+  /// cancel that unlinks a slot's minimum sets its bit in stale_min_, and
+  /// slot_min() walks that chain once on the next read.
+  std::int64_t min_us_[kLevels][kSlots] = {};
+  std::uint64_t stale_min_[kLevels] = {};
   std::vector<EventNode> nodes_;
   std::uint32_t free_head_ = kNil;
   std::vector<OverflowRef> overflow_;  // std::push_heap min-heap

@@ -157,6 +157,20 @@ bool parse_int_field(const std::string& line, const char* key,
   return true;
 }
 
+/// Reads `key` as an unsigned 64-bit number: the value field, which
+/// to_jsonl writes unsigned (a packed provenance may set bit 63).
+bool parse_uint_field(const std::string& line, const char* key,
+                      std::int64_t* out) {
+  const auto at = find_value(line, key);
+  if (at == std::string::npos || line.compare(at, 1, "-") == 0) return false;
+  errno = 0;
+  char* end = nullptr;
+  const unsigned long long v = std::strtoull(line.c_str() + at, &end, 10);
+  if (end == line.c_str() + at || errno != 0) return false;
+  *out = static_cast<std::int64_t>(v);  // the bits, cast back below
+  return true;
+}
+
 /// Reads the quoted name of `key` as its index in `names`.
 bool parse_name_field(const std::string& line, const char* key,
                       const Names& names, std::int64_t* out) {
@@ -182,10 +196,14 @@ std::optional<TraceEvent> parse_jsonl(const std::string& line) {
   if (!parse_name_field(line, "kind", kinds, &kind)) return std::nullopt;
   const NamedField& named = named_field(static_cast<EventKind>(kind));
   for (int i = 0; i < kNoField; ++i) {
-    const bool ok =
-        i == named.field
-            ? parse_name_field(line, kFieldKeys[i], named.names, &f[i])
-            : parse_int_field(line, kFieldKeys[i], &f[i]);
+    bool ok = false;
+    if (i == named.field) {
+      ok = parse_name_field(line, kFieldKeys[i], named.names, &f[i]);
+    } else if (i == kValueField) {
+      ok = parse_uint_field(line, kFieldKeys[i], &f[i]);
+    } else {
+      ok = parse_int_field(line, kFieldKeys[i], &f[i]);
+    }
     if (!ok) return std::nullopt;
   }
   return TraceEvent{t, static_cast<EventKind>(kind), id_in(f[kNodeField]),

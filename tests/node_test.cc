@@ -432,6 +432,37 @@ TEST(Node, DuplicatePayloadsSuppressed) {
   EXPECT_EQ(deliveries, 1);
 }
 
+TEST(Node, ViewerDedupGrowsWithStreamsNotChunks) {
+  NodeDeployment d(48, 59);
+  d.nodes[0]->create_group(8);
+  d.simulator.run();
+  GroupCastNode& viewer = *d.nodes[20];
+  viewer.subscribe(8);
+  d.simulator.run();
+  ASSERT_TRUE(viewer.is_subscribed(8));
+  std::size_t delivered = 0;
+  viewer.on_chunk([&](GroupId, const ChunkMsg&) { ++delivered; });
+  const auto stream_out = [&](std::uint32_t stream, std::uint32_t from,
+                              std::uint32_t to) {
+    for (std::uint32_t chunk = from; chunk < to; ++chunk) {
+      d.nodes[0]->publish_chunk(8, stream, chunk,
+                                d.simulator.now() + sim::SimTime::seconds(9),
+                                1000);
+      d.simulator.run();
+    }
+  };
+  stream_out(0, 0, 30);
+  const std::size_t after_30 = viewer.memory_bytes();
+  stream_out(0, 30, 300);
+  EXPECT_EQ(delivered, 300u);
+  EXPECT_EQ(viewer.memory_bytes(), after_30);  // 270 more chunks, no bytes
+  stream_out(1, 0, 300);
+  stream_out(2, 0, 300);
+  EXPECT_EQ(delivered, 900u);
+  // Two more streams cost a window each (plus the window list's growth).
+  EXPECT_LE(viewer.memory_bytes() - after_30, 2 * 48u);
+}
+
 TEST(Node, StopDropsInFlightDelivery) {
   NodeDeployment d(48, 61);
   d.nodes[0]->create_group(4);

@@ -11,10 +11,13 @@
 namespace groupcast::core {
 namespace {
 
+// The exchange reads its policy by reference, so it must outlive it.
+const RetryPolicy kDefaultPolicy{};
+
 TEST(ReliableExchange, BackoffDoublesAndCaps) {
   sim::Simulator simulator;
   util::Rng rng(1);
-  ReliableExchange exchange(simulator, 0, RetryPolicy{}, rng);
+  ReliableExchange exchange(simulator, 0, kDefaultPolicy, rng);
   EXPECT_EQ(exchange.backoff_timeout(0), sim::SimTime::seconds(1.0));
   EXPECT_EQ(exchange.backoff_timeout(1), sim::SimTime::seconds(2.0));
   EXPECT_EQ(exchange.backoff_timeout(2), sim::SimTime::seconds(4.0));
@@ -49,7 +52,7 @@ bool in_jitter_band(sim::SimTime gap, sim::SimTime base) {
 TEST(ReliableExchange, RetriesOnScheduleThenGivesUp) {
   sim::Simulator simulator;
   util::Rng rng(2);
-  ReliableExchange exchange(simulator, 0, RetryPolicy{}, rng);
+  ReliableExchange exchange(simulator, 0, kDefaultPolicy, rng);
   std::vector<std::pair<std::size_t, sim::SimTime>> sends;
   bool gave_up = false;
   sim::SimTime give_up_at;
@@ -82,7 +85,7 @@ TEST(ReliableExchange, RetriesOnScheduleThenGivesUp) {
 TEST(ReliableExchange, SettleStopsTheClock) {
   sim::Simulator simulator;
   util::Rng rng(3);
-  ReliableExchange exchange(simulator, 0, RetryPolicy{}, rng);
+  ReliableExchange exchange(simulator, 0, kDefaultPolicy, rng);
   std::size_t sends = 0;
   bool gave_up = false;
   const auto token =
@@ -100,7 +103,7 @@ TEST(ReliableExchange, SettleStopsTheClock) {
 TEST(ReliableExchange, CancelSuppressesGiveUp) {
   sim::Simulator simulator;
   util::Rng rng(4);
-  ReliableExchange exchange(simulator, 0, RetryPolicy{}, rng);
+  ReliableExchange exchange(simulator, 0, kDefaultPolicy, rng);
   bool gave_up = false;
   const auto token =
       exchange.begin([](std::size_t) {}, [&] { gave_up = true; });
@@ -113,7 +116,7 @@ TEST(ReliableExchange, CancelSuppressesGiveUp) {
 TEST(ReliableExchange, CancelAllOnShutdown) {
   sim::Simulator simulator;
   util::Rng rng(5);
-  ReliableExchange exchange(simulator, 0, RetryPolicy{}, rng);
+  ReliableExchange exchange(simulator, 0, kDefaultPolicy, rng);
   bool gave_up = false;
   exchange.begin([](std::size_t) {}, [&] { gave_up = true; });
   exchange.begin([](std::size_t) {}, [&] { gave_up = true; });
@@ -127,7 +130,7 @@ TEST(ReliableExchange, CancelAllOnShutdown) {
 TEST(ReliableExchange, JitterStretchesWithinBounds) {
   sim::Simulator simulator;
   util::Rng rng(6);
-  ReliableExchange exchange(simulator, 0, RetryPolicy{}, rng);
+  ReliableExchange exchange(simulator, 0, kDefaultPolicy, rng);
   std::vector<sim::SimTime> at;
   exchange.begin([&](std::size_t) { at.push_back(simulator.now()); },
                  [&] { at.push_back(simulator.now()); });
@@ -147,7 +150,7 @@ TEST(ReliableExchange, ScheduleIsDeterministicPerSeed) {
   auto schedule = [](std::uint64_t seed) {
     sim::Simulator simulator;
     util::Rng rng(seed);
-    ReliableExchange exchange(simulator, 0, RetryPolicy{}, rng);
+    ReliableExchange exchange(simulator, 0, kDefaultPolicy, rng);
     std::vector<std::int64_t> at;
     exchange.begin(
         [&](std::size_t) { at.push_back(simulator.now().as_micros()); },
@@ -162,7 +165,7 @@ TEST(ReliableExchange, ScheduleIsDeterministicPerSeed) {
 TEST(ReliableExchange, IndependentExchangesDoNotInterfere) {
   sim::Simulator simulator;
   util::Rng rng(7);
-  ReliableExchange exchange(simulator, 0, RetryPolicy{}, rng);
+  ReliableExchange exchange(simulator, 0, kDefaultPolicy, rng);
   std::size_t sends_a = 0, sends_b = 0;
   bool gave_up_b = false;
   const auto a = exchange.begin([&](std::size_t) { ++sends_a; }, [] {});

@@ -372,5 +372,108 @@ TEST(TimerWheel, GoldenEqualityAgainstReferencePriorityModel) {
   EXPECT_EQ(fired, want);
 }
 
+
+TEST(TimerWheel, CancelledSlotMinimaKeepTheOrderAtEveryLevel) {
+  // Randomized schedule / cancel mix over every wheel level and past the
+  // horizon.  Each round cancels the earliest live event (always some
+  // slot's minimum), a few at random, and the earliest at or after a
+  // random level-2 boundary (often an upper-level slot's minimum), then
+  // runs to a deadline that often lies just past that cancelled minimum.
+  // After every step, what fired must be exactly the live events due by
+  // then, in (when, seq) order.
+  util::Rng rng(0x5107);
+  Simulator simulator;
+  struct Event {
+    std::int64_t when_us;
+    std::uint64_t seq;
+    TimerHandle handle;
+    bool live;
+  };
+  std::vector<Event> events;
+  std::vector<std::uint64_t> fired;
+  std::vector<std::uint64_t> want;
+  std::uint64_t seq = 0;
+  const auto earliest_live_from = [&](std::int64_t from_us) {
+    Event* best = nullptr;
+    for (auto& e : events) {
+      if (e.live && e.when_us >= from_us &&
+          (best == nullptr || e.when_us < best->when_us)) {
+        best = &e;
+      }
+    }
+    return best;
+  };
+  const auto cancel = [&](Event* e) {
+    if (e == nullptr) return;
+    ASSERT_TRUE(simulator.cancel(e->handle));
+    e->live = false;
+  };
+  for (int round = 0; round < 60; ++round) {
+    const std::int64_t now_us = simulator.now().as_micros();
+    for (int i = 0; i < 40; ++i) {
+      // Level l covers 2^(6l) us; level 6 lies past the 2^36 us horizon.
+      const auto level = static_cast<int>(rng.uniform_index(7));
+      const std::int64_t span = std::int64_t{1} << (6 * level + 1);
+      const std::int64_t when_us =
+          now_us + 1 +
+          static_cast<std::int64_t>(
+              rng.uniform_index(static_cast<std::uint64_t>(span)));
+      const auto id = static_cast<std::uint64_t>(events.size());
+      events.push_back(Event{when_us, seq++,
+                             simulator.schedule_timer_at(
+                                 SimTime::micros(when_us), &push_arg, &fired,
+                                 id),
+                             true});
+    }
+    cancel(earliest_live_from(now_us));
+    for (int i = 0; i < 4; ++i) {
+      Event& e = events[rng.uniform_index(events.size())];
+      if (e.live) cancel(&e);
+    }
+    std::int64_t deadline_us =
+        now_us + static_cast<std::int64_t>(rng.uniform_index(1 << 20));
+    const std::int64_t boundary =
+        ((now_us >> 12) + 1 +
+         static_cast<std::int64_t>(rng.uniform_index(64)))
+        << 12;
+    if (Event* minimum = earliest_live_from(boundary)) {
+      cancel(minimum);
+      // Half the rounds stop between the cancelled minimum and the next
+      // live event: a stale minimum would fire that event early.
+      const Event* next = earliest_live_from(minimum->when_us);
+      if (next != nullptr && rng.chance(0.5)) {
+        deadline_us = (minimum->when_us + next->when_us) / 2;
+      }
+    }
+    simulator.run_until(SimTime::micros(deadline_us));
+    std::vector<const Event*> due;
+    for (const auto& e : events) {
+      if (e.live && e.when_us <= deadline_us) due.push_back(&e);
+    }
+    std::sort(due.begin(), due.end(), [](const Event* a, const Event* b) {
+      return a->when_us != b->when_us ? a->when_us < b->when_us
+                                      : a->seq < b->seq;
+    });
+    for (const Event* e : due) {
+      want.push_back(static_cast<std::uint64_t>(e - events.data()));
+      const_cast<Event*>(e)->live = false;
+    }
+    ASSERT_EQ(fired, want) << "round " << round;
+  }
+  simulator.run();
+  std::vector<const Event*> rest;
+  for (const auto& e : events) {
+    if (e.live) rest.push_back(&e);
+  }
+  std::sort(rest.begin(), rest.end(), [](const Event* a, const Event* b) {
+    return a->when_us != b->when_us ? a->when_us < b->when_us
+                                    : a->seq < b->seq;
+  });
+  for (const Event* e : rest) {
+    want.push_back(static_cast<std::uint64_t>(e - events.data()));
+  }
+  EXPECT_EQ(fired, want);
+}
+
 }  // namespace
 }  // namespace groupcast::sim

@@ -95,6 +95,24 @@ TEST(Jsonl, RoundTripsNoNodeAsMinusOne) {
   EXPECT_EQ(parsed->peer, kNoNode);
 }
 
+TEST(Jsonl, RoundTripsAValueWithBit63Set) {
+  // An origin of 2^23 or more lands in bit 63 of the packed provenance;
+  // the value field is written and read back unsigned.
+  const std::uint64_t value = pack_provenance(1u << 23, 5, 1);
+  ASSERT_NE(value >> 63, 0u);
+  const TraceEvent event{10, EventKind::kPayloadSent, 3, 4, value};
+  const auto line = to_jsonl(event);
+  const auto parsed = parse_jsonl(line);
+  ASSERT_TRUE(parsed.has_value()) << line;
+  EXPECT_EQ(*parsed, event) << line;
+  EXPECT_EQ(unpack_provenance(parsed->value).origin, 1u << 23);
+  // Node and peer stay signed, the value does not take a sign.
+  EXPECT_FALSE(
+      parse_jsonl(
+          R"({"t_us":1,"kind":"payload_sent","node":0,"peer":0,"value":-1})")
+          .has_value());
+}
+
 TEST(Jsonl, RejectsMalformedLines) {
   EXPECT_FALSE(parse_jsonl("").has_value());
   EXPECT_FALSE(parse_jsonl("not json").has_value());

@@ -2,9 +2,14 @@
 // the ring buffer.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <unordered_set>
+#include <vector>
 
 #include "util/distributions.h"
+#include "util/flat_set.h"
 #include "util/require.h"
 #include "util/ring_buffer.h"
 #include "util/rng.h"
@@ -365,6 +370,168 @@ TEST(RingBuffer, CopiesAreIndependentAndMovesLeaveAnEmptySource) {
   ASSERT_EQ(copy.size(), 4u);
   EXPECT_EQ(copy[3], 4);
   EXPECT_TRUE(moved.empty());
+}
+
+
+// ------------------------------------------------------------ dedup sets
+
+/// Feeds `keys` to `set` and to an unordered_set oracle, checking every
+/// insert's result and, after each insert, membership of the key, its
+/// neighbours and a probe `window` keys around it.
+template <typename Set>
+void expect_matches_oracle(const std::vector<std::uint64_t>& keys) {
+  Set set;
+  std::unordered_set<std::uint64_t> oracle;
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    const std::uint64_t key = keys[i];
+    ASSERT_EQ(set.insert(key), oracle.insert(key).second)
+        << "insert #" << i << " key " << key;
+    for (const std::uint64_t probe :
+         {key, key - 1, key + 1, key + 63, key + 64, key - 64, key ^ 1}) {
+      ASSERT_EQ(set.contains(probe), oracle.count(probe) != 0)
+          << "after insert #" << i << " probe " << probe;
+    }
+  }
+  for (const std::uint64_t key : oracle) ASSERT_TRUE(set.contains(key));
+}
+
+/// The node's payload key: origin in the high bits, id in the low bits.
+std::uint64_t payload_key(std::uint64_t origin, std::uint64_t id) {
+  return origin << 40 ^ id;
+}
+
+std::uint64_t chunk_key(std::uint64_t origin, std::uint64_t stream,
+                        std::uint64_t chunk) {
+  return payload_key(origin, std::uint64_t{1} << 63 | stream << 32 | chunk);
+}
+
+/// Sequence numbers 0..count-1 as a lossy, reordering link delivers them:
+/// some dropped, some repeated, some swapped with a near neighbour.
+std::vector<std::uint64_t> jittered_sequence(Rng& rng, std::uint64_t first,
+                                             std::size_t count) {
+  std::vector<std::uint64_t> out;
+  for (std::size_t i = 0; i < count; ++i) {
+    if (rng.chance(0.05)) continue;  // a gap
+    out.push_back(first + i);
+    if (rng.chance(0.05)) out.push_back(first + i);  // an immediate dup
+  }
+  for (std::size_t i = 0; i + 1 < out.size(); ++i) {
+    if (rng.chance(0.1)) {
+      const std::size_t j =
+          std::min(out.size() - 1, i + 1 + rng.uniform_index(70));
+      std::swap(out[i], out[j]);  // some jumps land past the 64-bit window
+    }
+  }
+  // Late repeats: copies that arrive long after the original.
+  for (std::size_t i = 0; i < count / 10; ++i) {
+    out.push_back(first + rng.uniform_index(count));
+  }
+  return out;
+}
+
+TEST(FlatSet64, MatchesAnUnorderedSetOnRandomKeys) {
+  Rng rng(17);
+  std::vector<std::uint64_t> keys;
+  for (int i = 0; i < 3000; ++i) {
+    // Small keys repeat often; full-width keys exercise every bit.
+    keys.push_back(rng.chance(0.5) ? rng.uniform_index(500) : rng());
+  }
+  keys.push_back(0);
+  keys.push_back(0);
+  expect_matches_oracle<FlatSet64>(keys);
+}
+
+TEST(FlatSet64, StartsAtFourSlotsAndGrowsPastThree) {
+  FlatSet64 set;
+  EXPECT_EQ(set.memory_bytes(), 0u);
+  for (std::uint64_t key = 1; key <= 3; ++key) EXPECT_TRUE(set.insert(key));
+  EXPECT_EQ(set.memory_bytes(), 4 * sizeof(std::uint64_t));
+  EXPECT_TRUE(set.insert(4));
+  EXPECT_EQ(set.memory_bytes(), 8 * sizeof(std::uint64_t));
+  EXPECT_EQ(sizeof(FlatSet64), 16u);
+}
+
+TEST(FlatSet64, EraseMatchesAnUnorderedSet) {
+  // Backward-shift deletion must keep every other key reachable through
+  // long probe runs, so the keys crowd a small table.
+  Rng rng(23);
+  FlatSet64 set;
+  std::unordered_set<std::uint64_t> oracle;
+  for (int i = 0; i < 20000; ++i) {
+    const std::uint64_t key = rng.uniform_index(300);
+    if (rng.chance(0.4)) {
+      ASSERT_EQ(set.erase(key), oracle.erase(key) != 0) << "erase " << key;
+    } else {
+      ASSERT_EQ(set.insert(key), oracle.insert(key).second) << "insert " << key;
+    }
+    ASSERT_EQ(set.size(), oracle.size());
+  }
+  for (std::uint64_t key = 0; key < 300; ++key) {
+    ASSERT_EQ(set.contains(key), oracle.count(key) != 0) << key;
+  }
+}
+
+TEST(WindowSet64, MatchesAnUnorderedSetOnInterleavedChunkStreams) {
+  Rng rng(29);
+  std::vector<std::vector<std::uint64_t>> streams;
+  for (const std::uint64_t origin : {0u, 3u, 700u, (1u << 23) + 5}) {
+    for (const std::uint64_t stream : {0u, 1u, 2u}) {
+      std::vector<std::uint64_t> keys;
+      for (const auto chunk : jittered_sequence(rng, 0, 400)) {
+        keys.push_back(chunk_key(origin, stream, chunk));
+      }
+      streams.push_back(std::move(keys));
+    }
+  }
+  // Interleave the streams at random, each keeping its own order.
+  std::vector<std::size_t> next(streams.size(), 0);
+  std::vector<std::uint64_t> keys;
+  for (std::size_t left = streams.size(); left > 0;) {
+    const std::size_t s = rng.uniform_index(streams.size());
+    if (next[s] == streams[s].size()) continue;
+    keys.push_back(streams[s][next[s]++]);
+    if (next[s] == streams[s].size()) --left;
+  }
+  expect_matches_oracle<WindowSet64>(keys);
+}
+
+TEST(WindowSet64, MatchesAnUnorderedSetOnDataIdsWithGapsAndReorders) {
+  Rng rng(31);
+  for (const std::uint64_t first : {0u, 1u, 1'000'000u}) {
+    std::vector<std::uint64_t> keys;
+    for (const auto id : jittered_sequence(rng, first, 2000)) {
+      keys.push_back(payload_key(9, id));
+    }
+    expect_matches_oracle<WindowSet64>(keys);
+  }
+}
+
+TEST(WindowSet64, MatchesAnUnorderedSetFarPastTheWindowAndAtZero) {
+  std::vector<std::uint64_t> keys{0,   0,   5,   4,   1,         2,
+                                  3,   200, 199, 70,  5000,      4999,
+                                  100, 0,   70,  1u << 31, (1u << 31) - 1,
+                                  0xFFFFFFFFu, 0xFFFFFFFEu, 0xFFFFFFFFu,
+                                  6,   5000};
+  // A full run from the base up to the top of the sequence space.
+  for (std::uint64_t id = 0xFFFFFF00u; id <= 0xFFFFFFFFu; ++id) {
+    keys.push_back(id);
+  }
+  Rng rng(37);
+  for (int i = 0; i < 500; ++i) keys.push_back(rng.uniform_index(20000));
+  expect_matches_oracle<WindowSet64>(keys);
+}
+
+TEST(WindowSet64, InOrderStreamCostsOneWindow) {
+  WindowSet64 set;
+  for (std::uint64_t chunk = 0; chunk < 10000; ++chunk) {
+    ASSERT_TRUE(set.insert(chunk_key(4, 1, chunk)));
+  }
+  const std::size_t one_stream = set.memory_bytes();
+  EXPECT_LE(one_stream, 32u);
+  for (std::uint64_t chunk = 0; chunk < 10000; chunk += 2) {
+    ASSERT_FALSE(set.insert(chunk_key(4, 1, chunk)));
+  }
+  EXPECT_EQ(set.memory_bytes(), one_stream);
 }
 
 }  // namespace
