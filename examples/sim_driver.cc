@@ -447,6 +447,18 @@ int main(int argc, char** argv) {
                       static_cast<double>(topologies));
     }
     std::printf("\n");
+    // Only the types that were sent, in MessageBody order.
+    std::printf("  messages by type:");
+    const char* separator = "";
+    for (std::size_t type = 0; type < core::kMessageTypes; ++type) {
+      const auto sent = r.messages_by_type.of(type);
+      if (sent == 0) continue;
+      std::printf("%s %s %.0f", separator, core::message_type_name(type),
+                  static_cast<double>(sent) /
+                      static_cast<double>(topologies));
+      separator = ",";
+    }
+    std::printf("\n");
   }
   if (config.recovery.enabled) {
     std::printf("  avg tree: %.0f nodes\n", r.avg_tree_nodes);
@@ -455,6 +467,9 @@ int main(int argc, char** argv) {
                 100.0 * r.delivery_ratio, 100.0 * r.reattached_fraction,
                 r.mean_orphan_epochs, r.epochs_to_converge,
                 r.invariant_violations);
+    for (const auto& violation : r.violation_samples) {
+      std::printf("  violation: %s\n", violation.c_str());
+    }
     if (config.recovery.replication) {
       std::printf("  replication: handoffs %.1f, epoch conflicts %.1f\n",
                   r.lease_handoffs, r.epoch_conflicts);

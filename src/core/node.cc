@@ -380,22 +380,21 @@ void GroupCastNode::ack_children(GroupId group, TreeState& tree) {
   for (const auto child : tree.pending_acks) {
     transport_->send(self_, child,
                      JoinAckMsg{group, tree.depth, offered_backup(tree)});
+    if (auto* acked = tree.find_child(child)) {
+      // The child was last heard at its join, maybe long ago: the ack
+      // starts its liveness clock afresh, so it is not pruned before its
+      // first beat can arrive.
+      acked->last_seen = now();
+      acked->last_sent = now();
+    }
     // The deferred ack completes the join handshake: give the child a
     // fresh edge incarnation so its expected sequence starts in sync.
     edges_.reopen(group, tree, child);
   }
-  if (tree.depth != kUnknownDepth) {
-    for (const auto& child : tree.children) {
-      if (std::find(tree.pending_acks.begin(), tree.pending_acks.end(),
-                    child.peer) != tree.pending_acks.end()) {
-        continue;  // its JoinAck above already carries the depth
-      }
-      transport_->send(
-          self_, child.peer,
-          HeartbeatAckMsg{group, tree.depth, offered_backup(tree)});
-    }
-  }
   tree.pending_acks.clear();
+  // The other children learn the new depth (and backup) from beats; the
+  // JoinAcks above already carry it.
+  if (tree.depth != kUnknownDepth) position_changed(group, tree, true);
 }
 
 overlay::PeerId GroupCastNode::offered_backup(const TreeState& tree) const {
@@ -411,7 +410,9 @@ void GroupCastNode::drop_child(TreeState& tree, overlay::PeerId child) {
     return c.peer == child;
   });
   erase_value(tree.pending_acks, child);
-  edges_.drop(tree, child);
+  // Edge state is kept per peer: a stale child entry for our own parent
+  // (its join crossed ours) must not take the parent's edges with it.
+  if (child != tree.tree_parent) edges_.drop(tree, child);
 }
 
 void GroupCastNode::root_self(GroupId group) {
@@ -663,11 +664,18 @@ void GroupCastNode::complete_attach(GroupId group, overlay::PeerId parent,
   tree.avoid = overlay::kNoPeer;
   tree.attach_depth_limit = kUnknownDepth;
   tree.dissolved_once = false;
-  tree.parent_last_ack = now();
+  tree.parent_last_seen = now();
+  if (options_->heartbeat_interval > sim::SimTime::zero()) {
+    // The first beat goes at once: the parent last heard from us at our
+    // join, a round trip ago, and a tick's wait on top could outlast its
+    // prune deadline on a long edge.
+    transport_->send(self_, parent, HeartbeatMsg{group});
+    tree.parent_last_sent = now();
+    trace::counters().incr(self_, trace::CounterId::kHeartbeats);
+  }
   // A new parent means a new path: the failure-detector estimate learned
   // on the old edge no longer describes this one.
   tree.hb_miss_ewma = 0.0;
-  tree.hb_probe_outstanding = false;
   // Reattach re-sync, child side: whatever edge state a previous
   // incarnation of this parent link left behind is stale now.  The
   // parent's JoinAck is chased by its SeqSync (per-pair FIFO), which
@@ -686,7 +694,10 @@ void GroupCastNode::complete_attach(GroupId group, overlay::PeerId parent,
   }
   // Children whose joins we accepted before being attached ourselves get
   // their deferred acks now, carrying our freshly-known depth; children
-  // retained through recovery get an unsolicited depth refresh.
+  // retained through recovery get an unsolicited depth refresh.  A join
+  // from the new parent itself crossed ours: it is on the tree now, so
+  // that join is stale.
+  drop_child(tree, parent);
   ack_children(group, tree);
   if (tree.subscribed) {
     trace::counters().incr(self_, trace::CounterId::kSubscribeSuccesses);
@@ -730,13 +741,18 @@ void GroupCastNode::heartbeat_tick(GroupId group) {
   if (!running_) return;
   const auto t = now();
   const auto interval = options_->heartbeat_interval;
+  // Beats are one-way, and any message of the group stands in for one: a
+  // neighbour this node sent something since the previous tick gets no
+  // beat.
+  const auto beat_due = [t, interval](sim::SimTime last_sent) {
+    return t - last_sent >= interval;
+  };
   if (tree.on_tree() && tree.tree_parent != self_) {
-    if (options_->adaptive && tree.hb_probe_outstanding) {
-      // One miss sample per probed interval: did the previous heartbeat's
-      // ack make it back before this tick?
+    if (options_->adaptive) {
+      // One miss sample per tick: did anything arrive from the parent
+      // since the previous one?
       ewma_update(tree.hb_miss_ewma,
-                  tree.parent_last_ack >= tree.last_hb_probe ? 0.0 : 1.0);
-      tree.hb_probe_outstanding = false;
+                  t - tree.parent_last_seen < interval ? 0.0 : 1.0);
       trace::histograms().record(
           trace::HistogramId::kEstimatedLoss,
           static_cast<std::uint64_t>(
@@ -748,15 +764,12 @@ void GroupCastNode::heartbeat_tick(GroupId group) {
                                       options_->missed_heartbeats_to_fail)
             : options_->missed_heartbeats_to_fail;
     const auto deadline = interval * static_cast<std::int64_t>(misses);
-    if (t - tree.parent_last_ack > deadline) {
+    if (t - tree.parent_last_seen > deadline) {
       begin_recovery(group, tree.tree_parent);
-    } else {
+    } else if (beat_due(tree.parent_last_sent)) {
       transport_->send(self_, tree.tree_parent, HeartbeatMsg{group});
+      tree.parent_last_sent = t;
       trace::counters().incr(self_, trace::CounterId::kHeartbeats);
-      if (options_->adaptive) {
-        tree.last_hb_probe = t;
-        tree.hb_probe_outstanding = true;
-      }
     }
   }
   if (!tree.children.empty()) {
@@ -779,8 +792,71 @@ void GroupCastNode::heartbeat_tick(GroupId group) {
     for (const auto ghost : ghosts) drop_child(tree, ghost);
     // A pure relay whose last child was pruned folds back off the tree.
     if (!ghosts.empty()) maybe_fold(group, tree);
+    // Right after a position change every child gets every beat, traffic
+    // or not: the news must survive a lost beat.
+    const bool news = t < tree.news_until;
+    for (auto& child : tree.children) {
+      if ((news || beat_due(child.last_sent)) &&
+          !awaits_ack(tree, child.peer)) {
+        send_parent_beat(group, tree, child);
+      }
+    }
   }
   maybe_schedule_heartbeat(group);
+}
+
+void GroupCastNode::position_changed(GroupId group, TreeState& tree,
+                                     bool beat_now) {
+  tree.news_until =
+      now() + options_->heartbeat_interval *
+                  static_cast<std::int64_t>(
+                      options_->missed_heartbeats_to_fail);
+  if (!beat_now) return;
+  for (auto& child : tree.children) {
+    if (!awaits_ack(tree, child.peer)) send_parent_beat(group, tree, child);
+  }
+}
+
+void GroupCastNode::send_parent_beat(GroupId group, TreeState& tree,
+                                     TreeState::Child& child) {
+  // While we recover our own position the depth is unknown; the beat
+  // still keeps the child from declaring us dead.
+  transport_->send(self_, child.peer,
+                   ParentBeatMsg{group,
+                                 tree.on_tree() ? tree.depth : kUnknownDepth,
+                                 offered_backup(tree)});
+  child.last_sent = now();
+  trace::counters().incr(self_, trace::CounterId::kHeartbeats);
+}
+
+bool GroupCastNode::awaits_ack(const TreeState& tree, overlay::PeerId child) {
+  return std::find(tree.pending_acks.begin(), tree.pending_acks.end(),
+                   child) != tree.pending_acks.end();
+}
+
+bool GroupCastNode::heard_from(GroupId group, TreeState& tree,
+                               overlay::PeerId from) {
+  if (from == tree.tree_parent) {
+    tree.parent_last_seen = now();
+    return true;
+  }
+  if (auto* child = tree.find_child(from)) {
+    child->last_seen = now();
+    return true;
+  }
+  // The sender treats us as a tree neighbour but we do not (it was
+  // pruned, or we dissolved or folded): if it takes us for its parent,
+  // this tells it to re-attach; anyone else ignores it.
+  transport_->send(self_, from, ParentLostMsg{group});
+  return false;
+}
+
+void GroupCastNode::stamp_sent(TreeState& tree, overlay::PeerId to) {
+  if (to == tree.tree_parent) {
+    tree.parent_last_sent = now();
+  } else if (auto* child = tree.find_child(to)) {
+    child->last_sent = now();
+  }
 }
 
 void GroupCastNode::begin_recovery(GroupId group,
@@ -799,6 +875,10 @@ void GroupCastNode::begin_recovery(GroupId group,
   // Both directions of the dead parent's edge are gone; edges to retained
   // children stay live (their buffers cover losses during the recovery).
   edges_.drop(tree, dead_parent);
+  // The backup we offered was the dead parent: withdraw it now, since
+  // edge traffic may stand in for the beats that would carry the change.
+  // (The unknown depth the beats now carry changes nothing for a child.)
+  if (options_->replication.enabled) position_changed(group, tree, true);
   if (tree.exchange != ReliableExchange::kNoToken) {
     exchange_.cancel(tree.exchange);
     tree.exchange = ReliableExchange::kNoToken;
@@ -826,24 +906,27 @@ void GroupCastNode::handle(const Envelope& envelope) {
           handle_leave(envelope, msg);
         } else if constexpr (std::is_same_v<T, HeartbeatMsg>) {
           handle_heartbeat(envelope, msg);
-        } else if constexpr (std::is_same_v<T, HeartbeatAckMsg>) {
-          handle_heartbeat_ack(envelope, msg);
+        } else if constexpr (std::is_same_v<T, ParentBeatMsg>) {
+          handle_parent_beat(envelope, msg);
         } else if constexpr (std::is_same_v<T, ParentLostMsg>) {
           handle_parent_lost(envelope, msg);
         } else if constexpr (std::is_same_v<T, DataMsg> ||
                              std::is_same_v<T, ChunkMsg> ||
                              std::is_same_v<T, ReliableDataMsg> ||
                              std::is_same_v<T, SeqSyncMsg>) {
-          // Group data and edge syncs only count on the tree.
+          // Group data and edge syncs are beats; they only count on the
+          // tree, and only from a tree neighbour.
           TreeState* tree = find_tree(msg.group);
-          if (tree != nullptr && tree->on_tree()) {
+          if (tree == nullptr) return;
+          if (heard_from(msg.group, *tree, envelope.from) && tree->on_tree()) {
             edges_.handle(*tree, envelope.from, msg);
           }
         } else if constexpr (std::is_same_v<T, DataNackMsg> ||
                              std::is_same_v<T, DataAckMsg> ||
                              std::is_same_v<T, FlowControlMsg>) {
           // Without a tree record there is no edge to answer for.
-          if (TreeState* tree = find_tree(msg.group)) {
+          TreeState* tree = find_tree(msg.group);
+          if (tree != nullptr && heard_from(msg.group, *tree, envelope.from)) {
             edges_.handle(*tree, envelope.from, msg);
           }
         } else if constexpr (std::is_same_v<T, LeaseMsg> ||
@@ -893,15 +976,14 @@ void GroupCastNode::handle_join(const Envelope& /*envelope*/,
   }
   if (msg.child == self_) return;
   auto& tree = tree_of(*entry);
-  if (auto* child = tree.find_child(msg.child)) {
-    child->last_seen = now();
-  } else {
-    tree.children.push_back(TreeState::Child{msg.child, now()});
-  }
+  auto* child = tree.find_child(msg.child);
+  if (child == nullptr) child = &tree.children.emplace_back(msg.child);
+  child->last_seen = now();
   if (tree.on_tree()) {
     transport_->send(
         self_, msg.child,
         JoinAckMsg{msg.group, tree.depth, offered_backup(tree)});
+    child->last_sent = now();
     // The join handshake is where a (re)attaching child re-syncs its
     // expected sequence: a fresh edge incarnation rides right behind the
     // ack (per-pair FIFO), so the child never NACKs into whatever epoch
@@ -929,6 +1011,8 @@ void GroupCastNode::handle_join_ack(const Envelope& envelope,
       // A slower rung answered after we attached elsewhere: retract so the
       // acker does not keep us in its child list.
       transport_->send(self_, envelope.from, LeaveMsg{msg.group, self_});
+    } else {
+      tree.parent_last_seen = now();  // a retried join's ack is a beat too
     }
     return;
   }
@@ -1064,28 +1148,33 @@ void GroupCastNode::handle_heartbeat(const Envelope& envelope,
     return;
   }
   child->last_seen = now();
-  // While we recover our own position the depth is unknown; the ack still
-  // keeps the child from declaring us dead.
-  transport_->send(
-      self_, envelope.from,
-      HeartbeatAckMsg{msg.group,
-                      tree->on_tree() ? tree->depth : kUnknownDepth,
-                      offered_backup(*tree)});
 }
 
-void GroupCastNode::handle_heartbeat_ack(const Envelope& envelope,
-                                         const HeartbeatAckMsg& msg) {
+void GroupCastNode::handle_parent_beat(const Envelope& envelope,
+                                       const ParentBeatMsg& msg) {
   TreeState* tree = find_tree(msg.group);
-  if (tree == nullptr || !tree->on_tree() ||
-      envelope.from != tree->tree_parent) {
+  if (tree == nullptr) return;
+  if (!tree->on_tree() || envelope.from != tree->tree_parent) {
+    // The sender still lists us as its child.  Attached elsewhere, we
+    // retract, as from a late JoinAck; mid-ladder we say nothing, since a
+    // join of ours may be on its way to the sender.
+    if (tree->on_tree()) {
+      transport_->send(self_, envelope.from, LeaveMsg{msg.group, self_});
+    }
     return;
   }
-  tree->parent_last_ack = now();
-  if (msg.depth != kUnknownDepth) tree->depth = msg.depth + 1;
+  tree->parent_last_seen = now();
   if (options_->replication.enabled && msg.backup != self_) {
-    // The parent's own parent may have changed since the join: every ack
+    // The parent's own parent may have changed since the join: every beat
     // refreshes the rung-0 backup.
     tree->backup_parent = msg.backup;
+  }
+  if (msg.depth != kUnknownDepth && msg.depth + 1 != tree->depth) {
+    tree->depth = msg.depth + 1;
+    // Depth rides only on beats, and edge traffic may stand in for them:
+    // the next ticks pass the change down.  (Not at once: on a transient
+    // cycle an immediate cascade would loop at network speed.)
+    position_changed(msg.group, *tree, false);
   }
 }
 

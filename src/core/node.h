@@ -25,7 +25,9 @@
 // (off by default; enable via NodeOptions::heartbeat_interval) detect dead
 // parents with the paper's two-miss rule and re-run the same ladder to
 // re-attach the orphaned subtree, guarded against cycles by attach-point
-// depths carried on JoinAck / RippleHit / HeartbeatAck.
+// depths carried on JoinAck / RippleHit / ParentBeat.  Beats are one-way,
+// each end of an edge beating the other on its own tick, and any traffic
+// on the edge stands in for them.
 //
 // Two self-contained sub-protocols are classes of their own, each
 // reaching back into the node through a small host interface: the
@@ -66,8 +68,8 @@ struct NodeOptions {
   /// Tree-edge heartbeat period; zero() disables liveness probing (the
   /// default, so `Simulator::run()` still drains in non-churn tests).
   sim::SimTime heartbeat_interval = sim::SimTime::zero();
-  /// Heartbeat intervals without an ack before the parent is declared
-  /// dead (the paper's two-miss rule).
+  /// Heartbeat intervals without hearing from the parent before it is
+  /// declared dead (the paper's two-miss rule).
   std::size_t missed_heartbeats_to_fail = 2;
   /// Adaptive failure detection (docs/ROBUSTNESS.md, "Flow control &
   /// adaptive detection"): derive the heartbeat-miss threshold and the
@@ -218,7 +220,7 @@ class GroupCastNode : private ReliableEdge::Host, private LeaseReplica::Host {
   overlay::PeerId lease_leader(GroupId group) const;
   /// Copy of this member's replication log, sorted by epoch.
   std::vector<LeaseRecord> lease_log(GroupId group) const;
-  /// Rung-0 backup attach target learned from Join/Heartbeat acks
+  /// Rung-0 backup attach target learned from JoinAcks and parent beats
   /// (kNoPeer when replication is off or none was offered).
   overlay::PeerId backup_parent(GroupId group) const;
 
@@ -238,10 +240,13 @@ class GroupCastNode : private ReliableEdge::Host, private LeaseReplica::Host {
   /// must outlive the fold.  The group's reliable edges are its base, so
   /// the data plane's call-backs hand the record straight back.
   struct TreeState : ReliableEdge::Links {
-    /// A tree child and when its last join or heartbeat arrived.
+    /// A tree child: when anything of this group last arrived from it
+    /// (its join, a beat, any edge traffic) and when this node last sent
+    /// it something of this group (which stands in for a beat).
     struct Child {
       overlay::PeerId peer = overlay::kNoPeer;
       sim::SimTime last_seen;
+      sim::SimTime last_sent;
     };
 
     /// On the tree exactly while a parent is set (self at the root).
@@ -280,18 +285,21 @@ class GroupCastNode : private ReliableEdge::Host, private LeaseReplica::Host {
 
     // --- tree-edge heartbeats ---
     bool heartbeat_scheduled = false;
-    sim::SimTime parent_last_ack;
-    /// Adaptive detection: EWMA of per-window heartbeat-ack misses toward
-    /// the current parent (sampled each tick a probe was outstanding),
-    /// and the probe bookkeeping that feeds it.  Reset on re-attach.
+    /// When anything of this group last arrived from, and was last sent
+    /// to, the tree parent.
+    sim::SimTime parent_last_seen;
+    sim::SimTime parent_last_sent;
+    /// Adaptive detection: EWMA of the per-tick miss sample toward the
+    /// current parent (1 when nothing arrived from it in the interval
+    /// before the tick).  Reset on re-attach.
     double hb_miss_ewma = 0.0;
-    sim::SimTime last_hb_probe;
-    bool hb_probe_outstanding = false;
+    /// Until then every tick beats every child (position_changed).
+    sim::SimTime news_until;
 
     // --- rendezvous replication (ReplicationOptions) ---
     ReplState repl;
     /// Rung-0 attach target: this node's grandparent, as last offered on
-    /// a Join/Heartbeat ack (kNoPeer with replication off).
+    /// a JoinAck or parent beat (kNoPeer with replication off).
     overlay::PeerId backup_parent = overlay::kNoPeer;
   };
 
@@ -320,8 +328,7 @@ class GroupCastNode : private ReliableEdge::Host, private LeaseReplica::Host {
   void handle_ripple_hit(const Envelope& envelope, const RippleHitMsg& msg);
   void handle_leave(const Envelope& envelope, const LeaveMsg& msg);
   void handle_heartbeat(const Envelope& envelope, const HeartbeatMsg& msg);
-  void handle_heartbeat_ack(const Envelope& envelope,
-                            const HeartbeatAckMsg& msg);
+  void handle_parent_beat(const Envelope& envelope, const ParentBeatMsg& msg);
   void handle_parent_lost(const Envelope& envelope, const ParentLostMsg& msg);
 
   // --- ReliableEdge::Host ---
@@ -332,6 +339,9 @@ class GroupCastNode : private ReliableEdge::Host, private LeaseReplica::Host {
   void deliver(GroupId group, ReliableEdge::Links& links, overlay::PeerId via,
                const BufferedPayload& payload) override;
   overlay::PeerId upstream(const ReliableEdge::Links& links) const override;
+  void sent(ReliableEdge::Links& links, overlay::PeerId to) override {
+    stamp_sent(static_cast<TreeState&>(links), to);
+  }
 
   // --- LeaseReplica::Host ---
   /// A replication member keeps its replica state in its tree record,
@@ -383,6 +393,23 @@ class GroupCastNode : private ReliableEdge::Host, private LeaseReplica::Host {
                        overlay::PeerId backup = overlay::kNoPeer);
 
   // --- heartbeats / failure detection ---
+  /// Any message of the group from a tree neighbour is a beat: refreshes
+  /// its arrival stamp.  A peer that is neither parent nor child gets
+  /// ParentLost (it may believe we are its parent; if not, it ignores
+  /// it).  Returns whether `from` is a tree neighbour.
+  bool heard_from(GroupId group, TreeState& tree, overlay::PeerId from);
+  /// Records a send to `to` against its edge's beat schedule (no-op when
+  /// `to` is not a tree neighbour).
+  void stamp_sent(TreeState& tree, overlay::PeerId to);
+  /// This node's depth or offered backup changed: beats carry both, so
+  /// every acked child gets one on every tick of the next detection
+  /// window, traffic or not (and one now with `beat_now`).
+  void position_changed(GroupId group, TreeState& tree, bool beat_now);
+  /// The beat to one child, carrying depth and backup.
+  void send_parent_beat(GroupId group, TreeState& tree,
+                        TreeState::Child& child);
+  /// True while `child`'s join waits for this node to attach.
+  static bool awaits_ack(const TreeState& tree, overlay::PeerId child);
   /// Enrols `group` in the node's shared heartbeat tick while it holds a
   /// tree role.
   void maybe_schedule_heartbeat(GroupId group);

@@ -39,6 +39,11 @@ sim::Simulator& ReliableEdge::simulator() const {
 
 sim::SimTime ReliableEdge::now() const { return simulator().now(); }
 
+void ReliableEdge::emit(Links& links, overlay::PeerId to, MessageBody body) {
+  transport_->send(self_, to, std::move(body));
+  host_->sent(links, to);
+}
+
 // ------------------------------------------------------------- sending
 
 MessageBody ReliableEdge::payload_msg(GroupId group, std::uint32_t epoch,
@@ -69,7 +74,7 @@ void ReliableEdge::send(GroupId group, Links& links, overlay::PeerId to,
         now().as_micros(), trace::EventKind::kPayloadSent, self_, to,
         trace::pack_provenance(payload.origin, payload.payload_id,
                                payload.hops));
-    transport_->send(self_, to, payload_msg(group, 0, 0, payload));
+    emit(links, to, payload_msg(group, 0, 0, payload));
     return;
   }
   auto it = links.tx_edges.find(to);
@@ -96,11 +101,11 @@ void ReliableEdge::send(GroupId group, Links& links, overlay::PeerId to,
     reset_tx(group, links, to);
     it = links.tx_edges.find(to);
   }
-  transmit(group, to, it->second, payload);
+  transmit(group, links, to, it->second, payload);
 }
 
-void ReliableEdge::transmit(GroupId group, overlay::PeerId to, EdgeTx& tx,
-                            const BufferedPayload& payload) {
+void ReliableEdge::transmit(GroupId group, Links& links, overlay::PeerId to,
+                            EdgeTx& tx, const BufferedPayload& payload) {
   if (tx.buffer.size() >= kSendBufferCap) {
     tx.buffer.pop_front();  // oldest unacked copy falls off
   }
@@ -119,7 +124,7 @@ void ReliableEdge::transmit(GroupId group, overlay::PeerId to, EdgeTx& tx,
     trace::histograms().record(trace::HistogramId::kWindowOccupancy,
                                tx.next_seq - tx.cum_acked);
   }
-  transport_->send(self_, to, payload_msg(group, tx.epoch, seq, payload));
+  emit(links, to, payload_msg(group, tx.epoch, seq, payload));
   maybe_schedule_probe(group, to, tx);
 }
 
@@ -152,7 +157,7 @@ void ReliableEdge::drain_tx(GroupId group, Links& links, overlay::PeerId to,
         now().as_micros(), trace::EventKind::kPayloadSent, self_, to,
         trace::pack_provenance(payload.origin, payload.payload_id,
                                payload.hops));
-    transmit(group, to, tx, payload);
+    transmit(group, links, to, tx, payload);
     drained = true;
   }
   if (drained && tx.pending.empty()) {
@@ -174,7 +179,7 @@ void ReliableEdge::discard_pending(Links& links, EdgeTx& tx) {
   if (links.blocked_edges > 0) --links.blocked_edges;
 }
 
-void ReliableEdge::signal_upstream(GroupId group, const Links& links,
+void ReliableEdge::signal_upstream(GroupId group, Links& links,
                                    bool throttled) {
   // The dominant data flow runs root-down, so this node's source is its
   // tree parent.  The root (or an orphan) has no upstream; its publisher
@@ -184,7 +189,7 @@ void ReliableEdge::signal_upstream(GroupId group, const Links& links,
   if (throttled) {
     trace::counters().incr(self_, trace::CounterId::kFlowThrottles);
   }
-  transport_->send(self_, parent, FlowControlMsg{group, throttled});
+  emit(links, parent, FlowControlMsg{group, throttled});
 }
 
 // -------------------------------------------------------- edge lifecycle
@@ -204,7 +209,7 @@ void ReliableEdge::reset_tx(GroupId group, Links& links,
   auto& tx = links.tx_edges[peer];
   tombstone(links, tx);
   ++tx.epoch;
-  transport_->send(self_, peer, SeqSyncMsg{group, tx.epoch, 0, 0});
+  emit(links, peer, SeqSyncMsg{group, tx.epoch, 0, 0});
 }
 
 void ReliableEdge::reopen(GroupId group, Links& links, overlay::PeerId peer) {
@@ -282,7 +287,17 @@ void ReliableEdge::handle(Links& links, overlay::PeerId from,
 void ReliableEdge::accept(GroupId group, Links& links, overlay::PeerId from,
                           std::uint32_t epoch, std::uint64_t seq,
                           const BufferedPayload& payload) {
-  const auto it = links.rx_edges.find(from);
+  auto it = links.rx_edges.find(from);
+  if (seq == 0 && (it == links.rx_edges.end() || it->second.epoch < epoch)) {
+    // The first copy of a newer incarnation than any we know: its lost
+    // handshake SeqSync would have said [0, 0), and the sender cannot
+    // have trimmed anything we never acked, so the copy stands in for it.
+    it = links.rx_edges.try_emplace(from).first;
+    simulator().cancel(it->second.nack_timer);
+    it->second = EdgeRx{};
+    it->second.epoch = epoch;
+    it->second.synced = true;
+  }
   if (it == links.rx_edges.end() || !it->second.synced ||
       it->second.epoch != epoch) {
     // No synced incarnation matches (the SeqSync was lost, or this copy
@@ -347,7 +362,7 @@ void ReliableEdge::drain_rx(GroupId group, Links& links,
   }
   if (rx.delivered_since_ack >= options_->ack_every) {
     rx.delivered_since_ack = 0;
-    transport_->send(self_, from, DataAckMsg{group, rx.epoch, rx.expected});
+    emit(links, from, DataAckMsg{group, rx.epoch, rx.expected});
   }
   if (!rx.stash.empty() || rx.expected < rx.tail_next) {
     maybe_schedule_nack(group, from, rx);
@@ -381,8 +396,7 @@ void ReliableEdge::handle(Links& links, overlay::PeerId from,
           now().as_micros(), trace::EventKind::kPayloadRetransmit, self_,
           from,
           trace::pack_provenance(entry.origin, entry.payload_id, entry.hops));
-      transport_->send(self_, from,
-                       payload_msg(msg.group, tx.epoch, seq, entry));
+      emit(links, from, payload_msg(msg.group, tx.epoch, seq, entry));
       trace::counters().incr(self_, trace::CounterId::kRetransmits);
     }
   }
@@ -396,6 +410,7 @@ void ReliableEdge::handle(Links& links, overlay::PeerId from,
   const auto it = links.tx_edges.find(from);
   if (it == links.tx_edges.end() || it->second.epoch != msg.epoch) return;
   auto& tx = it->second;
+  if (msg.cumulative > tx.cum_acked) tx.acked_since_probe = true;
   trim(tx, msg.cumulative);
   drain_tx(msg.group, links, from, tx);  // ack-clocked advancement
 }
@@ -443,7 +458,7 @@ void ReliableEdge::handle(Links& links, overlay::PeerId from,
   // Caught up: the announcement is the sender's ack-overdue probe, so
   // answer with the cumulative ack that lets it trim and go quiet.
   rx.delivered_since_ack = 0;
-  transport_->send(self_, from, DataAckMsg{msg.group, rx.epoch, rx.expected});
+  emit(links, from, DataAckMsg{msg.group, rx.epoch, rx.expected});
 }
 
 void ReliableEdge::handle(Links& links, overlay::PeerId from,
@@ -507,6 +522,7 @@ void ReliableEdge::maybe_schedule_probe(GroupId group, overlay::PeerId peer,
   if (wheel.timer_pending(tx.probe_timer)) return;
   tx.probe_rounds = 0;
   tx.acked_at_last_probe = tx.cum_acked;
+  tx.acked_since_probe = false;
   tx.probe_timer = wheel.schedule_timer(jittered(kProbeDelay),
                                         &probe_thunk, this,
                                         pack_edge(group, peer));
@@ -555,7 +571,7 @@ void ReliableEdge::on_nack_timer(GroupId group, overlay::PeerId peer) {
     rx.nack_rounds = 0;
     return;
   }
-  transport_->send(self_, peer, DataNackMsg{group, rx.epoch, base, mask});
+  emit(*links, peer, DataNackMsg{group, rx.epoch, base, mask});
   trace::counters().incr(self_, trace::CounterId::kNacksSent);
   if (adaptive_) {
     trace::histograms().record(
@@ -594,6 +610,18 @@ void ReliableEdge::on_probe_timer(GroupId group, overlay::PeerId peer) {
     ++tx.probe_rounds;
   }
   tx.acked_at_last_probe = tx.cum_acked;
+  if (tx.acked_since_probe) {
+    // The receiver keeps acking: an unacked tail is only the ack
+    // cadence's (ack_every) remainder, so stay quiet for a round.  A tail
+    // that was really lost stops the acks, and the next round announces
+    // it.  (A NACK's base advances cum_acked too, but a receiver asking
+    // for repairs is not keeping up.)
+    tx.acked_since_probe = false;
+    tx.probe_timer = simulator().schedule_timer(jittered(kProbeDelay),
+                                                &probe_thunk, this,
+                                                pack_edge(group, peer));
+    return;
+  }
   if (tx.probe_rounds > kMaxProbeRounds) {
     // Rounds of silence: the receiver is gone (heartbeats prune the tree
     // edge separately); stop holding its unacked tail.
@@ -608,8 +636,7 @@ void ReliableEdge::on_probe_timer(GroupId group, overlay::PeerId peer) {
   // this announcement after losing the handshake starts there, not at
   // next_seq, so the buffered backlog is recovered instead of skipped.
   const std::uint64_t base = tx.front_seq();
-  transport_->send(self_, peer,
-                   SeqSyncMsg{group, tx.epoch, base, tx.next_seq});
+  emit(*links, peer, SeqSyncMsg{group, tx.epoch, base, tx.next_seq});
   tx.probe_timer = simulator().schedule_timer(jittered(kProbeDelay),
                                               &probe_thunk, this,
                                               pack_edge(group, peer));

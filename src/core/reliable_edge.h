@@ -14,10 +14,11 @@
 // DataMsg / epoch-0 ChunkMsg path.
 //
 // The node owns the tree.  Per-group edge state (Links) lives inside the
-// node's own per-group tree record, so no message pays a second lookup.  Two
-// call-backs reach back into the node: delivering an in-order payload,
-// and naming the tree parent a throttle signal goes to.  The timers also
-// look a group's links up again when they fire.
+// node's own per-group tree record, so no message pays a second lookup.
+// Three call-backs reach back into the node: delivering an in-order
+// payload, naming the tree parent a throttle signal goes to, and hearing
+// of every send (edge traffic stands in for the node's heartbeats).  The
+// timers also look a group's links up again when they fire.
 #pragma once
 
 #include <map>
@@ -71,6 +72,8 @@ inline constexpr std::size_t kSendBufferCap = 128;
 /// Ack-overdue probe: how long the sender waits on unacked data before
 /// re-announcing its next sequence (tail-loss detection), and how many
 /// silent rounds before it gives the receiver up and drops the buffer.
+/// A round in which a cumulative ack advanced re-arms the probe without
+/// announcing anything: the receiver is keeping up.
 inline constexpr sim::SimTime kProbeDelay = sim::SimTime::millis(400);
 inline constexpr std::size_t kMaxProbeRounds = 6;
 
@@ -149,6 +152,9 @@ struct EdgeTx {
   /// Whether the receiver asked us to pause (its own downstream edge is
   /// blocked).
   bool peer_throttled = false;
+  /// A cumulative ack (not a NACK's base) advanced since the last probe
+  /// round: the receiver is keeping up, so the round stays quiet.
+  bool acked_since_probe = false;
 };
 
 /// Receiver half of one directed reliable edge.  `synced` flips on the
@@ -205,6 +211,9 @@ class ReliableEdge {
     /// This node's data source for the group — its tree parent — or
     /// kNoPeer for the root or an orphan.
     virtual overlay::PeerId upstream(const Links& links) const = 0;
+    /// The data plane just sent `to` a message of this group: traffic on
+    /// a tree edge doubles as its liveness beat.
+    virtual void sent(Links& links, overlay::PeerId to) = 0;
 
    protected:
     ~Host() = default;
@@ -262,6 +271,9 @@ class ReliableEdge {
  private:
   sim::SimTime now() const;
   sim::Simulator& simulator() const;
+  /// Every send of the data plane: onto the transport, then reported to
+  /// the host.
+  void emit(Links& links, overlay::PeerId to, MessageBody body);
   /// The wire form of one payload copy: ChunkMsg for chunks (epoch 0 =
   /// fire-and-forget), otherwise DataMsg (epoch 0) or ReliableDataMsg.
   static MessageBody payload_msg(GroupId group, std::uint32_t epoch,
@@ -289,7 +301,7 @@ class ReliableEdge {
   // --- sending and flow control ---
   /// Assigns the next sequence, buffers, and transmits one payload on an
   /// open edge.
-  void transmit(GroupId group, overlay::PeerId to, EdgeTx& tx,
+  void transmit(GroupId group, Links& links, overlay::PeerId to, EdgeTx& tx,
                 const BufferedPayload& payload);
   /// Parks a payload behind a closed window; the edge's first parked
   /// payload may throttle the upstream source.
@@ -302,7 +314,7 @@ class ReliableEdge {
   /// down or given up): fixes the blocked-edge accounting silently.
   static void discard_pending(Links& links, EdgeTx& tx);
   /// Sends the throttle (or resume) signal to the host's upstream peer.
-  void signal_upstream(GroupId group, const Links& links, bool throttled);
+  void signal_upstream(GroupId group, Links& links, bool throttled);
 
   // --- timers ---
   /// NACK delay / retry cadence for one rx edge: the configured constants,

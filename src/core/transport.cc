@@ -92,9 +92,18 @@ Transport::~Transport() {
   if (shards_ != nullptr) shards_->set_client(nullptr);
 }
 
+MessageTypeStats Transport::type_stats() const {
+  MessageTypeStats sum;
+  for (const auto& state : shard_state_) sum += state.types;
+  return sum;
+}
+
 MessageStats Transport::stats() const {
+  const MessageTypeStats types = type_stats();
   MessageStats sum;
-  for (const auto& state : shard_state_) sum += state.stats;
+  for (std::size_t type = 0; type < kMessageTypes; ++type) {
+    sum.count(kind_of(type), types.of(type));
+  }
   return sum;
 }
 
@@ -158,7 +167,22 @@ bool Transport::is_registered(overlay::PeerId peer) const {
   return handlers_[peer] != nullptr;
 }
 
-MessageKind Transport::kind_of(const MessageBody& body) {
+const char* message_type_name(std::size_t type) {
+  // Indexed by MessageBody alternative, in declaration order.
+  static constexpr const char* kNames[] = {
+      "advertise",     "join",      "join_ack",     "ripple_query",
+      "ripple_hit",    "data",      "leave",        "heartbeat",
+      "parent_beat",   "parent_lost", "reliable_data", "data_nack",
+      "data_ack",      "seq_sync",  "flow_control", "lease",
+      "lease_ack",     "replicate", "replicate_ack", "handoff",
+      "chunk",
+  };
+  static_assert(std::size(kNames) == kMessageTypes);
+  GC_REQUIRE(type < kMessageTypes);
+  return kNames[type];
+}
+
+MessageKind Transport::kind_of(std::size_t type) {
   using enum MessageKind;
   // Indexed by MessageBody alternative, in declaration order.
   static constexpr MessageKind kKinds[] = {
@@ -170,7 +194,7 @@ MessageKind Transport::kind_of(const MessageBody& body) {
       kPayload,         // DataMsg
       kSubscribeJoin,   // LeaveMsg
       kMaintenance,     // HeartbeatMsg
-      kMaintenance,     // HeartbeatAckMsg
+      kMaintenance,     // ParentBeatMsg
       kMaintenance,     // ParentLostMsg
       kPayload,         // ReliableDataMsg
       kMaintenance,     // DataNackMsg
@@ -184,8 +208,8 @@ MessageKind Transport::kind_of(const MessageBody& body) {
       kMaintenance,     // HandoffMsg
       kPayload,         // ChunkMsg
   };
-  static_assert(std::size(kKinds) == std::variant_size_v<MessageBody>);
-  return kKinds[body.index()];
+  static_assert(std::size(kKinds) == kMessageTypes);
+  return kKinds[type];
 }
 
 bool Transport::lost(double p, std::uint64_t stream,
@@ -206,7 +230,7 @@ void Transport::send(overlay::PeerId from, overlay::PeerId to,
   const std::uint32_t src = peer_shard_[from];
   ShardState& state = shard_state_[src];
   ++state.sent;
-  state.stats.count(kind_of(body));
+  state.types.count(body.index());
   const std::size_t wire_bytes = encoded_size(body);
   state.bytes_sent += wire_bytes;
   trace::counters().incr(from, trace::CounterId::kMessagesSent);

@@ -7,6 +7,7 @@
 // logic above it is transport-agnostic.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -91,15 +92,19 @@ struct LeaveMsg {
   overlay::PeerId child = overlay::kNoPeer;
 };
 
-/// Tree-edge liveness probe from a child to its parent (Section 3.3's
-/// two-missed-heartbeat rule applied to SSA tree edges).
+/// Tree-edge liveness beat from a child to its parent (Section 3.3's
+/// two-missed-heartbeat rule applied to SSA tree edges).  One-way: the
+/// parent answers nothing, it beats on its own tick (ParentBeatMsg).  A
+/// child that already sent its parent something this interval skips it.
 struct HeartbeatMsg {
   GroupId group = 0;
 };
 
-/// Parent's answer to a heartbeat, echoing its current tree depth so
-/// children keep their depth fresh for the orphan cycle guard.
-struct HeartbeatAckMsg {
+/// Tree-edge liveness beat from a parent to a child, carrying the parent's
+/// current tree depth so children keep theirs fresh for the orphan cycle
+/// guard.  Also pushed unsolicited whenever that depth (or the backup)
+/// changes, since a beat the edge's traffic stood in for carries neither.
+struct ParentBeatMsg {
   GroupId group = 0;
   std::uint32_t depth = 0;
   // Backup attach target refresh (the parent's own parent); in-memory
@@ -272,10 +277,34 @@ struct HandoffMsg {
 using MessageBody =
     std::variant<AdvertiseMsg, JoinMsg, JoinAckMsg, RippleQueryMsg,
                  RippleHitMsg, DataMsg, LeaveMsg, HeartbeatMsg,
-                 HeartbeatAckMsg, ParentLostMsg, ReliableDataMsg,
+                 ParentBeatMsg, ParentLostMsg, ReliableDataMsg,
                  DataNackMsg, DataAckMsg, SeqSyncMsg, FlowControlMsg,
                  LeaseMsg, LeaseAckMsg, ReplicateMsg, ReplicateAckMsg,
                  HandoffMsg, ChunkMsg>;
+
+/// Number of message types: MessageBody's alternatives.
+inline constexpr std::size_t kMessageTypes =
+    std::variant_size_v<MessageBody>;
+
+/// snake_case name of message type `type` (a MessageBody index), for
+/// reports.
+const char* message_type_name(std::size_t type);
+
+/// Send counts per message type, indexed like MessageBody.
+class MessageTypeStats {
+ public:
+  void count(std::size_t type, std::size_t n = 1) { counts_[type] += n; }
+  std::size_t of(std::size_t type) const { return counts_[type]; }
+  MessageTypeStats& operator+=(const MessageTypeStats& other) {
+    for (std::size_t i = 0; i < kMessageTypes; ++i) {
+      counts_[i] += other.counts_[i];
+    }
+    return *this;
+  }
+
+ private:
+  std::array<std::size_t, kMessageTypes> counts_{};
+};
 
 struct Envelope {
   overlay::PeerId from = overlay::kNoPeer;
@@ -362,6 +391,8 @@ class Transport final : public sim::ShardSet::Client {
 
   /// Per-kind send counts, summed over the shards.
   MessageStats stats() const;
+  /// Per-type send counts, summed over the shards.
+  MessageTypeStats type_stats() const;
   std::size_t messages_sent() const;
   std::size_t messages_lost() const;
   /// Total wire bytes of every message sent (per the encoding in wire.h).
@@ -399,7 +430,8 @@ class Transport final : public sim::ShardSet::Client {
             std::vector<std::uint32_t> peer_shard, TransportOptions options,
             util::Rng& rng);
 
-  static MessageKind kind_of(const MessageBody& body);
+  /// The kind message type `type` (a MessageBody index) counts under.
+  static MessageKind kind_of(std::size_t type);
 
   static constexpr std::uint32_t kNoSlot = 0xFFFFFFFFu;
 
@@ -424,7 +456,7 @@ class Transport final : public sim::ShardSet::Client {
   /// (outboxes hand over at epoch barriers; the main thread may touch any
   /// shard while the workers are parked).
   struct alignas(64) ShardState {
-    MessageStats stats;
+    MessageTypeStats types;
     std::size_t sent = 0;
     std::size_t lost = 0;
     std::size_t bytes_sent = 0;

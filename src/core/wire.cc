@@ -60,7 +60,7 @@ void fields(auto& io, Of<DataMsg> auto& m) {
 }
 void fields(auto& io, Of<LeaveMsg> auto& m) { io(m.group, m.child); }
 void fields(auto& io, Of<HeartbeatMsg> auto& m) { io(m.group); }
-void fields(auto& io, Of<HeartbeatAckMsg> auto& m) { io(m.group, m.depth); }
+void fields(auto& io, Of<ParentBeatMsg> auto& m) { io(m.group, m.depth); }
 void fields(auto& io, Of<ParentLostMsg> auto& m) { io(m.group); }
 void fields(auto& io, Of<ReliableDataMsg> auto& m) {
   io(m.group, m.origin, m.payload_id, m.epoch, m.seq);

@@ -187,6 +187,7 @@ ScenarioResult reduce_scenario_repetitions(
     total.advertisement_messages += one.advertisement_messages / k;
     total.subscription_messages += one.subscription_messages / k;
     total.messages_by_kind += one.messages_by_kind;
+    total.messages_by_type += one.messages_by_type;
     total.receiving_rate += one.receiving_rate / k;
     total.subscription_success_rate += one.subscription_success_rate / k;
     total.lookup_latency_ms += one.lookup_latency_ms / k;
@@ -202,6 +203,10 @@ ScenarioResult reduce_scenario_repetitions(
     total.invariant_violations += one.invariant_violations;
     total.invariant_violations_max = std::max(
         total.invariant_violations_max, one.invariant_violations_max);
+    for (const auto& sample : one.violation_samples) {
+      if (total.violation_samples.size() == kViolationSamples) break;
+      total.violation_samples.push_back(sample);
+    }
     total.partition_majority_delivery += one.partition_majority_delivery / k;
     total.partition_minority_delivery += one.partition_minority_delivery / k;
     total.lease_handoffs += one.lease_handoffs / k;

@@ -12,10 +12,12 @@
 #pragma once
 
 #include <span>
+#include <string>
 #include <vector>
 
 #include "core/message.h"
 #include "core/middleware.h"
+#include "core/transport.h"
 #include "metrics/esm_metrics.h"
 #include "trace/counters.h"
 #include "trace/flight_recorder.h"
@@ -182,6 +184,9 @@ struct ScenarioConfig {
   core::MiddlewareConfig middleware_config() const;
 };
 
+/// How many violation descriptions a ScenarioResult keeps.
+inline constexpr std::size_t kViolationSamples = 5;
+
 /// Aggregated over all groups of one scenario run.
 struct ScenarioResult {
   ScenarioConfig config;
@@ -194,6 +199,8 @@ struct ScenarioResult {
   // sends by message kind, whose total is the run's messages sent.  The
   // averaged/grid runners sum the counts across repetitions.
   core::MessageStats messages_by_kind;
+  // The same sends by message type (core::message_type_name).
+  core::MessageTypeStats messages_by_type;
 
   // Figure 12: rates.
   double receiving_rate = 0.0;           // mean fraction reached by advert
@@ -224,6 +231,9 @@ struct ScenarioResult {
   // keep the worst repetition's count in invariant_violations_max.
   double invariant_violations = 0.0;
   double invariant_violations_max = 0.0;
+  // The first kViolationSamples descriptions behind invariant_violations,
+  // in the order they were found (repetitions in order).
+  std::vector<std::string> violation_samples;
 
   // Partition-heal sweep (recovery.replication + partition_seconds > 0;
   // all zero otherwise).  Delivery ratios are measured per partition side

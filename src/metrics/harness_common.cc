@@ -296,6 +296,7 @@ void NodeRuntime::finish(ScenarioResult& result) {
   result.subscription_messages =
       static_cast<double>(transport_.messages_sent());
   result.messages_by_kind = transport_.stats();
+  result.messages_by_type = transport_.type_stats();
   result.events_fired = engine_.events_fired();
   result.queue_high_water = engine_.queue_high_water();
   result.events_per_shard = engine_.events_per_shard();

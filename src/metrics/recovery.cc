@@ -21,6 +21,17 @@ namespace groupcast::metrics {
 
 namespace {
 
+/// Adds a check's violations to the result's count and keeps the first
+/// kViolationSamples descriptions.
+void count_violations(ScenarioResult& result,
+                      const std::vector<std::string>& violations) {
+  result.invariant_violations += static_cast<double>(violations.size());
+  for (const auto& violation : violations) {
+    if (result.violation_samples.size() == kViolationSamples) break;
+    result.violation_samples.push_back(violation);
+  }
+}
+
 void validate(const ScenarioConfig& config) {
   const RecoveryOptions& rec = config.recovery;
   detail::validate_runtime(config, rec, "recovery");
@@ -296,8 +307,7 @@ ScenarioResult run_recovery_scenario(const ScenarioConfig& config) {
       // most one leaseholder.
       const auto mid = core::check_replication_invariants(
           views, kGroup, {minority, majority});
-      result.invariant_violations +=
-          static_cast<double>(mid.violations.size());
+      count_violations(result, mid.violations);
 
       overlay::PeerId majority_leader = overlay::kNoPeer;
       for (const auto r : replica_set) {
@@ -376,8 +386,7 @@ ScenarioResult run_recovery_scenario(const ScenarioConfig& config) {
       runtime.advance(kEpoch);
       healed = core::check_replication_invariants(views, kGroup);
     }
-    result.invariant_violations +=
-        static_cast<double>(healed.violations.size());
+    count_violations(result, healed.violations);
     result.lease_handoffs =
         healed.union_records > 0
             ? static_cast<double>(healed.union_records - 1)
@@ -448,8 +457,7 @@ ScenarioResult run_recovery_scenario(const ScenarioConfig& config) {
     runtime.advance(kEpoch);
     report = check_tree();
   }
-  result.invariant_violations +=
-      static_cast<double>(report.violations.size());
+  count_violations(result, report.violations);
   result.invariant_violations_max = result.invariant_violations;
   result.avg_tree_nodes = static_cast<double>(report.tree_nodes);
 

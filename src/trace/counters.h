@@ -38,7 +38,7 @@ enum class CounterId : std::uint8_t {
   kControlRetries,      // reliable-exchange attempts after the first
   kControlGiveups,      // reliable exchanges that exhausted every attempt
   kOrphansRecovered,    // orphaned nodes that reattached to a tree
-  kHeartbeats,          // tree-edge heartbeats this node sent
+  kHeartbeats,          // tree-edge beats this node sent (either way)
   kTimersCoalesced,     // heartbeat timers saved by the shared per-node tick
   kUtilityCacheHits,    // never incremented: SSA selection has no cache;
   kUtilityCacheMisses,  // both stay because the benchmark ledger names them

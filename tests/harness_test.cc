@@ -306,7 +306,7 @@ metrics::ScenarioConfig partition_cell(std::size_t shards) {
   metrics::ScenarioConfig point;
   point.peer_count = 300;
   point.groups = 1;
-  point.seed = 9003;
+  point.seed = 9005;
   point.shards = shards;
   auto& rec = point.recovery;
   rec.enabled = true;
@@ -339,89 +339,89 @@ metrics::ScenarioConfig slow_peer_cell(std::size_t shards) {
 }
 
 constexpr std::string_view kRecoveryLines = R"(
-subscription_messages = 17496
+subscription_messages = 25803
 subscription_success_rate = 1
-avg_tree_nodes = 156
-delivery_ratio = 1
+avg_tree_nodes = 153
+delivery_ratio = 0.97647058823529409
 reattached_fraction = 1
-mean_orphan_epochs = 2.5
-epochs_to_converge = 3
-control_overhead = 117.10588235294118
+mean_orphan_epochs = 4
+epochs_to_converge = 4
+control_overhead = 151.02352941176471
 messages.advertisement = 946
-messages.ripple_search = 441
+messages.ripple_search = 443
 messages.ripple_response = 296
-messages.subscribe_join = 309
-messages.subscribe_ack = 210
-messages.payload = 734
-messages.maintenance = 14560
-events_fired = 23952
-counter.messages_sent = 17496
-counter.messages_sent.per_node = 0x6331c9c855775718
-counter.messages_received = 15618
-counter.messages_received.per_node = 0xeb48d072bd68f388
-counter.messages_forwarded = 1496
-counter.messages_forwarded.per_node = 0xe29dd0e1a9f5254b
-counter.messages_dropped = 2477
-counter.messages_dropped.per_node = 0x023b1d4fc971b046
+messages.subscribe_join = 343
+messages.subscribe_ack = 223
+messages.payload = 685
+messages.maintenance = 22867
+events_fired = 35329
+counter.messages_sent = 25803
+counter.messages_sent.per_node = 0x00e8e4ec8960dbba
+counter.messages_received = 23029
+counter.messages_received.per_node = 0x4312a6122d63d978
+counter.messages_forwarded = 1479
+counter.messages_forwarded.per_node = 0xd07f4c2aa8897c70
+counter.messages_dropped = 3338
+counter.messages_dropped.per_node = 0x54f272f972b477b9
 counter.adverts_forwarded = 927
 counter.adverts_forwarded.per_node = 0xa01ed9f1201a7fe8
 counter.subscribe_attempts = 100
 counter.subscribe_attempts.per_node = 0x61283a4815cb2225
-counter.subscribe_successes = 104
-counter.subscribe_successes.per_node = 0xdb8095ad97c3b965
-counter.ripple_searches = 34
-counter.ripple_searches.per_node = 0x2c488c14a7e4f2e7
-counter.tree_edges = 188
-counter.tree_edges.per_node = 0x1740a587f86b4085
+counter.subscribe_successes = 105
+counter.subscribe_successes.per_node = 0xc623058e5b8e7006
+counter.ripple_searches = 40
+counter.ripple_searches.per_node = 0x6aa4a53dfd35da63
+counter.tree_edges = 192
+counter.tree_edges.per_node = 0xa48bebbcae2845e7
 counter.joins = 300
 counter.joins.per_node = 0x137699999e530fe5
-counter.control_retries = 113
-counter.control_retries.per_node = 0x6ed843f494d25546
-counter.control_giveups = 2
-counter.control_giveups.per_node = 0x32fac0a4c1f00065
-counter.orphans_recovered = 8
-counter.orphans_recovered.per_node = 0xa4e10b40e2572905
-counter.heartbeats = 7281
-counter.heartbeats.per_node = 0xb114fba87779d006
+counter.control_retries = 129
+counter.control_retries.per_node = 0x73b4a520e75fa204
+counter.control_giveups = 5
+counter.control_giveups.per_node = 0x10b5862d697a88e6
+counter.orphans_recovered = 9
+counter.orphans_recovered.per_node = 0x5122a4f349cda664
+counter.heartbeats = 22093
+counter.heartbeats.per_node = 0x0f9191665cb8d49b
 counter.nacks_sent = 92
-counter.nacks_sent.per_node = 0xd3853deba9d373a1
-counter.retransmits = 113
-counter.retransmits.per_node = 0xda328a5368a32492
-counter.dups_suppressed = 14
-counter.dups_suppressed.per_node = 0x0eb3345f2fbd1185
-counter.send_buffer_high_water = 576
-counter.send_buffer_high_water.per_node = 0x15712f381cd61cd1
-histogram.edge_delay_us.count = 15681
-histogram.edge_delay_us.sum = 482883992
+counter.nacks_sent.per_node = 0x21e917426a18a061
+counter.retransmits = 85
+counter.retransmits.per_node = 0xc758e02801c50bea
+counter.dups_suppressed = 3
+counter.dups_suppressed.per_node = 0x1b400abd5ca07d64
+counter.send_buffer_high_water = 567
+counter.send_buffer_high_water.per_node = 0xf00ba2615a9f007e
+histogram.edge_delay_us.count = 23182
+histogram.edge_delay_us.sum = 685010579
 histogram.edge_delay_us.min = 459
 histogram.edge_delay_us.max = 252631
-histogram.edge_delay_us.bins = 0x6e14d9d1ee529e53
-histogram.hop_count.count = 620
-histogram.hop_count.sum = 2736
+histogram.edge_delay_us.bins = 0x7af6f72e422a11b1
+histogram.hop_count.count = 596
+histogram.hop_count.sum = 2448
 histogram.hop_count.min = 1
 histogram.hop_count.max = 10
-histogram.hop_count.bins = 0xf79ee916adc4ee4e
-histogram.end_to_end_delay_us.count = 340
-histogram.end_to_end_delay_us.sum = 208472455
+histogram.hop_count.bins = 0xc2b1c49a32037c16
+histogram.end_to_end_delay_us.count = 332
+histogram.end_to_end_delay_us.sum = 164219420
 histogram.end_to_end_delay_us.min = 2265
-histogram.end_to_end_delay_us.max = 2400650
-histogram.end_to_end_delay_us.bins = 0xce50e2c821c240eb
-histogram.nack_repair_us.count = 66
-histogram.nack_repair_us.sum = 10236393
+histogram.end_to_end_delay_us.max = 2056927
+histogram.end_to_end_delay_us.bins = 0x9ccbb42ffc131887
+histogram.nack_repair_us.count = 64
+histogram.nack_repair_us.sum = 11053022
 histogram.nack_repair_us.min = 1300
-histogram.nack_repair_us.max = 678159
-histogram.nack_repair_us.bins = 0xf11577446c907ef7
+histogram.nack_repair_us.max = 1004817
+histogram.nack_repair_us.bins = 0x766d336715a418f3
 )";
 constexpr std::string_view kRecoveryOneShardGauges = R"(
-queue_high_water = 377
-events_per_shard[0] = 23952
-shard_epochs = 7
+queue_high_water = 366
+events_per_shard[0] = 35329
+shard_epochs = 10
 )";
 constexpr std::string_view kRecoveryTwoShardGauges = R"(
-queue_high_water = 234
-events_per_shard[0] = 14141
-events_per_shard[1] = 9811
-shard_epochs = 607
+queue_high_water = 221
+events_per_shard[0] = 20356
+events_per_shard[1] = 14973
+shard_epochs = 899
 lookahead_us = 37752
 )";
 
@@ -434,103 +434,103 @@ TEST(HarnessGolden, RecoveryCellTwoShards) {
 }
 
 constexpr std::string_view kStreamingLines = R"(
-subscription_messages = 48592
+subscription_messages = 44464
 subscription_success_rate = 1
-chunk_miss_ratio = 0.037748344370860928
-startup_delay_ms = 297.50366250000002
-rebuffer_events = 0.33750000000000002
-chunks_played_per_viewer = 54.487499999999997
-flash_attach_fraction = 1
+chunk_miss_ratio = 0.052759381898454749
+startup_delay_ms = 283.96951250000012
+rebuffer_events = 0.3125
+chunks_played_per_viewer = 53.637500000000003
+flash_attach_fraction = 0.90000000000000002
 messages.advertisement = 2853
-messages.ripple_search = 434
-messages.ripple_response = 332
-messages.subscribe_join = 651
-messages.subscribe_ack = 482
-messages.payload = 9336
-messages.maintenance = 34504
-events_fired = 57772
-counter.messages_sent = 48592
-counter.messages_sent.per_node = 0x9a8b2b7560da6563
-counter.messages_received = 46144
-counter.messages_received.per_node = 0xd5e035423a4c574b
-counter.messages_forwarded = 11300
-counter.messages_forwarded.per_node = 0x1c0c385ec89c12ba
-counter.messages_dropped = 4651
-counter.messages_dropped.per_node = 0xa309a2e03f70a48e
+messages.ripple_search = 537
+messages.ripple_response = 417
+messages.subscribe_join = 675
+messages.subscribe_ack = 467
+messages.payload = 8955
+messages.maintenance = 30560
+events_fired = 53797
+counter.messages_sent = 44464
+counter.messages_sent.per_node = 0xfa31fbe34e7637de
+counter.messages_received = 42186
+counter.messages_received.per_node = 0xb5a49121d11fa724
+counter.messages_forwarded = 11145
+counter.messages_forwarded.per_node = 0x3fa479ccb00bed1a
+counter.messages_dropped = 4253
+counter.messages_dropped.per_node = 0x61a7f6b1f6a97c78
 counter.adverts_forwarded = 2847
 counter.adverts_forwarded.per_node = 0x5bc6b3935c746d4a
 counter.subscribe_attempts = 222
 counter.subscribe_attempts.per_node = 0x73f47e28fab47b87
-counter.subscribe_successes = 222
-counter.subscribe_successes.per_node = 0x73f47e28fab47b87
-counter.ripple_searches = 46
-counter.ripple_searches.per_node = 0xeffb1519533ec885
-counter.tree_edges = 444
-counter.tree_edges.per_node = 0xc7e3a4897b4774a7
+counter.subscribe_successes = 220
+counter.subscribe_successes.per_node = 0xeb176a519488e1a7
+counter.ripple_searches = 54
+counter.ripple_searches.per_node = 0x841253d0bea9fae5
+counter.tree_edges = 432
+counter.tree_edges.per_node = 0x7a51479d22cbe547
 counter.joins = 300
 counter.joins.per_node = 0x137699999e530fe5
-counter.control_retries = 190
-counter.control_retries.per_node = 0xb2eed187fade7683
-counter.control_giveups = 7
-counter.control_giveups.per_node = 0x92e30d9d02bff524
-counter.heartbeats = 15168
-counter.heartbeats.per_node = 0xe978267aa336df95
-counter.timers_coalesced = 7887
-counter.timers_coalesced.per_node = 0x5083ad0d332fa666
-counter.nacks_sent = 556
-counter.nacks_sent.per_node = 0xa9ebb722ab840db9
-counter.retransmits = 763
-counter.retransmits.per_node = 0x4c62b9479f066198
-counter.dups_suppressed = 124
-counter.dups_suppressed.per_node = 0xf7c5489b8707563f
-counter.send_buffer_high_water = 3798
-counter.send_buffer_high_water.per_node = 0xd7f84a0c3893a72d
+counter.control_retries = 210
+counter.control_retries.per_node = 0x9b46fc77571205a1
+counter.control_giveups = 13
+counter.control_giveups.per_node = 0x812f95f720a2b1a4
+counter.heartbeats = 26706
+counter.heartbeats.per_node = 0xd57c5e744b41106c
+counter.timers_coalesced = 7724
+counter.timers_coalesced.per_node = 0x660373050c0a981b
+counter.nacks_sent = 501
+counter.nacks_sent.per_node = 0xb8fd98cb90be3198
+counter.retransmits = 537
+counter.retransmits.per_node = 0x41c1b8c25c43af06
+counter.dups_suppressed = 94
+counter.dups_suppressed.per_node = 0x1b47aea73ef4b14f
+counter.send_buffer_high_water = 3991
+counter.send_buffer_high_water.per_node = 0xd1703b41c5b86c2c
 counter.chunks_published = 60
 counter.chunks_published.per_node = 0x5dc12bb7ff8a8c31
-counter.chunks_delivered = 4489
-counter.chunks_delivered.per_node = 0xa1ea35750e7ed86e
-counter.chunks_late = 158
-counter.chunks_late.per_node = 0x69282797282e4b0b
-counter.chunks_missed = 171
-counter.chunks_missed.per_node = 0xdfc146f2b6d0f8cc
-counter.rebuffer_events = 27
-counter.rebuffer_events.per_node = 0x04740577787f2526
-histogram.edge_delay_us.count = 46180
-histogram.edge_delay_us.sum = 2223165067
+counter.chunks_delivered = 4403
+counter.chunks_delivered.per_node = 0xc078cd2e27c297fa
+counter.chunks_late = 134
+counter.chunks_late.per_node = 0x9829402cf2072725
+counter.chunks_missed = 239
+counter.chunks_missed.per_node = 0xa4ab37acef87a5d0
+counter.rebuffer_events = 25
+counter.rebuffer_events.per_node = 0xb6d9eb7b99c502e6
+histogram.edge_delay_us.count = 42242
+histogram.edge_delay_us.sum = 2051453067
 histogram.edge_delay_us.min = 481
-histogram.edge_delay_us.max = 1995652
-histogram.edge_delay_us.bins = 0xf3bee2c66c625234
-histogram.hop_count.count = 8573
-histogram.hop_count.sum = 46214
+histogram.edge_delay_us.max = 2753136
+histogram.edge_delay_us.bins = 0x8bc96b70dcaa32bf
+histogram.hop_count.count = 8347
+histogram.hop_count.sum = 45043
 histogram.hop_count.min = 1
 histogram.hop_count.max = 10
-histogram.hop_count.bins = 0xdda85a76253dc22f
-histogram.nack_repair_us.count = 432
-histogram.nack_repair_us.sum = 60840060
-histogram.nack_repair_us.min = 2390
-histogram.nack_repair_us.max = 1913350
-histogram.nack_repair_us.bins = 0x66bd6846e2102e7f
-histogram.chunk_slack_us.count = 4489
-histogram.chunk_slack_us.sum = 6750020664
-histogram.chunk_slack_us.min = 6322
+histogram.hop_count.bins = 0x8b0b5a502151852c
+histogram.nack_repair_us.count = 369
+histogram.nack_repair_us.sum = 57189236
+histogram.nack_repair_us.min = 2322
+histogram.nack_repair_us.max = 2287211
+histogram.nack_repair_us.bins = 0xb18724678f41a238
+histogram.chunk_slack_us.count = 4403
+histogram.chunk_slack_us.sum = 6899891843
+histogram.chunk_slack_us.min = 6441
 histogram.chunk_slack_us.max = 1964322
-histogram.chunk_slack_us.bins = 0xd4d86832899b7da2
+histogram.chunk_slack_us.bins = 0xe3dfb6b33ab6ed10
 histogram.startup_delay_us.count = 80
-histogram.startup_delay_us.sum = 23800293
-histogram.startup_delay_us.min = 87089
-histogram.startup_delay_us.max = 1017231
-histogram.startup_delay_us.bins = 0x913207694de857cb
+histogram.startup_delay_us.sum = 22717561
+histogram.startup_delay_us.min = 121393
+histogram.startup_delay_us.max = 1188432
+histogram.startup_delay_us.bins = 0xb3405ef9eb7f18ab
 )";
 constexpr std::string_view kStreamingOneShardGauges = R"(
-queue_high_water = 1245
-events_per_shard[0] = 57772
+queue_high_water = 1128
+events_per_shard[0] = 53797
 shard_epochs = 5
 )";
 constexpr std::string_view kStreamingTwoShardGauges = R"(
-queue_high_water = 710
-events_per_shard[0] = 28263
-events_per_shard[1] = 29509
-shard_epochs = 679
+queue_high_water = 639
+events_per_shard[0] = 26107
+events_per_shard[1] = 27690
+shard_epochs = 672
 lookahead_us = 29758
 )";
 
@@ -551,89 +551,89 @@ constexpr std::initializer_list<trace::CounterId> kFlowCounters = {
     trace::CounterId::kNacksSent, trace::CounterId::kRetransmits};
 
 constexpr std::string_view kPartitionLines = R"(
-subscription_messages = 16615
+subscription_messages = 19913
 subscription_success_rate = 1
-avg_tree_nodes = 71
-delivery_ratio = 1
+avg_tree_nodes = 77
+delivery_ratio = 0.88888888888888884
 reattached_fraction = 1
-control_overhead = 44.148148148148145
+control_overhead = 50.962962962962962
 partition_majority_delivery = 1
 partition_minority_delivery = 1
 lease_handoffs = 1
 messages.advertisement = 962
-messages.ripple_search = 967
-messages.ripple_response = 693
-messages.subscribe_join = 208
-messages.subscribe_ack = 116
-messages.payload = 548
-messages.maintenance = 13121
-events_fired = 23715
-counter.messages_sent = 16615
-counter.messages_sent.per_node = 0xb259d34a967cbf66
-counter.messages_received = 16264
-counter.messages_received.per_node = 0x9e8771ba74b33e7e
+messages.ripple_search = 1272
+messages.ripple_response = 1097
+messages.subscribe_join = 210
+messages.subscribe_ack = 112
+messages.payload = 572
+messages.maintenance = 15688
+events_fired = 28271
+counter.messages_sent = 19913
+counter.messages_sent.per_node = 0x4bb8ea729401d4d8
+counter.messages_received = 19408
+counter.messages_received.per_node = 0x22d0f1fea650e302
 counter.messages_forwarded = 1459
-counter.messages_forwarded.per_node = 0x8cfb6f448dcdec74
-counter.messages_dropped = 1037
-counter.messages_dropped.per_node = 0xc860b228a6a20e92
+counter.messages_forwarded.per_node = 0xa41bccfd7829f990
+counter.messages_dropped = 1199
+counter.messages_dropped.per_node = 0xbbff0fdb886fe994
 counter.adverts_forwarded = 955
-counter.adverts_forwarded.per_node = 0x79f52d67c98c35f4
+counter.adverts_forwarded.per_node = 0x43f6368431ce2300
 counter.subscribe_attempts = 30
-counter.subscribe_attempts.per_node = 0xa3b4069277c7bb05
-counter.subscribe_successes = 33
-counter.subscribe_successes.per_node = 0x24961e0cc6d048e4
-counter.ripple_searches = 47
-counter.ripple_searches.per_node = 0x972e0b5ede745946
+counter.subscribe_attempts.per_node = 0x432d3cf66b488445
+counter.subscribe_successes = 37
+counter.subscribe_successes.per_node = 0xb025b9c27dc3d6a4
+counter.ripple_searches = 64
+counter.ripple_searches.per_node = 0x6b4e8548b3ce9163
 counter.tree_edges = 112
-counter.tree_edges.per_node = 0xae3ec3aa92506d45
+counter.tree_edges.per_node = 0xcca1a164c3b7bc65
 counter.joins = 300
 counter.joins.per_node = 0x137699999e530fe5
-counter.control_retries = 83
-counter.control_retries.per_node = 0x312010c8af13e534
-counter.control_giveups = 35
-counter.control_giveups.per_node = 0x9b25656b961b292c
-counter.orphans_recovered = 16
-counter.orphans_recovered.per_node = 0x2e9d7c8096d16ae5
-counter.heartbeats = 6271
-counter.heartbeats.per_node = 0x0ed1e417f839d6fe
-counter.lease_renewals = 101
-counter.lease_renewals.per_node = 0xec279953c62e5630
+counter.control_retries = 100
+counter.control_retries.per_node = 0x8e0d3adc77c8d255
+counter.control_giveups = 42
+counter.control_giveups.per_node = 0xe9a2bf07ba21246f
+counter.orphans_recovered = 23
+counter.orphans_recovered.per_node = 0xc60ad229c836f644
+counter.heartbeats = 14987
+counter.heartbeats.per_node = 0x7b2b25c17f63d092
+counter.lease_renewals = 108
+counter.lease_renewals.per_node = 0xd820c8a23756d669
 counter.lease_handoffs = 1
 counter.lease_handoffs.per_node = 0x969b1c1622ac5464
-counter.backup_attaches = 3
-counter.backup_attaches.per_node = 0xe2136370125c99a4
-histogram.edge_delay_us.count = 16282
-histogram.edge_delay_us.sum = 624971068
-histogram.edge_delay_us.min = 480
-histogram.edge_delay_us.max = 208737
-histogram.edge_delay_us.bins = 0x76aa1e456177e8b9
-histogram.hop_count.count = 548
-histogram.hop_count.sum = 2164
+counter.backup_attaches = 2
+counter.backup_attaches.per_node = 0xe4b2d2f91314cb05
+histogram.edge_delay_us.count = 19457
+histogram.edge_delay_us.sum = 1024508139
+histogram.edge_delay_us.min = 507
+histogram.edge_delay_us.max = 252210
+histogram.edge_delay_us.bins = 0xc5a082fa908a1197
+histogram.hop_count.count = 572
+histogram.hop_count.sum = 3468
 histogram.hop_count.min = 1
-histogram.hop_count.max = 8
-histogram.hop_count.bins = 0x116f1a43aa9a5e9e
-histogram.end_to_end_delay_us.count = 108
-histogram.end_to_end_delay_us.sum = 24012104
-histogram.end_to_end_delay_us.min = 9814
-histogram.end_to_end_delay_us.max = 353077
-histogram.end_to_end_delay_us.bins = 0x40ac453727af68e1
+histogram.hop_count.max = 16
+histogram.hop_count.bins = 0xd06d59247a64a4a1
+histogram.end_to_end_delay_us.count = 96
+histogram.end_to_end_delay_us.sum = 44603896
+histogram.end_to_end_delay_us.min = 5566
+histogram.end_to_end_delay_us.max = 770777
+histogram.end_to_end_delay_us.bins = 0x8ce3fcf9c1f705e5
 histogram.handoff_us.count = 1
-histogram.handoff_us.sum = 118262
-histogram.handoff_us.min = 118262
-histogram.handoff_us.max = 118262
-histogram.handoff_us.bins = 0xbbc6f293d21fcb44
+histogram.handoff_us.sum = 423342
+histogram.handoff_us.min = 423342
+histogram.handoff_us.max = 423342
+histogram.handoff_us.bins = 0xfb29518df7abcb84
 )";
 constexpr std::string_view kPartitionOneShardGauges = R"(
-queue_high_water = 224
-events_per_shard[0] = 23715
-shard_epochs = 8
+queue_high_water = 319
+events_per_shard[0] = 28271
+shard_epochs = 9
 )";
 constexpr std::string_view kPartitionTwoShardGauges = R"(
-queue_high_water = 115
-events_per_shard[0] = 7936
-events_per_shard[1] = 15779
-shard_epochs = 1450
-lookahead_us = 33385
+queue_high_water = 193
+events_per_shard[0] = 16699
+events_per_shard[1] = 11572
+shard_epochs = 1380
+lookahead_us = 36285
 )";
 
 TEST(HarnessGolden, PartitionCellOneShard) {
@@ -647,105 +647,103 @@ TEST(HarnessGolden, PartitionCellTwoShards) {
 }
 
 constexpr std::string_view kSlowPeerLines = R"(
-subscription_messages = 13101
-subscription_success_rate = 1
+subscription_messages = 8579
+subscription_success_rate = 0.96666666666666667
 avg_tree_nodes = 74
-delivery_ratio = 0.92708333333333337
+delivery_ratio = 0.88146551724137934
 reattached_fraction = 1
-control_overhead = 41.166666666666664
+control_overhead = 40.344827586206897
 messages.advertisement = 966
-messages.ripple_search = 1310
-messages.ripple_response = 912
-messages.subscribe_join = 230
-messages.subscribe_ack = 116
-messages.payload = 2637
-messages.maintenance = 6930
-events_fired = 15860
-counter.messages_sent = 13101
-counter.messages_sent.per_node = 0xf62d56202866e812
-counter.messages_received = 11705
-counter.messages_received.per_node = 0x9a1ed855732b4e8b
-counter.messages_forwarded = 3036
-counter.messages_forwarded.per_node = 0xad76ea336dd92b43
-counter.messages_dropped = 2085
-counter.messages_dropped.per_node = 0xe9ed0f26ff841f56
+messages.ripple_search = 235
+messages.ripple_response = 150
+messages.subscribe_join = 144
+messages.subscribe_ack = 95
+messages.payload = 2413
+messages.maintenance = 4576
+events_fired = 10756
+counter.messages_sent = 8579
+counter.messages_sent.per_node = 0x8c9895a8afe8039e
+counter.messages_received = 7664
+counter.messages_received.per_node = 0xb6c45be9c459cf3e
+counter.messages_forwarded = 3063
+counter.messages_forwarded.per_node = 0xc3bfe0d3c265317c
+counter.messages_dropped = 1541
+counter.messages_dropped.per_node = 0xb0cf299fbd87045e
 counter.adverts_forwarded = 963
 counter.adverts_forwarded.per_node = 0x31b91a08102f71f8
-counter.subscribe_attempts = 31
-counter.subscribe_attempts.per_node = 0x768d88a1fe12c506
-counter.subscribe_successes = 28
-counter.subscribe_successes.per_node = 0xeb771f5cf1db0f87
-counter.ripple_searches = 60
-counter.ripple_searches.per_node = 0xcbd06bcde3dd8485
-counter.tree_edges = 88
-counter.tree_edges.per_node = 0xbcbff8d126541805
+counter.subscribe_attempts = 30
+counter.subscribe_attempts.per_node = 0x0be01607c7c83b25
+counter.subscribe_successes = 29
+counter.subscribe_successes.per_node = 0x9cef79ffc9776024
+counter.ripple_searches = 20
+counter.ripple_searches.per_node = 0x437e22f197ab2fe5
+counter.tree_edges = 75
+counter.tree_edges.per_node = 0xab5ead9cdf4ae604
 counter.joins = 300
 counter.joins.per_node = 0x137699999e530fe5
-counter.control_retries = 95
-counter.control_retries.per_node = 0xf157a2c1e3bcfdc4
-counter.control_giveups = 25
-counter.control_giveups.per_node = 0x3be5b70a2d035986
-counter.orphans_recovered = 3
-counter.orphans_recovered.per_node = 0xde15650e52370d24
-counter.heartbeats = 2976
-counter.heartbeats.per_node = 0x066d7e99c05b7bc3
-counter.nacks_sent = 325
-counter.nacks_sent.per_node = 0xbf434d290a4e5420
-counter.retransmits = 418
-counter.retransmits.per_node = 0xe2fdacb1f23f6f69
-counter.dups_suppressed = 79
-counter.dups_suppressed.per_node = 0x5f1a6d0f70b3d50e
-counter.send_buffer_high_water = 589
-counter.send_buffer_high_water.per_node = 0xb9a3d609a89ecc04
-counter.flow_blocked = 697
-counter.flow_blocked.per_node = 0xea48f939e53042d2
-counter.flow_throttles = 69
-counter.flow_throttles.per_node = 0x5cedb4a5bd37b822
-histogram.edge_delay_us.count = 11751
-histogram.edge_delay_us.sum = 594667328
+counter.control_retries = 61
+counter.control_retries.per_node = 0x8ef48527fcc45be6
+counter.control_giveups = 3
+counter.control_giveups.per_node = 0xcf16a493cfb38804
+counter.heartbeats = 3516
+counter.heartbeats.per_node = 0x218fbf073bc9c0b7
+counter.nacks_sent = 252
+counter.nacks_sent.per_node = 0xb1295c238f42ee65
+counter.retransmits = 260
+counter.retransmits.per_node = 0x1877366202e7de3d
+counter.dups_suppressed = 50
+counter.dups_suppressed.per_node = 0x5ce30f779a2412e5
+counter.send_buffer_high_water = 584
+counter.send_buffer_high_water.per_node = 0x2dd08bd48428ed6d
+counter.flow_blocked = 678
+counter.flow_blocked.per_node = 0xcae435b6f847e303
+counter.flow_throttles = 66
+counter.flow_throttles.per_node = 0x95f3115c666ae747
+histogram.edge_delay_us.count = 7691
+histogram.edge_delay_us.sum = 364087245
 histogram.edge_delay_us.min = 465
 histogram.edge_delay_us.max = 264800
-histogram.edge_delay_us.bins = 0x377261ae01d08e74
-histogram.hop_count.count = 2170
-histogram.hop_count.sum = 8410
+histogram.edge_delay_us.bins = 0xaa09fdd237a2816a
+histogram.hop_count.count = 2118
+histogram.hop_count.sum = 9463
 histogram.hop_count.min = 1
 histogram.hop_count.max = 9
-histogram.hop_count.bins = 0xb400e00af0d50c5e
-histogram.end_to_end_delay_us.count = 890
-histogram.end_to_end_delay_us.sum = 1763679769
-histogram.end_to_end_delay_us.min = 154735
-histogram.end_to_end_delay_us.max = 3938498
-histogram.end_to_end_delay_us.bins = 0x6263f4aa254de691
-histogram.nack_repair_us.count = 200
-histogram.nack_repair_us.sum = 24780700
+histogram.hop_count.bins = 0x24fb163a73e4c468
+histogram.end_to_end_delay_us.count = 818
+histogram.end_to_end_delay_us.sum = 1500450100
+histogram.end_to_end_delay_us.min = 16032
+histogram.end_to_end_delay_us.max = 3999685
+histogram.end_to_end_delay_us.bins = 0xd5d2dc5e0e4df7e2
+histogram.nack_repair_us.count = 158
+histogram.nack_repair_us.sum = 18231720
 histogram.nack_repair_us.min = 930
-histogram.nack_repair_us.max = 947445
-histogram.nack_repair_us.bins = 0xb69a703db2eb89a1
-histogram.window_occupancy.count = 2219
-histogram.window_occupancy.sum = 9885
+histogram.nack_repair_us.max = 1049278
+histogram.nack_repair_us.bins = 0x3652cda99f4f41b5
+histogram.window_occupancy.count = 2153
+histogram.window_occupancy.sum = 9569
 histogram.window_occupancy.min = 1
 histogram.window_occupancy.max = 8
-histogram.window_occupancy.bins = 0x00cb406b47522bcb
-histogram.estimated_loss.count = 3223
-histogram.estimated_loss.sum = 565147
-histogram.estimated_loss.max = 808
-histogram.estimated_loss.bins = 0x9059038539543d51
-histogram.throttle_us.count = 66
-histogram.throttle_us.sum = 20946395
-histogram.throttle_us.min = 1475
-histogram.throttle_us.max = 2607688
-histogram.throttle_us.bins = 0x711cf2725c4694cf
+histogram.window_occupancy.bins = 0xcc7893c7f0f01f83
+histogram.estimated_loss.count = 2328
+histogram.estimated_loss.sum = 249735
+histogram.estimated_loss.max = 768
+histogram.estimated_loss.bins = 0xd54213e999ca93a0
+histogram.throttle_us.count = 62
+histogram.throttle_us.sum = 22365034
+histogram.throttle_us.min = 2214
+histogram.throttle_us.max = 3334593
+histogram.throttle_us.bins = 0x51955854dd0a51a3
 )";
 constexpr std::string_view kSlowPeerOneShardGauges = R"(
-queue_high_water = 258
-events_per_shard[0] = 15860
-shard_epochs = 7
+queue_high_water = 251
+events_per_shard[0] = 10756
+shard_epochs = 5
 )";
 constexpr std::string_view kSlowPeerTwoShardGauges = R"(
-queue_high_water = 175
-events_per_shard[0] = 5826
-events_per_shard[1] = 10034
-shard_epochs = 686
+queue_high_water = 160
+events_per_shard[0] = 4066
+events_per_shard[1] = 6690
+shard_epochs = 467
 lookahead_us = 30766
 )";
 

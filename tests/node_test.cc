@@ -522,6 +522,118 @@ TEST(Node, ReattachRefreshesRetainedChildDepth) {
   EXPECT_EQ(d.nodes[30]->tree_depth(3), d.nodes[10]->tree_depth(3) + 1);
 }
 
+/// Sends of message type T so far, summed over the transport's shards.
+template <typename T>
+std::size_t sent_of(const Transport& transport) {
+  return transport.type_stats().of(MessageBody{T{}}.index());
+}
+
+/// Advances the wheel by `span` (heartbeat ticks keep it from draining).
+void run_for(sim::Simulator& simulator, sim::SimTime span) {
+  simulator.run_until(simulator.now() + span);
+}
+
+/// 0.5 s beats under the node's default two-miss rule.
+NodeOptions with_heartbeats() {
+  NodeOptions options;
+  options.heartbeat_interval = sim::SimTime::millis(500);
+  return options;
+}
+
+TEST(Node, OneWayBeatsIgnoreRoundTrip) {
+  // Two stub routers 800 ms apart: a peer on each side sees the other at
+  // a round trip of 1.6 s, past the 1 s two-miss deadline (2 x 0.5 s).
+  // Beats measure the gaps between arrivals, which stay 0.5 s.
+  const auto underlay = testing::line_topology(3, 800.0);
+  const net::IpRouting routing(underlay);
+  util::Rng rng(5);
+  overlay::PopulationConfig config;
+  config.peer_count = 8;
+  config.gnp.landmarks = 2;
+  const overlay::PeerPopulation population(routing, config, rng);
+  PeerId root = 0;
+  PeerId far = overlay::kNoPeer;
+  for (PeerId p = 1; p < config.peer_count && far == overlay::kNoPeer; ++p) {
+    if (population.latency_ms(root, p) > 700.0) far = p;
+  }
+  ASSERT_NE(far, overlay::kNoPeer);
+  const overlay::OverlayGraph graph(config.peer_count);  // no adverts
+  sim::Simulator simulator;
+  Transport transport(simulator, population, TransportOptions{}, rng);
+  GroupCastNode parent(root, transport, graph, with_heartbeats(), rng);
+  GroupCastNode child(far, transport, graph, with_heartbeats(), rng);
+  parent.start();
+  child.start();
+  parent.create_group(6);
+  transport.send(far, root, JoinMsg{6, far});
+  run_for(simulator, sim::SimTime::seconds(3));
+  ASSERT_TRUE(child.on_tree(6));
+  ASSERT_EQ(child.tree_parent(6), root);
+  // Twenty seconds of beats: no false suspicion, no prune.
+  run_for(simulator, sim::SimTime::seconds(20));
+  EXPECT_TRUE(child.on_tree(6));
+  EXPECT_EQ(child.tree_parent(6), root);
+  EXPECT_EQ(parent.tree_children(6), std::vector<PeerId>{far});
+  EXPECT_EQ(sent_of<ParentLostMsg>(transport), 0u);
+}
+
+TEST(Node, EdgeTrafficStandsInForBeats) {
+  NodeDeployment d(48, 59, 0.0, with_heartbeats());
+  d.nodes[0]->create_group(8);
+  run_for(d.simulator, sim::SimTime::seconds(2));
+  const std::vector<PeerId> viewers{20, 30, 40};
+  for (const auto v : viewers) d.nodes[v]->subscribe(8);
+  // Past every re-attach's news window, so only the steady beats remain.
+  run_for(d.simulator, sim::SimTime::seconds(4));
+  for (const auto v : viewers) ASSERT_TRUE(d.nodes[v]->is_subscribed(8));
+
+  // A chunk every 100 ms floods every tree edge root-down: no parent
+  // beat goes, while the children (sending nothing up) keep beating.
+  const auto parent_beats = sent_of<ParentBeatMsg>(d.transport);
+  const auto child_beats = sent_of<HeartbeatMsg>(d.transport);
+  EXPECT_GT(parent_beats, 0u);
+  for (std::uint32_t chunk = 0; chunk < 50; ++chunk) {
+    d.nodes[0]->publish_chunk(8, 0, chunk,
+                              d.simulator.now() + sim::SimTime::seconds(9),
+                              1000);
+    run_for(d.simulator, sim::SimTime::millis(100));
+  }
+  EXPECT_EQ(sent_of<ParentBeatMsg>(d.transport), parent_beats);
+  EXPECT_GT(sent_of<HeartbeatMsg>(d.transport), child_beats);
+
+  // The stream ends: the parents' beats resume, and nobody was suspected.
+  run_for(d.simulator, sim::SimTime::seconds(2));
+  EXPECT_GT(sent_of<ParentBeatMsg>(d.transport), parent_beats);
+  for (const auto v : viewers) EXPECT_TRUE(d.nodes[v]->is_subscribed(8));
+  EXPECT_EQ(sent_of<ParentLostMsg>(d.transport), 0u);
+}
+
+TEST(Node, DataAckFromNonChildGetsParentLost) {
+  NodeDeployment d(48, 29);
+  d.nodes[0]->create_group(3);
+  d.simulator.run();
+  d.nodes[10]->subscribe(3);
+  d.simulator.run();
+  ASSERT_TRUE(d.nodes[10]->on_tree(3));
+  const auto parent = d.nodes[10]->tree_parent(3);
+  // The parent forgets the child (its Leave reached it) while the child
+  // still takes it for its parent: the edge is one-sided.
+  d.transport.send(10, parent, LeaveMsg{3, 10});
+  d.simulator.run();
+  ASSERT_EQ(d.nodes[10]->tree_parent(3), parent);
+  const auto children = d.nodes[parent]->tree_children(3);
+  ASSERT_EQ(std::count(children.begin(), children.end(), PeerId{10}), 0);
+  // Any tree-edge message from the child, not only a heartbeat, gets a
+  // ParentLost back, and the child re-attaches: both ends agree again.
+  d.transport.send(10, parent, DataAckMsg{3, 1, 0});
+  d.simulator.run();
+  EXPECT_EQ(sent_of<ParentLostMsg>(d.transport), 1u);
+  ASSERT_TRUE(d.nodes[10]->on_tree(3));
+  const auto now_parent = d.nodes[10]->tree_parent(3);
+  const auto adopted = d.nodes[now_parent]->tree_children(3);
+  EXPECT_EQ(std::count(adopted.begin(), adopted.end(), PeerId{10}), 1);
+}
+
 TEST(Node, PublishRequiresMembership) {
   NodeDeployment d(48, 67);
   EXPECT_THROW(d.nodes[1]->publish(99, 1), PreconditionError);

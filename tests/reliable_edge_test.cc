@@ -74,6 +74,7 @@ class EdgeRig final : public ReliableEdge::Host {
   PeerId upstream(const ReliableEdge::Links&) const override {
     return kParent;
   }
+  void sent(ReliableEdge::Links&, PeerId) override {}
 
  private:
   testing::SmallWorld world_;
@@ -162,6 +163,52 @@ TEST(ReliableEdgeSeam, SilentReceiverLosesItsTailAfterTheProbeCap) {
     EXPECT_EQ(syncs[i].next_seq, 1u);
   }
   EXPECT_EQ(ReliableEdge::buffer_depth(rig.group(), kChild), 0u);
+}
+
+TEST(ReliableEdgeSeam, ProbeQuietWhileAcksAdvance) {
+  EdgeRig rig(reliable());
+  for (std::uint64_t id = 1; id <= 10; ++id) {
+    BufferedPayload payload;
+    payload.origin = kSelf;
+    payload.payload_id = id;
+    payload.hops = 1;
+    rig.edge().send(kGroup, rig.group(), kChild, payload);
+  }
+  // The receiver acks the first eight (its ack_every cadence), leaving a
+  // tail of two that it has not acked yet.
+  rig.edge().handle(rig.group(), kChild, DataAckMsg{kGroup, 1, 8});
+  const auto announced = [&rig](sim::SimTime span) {
+    std::size_t probes = 0;
+    for (const auto& sync : rig.received<SeqSyncMsg>(kChild, span)) {
+      if (sync.next_seq == 10) ++probes;  // not the [0, 0) handshake
+    }
+    return probes;
+  };
+  // The first probe round saw the ack advance: it re-arms silently.
+  const auto round = sim::SimTime::micros(static_cast<std::int64_t>(
+      static_cast<double>(kProbeDelay.as_micros()) * (1.0 + kNackJitter)));
+  EXPECT_EQ(announced(round), 0u);
+  // No ack since: the tail was lost, and the next round announces it.
+  EXPECT_EQ(announced(round), 1u);
+  const auto syncs = rig.received<SeqSyncMsg>(kChild, sim::SimTime::zero());
+  EXPECT_EQ(syncs.back().base_seq, 8u);
+  EXPECT_EQ(syncs.back().next_seq, 10u);
+}
+
+TEST(ReliableEdgeSeam, FirstCopyOfANewIncarnationStandsInForItsLostSync) {
+  EdgeRig rig(reliable());
+  // Incarnation 1's handshake was lost; its first copy syncs the edge.
+  rig.arrive(0);
+  rig.arrive(1);
+  EXPECT_EQ(payload_ids(rig.delivered()),
+            (std::vector<std::uint64_t>{100, 101}));
+  EXPECT_EQ(ReliableEdge::expected_seq(rig.group(), kChild), 2u);
+  // A later copy of an unknown incarnation is still dropped: where its
+  // sequence space starts is a guess.
+  rig.edge().handle(rig.group(), kChild,
+                    ReliableDataMsg{kGroup, kChild, 300, 3, 5, 1});
+  EXPECT_EQ(rig.delivered().size(), 2u);
+  EXPECT_EQ(ReliableEdge::expected_seq(rig.group(), kChild), 2u);
 }
 
 TEST(ReliableEdgeSeam, AckReopeningTheWindowDrainsParkedPayloadsInOrder) {

@@ -22,7 +22,7 @@ std::vector<MessageBody> all_message_kinds() {
       DataMsg{7, 4004, 0xDEADBEEFCAFEF00DULL},
       LeaveMsg{7, 5005},
       HeartbeatMsg{7},
-      HeartbeatAckMsg{7, 2},
+      ParentBeatMsg{7, 2},
       ParentLostMsg{7},
       ReliableDataMsg{7, 4004, 0xDEADBEEFCAFEF00DULL, 3, 99},
       DataNackMsg{7, 3, 64, 0x8000000000000001ULL},
@@ -231,7 +231,7 @@ TEST(Wire, LittleEndianLayoutIsStable) {
       17,  // DataMsg
       9,   // LeaveMsg
       5,   // HeartbeatMsg
-      9,   // HeartbeatAckMsg
+      9,   // ParentBeatMsg
       5,   // ParentLostMsg
       29,  // ReliableDataMsg
       25,  // DataNackMsg
