@@ -170,9 +170,10 @@ ReplicationInvariantReport check_replication_invariants(
 
   std::vector<overlay::PeerId> members;
   for (overlay::PeerId p = 0; p < nodes.size(); ++p) {
-    if (!alive(nodes, p) || !nodes[p]->replication_member(group)) continue;
+    if (!alive(nodes, p) || !nodes[p]->replica_state(group).member) continue;
     members.push_back(p);
-    report.max_epoch = std::max(report.max_epoch, nodes[p]->lease_epoch(group));
+    report.max_epoch =
+        std::max(report.max_epoch, nodes[p]->replica_state(group).epoch);
   }
 
   // --- at most one leaseholder per partition side -----------------------
@@ -201,16 +202,14 @@ ReplicationInvariantReport check_replication_invariants(
   // --- healed network: one agreed (epoch, leader), identical logs -------
   if (healed && !members.empty()) {
     const auto reference = members.front();
-    const auto ref_epoch = nodes[reference]->lease_epoch(group);
-    const auto ref_leader = nodes[reference]->lease_leader(group);
-    const auto ref_log = nodes[reference]->lease_log(group);
+    const ReplState& ref = nodes[reference]->replica_state(group);
     for (const auto p : members) {
-      if (nodes[p]->lease_epoch(group) != ref_epoch ||
-          nodes[p]->lease_leader(group) != ref_leader) {
+      const ReplState& repl = nodes[p]->replica_state(group);
+      if (repl.epoch != ref.epoch || repl.leader != ref.leader) {
         violation(describe("members disagree on (epoch, leader) after heal",
                            reference, p));
       }
-      if (nodes[p]->lease_log(group) != ref_log) {
+      if (repl.log != ref.log) {
         violation(describe("lease logs diverge after heal", reference, p));
       }
     }
@@ -220,7 +219,7 @@ ReplicationInvariantReport check_replication_invariants(
   std::unordered_map<std::uint32_t, overlay::PeerId> union_log;
   std::unordered_set<std::uint32_t> conflicted;
   for (const auto p : members) {
-    for (const auto& record : nodes[p]->lease_log(group)) {
+    for (const auto& record : nodes[p]->replica_state(group).log) {
       const auto [it, inserted] = union_log.emplace(record.epoch,
                                                     record.leader);
       if (!inserted && it->second != record.leader &&

@@ -1,7 +1,6 @@
 #include "core/node.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "trace/trace.h"
 #include "util/require.h"
@@ -30,13 +29,6 @@ void erase_value(std::vector<overlay::PeerId>& v, overlay::PeerId value) {
   const auto it = std::find(v.begin(), v.end(), value);
   if (it != v.end()) v.erase(it);
 }
-
-/// Adaptive failure detection (docs/ROBUSTNESS.md, "Flow control &
-/// adaptive detection"): the per-window false-positive budget the miss
-/// threshold is derived against, and the widest window the estimator may
-/// open (bounds worst-case failure-detection latency).
-constexpr double kFalsePositiveTarget = 1e-4;
-constexpr std::size_t kMaxAdaptiveMisses = 12;
 }  // namespace
 
 GroupCastNode::GroupCastNode(overlay::PeerId self, Transport& transport,
@@ -49,12 +41,12 @@ GroupCastNode::GroupCastNode(overlay::PeerId self, Transport& transport,
       options_(non_null(std::move(options))),
       rng_(rng.split()),
       exchange_(transport.simulator_for(self), self, options_->retry, rng_),
+      // Adaptive detection paces the data plane's NACKs too; building the
+      // rule also validates the heartbeat options.
       edges_(*this, self, transport, options_->reliability,
-             options_->adaptive, rng_) {
+             liveness().adaptive(), rng_) {
   GC_REQUIRE(self < transport.population().size());
   GC_REQUIRE(options_->ripple_ttl >= 1);
-  GC_REQUIRE(options_->missed_heartbeats_to_fail >= 1);
-  GC_REQUIRE(options_->heartbeat_interval >= sim::SimTime::zero());
   if (options_->replication.enabled) {
     lease_ = std::make_unique<LeaseReplica>(
         static_cast<LeaseReplica::Host&>(*this), self, transport,
@@ -118,9 +110,11 @@ GroupCastNode::TreeState* GroupCastNode::find_tree(GroupId group) {
   return entry != nullptr ? entry->tree.get() : nullptr;
 }
 
-const GroupCastNode::TreeState* GroupCastNode::find_tree(
+const GroupCastNode::TreeState& GroupCastNode::tree_view(
     GroupId group) const {
-  return const_cast<GroupCastNode*>(this)->find_tree(group);
+  static const TreeState kNoTree;
+  const GroupRecord* entry = find(group);
+  return entry != nullptr && entry->tree ? *entry->tree : kNoTree;
 }
 
 GroupCastNode::GroupRecord& GroupCastNode::record(GroupId group) {
@@ -237,112 +231,12 @@ void GroupCastNode::publish_payload(GroupId group,
 
 // ------------------------------------------------------------ inspection
 
-bool GroupCastNode::has_advertisement(GroupId group) const {
-  const GroupRecord* entry = find(group);
-  return entry != nullptr && entry->has_advert();
-}
-
-bool GroupCastNode::is_subscribed(GroupId group) const {
-  const TreeState* tree = find_tree(group);
-  return tree != nullptr && tree->subscribed && tree->on_tree();
-}
-
-bool GroupCastNode::on_tree(GroupId group) const {
-  const TreeState* tree = find_tree(group);
-  return tree != nullptr && tree->on_tree();
-}
-
-overlay::PeerId GroupCastNode::tree_parent(GroupId group) const {
-  const TreeState* tree = find_tree(group);
-  GC_REQUIRE(tree != nullptr && tree->on_tree());
-  return tree->tree_parent;
-}
-
 std::vector<overlay::PeerId> GroupCastNode::tree_children(
     GroupId group) const {
   std::vector<overlay::PeerId> peers;
   for_each_tree_child(
       group, [&peers](overlay::PeerId child) { peers.push_back(child); });
   return peers;
-}
-
-std::uint32_t GroupCastNode::tree_depth(GroupId group) const {
-  const TreeState* tree = find_tree(group);
-  return tree != nullptr && tree->on_tree() ? tree->depth : kUnknownDepth;
-}
-
-bool GroupCastNode::exchange_pending(GroupId group) const {
-  const TreeState* tree = find_tree(group);
-  return tree != nullptr && tree->exchange != ReliableExchange::kNoToken;
-}
-
-std::size_t GroupCastNode::send_buffer_depth(GroupId group,
-                                             overlay::PeerId peer) const {
-  const TreeState* tree = find_tree(group);
-  return tree != nullptr ? ReliableEdge::buffer_depth(*tree, peer) : 0;
-}
-
-std::size_t GroupCastNode::pending_depth(GroupId group,
-                                         overlay::PeerId peer) const {
-  const TreeState* tree = find_tree(group);
-  return tree != nullptr ? ReliableEdge::pending_depth(*tree, peer) : 0;
-}
-
-std::size_t GroupCastNode::adaptive_miss_threshold(double miss_ewma,
-                                                   std::size_t floor_misses) {
-  const std::size_t cap = std::max(floor_misses, kMaxAdaptiveMisses);
-  if (miss_ewma <= 0.0) return floor_misses;
-  if (miss_ewma >= 1.0) return cap;
-  // docs/ROBUSTNESS.md false-positive math: k consecutive misses are a
-  // false positive with probability miss^k, so the smallest k with
-  // miss^k <= target keeps the spurious-recovery rate under budget.
-  const double need =
-      std::log(kFalsePositiveTarget) / std::log(miss_ewma);
-  if (need >= static_cast<double>(cap)) return cap;
-  const auto k = static_cast<std::size_t>(std::ceil(need));
-  return std::min(std::max(k, floor_misses), cap);
-}
-
-std::uint64_t GroupCastNode::expected_seq(GroupId group,
-                                          overlay::PeerId peer) const {
-  const TreeState* tree = find_tree(group);
-  return tree != nullptr ? ReliableEdge::expected_seq(*tree, peer) : 0;
-}
-
-bool GroupCastNode::replication_member(GroupId group) const {
-  const TreeState* tree = find_tree(group);
-  return tree != nullptr && tree->repl.member;
-}
-
-bool GroupCastNode::is_leaseholder(GroupId group) const {
-  const TreeState* tree = find_tree(group);
-  return tree != nullptr && tree->repl.leaseholder;
-}
-
-std::uint32_t GroupCastNode::lease_epoch(GroupId group) const {
-  const TreeState* tree = find_tree(group);
-  return tree != nullptr ? tree->repl.epoch : 0;
-}
-
-overlay::PeerId GroupCastNode::lease_leader(GroupId group) const {
-  const TreeState* tree = find_tree(group);
-  return tree != nullptr ? tree->repl.leader : overlay::kNoPeer;
-}
-
-std::vector<LeaseRecord> GroupCastNode::lease_log(GroupId group) const {
-  const TreeState* tree = find_tree(group);
-  return tree != nullptr ? tree->repl.log : std::vector<LeaseRecord>{};
-}
-
-overlay::PeerId GroupCastNode::backup_parent(GroupId group) const {
-  const TreeState* tree = find_tree(group);
-  return tree != nullptr ? tree->backup_parent : overlay::kNoPeer;
-}
-
-GroupCastNode::Footprint GroupCastNode::footprint(GroupId group) const {
-  const GroupRecord* entry = find(group);
-  if (entry == nullptr) return Footprint::kNone;
-  return entry->tree ? Footprint::kTree : Footprint::kCompact;
 }
 
 std::size_t GroupCastNode::memory_bytes() const {
@@ -384,8 +278,8 @@ void GroupCastNode::ack_children(GroupId group, TreeState& tree) {
       // The child was last heard at its join, maybe long ago: the ack
       // starts its liveness clock afresh, so it is not pruned before its
       // first beat can arrive.
-      acked->last_seen = now();
-      acked->last_sent = now();
+      acked->link.heard(now());
+      acked->link.sent(now());
     }
     // The deferred ack completes the join handshake: give the child a
     // fresh edge incarnation so its expected sequence starts in sync.
@@ -664,18 +558,12 @@ void GroupCastNode::complete_attach(GroupId group, overlay::PeerId parent,
   tree.avoid = overlay::kNoPeer;
   tree.attach_depth_limit = kUnknownDepth;
   tree.dissolved_once = false;
-  tree.parent_last_seen = now();
-  if (options_->heartbeat_interval > sim::SimTime::zero()) {
-    // The first beat goes at once: the parent last heard from us at our
-    // join, a round trip ago, and a tick's wait on top could outlast its
-    // prune deadline on a long edge.
-    transport_->send(self_, parent, HeartbeatMsg{group});
-    tree.parent_last_sent = now();
-    trace::counters().incr(self_, trace::CounterId::kHeartbeats);
-  }
-  // A new parent means a new path: the failure-detector estimate learned
-  // on the old edge no longer describes this one.
-  tree.hb_miss_ewma = 0.0;
+  const EdgeLiveness rule = liveness();
+  rule.attached(tree.liveness, now());
+  // The first beat goes at once: the parent last heard from us at our
+  // join, a round trip ago, and a tick's wait on top could outlast its
+  // prune deadline on a long edge.
+  if (rule.enabled()) send_heartbeat(group, tree);
   // Reattach re-sync, child side: whatever edge state a previous
   // incarnation of this parent link left behind is stale now.  The
   // parent's JoinAck is chased by its SeqSync (per-pair FIFO), which
@@ -740,64 +628,30 @@ void GroupCastNode::heartbeat_tick(GroupId group) {
   tree.heartbeat_scheduled = false;
   if (!running_) return;
   const auto t = now();
-  const auto interval = options_->heartbeat_interval;
-  // Beats are one-way, and any message of the group stands in for one: a
-  // neighbour this node sent something since the previous tick gets no
-  // beat.
-  const auto beat_due = [t, interval](sim::SimTime last_sent) {
-    return t - last_sent >= interval;
-  };
+  const EdgeLiveness rule = liveness();
+  using Due = EdgeLiveness::Due;
   if (tree.on_tree() && tree.tree_parent != self_) {
-    if (options_->adaptive) {
-      // One miss sample per tick: did anything arrive from the parent
-      // since the previous one?
-      ewma_update(tree.hb_miss_ewma,
-                  t - tree.parent_last_seen < interval ? 0.0 : 1.0);
-      trace::histograms().record(
-          trace::HistogramId::kEstimatedLoss,
-          static_cast<std::uint64_t>(
-              std::llround(tree.hb_miss_ewma * 1000.0)));
-    }
-    const std::size_t misses =
-        options_->adaptive
-            ? adaptive_miss_threshold(tree.hb_miss_ewma,
-                                      options_->missed_heartbeats_to_fail)
-            : options_->missed_heartbeats_to_fail;
-    const auto deadline = interval * static_cast<std::int64_t>(misses);
-    if (t - tree.parent_last_seen > deadline) {
+    const Due due = rule.parent_due(tree.liveness, t);
+    if (due == Due::kDead) {
       begin_recovery(group, tree.tree_parent);
-    } else if (beat_due(tree.parent_last_sent)) {
-      transport_->send(self_, tree.tree_parent, HeartbeatMsg{group});
-      tree.parent_last_sent = t;
-      trace::counters().incr(self_, trace::CounterId::kHeartbeats);
+    } else if (due == Due::kBeat) {
+      send_heartbeat(group, tree);
     }
   }
   if (!tree.children.empty()) {
-    // Prune children that went silent: one interval of slack beyond the
-    // parent-side deadline so a child is never pruned before it would
-    // have declared us dead.  Under adaptive detection a child may widen
-    // its own deadline up to kMaxAdaptiveMisses, so the slack must cover
-    // the widest window any child could be using.
-    const std::size_t child_misses =
-        options_->adaptive
-            ? std::max(options_->missed_heartbeats_to_fail,
-                       kMaxAdaptiveMisses)
-            : options_->missed_heartbeats_to_fail;
-    const auto child_deadline =
-        interval * static_cast<std::int64_t>(child_misses + 1);
+    // Prune the children gone silent, then beat those owed a beat.
     std::vector<overlay::PeerId> ghosts;
     for (const auto& child : tree.children) {
-      if (t - child.last_seen > child_deadline) ghosts.push_back(child.peer);
+      if (rule.child_due(tree.liveness, child.link, t) == Due::kDead) {
+        ghosts.push_back(child.peer);
+      }
     }
     for (const auto ghost : ghosts) drop_child(tree, ghost);
     // A pure relay whose last child was pruned folds back off the tree.
     if (!ghosts.empty()) maybe_fold(group, tree);
-    // Right after a position change every child gets every beat, traffic
-    // or not: the news must survive a lost beat.
-    const bool news = t < tree.news_until;
     for (auto& child : tree.children) {
-      if ((news || beat_due(child.last_sent)) &&
-          !awaits_ack(tree, child.peer)) {
+      if (rule.child_due(tree.liveness, child.link, t) == Due::kBeat &&
+          !tree.awaits_ack(child.peer)) {
         send_parent_beat(group, tree, child);
       }
     }
@@ -807,14 +661,17 @@ void GroupCastNode::heartbeat_tick(GroupId group) {
 
 void GroupCastNode::position_changed(GroupId group, TreeState& tree,
                                      bool beat_now) {
-  tree.news_until =
-      now() + options_->heartbeat_interval *
-                  static_cast<std::int64_t>(
-                      options_->missed_heartbeats_to_fail);
+  liveness().position_changed(tree.liveness, now());
   if (!beat_now) return;
   for (auto& child : tree.children) {
-    if (!awaits_ack(tree, child.peer)) send_parent_beat(group, tree, child);
+    if (!tree.awaits_ack(child.peer)) send_parent_beat(group, tree, child);
   }
+}
+
+void GroupCastNode::send_heartbeat(GroupId group, TreeState& tree) {
+  transport_->send(self_, tree.tree_parent, HeartbeatMsg{group});
+  tree.liveness.parent.sent(now());
+  trace::counters().incr(self_, trace::CounterId::kHeartbeats);
 }
 
 void GroupCastNode::send_parent_beat(GroupId group, TreeState& tree,
@@ -825,23 +682,14 @@ void GroupCastNode::send_parent_beat(GroupId group, TreeState& tree,
                    ParentBeatMsg{group,
                                  tree.on_tree() ? tree.depth : kUnknownDepth,
                                  offered_backup(tree)});
-  child.last_sent = now();
+  child.link.sent(now());
   trace::counters().incr(self_, trace::CounterId::kHeartbeats);
 }
 
-bool GroupCastNode::awaits_ack(const TreeState& tree, overlay::PeerId child) {
-  return std::find(tree.pending_acks.begin(), tree.pending_acks.end(),
-                   child) != tree.pending_acks.end();
-}
-
-bool GroupCastNode::heard_from(GroupId group, TreeState& tree,
+bool GroupCastNode::heard_from(GroupId group, EdgeStamps* edge,
                                overlay::PeerId from) {
-  if (from == tree.tree_parent) {
-    tree.parent_last_seen = now();
-    return true;
-  }
-  if (auto* child = tree.find_child(from)) {
-    child->last_seen = now();
+  if (edge != nullptr) {
+    edge->heard(now());
     return true;
   }
   // The sender treats us as a tree neighbour but we do not (it was
@@ -849,14 +697,6 @@ bool GroupCastNode::heard_from(GroupId group, TreeState& tree,
   // this tells it to re-attach; anyone else ignores it.
   transport_->send(self_, from, ParentLostMsg{group});
   return false;
-}
-
-void GroupCastNode::stamp_sent(TreeState& tree, overlay::PeerId to) {
-  if (to == tree.tree_parent) {
-    tree.parent_last_sent = now();
-  } else if (auto* child = tree.find_child(to)) {
-    child->last_sent = now();
-  }
 }
 
 void GroupCastNode::begin_recovery(GroupId group,
@@ -888,60 +728,36 @@ void GroupCastNode::begin_recovery(GroupId group,
 
 // -------------------------------------------------------------- handlers
 
-void GroupCastNode::handle(const Envelope& envelope) {
-  std::visit(
-      [this, &envelope](const auto& msg) {
-        using T = std::decay_t<decltype(msg)>;
-        if constexpr (std::is_same_v<T, AdvertiseMsg>) {
-          handle_advertise(envelope, msg);
-        } else if constexpr (std::is_same_v<T, JoinMsg>) {
-          handle_join(envelope, msg);
-        } else if constexpr (std::is_same_v<T, JoinAckMsg>) {
-          handle_join_ack(envelope, msg);
-        } else if constexpr (std::is_same_v<T, RippleQueryMsg>) {
-          handle_ripple_query(envelope, msg);
-        } else if constexpr (std::is_same_v<T, RippleHitMsg>) {
-          handle_ripple_hit(envelope, msg);
-        } else if constexpr (std::is_same_v<T, LeaveMsg>) {
-          handle_leave(envelope, msg);
-        } else if constexpr (std::is_same_v<T, HeartbeatMsg>) {
-          handle_heartbeat(envelope, msg);
-        } else if constexpr (std::is_same_v<T, ParentBeatMsg>) {
-          handle_parent_beat(envelope, msg);
-        } else if constexpr (std::is_same_v<T, ParentLostMsg>) {
-          handle_parent_lost(envelope, msg);
-        } else if constexpr (std::is_same_v<T, DataMsg> ||
-                             std::is_same_v<T, ChunkMsg> ||
-                             std::is_same_v<T, ReliableDataMsg> ||
-                             std::is_same_v<T, SeqSyncMsg>) {
-          // Group data and edge syncs are beats; they only count on the
-          // tree, and only from a tree neighbour.
-          TreeState* tree = find_tree(msg.group);
-          if (tree == nullptr) return;
-          if (heard_from(msg.group, *tree, envelope.from) && tree->on_tree()) {
-            edges_.handle(*tree, envelope.from, msg);
-          }
-        } else if constexpr (std::is_same_v<T, DataNackMsg> ||
-                             std::is_same_v<T, DataAckMsg> ||
-                             std::is_same_v<T, FlowControlMsg>) {
-          // Without a tree record there is no edge to answer for.
-          TreeState* tree = find_tree(msg.group);
-          if (tree != nullptr && heard_from(msg.group, *tree, envelope.from)) {
-            edges_.handle(*tree, envelope.from, msg);
-          }
-        } else if constexpr (std::is_same_v<T, LeaseMsg> ||
-                             std::is_same_v<T, LeaseAckMsg> ||
-                             std::is_same_v<T, ReplicateMsg> ||
-                             std::is_same_v<T, ReplicateAckMsg> ||
-                             std::is_same_v<T, HandoffMsg>) {
-          if (lease_) lease_->handle(replica(msg.group), envelope.from, msg);
-        }
-      },
-      envelope.body);
+template <typename Msg>
+void GroupCastNode::handle(const Envelope& envelope, const Msg& msg) {
+  if constexpr (std::is_same_v<Msg, LeaseMsg> ||
+                std::is_same_v<Msg, LeaseAckMsg> ||
+                std::is_same_v<Msg, ReplicateMsg> ||
+                std::is_same_v<Msg, ReplicateAckMsg> ||
+                std::is_same_v<Msg, HandoffMsg>) {
+    if (lease_) lease_->handle(replica(msg.group), envelope.from, msg);
+  } else {
+    // The rest is the data plane's, and a beat on its tree edge.  Without
+    // a tree record there is no edge to answer for; group data and edge
+    // syncs count only on the tree.
+    TreeState* tree = find_tree(msg.group);
+    if (tree == nullptr) return;
+    constexpr bool feedback = std::is_same_v<Msg, DataNackMsg> ||
+                              std::is_same_v<Msg, DataAckMsg> ||
+                              std::is_same_v<Msg, FlowControlMsg>;
+    if (heard_from(msg.group, tree->edge(envelope.from), envelope.from) &&
+        (feedback || tree->on_tree())) {
+      edges_.handle(*tree, envelope.from, msg);
+    }
+  }
 }
 
-void GroupCastNode::handle_advertise(const Envelope& envelope,
-                                     const AdvertiseMsg& msg) {
+void GroupCastNode::handle(const Envelope& envelope) {
+  std::visit([this, &envelope](const auto& msg) { handle(envelope, msg); },
+             envelope.body);
+}
+
+void GroupCastNode::handle(const Envelope& envelope, const AdvertiseMsg& msg) {
   auto& entry = record(msg.group);
   if (entry.has_advert()) {  // duplicate
     trace::counters().incr(self_, trace::CounterId::kMessagesDropped);
@@ -967,8 +783,7 @@ void GroupCastNode::handle_advertise(const Envelope& envelope,
   }
 }
 
-void GroupCastNode::handle_join(const Envelope& /*envelope*/,
-                                const JoinMsg& msg) {
+void GroupCastNode::handle(const Envelope& /*envelope*/, const JoinMsg& msg) {
   GroupRecord* entry = find(msg.group);
   // A join can only be honoured by a peer that can reach the tree.
   if (entry == nullptr || (!entry->on_tree() && !entry->has_advert())) {
@@ -978,12 +793,12 @@ void GroupCastNode::handle_join(const Envelope& /*envelope*/,
   auto& tree = tree_of(*entry);
   auto* child = tree.find_child(msg.child);
   if (child == nullptr) child = &tree.children.emplace_back(msg.child);
-  child->last_seen = now();
+  child->link.heard(now());
   if (tree.on_tree()) {
     transport_->send(
         self_, msg.child,
         JoinAckMsg{msg.group, tree.depth, offered_backup(tree)});
-    child->last_sent = now();
+    child->link.sent(now());
     // The join handshake is where a (re)attaching child re-syncs its
     // expected sequence: a fresh edge incarnation rides right behind the
     // ack (per-pair FIFO), so the child never NACKs into whatever epoch
@@ -994,15 +809,11 @@ void GroupCastNode::handle_join(const Envelope& /*envelope*/,
   }
   // Not attached ourselves yet: defer the ack until our own ladder lands
   // (the ack must carry a real depth), becoming a relay on the way.
-  if (std::find(tree.pending_acks.begin(), tree.pending_acks.end(),
-                msg.child) == tree.pending_acks.end()) {
-    tree.pending_acks.push_back(msg.child);
-  }
+  if (!tree.awaits_ack(msg.child)) tree.pending_acks.push_back(msg.child);
   if (tree.exchange == ReliableExchange::kNoToken) start_ladder(msg.group);
 }
 
-void GroupCastNode::handle_join_ack(const Envelope& envelope,
-                                    const JoinAckMsg& msg) {
+void GroupCastNode::handle(const Envelope& envelope, const JoinAckMsg& msg) {
   // Every path below but the two retractions attaches, so the tree record
   // is needed anyway.
   auto& tree = tree_of(msg.group);
@@ -1012,7 +823,8 @@ void GroupCastNode::handle_join_ack(const Envelope& envelope,
       // acker does not keep us in its child list.
       transport_->send(self_, envelope.from, LeaveMsg{msg.group, self_});
     } else {
-      tree.parent_last_seen = now();  // a retried join's ack is a beat too
+      // A retried join's ack is a beat too.
+      tree.liveness.parent.heard(now());
     }
     return;
   }
@@ -1025,8 +837,8 @@ void GroupCastNode::handle_join_ack(const Envelope& envelope,
   complete_attach(msg.group, envelope.from, msg.depth, msg.backup);
 }
 
-void GroupCastNode::handle_ripple_query(const Envelope& envelope,
-                                        const RippleQueryMsg& msg) {
+void GroupCastNode::handle(const Envelope& envelope,
+                           const RippleQueryMsg& msg) {
   auto& entry = record(msg.group);
   if (!entry.seen_queries.insert(query_key(msg.origin, msg.round))) {
     return;  // duplicate within this search round
@@ -1047,8 +859,8 @@ void GroupCastNode::handle_ripple_query(const Envelope& envelope,
   }
 }
 
-void GroupCastNode::handle_ripple_hit(const Envelope& /*envelope*/,
-                                      const RippleHitMsg& msg) {
+void GroupCastNode::handle(const Envelope& /*envelope*/,
+                           const RippleHitMsg& msg) {
   TreeState* tree = find_tree(msg.group);
   if (tree == nullptr || tree->on_tree()) return;
   if (!tree->search_pending) return;  // already joining via earlier hit
@@ -1128,8 +940,7 @@ void GroupCastNode::deliver(GroupId group, ReliableEdge::Links& links,
   }
 }
 
-void GroupCastNode::handle_leave(const Envelope& /*envelope*/,
-                                 const LeaveMsg& msg) {
+void GroupCastNode::handle(const Envelope& /*envelope*/, const LeaveMsg& msg) {
   TreeState* tree = find_tree(msg.group);
   if (tree == nullptr) return;  // no child to lose
   drop_child(*tree, msg.child);
@@ -1137,21 +948,16 @@ void GroupCastNode::handle_leave(const Envelope& /*envelope*/,
   maybe_fold(msg.group, *tree);
 }
 
-void GroupCastNode::handle_heartbeat(const Envelope& envelope,
-                                     const HeartbeatMsg& msg) {
+void GroupCastNode::handle(const Envelope& envelope, const HeartbeatMsg& msg) {
+  // Only a child beats its parent: a Heartbeat from anyone else, our own
+  // parent included, gets ParentLost.
   TreeState* tree = find_tree(msg.group);
-  auto* child = tree != nullptr ? tree->find_child(envelope.from) : nullptr;
-  if (child == nullptr) {
-    // The sender believes we are its parent but we disagree (it was
-    // pruned, or we dissolved): tell it to re-attach.
-    transport_->send(self_, envelope.from, ParentLostMsg{msg.group});
-    return;
-  }
-  child->last_seen = now();
+  heard_from(msg.group,
+             tree != nullptr ? tree->child_edge(envelope.from) : nullptr,
+             envelope.from);
 }
 
-void GroupCastNode::handle_parent_beat(const Envelope& envelope,
-                                       const ParentBeatMsg& msg) {
+void GroupCastNode::handle(const Envelope& envelope, const ParentBeatMsg& msg) {
   TreeState* tree = find_tree(msg.group);
   if (tree == nullptr) return;
   if (!tree->on_tree() || envelope.from != tree->tree_parent) {
@@ -1163,7 +969,7 @@ void GroupCastNode::handle_parent_beat(const Envelope& envelope,
     }
     return;
   }
-  tree->parent_last_seen = now();
+  tree->liveness.parent.heard(now());
   if (options_->replication.enabled && msg.backup != self_) {
     // The parent's own parent may have changed since the join: every beat
     // refreshes the rung-0 backup.
@@ -1178,8 +984,7 @@ void GroupCastNode::handle_parent_beat(const Envelope& envelope,
   }
 }
 
-void GroupCastNode::handle_parent_lost(const Envelope& envelope,
-                                       const ParentLostMsg& msg) {
+void GroupCastNode::handle(const Envelope& envelope, const ParentLostMsg& msg) {
   const TreeState* tree = find_tree(msg.group);
   if (tree == nullptr || !tree->on_tree() ||
       envelope.from != tree->tree_parent) {

@@ -25,30 +25,34 @@
 // (off by default; enable via NodeOptions::heartbeat_interval) detect dead
 // parents with the paper's two-miss rule and re-run the same ladder to
 // re-attach the orphaned subtree, guarded against cycles by attach-point
-// depths carried on JoinAck / RippleHit / ParentBeat.  Beats are one-way,
-// each end of an edge beating the other on its own tick, and any traffic
-// on the edge stands in for them.
+// depths carried on JoinAck / RippleHit / ParentBeat.
 //
 // Two self-contained sub-protocols are classes of their own, each
 // reaching back into the node through a small host interface: the
 // reliable data plane (core/reliable_edge.h) and leased rendezvous
-// replication (core/lease_replica.h).  The node keeps the tree, the
-// ladder, heartbeats, advert/ripple handling and payload dedup and
-// forwarding.
+// replication (core/lease_replica.h).  Tree-edge failure detection is a
+// third, core/liveness.h's EdgeLiveness: the stamps, beat suppression,
+// deadlines, news window and adaptive widening.  The node keeps the tree,
+// the ladder, the shared heartbeat tick and what a beat means (depth and
+// backup on ParentBeat, when to answer ParentLost or Leave), advert/ripple
+// handling and payload dedup and forwarding.
 #pragma once
 
+#include <algorithm>
 #include <memory>
 #include <optional>
 #include <vector>
 
 #include "core/advertisement.h"
 #include "core/lease_replica.h"
+#include "core/liveness.h"
 #include "core/reliable_edge.h"
 #include "core/reliable_exchange.h"
 #include "core/shared_tick.h"
 #include "core/transport.h"
 #include "overlay/graph.h"
 #include "util/flat_set.h"
+#include "util/require.h"
 
 namespace groupcast::core {
 
@@ -164,37 +168,49 @@ class GroupCastNode : private ReliableEdge::Host, private LeaseReplica::Host {
   }
 
   // ----------------------------------------------------------- inspection
-  bool has_advertisement(GroupId group) const;
-  bool is_subscribed(GroupId group) const;
-  bool on_tree(GroupId group) const;
+  // A group this node holds no tree record of reads as an empty record.
+  bool has_advertisement(GroupId group) const {
+    const GroupRecord* entry = find(group);
+    return entry != nullptr && entry->has_advert();
+  }
+  bool is_subscribed(GroupId group) const {
+    return tree_view(group).subscribed && on_tree(group);
+  }
+  bool on_tree(GroupId group) const { return tree_view(group).on_tree(); }
   /// Tree parent; self for the rendezvous.  Requires on_tree(group).
-  overlay::PeerId tree_parent(GroupId group) const;
+  overlay::PeerId tree_parent(GroupId group) const {
+    GC_REQUIRE(on_tree(group));
+    return tree_view(group).tree_parent;
+  }
   std::vector<overlay::PeerId> tree_children(GroupId group) const;
   /// Calls `visit(child)` for each tree child of `group`, in join order,
   /// without allocating (tree_children() copies them).
   template <typename Visit>
   void for_each_tree_child(GroupId group, Visit&& visit) const {
-    if (const TreeState* tree = find_tree(group)) {
-      for (const auto& child : tree->children) visit(child.peer);
-    }
+    for (const auto& child : tree_view(group).children) visit(child.peer);
   }
   /// Depth on the tree (root = 0); kUnknownDepth when off the tree.
-  std::uint32_t tree_depth(GroupId group) const;
+  std::uint32_t tree_depth(GroupId group) const {
+    return on_tree(group) ? tree_view(group).depth : kUnknownDepth;
+  }
   /// True while a subscribe / recovery ladder has an exchange in flight.
-  bool exchange_pending(GroupId group) const;
+  bool exchange_pending(GroupId group) const {
+    return tree_view(group).exchange != ReliableExchange::kNoToken;
+  }
   /// Payload entries currently held for retransmission on the directed
   /// edge to `peer` (0 when reliability is off or no such edge exists).
-  std::size_t send_buffer_depth(GroupId group, overlay::PeerId peer) const;
+  std::size_t send_buffer_depth(GroupId group, overlay::PeerId peer) const {
+    return ReliableEdge::buffer_depth(tree_view(group), peer);
+  }
   /// Payloads queued behind a closed flow-control window on the directed
   /// edge to `peer` (always 0 with flow control off).
-  std::size_t pending_depth(GroupId group, overlay::PeerId peer) const;
-  /// The adaptive widening rule (docs/ROBUSTNESS.md): smallest miss count
-  /// k with miss_ewma^k <= the false-positive target, clamped to
-  /// [floor_misses, 12].  Pure; exposed for tests.
-  static std::size_t adaptive_miss_threshold(double miss_ewma,
-                                             std::size_t floor_misses);
+  std::size_t pending_depth(GroupId group, overlay::PeerId peer) const {
+    return ReliableEdge::pending_depth(tree_view(group), peer);
+  }
   /// Sequence the reliable edge from `peer` expects next (0 when none).
-  std::uint64_t expected_seq(GroupId group, overlay::PeerId peer) const;
+  std::uint64_t expected_seq(GroupId group, overlay::PeerId peer) const {
+    return ReliableEdge::expected_seq(tree_view(group), peer);
+  }
   /// Estimated resident bytes of this node's protocol state: the object,
   /// its call-back block and its group table by capacity, each tree
   /// record with its vectors and dedup tables by capacity, plus what the
@@ -205,24 +221,29 @@ class GroupCastNode : private ReliableEdge::Host, private LeaseReplica::Host {
   /// What this node holds for a group: nothing, the compact record of a
   /// peer that heard of it, or that plus the tree record.
   enum class Footprint : std::uint8_t { kNone, kCompact, kTree };
-  Footprint footprint(GroupId group) const;
+  Footprint footprint(GroupId group) const {
+    const GroupRecord* entry = find(group);
+    if (entry == nullptr) return Footprint::kNone;
+    return entry->tree ? Footprint::kTree : Footprint::kCompact;
+  }
 
   // ------------------------------------------- replication inspection
-  /// True if this node is in the group's replication member set (the
-  /// rendezvous + its deterministic replicas); always false with
+  /// This node's replica state of the group (core/lease_replica.h): its
+  /// membership, the lease, the highest committed epoch it knows, that
+  /// epoch's leader and the log sorted by epoch.  Empty with
   /// ReplicationOptions off or before the node has heard of the group.
-  bool replication_member(GroupId group) const;
+  const ReplState& replica_state(GroupId group) const {
+    return tree_view(group).repl;
+  }
   /// True while this member holds (believes it holds) the group lease.
-  bool is_leaseholder(GroupId group) const;
-  /// Highest committed leadership epoch this member knows (0 = none).
-  std::uint32_t lease_epoch(GroupId group) const;
-  /// Leader of lease_epoch (kNoPeer when none).
-  overlay::PeerId lease_leader(GroupId group) const;
-  /// Copy of this member's replication log, sorted by epoch.
-  std::vector<LeaseRecord> lease_log(GroupId group) const;
+  bool is_leaseholder(GroupId group) const {
+    return replica_state(group).leaseholder;
+  }
   /// Rung-0 backup attach target learned from JoinAcks and parent beats
   /// (kNoPeer when replication is off or none was offered).
-  overlay::PeerId backup_parent(GroupId group) const;
+  overlay::PeerId backup_parent(GroupId group) const {
+    return tree_view(group).backup_parent;
+  }
 
  private:
   /// Ladder rungs, tried in order (skipping inapplicable ones).  kBackup
@@ -240,13 +261,10 @@ class GroupCastNode : private ReliableEdge::Host, private LeaseReplica::Host {
   /// must outlive the fold.  The group's reliable edges are its base, so
   /// the data plane's call-backs hand the record straight back.
   struct TreeState : ReliableEdge::Links {
-    /// A tree child: when anything of this group last arrived from it
-    /// (its join, a beat, any edge traffic) and when this node last sent
-    /// it something of this group (which stands in for a beat).
+    /// A tree child and this end's liveness stamps of its edge.
     struct Child {
       overlay::PeerId peer = overlay::kNoPeer;
-      sim::SimTime last_seen;
-      sim::SimTime last_sent;
+      EdgeStamps link;
     };
 
     /// On the tree exactly while a parent is set (self at the root).
@@ -256,6 +274,20 @@ class GroupCastNode : private ReliableEdge::Host, private LeaseReplica::Host {
         if (child.peer == peer) return &child;
       }
       return nullptr;
+    }
+    /// This end's stamps of the edge to child `peer`, or nullptr.
+    EdgeStamps* child_edge(overlay::PeerId peer) {
+      Child* child = find_child(peer);
+      return child != nullptr ? &child->link : nullptr;
+    }
+    /// The same for the parent, or else a child; nullptr for neither.
+    EdgeStamps* edge(overlay::PeerId peer) {
+      return peer == tree_parent ? &liveness.parent : child_edge(peer);
+    }
+    /// True while `child`'s join waits for this node to attach.
+    bool awaits_ack(overlay::PeerId child) const {
+      return std::find(pending_acks.begin(), pending_acks.end(), child) !=
+             pending_acks.end();
     }
 
     bool subscribed = false;
@@ -285,16 +317,7 @@ class GroupCastNode : private ReliableEdge::Host, private LeaseReplica::Host {
 
     // --- tree-edge heartbeats ---
     bool heartbeat_scheduled = false;
-    /// When anything of this group last arrived from, and was last sent
-    /// to, the tree parent.
-    sim::SimTime parent_last_seen;
-    sim::SimTime parent_last_sent;
-    /// Adaptive detection: EWMA of the per-tick miss sample toward the
-    /// current parent (1 when nothing arrived from it in the interval
-    /// before the tick).  Reset on re-attach.
-    double hb_miss_ewma = 0.0;
-    /// Until then every tick beats every child (position_changed).
-    sim::SimTime news_until;
+    TreeLiveness liveness;
 
     // --- rendezvous replication (ReplicationOptions) ---
     ReplState repl;
@@ -319,17 +342,21 @@ class GroupCastNode : private ReliableEdge::Host, private LeaseReplica::Host {
   /// Shared teardown behind stop() / crash().
   void detach(DetachMode mode);
 
+  /// Hands a message to the handler for its type, below.
   void handle(const Envelope& envelope);
-  void handle_advertise(const Envelope& envelope, const AdvertiseMsg& msg);
-  void handle_join(const Envelope& envelope, const JoinMsg& msg);
-  void handle_join_ack(const Envelope& envelope, const JoinAckMsg& msg);
-  void handle_ripple_query(const Envelope& envelope,
-                           const RippleQueryMsg& msg);
-  void handle_ripple_hit(const Envelope& envelope, const RippleHitMsg& msg);
-  void handle_leave(const Envelope& envelope, const LeaveMsg& msg);
-  void handle_heartbeat(const Envelope& envelope, const HeartbeatMsg& msg);
-  void handle_parent_beat(const Envelope& envelope, const ParentBeatMsg& msg);
-  void handle_parent_lost(const Envelope& envelope, const ParentLostMsg& msg);
+  void handle(const Envelope& envelope, const AdvertiseMsg& msg);
+  void handle(const Envelope& envelope, const JoinMsg& msg);
+  void handle(const Envelope& envelope, const JoinAckMsg& msg);
+  void handle(const Envelope& envelope, const RippleQueryMsg& msg);
+  void handle(const Envelope& envelope, const RippleHitMsg& msg);
+  void handle(const Envelope& envelope, const LeaveMsg& msg);
+  void handle(const Envelope& envelope, const HeartbeatMsg& msg);
+  void handle(const Envelope& envelope, const ParentBeatMsg& msg);
+  void handle(const Envelope& envelope, const ParentLostMsg& msg);
+  /// Every other type: lease traffic goes to the replica, the rest to the
+  /// data plane.
+  template <typename Msg>
+  void handle(const Envelope& envelope, const Msg& msg);
 
   // --- ReliableEdge::Host ---
   ReliableEdge::Links* links(GroupId group) override;
@@ -340,7 +367,9 @@ class GroupCastNode : private ReliableEdge::Host, private LeaseReplica::Host {
                const BufferedPayload& payload) override;
   overlay::PeerId upstream(const ReliableEdge::Links& links) const override;
   void sent(ReliableEdge::Links& links, overlay::PeerId to) override {
-    stamp_sent(static_cast<TreeState&>(links), to);
+    if (EdgeStamps* edge = static_cast<TreeState&>(links).edge(to)) {
+      edge->sent(now());
+    }
   }
 
   // --- LeaseReplica::Host ---
@@ -393,23 +422,26 @@ class GroupCastNode : private ReliableEdge::Host, private LeaseReplica::Host {
                        overlay::PeerId backup = overlay::kNoPeer);
 
   // --- heartbeats / failure detection ---
-  /// Any message of the group from a tree neighbour is a beat: refreshes
-  /// its arrival stamp.  A peer that is neither parent nor child gets
-  /// ParentLost (it may believe we are its parent; if not, it ignores
-  /// it).  Returns whether `from` is a tree neighbour.
-  bool heard_from(GroupId group, TreeState& tree, overlay::PeerId from);
-  /// Records a send to `to` against its edge's beat schedule (no-op when
-  /// `to` is not a tree neighbour).
-  void stamp_sent(TreeState& tree, overlay::PeerId to);
+  /// The tree edges' failure-detection rule, read from the options.
+  EdgeLiveness liveness() const {
+    return EdgeLiveness(options_->heartbeat_interval,
+                        options_->missed_heartbeats_to_fail,
+                        options_->adaptive);
+  }
+  /// A message of the group arrived over `edge` (from `from`), which
+  /// stands in for a beat.  With no edge the sender gets ParentLost: it
+  /// may believe we are its parent, and if not it ignores it.  Returns
+  /// whether there was an edge.
+  bool heard_from(GroupId group, EdgeStamps* edge, overlay::PeerId from);
   /// This node's depth or offered backup changed: beats carry both, so
   /// every acked child gets one on every tick of the next detection
   /// window, traffic or not (and one now with `beat_now`).
   void position_changed(GroupId group, TreeState& tree, bool beat_now);
-  /// The beat to one child, carrying depth and backup.
+  /// The beat to the parent, and the beat to one child, carrying depth
+  /// and backup.
+  void send_heartbeat(GroupId group, TreeState& tree);
   void send_parent_beat(GroupId group, TreeState& tree,
                         TreeState::Child& child);
-  /// True while `child`'s join waits for this node to attach.
-  static bool awaits_ack(const TreeState& tree, overlay::PeerId child);
   /// Enrols `group` in the node's shared heartbeat tick while it holds a
   /// tree role.
   void maybe_schedule_heartbeat(GroupId group);
@@ -424,7 +456,8 @@ class GroupCastNode : private ReliableEdge::Host, private LeaseReplica::Host {
   GroupRecord* find(GroupId group);
   const GroupRecord* find(GroupId group) const;
   TreeState* find_tree(GroupId group);
-  const TreeState* find_tree(GroupId group) const;
+  /// The group's tree record, or an empty one when it has none.
+  const TreeState& tree_view(GroupId group) const;
   /// The group's record, created compact on first use (hearing an advert
   /// or a ripple query, creating or subscribing to the group).
   GroupRecord& record(GroupId group);

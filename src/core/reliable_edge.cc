@@ -5,6 +5,7 @@
 
 #include "trace/trace.h"
 #include "util/require.h"
+#include "util/stats.h"
 
 namespace groupcast::core {
 
@@ -325,7 +326,7 @@ void ReliableEdge::accept(GroupId group, Links& links, overlay::PeerId from,
   if (adaptive_) {
     // One loss sample per accepted sequenced arrival: in-order is a hit,
     // a gap means at least one copy ahead of us went missing.
-    ewma_update(rx.loss_ewma, seq == rx.expected ? 0.0 : 1.0);
+    util::ewma_update(rx.loss_ewma, seq == rx.expected ? 0.0 : 1.0);
   }
   if (seq == rx.expected) {
     if (rx.nack_rounds > 0) {
@@ -336,7 +337,7 @@ void ReliableEdge::accept(GroupId group, Links& links, overlay::PeerId from,
       trace::histograms().record(trace::HistogramId::kNackRepairUs,
                                  repair_us);
       if (adaptive_) {
-        ewma_update(rx.repair_ewma_us, static_cast<double>(repair_us));
+        util::ewma_update(rx.repair_ewma_us, static_cast<double>(repair_us));
       }
     }
     ++rx.expected;

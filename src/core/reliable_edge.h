@@ -95,14 +95,6 @@ inline constexpr std::uint32_t chunk_index(std::uint64_t payload_id) {
   return static_cast<std::uint32_t>(payload_id);
 }
 
-/// EWMA step toward `sample` with the fixed alpha 1/8 (roughly an
-/// 8-sample memory): the estimator of adaptive detection, shared by the
-/// NACK cadence here and the node's heartbeat miss rate.
-inline void ewma_update(double& estimate, double sample) {
-  constexpr double kEwmaAlpha = 0.125;
-  estimate += kEwmaAlpha * (sample - estimate);
-}
-
 /// The memory gauges' estimate of a node- or map-based container's
 /// book-keeping per entry: about three pointers on mainstream allocators.
 inline constexpr std::size_t kContainerEntryBytes = 3 * sizeof(void*);

@@ -81,11 +81,13 @@ void fold_shard_trace(sim::ShardSet& engine,
 
 /// Tree-edge heartbeat period of every harness node.
 constexpr sim::SimTime kHeartbeatInterval = sim::SimTime::seconds(0.5);
-/// Heartbeat intervals without an ack before a parent is declared dead.
-/// The node default (2, the paper's two-miss rule) is tuned for a quiet
-/// network; under steady loss p an ack round-trip survives with (1-p)^2,
-/// so the harnesses widen the window to keep the false-positive rate
-/// negligible at the sweeps' loss levels.
+/// Heartbeat intervals without hearing from a parent before it is
+/// declared dead.  The node default (2, the paper's two-miss rule) is
+/// tuned for a quiet network; under steady loss p a one-way beat survives
+/// with 1-p, so k silent intervals in a row have probability p^k on a
+/// quiet edge, and the harnesses widen the window to keep the
+/// false-positive rate negligible at the sweeps' loss levels (p^6 = 1e-6
+/// per window at p = 0.1).
 constexpr std::size_t kHeartbeatMisses = 6;
 
 ScenarioConfig with_resolved_shards(ScenarioConfig config) {

@@ -1,6 +1,7 @@
 // Small statistics toolkit used by the metrics module and the benchmark
 // harnesses: running summaries, percentiles, and logarithmic binning for
-// the degree-distribution figures.
+// the degree-distribution figures, plus the EWMA step of the node
+// runtime's adaptive estimators.
 #pragma once
 
 #include <cstddef>
@@ -55,5 +56,13 @@ class FrequencyCount {
 
 /// Pearson correlation of two equal-length series; 0 if degenerate.
 double pearson(const std::vector<double>& x, const std::vector<double>& y);
+
+/// EWMA step toward `sample` with the fixed alpha 1/8 (roughly an
+/// 8-sample memory): the estimator of adaptive detection, shared by the
+/// data plane's NACK cadence and the tree edges' heartbeat miss rate.
+inline void ewma_update(double& estimate, double sample) {
+  constexpr double kEwmaAlpha = 0.125;
+  estimate += kEwmaAlpha * (sample - estimate);
+}
 
 }  // namespace groupcast::util

@@ -381,13 +381,13 @@ TEST(DataPlane, AdaptiveMissThresholdFollowsFalsePositiveMath) {
   // docs/ROBUSTNESS.md: k consecutive misses are a false positive with
   // probability m^k; the threshold is the smallest k with m^k <= 1e-4,
   // clamped to [floor, 12].
-  EXPECT_EQ(GroupCastNode::adaptive_miss_threshold(0.0, 2), 2u);   // quiet
-  EXPECT_EQ(GroupCastNode::adaptive_miss_threshold(0.2, 2), 6u);
-  EXPECT_EQ(GroupCastNode::adaptive_miss_threshold(0.5, 2), 12u);  // capped
-  EXPECT_EQ(GroupCastNode::adaptive_miss_threshold(1.0, 2), 12u);
-  EXPECT_EQ(GroupCastNode::adaptive_miss_threshold(0.001, 4), 4u);  // floor
+  EXPECT_EQ(EdgeLiveness::adaptive_miss_threshold(0.0, 2), 2u);   // quiet
+  EXPECT_EQ(EdgeLiveness::adaptive_miss_threshold(0.2, 2), 6u);
+  EXPECT_EQ(EdgeLiveness::adaptive_miss_threshold(0.5, 2), 12u);  // capped
+  EXPECT_EQ(EdgeLiveness::adaptive_miss_threshold(1.0, 2), 12u);
+  EXPECT_EQ(EdgeLiveness::adaptive_miss_threshold(0.001, 4), 4u);  // floor
   // A floor above the adaptive cap wins: adaptivity never narrows it.
-  EXPECT_EQ(GroupCastNode::adaptive_miss_threshold(0.9, 15), 15u);
+  EXPECT_EQ(EdgeLiveness::adaptive_miss_threshold(0.9, 15), 15u);
 }
 
 // The reliability counters (nacks_sent / retransmits / dups_suppressed /

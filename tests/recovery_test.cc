@@ -141,6 +141,32 @@ TEST(Recovery, ReliableDataPlaneRecoversLossyDelivery) {
   EXPECT_LT(on.delivery_ratio_stddev, 0.05);
 }
 
+// The reliable half of the point above as a property over seeds instead
+// of one draw: the mean delivery over 32 seeds (7100-7131).  Single seeds
+// spread widely: over seeds 7100-7499 the mean is 98.5%, 22 of the 400
+// read below 95%, and the worst reads 66.9%.  The 32-seed mean is steady:
+// 40 disjoint blocks of 32 seeds (bases 7100 + 32b) read 98.44% on
+// average, with a standard deviation of 0.53 points and a worst block of
+// 97.37%.  The bound sits about 4.5 deviations below that average, so it
+// fails on a real loss of delivery, not on the luck of the draws.
+TEST(Recovery, ReliableDataPlaneRecoversLossyDeliveryOverSeeds) {
+  metrics::ScenarioConfig reliable;
+  reliable.peer_count = 400;
+  reliable.groups = 1;
+  reliable.seed = 7100;
+  reliable.recovery.enabled = true;
+  reliable.recovery.loss_probability = 0.2;
+  reliable.recovery.reliable_data = true;
+
+  metrics::GridOptions options;
+  options.jobs = 4;
+  options.repetitions = 32;
+  const std::vector<metrics::ScenarioConfig> points{reliable};
+  const auto results = metrics::run_scenario_grid(points, options);
+  ASSERT_EQ(results.size(), 1u);
+  EXPECT_GE(results[0].delivery_ratio, 0.96);
+}
+
 metrics::ScenarioConfig partition_point() {
   metrics::ScenarioConfig point;
   point.peer_count = 300;
