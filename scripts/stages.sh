@@ -87,7 +87,7 @@ stage_tsan() {
   cmake --build "${build_dir}" -j "${jobs}" --target groupcast_tests
   ctest --test-dir "${build_dir}" --no-tests=error \
     --output-on-failure -j "${jobs}" \
-    -R 'Experiment|ExperimentGrid|Counter|Tracer|Trace|Recovery|FaultPlan|FaultInjector|ReliableExchange|DataPlane|Histogram|FlightRecorder|GridDeterminism|Provenance|ShardSet|ShardDeterminism|Streaming|Gnp|Coords|NelderMead|Parallel|Routing|Harness|WorldBuild|HostCache|Bootstrap|Regression.OverlayConstruction|TreeView|Invariant|Middleware'
+    -R 'Experiment|ExperimentGrid|Counter|Tracer|Trace|Recovery|FaultPlan|FaultInjector|CrashQuery|ReliableExchange|DataPlane|Histogram|FlightRecorder|GridDeterminism|Provenance|ShardSet|ShardDeterminism|Streaming|Gnp|Coords|NelderMead|Parallel|Routing|Harness|WorldBuild|HostCache|Bootstrap|Regression.OverlayConstruction|TreeView|Invariant|Middleware'
   echo "stages.sh: parallel-runner tests clean under TSan"
 }
 

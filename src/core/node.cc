@@ -1,6 +1,7 @@
 #include "core/node.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "trace/trace.h"
 #include "util/require.h"
@@ -23,11 +24,6 @@ std::shared_ptr<const NodeOptions> non_null(
     std::shared_ptr<const NodeOptions> options) {
   GC_REQUIRE(options != nullptr);
   return options;
-}
-
-void erase_value(std::vector<overlay::PeerId>& v, overlay::PeerId value) {
-  const auto it = std::find(v.begin(), v.end(), value);
-  if (it != v.end()) v.erase(it);
 }
 }  // namespace
 
@@ -54,20 +50,12 @@ GroupCastNode::GroupCastNode(overlay::PeerId self, Transport& transport,
   }
 }
 
-GroupCastNode::~GroupCastNode() {
-  if (running_) stop();
-}
-
 void GroupCastNode::start() {
   GC_REQUIRE_MSG(!running_, "node already started");
   transport_->register_node(self_,
                             [this](const Envelope& e) { handle(e); });
   running_ = true;
 }
-
-void GroupCastNode::stop() { detach(DetachMode::kGraceful); }
-
-void GroupCastNode::crash() { detach(DetachMode::kCrash); }
 
 void GroupCastNode::detach(DetachMode mode) {
   GC_REQUIRE_MSG(running_, "node not running");
@@ -88,10 +76,6 @@ void GroupCastNode::detach(DetachMode mode) {
   running_ = false;
 }
 
-sim::SimTime GroupCastNode::now() const {
-  return transport_->simulator_for(self_).now();
-}
-
 // ------------------------------------------------------------ group table
 
 GroupCastNode::GroupRecord* GroupCastNode::find(GroupId group) {
@@ -99,10 +83,6 @@ GroupCastNode::GroupRecord* GroupCastNode::find(GroupId group) {
     if (entry.group == group) return &entry;
   }
   return nullptr;
-}
-
-const GroupCastNode::GroupRecord* GroupCastNode::find(GroupId group) const {
-  return const_cast<GroupCastNode*>(this)->find(group);
 }
 
 GroupCastNode::TreeState* GroupCastNode::find_tree(GroupId group) {
@@ -155,17 +135,14 @@ void GroupCastNode::create_group(GroupId group) {
 void GroupCastNode::subscribe(GroupId group) {
   GC_REQUIRE(running_);
   auto& tree = tree_of(group);
+  tree.subscribed = true;  // desired; effective once on the tree
   if (tree.on_tree()) {
-    tree.subscribed = true;
     report_subscribe(group, true);
     return;
   }
-  tree.subscribed = true;  // desired; effective once on the tree
   trace::counters().incr(self_, trace::CounterId::kSubscribeAttempts);
-  if (tree.exchange != ReliableExchange::kNoToken) {
-    return;  // a relay-chain ladder is already climbing; ride it
-  }
-  start_ladder(group);
+  // A relay-chain ladder may be climbing already: ride it.
+  if (tree.exchange == ReliableExchange::kNoToken) start_ladder(group);
 }
 
 void GroupCastNode::unsubscribe(GroupId group) {
@@ -174,12 +151,7 @@ void GroupCastNode::unsubscribe(GroupId group) {
   GC_REQUIRE_MSG(tree != nullptr && tree->subscribed,
                  "not subscribed to this group");
   tree->subscribed = false;
-  if (tree->exchange != ReliableExchange::kNoToken) {
-    exchange_.cancel(tree->exchange);
-    tree->exchange = ReliableExchange::kNoToken;
-    tree->search_pending = false;
-    tree->recovering = false;
-  }
+  if (close_exchange(*tree)) tree->ladder.cancel();
   // A leaf detaches; a relay (or the root) keeps forwarding for its
   // children.
   maybe_fold(group, *tree);
@@ -230,14 +202,6 @@ void GroupCastNode::publish_payload(GroupId group,
 }
 
 // ------------------------------------------------------------ inspection
-
-std::vector<overlay::PeerId> GroupCastNode::tree_children(
-    GroupId group) const {
-  std::vector<overlay::PeerId> peers;
-  for_each_tree_child(
-      group, [&peers](overlay::PeerId child) { peers.push_back(child); });
-  return peers;
-}
 
 std::size_t GroupCastNode::memory_bytes() const {
   std::size_t bytes = sizeof(*this) + groups_.capacity() * sizeof(GroupRecord);
@@ -303,7 +267,7 @@ void GroupCastNode::drop_child(TreeState& tree, overlay::PeerId child) {
   std::erase_if(tree.children, [child](const TreeState::Child& c) {
     return c.peer == child;
   });
-  erase_value(tree.pending_acks, child);
+  std::erase(tree.pending_acks, child);
   // Edge state is kept per peer: a stale child entry for our own parent
   // (its join crossed ours) must not take the parent's edges with it.
   if (child != tree.tree_parent) edges_.drop(tree, child);
@@ -312,21 +276,14 @@ void GroupCastNode::drop_child(TreeState& tree, overlay::PeerId child) {
 void GroupCastNode::root_self(GroupId group) {
   auto& tree = tree_of(group);
   if (tree.tree_parent == self_) return;
-  if (tree.exchange != ReliableExchange::kNoToken) {
-    exchange_.cancel(tree.exchange);
-    tree.exchange = ReliableExchange::kNoToken;
-  }
+  close_exchange(tree);
   if (tree.on_tree()) {
     transport_->send(self_, tree.tree_parent, LeaveMsg{group, self_});
     edges_.drop(tree, tree.tree_parent);
   }
-  tree.search_pending = false;
-  tree.recovering = false;
+  tree.ladder.attached();
   tree.tree_parent = self_;
   tree.depth = 0;
-  tree.avoid = overlay::kNoPeer;
-  tree.attach_depth_limit = kUnknownDepth;
-  tree.dissolved_once = false;
   tree.backup_parent = overlay::kNoPeer;
   ack_children(group, tree);  // they learn the new depth root-style
   maybe_schedule_heartbeat(group);
@@ -344,220 +301,117 @@ void GroupCastNode::superseded(GroupId group) {
 
 // ----------------------------------------------------------- retry ladder
 
-bool GroupCastNode::attach_allowed(const TreeState& tree,
-                                   overlay::PeerId target,
-                                   std::uint32_t target_depth) const {
-  if (target == self_ || target == tree.avoid) return false;
-  if (tree.attach_depth_limit == kUnknownDepth) return true;
-  // Guarded orphan: strict descendants carry a (possibly stale) depth of
-  // at least ours + 1, so any target at our old depth or above the old
-  // position is provably outside our own subtree.
-  return target_depth != kUnknownDepth &&
-         target_depth <= tree.attach_depth_limit;
-}
-
-bool GroupCastNode::advert_rung_ok(const GroupRecord& record) const {
-  return record.has_advert() && record.advert_parent != self_ &&
-         record.advert_parent != record.tree->avoid;
-}
-
 void GroupCastNode::start_ladder(GroupId group) {
   auto& entry = record(group);
-  auto& tree = tree_of(entry);
-  tree.ladder_attempts = 0;
-  tree.search_pending = false;
-  // Rung 0 (replication only): the backup parent precomputed by our old
-  // parent — its own parent, so provably outside our subtree — is tried
-  // before the regular ladder; a live backup re-adopts the orphan within
-  // one round trip.
-  const bool backup_rung_ok =
-      options_->replication.enabled && tree.recovering &&
-      tree.backup_parent != overlay::kNoPeer &&
-      tree.backup_parent != self_ && tree.backup_parent != tree.avoid;
-  tree.rung = backup_rung_ok          ? Rung::kBackup
-              : advert_rung_ok(entry) ? Rung::kAdvertParent
-                                      : Rung::kRipple;
+  tree_of(entry).ladder.start(attach_points(entry));
   run_rung(group);
 }
 
 void GroupCastNode::run_rung(GroupId group) {
-  auto& tree = tree_of(group);
-  const auto give_up = [this, group] {
-    tree_of(group).exchange = ReliableExchange::kNoToken;
-    advance_rung(group);
-  };
-  switch (tree.rung) {
-    case Rung::kBackup:
-    case Rung::kAdvertParent:
-      tree.exchange = exchange_.begin(
-          [this, group](std::size_t) {
-            const auto& entry = record(group);
-            auto& st = *entry.tree;
-            ++st.ladder_attempts;
-            const auto target = st.rung == Rung::kBackup ? st.backup_parent
-                                                         : entry.advert_parent;
-            transport_->send(self_, target, JoinMsg{group, self_});
-          },
-          give_up);
-      break;
-    case Rung::kRipple:
-      tree.exchange = exchange_.begin(
-          [this, group](std::size_t attempt) {
-            auto& st = tree_of(group);
-            ++st.ladder_attempts;
-            st.search_pending = true;
-            ++st.search_round;
-            // Widen the scope on every retry: a lost hit or a too-small
-            // radius both look like a timeout.
-            const auto ttl = static_cast<std::uint32_t>(
-                options_->ripple_ttl + attempt);
-            std::size_t queries = 0;
-            for (const auto n : graph_->neighbors(self_)) {
-              if (n == st.avoid) continue;
-              transport_->send(
-                  self_, n,
-                  RippleQueryMsg{group, self_, ttl, st.search_round});
-              ++queries;
-            }
-            trace::counters().incr(self_,
-                                   trace::CounterId::kRippleSearches);
-            trace::tracer().emit(now().as_micros(),
-                                 trace::EventKind::kRippleSearch, self_,
-                                 overlay::kNoPeer, queries);
-          },
-          give_up);
-      break;
-    case Rung::kRendezvous:
-      tree.exchange = exchange_.begin(
-          [this, group](std::size_t attempt) {
-            const auto& entry = record(group);
-            auto& st = *entry.tree;
-            ++st.ladder_attempts;
-            // The rendezvous first; its deterministic replicas take over
-            // on later attempts (covers a crashed rendezvous point).
-            std::vector<overlay::PeerId> targets;
-            if (entry.rendezvous != self_ && entry.rendezvous != st.avoid) {
-              targets.push_back(entry.rendezvous);
-            }
-            const auto population = transport_->population().size();
-            const std::size_t replica_count =
-                std::min(options_->rendezvous_replicas,
-                         population > 0 ? population - 1 : 0);
-            // With replication on, skip replicas that have departed so the
-            // round-robin lands on a live (possibly acting-root) member;
-            // the filter stays off otherwise to preserve the legacy
-            // target order.
-            LivenessFilter alive;
-            if (options_->replication.enabled) {
-              alive = [this](overlay::PeerId p) {
-                return transport_->is_registered(p);
-              };
-            }
-            for (const auto replica :
-                 rendezvous_replicas(group, entry.rendezvous, population,
-                                     replica_count, alive)) {
-              if (replica != self_ && replica != st.avoid) {
-                targets.push_back(replica);
-              }
-            }
-            if (targets.empty()) return;  // nothing to try; timeout advances
-            const auto target = targets[attempt % targets.size()];
-            transport_->send(self_, target, JoinMsg{group, self_});
-          },
-          give_up);
-      break;
+  tree_of(group).exchange = exchange_.begin(
+      [this, group](std::size_t attempt) { climb(group, attempt); },
+      [this, group] { rung_gave_up(group); });
+}
+
+void GroupCastNode::climb(GroupId group, std::size_t attempt) {
+  const auto& entry = record(group);
+  AttachLadder& ladder = entry.tree->ladder;
+  ladder.attempted();
+  if (ladder.rung() == Rung::kRipple) {
+    // Widen the scope on every retry: a lost hit or a too-small radius
+    // both look like a timeout.
+    const RippleQueryMsg query{
+        group, self_,
+        static_cast<std::uint32_t>(options_->ripple_ttl + attempt),
+        ladder.search()};
+    std::size_t queries = 0;
+    for (const auto n : graph_->neighbors(self_)) {
+      if (ladder.avoids(n)) continue;
+      transport_->send(self_, n, query);
+      ++queries;
+    }
+    trace::counters().incr(self_, trace::CounterId::kRippleSearches);
+    trace::tracer().emit(now().as_micros(), trace::EventKind::kRippleSearch,
+                         self_, overlay::kNoPeer, queries);
+    return;
+  }
+  std::vector<overlay::PeerId> replicas;
+  if (ladder.rung() == Rung::kRendezvous) {
+    // With replication on, the whole replica set, skipping crashed members
+    // so the round-robin lands on a live (possibly acting-root) one; the
+    // filter stays off otherwise to keep the plain target order.  Crash
+    // marks are fixed before a sharded run, so any shard may read them.
+    const auto& replication = options_->replication;
+    LivenessFilter alive;
+    std::size_t count = kRendezvousRungReplicas;
+    if (replication.enabled) {
+      count = std::max(count, replication.replicas);
+      alive = [this, t = now()](overlay::PeerId p) {
+        return !transport_->crashed(p, t);
+      };
+    }
+    const auto population = transport_->population().size();
+    replicas = rendezvous_replicas(group, entry.rendezvous, population,
+                                   std::min(count, population - 1), alive);
+  }
+  const auto target = ladder.join_target(attach_points(entry), replicas,
+                                         attempt);
+  if (target != overlay::kNoPeer) {
+    transport_->send(self_, target, JoinMsg{group, self_});
   }
 }
 
-
-void GroupCastNode::advance_rung(GroupId group) {
+void GroupCastNode::rung_gave_up(GroupId group) {
   const auto& entry = record(group);
   auto& tree = *entry.tree;
-  if (tree.on_tree()) return;  // attached while the give-up was in flight
-  switch (tree.rung) {
-    case Rung::kBackup:
-      // The backup was dead too: fall through to the regular first rung.
-      tree.rung = advert_rung_ok(entry) ? Rung::kAdvertParent : Rung::kRipple;
-      run_rung(group);
-      return;
-    case Rung::kAdvertParent:
-      tree.rung = Rung::kRipple;
-      run_rung(group);
-      return;
-    case Rung::kRipple:
-      if (entry.rendezvous != overlay::kNoPeer &&
-          entry.rendezvous != self_) {
-        tree.rung = Rung::kRendezvous;
-        run_rung(group);
-        return;
-      }
-      terminal_failure(group);
-      return;
-    case Rung::kRendezvous:
-      terminal_failure(group);
-      return;
-  }
-}
-
-void GroupCastNode::terminal_failure(GroupId group) {
-  auto& tree = tree_of(group);
   tree.exchange = ReliableExchange::kNoToken;
-  tree.search_pending = false;
-  // The tree position dissolves either way below: no reliable edge of
-  // this group survives it (children are told to re-attach, and a later
-  // re-attach starts fresh incarnations via the join handshake).
-  edges_.clear(tree);
-  // Dissolve the tree position: the children re-attach on their own.  The
-  // first dissolve also earns the now-childless node one unguarded retry
-  // of the whole ladder before it reports failure.
-  const bool retry = !tree.children.empty() && !tree.dissolved_once;
-  if (!tree.children.empty()) {
-    for (const auto& child : tree.children) {
-      transport_->send(self_, child.peer, ParentLostMsg{group});
-    }
-    tree.children.clear();
-    tree.pending_acks.clear();
+  if (tree.on_tree()) return;  // attached while the give-up was in flight
+  if (tree.ladder.advance(attach_points(entry)) != Rung::kTerminal) {
+    run_rung(group);
+    return;
   }
-  if (retry) {
-    tree.dissolved_once = true;
-    tree.attach_depth_limit = kUnknownDepth;
+  // Every rung gave up and the tree position dissolves: no reliable edge
+  // of this group survives it (children are told to re-attach, and a
+  // later re-attach starts fresh incarnations via the join handshake).
+  edges_.clear(tree);
+  const bool had_children = !tree.children.empty();
+  for (const auto& child : tree.children) {
+    transport_->send(self_, child.peer, ParentLostMsg{group});
+  }
+  tree.children.clear();
+  tree.pending_acks.clear();
+  if (tree.ladder.dissolve(had_children)) {
     start_ladder(group);
     return;
   }
-  tree.recovering = false;
-  tree.tree_parent = overlay::kNoPeer;
-  tree.depth = kUnknownDepth;
-  tree.attach_depth_limit = kUnknownDepth;
   trace::tracer().emit(now().as_micros(),
                        trace::EventKind::kSubscriptionAttempt, self_,
                        overlay::kNoPeer, 0);
-  const bool was_subscribed = tree.subscribed;
-  tree.subscribed = false;
-  if (was_subscribed) report_subscribe(group, false);
+  if (std::exchange(tree.subscribed, false)) report_subscribe(group, false);
+}
+
+bool GroupCastNode::close_exchange(TreeState& tree) {
+  if (tree.exchange == ReliableExchange::kNoToken) return false;
+  exchange_.cancel(tree.exchange);
+  tree.exchange = ReliableExchange::kNoToken;
+  return true;
 }
 
 void GroupCastNode::complete_attach(GroupId group, overlay::PeerId parent,
                                     std::uint32_t parent_depth,
                                     overlay::PeerId backup) {
   auto& tree = tree_of(group);
-  if (tree.exchange != ReliableExchange::kNoToken) {
-    exchange_.settle(tree.exchange);
-    tree.exchange = ReliableExchange::kNoToken;
-  }
-  if (options_->replication.enabled && tree.recovering &&
-      tree.rung == Rung::kBackup) {
+  close_exchange(tree);
+  const bool recovered = tree.ladder.attached();
+  if (recovered && tree.ladder.rung() == Rung::kBackup) {
     trace::counters().incr(self_, trace::CounterId::kBackupAttaches);
   }
   tree.backup_parent = options_->replication.enabled && backup != self_
                            ? backup
                            : overlay::kNoPeer;
-  tree.search_pending = false;
   tree.tree_parent = parent;
   tree.depth =
       parent_depth == kUnknownDepth ? kUnknownDepth : parent_depth + 1;
-  tree.avoid = overlay::kNoPeer;
-  tree.attach_depth_limit = kUnknownDepth;
-  tree.dissolved_once = false;
   const EdgeLiveness rule = liveness();
   rule.attached(tree.liveness, now());
   // The first beat goes at once: the parent last heard from us at our
@@ -573,12 +427,11 @@ void GroupCastNode::complete_attach(GroupId group, overlay::PeerId parent,
   trace::tracer().emit(now().as_micros(), trace::EventKind::kTreeEdgeAdded,
                        self_, parent);
   trace::counters().incr(self_, trace::CounterId::kTreeEdges);
-  if (tree.recovering) {
-    tree.recovering = false;
+  if (recovered) {
     trace::counters().incr(self_, trace::CounterId::kOrphansRecovered);
     trace::tracer().emit(now().as_micros(),
                          trace::EventKind::kOrphanRecovered, self_, parent,
-                         tree.ladder_attempts);
+                         tree.ladder.attempts());
   }
   // Children whose joins we accepted before being attached ourselves get
   // their deferred acks now, carrying our freshly-known depth; children
@@ -703,15 +556,10 @@ void GroupCastNode::begin_recovery(GroupId group,
                                    overlay::PeerId dead_parent) {
   auto& tree = tree_of(group);
   if (!tree.on_tree()) return;
+  tree.ladder.orphaned(dead_parent, tree.depth,
+                       !tree.children.empty() || !tree.pending_acks.empty());
   tree.tree_parent = overlay::kNoPeer;
-  // Only a subtree root with live descendants needs the cycle guard; a
-  // childless orphan cannot be anyone's ancestor.
-  tree.attach_depth_limit =
-      tree.children.empty() && tree.pending_acks.empty() ? kUnknownDepth
-                                                         : tree.depth;
   tree.depth = kUnknownDepth;
-  tree.avoid = dead_parent;
-  tree.recovering = true;
   // Both directions of the dead parent's edge are gone; edges to retained
   // children stay live (their buffers cover losses during the recovery).
   edges_.drop(tree, dead_parent);
@@ -719,10 +567,7 @@ void GroupCastNode::begin_recovery(GroupId group,
   // edge traffic may stand in for the beats that would carry the change.
   // (The unknown depth the beats now carry changes nothing for a child.)
   if (options_->replication.enabled) position_changed(group, tree, true);
-  if (tree.exchange != ReliableExchange::kNoToken) {
-    exchange_.cancel(tree.exchange);
-    tree.exchange = ReliableExchange::kNoToken;
-  }
+  close_exchange(tree);
   start_ladder(group);
 }
 
@@ -814,27 +659,20 @@ void GroupCastNode::handle(const Envelope& /*envelope*/, const JoinMsg& msg) {
 }
 
 void GroupCastNode::handle(const Envelope& envelope, const JoinAckMsg& msg) {
-  // Every path below but the two retractions attaches, so the tree record
-  // is needed anyway.
+  // Every path below but the retraction attaches, so the tree record is
+  // needed anyway.
   auto& tree = tree_of(msg.group);
-  if (tree.on_tree()) {
-    if (envelope.from != tree.tree_parent) {
-      // A slower rung answered after we attached elsewhere: retract so the
-      // acker does not keep us in its child list.
-      transport_->send(self_, envelope.from, LeaveMsg{msg.group, self_});
-    } else {
-      // A retried join's ack is a beat too.
-      tree.liveness.parent.heard(now());
-    }
-    return;
-  }
-  if (!attach_allowed(tree, envelope.from, msg.depth)) {
-    // Possibly our own (stale-depth) descendant; refuse and retract.  The
-    // open exchange keeps retrying toward safer attach points.
+  if (tree.on_tree() && envelope.from == tree.tree_parent) {
+    tree.liveness.parent.heard(now());  // a retried join's ack is a beat too
+  } else if (!tree.on_tree() &&
+             tree.ladder.attach_allowed(self_, envelope.from, msg.depth)) {
+    complete_attach(msg.group, envelope.from, msg.depth, msg.backup);
+  } else {
+    // A slower rung answered after we attached elsewhere, or the acker may
+    // be our own (stale-depth) descendant: retract, so it does not keep us
+    // as its child.  An open exchange keeps retrying safer attach points.
     transport_->send(self_, envelope.from, LeaveMsg{msg.group, self_});
-    return;
   }
-  complete_attach(msg.group, envelope.from, msg.depth, msg.backup);
 }
 
 void GroupCastNode::handle(const Envelope& envelope,
@@ -863,24 +701,9 @@ void GroupCastNode::handle(const Envelope& /*envelope*/,
                            const RippleHitMsg& msg) {
   TreeState* tree = find_tree(msg.group);
   if (tree == nullptr || tree->on_tree()) return;
-  if (!tree->search_pending) return;  // already joining via earlier hit
-  if (!attach_allowed(*tree, msg.holder, msg.depth)) {
-    return;  // keep waiting: a safe holder may still answer
+  if (tree->ladder.take_hit(self_, msg.holder, msg.depth)) {
+    transport_->send(self_, msg.holder, JoinMsg{msg.group, self_});
   }
-  tree->search_pending = false;
-  transport_->send(self_, msg.holder, JoinMsg{msg.group, self_});
-}
-
-ReliableEdge::Links* GroupCastNode::links(GroupId group) {
-  if (!running_) return nullptr;
-  return find_tree(group);
-}
-
-overlay::PeerId GroupCastNode::upstream(
-    const ReliableEdge::Links& links) const {
-  // kNoPeer off the tree, and for the root.
-  const auto parent = static_cast<const TreeState&>(links).tree_parent;
-  return parent != self_ ? parent : overlay::kNoPeer;
 }
 
 void GroupCastNode::deliver(GroupId group, ReliableEdge::Links& links,

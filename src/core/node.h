@@ -17,24 +17,17 @@
 // decision, core::select_forward_targets; each keeps its own
 // resource-level memo (per group in the engine, per lifetime here).
 //
-// Control-plane reliability (docs/ROBUSTNESS.md): joins and ripple
-// searches run through a ReliableExchange retry ladder — join the advert
-// parent, escalate to ripple re-search with widening TTL, then to the
-// rendezvous point and its deterministic replicas — so a lost JoinAck
-// delays a subscription instead of stranding it.  Tree-edge heartbeats
-// (off by default; enable via NodeOptions::heartbeat_interval) detect dead
-// parents with the paper's two-miss rule and re-run the same ladder to
-// re-attach the orphaned subtree, guarded against cycles by attach-point
-// depths carried on JoinAck / RippleHit / ParentBeat.
-//
-// Two self-contained sub-protocols are classes of their own, each
-// reaching back into the node through a small host interface: the
-// reliable data plane (core/reliable_edge.h) and leased rendezvous
-// replication (core/lease_replica.h).  Tree-edge failure detection is a
-// third, core/liveness.h's EdgeLiveness: the stamps, beat suppression,
-// deadlines, news window and adaptive widening.  The node keeps the tree,
-// the ladder, the shared heartbeat tick and what a beat means (depth and
-// backup on ParentBeat, when to answer ParentLost or Leave), advert/ripple
+// Two sub-protocols are classes of their own, each reaching back into
+// the node through a small host interface: the reliable data plane
+// (core/reliable_edge.h) and leased rendezvous replication
+// (core/lease_replica.h).  Two rules are classes the node asks, each
+// tested alone (docs/ROBUSTNESS.md): tree-edge failure detection, the
+// paper's two-miss rule (core/liveness.h's EdgeLiveness), and the retry
+// ladder that joins, re-attaches orphans and guards against cycles
+// (core/ladder.h's AttachLadder).  The node keeps the tree and the
+// effects: the Join, RippleQuery and beat sends, the ReliableExchange
+// calls, counters and trace events, what a beat means (depth and backup
+// on ParentBeat, when to answer ParentLost or Leave), advert/ripple
 // handling and payload dedup and forwarding.
 #pragma once
 
@@ -44,6 +37,7 @@
 #include <vector>
 
 #include "core/advertisement.h"
+#include "core/ladder.h"
 #include "core/lease_replica.h"
 #include "core/liveness.h"
 #include "core/reliable_edge.h"
@@ -56,9 +50,6 @@
 
 namespace groupcast::core {
 
-/// Sentinel depth of a node that is not (or not yet) on a tree.
-inline constexpr std::uint32_t kUnknownDepth = 0xFFFFFFFFu;
-
 struct NodeOptions {
   /// Scheme + fan-out the node uses when forwarding advertisements.
   AdvertisementOptions advertisement;
@@ -67,8 +58,6 @@ struct NodeOptions {
   /// Per-attempt timeout / backoff / attempt budget of every control-plane
   /// exchange (one exchange per ladder rung).
   RetryPolicy retry;
-  /// Rendezvous replicas tried when the rendezvous itself is unresponsive.
-  std::size_t rendezvous_replicas = 2;
   /// Tree-edge heartbeat period; zero() disables liveness probing (the
   /// default, so `Simulator::run()` still drains in non-churn tests).
   sim::SimTime heartbeat_interval = sim::SimTime::zero();
@@ -113,7 +102,9 @@ class GroupCastNode : private ReliableEdge::Host, private LeaseReplica::Host {
       : GroupCastNode(self, transport, graph,
                       std::make_shared<const NodeOptions>(std::move(options)),
                       rng) {}
-  ~GroupCastNode();
+  ~GroupCastNode() {
+    if (running_) stop();
+  }
 
   GroupCastNode(const GroupCastNode&) = delete;
   GroupCastNode& operator=(const GroupCastNode&) = delete;
@@ -123,10 +114,10 @@ class GroupCastNode : private ReliableEdge::Host, private LeaseReplica::Host {
   /// Graceful detach: incoming messages stop being delivered, but messages
   /// this node already sent (e.g. a Leave fired just before stopping)
   /// still reach their peers.
-  void stop();
+  void stop() { detach(DetachMode::kGraceful); }
   /// Ungraceful detach: in-flight messages to *and from* this node are
   /// dropped — the form of departure a fault plan injects.
-  void crash();
+  void crash() { detach(DetachMode::kCrash); }
   bool running() const { return running_; }
 
   overlay::PeerId id() const { return self_; }
@@ -182,7 +173,11 @@ class GroupCastNode : private ReliableEdge::Host, private LeaseReplica::Host {
     GC_REQUIRE(on_tree(group));
     return tree_view(group).tree_parent;
   }
-  std::vector<overlay::PeerId> tree_children(GroupId group) const;
+  std::vector<overlay::PeerId> tree_children(GroupId group) const {
+    std::vector<overlay::PeerId> peers;
+    for_each_tree_child(group, [&](overlay::PeerId c) { peers.push_back(c); });
+    return peers;
+  }
   /// Calls `visit(child)` for each tree child of `group`, in join order,
   /// without allocating (tree_children() copies them).
   template <typename Visit>
@@ -246,11 +241,7 @@ class GroupCastNode : private ReliableEdge::Host, private LeaseReplica::Host {
   }
 
  private:
-  /// Ladder rungs, tried in order (skipping inapplicable ones).  kBackup
-  /// (the precomputed grandparent, ReplicationOptions only) is rung 0 —
-  /// one message instead of a search, targeting sub-heartbeat orphan time.
-  enum class Rung : std::uint8_t { kBackup, kAdvertParent, kRipple,
-                                   kRendezvous };
+  using Rung = AttachLadder::Rung;
 
   /// The tree half of a group record: everything a peer needs once it
   /// takes a tree role (root, relay, child, or the parent of a deferred
@@ -291,7 +282,6 @@ class GroupCastNode : private ReliableEdge::Host, private LeaseReplica::Host {
     }
 
     bool subscribed = false;
-    bool search_pending = false;
     overlay::PeerId tree_parent = overlay::kNoPeer;
     std::uint32_t depth = kUnknownDepth;
     std::vector<Child> children;  // in join order
@@ -302,16 +292,7 @@ class GroupCastNode : private ReliableEdge::Host, private LeaseReplica::Host {
 
     // --- retry ladder (subscribe + orphan recovery share it) ---
     ReliableExchange::Token exchange = ReliableExchange::kNoToken;
-    Rung rung = Rung::kAdvertParent;
-    std::uint32_t search_round = 0;
-    /// A peer the ladder must not target (the parent just declared dead).
-    overlay::PeerId avoid = overlay::kNoPeer;
-    /// Orphan cycle guard: only attach under peers of depth <= this.
-    /// kUnknownDepth (the default) accepts any attach point.
-    std::uint32_t attach_depth_limit = kUnknownDepth;
-    bool recovering = false;      // ladder re-attaches an orphaned position
-    bool dissolved_once = false;  // second terminal give-up is final
-    std::size_t ladder_attempts = 0;  // sends since the ladder started
+    AttachLadder ladder;
     /// Joins accepted while not yet on the tree; acked after attaching.
     std::vector<overlay::PeerId> pending_acks;
 
@@ -327,7 +308,7 @@ class GroupCastNode : private ReliableEdge::Host, private LeaseReplica::Host {
   };
 
   /// What every peer that hears of a group keeps: 40 bytes, where the
-  /// tree record it usually never needs is 432.
+  /// tree record it usually never needs is 424.
   struct GroupRecord {
     GroupId group = 0;
     overlay::PeerId rendezvous = overlay::kNoPeer;
@@ -359,13 +340,19 @@ class GroupCastNode : private ReliableEdge::Host, private LeaseReplica::Host {
   void handle(const Envelope& envelope, const Msg& msg);
 
   // --- ReliableEdge::Host ---
-  ReliableEdge::Links* links(GroupId group) override;
+  ReliableEdge::Links* links(GroupId group) override {
+    return running_ ? find_tree(group) : nullptr;
+  }
   /// Accepted payload (any path): dedup by (origin, id), deliver to the
   /// application, and forward along the tree away from `via`.  `hops` is
   /// the tree depth this copy traversed (provenance + hop histogram).
   void deliver(GroupId group, ReliableEdge::Links& links, overlay::PeerId via,
                const BufferedPayload& payload) override;
-  overlay::PeerId upstream(const ReliableEdge::Links& links) const override;
+  /// kNoPeer off the tree, and for the root.
+  overlay::PeerId upstream(const ReliableEdge::Links& links) const override {
+    const auto parent = static_cast<const TreeState&>(links).tree_parent;
+    return parent != self_ ? parent : overlay::kNoPeer;
+  }
   void sent(ReliableEdge::Links& links, overlay::PeerId to) override {
     if (EdgeStamps* edge = static_cast<TreeState&>(links).edge(to)) {
       edge->sent(now());
@@ -401,19 +388,22 @@ class GroupCastNode : private ReliableEdge::Host, private LeaseReplica::Host {
   void drop_child(TreeState& tree, overlay::PeerId child);
 
   // --- retry ladder ---
+  /// What the ladder reads of the group.  Requires the record's tree.
+  AttachPoints attach_points(const GroupRecord& record) const {
+    return {self_, record.advert_parent, record.rendezvous,
+            record.tree->backup_parent, options_->replication.enabled};
+  }
   /// Starts (or restarts) the ladder at its first applicable rung.
   void start_ladder(GroupId group);
-  /// True if the advert parent is a usable first regular rung.
-  /// Requires the record's tree.
-  bool advert_rung_ok(const GroupRecord& record) const;
-  /// Opens the reliable exchange for the current rung.
+  /// Opens the current rung's exchange.
   void run_rung(GroupId group);
-  /// Current rung exhausted its attempts: next rung or terminal failure.
-  void advance_rung(GroupId group);
-  void terminal_failure(GroupId group);
-  /// True if the ladder may attach under `target` at `target_depth`.
-  bool attach_allowed(const TreeState& tree, overlay::PeerId target,
-                      std::uint32_t target_depth) const;
+  /// One attempt of the current rung: a ripple search or a Join.
+  void climb(GroupId group, std::size_t attempt);
+  /// The rung gave up: the next one, or, past the last, dissolve the
+  /// position and then retry or fail.
+  void rung_gave_up(GroupId group);
+  /// Closes the open exchange, if any; true if there was one.
+  bool close_exchange(TreeState& tree);
   /// Successful attach bookkeeping shared by every ack path.  `backup` is
   /// the grandparent the acking parent offered for rung 0 (kNoPeer when
   /// replication is off or the parent is the root).
@@ -454,7 +444,9 @@ class GroupCastNode : private ReliableEdge::Host, private LeaseReplica::Host {
   /// The group's record, or nullptr.  Lookup never inserts: a message
   /// for a group without a record is handled as if by a default record.
   GroupRecord* find(GroupId group);
-  const GroupRecord* find(GroupId group) const;
+  const GroupRecord* find(GroupId group) const {
+    return const_cast<GroupCastNode*>(this)->find(group);
+  }
   TreeState* find_tree(GroupId group);
   /// The group's tree record, or an empty one when it has none.
   const TreeState& tree_view(GroupId group) const;
@@ -464,7 +456,9 @@ class GroupCastNode : private ReliableEdge::Host, private LeaseReplica::Host {
   /// The group's tree record, created on first use.
   TreeState& tree_of(GroupRecord& record);
   TreeState& tree_of(GroupId group) { return tree_of(record(group)); }
-  sim::SimTime now() const;
+  sim::SimTime now() const {
+    return transport_->simulator_for(self_).now();
+  }
 
   /// The application call-backs, in one block allocated when the first
   /// is set: most nodes (relays, bystanders) never get one.

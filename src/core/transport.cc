@@ -162,9 +162,10 @@ void Transport::unregister_node(overlay::PeerId peer, DetachMode mode) {
   }
 }
 
-bool Transport::is_registered(overlay::PeerId peer) const {
-  GC_REQUIRE(peer < handlers_.size());
-  return handlers_[peer] != nullptr;
+bool Transport::crashed(overlay::PeerId peer, sim::SimTime now) const {
+  GC_REQUIRE(peer < crash_.size());
+  const std::int64_t at = crash_[peer].at_us;
+  return at >= 0 && at <= now.as_micros();
 }
 
 const char* message_type_name(std::size_t type) {

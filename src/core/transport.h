@@ -383,7 +383,12 @@ class Transport final : public sim::ShardSet::Client {
   void unregister_node(overlay::PeerId peer,
                        DetachMode mode = DetachMode::kCrash);
 
-  bool is_registered(overlay::PeerId peer) const;
+  /// True if `peer` crashed at or before `now`, by the crash marks: a
+  /// declared crash from before the run, or one that unregister_node
+  /// recorded on a one-shard transport.  Unlike the handler table, which
+  /// the victim's shard changes mid-run, the marks are safe to read from
+  /// any shard, and the answer is the same at every shard count.
+  bool crashed(overlay::PeerId peer, sim::SimTime now) const;
 
   /// Sends a message; delivery is scheduled after the peers' true latency.
   /// Every send is counted, including ones that are later lost.

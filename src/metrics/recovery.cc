@@ -87,11 +87,6 @@ ScenarioResult run_recovery_scenario(const ScenarioConfig& config) {
           options.replication.replicas = rec.replicas;
           options.replication.lease_interval =
               sim::SimTime::seconds(rec.lease_seconds);
-          // Ladder targeting must round-robin over at least the replica
-          // quorum, or an orphan could never reach the elected
-          // leaseholder.
-          options.rendezvous_replicas =
-              std::max(options.rendezvous_replicas, rec.replicas);
         }
         if (rec.reliable_data && rec.slow_peer_stride != 0 &&
             p % rec.slow_peer_stride == 0) {

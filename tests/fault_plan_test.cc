@@ -1,12 +1,19 @@
 // Tests for deterministic fault injection: fault-plan validation, the
 // injector's crash scheduling, partition drops at the transport, the
-// transport's crash semantics, and the option-validation regression that
-// rides along (TransportOptions::loss_probability).
+// transport's crash semantics and crash queries, and the
+// option-validation regression that rides along
+// (TransportOptions::loss_probability).
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <thread>
+
 #include "core/fault_injection.h"
+#include "core/shard_partition.h"
 #include "core/transport.h"
 #include "sim/fault_plan.h"
+#include "sim/shard_set.h"
 #include "test_helpers.h"
 #include "trace/sink.h"
 #include "trace/trace.h"
@@ -193,6 +200,79 @@ TEST(Transport, SendsFromNeverRegisteredDriversStillDeliver) {
   f.transport.send(0, 3, core::HeartbeatMsg{9});
   f.simulator.run();
   EXPECT_EQ(f.inbox.size(), 1u);
+}
+
+// --------------------------------------------------------- crash queries
+
+// A one-shard transport answers from the instant unregister_node(kCrash)
+// recorded; a graceful detach is no crash.
+TEST(CrashQuery, OneShardAnswersFromTheDetachInstant) {
+  TransportFixture f;
+  f.attach(2);
+  f.attach(3);
+  const auto at = SimTime::millis(5);
+  f.simulator.schedule_at(at, [&f] {
+    f.transport.unregister_node(2);
+    f.transport.unregister_node(3, core::DetachMode::kGraceful);
+  });
+  EXPECT_FALSE(f.transport.crashed(2, at));
+  f.simulator.run();
+  EXPECT_FALSE(f.transport.crashed(2, at - SimTime::micros(1)));
+  EXPECT_TRUE(f.transport.crashed(2, at));
+  EXPECT_FALSE(f.transport.crashed(3, at + SimTime::seconds(1.0)));
+}
+
+// The retry ladder asks from any shard whether a replica crashed.  The
+// answer comes from the declared crash marks, so a peer on another shard
+// reads "crashed" at the crash instant while the victim's own shard has
+// not fired the crash yet, and reads nothing the victim's shard writes as
+// it detaches the victim.
+TEST(CrashQuery, DeclaredCrashReadsCrashedBeforeTheVictimsShardFires) {
+  testing::SmallWorld world(48, 7);
+  const auto partition = core::partition_shards(*world.population, 2);
+  PeerId asker = overlay::kNoPeer;
+  PeerId victim = overlay::kNoPeer;
+  for (PeerId p = 0; p < partition.peer_shard.size(); ++p) {
+    (partition.peer_shard[p] == 0 ? asker : victim) = p;
+  }
+  ASSERT_NE(asker, overlay::kNoPeer);
+  ASSERT_NE(victim, overlay::kNoPeer);
+  sim::ShardSet shards(2, partition.lookahead_us);
+  Transport transport(shards, *world.population, partition.peer_shard,
+                      TransportOptions{}, world.rng);
+  transport.register_node(victim, [](const Envelope&) {});
+  const SimTime at = SimTime::millis(10);
+  FaultPlan plan;
+  plan.crashes.push_back(
+      sim::CrashEvent{at, static_cast<sim::FaultNodeId>(victim)});
+  core::FaultInjector injector(std::move(plan), transport);
+  std::atomic<bool> asked{false};
+  bool asked_first = false;
+  injector.arm([&](PeerId crashed) {
+    // Hold the victim's shard until the asker's shard has asked; bounded,
+    // so shards that ran one after the other fail instead of hanging.
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (!asked.load() && std::chrono::steady_clock::now() < give_up) {
+      std::this_thread::yield();
+    }
+    asked_first = asked.load();
+    transport.unregister_node(crashed);
+  });
+  sim::Simulator& wheel = transport.simulator_for(asker);
+  bool before = true;
+  bool at_crash = false;
+  wheel.schedule_at(at - SimTime::micros(1), [&] {
+    before = transport.crashed(victim, wheel.now());
+  });
+  wheel.schedule_at(at, [&] {
+    at_crash = transport.crashed(victim, wheel.now());
+    asked.store(true);
+  });
+  shards.run_until(at + SimTime::millis(1));
+  EXPECT_TRUE(asked_first);
+  EXPECT_FALSE(before);
+  EXPECT_TRUE(at_crash);
 }
 
 // -------------------------------------------------- option-range regression
