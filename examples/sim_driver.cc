@@ -11,6 +11,8 @@
 // (see docs/OBSERVABILITY.md) that tools/trace_report summarizes.
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
+#include <initializer_list>
 #include <memory>
 #include <string>
 
@@ -18,6 +20,7 @@
 #include "trace/sink.h"
 #include "trace/trace.h"
 #include "util/flags.h"
+#include "util/require.h"
 
 namespace {
 
@@ -41,6 +44,19 @@ core::AnnouncementScheme parse_scheme(const std::string& name) {
   std::fprintf(stderr, "unknown scheme '%s' (ssa|ssa-random|nssa)\n",
                name.c_str());
   std::exit(2);
+}
+
+/// Exits 2 when one of `names` was given on the command line although
+/// the feature it belongs to is off; `needs` names what turns it on.
+void refuse_stray(const util::Flags& flags,
+                  std::initializer_list<const char*> names,
+                  const char* needs) {
+  for (const char* name : names) {
+    if (!flags.provided(name)) continue;
+    std::fprintf(stderr, "sim_driver: --%s only takes effect with %s\n", name,
+                 needs);
+    std::exit(2);
+  }
 }
 
 }  // namespace
@@ -169,12 +185,6 @@ int main(int argc, char** argv) {
   config.ripple_ttl = static_cast<std::size_t>(flags.get_int("ripple-ttl"));
   config.recovery.enabled = flags.get_bool("recovery");
   config.streaming.enabled = flags.get_bool("streaming");
-  if (config.recovery.enabled && config.streaming.enabled) {
-    std::fprintf(stderr,
-                 "sim_driver: --recovery and --streaming are mutually "
-                 "exclusive harnesses\n");
-    return 2;
-  }
   // The shared node-runtime flags fill whichever harness runs.
   metrics::RuntimeOptions* runtime = nullptr;
   if (config.recovery.enabled) runtime = &config.recovery;
@@ -184,23 +194,6 @@ int main(int argc, char** argv) {
     runtime->reliable_data = flags.get_bool("reliable");
     runtime->flow_control = flags.get_bool("flow-control");
     runtime->adaptive = flags.get_bool("adaptive");
-  } else {
-    // Without a node-runtime harness the engine pipeline has no loss or
-    // reliable data path; refuse loudly so a sweep never mistakes the
-    // clean run for results.
-    const char* stray = nullptr;
-    if (flags.get_double("loss") != 0.0) stray = "--loss";
-    if (flags.get_bool("reliable")) stray = "--reliable";
-    if (flags.get_bool("flow-control")) stray = "--flow-control";
-    if (flags.get_bool("adaptive")) stray = "--adaptive";
-    if (stray != nullptr) {
-      std::fprintf(stderr,
-                   "sim_driver: %s only takes effect with --recovery or "
-                   "--streaming (the engine pipeline would silently ignore "
-                   "it)\n",
-                   stray);
-      return 2;
-    }
   }
   config.recovery.crash_fraction = flags.get_double("crash");
   config.recovery.graceful_fraction = flags.get_double("graceful");
@@ -245,103 +238,44 @@ int main(int argc, char** argv) {
     config.streaming.flash_crowd_joins =
         static_cast<std::size_t>(flags.get_int("flash-joins"));
     config.streaming.flash_crowd_seconds = flags.get_double("flash-seconds");
-  } else {
-    // Streaming-only flags without --streaming would be silently ignored;
-    // refuse loudly so a sweep never mistakes the clean run for results.
-    const char* stray = nullptr;
-    if (flags.get_int("chunks") != 50) stray = "--chunks";
-    if (flags.get_double("chunk-interval-ms") != 100.0) {
-      stray = "--chunk-interval-ms";
-    }
-    if (flags.get_int("chunk-bytes") != 16384) stray = "--chunk-bytes";
-    if (flags.get_double("chunk-deadline-ms") != 2000.0) {
-      stray = "--chunk-deadline-ms";
-    }
-    if (flags.get_double("uplink-kbps") != 0.0) stray = "--uplink-kbps";
-    if (flags.get_double("downlink-kbps") != 0.0) stray = "--downlink-kbps";
-    if (flags.get_bool("cap-capacity")) stray = "--cap-capacity";
-    if (flags.get_int("publishers") != 1) stray = "--publishers";
-    if (flags.get_string("multi-source") != "shared") {
-      stray = "--multi-source";
-    }
-    if (flags.get_int("flash-joins") != 0) stray = "--flash-joins";
-    if (flags.get_double("flash-seconds") != 1.0) stray = "--flash-seconds";
-    if (stray != nullptr) {
-      std::fprintf(stderr,
-                   "sim_driver: %s only takes effect with --streaming (the "
-                   "other pipelines would silently ignore it)\n",
-                   stray);
-      return 2;
-    }
   }
-  const bool window_set = flags.get_int("window") != 32;
+  // A flag whose feature is off would be silently ignored; refuse it
+  // loudly, even at its default, so a sweep never mistakes the clean run
+  // for results.
+  if (runtime == nullptr) {
+    refuse_stray(flags, {"loss", "reliable", "flow-control", "adaptive"},
+                 "--recovery or --streaming");
+  }
+  if (!config.streaming.enabled) {
+    refuse_stray(flags,
+                 {"chunks", "chunk-interval-ms", "chunk-bytes",
+                  "chunk-deadline-ms", "uplink-kbps", "downlink-kbps",
+                  "cap-capacity", "publishers", "multi-source",
+                  "flash-joins", "flash-seconds"},
+                 "--streaming");
+  }
   if (!config.recovery.enabled) {
-    // Recovery-only flags: the streaming harness and the engine pipeline
-    // have no churn, replication or partition phase.
-    const char* stray = nullptr;
-    if (config.recovery.crash_fraction != 0.0) stray = "--crash";
-    if (config.recovery.graceful_fraction != 0.0) stray = "--graceful";
-    if (config.recovery.replication) stray = "--replicas";
-    if (config.recovery.partition_seconds != 0.0) stray = "--partition";
-    if (window_set) stray = "--window";
-    if (stray != nullptr) {
-      std::fprintf(stderr,
-                   "sim_driver: %s only takes effect with --recovery\n",
-                   stray);
-      return 2;
-    }
+    refuse_stray(flags, {"crash", "graceful", "replicas", "partition", "window"},
+                 "--recovery");
   }
   // Flags that refine another flag's feature: alone they do nothing.
-  const char* stray_refinement = nullptr;
-  const char* required = nullptr;
-  if (window_set && (runtime == nullptr || !runtime->flow_control)) {
-    stray_refinement = "--window";
-    required = "--flow-control";
+  if (runtime == nullptr || !runtime->flow_control) {
+    refuse_stray(flags, {"window"}, "--flow-control");
   }
-  if (flags.get_double("lease-ms") != 500.0 && !config.recovery.replication) {
-    stray_refinement = "--lease-ms";
-    required = "--replicas";
-  }
-  if (stray_refinement != nullptr) {
-    std::fprintf(stderr, "sim_driver: %s only takes effect with %s\n",
-                 stray_refinement, required);
-    return 2;
-  }
-  if (runtime != nullptr && runtime->flow_control && !runtime->reliable_data) {
-    std::fprintf(stderr,
-                 "sim_driver: --flow-control requires --reliable (the "
-                 "window rides on the reliable sequence space)\n");
-    return 2;
-  }
-  if (config.recovery.partition_seconds != 0.0 &&
-      !config.recovery.replication) {
-    std::fprintf(stderr,
-                 "sim_driver: --partition requires --replicas (without a "
-                 "replica set the minority side has no rendezvous to fail "
-                 "over to)\n");
-    return 2;
-  }
-  if (config.recovery.replication && config.recovery.lease_seconds <= 0.0) {
-    std::fprintf(stderr,
-                 "sim_driver: --lease-ms must be positive when --replicas "
-                 "is set\n");
-    return 2;
+  if (!config.recovery.replication) {
+    refuse_stray(flags, {"lease-ms"}, "--replicas");
   }
   const std::int64_t shards_raw = flags.get_int("shards");
-  if (shards_raw < 0 ||
-      static_cast<std::size_t>(shards_raw) > config.peer_count) {
-    std::fprintf(stderr,
-                 "sim_driver: --shards must be between 0 and --peers "
-                 "(got %lld for %zu peers)\n",
-                 static_cast<long long>(shards_raw), config.peer_count);
+  if (shards_raw < 0) {
+    std::fprintf(stderr, "sim_driver: --shards must be >= 0 (got %lld)\n",
+                 static_cast<long long>(shards_raw));
     return 2;
   }
   config.shards = static_cast<std::size_t>(shards_raw);
-  if (config.shards > 1 && runtime == nullptr) {
-    std::fprintf(stderr,
-                 "sim_driver: --shards only takes effect with --recovery "
-                 "or --streaming (the engine pipeline runs on the single "
-                 "wheel)\n");
+  try {
+    metrics::validate(config);
+  } catch (const PreconditionError& error) {
+    std::fprintf(stderr, "sim_driver: %s\n", error.what());
     return 2;
   }
   const auto topologies =

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cstdlib>
 #include <memory>
+#include <string>
 
+#include "core/wire.h"
 #include "metrics/harness_common.h"
 #include "metrics/recovery.h"
 #include "metrics/streaming.h"
@@ -42,16 +44,73 @@ std::unique_ptr<core::GroupCastMiddleware> make_scenario_middleware(
   return std::make_unique<core::GroupCastMiddleware>(config.world);
 }
 
-ScenarioResult run_scenario(const ScenarioConfig& config) {
+void validate(const ScenarioConfig& config) {
   GC_REQUIRE(config.groups >= 1);
-  GC_REQUIRE_MSG(!(config.recovery.enabled && config.streaming.enabled),
+  const RecoveryOptions& rec = config.recovery;
+  const StreamingOptions& str = config.streaming;
+  GC_REQUIRE_MSG(!(rec.enabled && str.enabled),
                  "recovery and streaming harnesses are mutually exclusive");
+  if (!rec.enabled && !str.enabled) {
+    GC_REQUIRE_MSG(config.shards <= 1,
+                   "shards > 1 requires a node-runtime harness (recovery "
+                   "or streaming); engine-level scenarios run on the "
+                   "single wheel");
+    return;
+  }
+  // The fields both node-runtime harnesses share, named after the one
+  // that runs.
+  const RuntimeOptions& runtime =
+      rec.enabled ? static_cast<const RuntimeOptions&>(rec) : str;
+  const std::string name = rec.enabled ? "recovery" : "streaming";
+  GC_REQUIRE_MSG(
+      runtime.loss_probability >= 0.0 && runtime.loss_probability <= 1.0,
+      name + ".loss_probability must be in [0, 1]");
+  GC_REQUIRE_MSG(!runtime.flow_control || runtime.reliable_data,
+                 name + ".flow_control requires reliable_data");
+  GC_REQUIRE_MSG(config.shards <= config.peer_count,
+                 "config.shards must not exceed peer_count");
+  if (rec.enabled) {
+    GC_REQUIRE_MSG(rec.crash_fraction >= 0.0 && rec.crash_fraction <= 1.0,
+                   "recovery.crash_fraction must be in [0, 1]");
+    GC_REQUIRE_MSG(
+        rec.graceful_fraction >= 0.0 && rec.graceful_fraction <= 1.0,
+        "recovery.graceful_fraction must be in [0, 1]");
+    GC_REQUIRE_MSG(rec.crash_fraction + rec.graceful_fraction <= 1.0,
+                   "crash_fraction + graceful_fraction must stay <= 1");
+    GC_REQUIRE(rec.speaking_payloads >= 1);
+    GC_REQUIRE_MSG(rec.partition_seconds >= 0.0,
+                   "recovery.partition_seconds must be >= 0");
+    GC_REQUIRE_MSG(rec.partition_seconds == 0.0 || rec.replication,
+                   "recovery.partition_seconds requires replication");
+    if (rec.replication) {
+      GC_REQUIRE_MSG(rec.replicas >= 1, "recovery.replicas must be >= 1");
+      GC_REQUIRE_MSG(rec.lease_seconds > 0.0,
+                     "recovery.lease_seconds must be > 0");
+    }
+    return;
+  }
+  GC_REQUIRE_MSG(str.chunks >= 1, "streaming.chunks must be >= 1");
+  GC_REQUIRE_MSG(str.chunk_interval_seconds > 0.0,
+                 "streaming.chunk_interval_seconds must be > 0");
+  GC_REQUIRE_MSG(str.chunk_bytes >= 1 &&
+                     str.chunk_bytes <= core::kMaxChunkBytes,
+                 "streaming.chunk_bytes must be in [1, 16 MiB]");
+  GC_REQUIRE_MSG(str.deadline_seconds > 0.0,
+                 "streaming.deadline_seconds must be > 0");
+  GC_REQUIRE_MSG(str.uplink_kbps >= 0.0 && str.downlink_kbps >= 0.0,
+                 "streaming bandwidth caps must be non-negative");
+  GC_REQUIRE_MSG(str.sources.publishers >= 1,
+                 "streaming.sources.publishers must be >= 1");
+  GC_REQUIRE_MSG(str.flash_crowd_seconds > 0.0,
+                 "streaming.flash_crowd_seconds must be > 0");
+  GC_REQUIRE_MSG(str.sources.publishers + 1 < config.peer_count,
+                 "streaming needs peers beyond the publishers");
+}
+
+ScenarioResult run_scenario(const ScenarioConfig& config) {
+  validate(config);
   if (config.recovery.enabled) return run_recovery_scenario(config);
   if (config.streaming.enabled) return run_streaming_scenario(config);
-  GC_REQUIRE_MSG(config.shards <= 1,
-                 "shards > 1 requires a node-runtime harness (recovery "
-                 "or streaming); engine-level scenarios run on the single "
-                 "wheel");
   ScenarioResult result;
   result.config = config;
   result.config.shards = detail::resolve_shards(config);

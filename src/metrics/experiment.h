@@ -322,6 +322,13 @@ struct ScenarioResult {
   std::vector<trace::FlightFrame> timeline;
 };
 
+/// Throws PreconditionError for a config run_scenario cannot run: no
+/// groups, both harnesses on, shards > 1 without a node-runtime harness,
+/// or a field of the harness that runs out of range (the messages name
+/// the field, e.g. "recovery.flow_control requires reliable_data").
+/// run_scenario calls it before it builds any world.
+void validate(const ScenarioConfig& config);
+
 /// Builds one deployment and runs `config.groups` groups over it.
 ScenarioResult run_scenario(const ScenarioConfig& config);
 

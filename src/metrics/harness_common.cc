@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <numeric>
-#include <string>
 #include <thread>
 #include <utility>
 
@@ -12,7 +11,6 @@
 #include "trace/histogram.h"
 #include "trace/trace.h"
 #include "util/parallel.h"
-#include "util/require.h"
 
 namespace groupcast::metrics::detail {
 
@@ -116,19 +114,6 @@ std::size_t resolve_shards(const ScenarioConfig& config) {
   if (trace::tracer().enabled() || util::in_parallel_worker()) return 1;
   if (config.peer_count < 2 * kPeersPerShard) return 1;
   return std::max<std::size_t>(1, std::thread::hardware_concurrency());
-}
-
-void validate_runtime(const ScenarioConfig& config,
-                      const RuntimeOptions& runtime, const char* harness) {
-  const std::string name = harness;
-  GC_REQUIRE_MSG(runtime.enabled, name + " harness invoked while disabled");
-  GC_REQUIRE_MSG(
-      runtime.loss_probability >= 0.0 && runtime.loss_probability <= 1.0,
-      name + ".loss_probability must be in [0, 1]");
-  GC_REQUIRE_MSG(!runtime.flow_control || runtime.reliable_data,
-                 name + ".flow_control requires reliable_data");
-  GC_REQUIRE_MSG(config.shards <= config.peer_count,
-                 "config.shards must not exceed peer_count");
 }
 
 NodeRuntime::NodeRuntime(const ScenarioConfig& config,
@@ -271,8 +256,31 @@ void NodeRuntime::resubscribe_later(overlay::PeerId peer,
   });
 }
 
-void NodeRuntime::settle(std::span<const overlay::PeerId> peers,
-                         std::span<const core::GroupId> groups) {
+std::vector<overlay::PeerId> NodeRuntime::pick_peers(
+    std::size_t count, std::span<const overlay::PeerId> excluded) {
+  std::vector<overlay::PeerId> picked;
+  const std::size_t draw = std::min(count + excluded.size(), nodes_.size());
+  for (const auto idx : rng_.sample_indices(nodes_.size(), draw)) {
+    if (picked.size() == count) break;
+    const auto p = static_cast<overlay::PeerId>(idx);
+    if (std::find(excluded.begin(), excluded.end(), p) == excluded.end()) {
+      picked.push_back(p);
+    }
+  }
+  return picked;
+}
+
+void NodeRuntime::join(std::span<const overlay::PeerId> peers,
+                       std::span<const core::GroupId> groups) {
+  for (const auto p : peers) arm_subscriber(p);
+  on_shards(peers, [&](overlay::PeerId p) {
+    for (const auto g : groups) nodes_[p]->subscribe(g);
+  });
+}
+
+void NodeRuntime::subscribe(std::span<const overlay::PeerId> peers,
+                            std::span<const core::GroupId> groups) {
+  join(peers, groups);
   for (std::size_t e = 0; e < kConvergenceEpochs; ++e) {
     advance(kEpoch);
     const bool settled =
@@ -284,6 +292,21 @@ void NodeRuntime::settle(std::span<const overlay::PeerId> peers,
         });
     if (settled) break;
   }
+}
+
+std::vector<overlay::PeerId> NodeRuntime::attached(
+    std::span<const overlay::PeerId> peers,
+    std::span<const core::GroupId> groups) const {
+  std::vector<overlay::PeerId> on_every_tree;
+  for (const auto p : peers) {
+    const auto& node = *nodes_[p];
+    if (std::all_of(groups.begin(), groups.end(), [&](core::GroupId g) {
+          return node.is_subscribed(g) && node.on_tree(g);
+        })) {
+      on_every_tree.push_back(p);
+    }
+  }
+  return on_every_tree;
 }
 
 void NodeRuntime::finish(ScenarioResult& result) {

@@ -2,8 +2,13 @@
 // (metrics/recovery.h, metrics/streaming.h): one place that stands up a
 // deployment of core::GroupCastNode peers on a sim::ShardSet, drives it
 // epoch by epoch, keeps subscribers retrying, and captures the engine
-// and trace facilities into the result.  The harnesses keep only their
-// own phases on top.  Not part of the public metrics API.
+// and trace facilities into the result.  It also owns the phases both
+// harnesses script their runs from, each defined once: pick_peers (the
+// one draw rule for subscribers, publishers and viewers), join and
+// subscribe (arm, subscribe on the shard workers, settle), attached (who
+// made it onto every tree) and share (an empty-guarded ratio).  The
+// harnesses keep only their own phases on top.  Not part of the public
+// metrics API.
 #pragma once
 
 #include <functional>
@@ -41,11 +46,11 @@ inline constexpr std::size_t kPeersPerShard = 5000;
 /// choice moves only the wall time and the engine gauges.
 std::size_t resolve_shards(const ScenarioConfig& config);
 
-/// Rejects a run whose shared runtime fields or shard count are out of
-/// range; `harness` ("recovery" / "streaming") names the option struct in
-/// the messages.
-void validate_runtime(const ScenarioConfig& config,
-                      const RuntimeOptions& runtime, const char* harness);
+/// `part / whole`, or `if_empty` when `whole` is 0: every harness share
+/// and mean over a set that may be empty.
+inline double share(double part, double whole, double if_empty) {
+  return whole == 0.0 ? if_empty : part / whole;
+}
 
 /// One node-runtime run.  Construction, in this order: builds the middleware
 /// from the config (forking an attached world) and splits the harness RNG off
@@ -105,6 +110,27 @@ class NodeRuntime {
   /// ShardSet::run_until.
   void advance(sim::SimTime by);
 
+  /// Draws `count` distinct peers outside `excluded` from the harness
+  /// RNG: samples min(count + |excluded|, peers) indices, skips the
+  /// excluded ones and keeps the first `count` in draw order (fewer only
+  /// when the world runs out of peers).
+  std::vector<overlay::PeerId> pick_peers(
+      std::size_t count, std::span<const overlay::PeerId> excluded);
+  /// Arms every peer of `peers` (arm_subscriber), then subscribes each to
+  /// every group of `groups` on its shard's worker (on_shards).
+  void join(std::span<const overlay::PeerId> peers,
+            std::span<const core::GroupId> groups);
+  /// join(), then advances epoch by epoch, at most kConvergenceEpochs
+  /// times, until none of `peers` has a control exchange pending on any
+  /// of `groups`.
+  void subscribe(std::span<const overlay::PeerId> peers,
+                 std::span<const core::GroupId> groups);
+  /// The peers of `peers` subscribed to every group of `groups` and on
+  /// its tree, in list order.
+  std::vector<overlay::PeerId> attached(
+      std::span<const overlay::PeerId> peers,
+      std::span<const core::GroupId> groups) const;
+
   /// Application-level retry loop: marks `peer` as wanting its groups and
   /// re-subscribes it one epoch after any terminal subscribe failure (the
   /// ladder's give-up callback), as a real client would.
@@ -112,10 +138,6 @@ class NodeRuntime {
   /// Ends the retry loop for `peer` (a graceful leaver).  Call it from
   /// the peer's own shard: the per-peer flag is never locked.
   void drop_subscriber(overlay::PeerId peer) { want_[peer] = 0; }
-  /// Advances epoch by epoch, at most kConvergenceEpochs times, until no
-  /// peer has a control exchange pending on any of `groups`.
-  void settle(std::span<const overlay::PeerId> peers,
-              std::span<const core::GroupId> groups);
 
   /// Folds the shard trace back and captures the run into `result`: the
   /// config (with the shard count that ran), repair edges, messages sent

@@ -24,8 +24,9 @@
 namespace groupcast::metrics {
 
 /// Runs one node-runtime churn scenario.  Requires
-/// `config.recovery.enabled`; run_scenario dispatches here on its own, so
-/// callers normally never need this symbol directly.
+/// `config.recovery.enabled` and a config metrics::validate accepts;
+/// run_scenario validates and dispatches here on its own, so callers
+/// normally never need this symbol directly.
 ScenarioResult run_recovery_scenario(const ScenarioConfig& config);
 
 }  // namespace groupcast::metrics

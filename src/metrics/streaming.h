@@ -25,8 +25,9 @@
 namespace groupcast::metrics {
 
 /// Runs one live-streaming scenario.  Requires
-/// `config.streaming.enabled`; run_scenario dispatches here on its own,
-/// so callers normally never need this symbol directly.
+/// `config.streaming.enabled` and a config metrics::validate accepts;
+/// run_scenario validates and dispatches here on its own, so callers
+/// normally never need this symbol directly.
 ScenarioResult run_streaming_scenario(const ScenarioConfig& config);
 
 }  // namespace groupcast::metrics

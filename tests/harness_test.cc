@@ -1,6 +1,6 @@
 // Tests of the node-runtime core both harnesses share
-// (metrics/harness_common.h): validation of the shared runtime fields, and
-// absolute goldens of each harness's output.
+// (metrics/harness_common.h): its phases, validation of the shared
+// runtime fields, and absolute goldens of each harness's output.
 //
 // ShardDeterminism (below and in shard_test.cc) and the jobs 1-vs-4 tests only
 // compare runs with each other; the goldens pin the actual output of four
@@ -972,6 +972,111 @@ TEST(HarnessOnShards, VisitsEachListedPeerOnceOnItsWorkerInListOrder) {
       total += seen.size();
     }
     EXPECT_EQ(total, peers.size());
+  }
+}
+
+// ------------------------------------------------- the shared phases
+
+using overlay::PeerId;
+
+// The loop each harness spelled out before pick_peers (streaming's viewer
+// draw): sample min(count + |excluded|, N) indices, skip the excluded
+// ones, keep the first `count`.
+std::vector<PeerId> reference_pick(util::Rng& rng, std::size_t peers,
+                                   std::size_t count,
+                                   const std::vector<PeerId>& excluded) {
+  std::vector<char> is_excluded(peers, 0);
+  for (const auto p : excluded) is_excluded[p] = 1;
+  std::vector<PeerId> picked;
+  for (const auto idx :
+       rng.sample_indices(peers, std::min(count + excluded.size(), peers))) {
+    const auto p = static_cast<PeerId>(idx);
+    if (is_excluded[p] != 0 || picked.size() == count) continue;
+    picked.push_back(p);
+  }
+  return picked;
+}
+
+// pick_peers draws exactly what the old loop drew from the same RNG
+// state, for the harnesses' three draws (subscribers, publishers, viewers
+// outside the sources) and for a draw capped at the world size.
+TEST(HarnessPhases, PickPeersDrawsWhatTheOldLoopDrew) {
+  for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+    auto config = node_runtime_point(200, 1);
+    config.seed = seed;
+    metrics::detail::NodeRuntime runtime(config, config.recovery,
+                                         core::TransportOptions{});
+    const PeerId rendezvous = runtime.middleware().pick_rendezvous();
+    const auto expect_same = [&](std::size_t count,
+                                 const std::vector<PeerId>& excluded) {
+      util::Rng reference = runtime.rng();
+      const auto expected =
+          reference_pick(reference, config.peer_count, count, excluded);
+      EXPECT_EQ(runtime.pick_peers(count, excluded), expected)
+          << "seed " << seed << ", count " << count;
+      // Both consumed the same draws.
+      EXPECT_EQ(runtime.rng()(), reference());
+    };
+    expect_same(40, {rendezvous});
+    util::Rng copy = runtime.rng();
+    auto sources = reference_pick(copy, config.peer_count, 3, {rendezvous});
+    expect_same(3, {rendezvous});
+    sources.push_back(rendezvous);
+    expect_same(40, sources);
+    expect_same(config.peer_count, sources);
+  }
+}
+
+TEST(HarnessPhases, PickPeersNeverReturnsAnExcludedPeer) {
+  auto config = node_runtime_point(200, 1);
+  config.seed = 9200;
+  metrics::detail::NodeRuntime runtime(config, config.recovery,
+                                       core::TransportOptions{});
+  util::Rng choose(23);
+  for (int draw = 0; draw < 16; ++draw) {
+    std::vector<PeerId> excluded;
+    for (const auto idx : choose.sample_indices(config.peer_count, 10 * draw)) {
+      excluded.push_back(static_cast<PeerId>(idx));
+    }
+    for (const std::size_t count : {1u, 25u, 100u, 200u}) {
+      const auto picked = runtime.pick_peers(count, excluded);
+      for (const auto p : picked) {
+        EXPECT_EQ(std::count(excluded.begin(), excluded.end(), p), 0)
+            << "peer " << p << " is excluded";
+        EXPECT_EQ(std::count(picked.begin(), picked.end(), p), 1);
+      }
+      // The draw holds at most |excluded| excluded peers, so it falls
+      // short only when the world does.
+      if (count + excluded.size() <= config.peer_count) {
+        EXPECT_EQ(picked.size(), count);
+      } else {
+        EXPECT_LE(picked.size(), count);
+      }
+    }
+  }
+}
+
+// On a zero-loss world, subscribe() returns only once every subscriber's
+// control exchanges are done, and every subscriber is then attached.
+TEST(HarnessPhases, SubscribeSettlesAZeroLossWorldAtOneTwoAndFourShards) {
+  constexpr core::GroupId kGroup = 1;
+  for (const std::size_t shards : {1u, 2u, 4u}) {
+    auto config = node_runtime_point(300, shards);
+    config.seed = 9201;
+    metrics::detail::NodeRuntime runtime(config, config.recovery,
+                                         core::TransportOptions{});
+    auto& nodes = runtime.nodes();
+    const PeerId rendezvous = runtime.middleware().pick_rendezvous();
+    nodes[rendezvous]->create_group(kGroup);
+    runtime.advance(metrics::kEpoch);
+    const auto subscribers = runtime.pick_peers(60, {&rendezvous, 1});
+    runtime.subscribe(subscribers, {&kGroup, 1});
+    for (const auto s : subscribers) {
+      EXPECT_FALSE(nodes[s]->exchange_pending(kGroup))
+          << "peer " << s << " at " << shards << " shards";
+    }
+    EXPECT_EQ(runtime.attached(subscribers, {&kGroup, 1}), subscribers)
+        << shards << " shards";
   }
 }
 

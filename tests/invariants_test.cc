@@ -282,7 +282,8 @@ struct CellShape {
 
 // A recovery cell on the node runtime, driven by hand so the test can
 // look at the tree between epochs: the group is created and advertised,
-// a fifth of the peers subscribe (on the shard workers) and settle, then
+// the runtime's phases draw a fifth of the peers (pick_peers), subscribe
+// them on the shard workers and settle (subscribe), then
 // `shape.crash` of them crash at once and the tree repairs for six epochs
 // under `shape.loss`.  `look` sees the runtime, the rendezvous and the
 // subscribers right after the settle, right after the crashes and after
@@ -305,18 +306,9 @@ void run_cell(std::size_t shards, CellShape shape, Look&& look) {
   nodes[rendezvous]->create_group(kGroup);
   runtime.advance(metrics::kEpoch);
 
-  std::vector<PeerId> subscribers;
-  for (const auto idx :
-       runtime.rng().sample_indices(config.peer_count, config.group_size + 1)) {
-    const auto p = static_cast<PeerId>(idx);
-    if (p != rendezvous && subscribers.size() < config.group_size) {
-      subscribers.push_back(p);
-    }
-  }
-  for (const auto s : subscribers) runtime.arm_subscriber(s);
-  runtime.on_shards(subscribers,
-                    [&nodes](PeerId s) { nodes[s]->subscribe(kGroup); });
-  runtime.settle(subscribers, {&kGroup, 1});
+  const auto subscribers =
+      runtime.pick_peers(config.group_size, {&rendezvous, 1});
+  runtime.subscribe(subscribers, {&kGroup, 1});
   look(runtime, rendezvous, subscribers);
 
   auto victims = subscribers;
